@@ -11,12 +11,12 @@ import (
 // network at once so per-call fixed costs — dispatch, weight-cache lookup,
 // scratch borrow/release, int8 weight-panel streaming — are paid once per
 // batch instead of once per frame. Dense layers pack the batch into one
-// GEMM call (n = B columns, escaping the n == 1 matvec path); Conv2D keeps
-// the fused streaming im2col per sample but walks each weight panel once
-// per batch (tensor.ConvInt8BatchInto). Both paths are bit-identical to B
-// sequential Forward(x, false) calls at any worker count: the float GEMM
-// accumulates every output element in ascending-p order regardless of n,
-// and the integer kernels are exact.
+// GEMM call (n = B columns, escaping the n == 1 matvec path); Conv2D
+// lowers the B samples side by side into shared patch panels of the fused
+// streaming im2col (tensor.ConvInt8BatchInto). Both paths are
+// bit-identical to B sequential Forward(x, false) calls at any worker
+// count: the float GEMM accumulates every output element in ascending-p
+// order regardless of n, and the integer kernels are exact.
 
 // BatchLayer is implemented by layers with a dedicated B-sample inference
 // path. ForwardBatch must return exactly the tensors that B independent
@@ -178,8 +178,8 @@ func (d *Dense) forwardBatchInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	return outs, nil
 }
 
-// ForwardBatch implements BatchLayer: per-sample fused streaming im2col,
-// but each weight panel streamed once per batch.
+// ForwardBatch implements BatchLayer: on the int8 path the whole batch
+// shares each streamed patch panel; the float path loops over samples.
 func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 1 {
 		out, err := c.Forward(xs[0], false)
@@ -228,9 +228,10 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 }
 
 // forwardBatchInt8 quantizes every sample up front and hands the batch to
-// the panel-reordered kernel (tensor.ConvInt8BatchInto): inside each output
-// tile, a weight panel is walked once across all B samples before the next
-// panel loads, so weight traffic amortizes over the batch.
+// the batch-packed kernel (tensor.ConvInt8BatchInto): each patch panel
+// holds the same output tile of all B samples side by side, so a layer
+// with few output positions still runs a wide product and weight traffic
+// amortizes over the batch.
 func (c *Conv2D) forwardBatchInt8(xs []*tensor.Tensor, oh, ow int) ([]*tensor.Tensor, error) {
 	wq, wScales, err := c.int8Weights()
 	if err != nil {

@@ -1,33 +1,27 @@
 package nn
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The integer fast path: quantized layers run inference GEMMs as
-// int8×int8→int32 with a single float rescale at the output
-// (tensor.ConvInt8Into / tensor.GemmInt8Into) instead of dequantizing
-// weights to float. It is on by default for every layer whose weight grid
-// fits int8 codes (bit width ≤ 8); training always uses the float
-// reference path, which the backward pass and the dataflow compiler
-// consume. Set ADAFLOW_FLOAT_GEMM=1 (or call SetInt8GEMM(false)) to force
-// the float reference at inference time too, e.g. when bisecting a
-// numeric difference against the compiled dataflow programs.
+// int8×int8 products with exact integer accumulation and a single float
+// rescale at the output (tensor.ConvInt8BatchInto / tensor.GemmInt8Into)
+// instead of dequantizing weights to float. It is on by default for every
+// layer whose weight grid fits int8 codes (bit width ≤ 8); training always
+// uses the float reference path, which the backward pass and the dataflow
+// compiler consume. Call SetInt8GEMM(false) to force the float reference
+// at inference time too, e.g. when bisecting a numeric difference against
+// the compiled dataflow programs.
 
-var int8GEMM atomic.Bool
-
-func init() {
-	int8GEMM.Store(os.Getenv("ADAFLOW_FLOAT_GEMM") == "")
-}
+// floatGEMM is the inverted switch, so the zero value selects the int8 path.
+var floatGEMM atomic.Bool
 
 // SetInt8GEMM enables or disables the integer inference fast path for
 // quantized layers, returning the previous setting. Safe for concurrent
 // use; in-flight forwards keep the path they chose.
 func SetInt8GEMM(on bool) bool {
-	return int8GEMM.Swap(on)
+	return !floatGEMM.Swap(!on)
 }
 
 // Int8GEMMEnabled reports whether quantized layers take the integer fast
 // path at inference time.
-func Int8GEMMEnabled() bool { return int8GEMM.Load() }
+func Int8GEMMEnabled() bool { return !floatGEMM.Load() }

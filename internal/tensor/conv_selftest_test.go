@@ -141,6 +141,139 @@ func TestConvInt8SelfTest(t *testing.T) {
 	}
 }
 
+// checkConvBatch runs one batch through ConvInt8BatchInto and through B
+// per-sample ConvInt8Into calls at 1, 2 and NumCPU workers. Both must
+// equal the six-loop reference exactly.
+func checkConvBatch(t *testing.T, rng *rand.Rand, g ConvGeom, outC, bsz int, codes func(*rand.Rand, int) []int8) {
+	t.Helper()
+	k := g.InC * g.KH * g.KW
+	cols := g.OutH() * g.OutW()
+	w := &Int8Matrix{Rows: outC, Cols: k, Data: codes(rng, outC*k)}
+	xs := make([][]int8, bsz)
+	scales := make([][]float32, bsz)
+	want := make([][]float32, bsz)
+	for b := range xs {
+		xs[b] = codes(rng, g.InC*g.InH*g.InW)
+		scales[b] = []float32{rng.Float32() + 0.5}
+		if rng.Intn(2) == 0 {
+			scales[b] = make([]float32, outC)
+			for i := range scales[b] {
+				scales[b][i] = rng.Float32() + 0.5
+			}
+		}
+		want[b] = naiveConvInt8(w.Data, xs[b], g, outC, scales[b])
+	}
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		prev := SetMaxWorkers(workers)
+		dsts := make([]*Tensor, bsz)
+		for b := range dsts {
+			dsts[b] = New(outC, cols)
+		}
+		err := ConvInt8BatchInto(dsts, w, xs, g, scales)
+		for b := 0; err == nil && b < bsz; b++ {
+			single := New(outC, cols)
+			if err = ConvInt8Into(single, w, xs[b], g, scales[b]); err != nil {
+				break
+			}
+			for i, v := range dsts[b].Data() {
+				if v != want[b][i] || single.Data()[i] != v {
+					t.Fatalf("%+v outC=%d B=%d workers=%d sample %d: out[%d] batched %v, per-sample %v, naive %v",
+						g, outC, bsz, workers, b, i, v, single.Data()[i], want[b][i])
+				}
+			}
+		}
+		SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatalf("%+v outC=%d B=%d workers=%d: %v", g, outC, bsz, workers, err)
+		}
+	}
+}
+
+// TestConvInt8BatchSelfTest covers every tile-width regime of the
+// batch-packed kernel: B = 1…9, 1×1 to 30×30 outputs (one partial tile to
+// many), every OutC mod 4 (full and partial blocks of lane pairs, and an
+// odd last row), k on both sides of kcPanel, and all codes at the int8
+// extremes, where a lane that carried into its neighbour would show.
+func TestConvInt8BatchSelfTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	prevGrain := SetParallelGrain(1)
+	defer SetParallelGrain(prevGrain)
+	inCs := []int{2, 29} // k = 18 and 261
+	for bsz := 1; bsz <= 9; bsz++ {
+		for si, out := range []int{1, 3, 10, 30} {
+			if testing.Short() && out == 30 && bsz > 2 {
+				continue
+			}
+			g := ConvGeom{InC: inCs[(bsz+si)%2], InH: out + 2, InW: out + 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+			checkConvBatch(t, rng, g, 4+(bsz+si)%4, bsz, randInt8s)
+		}
+	}
+	g := ConvGeom{InC: 29, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	for _, wc := range []int8{-128, 127} {
+		for _, xc := range []int8{-128, 127} {
+			fill := wc
+			codes := func(_ *rand.Rand, n int) []int8 {
+				s := make([]int8, n)
+				for i := range s {
+					s[i] = fill
+				}
+				fill = xc // the weights are drawn first, then every input
+				return s
+			}
+			checkConvBatch(t, rng, g, 7, 3, codes)
+		}
+	}
+}
+
+// TestInt8LaneBound pins the paired-lane overflow guard. A 32-bit lane is
+// exact while k·128·128 < 2³¹: at k = maxLaneK-1 the extreme codes still
+// come out exact in both lanes, and k = maxLaneK is refused.
+func TestInt8LaneBound(t *testing.T) {
+	if maxLaneK*128*128 != 1<<31 {
+		t.Fatalf("maxLaneK = %d, want 2^31/(128·128)", maxLaneK)
+	}
+	k := maxLaneK - 1
+	const n = narrowN + 1 // the wide, paired-lane path
+	a := NewInt8Matrix(3, k)
+	for i := range a.Data {
+		a.Data[i] = -128
+		if i/k == 1 {
+			a.Data[i] = 127
+		}
+	}
+	b := NewInt8Matrix(k, n)
+	for i := range b.Data {
+		b.Data[i] = -128
+	}
+	lo, hi := int32(k*128*128), int32(-k*127*128)
+	got, err := GemmInt8(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < n; j++ {
+		if got[j] != lo || got[n+j] != hi || got[2*n+j] != lo {
+			t.Fatalf("k=%d column %d: got %d %d %d, want %d %d %d", k, j, got[j], got[n+j], got[2*n+j], lo, hi, lo)
+		}
+	}
+	g := ConvGeom{InC: k, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+	dst := New(3, 1)
+	if err := ConvInt8Into(dst, a, b.Data[:k], g, []float32{1}); err != nil {
+		t.Fatal(err)
+	}
+	if d := dst.Data(); d[0] != float32(lo) || d[1] != float32(hi) || d[2] != float32(lo) {
+		t.Fatalf("conv k=%d: got %v, want [%v %v %v]", k, d, float32(lo), float32(hi), float32(lo))
+	}
+
+	k = maxLaneK
+	if err := GemmInt8Into(make([]int32, n), NewInt8Matrix(1, k), NewInt8Matrix(k, n)); err == nil {
+		t.Fatalf("GemmInt8Into accepted k=%d on the paired-lane path", k)
+	}
+	g.InC = k
+	if err := ConvInt8Into(New(1, 1), NewInt8Matrix(1, k), make([]int8, k), g, []float32{1}); err == nil {
+		t.Fatalf("ConvInt8Into accepted k=%d", k)
+	}
+}
+
 func TestGemmInt8SelfTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	prevGrain := SetParallelGrain(1)

@@ -100,9 +100,9 @@ func Im2ColInto(dst, in *Tensor, g ConvGeom) error {
 	return nil
 }
 
-// convTileCols is the number of output positions per streamed patch tile
-// of the fused int8 convolution: one kcPanel×convTileCols int8 patch panel
-// (≤16 KiB) plus the four int32 accumulator rows it feeds stay L1-resident.
+// convTileCols is the width of one streamed patch panel of the fused int8
+// convolution: one kcPanel×convTileCols int8 panel (32 KiB) plus the lane
+// accumulator rows it feeds stay cache-resident.
 const convTileCols = 128
 
 // ConvInt8Into computes a quantized convolution without ever materializing
@@ -111,82 +111,30 @@ const convTileCols = 128
 // input, and rescale multiplies output row o by outScales[o] (or
 // outScales[0] when a single tensor-wide scale is given). dst is a
 // caller-provided rank-2 (OutC × OutH·OutW) float32 tensor, fully
-// overwritten.
-//
-// This is the fused streaming SWU+MVTU: receptive-field windows are
-// lowered into kcPanel×convTileCols panels that feed the int8 GEMM inner
-// loop directly, so peak scratch is one L1-sized panel per worker instead
-// of the full (InC·KH·KW)×(OutH·OutW) patch matrix. Output-position tiles
-// are split across the package worker pool; integer accumulation is exact,
-// so results are bit-identical for any worker count and tile schedule.
+// overwritten. It is the B = 1 case of ConvInt8BatchInto.
 func ConvInt8Into(dst *Tensor, w *Int8Matrix, x []int8, g ConvGeom, outScales []float32) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	oh, ow := g.OutH(), g.OutW()
-	cols := oh * ow
-	k := g.InC * g.KH * g.KW
-	outC := w.Rows
-	if w.Cols != k || len(w.Data) != outC*k {
-		return fmt.Errorf("tensor: ConvInt8Into weights %dx%d, want %dx%d", w.Rows, w.Cols, outC, k)
-	}
-	if len(x) != g.InC*g.InH*g.InW {
-		return fmt.Errorf("tensor: ConvInt8Into input length %d does not match geometry %dx%dx%d",
-			len(x), g.InC, g.InH, g.InW)
-	}
-	if dst.Rank() != 2 || dst.shape[0] != outC || dst.shape[1] != cols {
-		return fmt.Errorf("tensor: ConvInt8Into dst %v, want %dx%d", dst.shape, outC, cols)
-	}
-	if len(outScales) != 1 && len(outScales) != outC {
-		return fmt.Errorf("tensor: ConvInt8Into wants 1 or %d output scales, got %d", outC, len(outScales))
-	}
-	od := dst.data
-	wd := w.Data
-	kc := min(kcPanel, k)
-	tiles := (cols + convTileCols - 1) / convTileCols
-	parallelFor(tiles, outC*k*convTileCols, func(tLo, tHi int) {
-		patch := BorrowInt8(kc * convTileCols)
-		acc := BorrowInt32(outC * convTileCols)
-		defer ReleaseInt8(patch)
-		defer ReleaseInt32(acc)
-		for t := tLo; t < tHi; t++ {
-			j0 := t * convTileCols
-			j1 := min(j0+convTileCols, cols)
-			tw := j1 - j0
-			clear(acc[:outC*tw])
-			for p0 := 0; p0 < k; p0 += kc {
-				p1 := min(p0+kc, k)
-				streamPatchPanel(patch, x, g, p0, p1, j0, j1, ow)
-				convInt8Panel(acc, wd, patch, outC, k, p0, p1, tw)
-			}
-			for o := 0; o < outC; o++ {
-				s := outScales[0]
-				if len(outScales) > 1 {
-					s = outScales[o]
-				}
-				drow := od[o*cols+j0 : o*cols+j1]
-				for jj, v := range acc[o*tw : o*tw+tw] {
-					drow[jj] = float32(v) * s
-				}
-			}
-		}
-	})
-	return nil
+	return ConvInt8BatchInto([]*Tensor{dst}, w, [][]int8{x}, g, [][]float32{outScales})
 }
 
-// ConvInt8BatchInto is the batched form of ConvInt8Into: it convolves B
-// same-geometry inputs against one weight matrix, writing each sample's
-// rescaled output into dsts[b]. The loop nest is reordered so that within
-// an output tile each weight panel is walked once per batch — the panel
-// stays cache-resident across the B samples instead of being re-streamed
-// per frame — while each sample's patch panels are still lowered one at a
-// time (peak scratch stays one panel plus B accumulator tiles per worker).
+// ConvInt8BatchInto convolves B same-geometry inputs against one weight
+// matrix, writing each sample's rescaled output into dsts[b]; outScales[b]
+// follows the outScales contract of ConvInt8Into (1 or OutC entries per
+// sample). The inner dimension InC·KH·KW must be below maxLaneK.
 //
-// Per sample, every output element accumulates exactly the products of
-// ConvInt8Into in the same ascending-panel order; integer accumulation is
-// exact, so each dsts[b] is bit-identical to a standalone ConvInt8Into
-// call for any worker count and batch size. outScales[b] follows the
-// outScales contract of ConvInt8Into (1 or OutC entries per sample).
+// This is the fused streaming SWU+MVTU. Output positions are cut into
+// tiles of tw = max(1, convTileCols/B) positions per sample, and for each
+// tile the receptive-field windows of all B samples are lowered side by
+// side into one kcPanel × (B·tw) panel (streamPatchPanel), so a late layer
+// with a handful of output positions still feeds the kernel a panel about
+// convTileCols wide. Each panel goes straight into the paired-lane kernel
+// (mulInt8Lanes); after the last panel of a tile the int64 lanes are
+// unpacked and rescaled into the float outputs. Peak scratch is one panel
+// and one lane tile per worker instead of the full patch matrix.
+//
+// Tiles are split across the package worker pool. Every output element
+// accumulates exactly its own products, and integer accumulation is exact,
+// so each dsts[b] is bit-identical to a standalone ConvInt8Into call for
+// any worker count and batch size.
 func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, outScales [][]float32) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -196,12 +144,15 @@ func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, o
 		return fmt.Errorf("tensor: ConvInt8BatchInto wants equal non-zero dsts/xs/outScales, got %d/%d/%d",
 			len(dsts), len(xs), len(outScales))
 	}
-	oh, ow := g.OutH(), g.OutW()
-	cols := oh * ow
+	ow := g.OutW()
+	cols := g.OutH() * ow
 	k := g.InC * g.KH * g.KW
 	outC := w.Rows
 	if w.Cols != k || len(w.Data) != outC*k {
 		return fmt.Errorf("tensor: ConvInt8BatchInto weights %dx%d, want %dx%d", w.Rows, w.Cols, outC, k)
+	}
+	if k >= maxLaneK {
+		return fmt.Errorf("tensor: ConvInt8BatchInto inner dimension %d exceeds the paired-lane bound %d", k, maxLaneK-1)
 	}
 	for b := 0; b < bsz; b++ {
 		if len(xs[b]) != g.InC*g.InH*g.InW {
@@ -218,36 +169,46 @@ func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, o
 	}
 	wd := w.Data
 	kc := min(kcPanel, k)
-	tiles := (cols + convTileCols - 1) / convTileCols
-	parallelFor(tiles, bsz*outC*k*convTileCols, func(tLo, tHi int) {
-		patch := BorrowInt8(kc * convTileCols)
-		acc := BorrowInt32(bsz * outC * convTileCols)
-		defer ReleaseInt8(patch)
-		defer ReleaseInt32(acc)
+	tw := min(cols, max(1, convTileCols/bsz))
+	pairs := (outC + 1) / 2
+	parallelFor((cols+tw-1)/tw, bsz*outC*k*tw, func(tLo, tHi int) {
+		panel := BorrowInt8(kc * bsz * tw)
+		acc := BorrowInt64(pairs * bsz * tw)
+		defer ReleaseInt8(panel)
+		defer ReleaseInt64(acc)
 		for t := tLo; t < tHi; t++ {
-			j0 := t * convTileCols
-			j1 := min(j0+convTileCols, cols)
-			tw := j1 - j0
-			clear(acc[:bsz*outC*tw])
+			j0 := t * tw
+			j1 := min(j0+tw, cols)
+			sw := j1 - j0 // this tile's positions per sample
+			n := bsz * sw
+			lanes := acc[:pairs*n]
+			clear(lanes)
 			for p0 := 0; p0 < k; p0 += kc {
 				p1 := min(p0+kc, k)
-				for b := 0; b < bsz; b++ {
-					streamPatchPanel(patch, xs[b], g, p0, p1, j0, j1, ow)
-					convInt8Panel(acc[b*outC*tw:(b+1)*outC*tw], wd, patch, outC, k, p0, p1, tw)
+				for b, x := range xs {
+					streamPatchPanel(panel, n, b*sw, x, g, p0, p1, j0, j1, ow)
 				}
+				mulInt8Lanes(lanes, wd, outC, k, 0, pairs, p0, p1, panel, n, n)
 			}
-			for b := 0; b < bsz; b++ {
-				od := dsts[b].data
-				scales := outScales[b]
-				bacc := acc[b*outC*tw : (b+1)*outC*tw]
-				for o := 0; o < outC; o++ {
-					s := scales[0]
-					if len(scales) > 1 {
-						s = scales[o]
+			for b, dst := range dsts {
+				s := outScales[b]
+				for q := 0; q < pairs; q++ {
+					o := 2 * q
+					src := lanes[q*n+b*sw : q*n+b*sw+sw]
+					lo := dst.data[o*cols+j0 : o*cols+j1]
+					sLo := s[min(o, len(s)-1)] // one scale, or one per channel
+					if o+1 == outC {
+						for jj, x := range src {
+							lo[jj] = float32(int32(x)) * sLo
+						}
+						continue
 					}
-					drow := od[o*cols+j0 : o*cols+j1]
-					for jj, v := range bacc[o*tw : o*tw+tw] {
-						drow[jj] = float32(v) * s
+					hi := dst.data[(o+1)*cols+j0 : (o+1)*cols+j1]
+					sHi := s[min(o+1, len(s)-1)]
+					for jj, x := range src {
+						l, h := unpackLanes(x)
+						lo[jj] = float32(l) * sLo
+						hi[jj] = float32(h) * sHi
 					}
 				}
 			}
@@ -257,17 +218,17 @@ func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, o
 }
 
 // streamPatchPanel lowers patch-matrix rows [p0,p1) restricted to output
-// positions [j0,j1) into panel (row-major, width j1-j0), zeroing padding.
-// This is Im2ColInto's loop nest confined to one cache panel.
-func streamPatchPanel(panel []int8, x []int8, g ConvGeom, p0, p1, j0, j1, ow int) {
-	tw := j1 - j0
+// positions [j0,j1) into panel, zeroing padding: patch row r lands at
+// panel[(r-p0)·ld+off:][:j1-j0]. This is Im2ColInto's loop nest confined
+// to one cache panel, and ld/off let several samples share the panel.
+func streamPatchPanel(panel []int8, ld, off int, x []int8, g ConvGeom, p0, p1, j0, j1, ow int) {
 	kk := g.KH * g.KW
 	for r := p0; r < p1; r++ {
 		c := r / kk
 		rem := r % kk
 		kh := rem / g.KW
 		kw := rem % g.KW
-		dstRow := panel[(r-p0)*tw : (r-p0+1)*tw]
+		dstRow := panel[(r-p0)*ld+off : (r-p0)*ld+off+j1-j0]
 		j := j0
 		for j < j1 {
 			oy := j / ow
@@ -288,67 +249,6 @@ func streamPatchPanel(panel []int8, x []int8, g ConvGeom, p0, p1, j0, j1, ow int
 					dstRow[j-j0] = x[base+ix]
 				}
 				ox++
-			}
-		}
-	}
-}
-
-// convInt8Panel accumulates acc += W[:, p0:p1] · panel with the same
-// 4-row register blocking and skip-on-zero fusion as gemmInt8Panel; panel
-// holds patch rows [p0,p1) at width tw, acc is OutC×tw.
-func convInt8Panel(acc []int32, wd, panel []int8, outC, k, p0, p1, tw int) {
-	i := 0
-	for ; i+4 <= outC; i += 4 {
-		c0 := acc[i*tw : (i+1)*tw]
-		c1 := acc[(i+1)*tw : (i+2)*tw]
-		c2 := acc[(i+2)*tw : (i+3)*tw]
-		c3 := acc[(i+3)*tw : (i+4)*tw]
-		a0 := wd[i*k : (i+1)*k]
-		a1 := wd[(i+1)*k : (i+2)*k]
-		a2 := wd[(i+2)*k : (i+3)*k]
-		a3 := wd[(i+3)*k : (i+4)*k]
-		for p := p0; p < p1; p++ {
-			brow := panel[(p-p0)*tw : (p-p0+1)*tw]
-			av0, av1, av2, av3 := int32(a0[p]), int32(a1[p]), int32(a2[p]), int32(a3[p])
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				axpy4i8(c0, c1, c2, c3, brow, av0, av1, av2, av3)
-				continue
-			}
-			var rows [3][]int32
-			var coef [3]int32
-			nz := 0
-			if av0 != 0 {
-				rows[nz], coef[nz] = c0, av0
-				nz++
-			}
-			if av1 != 0 {
-				rows[nz], coef[nz] = c1, av1
-				nz++
-			}
-			if av2 != 0 {
-				rows[nz], coef[nz] = c2, av2
-				nz++
-			}
-			if av3 != 0 {
-				rows[nz], coef[nz] = c3, av3
-				nz++
-			}
-			switch nz {
-			case 3:
-				axpy3i8(rows[0], rows[1], rows[2], brow, coef[0], coef[1], coef[2])
-			case 2:
-				axpy2i8(rows[0], rows[1], brow, coef[0], coef[1])
-			case 1:
-				axpyi8(rows[0], brow, coef[0])
-			}
-		}
-	}
-	for ; i < outC; i++ {
-		crow := acc[i*tw : (i+1)*tw]
-		arow := wd[i*k : (i+1)*k]
-		for p := p0; p < p1; p++ {
-			if av := int32(arow[p]); av != 0 {
-				axpyi8(crow, panel[(p-p0)*tw:(p-p0+1)*tw], av)
 			}
 		}
 	}

@@ -1,19 +1,20 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Integer fast-path kernels: int8×int8→int32 GEMM with the same worker-pool
-// parallelism and 4-row register blocking as the float kernels in gemm.go,
-// plus tile-level cache blocking (L1/L2-sized panels). Quantized layers in
-// internal/nn route their inference GEMMs here so the int8 representation
-// produced by internal/quant is computed on directly instead of being
-// dequantized to float first; a single float rescale at the output recovers
-// real units. Integer accumulation is exact and associative, so results are
-// bit-identical across any worker count or tile schedule by construction —
-// a stronger guarantee than the float kernels' order-preservation argument.
+// Integer fast-path kernels: int8×int8 products with exact integer
+// accumulation, on the same worker pool as the float kernels in gemm.go.
+// Quantized layers in internal/nn route their inference GEMMs here so the
+// int8 representation produced by internal/quant is computed on directly
+// instead of being dequantized to float first; a single float rescale at
+// the output recovers real units. Integer accumulation is exact and
+// associative, so results are bit-identical across any worker count or
+// tile schedule by construction — a stronger guarantee than the float
+// kernels' order-preservation argument.
+//
+// Wide products run on one micro-kernel, mulInt8Lanes: two weight rows
+// share one int64 coefficient (w0 + w1<<32), so each multiply-add advances
+// two int32 output lanes at once.
 
 // Int8Matrix is a dense row-major int8 matrix, the storage format of
 // quantized weights and streamed activation patches on the integer path.
@@ -30,15 +31,19 @@ func NewInt8Matrix(rows, cols int) *Int8Matrix {
 	return &Int8Matrix{Rows: rows, Cols: cols, Data: make([]int8, rows*cols)}
 }
 
-// Cache-blocking panel sizes. One B panel (kcPanel×ncPanel int8) fits in
-// L1 with room for the 4 accumulator rows it is streamed against; a full
-// k-strip of A rows (4×kcPanel int8) stays resident across the j sweep.
-// Integer accumulation makes the tiling invisible in the results, so these
-// are pure tuning knobs.
+// Cache-blocking panel sizes. One B panel (kcPanel×ncPanel int8) is
+// streamed against the lane accumulators of a worker's rows while the
+// k-strips of A it pairs with stay resident. Integer accumulation makes
+// the tiling invisible in the results, so these are pure tuning knobs.
 const (
 	kcPanel = 256 // rows of B per panel (k dimension)
 	ncPanel = 512 // columns of B per panel (n dimension)
 )
+
+// maxLaneK bounds the inner dimension of the paired-lane kernel. A lane is
+// exact while its sum fits int32: k·128·128 < 2³¹, that is k < 2¹⁷. Past
+// that a low-lane overflow would carry into the high lane.
+const maxLaneK = 1 << 17
 
 // GemmInt8 computes C = A·B over int8 operands with int32 accumulation.
 // A is (m×k), B is (k×n), the result is a freshly allocated m·n int32
@@ -54,7 +59,7 @@ func GemmInt8(a, b *Int8Matrix) ([]int32, error) {
 // GemmInt8Into computes dst = A·B over int8 operands, overwriting dst (a
 // row-major m×n int32 slice, typically borrowed via BorrowInt32). Rows of
 // the output are split across the package worker pool exactly like the
-// float GemmInto.
+// float GemmInto. Products wider than narrowN columns need k < maxLaneK.
 func GemmInt8Into(dst []int32, a, b *Int8Matrix) error {
 	m, k := a.Rows, a.Cols
 	k2, n := b.Rows, b.Cols
@@ -88,9 +93,9 @@ func GemmInt8Into(dst []int32, a, b *Int8Matrix) error {
 		// walk k in kcPanel strips so the active B panel (kcPanel×n int8)
 		// stays L1-resident across every A row, each operand is streamed
 		// from memory exactly once per batch, and the n-wide column sums
-		// live in a stack register block instead of paying per-panel axpy
-		// call overhead on tiny row widths. Integer accumulation is exact,
-		// so this path is bit-identical to the blocked one.
+		// live in a stack register block instead of paying per-panel call
+		// overhead on tiny row widths. Integer accumulation is exact, so
+		// this path is bit-identical to the wide one.
 		parallelFor(m, k*n, func(lo, hi int) {
 			clear(dst[lo*n : hi*n])
 			var acc [narrowN]int32
@@ -120,8 +125,34 @@ func GemmInt8Into(dst []int32, a, b *Int8Matrix) error {
 		})
 		return nil
 	}
-	parallelFor(m, k*n, func(lo, hi int) {
-		gemmInt8Rows(dst, ad, bd, lo, hi, k, n)
+	if k >= maxLaneK {
+		return fmt.Errorf("tensor: GemmInt8 inner dimension %d exceeds the paired-lane bound %d", k, maxLaneK-1)
+	}
+	// Wide product: workers own lane pairs (row pairs) and sweep
+	// ncPanel-wide column blocks, accumulating int64 lanes over every
+	// kcPanel strip before unpacking them into dst.
+	parallelFor((m+1)/2, 2*k*n, func(lo, hi int) {
+		nw := min(n, ncPanel)
+		acc := BorrowInt64((hi - lo) * nw)
+		defer ReleaseInt64(acc)
+		for j0 := 0; j0 < n; j0 += ncPanel {
+			w := min(ncPanel, n-j0)
+			lanes := acc[:(hi-lo)*w]
+			clear(lanes)
+			for p0 := 0; p0 < k; p0 += kcPanel {
+				mulInt8Lanes(lanes, ad, m, k, lo, hi, p0, min(p0+kcPanel, k), bd[p0*n+j0:], n, w)
+			}
+			for q := lo; q < hi; q++ {
+				o := 2 * q
+				for jj, x := range lanes[(q-lo)*w : (q-lo+1)*w] {
+					l, h := unpackLanes(x)
+					dst[o*n+j0+jj] = l
+					if o+1 < m {
+						dst[(o+1)*n+j0+jj] = h
+					}
+				}
+			}
+		}
 	})
 	return nil
 }
@@ -155,126 +186,64 @@ func gemmInt8Narrow8(s []int32, arow []int8, bpanel []int8) {
 // while each weight row streams past once.
 const narrowN = 16
 
-// gemmInt8Rows computes rows [lo, hi) of C = A·B with 4-row register
-// blocking inside kcPanel×ncPanel cache panels of B.
-func gemmInt8Rows(cd []int32, ad, bd []int8, lo, hi, k, n int) {
-	clear(cd[lo*n : hi*n])
-	for j0 := 0; j0 < n; j0 += ncPanel {
-		j1 := min(j0+ncPanel, n)
-		for p0 := 0; p0 < k; p0 += kcPanel {
-			p1 := min(p0+kcPanel, k)
-			gemmInt8Panel(cd, ad, bd, lo, hi, p0, p1, j0, j1, k, n)
-		}
-	}
-}
+// laneZeros stands in for the weight rows past the end of A or of the
+// caller's pair range, so a partial block of lane pairs runs the same
+// straight-line loop as a full one.
+var laneZeros [kcPanel]int8
 
-// gemmInt8Panel accumulates the (rows [lo,hi), columns [j0,j1)) output
-// block's contributions from the [p0,p1) slice of the inner dimension.
-// Per output element contributions are integer adds, so panel order never
-// shows in the results.
-func gemmInt8Panel(cd []int32, ad, bd []int8, lo, hi, p0, p1, j0, j1, k, n int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		c0 := cd[i*n+j0 : i*n+j1]
-		c1 := cd[(i+1)*n+j0 : (i+1)*n+j1]
-		c2 := cd[(i+2)*n+j0 : (i+2)*n+j1]
-		c3 := cd[(i+3)*n+j0 : (i+3)*n+j1]
-		a0 := ad[i*k : (i+1)*k]
-		a1 := ad[(i+1)*k : (i+2)*k]
-		a2 := ad[(i+2)*k : (i+3)*k]
-		a3 := ad[(i+3)*k : (i+4)*k]
-		for p := p0; p < p1; p++ {
-			brow := bd[p*n+j0 : p*n+j1]
-			av0, av1, av2, av3 := int32(a0[p]), int32(a1[p]), int32(a2[p]), int32(a3[p])
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				axpy4i8(c0, c1, c2, c3, brow, av0, av1, av2, av3)
-				continue
-			}
-			// Low-bit grids are zero-heavy: fuse only the nonzero rows so
-			// brow is still read once per 4-row block.
-			var rows [3][]int32
-			var coef [3]int32
-			nz := 0
-			if av0 != 0 {
-				rows[nz], coef[nz] = c0, av0
-				nz++
-			}
-			if av1 != 0 {
-				rows[nz], coef[nz] = c1, av1
-				nz++
-			}
-			if av2 != 0 {
-				rows[nz], coef[nz] = c2, av2
-				nz++
-			}
-			if av3 != 0 {
-				rows[nz], coef[nz] = c3, av3
-				nz++
-			}
-			switch nz {
-			case 3:
-				axpy3i8(rows[0], rows[1], rows[2], brow, coef[0], coef[1], coef[2])
-			case 2:
-				axpy2i8(rows[0], rows[1], brow, coef[0], coef[1])
-			case 1:
-				axpyi8(rows[0], brow, coef[0])
+// mulInt8Lanes accumulates acc += W[:, p0:p1]·B for the lane pairs
+// [q0,q1) of the m×k row-major weights wd. Lane pair q packs weight rows 2q
+// (low 32 bits) and 2q+1 (high 32 bits; zero when 2q+1 == m) into one
+// int64 coefficient; acc holds one row of nw int64 lanes per pair, pair q
+// at row q-q0. Row p of B is b[(p-p0)·ldb:][:nw], and p1-p0 ≤ kcPanel.
+//
+// Four lane pairs (eight weight rows) advance per sweep of a B row, and a
+// sweep is skipped only when all eight codes are zero. Every lane adds
+// exactly its row's products, so unpackLanes recovers the int32 sums
+// bit-exactly as long as k < maxLaneK.
+func mulInt8Lanes(acc []int64, wd []int8, m, k, q0, q1, p0, p1 int, b []int8, ldb, nw int) {
+	kp := p1 - p0
+	for q := q0; q < q1; q += 4 {
+		var w [8][]int8
+		for i := range w {
+			w[i] = laneZeros[:kp]
+			if r := 2*q + i; r < m && r < 2*q1 {
+				w[i] = wd[r*k+p0 : r*k+p1]
 			}
 		}
-	}
-	for ; i < hi; i++ {
-		crow := cd[i*n+j0 : i*n+j1]
-		arow := ad[i*k : (i+1)*k]
-		for p := p0; p < p1; p++ {
-			if av := int32(arow[p]); av != 0 {
-				axpyi8(crow, bd[p*n+j0:p*n+j1], av)
+		var c [4][]int64
+		for i := range c {
+			c[i] = acc[(q-q0)*nw : (q-q0+1)*nw] // missing pairs alias pair q with zero coefficients
+			if q+i < q1 {
+				c[i] = acc[(q+i-q0)*nw : (q+i-q0+1)*nw]
+			}
+		}
+		w0, w1, w2, w3 := w[0][:kp], w[1][:kp], w[2][:kp], w[3][:kp]
+		w4, w5, w6, w7 := w[4][:kp], w[5][:kp], w[6][:kp], w[7][:kp]
+		for pp := range kp {
+			a0 := int64(w0[pp]) + int64(w1[pp])<<32
+			a1 := int64(w2[pp]) + int64(w3[pp])<<32
+			a2 := int64(w4[pp]) + int64(w5[pp])<<32
+			a3 := int64(w6[pp]) + int64(w7[pp])<<32
+			if a0|a1|a2|a3 != 0 {
+				laneAxpy4(c[0], c[1], c[2], c[3], b[pp*ldb:pp*ldb+nw], a0, a1, a2, a3)
 			}
 		}
 	}
 }
 
-// The integer axpy kernels mirror the float ones in gemm.go, including the
-// //go:noinline to keep row pointers out of gemmInt8Panel's registers.
-
+// laneAxpy4 is the paired-lane axpy: c_i += a_i·b for four lane rows. The
+// //go:noinline keeps the row pointers out of mulInt8Lanes's registers,
+// like the float axpy kernels in gemm.go.
+//
 //go:noinline
-func axpyi8(c []int32, b []int8, a int32) {
-	c = c[:len(b)]
-	for j, bv := range b {
-		c[j] += a * int32(bv)
-	}
-}
-
-//go:noinline
-func axpy2i8(c0, c1 []int32, b []int8, a0, a1 int32) {
-	c0 = c0[:len(b)]
-	c1 = c1[:len(b)]
-	for j, bv := range b {
-		v := int32(bv)
-		c0[j] += a0 * v
-		c1[j] += a1 * v
-	}
-}
-
-//go:noinline
-func axpy3i8(c0, c1, c2 []int32, b []int8, a0, a1, a2 int32) {
-	c0 = c0[:len(b)]
-	c1 = c1[:len(b)]
-	c2 = c2[:len(b)]
-	for j, bv := range b {
-		v := int32(bv)
-		c0[j] += a0 * v
-		c1[j] += a1 * v
-		c2[j] += a2 * v
-	}
-}
-
-//go:noinline
-func axpy4i8(c0, c1, c2, c3 []int32, b []int8, a0, a1, a2, a3 int32) {
+func laneAxpy4(c0, c1, c2, c3 []int64, b []int8, a0, a1, a2, a3 int64) {
 	c0 = c0[:len(b)]
 	c1 = c1[:len(b)]
 	c2 = c2[:len(b)]
 	c3 = c3[:len(b)]
 	for j, bv := range b {
-		v := int32(bv)
+		v := int64(bv)
 		c0[j] += a0 * v
 		c1[j] += a1 * v
 		c2[j] += a2 * v
@@ -282,61 +251,10 @@ func axpy4i8(c0, c1, c2, c3 []int32, b []int8, a0, a1, a2, a3 int32) {
 	}
 }
 
-// Int8/int32 scratch arenas, the integer-path siblings of Borrow/Release
-// in scratch.go: power-of-two size-class sync.Pools so streamed patch
-// tiles, quantized activations and int32 accumulators recycle instead of
-// allocating per inference. Borrowed slices have unspecified contents.
-
-var (
-	int8Pools  [maxScratchBits - minScratchBits + 1]sync.Pool
-	int32Pools [maxScratchBits - minScratchBits + 1]sync.Pool
-)
-
-// BorrowInt8 returns an int8 scratch slice of length n with unspecified
-// contents. Lengths outside the pooled size classes fall back to make.
-func BorrowInt8(n int) []int8 {
-	c := scratchClass(n)
-	if c < 0 {
-		return make([]int8, n)
-	}
-	if p, _ := int8Pools[c].Get().(*[]int8); p != nil {
-		return (*p)[:n]
-	}
-	return make([]int8, 1<<(minScratchBits+c))[:n]
-}
-
-// ReleaseInt8 returns a slice obtained from BorrowInt8 to the arena. The
-// caller must not use s afterwards. Slices of unpooled sizes are dropped.
-func ReleaseInt8(s []int8) {
-	d := s[:cap(s)]
-	for c := range int8Pools {
-		if len(d) == 1<<(minScratchBits+c) {
-			int8Pools[c].Put(&d)
-			return
-		}
-	}
-}
-
-// BorrowInt32 returns an int32 scratch slice of length n with unspecified
-// contents.
-func BorrowInt32(n int) []int32 {
-	c := scratchClass(n)
-	if c < 0 {
-		return make([]int32, n)
-	}
-	if p, _ := int32Pools[c].Get().(*[]int32); p != nil {
-		return (*p)[:n]
-	}
-	return make([]int32, 1<<(minScratchBits+c))[:n]
-}
-
-// ReleaseInt32 returns a slice obtained from BorrowInt32 to the arena.
-func ReleaseInt32(s []int32) {
-	d := s[:cap(s)]
-	for c := range int32Pools {
-		if len(d) == 1<<(minScratchBits+c) {
-			int32Pools[c].Put(&d)
-			return
-		}
-	}
+// unpackLanes splits a paired-lane accumulator into its low and high int32
+// sums. The low lane is the truncation; subtracting it (sign-extended)
+// removes its borrow from the high lane.
+func unpackLanes(x int64) (lo, hi int32) {
+	lo = int32(x)
+	return lo, int32((x - int64(lo)) >> 32)
 }

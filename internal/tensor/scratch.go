@@ -2,10 +2,11 @@ package tensor
 
 import "sync"
 
-// Scratch arena: size-class-bucketed sync.Pools of float32 storage. The
-// convolution and dense layers in internal/nn borrow their im2col and
-// gradient scratch here instead of allocating a fresh tensor per call, so
-// steady-state inference runs allocation-free in the compute core.
+// Scratch arena: size-class-bucketed sync.Pools of float32 tensor storage
+// and of the integer path's int8/int32/int64 slices. The convolution and
+// dense layers in internal/nn borrow their im2col and gradient scratch
+// here instead of allocating a fresh tensor per call, so steady-state
+// inference runs allocation-free in the compute core.
 //
 // Ownership rule: whoever Borrows a tensor owns it until it either calls
 // Release or hands the tensor to an owner with a longer lifetime (e.g.
@@ -15,11 +16,16 @@ import "sync"
 // escape to callers.
 
 const (
-	minScratchBits = 6  // smallest pooled class: 64 floats
-	maxScratchBits = 24 // largest pooled class: 16M floats (64 MiB)
+	minScratchBits = 6  // smallest pooled class: 64 elements
+	maxScratchBits = 24 // largest pooled class: 16M elements (64 MiB of float32)
 )
 
-var scratchPools [maxScratchBits - minScratchBits + 1]sync.Pool
+// arena is a power-of-two size-class pool of []T scratch: the one
+// implementation behind Borrow/Release and the integer-path
+// BorrowInt8/32/64. Borrowed slices have unspecified contents.
+type arena[T any] struct {
+	pools [maxScratchBits - minScratchBits + 1]sync.Pool
+}
 
 // scratchClass returns the pool index whose class size (1<<bits) is the
 // smallest holding n, or -1 when n is outside the pooled range.
@@ -34,6 +40,35 @@ func scratchClass(n int) int {
 	return c
 }
 
+// borrow returns a slice of length n. Lengths outside the pooled size
+// classes fall back to make.
+func (a *arena[T]) borrow(n int) []T {
+	c := scratchClass(n)
+	if c < 0 {
+		return make([]T, n)
+	}
+	if p, _ := a.pools[c].Get().(*[]T); p != nil {
+		return (*p)[:n]
+	}
+	return make([]T, 1<<(minScratchBits+c))[:n]
+}
+
+// release returns s's storage to its class. Storage whose capacity is not
+// exactly a class size (not borrowed here) is dropped.
+func (a *arena[T]) release(s []T) {
+	d := s[:cap(s)]
+	if c := scratchClass(len(d)); c >= 0 && len(d) == 1<<(minScratchBits+c) {
+		a.pools[c].Put(&d)
+	}
+}
+
+var (
+	floatArena arena[float32]
+	int8Arena  arena[int8]
+	int32Arena arena[int32]
+	int64Arena arena[int64]
+)
+
 // Borrow returns a tensor of the given shape backed by pooled storage. The
 // contents are unspecified: callers must fully define every element before
 // reading (the *Into kernels do — GemmInto and Col2ImInto overwrite dst,
@@ -47,16 +82,9 @@ func Borrow(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	c := scratchClass(n)
-	if c < 0 {
-		return New(shape...)
-	}
 	s := make([]int, len(shape))
 	copy(s, shape)
-	if p, _ := scratchPools[c].Get().(*[]float32); p != nil {
-		return &Tensor{shape: s, data: (*p)[:n]}
-	}
-	return &Tensor{shape: s, data: make([]float32, 1<<(minScratchBits+c))[:n]}
+	return &Tensor{shape: s, data: floatArena.borrow(n)}
 }
 
 // Release returns a borrowed tensor's storage to the arena. The caller must
@@ -67,12 +95,29 @@ func Release(t *Tensor) {
 	if t == nil {
 		return
 	}
-	d := t.data[:cap(t.data)]
+	d := t.data
 	t.data, t.shape = nil, nil
-	for c := range scratchPools {
-		if len(d) == 1<<(minScratchBits+c) {
-			scratchPools[c].Put(&d)
-			return
-		}
-	}
+	floatArena.release(d)
 }
+
+// BorrowInt8 returns an int8 scratch slice of length n with unspecified
+// contents: streamed patch panels and quantized activations.
+func BorrowInt8(n int) []int8 { return int8Arena.borrow(n) }
+
+// ReleaseInt8 returns a slice obtained from BorrowInt8 to the arena. The
+// caller must not use s afterwards. Slices of unpooled sizes are dropped.
+func ReleaseInt8(s []int8) { int8Arena.release(s) }
+
+// BorrowInt32 returns an int32 scratch slice of length n with unspecified
+// contents: int8 GEMM outputs.
+func BorrowInt32(n int) []int32 { return int32Arena.borrow(n) }
+
+// ReleaseInt32 returns a slice obtained from BorrowInt32 to the arena.
+func ReleaseInt32(s []int32) { int32Arena.release(s) }
+
+// BorrowInt64 returns an int64 scratch slice of length n with unspecified
+// contents: the paired-lane accumulators of the int8 kernels.
+func BorrowInt64(n int) []int64 { return int64Arena.borrow(n) }
+
+// ReleaseInt64 returns a slice obtained from BorrowInt64 to the arena.
+func ReleaseInt64(s []int64) { int64Arena.release(s) }

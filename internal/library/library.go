@@ -153,14 +153,15 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	if cfg.Evaluator == nil {
 		return nil, fmt.Errorf("library: Config.Evaluator is required")
 	}
-	rates := cfg.Rates
-	if rates == nil {
-		rates = PaperRates()
+	rates := PaperRates()
+	if cfg.Rates != nil {
+		if len(cfg.Rates) == 0 {
+			return nil, fmt.Errorf("library: empty rate sweep")
+		}
+		// Sort a copy: the slice belongs to the caller.
+		rates = append([]float64(nil), cfg.Rates...)
+		sort.Float64s(rates)
 	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("library: empty rate sweep")
-	}
-	sort.Float64s(rates)
 	if rates[0] != 0 {
 		rates = append([]float64{0}, rates...)
 	}
@@ -201,17 +202,20 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 		return nil, err
 	}
 
-	// Stage 1: prune and evaluate every rate. Shrink clones before
-	// mutating and the evaluator only reads its own clone, so rates are
-	// independent; results land in indexed slots.
+	// Stage 1: prune and evaluate every rate. The filters are ranked once
+	// and every rate plans from that ranking; each pruned model is
+	// gathered fresh from the initial weights and the evaluator only reads
+	// its own copy, so rates are independent; results land in indexed
+	// slots.
 	type pruned struct {
 		model *model.Model
 		plan  *prune.Plan
 		acc   float64
 	}
+	rank := prune.RankFilters(initial)
 	stage1 := make([]pruned, len(rates))
 	err = parallel.ForEachErr(len(rates), workers, func(i int) error {
-		m, plan, err := prune.Shrink(initial, rates[i], gran)
+		m, plan, err := rank.Shrink(initial, rates[i], gran)
 		if err != nil {
 			return fmt.Errorf("library: rate %v: %w", rates[i], err)
 		}
@@ -313,7 +317,7 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 func (l *Library) DistinctVersions() int {
 	seen := map[string]bool{}
 	for _, e := range l.Entries {
-		seen[fmt.Sprint(e.Channels)] = true
+		seen[channelsKey(e.Channels)] = true
 	}
 	return len(seen)
 }

@@ -196,3 +196,34 @@ func TestGenerateAddsZeroRate(t *testing.T) {
 		t.Fatal("unpruned baseline entry missing")
 	}
 }
+
+// TestGenerateLeavesCallerRatesAlone: Generate sorts its own copy of the
+// sweep, never the caller's slice.
+func TestGenerateLeavesCallerRatesAlone(t *testing.T) {
+	m, err := model.TinyCNV("tiny", "tiny-syn", 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := accuracy.NewCalibrated("CNVW2A2", "cifar10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{0.5, 0.25, 0.75}
+	lib, err := Generate(m, Config{Rates: rates, Evaluator: ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rates[0] != 0.5 || rates[1] != 0.25 || rates[2] != 0.75 {
+		t.Fatalf("Generate reordered the caller's rates to %v", rates)
+	}
+	var got []float64
+	for _, e := range lib.Entries {
+		got = append(got, e.NominalRate)
+	}
+	if len(got) != 4 || got[0] != 0 || got[1] != 0.25 || got[2] != 0.5 || got[3] != 0.75 {
+		t.Fatalf("entry rates = %v, want [0 0.25 0.5 0.75]", got)
+	}
+	if _, err := Generate(m, Config{Rates: []float64{}, Evaluator: ev}); err == nil {
+		t.Fatal("empty rate sweep accepted")
+	}
+}

@@ -88,7 +88,7 @@ func (s *ScaleShift) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	dx := tensor.New(s.x.Shape()...)
 	xd, gd := s.x.Data(), grad.Data()
-	gg, bg := s.Gamma.Grad.Data(), s.Beta.Grad.Data()
+	gg, bg := s.Gamma.grad().Data(), s.Beta.grad().Data()
 	gv := s.Gamma.Value.Data()
 	dxd := dx.Data()
 	for c := 0; c < s.Channels; c++ {
@@ -104,22 +104,19 @@ func (s *ScaleShift) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// PruneChannels keeps only the listed channels (complement of remove).
-func (s *ScaleShift) PruneChannels(remove []int) error {
+// Pruned returns a copy of the affine without the listed channels
+// (ascending and unique), gathered once at the final size.
+func (s *ScaleShift) Pruned(remove []int) (*ScaleShift, error) {
 	keep, err := keepIndices(s.Channels, remove)
 	if err != nil {
-		return fmt.Errorf("nn: scaleshift %q: %w", s.ID, err)
+		return nil, fmt.Errorf("nn: scaleshift %q: %w", s.ID, err)
 	}
-	ng := tensor.New(len(keep))
-	nb := tensor.New(len(keep))
-	for ni, ci := range keep {
-		ng.Data()[ni] = s.Gamma.Value.Data()[ci]
-		nb.Data()[ni] = s.Beta.Value.Data()[ci]
-	}
-	s.Gamma = newParam(s.ID+".gamma", ng)
-	s.Beta = newParam(s.ID+".beta", nb)
-	s.Channels = len(keep)
-	return nil
+	return &ScaleShift{
+		ID:       s.ID,
+		Channels: len(keep),
+		Gamma:    gatherParam(s.Gamma, keep),
+		Beta:     gatherParam(s.Beta, keep),
+	}, nil
 }
 
 // QuantAct applies an activation quantizer element-wise with a

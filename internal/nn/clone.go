@@ -2,7 +2,8 @@ package nn
 
 import "fmt"
 
-// cloneParam deep-copies a parameter (gradient starts zeroed).
+// cloneParam deep-copies a parameter; its gradient is allocated on first
+// use.
 func cloneParam(p *Param) *Param {
 	if p == nil {
 		return nil

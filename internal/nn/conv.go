@@ -264,7 +264,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		tensor.Release(dW)
 		return nil, err
 	}
-	wg, err := c.Weight.Grad.Reshape(c.OutC, k)
+	wg, err := c.Weight.grad().Reshape(c.OutC, k)
 	if err != nil {
 		tensor.Release(dW)
 		return nil, err
@@ -277,7 +277,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	tensor.Release(dW)
 	if c.Bias != nil {
-		bg := c.Bias.Grad.Data()
+		bg := c.Bias.grad().Data()
 		gd := g.Data()
 		for o := 0; o < c.OutC; o++ {
 			var s float32
@@ -305,70 +305,87 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// PruneFilters removes the given output filters (ascending, unique indices)
-// from the layer, shrinking OutC. The caller is responsible for shrinking
-// the consuming layer's input channels with PruneInputChannels.
-func (c *Conv2D) PruneFilters(remove []int) error {
-	keep, err := keepIndices(c.OutC, remove)
+// Pruned returns a copy of the convolution without the given output
+// filters and input channels (each list ascending and unique; either may
+// be empty), matching an upstream filter prune on the input side. Every
+// parameter is gathered once into a tensor of its final size, so the copy
+// never aliases the receiver, which is left untouched.
+func (c *Conv2D) Pruned(removeOut, removeIn []int) (*Conv2D, error) {
+	keepOut, err := keepIndices(c.OutC, removeOut)
 	if err != nil {
-		return fmt.Errorf("nn: conv %q: %w", c.ID, err)
+		return nil, fmt.Errorf("nn: conv %q: %w", c.ID, err)
 	}
-	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	nw := tensor.New(len(keep), c.Geom.InC, c.Geom.KH, c.Geom.KW)
-	src := c.Weight.Value.Data()
-	dst := nw.Data()
-	for ni, oi := range keep {
-		copy(dst[ni*k:(ni+1)*k], src[oi*k:(oi+1)*k])
-	}
-	c.Weight = newParam(c.ID+".weight", nw)
-	if c.Bias != nil {
-		nb := tensor.New(len(keep))
-		for ni, oi := range keep {
-			nb.Data()[ni] = c.Bias.Value.Data()[oi]
-		}
-		c.Bias = newParam(c.ID+".bias", nb)
-	}
-	c.OutC = len(keep)
-	return nil
-}
-
-// PruneInputChannels removes the given input channels from the layer's
-// weights and geometry, matching an upstream filter prune.
-func (c *Conv2D) PruneInputChannels(remove []int) error {
-	keep, err := keepIndices(c.Geom.InC, remove)
+	keepIn, err := keepIndices(c.Geom.InC, removeIn)
 	if err != nil {
-		return fmt.Errorf("nn: conv %q inputs: %w", c.ID, err)
+		return nil, fmt.Errorf("nn: conv %q inputs: %w", c.ID, err)
 	}
+	p := &Conv2D{ID: c.ID, Geom: c.Geom, OutC: len(keepOut), Quant: c.Quant, PerChannel: c.PerChannel}
+	p.Geom.InC = len(keepIn)
 	kk := c.Geom.KH * c.Geom.KW
-	nw := tensor.New(c.OutC, len(keep), c.Geom.KH, c.Geom.KW)
-	src := c.Weight.Value.Data()
-	dst := nw.Data()
-	oldK := c.Geom.InC * kk
-	newK := len(keep) * kk
-	for o := 0; o < c.OutC; o++ {
-		for ni, ci := range keep {
-			copy(dst[o*newK+ni*kk:o*newK+(ni+1)*kk], src[o*oldK+ci*kk:o*oldK+(ci+1)*kk])
-		}
-	}
-	c.Weight = newParam(c.ID+".weight", nw)
-	c.Geom.InC = len(keep)
-	return nil
+	w := tensor.New(len(keepOut), len(keepIn), c.Geom.KH, c.Geom.KW)
+	gatherRows(w.Data(), c.Weight.Value.Data(), keepOut, c.Geom.InC*kk, keepIn, kk)
+	p.Weight = newParam(c.Weight.Name, w)
+	p.Bias = gatherParam(c.Bias, keepOut)
+	return p, nil
 }
 
 // FilterL1Norms returns the ℓ1 norm of each output filter, the importance
 // measure dataflow-aware pruning sorts on.
 func (c *Conv2D) FilterL1Norms() []float64 {
-	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	norms := make([]float64, c.OutC)
-	d := c.Weight.Value.Data()
-	for o := 0; o < c.OutC; o++ {
+	return rowL1Norms(c.Weight.Value.Data(), c.OutC)
+}
+
+// rowL1Norms returns the ℓ1 norm of each of the rows of the row-major
+// matrix w.
+func rowL1Norms(w []float32, rows int) []float64 {
+	k := len(w) / rows
+	norms := make([]float64, rows)
+	for o := range norms {
 		var s float64
-		for _, v := range d[o*k : (o+1)*k] {
+		for _, v := range w[o*k : (o+1)*k] {
 			s += math.Abs(float64(v))
 		}
 		norms[o] = s
 	}
 	return norms
+}
+
+// gatherRows copies the rows keepRows of the row-major matrix src, whose
+// rows are srcCols wide, into dst, narrowing each row to the column groups
+// keepGroups (ascending) of group consecutive columns. Consecutive kept
+// groups move in one copy. dst must hold exactly
+// len(keepRows)·len(keepGroups)·group values.
+func gatherRows(dst, src []float32, keepRows []int, srcCols int, keepGroups []int, group int) {
+	// runs holds [first, end) column spans of consecutive kept groups.
+	var runs [][2]int
+	for _, g := range keepGroups {
+		if n := len(runs); n > 0 && runs[n-1][1] == g*group {
+			runs[n-1][1] += group
+		} else {
+			runs = append(runs, [2]int{g * group, (g + 1) * group})
+		}
+	}
+	n := 0
+	for _, r := range keepRows {
+		row := src[r*srcCols : (r+1)*srcCols]
+		for _, run := range runs {
+			n += copy(dst[n:], row[run[0]:run[1]])
+		}
+	}
+}
+
+// gatherParam returns a new parameter holding the listed elements of the
+// vector parameter p, or nil when p is nil.
+func gatherParam(p *Param, keep []int) *Param {
+	if p == nil {
+		return nil
+	}
+	v := tensor.New(len(keep))
+	vd, pd := v.Data(), p.Value.Data()
+	for ni, oi := range keep {
+		vd[ni] = pd[oi]
+	}
+	return newParam(p.Name, v)
 }
 
 // keepIndices validates remove (strictly ascending, in range, not removing
@@ -377,23 +394,22 @@ func keepIndices(n int, remove []int) ([]int, error) {
 	if len(remove) >= n {
 		return nil, fmt.Errorf("cannot remove %d of %d channels", len(remove), n)
 	}
-	prev := -1
-	rm := make(map[int]bool, len(remove))
+	keep := make([]int, 0, n-len(remove))
+	next := 0 // first index not yet kept or removed
 	for _, r := range remove {
-		if r <= prev {
+		if r < next {
 			return nil, fmt.Errorf("remove indices must be strictly ascending, got %v", remove)
 		}
-		if r < 0 || r >= n {
+		if r >= n {
 			return nil, fmt.Errorf("remove index %d out of range [0,%d)", r, n)
 		}
-		prev = r
-		rm[r] = true
-	}
-	keep := make([]int, 0, n-len(remove))
-	for i := 0; i < n; i++ {
-		if !rm[i] {
-			keep = append(keep, i)
+		for ; next < r; next++ {
+			keep = append(keep, next)
 		}
+		next = r + 1
+	}
+	for ; next < n; next++ {
+		keep = append(keep, next)
 	}
 	return keep, nil
 }

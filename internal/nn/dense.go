@@ -208,7 +208,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	gd := grad.Data()
 	xd := d.x.Data()
-	wg := d.Weight.Grad.Data()
+	wg := d.Weight.grad().Data()
 	// Straight-through estimator: gradients pass to the float shadow
 	// weights unchanged (see Conv2D.Backward).
 	for o := 0; o < d.Out; o++ {
@@ -219,7 +219,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 	}
 	if d.Bias != nil {
-		bg := d.Bias.Grad.Data()
+		bg := d.Bias.grad().Data()
 		for o := 0; o < d.Out; o++ {
 			bg[o] += gd[o]
 		}
@@ -244,67 +244,31 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // the importance measure for fully-connected pruning (the paper's §IV-A1
 // covers "neurons, in the case of a fully-connected layer").
 func (d *Dense) NeuronL1Norms() []float64 {
-	norms := make([]float64, d.Out)
-	w := d.Weight.Value.Data()
-	for o := 0; o < d.Out; o++ {
-		var s float64
-		for _, v := range w[o*d.In : (o+1)*d.In] {
-			s += math.Abs(float64(v))
-		}
-		norms[o] = s
-	}
-	return norms
+	return rowL1Norms(d.Weight.Value.Data(), d.Out)
 }
 
-// PruneNeurons removes the given output neurons (ascending, unique
-// indices), shrinking Out. The caller shrinks the consumer's inputs with
-// PruneInputs.
-func (d *Dense) PruneNeurons(remove []int) error {
-	keep, err := keepIndices(d.Out, remove)
-	if err != nil {
-		return fmt.Errorf("nn: dense %q neurons: %w", d.ID, err)
-	}
-	nw := tensor.New(len(keep), d.In)
-	src := d.Weight.Value.Data()
-	dst := nw.Data()
-	for ni, oi := range keep {
-		copy(dst[ni*d.In:(ni+1)*d.In], src[oi*d.In:(oi+1)*d.In])
-	}
-	d.Weight = newParam(d.ID+".weight", nw)
-	if d.Bias != nil {
-		nb := tensor.New(len(keep))
-		for ni, oi := range keep {
-			nb.Data()[ni] = d.Bias.Value.Data()[oi]
-		}
-		d.Bias = newParam(d.ID+".bias", nb)
-	}
-	d.Out = len(keep)
-	return nil
-}
-
-// PruneInputs removes the given input columns, matching an upstream filter
-// prune that reached the classifier head. remove indexes *channel groups*
-// of size groupSize (the flattened spatial footprint per channel).
-func (d *Dense) PruneInputs(remove []int, groupSize int) error {
+// Pruned returns a copy of the dense layer without the given output
+// neurons and input groups (each list ascending and unique; either may be
+// empty). removeIn indexes groups of groupSize consecutive inputs — the
+// flattened spatial footprint of one upstream channel, or 1 after a dense
+// producer. As with Conv2D.Pruned, every parameter is gathered once at its
+// final size and the receiver is left untouched.
+func (d *Dense) Pruned(removeOut, removeIn []int, groupSize int) (*Dense, error) {
 	if groupSize <= 0 || d.In%groupSize != 0 {
-		return fmt.Errorf("nn: dense %q group size %d does not divide In %d", d.ID, groupSize, d.In)
+		return nil, fmt.Errorf("nn: dense %q group size %d does not divide In %d", d.ID, groupSize, d.In)
 	}
-	groups := d.In / groupSize
-	keep, err := keepIndices(groups, remove)
+	keepOut, err := keepIndices(d.Out, removeOut)
 	if err != nil {
-		return fmt.Errorf("nn: dense %q inputs: %w", d.ID, err)
+		return nil, fmt.Errorf("nn: dense %q neurons: %w", d.ID, err)
 	}
-	newIn := len(keep) * groupSize
-	nw := tensor.New(d.Out, newIn)
-	src := d.Weight.Value.Data()
-	dst := nw.Data()
-	for o := 0; o < d.Out; o++ {
-		for ni, gi := range keep {
-			copy(dst[o*newIn+ni*groupSize:o*newIn+(ni+1)*groupSize],
-				src[o*d.In+gi*groupSize:o*d.In+(gi+1)*groupSize])
-		}
+	keepIn, err := keepIndices(d.In/groupSize, removeIn)
+	if err != nil {
+		return nil, fmt.Errorf("nn: dense %q inputs: %w", d.ID, err)
 	}
-	d.Weight = newParam(d.ID+".weight", nw)
-	d.In = newIn
-	return nil
+	p := &Dense{ID: d.ID, In: len(keepIn) * groupSize, Out: len(keepOut), Flat: d.Flat, Quant: d.Quant}
+	w := tensor.New(p.Out, p.In)
+	gatherRows(w.Data(), d.Weight.Value.Data(), keepOut, d.In, keepIn, groupSize)
+	p.Weight = newParam(d.Weight.Name, w)
+	p.Bias = gatherParam(d.Bias, keepOut)
+	return p, nil
 }

@@ -28,16 +28,20 @@ import (
 
 // Param is a learnable tensor together with its gradient accumulator.
 //
+// Grad stays nil until the parameter first takes part in training: the
+// first Backward or ZeroGrad allocates it, so inference-only copies (every
+// pruned model a library sweep evaluates) never pay for it.
+//
 // Code that mutates Value's backing data in place (the optimizer step,
 // checkpoint loading) must call BumpVersion afterwards: layers cache
 // derived views of their weights (e.g. the fake-quantized matrix Conv2D
 // feeds the GEMM) keyed on the version counter, and a stale version means
-// a stale cache. Code that swaps in a whole new Param (the pruning paths)
-// needs no bump — caches are also keyed on Param identity.
+// a stale cache. Code that swaps in a whole new Param needs no bump —
+// caches are also keyed on Param identity.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	Grad  *tensor.Tensor // nil until first used
 
 	version atomic.Uint64
 }
@@ -50,13 +54,23 @@ func (p *Param) Version() uint64 { return p.version.Load() }
 // cache keyed on the previous version.
 func (p *Param) BumpVersion() { p.version.Add(1) }
 
-// newParam allocates a parameter and a zeroed gradient of the same shape.
+// newParam wraps value as a parameter; its gradient is allocated on first
+// use (see grad).
 func newParam(name string, value *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Shape()...)}
+	return &Param{Name: name, Value: value}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// grad returns the gradient accumulator, allocating it zeroed at Value's
+// shape on first use.
+func (p *Param) grad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Shape()...)
+	}
+	return p.Grad
+}
+
+// ZeroGrad clears the gradient accumulator, allocating it on first use.
+func (p *Param) ZeroGrad() { p.grad().Zero() }
 
 // Layer is one stage of a sequential network.
 type Layer interface {

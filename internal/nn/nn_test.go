@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/quant"
@@ -358,8 +360,13 @@ func TestPruneFilters(t *testing.T) {
 		c.Weight.Value.Set(float32(o+1), o, 0, 0, 0)
 		c.Bias.Value.Set(float32(10*(o+1)), o)
 	}
-	if err := c.PruneFilters([]int{1, 3}); err != nil {
+	orig := c
+	c, err := c.Pruned([]int{1, 3}, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if orig.OutC != 4 || orig.Weight.Value.Len() != 4 || orig.Bias.Value.At(1) != 20 {
+		t.Fatal("Pruned mutated the receiver")
 	}
 	if c.OutC != 2 {
 		t.Fatalf("OutC = %d", c.OutC)
@@ -378,14 +385,22 @@ func TestPruneFiltersValidation(t *testing.T) {
 		Geom: tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
 		OutC: 3,
 	})
-	if err := c.PruneFilters([]int{0, 1, 2}); err == nil {
-		t.Fatal("removing all filters accepted")
-	}
-	if err := c.PruneFilters([]int{2, 1}); err == nil {
-		t.Fatal("descending removal accepted")
-	}
-	if err := c.PruneFilters([]int{5}); err == nil {
-		t.Fatal("out-of-range removal accepted")
+	for _, tc := range []struct {
+		name         string
+		out, in      []int
+		wantFragment string
+	}{
+		{"all filters", []int{0, 1, 2}, nil, "cannot remove 3 of 3"},
+		{"descending", []int{2, 1}, nil, "strictly ascending"},
+		{"duplicate", []int{1, 1}, nil, "strictly ascending"},
+		{"negative", []int{-1}, nil, "strictly ascending"},
+		{"out of range", []int{5}, nil, "out of range"},
+		{"all inputs", nil, []int{0}, "cannot remove 1 of 1"},
+	} {
+		_, err := c.Pruned(tc.out, tc.in)
+		if err == nil || !strings.Contains(err.Error(), tc.wantFragment) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantFragment)
+		}
 	}
 }
 
@@ -400,7 +415,8 @@ func TestPruneInputChannels(t *testing.T) {
 			c.Weight.Value.Set(float32(10*o+i), o, i, 0, 0)
 		}
 	}
-	if err := c.PruneInputChannels([]int{1}); err != nil {
+	c, err := c.Pruned(nil, []int{1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Geom.InC != 2 {
@@ -445,10 +461,12 @@ func TestPruneConsistencyPreservesFunction(t *testing.T) {
 	}
 
 	// Pruned pipeline.
-	if err := c1.PruneFilters([]int{1, 3}); err != nil {
+	c1, err = c1.Pruned([]int{1, 3}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.PruneInputChannels([]int{1, 3}); err != nil {
+	c2, err = c2.Pruned(nil, []int{1, 3})
+	if err != nil {
 		t.Fatal(err)
 	}
 	h2, err := c1.Forward(x, false)
@@ -468,7 +486,8 @@ func TestDensePruneInputs(t *testing.T) {
 	d, _ := NewDense(DenseConfig{ID: "d", In: 6, Out: 1})
 	copy(d.Weight.Value.Data(), []float32{0, 1, 2, 3, 4, 5})
 	// Groups of 2 (channels of spatial footprint 2); remove group 1.
-	if err := d.PruneInputs([]int{1}, 2); err != nil {
+	d, err := d.Pruned(nil, []int{1}, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d.In != 4 {
@@ -480,7 +499,7 @@ func TestDensePruneInputs(t *testing.T) {
 			t.Fatalf("weights = %v, want %v", d.Weight.Value.Data(), want)
 		}
 	}
-	if err := d.PruneInputs([]int{0}, 3); err == nil {
+	if _, err := d.Pruned(nil, []int{0}, 3); err == nil {
 		t.Fatal("indivisible group size accepted")
 	}
 }
@@ -496,6 +515,62 @@ func TestFilterL1Norms(t *testing.T) {
 	norms := c.FilterL1Norms()
 	if norms[0] != 3 || norms[1] != 1 {
 		t.Fatalf("norms = %v", norms)
+	}
+}
+
+// TestGradAllocatedOnFirstUse: built, cloned and pruned parameters carry
+// no gradient; the first ZeroGrad or Backward allocates it zeroed at the
+// value's shape.
+func TestGradAllocatedOnFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	c, _ := NewConv2D(ConvConfig{
+		ID:   "c",
+		Geom: tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		OutC: 3, Bias: true, InitRNG: rng,
+	})
+	s, _ := NewScaleShift("s", 3)
+	d, _ := NewDense(DenseConfig{ID: "d", In: 48, Out: 2, Bias: true, InitRNG: rng})
+	net := NewNetwork(c, s, NewFlatten("f"), d)
+	clone, err := CloneNetwork(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := c.Pruned([]int{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := append(append(net.Params(), clone.Params()...), pc.Params()...)
+	for _, p := range fresh {
+		if p.Grad != nil {
+			t.Fatalf("%s: fresh Param has a gradient", p.Name)
+		}
+	}
+
+	clone.ZeroGrad()
+	for _, p := range clone.Params() {
+		if p.Grad == nil || !slices.Equal(p.Grad.Shape(), p.Value.Shape()) {
+			t.Fatalf("%s: ZeroGrad left gradient %v", p.Name, p.Grad)
+		}
+	}
+
+	x := tensor.New(2, 4, 4)
+	x.Fill(0.5)
+	out, err := net.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tensor.New(out.Shape()...)
+	g.Fill(1)
+	if err := net.Backward(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range net.Params() {
+		if p.Grad == nil || !slices.Equal(p.Grad.Shape(), p.Value.Shape()) {
+			t.Fatalf("%s: Backward left gradient %v", p.Name, p.Grad)
+		}
+	}
+	if d.Bias.Grad.At(0) != 1 {
+		t.Fatalf("dense bias gradient %v, want 1", d.Bias.Grad.At(0))
 	}
 }
 

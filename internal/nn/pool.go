@@ -101,14 +101,16 @@ func (m *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// PruneChannels shrinks the layer's channel count after an upstream filter
-// prune. Pooling has no weights; only the geometry changes.
-func (m *MaxPool2D) PruneChannels(newC int) error {
-	if newC <= 0 || newC > m.Geom.InC {
-		return fmt.Errorf("nn: maxpool %q cannot set channels to %d (have %d)", m.ID, newC, m.Geom.InC)
+// Pruned returns a copy of the pooling layer narrowed to channels inputs
+// after an upstream filter prune. Pooling has no weights; only the
+// geometry changes.
+func (m *MaxPool2D) Pruned(channels int) (*MaxPool2D, error) {
+	if channels <= 0 || channels > m.Geom.InC {
+		return nil, fmt.Errorf("nn: maxpool %q cannot set channels to %d (have %d)", m.ID, channels, m.Geom.InC)
 	}
-	m.Geom.InC = newC
-	return nil
+	p := &MaxPool2D{ID: m.ID, Geom: m.Geom}
+	p.Geom.InC = channels
+	return p, nil
 }
 
 // Flatten reshapes any input to a rank-1 tensor; it exists so dense heads

@@ -2,7 +2,6 @@ package prune
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -24,117 +23,55 @@ type DensePlan struct {
 // granularity has one entry per hidden dense layer (see
 // finn.Folding.DenseGranularity); pass all-1s for free pruning.
 func PlanNeurons(m *model.Model, rate float64, granularity []int) (*DensePlan, error) {
-	if rate < 0 || rate >= 1 {
-		return nil, fmt.Errorf("prune: rate %v out of [0,1)", rate)
+	hidden, err := hiddenDenses(m)
+	if err != nil {
+		return nil, err
 	}
+	orders := make([][]int, len(hidden))
+	for i, d := range hidden {
+		orders[i] = rankL1(d.NeuronL1Norms())
+	}
+	removed, widths, eff, err := planPrefixes(orders, rate, granularity, "dense")
+	if err != nil {
+		return nil, err
+	}
+	return &DensePlan{Rate: rate, Removed: removed, Widths: widths, EffectiveRate: eff}, nil
+}
+
+// hiddenDenses returns m's dense layers except the classifier head.
+func hiddenDenses(m *model.Model) ([]*nn.Dense, error) {
 	denses := m.Net.Denses()
 	if len(denses) == 0 {
 		return nil, fmt.Errorf("prune: model has no dense layers")
 	}
-	hidden := denses[:len(denses)-1]
-	if len(granularity) != len(hidden) {
-		return nil, fmt.Errorf("prune: %d granularity entries for %d hidden dense layers", len(granularity), len(hidden))
-	}
-	p := &DensePlan{Rate: rate, Removed: make([][]int, len(hidden)), Widths: make([]int, len(hidden))}
-	var total, removed int
-	for i, d := range hidden {
-		g := granularity[i]
-		if g <= 0 {
-			return nil, fmt.Errorf("prune: dense %d granularity %d must be positive", i, g)
-		}
-		out := d.Out
-		r := int(rate * float64(out))
-		for r > 0 && ((out-r)%g != 0 || out-r <= 0) {
-			r--
-		}
-		p.Widths[i] = out - r
-		total += out
-		removed += r
-		if r == 0 {
-			continue
-		}
-		norms := d.NeuronL1Norms()
-		idx := make([]int, out)
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if norms[idx[a]] != norms[idx[b]] {
-				return norms[idx[a]] < norms[idx[b]]
-			}
-			return idx[a] < idx[b]
-		})
-		rm := append([]int(nil), idx[:r]...)
-		sort.Ints(rm)
-		p.Removed[i] = rm
-	}
-	if total > 0 {
-		p.EffectiveRate = float64(removed) / float64(total)
-	}
-	return p, nil
+	return denses[:len(denses)-1], nil
 }
 
-// ApplyNeurons executes a neuron plan in place: each hidden dense loses
-// the planned neurons, the following per-channel layers shrink, and the
-// next dense narrows its inputs.
-func ApplyNeurons(m *model.Model, p *DensePlan) error {
-	denses := m.Net.Denses()
-	if len(denses) == 0 {
-		return fmt.Errorf("prune: model has no dense layers")
+// ApplyNeurons builds the model a neuron plan prunes m to, leaving m
+// untouched: each hidden dense loses the planned neurons, the following
+// per-channel layers shrink, and the next dense narrows its inputs (see
+// Apply).
+func ApplyNeurons(m *model.Model, p *DensePlan) (*model.Model, error) {
+	hidden, err := hiddenDenses(m)
+	if err != nil {
+		return nil, err
 	}
-	hidden := denses[:len(denses)-1]
 	if len(p.Removed) != len(hidden) {
-		return fmt.Errorf("prune: plan has %d entries for %d hidden dense layers", len(p.Removed), len(hidden))
+		return nil, fmt.Errorf("prune: plan has %d entries for %d hidden dense layers", len(p.Removed), len(hidden))
 	}
-	// Locate dense layer positions.
-	var denseLayers []int
-	for li, nl := range m.Net.Layers {
-		if _, ok := nl.Layer.(*nn.Dense); ok {
-			denseLayers = append(denseLayers, li)
-		}
-	}
-	for di := len(hidden) - 1; di >= 0; di-- {
-		rm := p.Removed[di]
-		if len(rm) == 0 {
-			continue
-		}
-		d := hidden[di]
-		if err := d.PruneNeurons(rm); err != nil {
-			return err
-		}
-		consumed := false
-		for lj := denseLayers[di] + 1; lj < len(m.Net.Layers) && !consumed; lj++ {
-			switch l := m.Net.Layers[lj].Layer.(type) {
-			case *nn.ScaleShift:
-				if err := l.PruneChannels(rm); err != nil {
-					return err
-				}
-			case *nn.Dense:
-				if err := l.PruneInputs(rm, 1); err != nil {
-					return err
-				}
-				consumed = true
-			}
-		}
-		if !consumed {
-			return fmt.Errorf("prune: dense %d has no downstream consumer", di)
-		}
-	}
-	return nil
+	return gather(m, nil, p.Removed)
 }
 
-// ShrinkDense clones the model and applies a fresh neuron plan.
+// ShrinkDense builds m neuron-pruned at the given rate and returns it with
+// its plan. The original is untouched.
 func ShrinkDense(m *model.Model, rate float64, granularity []int) (*model.Model, *DensePlan, error) {
 	p, err := PlanNeurons(m, rate, granularity)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := m.Clone()
+	pm, err := ApplyNeurons(m, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ApplyNeurons(c, p); err != nil {
-		return nil, nil, err
-	}
-	return c, p, nil
+	return pm, p, nil
 }

@@ -35,154 +35,196 @@ type Plan struct {
 	EffectiveRate float64
 }
 
-// PlanFilters computes a pruning plan for the model at the given nominal
-// rate. granularity has one entry per convolution; pass 1s to disable the
-// dataflow constraints (free pruning).
-func PlanFilters(m *model.Model, rate float64, granularity []int) (*Plan, error) {
-	if rate < 0 || rate >= 1 {
-		return nil, fmt.Errorf("prune: rate %v out of [0,1)", rate)
-	}
+// Ranking orders each convolution's filters by ascending ℓ1 norm, ties
+// broken by index (Li et al.'s importance measure). A plan at any rate
+// removes a prefix of every order, so one Ranking of the initial model
+// serves a whole rate sweep.
+type Ranking [][]int
+
+// RankFilters ranks the filters of every convolution of m.
+func RankFilters(m *model.Model) Ranking {
 	convs := m.Net.Convs()
-	if len(granularity) != len(convs) {
-		return nil, fmt.Errorf("prune: %d granularity entries for %d convolutions", len(granularity), len(convs))
-	}
-	p := &Plan{Rate: rate, Removed: make([][]int, len(convs)), Channels: make([]int, len(convs))}
-	var total, removed int
+	r := make(Ranking, len(convs))
 	for i, c := range convs {
-		g := granularity[i]
-		if g <= 0 {
-			return nil, fmt.Errorf("prune: conv %d granularity %d must be positive", i, g)
-		}
-		ch := c.OutC
-		r := int(rate * float64(ch))
-		// Iteratively decrease r until the dataflow constraints hold and
-		// at least one filter survives (paper §IV-A1).
-		for r > 0 && ((ch-r)%g != 0 || ch-r <= 0) {
-			r--
-		}
-		p.Channels[i] = ch - r
-		total += ch
-		removed += r
-		if r == 0 {
-			p.Removed[i] = nil
-			continue
-		}
-		// ℓ1-norm filter ranking: remove the r smallest.
-		norms := c.FilterL1Norms()
-		idx := make([]int, ch)
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if norms[idx[a]] != norms[idx[b]] {
-				return norms[idx[a]] < norms[idx[b]]
-			}
-			return idx[a] < idx[b]
-		})
-		rm := append([]int(nil), idx[:r]...)
-		sort.Ints(rm)
-		p.Removed[i] = rm
+		r[i] = rankL1(c.FilterL1Norms())
 	}
-	if total > 0 {
-		p.EffectiveRate = float64(removed) / float64(total)
-	}
-	return p, nil
+	return r
 }
 
-// Apply executes a plan on the model in place: it prunes each convolution's
-// filters, shrinks the following per-channel layers (ScaleShift, MaxPool),
-// and narrows the consumer's input channels (next convolution or the first
-// dense layer, using the flattened spatial footprint).
-func Apply(m *model.Model, p *Plan) error {
-	convs := m.Net.Convs()
-	if len(p.Removed) != len(convs) {
-		return fmt.Errorf("prune: plan has %d conv entries for %d convolutions", len(p.Removed), len(convs))
+// Plan computes a pruning plan at the given nominal rate. granularity has
+// one entry per convolution; pass 1s to disable the dataflow constraints
+// (free pruning).
+func (r Ranking) Plan(rate float64, granularity []int) (*Plan, error) {
+	removed, channels, eff, err := planPrefixes(r, rate, granularity, "conv")
+	if err != nil {
+		return nil, err
 	}
+	return &Plan{Rate: rate, Removed: removed, Channels: channels, EffectiveRate: eff}, nil
+}
+
+// Shrink plans a prune of m at the given rate and builds the pruned model
+// (see Apply). r must be m's ranking.
+func (r Ranking) Shrink(m *model.Model, rate float64, granularity []int) (*model.Model, *Plan, error) {
+	p, err := r.Plan(rate, granularity)
+	if err != nil {
+		return nil, nil, err
+	}
+	pm, err := Apply(m, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pm, p, nil
+}
+
+// PlanFilters computes a pruning plan for the model at the given nominal
+// rate (see Ranking.Plan).
+func PlanFilters(m *model.Model, rate float64, granularity []int) (*Plan, error) {
+	return RankFilters(m).Plan(rate, granularity)
+}
+
+// Shrink builds m pruned at the given rate and returns it with its plan.
+// The original is untouched. Sweeps over many rates rank once with
+// RankFilters and call Ranking.Shrink instead.
+func Shrink(m *model.Model, rate float64, granularity []int) (*model.Model, *Plan, error) {
+	return RankFilters(m).Shrink(m, rate, granularity)
+}
+
+// Apply builds the model a plan prunes m to, leaving m untouched: each
+// convolution loses its planned filters, the per-channel layers after it
+// (ScaleShift, MaxPool) shrink to match, and its consumer (the next
+// convolution, or the first dense layer, in groups of the flattened
+// spatial footprint) loses the matching inputs.
+func Apply(m *model.Model, p *Plan) (*model.Model, error) {
+	if n := len(m.Net.Convs()); len(p.Removed) != n {
+		return nil, fmt.Errorf("prune: plan has %d conv entries for %d convolutions", len(p.Removed), n)
+	}
+	pm, err := gather(m, p.Removed, nil)
+	if err != nil {
+		return nil, err
+	}
+	pm.PruneRate = p.Rate
+	return pm, nil
+}
+
+// gather builds a copy of m without the units listed per convolution in
+// convRm and per dense layer in denseRm (nil lists, or lists shorter than
+// the layer count, remove nothing). It walks the layers once, carrying the
+// last producer's removed channels to the layers that consume them, and
+// allocates every parameter once at its final size: no tensor of the
+// result aliases m.
+func gather(m *model.Model, convRm, denseRm [][]int) (*model.Model, error) {
 	shapes, err := nn.OutputShapeAfter(m.Net, m.InC, m.InH, m.InW)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Locate each conv's layer index so we can walk the channel-wise span
-	// between it and the next channel consumer.
-	var convLayers []int
+	net := &nn.Network{}
+	var (
+		pending []int           // channels the last producer dropped
+		foot    = m.InH * m.InW // inputs per channel of the current activation
+		ci, di  int
+	)
 	for li, nl := range m.Net.Layers {
-		if _, ok := nl.Layer.(*nn.Conv2D); ok {
-			convLayers = append(convLayers, li)
+		var l nn.Layer
+		switch x := nl.Layer.(type) {
+		case *nn.Conv2D:
+			rm := at(convRm, ci)
+			ci++
+			l, err = x.Pruned(rm, pending)
+			pending = rm
+		case *nn.Dense:
+			rm := at(denseRm, di)
+			di++
+			l, err = x.Pruned(rm, pending, foot)
+			pending, foot = rm, 1
+		case *nn.ScaleShift:
+			l, err = x.Pruned(pending)
+		case *nn.MaxPool2D:
+			l, err = x.Pruned(x.Geom.InC - len(pending))
+		case interface{ CloneLayer() nn.Layer }:
+			l = x.CloneLayer()
+		default:
+			return nil, fmt.Errorf("prune: layer %d (%s) does not support pruning", nl.Index, x.Name())
 		}
+		if err != nil {
+			return nil, err
+		}
+		if sh := shapes[li]; len(sh) == 3 {
+			foot = sh[1] * sh[2]
+		}
+		net.Append(l)
 	}
-	for ci := len(convs) - 1; ci >= 0; ci-- {
-		rm := p.Removed[ci]
-		if len(rm) == 0 {
-			continue
-		}
-		c := convs[ci]
-		li := convLayers[ci]
-		if err := c.PruneFilters(rm); err != nil {
-			return err
-		}
-		newC := c.OutC
-		// Walk downstream until the next channel consumer, updating
-		// channel-wise layers along the way.
-		consumed := false
-		for lj := li + 1; lj < len(m.Net.Layers) && !consumed; lj++ {
-			switch l := m.Net.Layers[lj].Layer.(type) {
-			case *nn.ScaleShift:
-				if err := l.PruneChannels(rm); err != nil {
-					return err
-				}
-			case *nn.MaxPool2D:
-				if err := l.PruneChannels(newC); err != nil {
-					return err
-				}
-			case *nn.Conv2D:
-				if err := l.PruneInputChannels(rm); err != nil {
-					return err
-				}
-				consumed = true
-			case *nn.Dense:
-				// Footprint: spatial elements per channel right before
-				// the flatten — the last rank-3 shape.
-				foot := 1
-				for lk := lj - 1; lk > li; lk-- {
-					if len(shapes[lk]) == 3 {
-						foot = shapes[lk][1] * shapes[lk][2]
-						break
-					}
-				}
-				if lj == li+1 {
-					// Dense directly after conv (no flatten tracked):
-					// footprint from the conv's own output shape.
-					foot = shapes[li][1] * shapes[li][2]
-				}
-				if err := l.PruneInputs(rm, foot); err != nil {
-					return err
-				}
-				consumed = true
-			}
-		}
-		if !consumed {
-			return fmt.Errorf("prune: conv %d has no downstream channel consumer", ci)
-		}
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("prune: the last pruned layer has no downstream consumer")
 	}
-	m.PruneRate = p.Rate
+	pm := *m
+	pm.Net = net
+	pm.BaseChannels = append([]int(nil), m.BaseChannels...)
+	return &pm, nil
+}
+
+// at returns rms[i], or nil past the end.
+func at(rms [][]int, i int) []int {
+	if i < len(rms) {
+		return rms[i]
+	}
 	return nil
 }
 
-// Shrink clones the model and applies a fresh plan at the given rate,
-// returning the pruned clone and the plan. The original is untouched.
-func Shrink(m *model.Model, rate float64, granularity []int) (*model.Model, *Plan, error) {
-	p, err := PlanFilters(m, rate, granularity)
-	if err != nil {
-		return nil, nil, err
+// rankL1 returns unit indices ordered by ascending ℓ1 norm, ties by index.
+func rankL1(norms []float64) []int {
+	idx := make([]int, len(norms))
+	for j := range idx {
+		idx[j] = j
 	}
-	c, err := m.Clone()
-	if err != nil {
-		return nil, nil, err
+	sort.Slice(idx, func(a, b int) bool {
+		if norms[idx[a]] != norms[idx[b]] {
+			return norms[idx[a]] < norms[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// planPrefixes plans a prune at the nominal rate over layers whose units
+// are ranked in orders. Each layer drops rate·n units rounded down, then
+// iteratively fewer until the survivors are a positive multiple of its
+// granularity (paper §IV-A1); the dropped units are the first of its order,
+// returned ascending (nil when none). It also returns the surviving count
+// per layer and the achieved fraction of units removed over all layers.
+func planPrefixes(orders [][]int, rate float64, granularity []int, kind string) ([][]int, []int, float64, error) {
+	if rate < 0 || rate >= 1 {
+		return nil, nil, 0, fmt.Errorf("prune: rate %v out of [0,1)", rate)
 	}
-	if err := Apply(c, p); err != nil {
-		return nil, nil, err
+	if len(granularity) != len(orders) {
+		return nil, nil, 0, fmt.Errorf("prune: %d granularity entries for %d %s layers", len(granularity), len(orders), kind)
 	}
-	return c, p, nil
+	removed := make([][]int, len(orders))
+	kept := make([]int, len(orders))
+	var total, dropped int
+	for i, order := range orders {
+		g := granularity[i]
+		if g <= 0 {
+			return nil, nil, 0, fmt.Errorf("prune: %s %d granularity %d must be positive", kind, i, g)
+		}
+		n := len(order)
+		r := int(rate * float64(n))
+		for r > 0 && ((n-r)%g != 0 || n-r <= 0) {
+			r--
+		}
+		kept[i] = n - r
+		total += n
+		dropped += r
+		if r > 0 {
+			rm := append([]int(nil), order[:r]...)
+			sort.Ints(rm)
+			removed[i] = rm
+		}
+	}
+	var eff float64
+	if total > 0 {
+		eff = float64(dropped) / float64(total)
+	}
+	return removed, kept, eff, nil
 }
 
 // Ones returns a granularity slice of n ones (free pruning).

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/model"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -240,7 +241,47 @@ func TestPlanMonotoneInRate(t *testing.T) {
 
 func TestApplyArityMismatch(t *testing.T) {
 	m := tiny(t)
-	if err := Apply(m, &Plan{Removed: make([][]int, 1)}); err == nil {
+	if _, err := Apply(m, &Plan{Removed: make([][]int, 1)}); err == nil {
 		t.Fatal("wrong plan arity accepted")
+	}
+}
+
+// TestApplyConvStraightIntoFlatten: a convolution feeding a flatten and a
+// dense layer with nothing channel-wise in between narrows the dense
+// inputs by the conv's own spatial footprint per removed filter.
+func TestApplyConvStraightIntoFlatten(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c, err := nn.NewConv2D(nn.ConvConfig{
+		ID:   "c",
+		Geom: tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
+		OutC: 4, InitRNG: rng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := nn.NewDense(nn.DenseConfig{ID: "d", In: 4 * 2 * 2, Out: 3, InitRNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &model.Model{Name: "cfd", InC: 1, InH: 4, InW: 4, Classes: 3,
+		Net: nn.NewNetwork(c, nn.NewFlatten("f"), d), BaseChannels: []int{4}}
+	pm, err := Apply(m, &Plan{Rate: 0.5, Removed: [][]int{{0, 2}}, Channels: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := pm.Net.Denses()[0]
+	if pd.In != 2*2*2 {
+		t.Fatalf("dense In = %d, want 8", pd.In)
+	}
+	// Kept filters 1 and 3 own input columns 4..7 and 12..15.
+	for o := 0; o < 3; o++ {
+		for j, src := range []int{4, 5, 6, 7, 12, 13, 14, 15} {
+			if pd.Weight.Value.At(o, j) != d.Weight.Value.At(o, src) {
+				t.Fatalf("dense weight (%d,%d) = %v, want column %d", o, j, pd.Weight.Value.At(o, j), src)
+			}
+		}
+	}
+	if _, err := pm.Net.Forward(tensor.New(1, 4, 4), false); err != nil {
+		t.Fatal(err)
 	}
 }

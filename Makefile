@@ -23,6 +23,7 @@ test-race:
 		./internal/quant/... \
 		./internal/edge/... ./internal/manager/... ./internal/multiedge/... \
 		./internal/cluster/... ./internal/adapt/... \
+		./internal/prune/... ./internal/accuracy/... \
 		./internal/library/... ./internal/explore/... ./internal/parallel/... \
 		./internal/sim/... ./internal/experiments/... ./internal/obs/...
 

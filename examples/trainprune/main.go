@@ -72,7 +72,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("after retraining: %d params, test %.1f%%\n", pruned.Net.ParamCount(), res2.TestAcc*100)
-	fmt.Printf("effective prune fraction: %.2f\n", accuracy.EffectivePruneFraction(pruned))
+	frac, err := accuracy.EffectivePruneFraction(pruned)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("effective prune fraction: %.2f\n", frac)
 
 	// Export/import round trip (the ONNX step in the paper's flow).
 	var buf bytes.Buffer

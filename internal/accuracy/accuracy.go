@@ -10,6 +10,12 @@
 // anchored at the paper's reported −9.9 % at 25 % pruning for
 // CNVW2A2/CIFAR-10 with a quadratic profile (filter pruning removes
 // quadratically more computation, and accuracy follows).
+//
+// An evaluator whose estimate depends on nothing but channel counts
+// implements ChannelEvaluator as well (Calibrated does, Trained does not).
+// Library generation asks for that interface and, when it is there, never
+// builds the pruned weights: it hands the evaluator the initial and
+// pruned per-convolution channel counts instead of a model.
 package accuracy
 
 import (
@@ -23,6 +29,14 @@ import (
 // Evaluator estimates TOP-1 accuracy of a model in [0, 1].
 type Evaluator interface {
 	Accuracy(m *model.Model) (float64, error)
+}
+
+// ChannelEvaluator is implemented by evaluators that read only a model's
+// channel counts. AccuracyOfChannels must return exactly what Accuracy
+// returns for a model whose BaseChannels are base and whose convolutions
+// have channels out-channels; it needs no weights to do so.
+type ChannelEvaluator interface {
+	AccuracyOfChannels(base, channels []int) (float64, error)
 }
 
 // Calibrated evaluates accuracy from the paper-calibrated curves.
@@ -59,33 +73,45 @@ func NewCalibrated(modelName, ds string) (*Calibrated, error) {
 }
 
 // EffectivePruneFraction returns the channel-weighted fraction of filters
-// removed relative to the initial model.
-func EffectivePruneFraction(m *model.Model) float64 {
-	var base, cur int
-	ch := m.ConvChannels()
-	for i, b := range m.BaseChannels {
-		base += b
-		if i < len(ch) {
-			cur += ch[i]
-		}
-	}
-	if base == 0 {
-		return 0
-	}
-	return 1 - float64(cur)/float64(base)
+// removed from m relative to its initial model. It fails when m has a
+// different number of convolutions than BaseChannels entries.
+func EffectivePruneFraction(m *model.Model) (float64, error) {
+	return pruneFraction(m.BaseChannels, m.ConvChannels())
 }
 
-// Accuracy implements Evaluator.
+// pruneFraction is 1 − Σchannels/Σbase over convolutions, or 0 when base
+// sums to zero (a model without convolutions).
+func pruneFraction(base, channels []int) (float64, error) {
+	if len(base) != len(channels) {
+		return 0, fmt.Errorf("accuracy: %d base channel entries for %d convolutions", len(base), len(channels))
+	}
+	var b, cur int
+	for i := range base {
+		b += base[i]
+		cur += channels[i]
+	}
+	if b == 0 {
+		return 0, nil
+	}
+	return 1 - float64(cur)/float64(b), nil
+}
+
+// Accuracy implements Evaluator through AccuracyOfChannels.
 func (c *Calibrated) Accuracy(m *model.Model) (float64, error) {
-	p := EffectivePruneFraction(m)
+	return c.AccuracyOfChannels(m.BaseChannels, m.ConvChannels())
+}
+
+// AccuracyOfChannels implements ChannelEvaluator: the calibrated curve at
+// the effective prune fraction of channels against base.
+func (c *Calibrated) AccuracyOfChannels(base, channels []int) (float64, error) {
+	p, err := pruneFraction(base, channels)
+	if err != nil {
+		return 0, err
+	}
 	if p < 0 || p >= 1 {
 		return 0, fmt.Errorf("accuracy: effective prune fraction %v out of [0,1)", p)
 	}
-	acc := c.Baseline - (c.LinearLoss*p + c.QuadLoss*p*p)
-	if acc < c.Chance {
-		acc = c.Chance
-	}
-	return acc, nil
+	return c.AccuracyAtRate(p), nil
 }
 
 // AccuracyAtRate evaluates the curve directly at an effective pruning

@@ -1,6 +1,9 @@
 package accuracy
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -59,15 +62,64 @@ func TestEffectivePruneFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := EffectivePruneFraction(m); p != 0 {
-		t.Fatalf("unpruned fraction = %v", p)
+	if p, err := EffectivePruneFraction(m); err != nil || p != 0 {
+		t.Fatalf("unpruned fraction = %v, %v", p, err)
 	}
 	pr, _, err := prune.Shrink(m, 0.5, prune.Ones(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := EffectivePruneFraction(pr); p != 0.5 {
-		t.Fatalf("pruned fraction = %v, want 0.5", p)
+	if p, err := EffectivePruneFraction(pr); err != nil || p != 0.5 {
+		t.Fatalf("pruned fraction = %v, %v, want 0.5", p, err)
+	}
+}
+
+// TestChannelCountMismatch: base and pruned channel lists of different
+// lengths are an error on every route to the curve, never a fraction
+// computed over the shorter list.
+func TestChannelCountMismatch(t *testing.T) {
+	c, err := NewCalibrated("CNVW2A2", "cifar10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.TinyCNV("tiny", "tiny-syn", 2, 4, 1) // convs of 8 and 16
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		base, channels []int
+		want           float64 // when wantErr is empty
+		wantErr        string
+	}{
+		{"equal", []int{8, 16}, []int{8, 16}, c.Baseline, ""},
+		{"pruned", []int{8, 16}, []int{8, 8}, c.AccuracyAtRate(1 - 16.0/24), ""},
+		{"no convolutions", nil, nil, c.Baseline, ""},
+		{"base longer", []int{8, 16, 32}, []int{8, 16}, 0, "3 base channel entries for 2 convolutions"},
+		{"base shorter", []int{8}, []int{8, 16}, 0, "1 base channel entries for 2 convolutions"},
+		{"base missing", nil, []int{8, 16}, 0, "0 base channel entries for 2 convolutions"},
+		{"grown", []int{8, 16}, []int{8, 32}, 0, "out of [0,1)"},
+		{"all removed", []int{8, 16}, []int{0, 0}, 0, "out of [0,1)"},
+	} {
+		got, err := c.AccuracyOfChannels(tc.base, tc.channels)
+		if tc.wantErr == "" && (err != nil || got != tc.want) {
+			t.Errorf("%s: AccuracyOfChannels = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: AccuracyOfChannels err = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if !slices.Equal(tc.channels, m.ConvChannels()) {
+			continue
+		}
+		// The model route shares the formula: same value, same error.
+		mm := *m
+		mm.BaseChannels = tc.base
+		if mgot, merr := c.Accuracy(&mm); mgot != got || fmt.Sprint(merr) != fmt.Sprint(err) {
+			t.Errorf("%s: Accuracy = %v, %v; AccuracyOfChannels = %v, %v", tc.name, mgot, merr, got, err)
+		}
+		if _, ferr := EffectivePruneFraction(&mm); (ferr != nil) != strings.Contains(tc.wantErr, "base channel") {
+			t.Errorf("%s: EffectivePruneFraction err = %v", tc.name, ferr)
+		}
 	}
 }
 

@@ -75,6 +75,9 @@ type run struct {
 
 // simulate runs scn under ctl with the serving model mk builds.
 func simulate(scn Scenario, ctl Controller, cfg SimConfig, opts []RunOption, mk func(*run) servingModel) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
 	if ctl == nil {
 		return nil, fmt.Errorf("edge: nil controller")

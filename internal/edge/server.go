@@ -2,6 +2,7 @@ package edge
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/adapt"
@@ -222,6 +223,31 @@ type PoolStatsReporter interface {
 // epoch-windowed runs contributes every batch exactly once.
 type BatchStatsReporter interface {
 	DrainBatchStats() metrics.BatchStats
+}
+
+// Validate reports the first knob a run cannot honour. Zero values are
+// valid: they select the defaults (Step 10 ms, QueueFrames 16). It
+// rejects:
+//   - a NaN, infinite or negative Step;
+//   - a NaN or negative QueueFrames (+Inf is an unbounded queue);
+//   - a NaN or +Inf Deadline;
+//   - a NaN, infinite or negative BatchConfig.FlushSlack.
+//
+// It keeps the documented meanings of the other values: a Deadline ≤ 0
+// disables deadline admission, and a BatchConfig.Size ≤ 1 serves single
+// frames.
+func (c *SimConfig) Validate() error {
+	switch {
+	case math.IsNaN(c.Step) || math.IsInf(c.Step, 0) || c.Step < 0:
+		return fmt.Errorf("edge: Step %v must be a finite non-negative number of seconds", c.Step)
+	case math.IsNaN(c.QueueFrames) || c.QueueFrames < 0:
+		return fmt.Errorf("edge: QueueFrames %v must be non-negative", c.QueueFrames)
+	case math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 1):
+		return fmt.Errorf("edge: Deadline %v must be finite (≤ 0 disables it)", c.Deadline)
+	case math.IsNaN(c.FlushSlack) || math.IsInf(c.FlushSlack, 0) || c.FlushSlack < 0:
+		return fmt.Errorf("edge: BatchConfig.FlushSlack %v must be a finite non-negative number of seconds", c.FlushSlack)
+	}
+	return nil
 }
 
 func (c *SimConfig) defaults() {

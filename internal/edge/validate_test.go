@@ -1,0 +1,80 @@
+package edge
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestSimConfigValidate: knobs a run cannot honour fail both run kinds with
+// an error, never a hang or a panic, while the documented meanings of zero,
+// non-positive deadlines and single-frame batch sizes keep running.
+func TestSimConfigValidate(t *testing.T) {
+	lib := paperLib(t)
+	scn := Scenario12()
+	scn.Duration = 2
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		cfg     SimConfig
+		wantErr string // empty: the run must succeed
+	}{
+		{"zero values", SimConfig{}, ""},
+		{"deadline disabled", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: -1}}, ""},
+		{"deadline -inf disabled", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: -inf}}, ""},
+		{"single-frame batch", SimConfig{BatchConfig: BatchConfig{Size: -3}}, ""},
+		{"unbounded queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: inf}}, ""},
+		{"NaN step", SimConfig{Step: nan}, "Step"},
+		{"+Inf step", SimConfig{Step: inf}, "Step"},
+		{"-Inf step", SimConfig{Step: -inf}, "Step"},
+		{"negative step", SimConfig{Step: -0.01}, "Step"},
+		{"negative queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: -1}}, "QueueFrames"},
+		{"NaN queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: nan}}, "QueueFrames"},
+		{"NaN deadline", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: nan}}, "Deadline"},
+		{"+Inf deadline", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: inf}}, "Deadline"},
+		{"NaN flush slack", SimConfig{BatchConfig: BatchConfig{Size: 8, FlushSlack: nan}}, "FlushSlack"},
+		{"negative flush slack", SimConfig{BatchConfig: BatchConfig{Size: 8, FlushSlack: -0.001}}, "FlushSlack"},
+		{"+Inf flush slack", SimConfig{BatchConfig: BatchConfig{Size: 8, FlushSlack: inf}}, "FlushSlack"},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != (tc.wantErr == "") {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+		}
+		for kind, run := range map[string]func(Scenario, Controller, SimConfig, ...RunOption) (*Result, error){
+			"fluid": Run, "event": RunEventLevel,
+		} {
+			ctl := adaflow(t, lib)
+			err := runGuarded(func() error {
+				_, err := run(scn, ctl, tc.cfg)
+				return err
+			})
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("%s (%s): %v", tc.name, kind, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("%s (%s): err = %v, want one naming %s", tc.name, kind, err, tc.wantErr)
+			}
+		}
+	}
+}
+
+// runGuarded turns a panic into an error and gives up on a run that does
+// not return within a minute.
+func runGuarded(f func() error) error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- fmt.Errorf("panic: %v", p)
+			}
+		}()
+		done <- f()
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		return fmt.Errorf("run did not return within a minute")
+	}
+}

@@ -6,7 +6,8 @@
 // Flexible-Pruning accelerator per initial model.
 //
 // Generation is a three-stage pipeline. Stage 1 prunes and evaluates each
-// rate independently (the weight-heavy work), fanned across Config.Workers
+// rate independently (building pruned weights only when the evaluator or
+// Config.KeepModels reads them), fanned across Config.Workers
 // goroutines with indexed result slots. Stage 2 maps and synthesizes one
 // fixed accelerator per *distinct* channel configuration — dataflow
 // constraints round several small rates to the same shape, so duplicate
@@ -59,8 +60,8 @@ type Entry struct {
 	// Entries whose constraints rounded to the same channel configuration
 	// share one accelerator.
 	Fixed *synth.Accelerator
-	// Model optionally retains the pruned weights (nil when the generator
-	// was asked not to keep them).
+	// Model is the pruned model with its weights when Config.KeepModels
+	// was set, and nil otherwise.
 	Model *model.Model
 }
 
@@ -115,8 +116,12 @@ type Config struct {
 	Device *synth.Device
 	// ClockHz defaults to finn.DefaultClockHz.
 	ClockHz float64
-	// KeepModels retains pruned weights in the entries (memory-heavy for
-	// paper-scale models; tests and examples with tiny models set it).
+	// KeepModels retains each pruned model, with its weights, in
+	// Entry.Model (memory-heavy for paper-scale models; tests and examples
+	// with tiny models set it). Without it, and with an Evaluator that
+	// implements accuracy.ChannelEvaluator (Calibrated), Generate never
+	// builds pruned weights at all: mapping, synthesis and the evaluator
+	// read only the pruned shapes.
 	KeepModels bool
 	// FlexSwitchTime defaults to 1 ms.
 	FlexSwitchTime time.Duration
@@ -203,23 +208,41 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	}
 
 	// Stage 1: prune and evaluate every rate. The filters are ranked once
-	// and every rate plans from that ranking; each pruned model is
-	// gathered fresh from the initial weights and the evaluator only reads
-	// its own copy, so rates are independent; results land in indexed
-	// slots.
+	// and every rate plans from that ranking. Pruned weights are gathered
+	// only when something reads them: an evaluator that is not a
+	// channel-count evaluator, or KeepModels. Otherwise each rate builds
+	// the shape-only model (prune.ApplyShape), which is all mapping and
+	// synthesis read, and which never leaves Generate. Each model is built
+	// fresh from the initial one and the evaluator only reads its own
+	// copy, so rates are independent; results land in indexed slots.
 	type pruned struct {
 		model *model.Model
 		plan  *prune.Plan
 		acc   float64
 	}
+	chEval, ok := cfg.Evaluator.(accuracy.ChannelEvaluator)
+	shapeOnly := ok && !cfg.KeepModels
+	apply := prune.Apply
+	if shapeOnly {
+		apply = prune.ApplyShape
+	}
 	rank := prune.RankFilters(initial)
 	stage1 := make([]pruned, len(rates))
 	err = parallel.ForEachErr(len(rates), workers, func(i int) error {
-		m, plan, err := rank.Shrink(initial, rates[i], gran)
+		plan, err := rank.Plan(rates[i], gran)
 		if err != nil {
 			return fmt.Errorf("library: rate %v: %w", rates[i], err)
 		}
-		acc, err := cfg.Evaluator.Accuracy(m)
+		m, err := apply(initial, plan)
+		if err != nil {
+			return fmt.Errorf("library: rate %v: %w", rates[i], err)
+		}
+		var acc float64
+		if shapeOnly {
+			acc, err = chEval.AccuracyOfChannels(m.BaseChannels, m.ConvChannels())
+		} else {
+			acc, err = cfg.Evaluator.Accuracy(m)
+		}
 		if err != nil {
 			return fmt.Errorf("library: rate %v: %w", rates[i], err)
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -361,7 +362,7 @@ func TestPruneFilters(t *testing.T) {
 		c.Bias.Value.Set(float32(10*(o+1)), o)
 	}
 	orig := c
-	c, err := c.Pruned([]int{1, 3}, nil)
+	c, err := c.Pruned([]int{1, 3}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +398,12 @@ func TestPruneFiltersValidation(t *testing.T) {
 		{"out of range", []int{5}, nil, "out of range"},
 		{"all inputs", nil, []int{0}, "cannot remove 1 of 1"},
 	} {
-		_, err := c.Pruned(tc.out, tc.in)
+		_, err := c.Pruned(tc.out, tc.in, true)
 		if err == nil || !strings.Contains(err.Error(), tc.wantFragment) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantFragment)
+		}
+		if _, shapeErr := c.Pruned(tc.out, tc.in, false); fmt.Sprint(shapeErr) != fmt.Sprint(err) {
+			t.Errorf("%s: shape-only err = %v, want %v", tc.name, shapeErr, err)
 		}
 	}
 }
@@ -415,7 +419,7 @@ func TestPruneInputChannels(t *testing.T) {
 			c.Weight.Value.Set(float32(10*o+i), o, i, 0, 0)
 		}
 	}
-	c, err := c.Pruned(nil, []int{1})
+	c, err := c.Pruned(nil, []int{1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +465,11 @@ func TestPruneConsistencyPreservesFunction(t *testing.T) {
 	}
 
 	// Pruned pipeline.
-	c1, err = c1.Pruned([]int{1, 3}, nil)
+	c1, err = c1.Pruned([]int{1, 3}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err = c2.Pruned(nil, []int{1, 3})
+	c2, err = c2.Pruned(nil, []int{1, 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +490,7 @@ func TestDensePruneInputs(t *testing.T) {
 	d, _ := NewDense(DenseConfig{ID: "d", In: 6, Out: 1})
 	copy(d.Weight.Value.Data(), []float32{0, 1, 2, 3, 4, 5})
 	// Groups of 2 (channels of spatial footprint 2); remove group 1.
-	d, err := d.Pruned(nil, []int{1}, 2)
+	d, err := d.Pruned(nil, []int{1}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,8 +503,10 @@ func TestDensePruneInputs(t *testing.T) {
 			t.Fatalf("weights = %v, want %v", d.Weight.Value.Data(), want)
 		}
 	}
-	if _, err := d.Pruned(nil, []int{0}, 3); err == nil {
-		t.Fatal("indivisible group size accepted")
+	for _, weights := range []bool{true, false} {
+		if _, err := d.Pruned(nil, []int{0}, 3, weights); err == nil {
+			t.Fatalf("indivisible group size accepted (weights=%v)", weights)
+		}
 	}
 }
 
@@ -535,7 +541,7 @@ func TestGradAllocatedOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := c.Pruned([]int{1}, nil)
+	pc, err := c.Pruned([]int{1}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

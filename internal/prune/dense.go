@@ -59,7 +59,7 @@ func ApplyNeurons(m *model.Model, p *DensePlan) (*model.Model, error) {
 	if len(p.Removed) != len(hidden) {
 		return nil, fmt.Errorf("prune: plan has %d entries for %d hidden dense layers", len(p.Removed), len(hidden))
 	}
-	return gather(m, nil, p.Removed)
+	return gather(m, nil, p.Removed, true)
 }
 
 // ShrinkDense builds m neuron-pruned at the given rate and returns it with

@@ -95,10 +95,24 @@ func Shrink(m *model.Model, rate float64, granularity []int) (*model.Model, *Pla
 // convolution, or the first dense layer, in groups of the flattened
 // spatial footprint) loses the matching inputs.
 func Apply(m *model.Model, p *Plan) (*model.Model, error) {
+	return apply(m, p, true)
+}
+
+// ApplyShape builds the shape of the model Apply would build: the same
+// layers with the same geometry, channel counts and quantizers, but no
+// parameter data. It validates the plan exactly as Apply does and fails
+// with the same errors. Mapping and synthesis (internal/finn,
+// internal/synth) and channel-count evaluators read nothing else; the
+// result cannot run inference or training.
+func ApplyShape(m *model.Model, p *Plan) (*model.Model, error) {
+	return apply(m, p, false)
+}
+
+func apply(m *model.Model, p *Plan, weights bool) (*model.Model, error) {
 	if n := len(m.Net.Convs()); len(p.Removed) != n {
 		return nil, fmt.Errorf("prune: plan has %d conv entries for %d convolutions", len(p.Removed), n)
 	}
-	pm, err := gather(m, p.Removed, nil)
+	pm, err := gather(m, p.Removed, nil, weights)
 	if err != nil {
 		return nil, err
 	}
@@ -109,10 +123,11 @@ func Apply(m *model.Model, p *Plan) (*model.Model, error) {
 // gather builds a copy of m without the units listed per convolution in
 // convRm and per dense layer in denseRm (nil lists, or lists shorter than
 // the layer count, remove nothing). It walks the layers once, carrying the
-// last producer's removed channels to the layers that consume them, and
-// allocates every parameter once at its final size: no tensor of the
-// result aliases m.
-func gather(m *model.Model, convRm, denseRm [][]int) (*model.Model, error) {
+// last producer's removed channels to the layers that consume them. With
+// weights, it allocates every parameter once at its final size, and no
+// tensor of the result aliases m; without, the layers carry their pruned
+// shapes only (see ApplyShape).
+func gather(m *model.Model, convRm, denseRm [][]int, weights bool) (*model.Model, error) {
 	shapes, err := nn.OutputShapeAfter(m.Net, m.InC, m.InH, m.InW)
 	if err != nil {
 		return nil, err
@@ -129,15 +144,15 @@ func gather(m *model.Model, convRm, denseRm [][]int) (*model.Model, error) {
 		case *nn.Conv2D:
 			rm := at(convRm, ci)
 			ci++
-			l, err = x.Pruned(rm, pending)
+			l, err = x.Pruned(rm, pending, weights)
 			pending = rm
 		case *nn.Dense:
 			rm := at(denseRm, di)
 			di++
-			l, err = x.Pruned(rm, pending, foot)
+			l, err = x.Pruned(rm, pending, foot, weights)
 			pending, foot = rm, 1
 		case *nn.ScaleShift:
-			l, err = x.Pruned(pending)
+			l, err = x.Pruned(pending, weights)
 		case *nn.MaxPool2D:
 			l, err = x.Pruned(x.Geom.InC - len(pending))
 		case interface{ CloneLayer() nn.Layer }:

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -243,6 +244,44 @@ func TestApplyArityMismatch(t *testing.T) {
 	m := tiny(t)
 	if _, err := Apply(m, &Plan{Removed: make([][]int, 1)}); err == nil {
 		t.Fatal("wrong plan arity accepted")
+	}
+}
+
+// TestApplyShapeFailsLikeApply: the shape-only walk validates a plan as
+// Apply does, so every invalid plan fails both with the same error.
+func TestApplyShapeFailsLikeApply(t *testing.T) {
+	m := tiny(t) // convs of 8 and 16 filters
+	c, err := nn.NewConv2D(nn.ConvConfig{
+		ID:   "c",
+		Geom: tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+		OutC: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	headless := &model.Model{Name: "headless", InC: 1, InH: 2, InW: 2, Net: nn.NewNetwork(c), BaseChannels: []int{2}}
+	for _, tc := range []struct {
+		name    string
+		m       *model.Model
+		removed [][]int
+	}{
+		{"short plan", m, make([][]int, 1)},
+		{"long plan", m, make([][]int, 3)},
+		{"all filters", m, [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, nil}},
+		{"descending", m, [][]int{{2, 1}, nil}},
+		{"duplicate", m, [][]int{nil, {3, 3}}},
+		{"negative", m, [][]int{{-1}, nil}},
+		{"out of range", m, [][]int{nil, {16}}},
+		{"no consumer", headless, [][]int{{0}}},
+	} {
+		p := &Plan{Rate: 0.5, Removed: tc.removed}
+		_, err := Apply(tc.m, p)
+		if err == nil {
+			t.Fatalf("%s: Apply accepted the plan", tc.name)
+		}
+		if _, shapeErr := ApplyShape(tc.m, p); fmt.Sprint(shapeErr) != err.Error() {
+			t.Errorf("%s: ApplyShape err = %v, want %v", tc.name, shapeErr, err)
+		}
 	}
 }
 

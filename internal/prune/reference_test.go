@@ -3,6 +3,7 @@ package prune_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/finn"
@@ -337,6 +338,74 @@ func TestShrinkMatchesReference(t *testing.T) {
 				t.Fatalf("%s dense rate %v: %v", m.Name, rate, err)
 			}
 			checkNoAlias(t, m, snapshot, got)
+		}
+	}
+}
+
+// stripParams drops every parameter of m's layers, leaving the shape
+// ApplyShape builds.
+func stripParams(m *model.Model) {
+	for _, nl := range m.Net.Layers {
+		switch l := nl.Layer.(type) {
+		case *nn.Conv2D:
+			l.Weight, l.Bias = nil, nil
+		case *nn.Dense:
+			l.Weight, l.Bias = nil, nil
+		case *nn.ScaleShift:
+			l.Gamma, l.Beta = nil, nil
+		}
+	}
+}
+
+// TestApplyShapeMatchesApply: at every paper rate, with and without the
+// dataflow constraints, the shape-only walk builds Apply's model minus its
+// parameters (sameModel requires both sides' to be nil), and finn maps
+// both to the same dataflow.
+func TestApplyShapeMatchesApply(t *testing.T) {
+	cnv, err := model.CNVW1A2("gtsrb", 43, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := model.TinyCNV("tiny", "tiny-syn", 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*model.Model{tiny, cnv} {
+		gran, err := finn.DefaultFolding(m).ChannelGranularity(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := prune.RankFilters(m)
+		for _, g := range [][]int{gran, prune.Ones(len(gran))} {
+			for _, rate := range library.PaperRates() {
+				plan, err := rank.Plan(rate, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := prune.Apply(m, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shape, err := prune.ApplyShape(m, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fullDF, err := finn.Map(full, finn.DefaultFolding(full), finn.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				shapeDF, err := finn.Map(shape, finn.DefaultFolding(shape), finn.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fullDF, shapeDF) {
+					t.Fatalf("%s rate %v: dataflows differ", m.Name, rate)
+				}
+				stripParams(full)
+				if err := sameModel(shape, full); err != nil {
+					t.Fatalf("%s rate %v: %v", m.Name, rate, err)
+				}
+			}
 		}
 	}
 }

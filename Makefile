@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race test-chaos trace-golden bench bench-all verify
+.PHONY: all build test test-race test-chaos trace-golden bench bench-all verify
 
 all: build
 
@@ -9,11 +9,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-# Race-detector pass over the packages that exercise the tensor worker
-# pool concurrently.
-race:
-	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/train/...
 
 # Race-detector pass over the serving stack and the parallel design-time
 # pipeline (library sweep, memoized explorer, experiment harness) on top
@@ -43,15 +38,23 @@ test-chaos:
 	$(GO) test -count=1 ./internal/fault/... ./internal/adapt/...
 	$(GO) test -count=1 -run 'Property|Degrade|ReconfigFailed|Backoff|Swap' ./internal/manager/...
 
-# Tracked benchmark baseline: key design-time and substrate benchmarks,
-# recorded to BENCH_PR10.json for regression diffing.
+# Timing gate: three fresh 5 s runs each of the serving workloads
+# (edge-fluid, edge-event, cluster), compared with the committed seed-1
+# baseline under the bounds of BENCHMARK.json. Host times are normalised
+# to a reference speed, so the baseline holds on other machines. The
+# allocation ceilings of the same hot paths are TestHotPathAllocs.
 bench:
-	./scripts/bench.sh
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for w in edge-fluid edge-event cluster; do \
+		bash bench/run.sh -workload $$w -seed 1 -seconds 5 -repeat 3 -json "$$tmp/runs.json" || exit 1; \
+	done && \
+	bash bench/run.sh -compare bench/results/baseline-seed1.json "$$tmp/runs.json"
 
 # Full sweep over every benchmark in the repo (paper figures included).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Everything CI would check: gofmt, vet, build, tests, race detector.
+# Everything CI would check: gofmt, vet, build, tests, race detector,
+# benchmark gate.
 verify:
 	./scripts/verify.sh

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -261,5 +262,79 @@ func TestSchedulerValidation(t *testing.T) {
 	}
 	if _, err := New(lib, ok, Config{Pools: 2, FaultPools: []int{2}}); err == nil {
 		t.Error("out-of-range fault pool accepted")
+	}
+}
+
+// TestConfigValidate: knobs the scheduler cannot honour fail New with an
+// error, never a hang or a panic, while zero and the documented
+// non-positive values keep selecting each default.
+func TestConfigValidate(t *testing.T) {
+	lib := testLib(t)
+	streams := DefaultStreams(20)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		set     func(*Config)
+		wantErr string // empty: the run must succeed
+	}{
+		{"zero values", func(*Config) {}, ""},
+		{"negative epoch selects default", func(c *Config) { c.EpochSeconds = -1 }, ""},
+		{"headroom 0.5", func(c *Config) { c.Headroom = 0.5 }, ""},
+		{"NaN epoch", func(c *Config) { c.EpochSeconds = nan }, "EpochSeconds"},
+		{"+Inf epoch", func(c *Config) { c.EpochSeconds = inf }, "EpochSeconds"},
+		{"-Inf epoch", func(c *Config) { c.EpochSeconds = -inf }, "EpochSeconds"},
+		{"NaN headroom", func(c *Config) { c.Headroom = nan }, "Headroom"},
+		{"negative headroom", func(c *Config) { c.Headroom = -0.1 }, "Headroom"},
+		{"headroom 1", func(c *Config) { c.Headroom = 1 }, "Headroom"},
+		{"headroom 2", func(c *Config) { c.Headroom = 2 }, "Headroom"},
+		{"NaN tenant share", func(c *Config) { c.TenantShare = nan }, "TenantShare"},
+		{"negative tenant share", func(c *Config) { c.TenantShare = -0.5 }, "TenantShare"},
+		{"NaN blackout", func(c *Config) { c.MigrationBlackout = nan }, "MigrationBlackout"},
+		{"negative blackout", func(c *Config) { c.MigrationBlackout = -1 }, "MigrationBlackout"},
+		{"NaN flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, nan }, "BatchFlushSlack"},
+		{"negative flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, -0.001 }, "BatchFlushSlack"},
+	} {
+		cfg := Config{Pools: 2, BoardsPerPool: 2, Epochs: 2, Seed: 1}
+		tc.set(&cfg)
+		if err := cfg.Validate(); (err == nil) != (tc.wantErr == "") {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+		}
+		err := runGuarded(func() error {
+			sch, err := New(lib, streams, cfg)
+			if err != nil {
+				return err
+			}
+			res, err := sch.Run()
+			if err == nil && res.Processed == 0 {
+				err = fmt.Errorf("served no frames")
+			}
+			return err
+		})
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// runGuarded turns a panic into an error and gives up on a run that does
+// not return within a minute.
+func runGuarded(f func() error) error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- fmt.Errorf("panic: %v", p)
+			}
+		}()
+		done <- f()
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		return fmt.Errorf("run did not return within a minute")
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 
@@ -83,6 +84,32 @@ type Config struct {
 	// Workers caps concurrent pool runs for this scheduler (0 = the
 	// package-level MaxWorkers cap).
 	Workers int
+}
+
+// Validate reports a knob the scheduler cannot honour. Zero selects each
+// default, as do non-positive BoardsPerPool, EpochSeconds and Epochs; a
+// zero TenantShare disables the per-tenant cap.
+func (c *Config) Validate() error {
+	switch {
+	case c.Pools <= 0:
+		return fmt.Errorf("cluster: fleet needs at least one pool, got %d", c.Pools)
+	case math.IsNaN(c.EpochSeconds) || math.IsInf(c.EpochSeconds, 0):
+		return fmt.Errorf("cluster: EpochSeconds %v must be a finite number of seconds", c.EpochSeconds)
+	case math.IsNaN(c.Headroom) || c.Headroom < 0 || c.Headroom >= 1:
+		return fmt.Errorf("cluster: Headroom %v must lie in [0, 1)", c.Headroom)
+	case math.IsNaN(c.TenantShare) || c.TenantShare < 0:
+		return fmt.Errorf("cluster: TenantShare %v must be non-negative", c.TenantShare)
+	case math.IsNaN(c.MigrationBlackout) || c.MigrationBlackout < 0:
+		return fmt.Errorf("cluster: MigrationBlackout %v must be a non-negative number of seconds", c.MigrationBlackout)
+	case math.IsNaN(c.BatchFlushSlack) || c.BatchFlushSlack < 0:
+		return fmt.Errorf("cluster: BatchFlushSlack %v must be non-negative", c.BatchFlushSlack)
+	}
+	for _, p := range c.FaultPools {
+		if p < 0 || p >= c.Pools {
+			return fmt.Errorf("cluster: fault pool index %d outside fleet [0,%d)", p, c.Pools)
+		}
+	}
+	return nil
 }
 
 func (c *Config) defaults() {
@@ -233,8 +260,8 @@ func New(lib *library.Library, streams []StreamSpec, cfg Config) (*Scheduler, er
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("cluster: no streams declared")
 	}
-	if cfg.Pools <= 0 {
-		return nil, fmt.Errorf("cluster: fleet needs at least one pool, got %d", cfg.Pools)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg.defaults()
 	seen := make(map[string]bool, len(streams))
@@ -249,11 +276,6 @@ func New(lib *library.Library, streams []StreamSpec, cfg Config) (*Scheduler, er
 		}
 		seen[s.Name] = true
 		specs[i] = s
-	}
-	for _, p := range cfg.FaultPools {
-		if p < 0 || p >= cfg.Pools {
-			return nil, fmt.Errorf("cluster: fault pool index %d outside fleet [0,%d)", p, cfg.Pools)
-		}
 	}
 	s := &Scheduler{lib: lib, cfg: cfg, ordered: orderStreams(specs)}
 	s.nameIdx = make(map[string]StreamSpec, len(s.ordered))

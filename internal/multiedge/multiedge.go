@@ -30,6 +30,7 @@ package multiedge
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/edge"
@@ -104,6 +105,24 @@ type Config struct {
 	BatchFlushSlack float64
 	// Manager configures each board's Runtime Manager.
 	Manager manager.Config
+}
+
+// Validate reports a knob the pool cannot honour. Zero selects each
+// default, as does a non-positive HeartbeatEvery or Quorum.
+func (c *Config) Validate() error {
+	switch {
+	case c.Boards <= 0:
+		return fmt.Errorf("multiedge: pool needs at least one board, got %d", c.Boards)
+	case c.Standby < 0:
+		return fmt.Errorf("multiedge: negative standby count %d", c.Standby)
+	case c.Quorum > c.Boards:
+		return fmt.Errorf("multiedge: quorum %d exceeds pool size %d", c.Quorum, c.Boards)
+	case math.IsNaN(c.HeartbeatEvery) || math.IsInf(c.HeartbeatEvery, 0):
+		return fmt.Errorf("multiedge: HeartbeatEvery %v must be a finite number of seconds", c.HeartbeatEvery)
+	case math.IsNaN(c.BatchFlushSlack) || c.BatchFlushSlack < 0:
+		return fmt.Errorf("multiedge: BatchFlushSlack %v must be non-negative", c.BatchFlushSlack)
+	}
+	return nil
 }
 
 func (c *Config) defaults() {
@@ -206,16 +225,10 @@ type Pool struct {
 // cfg.Standby hot spares over a shared library, each board with its own
 // Runtime Manager configured with cfg.Manager.
 func NewSupervisedPool(lib *library.Library, cfg Config) (*Pool, error) {
-	if cfg.Boards <= 0 {
-		return nil, fmt.Errorf("multiedge: pool needs at least one board, got %d", cfg.Boards)
-	}
-	if cfg.Standby < 0 {
-		return nil, fmt.Errorf("multiedge: negative standby count %d", cfg.Standby)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg.defaults()
-	if cfg.Quorum > cfg.Boards {
-		return nil, fmt.Errorf("multiedge: quorum %d exceeds pool size %d", cfg.Quorum, cfg.Boards)
-	}
 	p := &Pool{lib: lib, cfg: cfg}
 	for i := 0; i < cfg.Boards+cfg.Standby; i++ {
 		mgr, err := manager.New(lib, cfg.Manager)

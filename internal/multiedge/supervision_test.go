@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/edge"
 	"repro/internal/fault"
@@ -483,23 +484,72 @@ func TestGoldenPoolTraces(t *testing.T) {
 	}
 }
 
-// TestSupervisedPoolConfigValidation covers constructor errors.
+// TestSupervisedPoolConfigValidation: knobs a pool cannot honour fail the
+// constructor with an error, never a hang or a panic, while zero and the
+// documented non-positive values keep selecting each default.
 func TestSupervisedPoolConfigValidation(t *testing.T) {
 	lib := paperLib(t)
-	if _, err := NewSupervisedPool(lib, Config{Boards: 0, Manager: manager.DefaultConfig()}); err == nil {
-		t.Error("zero boards accepted")
+	scn := edge.Scenario12()
+	scn.Duration = 2
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		set     func(*Config)
+		wantErr string // empty: the run must succeed
+	}{
+		{"zero values", func(*Config) {}, ""},
+		{"standby", func(c *Config) { c.Standby = 1 }, ""},
+		{"negative heartbeat selects default", func(c *Config) { c.HeartbeatEvery = -1 }, ""},
+		{"zero boards", func(c *Config) { c.Boards = 0 }, "board"},
+		{"negative standby", func(c *Config) { c.Standby = -1 }, "standby"},
+		{"quorum above pool size", func(c *Config) { c.Quorum = 3 }, "quorum"},
+		{"NaN heartbeat", func(c *Config) { c.HeartbeatEvery = nan }, "HeartbeatEvery"},
+		{"+Inf heartbeat", func(c *Config) { c.HeartbeatEvery = inf }, "HeartbeatEvery"},
+		{"-Inf heartbeat", func(c *Config) { c.HeartbeatEvery = -inf }, "HeartbeatEvery"},
+		{"NaN flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, nan }, "BatchFlushSlack"},
+		{"negative flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, -0.001 }, "BatchFlushSlack"},
+	} {
+		cfg := Config{Boards: 2, Manager: manager.DefaultConfig()}
+		tc.set(&cfg)
+		if err := cfg.Validate(); (err == nil) != (tc.wantErr == "") {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+		}
+		err := runGuarded(func() error {
+			p, err := NewSupervisedPool(lib, cfg)
+			if err != nil {
+				return err
+			}
+			if want := cfg.Boards + cfg.Standby; p.Boards() != want {
+				return fmt.Errorf("%d boards, want %d", p.Boards(), want)
+			}
+			_, err = edge.Run(scn, p, edge.SimConfig{Seed: 1})
+			return err
+		})
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.wantErr)
+		}
 	}
-	if _, err := NewSupervisedPool(lib, Config{Boards: 2, Standby: -1, Manager: manager.DefaultConfig()}); err == nil {
-		t.Error("negative standby accepted")
-	}
-	if _, err := NewSupervisedPool(lib, Config{Boards: 2, Quorum: 3, Manager: manager.DefaultConfig()}); err == nil {
-		t.Error("quorum above pool size accepted")
-	}
-	p, err := NewSupervisedPool(lib, Config{Boards: 2, Standby: 1, Manager: manager.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Boards() != 3 {
-		t.Errorf("total boards = %d, want 3 (2 serving + 1 standby)", p.Boards())
+}
+
+// runGuarded turns a panic into an error and gives up on a run that does
+// not return within a minute.
+func runGuarded(f func() error) error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- fmt.Errorf("panic: %v", p)
+			}
+		}()
+		done <- f()
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		return fmt.Errorf("run did not return within a minute")
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Full local verification: formatting, vet, build, tests, and the race
-# detector over the packages that use the tensor worker pool.
+# Full local verification: formatting, vet, build, tests, fuzz smoke, the
+# race detector, the chaos and golden suites, and the benchmark gate.
 # Run from the repository root (or via `make verify`).
 set -eu
 
@@ -47,30 +47,12 @@ make test-chaos
 echo "== golden traces (scenario + decision streams)"
 make trace-golden
 
-echo "== bench smoke (one fast kernel benchmark through scripts/bench.sh)"
-bench_out=$(mktemp)
-BENCH_OUT="$bench_out" BENCH_TIME=1x BENCH_PATTERN='BenchmarkDESKernel' ./scripts/bench.sh
-grep -q 'BenchmarkDESKernel' "$bench_out"
-rm -f "$bench_out"
+# bench/ is a module of its own, so the root `go test ./...` never
+# builds it.
+echo "== bench module smoke test"
+(cd bench && go test ./...)
 
-echo "== overhead guards (BenchmarkRunEdge + BenchmarkPoolRun + BenchmarkClusterRun + BenchmarkDESKernel vs BENCH_PR10.json)"
-# Tracing off must stay free on the serving hot path, pool supervision
-# must stay cheap on the healthy path (<2% claims, measured back to back
-# in DESIGN.md), adaptation must stay free when disabled (the fluid
-# variant IS the disabled-adapt path), and the calendar-queue DES kernel
-# must not regress toward the old heap numbers. The committed baseline
-# was measured on one machine and this guard may run on another, so the
-# tolerance is generous (25%). Skips cleanly if the baseline lacks the
-# benchmarks.
-if grep -q 'BenchmarkRunEdge\|BenchmarkPoolRun' BENCH_PR10.json; then
-	overhead_out=$(mktemp)
-	# -count 3: benchjson keeps the fastest of repeats, damping the
-	# heavy scheduler noise of small containers.
-	go test -run '^$' -bench 'BenchmarkRunEdge$|BenchmarkPoolRun|BenchmarkClusterRun|BenchmarkDESKernel' -benchtime 0.5s -count 3 . | tee "$overhead_out"
-	go run ./cmd/benchjson -check -baseline BENCH_PR10.json -tol 0.25 "$overhead_out"
-	rm -f "$overhead_out"
-else
-	echo "BENCH_PR10.json has no BenchmarkRunEdge/BenchmarkPoolRun entry; skipping"
-fi
+echo "== benchmark gate (serving workloads vs the committed seed-1 baseline)"
+make bench
 
 echo "verify: OK"

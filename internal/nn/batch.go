@@ -12,11 +12,13 @@ import (
 // scratch borrow/release, int8 weight-panel streaming — are paid once per
 // batch instead of once per frame. Dense layers pack the batch into one
 // GEMM call (n = B columns, escaping the n == 1 matvec path); Conv2D
-// lowers the B samples side by side into shared patch panels of the fused
-// streaming im2col (tensor.ConvInt8BatchInto). Both paths are
-// bit-identical to B sequential Forward(x, false) calls at any worker
-// count: the float GEMM accumulates every output element in ascending-p
-// order regardless of n, and the integer kernels are exact.
+// serves the B samples in one integer kernel call: the bit-plane kernel
+// (tensor.ConvBitplaneBatchInto) for ternary or binary weights on 2-bit
+// activation codes, else shared patch panels of the fused streaming im2col
+// (tensor.ConvInt8BatchInto). Both paths are bit-identical to B sequential
+// Forward(x, false) calls at any worker count: the float GEMM accumulates
+// every output element in ascending-p order regardless of n, and the
+// integer kernels are exact.
 
 // BatchLayer is implemented by layers with a dedicated B-sample inference
 // path. ForwardBatch must return exactly the tensors that B independent
@@ -179,8 +181,11 @@ func (d *Dense) forwardBatchInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) 
 }
 
 // ForwardBatch implements BatchLayer: on the int8 path the whole batch
-// shares each streamed patch panel; the float path loops over samples.
+// goes through one kernel call; the float path loops over samples.
 func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if c.useInt8() {
+		return c.forwardBatchInt8(xs)
+	}
 	if len(xs) == 1 {
 		out, err := c.Forward(xs[0], false)
 		if err != nil {
@@ -188,15 +193,8 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		}
 		return []*tensor.Tensor{out}, nil
 	}
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	for _, x := range xs {
-		if x.Rank() != 3 || x.Dim(0) != c.Geom.InC || x.Dim(1) != c.Geom.InH || x.Dim(2) != c.Geom.InW {
-			return nil, fmt.Errorf("nn: conv %q input %v does not match geometry %dx%dx%d",
-				c.ID, x.Shape(), c.Geom.InC, c.Geom.InH, c.Geom.InW)
-		}
-	}
-	if c.useInt8() {
-		return c.forwardBatchInt8(xs, oh, ow)
+	if err := c.checkInputs(xs); err != nil {
+		return nil, err
 	}
 	c.floatFwds += len(xs)
 	wm, err := c.EffectiveWeights()
@@ -205,6 +203,7 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	}
 	// Float batch: one im2col scratch borrowed for the whole batch; the
 	// per-sample GEMM order matches Forward exactly.
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	cols := tensor.Borrow(c.Geom.InC*c.Geom.KH*c.Geom.KW, oh*ow)
 	defer tensor.Release(cols)
 	outs := make([]*tensor.Tensor, len(xs))
@@ -227,32 +226,55 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return outs, nil
 }
 
-// forwardBatchInt8 quantizes every sample up front and hands the batch to
-// the batch-packed kernel (tensor.ConvInt8BatchInto): each patch panel
-// holds the same output tile of all B samples side by side, so a layer
-// with few output positions still runs a wide product and weight traffic
-// amortizes over the batch.
-func (c *Conv2D) forwardBatchInt8(xs []*tensor.Tensor, oh, ow int) ([]*tensor.Tensor, error) {
-	wq, wScales, err := c.int8Weights()
+// checkInputs reports the first sample whose shape does not match the
+// layer's input geometry.
+func (c *Conv2D) checkInputs(xs []*tensor.Tensor) error {
+	for _, x := range xs {
+		if x.Rank() != 3 || x.Dim(0) != c.Geom.InC || x.Dim(1) != c.Geom.InH || x.Dim(2) != c.Geom.InW {
+			return fmt.Errorf("nn: conv %q input %v does not match geometry %dx%dx%d",
+				c.ID, x.Shape(), c.Geom.InC, c.Geom.InH, c.Geom.InW)
+		}
+	}
+	return nil
+}
+
+// forwardBatchInt8 is the integer inference path of Forward (B = 1) and
+// ForwardBatch. Weights are the cached int8 grid codes, every sample is
+// quantized dynamically to int8, and one of two exact kernels computes the
+// int32 products, rescaled once by weight scale × sample scale:
+//
+//   - tensor.ConvBitplaneBatchInto when the layer has bit planes (every
+//     weight code in {−1, 0, 1}) and every sample's codes decompose into
+//     two planes, as the 2-bit activations of CNV's conv1–conv5 do;
+//   - tensor.ConvInt8BatchInto, the batch-packed paired-lane kernel,
+//     otherwise: an image input, a wider weight grid, or one sample with
+//     more than two planes' worth of codes sends the whole batch here.
+//
+// Both give the same int32 sums and the same rescale expression, so the
+// choice never changes a bit of the output.
+func (c *Conv2D) forwardBatchInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if err := c.checkInputs(xs); err != nil {
+		return nil, err
+	}
+	wq, wScales, wb, err := c.int8Weights()
 	if err != nil {
 		return nil, err
 	}
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	bsz := len(xs)
+	vol := c.Geom.InC * c.Geom.InH * c.Geom.InW
+	xqBuf := tensor.BorrowInt8(bsz * vol)
+	defer tensor.ReleaseInt8(xqBuf)
 	xqs := make([][]int8, bsz)
-	defer func() {
-		for _, q := range xqs {
-			tensor.ReleaseInt8(q)
-		}
-	}()
 	scaleBuf := make([]float32, bsz*len(wScales))
 	outScales := make([][]float32, bsz)
 	dsts := make([]*tensor.Tensor, bsz)
 	for j, x := range xs {
-		xq := tensor.BorrowInt8(x.Len())
+		xq := xqBuf[j*vol : (j+1)*vol]
 		xqs[j] = xq
 		sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("nn: conv %q sample %d: %w", c.ID, j, err)
 		}
 		row := scaleBuf[j*len(wScales) : (j+1)*len(wScales)]
 		for i, s := range wScales {
@@ -261,7 +283,15 @@ func (c *Conv2D) forwardBatchInt8(xs []*tensor.Tensor, oh, ow int) ([]*tensor.Te
 		outScales[j] = row
 		dsts[j] = tensor.New(c.OutC, oh*ow)
 	}
-	if err := tensor.ConvInt8BatchInto(dsts, wq, xqs, c.Geom, outScales); err != nil {
+	served := false
+	if wb != nil {
+		if served, err = tensor.ConvBitplaneBatchInto(dsts, wb, xqs, c.Geom, outScales); err != nil {
+			return nil, err
+		}
+	}
+	if served {
+		c.bitForwards += bsz
+	} else if err := tensor.ConvInt8BatchInto(dsts, wq, xqs, c.Geom, outScales); err != nil {
 		return nil, err
 	}
 	outs := make([]*tensor.Tensor, bsz)

@@ -131,6 +131,60 @@ func TestForwardBatchTakesInt8Path(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool
+
+// TestConvForwardBatchAllocs guards the steady-state allocations of a
+// batch of 8 through CNVW2A2's unpruned conv1 (64→64 channels, 30×30 in,
+// 2-bit activations, so the bit planes serve it). The ceiling is the
+// paired-lane path's count before the bit planes existed: their scratch
+// comes from the arena, not from make. AllocsPerRun pins GOMAXPROCS to 1
+// and the worker cap is pinned to 2, so the count is the same everywhere.
+func TestConvForwardBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	forceInt8(t)
+	prevW := tensor.SetMaxWorkers(2)
+	defer tensor.SetMaxWorkers(prevW)
+	rng := rand.New(rand.NewSource(96))
+	q, err := quant.NewWeightQuantizer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewConv2D(ConvConfig{
+		ID:   "conv1",
+		Geom: tensor.ConvGeom{InC: 64, InH: 30, InW: 30, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
+		OutC: 64, WQuant: q, InitRNG: rng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]*tensor.Tensor, 8)
+	for j := range xs {
+		xs[j] = tensor.New(64, 30, 30)
+		for i := range xs[j].Data() {
+			xs[j].Data()[i] = float32(rng.Intn(4)) * 0.5
+		}
+	}
+	if _, err := c.ForwardBatch(xs); err != nil { // fills the weight cache
+		t.Fatal(err)
+	}
+	const ceiling = 80 // the paired-lane path, measured before the bit planes
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := c.ForwardBatch(xs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("%v allocs per batch, ceiling %d", got, ceiling)
+	}
+	if c.bitForwards != c.intForwards {
+		t.Errorf("%d of %d samples on the bit planes, want all", c.bitForwards, c.intForwards)
+	}
+	t.Logf("%v allocs per batch", got)
+}
+
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	net, xs := testBatchNet(t, 2, 5, 93)
 	classes, err := net.PredictBatch(xs)

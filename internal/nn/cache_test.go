@@ -174,3 +174,39 @@ func TestConvForwardBackwardScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestConvBitplanesRepackedOnBump: the bit planes ride the int8 weight
+// cache, so a weight edit plus BumpVersion must repack them, and the next
+// forward must match the paired-lane kernel on the new weights.
+func TestConvBitplanesRepackedOnBump(t *testing.T) {
+	forceInt8(t)
+	c := quantConv(t)
+	x := tensor.New(3, 8, 8)
+	for i := range x.Data() {
+		x.Data()[i] = float32(i%4) * 0.5 // a 2-bit activation grid
+	}
+	if _, err := c.Forward(x, false); err != nil {
+		t.Fatal(err)
+	}
+	before := c.effWB
+	if before == nil || c.bitForwards != 1 {
+		t.Fatalf("planes %v, %d bit-plane forwards; want planes and 1", before, c.bitForwards)
+	}
+	c.Weight.Value.Data()[0] = -c.Weight.Value.Data()[0]
+	c.Weight.BumpVersion()
+	got, err := c.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.effWB == before || c.quantRuns != 2 || c.bitForwards != 2 {
+		t.Fatalf("after a bump: planes repacked %v, %d quantizer runs, %d bit-plane forwards; want true, 2, 2",
+			c.effWB != before, c.quantRuns, c.bitForwards)
+	}
+	want, err := PairedLaneForwardBatch(c, []*tensor.Tensor{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(got, want[0]) {
+		t.Fatal("bit-plane forward after a bump differs from the paired-lane kernel")
+	}
+}

@@ -1,0 +1,101 @@
+package nn_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/finn"
+	"repro/internal/model"
+	"repro/internal/nn"
+	"repro/internal/prune"
+	"repro/internal/tensor"
+)
+
+// TestCNVBitplanePath runs CNVW2A2 and CNVW1A2, pruned at FINN channel
+// granularity, through ForwardBatch and per-sample Forward and demands
+// bit-identical outputs against a per-layer reference that serves every
+// convolution on the paired-lane kernel. The path counters must show
+// conv1–conv5 (2-bit activations in, ternary or binary weights) on the
+// bit planes and conv0 (the image input) off them.
+func TestCNVBitplanePath(t *testing.T) {
+	const batch = 4
+	ds := dataset.SyntheticCIFAR10(1)
+	xs := make([]*tensor.Tensor, batch)
+	for j := range xs {
+		xs[j], _ = ds.TestSample(j)
+	}
+	for _, build := range []func(string, int, int64) (*model.Model, error){model.CNVW2A2, model.CNVW1A2} {
+		m, err := build("cifar10", 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gran, err := finn.DefaultFolding(m).ChannelGranularity(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rate := range []float64{0, 0.25, 0.5, 0.85} {
+			t.Run(fmt.Sprintf("%s/p%.0f", m.Name, rate*100), func(t *testing.T) {
+				pm, _, err := prune.Shrink(m, rate, gran)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBitplaneNet(t, pm.Net, xs)
+			})
+		}
+	}
+}
+
+func checkBitplaneNet(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
+	t.Helper()
+	want := make([]*tensor.Tensor, len(xs))
+	copy(want, xs)
+	var convs []*nn.Conv2D
+	for _, nl := range net.Layers {
+		if c, ok := nl.Layer.(*nn.Conv2D); ok {
+			convs = append(convs, c)
+			out, err := nn.PairedLaneForwardBatch(c, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = out
+			continue
+		}
+		for j, x := range want {
+			out, err := nl.Layer.Forward(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = out
+		}
+	}
+	if len(convs) != 6 {
+		t.Fatalf("%d convolutions, want 6", len(convs))
+	}
+	got, err := net.ForwardBatch(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, x := range xs {
+		single, err := net.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want[j].Data() {
+			if got[j].Data()[i] != v || single.Data()[i] != v {
+				t.Fatalf("sample %d logit %d: batched %v, per-sample %v, paired-lane reference %v",
+					j, i, got[j].Data()[i], single.Data()[i], v)
+			}
+		}
+	}
+	for i, c := range convs {
+		ints, bits := nn.ConvPathCounts(c)
+		wantBits := 2 * len(xs) // the batch, then every sample on its own
+		if i == 0 {
+			wantBits = 0
+		}
+		if ints != 3*len(xs) || bits != wantBits {
+			t.Errorf("conv%d: %d int8 samples, %d on bit planes; want %d and %d", i, ints, bits, 3*len(xs), wantBits)
+		}
+	}
+}

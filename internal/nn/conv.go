@@ -39,17 +39,19 @@ type Conv2D struct {
 	effWVersion uint64
 	quantRuns   int
 
-	// Integer fast-path cache, keyed like effW: the weight grid codes and
-	// their scales, requantized only when the weight version changes. The
-	// path counters record which kernel served each inference forward (the
-	// int8-path acceptance test fails if a quantized layer falls back to
-	// float).
+	// Integer fast-path cache, keyed like effW: the weight grid codes,
+	// their scales and, when every code is in {−1, 0, 1}, their bit planes,
+	// rebuilt only when the weight version changes. The path counters
+	// record which kernel served each inference forward (the int8-path
+	// acceptance tests fail if a quantized layer falls back to float, or a
+	// 2-bit layer off the bit planes).
 	effWQ        *tensor.Int8Matrix
 	effWQScales  []float32
+	effWB        *tensor.BitplaneWeights // nil when a code is outside {−1, 0, 1}
 	effWQOf      *Param
 	effWQVersion uint64
-	outScaleBuf  []float32
 	intForwards  int
+	bitForwards  int // the subset of intForwards served by the bit planes
 	floatFwds    int
 }
 
@@ -133,13 +135,14 @@ func (c *Conv2D) EffectiveWeights() (*tensor.Tensor, error) {
 	return q, nil
 }
 
-// int8Weights returns the weight grid codes and per-row scales for the
-// integer fast path, cached until the weight Param's identity or version
-// changes (the same key as the EffectiveWeights cache). One scale is
-// returned for tensor-wide quantization, OutC scales for per-channel.
-func (c *Conv2D) int8Weights() (*tensor.Int8Matrix, []float32, error) {
+// int8Weights returns the weight grid codes, per-row scales and bit planes
+// for the integer fast path, cached until the weight Param's identity or
+// version changes (the same key as the EffectiveWeights cache). One scale
+// is returned for tensor-wide quantization, OutC scales for per-channel.
+// The planes are nil unless every code is in {−1, 0, 1}.
+func (c *Conv2D) int8Weights() (*tensor.Int8Matrix, []float32, *tensor.BitplaneWeights, error) {
 	if c.effWQ != nil && c.effWQOf == c.Weight && c.effWQVersion == c.Weight.Version() {
-		return c.effWQ, c.effWQScales, nil
+		return c.effWQ, c.effWQScales, c.effWB, nil
 	}
 	version := c.Weight.Version()
 	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
@@ -148,19 +151,23 @@ func (c *Conv2D) int8Weights() (*tensor.Int8Matrix, []float32, error) {
 	if c.PerChannel {
 		s, err := c.Quant.QuantizeTensorPerChannelInt8(wq.Data, c.Weight.Value.Data(), k)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		scales = s
 	} else {
 		s, err := c.Quant.QuantizeTensorInt8(wq.Data, c.Weight.Value.Data())
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		scales = []float32{s}
 	}
+	wb, err := tensor.PackBitplaneWeights(wq, c.Geom)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	c.quantRuns++
-	c.effWQ, c.effWQScales, c.effWQOf, c.effWQVersion = wq, scales, c.Weight, version
-	return wq, scales, nil
+	c.effWQ, c.effWQScales, c.effWB, c.effWQOf, c.effWQVersion = wq, scales, wb, c.Weight, version
+	return wq, scales, wb, nil
 }
 
 // useInt8 reports whether inference forwards take the integer fast path.
@@ -168,55 +175,21 @@ func (c *Conv2D) useInt8() bool {
 	return c.Quant != nil && c.Quant.Int8Capable() && Int8GEMMEnabled()
 }
 
-// forwardInt8 is the inference fast path: weights as cached int8 grid
-// codes, input dynamically quantized to int8, and the fused streaming
-// im2col+GEMM kernel accumulating in int32 — no float GEMM and no full
-// patch matrix. The single float rescale folds the weight scale(s) and
-// the input scale.
-func (c *Conv2D) forwardInt8(x *tensor.Tensor, oh, ow int) (*tensor.Tensor, error) {
-	if x.Rank() != 3 || x.Dim(0) != c.Geom.InC || x.Dim(1) != c.Geom.InH || x.Dim(2) != c.Geom.InW {
-		return nil, fmt.Errorf("nn: conv %q input %v does not match geometry %dx%dx%d",
-			c.ID, x.Shape(), c.Geom.InC, c.Geom.InH, c.Geom.InW)
-	}
-	wq, wScales, err := c.int8Weights()
-	if err != nil {
-		return nil, err
-	}
-	xq := tensor.BorrowInt8(x.Len())
-	defer tensor.ReleaseInt8(xq)
-	sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
-	if err != nil {
-		return nil, err
-	}
-	if cap(c.outScaleBuf) < len(wScales) {
-		c.outScaleBuf = make([]float32, len(wScales))
-	}
-	outScales := c.outScaleBuf[:len(wScales)]
-	for i, s := range wScales {
-		outScales[i] = s * sx
-	}
-	out := tensor.New(c.OutC, oh*ow)
-	if err := tensor.ConvInt8Into(out, wq, xq, c.Geom, outScales); err != nil {
-		return nil, err
-	}
-	c.addBias(out, oh, ow)
-	c.intForwards++
-	// Match the float inference path: a no-train forward invalidates any
-	// pending Backward state.
-	c.cols, c.qw = nil, nil
-	return out.Reshape(c.OutC, oh, ow)
-}
-
 // Forward implements Layer. Input is CHW; output is (OutC, OutH, OutW).
-// Quantized layers serve inference through the integer fast path (see
-// forwardInt8); training and float layers run the float reference: the
-// im2col matrix lives in borrowed scratch — inference returns it to the
-// arena before Forward exits, training keeps it until Backward finishes.
+// Quantized layers serve inference through the integer fast path, as the
+// B = 1 case of forwardBatchInt8; training and float layers run the float
+// reference: the im2col matrix lives in borrowed scratch — inference
+// returns it to the arena before Forward exits, training keeps it until
+// Backward finishes.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	if !train && c.useInt8() {
-		return c.forwardInt8(x, oh, ow)
+		outs, err := c.forwardBatchInt8([]*tensor.Tensor{x})
+		if err != nil {
+			return nil, err
+		}
+		return outs[0], nil
 	}
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	if !train {
 		c.floatFwds++
 	}

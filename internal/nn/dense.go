@@ -128,7 +128,7 @@ func (d *Dense) useInt8() bool {
 }
 
 // forwardInt8 is the inference fast path: an int8 matrix-vector product
-// accumulated in int32 with one float rescale (see Conv2D.forwardInt8).
+// accumulated in int32 with one float rescale (see Conv2D.forwardBatchInt8).
 func (d *Dense) forwardInt8(x *tensor.Tensor) (*tensor.Tensor, error) {
 	wq, wScale, err := d.int8Weights()
 	if err != nil {

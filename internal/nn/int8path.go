@@ -11,6 +11,13 @@ import "sync/atomic"
 // compiler consume. Call SetInt8GEMM(false) to force the float reference
 // at inference time too, e.g. when bisecting a numeric difference against
 // the compiled dataflow programs.
+//
+// Convolutions whose weight codes are all in {−1, 0, 1} (W1 and W2 grids)
+// also cache their codes as bit planes, and a batch whose int8 activation
+// codes decompose into two planes ({0, c1, c2, c1+c2}, as 2-bit activations
+// do) runs on tensor.ConvBitplaneBatchInto: AND and popcount instead of
+// multiply-add, the same int32 sums, the same outputs bit for bit. Conv2D's
+// forwardBatchInt8 makes that choice for Forward and ForwardBatch alike.
 
 // floatGEMM is the inverted switch, so the zero value selects the int8 path.
 var floatGEMM atomic.Bool

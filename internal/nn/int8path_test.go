@@ -263,3 +263,52 @@ func TestWideGridFallsBackToFloat(t *testing.T) {
 		t.Fatalf("9-bit layer: int=%d float=%d, want float fallback", d.intForwards, d.floatFwds)
 	}
 }
+
+// TestNonFiniteInputIsAnError: a NaN or infinite activation has no int8
+// code, so the integer path must fail rather than return a finite output
+// the float path would never produce.
+func TestNonFiniteInputIsAnError(t *testing.T) {
+	forceInt8(t)
+	c, x := testConv(t, 2, false)
+	q, err := quant.NewWeightQuantizer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDense(DenseConfig{ID: "d", In: 20, Out: 4, WQuant: q, InitRNG: rand.New(rand.NewSource(85))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tensor.New(20)
+	v.Fill(0.5)
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, bsz := range []int{1, 3} {
+			for name, run := range map[string]func() error{
+				"conv": func() error {
+					xs := batchWithBad(x, bsz, bad)
+					_, err := c.ForwardBatch(xs)
+					return err
+				},
+				"dense": func() error {
+					xs := batchWithBad(v, bsz, bad)
+					_, err := d.ForwardBatch(xs)
+					return err
+				},
+			} {
+				if err := run(); err == nil {
+					t.Errorf("%s B=%d: input holding %v accepted", name, bsz, bad)
+				}
+			}
+		}
+	}
+}
+
+// batchWithBad returns bsz copies of x whose last sample holds bad in its
+// second element.
+func batchWithBad(x *tensor.Tensor, bsz int, bad float32) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, bsz)
+	for j := range xs {
+		xs[j] = x.Clone()
+	}
+	xs[bsz-1].Data()[1] = bad
+	return xs
+}

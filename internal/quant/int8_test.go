@@ -149,6 +149,25 @@ func TestQuantizeSymmetricInt8(t *testing.T) {
 	}
 }
 
+// TestQuantizeSymmetricInt8NonFinite: NaN and ±Inf have no int8 code, so
+// they are errors, wherever they sit and whatever else the input holds.
+func TestQuantizeSymmetricInt8NonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, src := range [][]float32{
+		{0.5, nan, 1},
+		{nan, nan},
+		{nan},
+		{2, 1, nan},
+		{0.5, inf, 1},
+		{-inf, 0},
+		{0, 0, -inf},
+	} {
+		if _, err := QuantizeSymmetricInt8(make([]int8, len(src)), src); err == nil {
+			t.Errorf("%v accepted", src)
+		}
+	}
+}
+
 func TestQuantizeSymmetricInt8Bound(t *testing.T) {
 	// |x - code*scale| ≤ scale/2 for every in-range input: the bound the
 	// nn acceptance tests build their int-vs-float tolerance from.

@@ -247,20 +247,28 @@ func (q *WeightQuantizer) QuantizeTensorPerChannelInt8(dst []int8, src []float32
 // scale is chosen so the largest magnitude maps to ±127 (dynamic
 // activation quantization), writes the codes into dst and returns the
 // scale. An all-zero input returns scale 0 with all-zero codes, so
-// code*scale is still exact. len(dst) must equal len(src).
+// code*scale is still exact. len(dst) must equal len(src). A NaN or
+// infinite input is an error: it has no code, and hiding it would turn a
+// NaN activation into a finite prediction.
 func QuantizeSymmetricInt8(dst []int8, src []float32) (float32, error) {
 	if len(dst) != len(src) {
 		return 0, fmt.Errorf("quant: QuantizeSymmetricInt8 length mismatch %d vs %d", len(dst), len(src))
 	}
 	var maxAbs float32
-	for _, v := range src {
+	for i, v := range src {
 		a := v
 		if a < 0 {
 			a = -a
 		}
-		if a > maxAbs {
+		if !(a <= maxAbs) { // a new maximum, or NaN
+			if a != a {
+				return 0, fmt.Errorf("quant: QuantizeSymmetricInt8 input %d is NaN", i)
+			}
 			maxAbs = a
 		}
+	}
+	if math.IsInf(float64(maxAbs), 1) {
+		return 0, fmt.Errorf("quant: QuantizeSymmetricInt8 input is infinite")
 	}
 	if maxAbs == 0 {
 		clear(dst)

@@ -1,0 +1,282 @@
+package tensor
+
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Bit-plane convolution: the integer convolution for ternary weights and
+// two-plane activation codes, computed with AND and popcount on packed
+// channel words instead of 8-bit multiply-adds. This is how FINN's MVTU
+// multiplies 1- and 2-bit operands.
+//
+// Weights w ∈ {−1, 0, 1} become two sign planes, w⁺ (w = 1) and w⁻
+// (w = −1). A sample whose int8 codes all lie in {0, c1, c2, c1+c2} with
+// 0 < c1 < c2 becomes two activation planes, a₀ (the code holds c1) and a₁
+// (the code holds c2), so x = c1·a₀ + c2·a₁ elementwise. Then
+//
+//	Σ w·x = c1·(pop(w⁺&a₀) − pop(w⁻&a₀)) + c2·(pop(w⁺&a₁) − pop(w⁻&a₁)),
+//
+// the same integer the paired-lane kernel accumulates, and the rescale is
+// the same float32(int32(acc))·scale expression, so ConvBitplaneBatchInto
+// and ConvInt8BatchInto agree bit for bit wherever both apply.
+//
+// Activation planes are per-pixel channel words: pixel (y, x) of a sample
+// holds ⌈InC/64⌉ words per plane, channel c in bit c mod 64 of word c/64,
+// and the input is stored with its zero padding, so a receptive-field row
+// of KW pixels is one run of KW·⌈InC/64⌉ consecutive words for any stride.
+// A filter is KH such runs, its words in (kh, kw, word) order.
+
+// BitplaneWeights are the sign planes of a convolution whose weight codes
+// all lie in {−1, 0, 1}. Filters are stored in blocks of four, the last
+// block padded with zero filters: for each filter word (kh, kw, word) of a
+// block come w⁺ of its four filters, then w⁻ of the four, so the kernel
+// streams one block as a single run of words.
+type BitplaneWeights struct {
+	g      ConvGeom
+	outC   int
+	words  int // channel words per pixel, ⌈InC/64⌉
+	planes []uint64
+}
+
+// PackBitplaneWeights packs the (OutC × InC·KH·KW) OIHW codes of w for
+// geometry g into sign planes. It returns nil, without error, when a code
+// lies outside {−1, 0, 1}: such a layer has no planes.
+func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	kk := g.KH * g.KW
+	k := g.InC * kk
+	if w.Cols != k || len(w.Data) != w.Rows*k {
+		return nil, fmt.Errorf("tensor: PackBitplaneWeights weights %dx%d, want %dx%d", w.Rows, w.Cols, w.Rows, k)
+	}
+	for _, v := range w.Data {
+		if v < -1 || v > 1 {
+			return nil, nil
+		}
+	}
+	nw := (g.InC + 63) / 64
+	filter := kk * nw
+	bw := &BitplaneWeights{g: g, outC: w.Rows, words: nw}
+	bw.planes = make([]uint64, (w.Rows+3)/4*filter*8)
+	for o := 0; o < w.Rows; o++ {
+		blk := bw.planes[o/4*filter*8:]
+		for c := 0; c < g.InC; c++ {
+			bit := uint64(1) << (c & 63)
+			codes := w.Data[o*k+c*kk : o*k+(c+1)*kk] // (kh, kw) of channel c
+			for r, v := range codes {
+				i := (r*nw+c>>6)*8 + o%4
+				switch v {
+				case 1:
+					blk[i] |= bit
+				case -1:
+					blk[i+4] |= bit
+				}
+			}
+		}
+	}
+	return bw, nil
+}
+
+// planeCodes returns the plane weights c1 < c2 of a sample's codes: every
+// code of x is 0, c1, c2 or c1+c2. When x has fewer than three distinct
+// nonzero codes the unused weight is 0. ok is false when x has a negative
+// code, more than three nonzero codes, or three whose largest is not the
+// sum of the other two. The scan stops at the first code that rules x out,
+// so an image input costs a few pixels.
+func planeCodes(x []int8) (c1, c2 int32, ok bool) {
+	var seen [128]bool
+	var vals [3]int8
+	n := 0
+	for _, v := range x {
+		if v <= 0 {
+			if v < 0 {
+				return 0, 0, false
+			}
+			continue
+		}
+		if seen[v] {
+			continue
+		}
+		if n == len(vals) {
+			return 0, 0, false
+		}
+		seen[v] = true
+		vals[n] = v
+		n++
+	}
+	a, b, c := int32(vals[0]), int32(vals[1]), int32(vals[2])
+	switch n {
+	case 0, 1:
+		return a, 0, true
+	case 2:
+		return min(a, b), max(a, b), true
+	}
+	lo, hi := min(a, b, c), max(a, b, c)
+	mid := a + b + c - lo - hi
+	return lo, mid, hi == lo+mid
+}
+
+// packActPlanes writes the two activation planes of x (codes in
+// {0, c1, c2, c1+c2}) into a0 and a1, each (InH+2·PadH)·(InW+2·PadW)·words
+// long, padding included.
+func packActPlanes(a0, a1 []uint64, x []int8, g ConvGeom, words int, c1, c2 int32) {
+	var lut [128]uint8 // code → plane bits: 1 for a₀, 2 for a₁
+	if c1 > 0 {
+		lut[c1] = 1
+	}
+	if c2 > 0 {
+		lut[c2] = 2
+		if c1+c2 < int32(len(lut)) {
+			lut[c1+c2] = 3
+		}
+	}
+	clear(a0)
+	clear(a1)
+	pw := g.InW + 2*g.PadW
+	hw := g.InH * g.InW
+	for c := 0; c < g.InC; c++ {
+		sh := uint(c & 63)
+		xc := x[c*hw : (c+1)*hw]
+		for y := 0; y < g.InH; y++ {
+			i := ((y+g.PadH)*pw+g.PadW)*words + c>>6
+			for _, v := range xc[y*g.InW : (y+1)*g.InW] {
+				p := lut[v]
+				a0[i] |= uint64(p&1) << sh
+				a1[i] |= uint64(p>>1) << sh
+				i += words
+			}
+		}
+	}
+}
+
+// ConvBitplaneBatchInto is ConvInt8BatchInto for weights held as sign
+// planes: the same dsts, xs, g and outScales contract and, where it serves
+// a batch, the same results bit for bit. It serves the batch only when
+// every sample's codes decompose into two planes (see planeCodes) and
+// otherwise returns false without writing anything, leaving the batch to
+// ConvInt8BatchInto.
+//
+// Work is split across the package worker pool by (sample, output row).
+// A worker packs the planes of each sample it reaches into its own
+// borrowed scratch, so a sample split between two workers is packed twice
+// and no plane buffer spans the batch. Each output element is written by
+// exactly one worker from an exact integer sum, so the results are the
+// same for any worker count.
+func ConvBitplaneBatchInto(dsts []*Tensor, w *BitplaneWeights, xs [][]int8, g ConvGeom, outScales [][]float32) (bool, error) {
+	if err := validateConvBatch("ConvBitplaneBatchInto", dsts, xs, g, w.outC, outScales); err != nil {
+		return false, err
+	}
+	if g != w.g {
+		return false, fmt.Errorf("tensor: ConvBitplaneBatchInto geometry %+v, weights packed for %+v", g, w.g)
+	}
+	bsz := len(xs)
+	codes := make([][2]int32, bsz)
+	for b, x := range xs {
+		c1, c2, ok := planeCodes(x)
+		if !ok {
+			return false, nil
+		}
+		codes[b] = [2]int32{c1, c2}
+	}
+	nw := w.words
+	plane := (g.InH + 2*g.PadH) * (g.InW + 2*g.PadW) * nw
+	oh, ow := g.OutH(), g.OutW()
+	filter := g.KH * g.KW * nw
+	parallelFor(bsz*oh, 4*w.outC*ow*filter, func(lo, hi int) {
+		// One sample's planes, then one output row's patches.
+		scratch := uint64Arena.borrow(2*plane + 2*ow*filter)
+		defer uint64Arena.release(scratch)
+		a0, a1, patch := scratch[:plane], scratch[plane:2*plane], scratch[2*plane:]
+		for u := lo; u < hi; u++ {
+			b, oy := u/oh, u%oh
+			if u == lo || oy == 0 {
+				packActPlanes(a0, a1, xs[b], g, nw, codes[b][0], codes[b][1])
+			}
+			gatherPatches(patch, a0, a1, g, nw, oy)
+			bitplaneRow(dsts[b].data, w, patch, oy, codes[b], outScales[b])
+		}
+	})
+	return true, nil
+}
+
+// gatherPatches copies the receptive fields of output row oy out of the
+// activation planes a0 and a1: position ox gets the words of its KH runs in
+// filter order, each word of a₀ followed by the same word of a₁. A row of
+// patches is a few KiB and is reused by every filter block.
+func gatherPatches(patch, a0, a1 []uint64, g ConvGeom, words, oy int) {
+	run := g.KW * words
+	rowStride := (g.InW + 2*g.PadW) * words
+	i := 0
+	for ox := range g.OutW() {
+		base := oy*g.StrideH*rowStride + ox*g.StrideW*words
+		for kh := 0; kh < g.KH; kh++ {
+			r := base + kh*rowStride
+			x1 := a1[r : r+run]
+			for j, v := range a0[r : r+run] {
+				patch[i] = v
+				patch[i+1] = x1[j]
+				i += 2
+			}
+		}
+	}
+}
+
+// rowChunk is how many output positions bitplaneRow hands bitDot4 at a
+// time, so their plane sums fit a stack buffer.
+const rowChunk = 32
+
+// bitplaneRow writes output row oy of one sample into dst (OutC × OH·OW)
+// from the row's patches: per block of four filters, bitDot4 forms the
+// plane sums at the row's positions, and each output becomes
+// float32(int32(c1·s₀ + c2·s₁))·scale.
+func bitplaneRow(dst []float32, w *BitplaneWeights, patch []uint64, oy int, c [2]int32, s []float32) {
+	g := w.g
+	ow := g.OutW()
+	cols := g.OutH() * ow
+	filter := g.KH * g.KW * w.words
+	c1, c2 := int64(c[0]), int64(c[1])
+	var sums [8 * rowChunk]int64
+	for o := 0; o < w.outC; o += 4 {
+		wb := w.planes[o/4*filter*8 : (o/4+1)*filter*8]
+		for x0 := 0; x0 < ow; x0 += rowChunk {
+			npos := min(rowChunk, ow-x0)
+			bitDot4(sums[:8*npos], wb, patch[2*x0*filter:2*(x0+npos)*filter])
+			for i := range min(4, w.outC-o) {
+				sc := s[min(o+i, len(s)-1)] // one scale, or one per channel
+				row := dst[(o+i)*cols+oy*ow+x0 : (o+i)*cols+oy*ow+x0+npos]
+				for j := range row {
+					acc := c1*sums[j*8+2*i] + c2*sums[j*8+2*i+1]
+					row[j] = float32(int32(acc)) * sc
+				}
+			}
+		}
+	}
+}
+
+// bitDot4 forms, for each patch of patch and each filter i of the block
+// wb, the plane sums s₀ = pop(w⁺&a₀) − pop(w⁻&a₀) and
+// s₁ = pop(w⁺&a₁) − pop(w⁻&a₁) into sums[pos·8+2i] and sums[pos·8+2i+1].
+func bitDot4(sums []int64, wb, patch []uint64) {
+	filter := len(wb) / 8
+	for pos := range len(sums) / 8 {
+		x := patch[pos*2*filter : (pos+1)*2*filter]
+		var s00, s01, s10, s11, s20, s21, s30, s31 int
+		for f := range filter {
+			v0, v1 := x[2*f], x[2*f+1]
+			q := wb[8*f : 8*f+8 : 8*f+8]
+			s00 += bits.OnesCount64(q[0]&v0) - bits.OnesCount64(q[4]&v0)
+			s01 += bits.OnesCount64(q[0]&v1) - bits.OnesCount64(q[4]&v1)
+			s10 += bits.OnesCount64(q[1]&v0) - bits.OnesCount64(q[5]&v0)
+			s11 += bits.OnesCount64(q[1]&v1) - bits.OnesCount64(q[5]&v1)
+			s20 += bits.OnesCount64(q[2]&v0) - bits.OnesCount64(q[6]&v0)
+			s21 += bits.OnesCount64(q[2]&v1) - bits.OnesCount64(q[6]&v1)
+			s30 += bits.OnesCount64(q[3]&v0) - bits.OnesCount64(q[7]&v0)
+			s31 += bits.OnesCount64(q[3]&v1) - bits.OnesCount64(q[7]&v1)
+		}
+		out := sums[pos*8 : pos*8+8 : pos*8+8]
+		out[0], out[1], out[2], out[3] = int64(s00), int64(s01), int64(s10), int64(s11)
+		out[4], out[5], out[6], out[7] = int64(s20), int64(s21), int64(s30), int64(s31)
+	}
+}

@@ -389,6 +389,248 @@ func TestConvInt8Validation(t *testing.T) {
 	}
 }
 
+// bitplaneCodeSets are activation code sets for the bit-plane kernel: the
+// sets CNV's 2-bit layers produce (three, two, one and no nonzero codes,
+// the last from an all-zero input), two more that decompose, and sets
+// that must fall back to the paired-lane kernel.
+var bitplaneCodeSets = []struct {
+	codes  []int8
+	planes bool
+}{
+	{[]int8{0, 42, 85, 127}, true},
+	{[]int8{0, 64, 127}, true},
+	{[]int8{0, 127}, true},
+	{[]int8{0}, true},
+	{[]int8{0, 3, 7, 10}, true},
+	{[]int8{42, 85}, true},
+	{[]int8{0, -42, 42}, false},       // a negative code
+	{[]int8{0, 40, 85, 127}, false},   // c3 ≠ c1+c2
+	{[]int8{0, 1, 2, 3, 4}, false},    // four nonzero codes
+	{[]int8{-127, 0, 1, 127}, false},  // signed input, as an image gives
+	{[]int8{0, 64, 127, -1}, false},   // one stray negative code
+	{[]int8{0, 100, 110, 120}, false}, // three codes, none the sum of two
+}
+
+// drawCodes returns n codes from set, every code of the set present (when
+// n allows) so a set that must fall back cannot pass by chance.
+func drawCodes(rng *rand.Rand, set []int8, n int) []int8 {
+	x := make([]int8, n)
+	for i := range x {
+		x[i] = set[rng.Intn(len(set))]
+	}
+	for i, p := range rng.Perm(n)[:min(n, len(set))] {
+		x[p] = set[i]
+	}
+	return x
+}
+
+// ternaryCodes returns n weight codes: {−1, 1} (W1, binary) or {−1, 0, 1}
+// (W2, ternary).
+func ternaryCodes(rng *rand.Rand, n int, binary bool) []int8 {
+	w := make([]int8, n)
+	for i := range w {
+		if binary {
+			w[i] = int8(2*rng.Intn(2) - 1)
+		} else {
+			w[i] = int8(rng.Intn(3) - 1)
+		}
+	}
+	return w
+}
+
+// convInt8Dispatch serves a batch the way internal/nn does: on the bit
+// planes when the layer has them and the batch decomposes, else on the
+// paired-lane kernel. It reports which kernel ran.
+func convInt8Dispatch(dsts []*Tensor, w *Int8Matrix, wb *BitplaneWeights, xs [][]int8, g ConvGeom, scales [][]float32) (bool, error) {
+	if wb != nil {
+		if served, err := ConvBitplaneBatchInto(dsts, wb, xs, g, scales); err != nil || served {
+			return served, err
+		}
+	}
+	return false, ConvInt8BatchInto(dsts, w, xs, g, scales)
+}
+
+// checkBitplaneBatch runs one batch through convInt8Dispatch at 1, 2 and
+// NumCPU workers: the kernel must be the expected one and every output
+// must equal the six-loop reference exactly.
+func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix, xs [][]int8, g ConvGeom, wantPlanes bool) {
+	t.Helper()
+	wb, err := PackBitplaneWeights(w, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := g.OutH() * g.OutW()
+	scales := make([][]float32, len(xs))
+	want := make([][]float32, len(xs))
+	for b := range xs {
+		scales[b] = []float32{rng.Float32() + 0.5}
+		if rng.Intn(2) == 0 {
+			scales[b] = make([]float32, w.Rows)
+			for i := range scales[b] {
+				scales[b][i] = rng.Float32() + 0.5
+			}
+		}
+		want[b] = naiveConvInt8(w.Data, xs[b], g, w.Rows, scales[b])
+	}
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		prev := SetMaxWorkers(workers)
+		dsts := make([]*Tensor, len(xs))
+		for b := range dsts {
+			dsts[b] = New(w.Rows, cols)
+		}
+		served, err := convInt8Dispatch(dsts, w, wb, xs, g, scales)
+		SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", name, g, err)
+		}
+		if served != wantPlanes {
+			t.Fatalf("%s %+v workers=%d: served on bit planes %v, want %v", name, g, workers, served, wantPlanes)
+		}
+		for b := range xs {
+			for i, v := range dsts[b].Data() {
+				if v != want[b][i] {
+					t.Fatalf("%s %+v outC=%d workers=%d sample %d: out[%d] = %v, naive %v",
+						name, g, w.Rows, workers, b, i, v, want[b][i])
+				}
+			}
+		}
+	}
+}
+
+// TestConvBitplaneSelfTest checks the bit-plane kernel against the six-loop
+// reference with ==: InC on both sides of every 64-channel word edge, W1
+// and W2 weights, every code set of bitplaneCodeSets, padding and stride,
+// partial blocks of four filters, and batches of one to three.
+func TestConvBitplaneSelfTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	prevGrain := SetParallelGrain(1)
+	defer SetParallelGrain(prevGrain)
+	for _, inC := range []int{1, 63, 64, 65, 128, 300} {
+		for _, binary := range []bool{true, false} {
+			for si, set := range bitplaneCodeSets {
+				g := ConvGeom{InC: inC, InH: 3 + rng.Intn(5), InW: 3 + rng.Intn(5), KH: 1 + rng.Intn(3), KW: 1 + rng.Intn(3),
+					StrideH: 1 + rng.Intn(2), StrideW: 1 + rng.Intn(2), PadH: rng.Intn(2), PadW: rng.Intn(2)}
+				if si%3 == 0 { // CNV's shape: 3×3, stride 1, no padding
+					g = ConvGeom{InC: inC, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+				}
+				outC := 1 + rng.Intn(9)
+				k := inC * g.KH * g.KW
+				w := &Int8Matrix{Rows: outC, Cols: k, Data: ternaryCodes(rng, outC*k, binary)}
+				xs := make([][]int8, 1+rng.Intn(3))
+				for b := range xs {
+					xs[b] = drawCodes(rng, set.codes, inC*g.InH*g.InW)
+				}
+				name := fmt.Sprintf("InC=%d binary=%v codes=%v", inC, binary, set.codes)
+				checkBitplaneBatch(t, rng, name, w, xs, g, set.planes)
+			}
+		}
+	}
+}
+
+// TestConvBitplaneFallbacks covers the two whole-batch fallbacks: one
+// sample that does not decompose sends the batch to the paired-lane kernel
+// with identical results, and a weight code of ±2 builds no planes.
+func TestConvBitplaneFallbacks(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	g := ConvGeom{InC: 70, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	k := g.InC * g.KH * g.KW
+	w := &Int8Matrix{Rows: 6, Cols: k, Data: ternaryCodes(rng, 6*k, false)}
+	xs := make([][]int8, 4)
+	for b := range xs {
+		xs[b] = drawCodes(rng, []int8{0, 42, 85, 127}, g.InC*g.InH*g.InW)
+	}
+	checkBitplaneBatch(t, rng, "all samples decompose", w, xs, g, true)
+	xs[2] = drawCodes(rng, []int8{0, 40, 85, 127}, len(xs[2]))
+	checkBitplaneBatch(t, rng, "sample 2 does not decompose", w, xs, g, false)
+
+	for _, c := range []int8{2, -2} {
+		w2 := &Int8Matrix{Rows: w.Rows, Cols: k, Data: append([]int8(nil), w.Data...)}
+		w2.Data[rng.Intn(len(w2.Data))] = c
+		wb, err := PackBitplaneWeights(w2, g)
+		if err != nil || wb != nil {
+			t.Fatalf("weight code %d: planes %v, error %v; want none", c, wb, err)
+		}
+		xs[2] = drawCodes(rng, []int8{0, 127}, len(xs[2]))
+		checkBitplaneBatch(t, rng, fmt.Sprintf("weight code %d", c), w2, xs, g, false)
+	}
+}
+
+func TestConvBitplaneValidation(t *testing.T) {
+	g := ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	w := NewInt8Matrix(3, 2*3*3)
+	if _, err := PackBitplaneWeights(NewInt8Matrix(3, 5), g); err == nil {
+		t.Fatal("weights of the wrong width packed")
+	}
+	wb, err := PackBitplaneWeights(w, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]int8, 2*4*4)
+	cols := g.OutH() * g.OutW()
+	other := g
+	other.PadH = 1
+	for _, tc := range []struct {
+		name string
+		run  func() (bool, error)
+	}{
+		{"other geometry", func() (bool, error) {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, other.OutH()*other.OutW())}, wb, [][]int8{x}, other, [][]float32{{1}})
+		}},
+		{"bad input", func() (bool, error) {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x[:7]}, g, [][]float32{{1}})
+		}},
+		{"bad dst", func() (bool, error) {
+			return ConvBitplaneBatchInto([]*Tensor{New(4, cols)}, wb, [][]int8{x}, g, [][]float32{{1}})
+		}},
+		{"bad scales", func() (bool, error) {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, g, [][]float32{{1, 2}})
+		}},
+		{"empty batch", func() (bool, error) {
+			return ConvBitplaneBatchInto(nil, wb, nil, g, nil)
+		}},
+	} {
+		if served, err := tc.run(); err == nil || served {
+			t.Fatalf("%s accepted (served %v)", tc.name, served)
+		}
+	}
+}
+
+// BenchmarkConvBitplane compares the two integer kernels on CNVW2A2's
+// unpruned conv1 (64→64 channels, 30×30 in, 3×3), batch 8, on the codes
+// its 2-bit activations quantize to.
+func BenchmarkConvBitplane(b *testing.B) {
+	rng := rand.New(rand.NewSource(77))
+	g := ConvGeom{InC: 64, InH: 30, InW: 30, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	k := g.InC * g.KH * g.KW
+	w := &Int8Matrix{Rows: 64, Cols: k, Data: ternaryCodes(rng, 64*k, false)}
+	wb, err := PackBitplaneWeights(w, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs := make([][]int8, 8)
+	dsts := make([]*Tensor, 8)
+	scales := make([][]float32, 8)
+	for i := range xs {
+		xs[i] = drawCodes(rng, []int8{0, 42, 85, 127}, g.InC*g.InH*g.InW)
+		dsts[i] = New(64, g.OutH()*g.OutW())
+		scales[i] = []float32{0.01}
+	}
+	b.Run("bitplane", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if served, err := ConvBitplaneBatchInto(dsts, wb, xs, g, scales); err != nil || !served {
+				b.Fatal(served, err)
+			}
+		}
+	})
+	b.Run("paired-lane", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := ConvInt8BatchInto(dsts, w, xs, g, scales); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkGemmInt8Sizes(b *testing.B) {
 	for _, sz := range []struct{ m, k, n int }{{64, 576, 196}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {

@@ -1,0 +1,126 @@
+package tensor
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// FuzzConvBitplane is a differential target for the bit-plane convolution.
+// shape picks the geometry and filter count, codes the activation codes
+// (mode 0: drawn from {0, c1, c2, c1+c2} for c1, c2 taken from codes; mode
+// 1: the raw bytes), and wseed the weights (binary, ternary, or ternary
+// with one code of ±2). Whenever the kernel serves a batch its outputs must
+// equal the six-loop reference exactly; whenever it declines, a
+// brute-force search over every pair c1 < c2 must confirm that some sample
+// does not decompose, or the weights must have no planes.
+func FuzzConvBitplane(f *testing.F) {
+	f.Add(uint64(0), []byte{42, 85, 0, 1, 2, 3}, int64(1), uint8(0))
+	f.Add(uint64(63), []byte{64, 63, 9, 8, 7}, int64(2), uint8(0))
+	f.Add(uint64(1<<20|64), []byte{0, 127, 42, 85}, int64(3), uint8(1))
+	f.Add(uint64(1<<30|299), []byte{40, 85, 125}, int64(4), uint8(1))
+	f.Add(uint64(7<<40|65), []byte{200, 1}, int64(5), uint8(1))
+	f.Fuzz(func(t *testing.T, shape uint64, codes []byte, wseed int64, mode uint8) {
+		if len(codes) == 0 {
+			t.Skip()
+		}
+		field := func(bits uint) int {
+			v := int(shape & (1<<bits - 1))
+			shape >>= bits
+			return v
+		}
+		g := ConvGeom{InC: 1 + field(9)%300, InH: 1 + field(3), InW: 1 + field(3),
+			KH: 1 + field(2)%3, KW: 1 + field(2)%3, StrideH: 1 + field(1), StrideW: 1 + field(1),
+			PadH: field(1), PadW: field(1)}
+		if g.Validate() != nil {
+			t.Skip()
+		}
+		outC := 1 + field(4)
+		bsz := 1 + field(2)
+		rng := rand.New(rand.NewSource(wseed))
+		k := g.InC * g.KH * g.KW
+		w := &Int8Matrix{Rows: outC, Cols: k, Data: ternaryCodes(rng, outC*k, wseed%3 == 0)}
+		if wseed%5 == 0 {
+			w.Data[rng.Intn(len(w.Data))] = int8(4*rng.Intn(2) - 2)
+		}
+		n := g.InC * g.InH * g.InW
+		xs := make([][]int8, bsz)
+		for b := range xs {
+			xs[b] = make([]int8, n)
+			for i := range xs[b] {
+				c := codes[(b*n+i)%len(codes)]
+				if mode%2 == 0 {
+					c1, c2 := codes[0]&63, codes[len(codes)/2]&63
+					c = []byte{0, c1, c2, c1 + c2}[c&3]
+				}
+				xs[b][i] = int8(c)
+			}
+		}
+		wb, err := PackBitplaneWeights(w, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ternary := !slices.ContainsFunc(w.Data, func(v int8) bool { return v < -1 || v > 1 })
+		if (wb != nil) != ternary {
+			t.Fatalf("planes built %v for weights ternary %v", wb != nil, ternary)
+		}
+		if wb == nil {
+			return
+		}
+		dsts := make([]*Tensor, bsz)
+		scales := make([][]float32, bsz)
+		for b := range dsts {
+			dsts[b] = New(outC, g.OutH()*g.OutW())
+			scales[b] = []float32{0.25 + float32(b)}
+		}
+		served, err := ConvBitplaneBatchInto(dsts, wb, xs, g, scales)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decomposes := true
+		for _, x := range xs {
+			decomposes = decomposes && bruteDecomposes(x)
+		}
+		if served != decomposes {
+			t.Fatalf("%+v: served %v, brute-force decomposition %v", g, served, decomposes)
+		}
+		if !served {
+			return
+		}
+		for b, x := range xs {
+			want := naiveConvInt8(w.Data, x, g, outC, scales[b])
+			for i, v := range dsts[b].Data() {
+				if v != want[i] {
+					t.Fatalf("%+v outC=%d sample %d: out[%d] = %v, naive %v", g, outC, b, i, v, want[i])
+				}
+			}
+		}
+	})
+}
+
+// bruteDecomposes reports whether some pair 0 < c1 < c2 puts every code of
+// x in {0, c1, c2, c1+c2}, by trying every pair with c1 a code (≤ 127) and
+// c2 up to 254 (a c2 above 127 stands for an unused plane).
+func bruteDecomposes(x []int8) bool {
+	var distinct []int8
+	for _, v := range x {
+		if v != 0 && !slices.Contains(distinct, v) {
+			if len(distinct) == 3 {
+				return false
+			}
+			distinct = append(distinct, v)
+		}
+	}
+	for c1 := 1; c1 <= 127; c1++ {
+		for c2 := c1 + 1; c2 <= 254; c2++ {
+			ok := true
+			for _, v := range distinct {
+				ok = ok && (int(v) == c1 || int(v) == c2 || int(v) == c1+c2)
+			}
+			if ok {
+				return true
+			}
+		}
+	}
+	return false
+}

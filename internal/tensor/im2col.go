@@ -136,36 +136,16 @@ func ConvInt8Into(dst *Tensor, w *Int8Matrix, x []int8, g ConvGeom, outScales []
 // so each dsts[b] is bit-identical to a standalone ConvInt8Into call for
 // any worker count and batch size.
 func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, outScales [][]float32) error {
-	if err := g.Validate(); err != nil {
+	outC := w.Rows
+	if err := validateConvBatch("ConvInt8BatchInto", dsts, xs, g, outC, outScales); err != nil {
 		return err
 	}
 	bsz := len(dsts)
-	if bsz == 0 || len(xs) != bsz || len(outScales) != bsz {
-		return fmt.Errorf("tensor: ConvInt8BatchInto wants equal non-zero dsts/xs/outScales, got %d/%d/%d",
-			len(dsts), len(xs), len(outScales))
-	}
 	ow := g.OutW()
 	cols := g.OutH() * ow
 	k := g.InC * g.KH * g.KW
-	outC := w.Rows
 	if w.Cols != k || len(w.Data) != outC*k {
 		return fmt.Errorf("tensor: ConvInt8BatchInto weights %dx%d, want %dx%d", w.Rows, w.Cols, outC, k)
-	}
-	if k >= maxLaneK {
-		return fmt.Errorf("tensor: ConvInt8BatchInto inner dimension %d exceeds the paired-lane bound %d", k, maxLaneK-1)
-	}
-	for b := 0; b < bsz; b++ {
-		if len(xs[b]) != g.InC*g.InH*g.InW {
-			return fmt.Errorf("tensor: ConvInt8BatchInto input %d length %d does not match geometry %dx%dx%d",
-				b, len(xs[b]), g.InC, g.InH, g.InW)
-		}
-		if dsts[b].Rank() != 2 || dsts[b].shape[0] != outC || dsts[b].shape[1] != cols {
-			return fmt.Errorf("tensor: ConvInt8BatchInto dst %d %v, want %dx%d", b, dsts[b].shape, outC, cols)
-		}
-		if len(outScales[b]) != 1 && len(outScales[b]) != outC {
-			return fmt.Errorf("tensor: ConvInt8BatchInto wants 1 or %d output scales for sample %d, got %d",
-				outC, b, len(outScales[b]))
-		}
 	}
 	wd := w.Data
 	kc := min(kcPanel, k)
@@ -214,6 +194,40 @@ func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, o
 			}
 		}
 	})
+	return nil
+}
+
+// validateConvBatch checks the arguments shared by the batched integer
+// convolutions: a valid geometry, equal non-zero counts of dsts, xs and
+// outScales, inputs and outputs of the geometry's size, 1 or outC scales
+// per sample, and an inner dimension InC·KH·KW below maxLaneK, so every
+// kernel accepts and refuses the same calls.
+func validateConvBatch(op string, dsts []*Tensor, xs [][]int8, g ConvGeom, outC int, outScales [][]float32) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	bsz := len(dsts)
+	if bsz == 0 || len(xs) != bsz || len(outScales) != bsz {
+		return fmt.Errorf("tensor: %s wants equal non-zero dsts/xs/outScales, got %d/%d/%d",
+			op, len(dsts), len(xs), len(outScales))
+	}
+	if k := g.InC * g.KH * g.KW; k >= maxLaneK {
+		return fmt.Errorf("tensor: %s inner dimension %d exceeds the paired-lane bound %d", op, k, maxLaneK-1)
+	}
+	cols := g.OutH() * g.OutW()
+	for b := 0; b < bsz; b++ {
+		if len(xs[b]) != g.InC*g.InH*g.InW {
+			return fmt.Errorf("tensor: %s input %d length %d does not match geometry %dx%dx%d",
+				op, b, len(xs[b]), g.InC, g.InH, g.InW)
+		}
+		if dsts[b].Rank() != 2 || dsts[b].shape[0] != outC || dsts[b].shape[1] != cols {
+			return fmt.Errorf("tensor: %s dst %d %v, want %dx%d", op, b, dsts[b].shape, outC, cols)
+		}
+		if len(outScales[b]) != 1 && len(outScales[b]) != outC {
+			return fmt.Errorf("tensor: %s wants 1 or %d output scales for sample %d, got %d",
+				op, outC, b, len(outScales[b]))
+		}
+	}
 	return nil
 }
 

@@ -3,10 +3,10 @@ package tensor
 import "sync"
 
 // Scratch arena: size-class-bucketed sync.Pools of float32 tensor storage
-// and of the integer path's int8/int32/int64 slices. The convolution and
-// dense layers in internal/nn borrow their im2col and gradient scratch
-// here instead of allocating a fresh tensor per call, so steady-state
-// inference runs allocation-free in the compute core.
+// and of the integer path's int8/int32/int64/uint64 slices. The
+// convolution and dense layers in internal/nn borrow their im2col and
+// gradient scratch here instead of allocating a fresh tensor per call, so
+// steady-state inference runs allocation-free in the compute core.
 //
 // Ownership rule: whoever Borrows a tensor owns it until it either calls
 // Release or hands the tensor to an owner with a longer lifetime (e.g.
@@ -63,10 +63,11 @@ func (a *arena[T]) release(s []T) {
 }
 
 var (
-	floatArena arena[float32]
-	int8Arena  arena[int8]
-	int32Arena arena[int32]
-	int64Arena arena[int64]
+	floatArena  arena[float32]
+	int8Arena   arena[int8]
+	int32Arena  arena[int32]
+	int64Arena  arena[int64]
+	uint64Arena arena[uint64] // the bit-plane convolution's activation planes
 )
 
 // Borrow returns a tensor of the given shape backed by pooled storage. The

@@ -29,6 +29,9 @@ go test -run '^$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
 echo "== fuzz smoke (round-half-away quantizer helper, 5s)"
 go test -run '^$' -fuzz FuzzRoundHalfAway -fuzztime=5s ./internal/quant/
 
+echo "== fuzz smoke (bit-plane convolution vs the six-loop reference, 10s)"
+go test -run '^$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
+
 echo "== fuzz smoke (calendar-vs-heap event queue, 10s)"
 go test -run '^$' -fuzz FuzzCalendarQueue -fuzztime=10s ./internal/sim/
 

@@ -322,9 +322,10 @@ func BenchmarkGemm(b *testing.B) {
 	for i := range c.Data() {
 		c.Data()[i] = float32(i%7) * 0.2
 	}
+	dst := tensor.New(64, 196)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.Gemm(a, c); err != nil {
+		if err := tensor.GemmInto(dst, a, c); err != nil {
 			b.Fatal(err)
 		}
 	}

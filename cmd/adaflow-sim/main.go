@@ -10,7 +10,7 @@
 //	            [-runs N] [-seed S] [-threshold 0.10] [-criteria 10]
 //	            [-reconfig-ms 145] [-csv]
 //	            [-boards 4] [-standby 1] [-queue-depth 16] [-deadline 0.05]
-//	            [-batch 8] [-batch-flush-slack 0.005]
+//	            [-batch 8]
 //	            [-trace out.jsonl] [-trace-sample 25] [-metrics-snapshot]
 //	            [-fault-plan "kind:p=X,start=Y,end=Z,mag=M;..."] [-fault-seed S]
 //	            [-adapt] [-adapt-threshold 0.03]
@@ -45,9 +45,8 @@
 //
 // -batch N serves up to N frames per dispatch so per-dispatch fixed costs
 // amortize over the batch; a batch is cut short before it would push its
-// oldest frame past -deadline, with -batch-flush-slack seconds of margin
-// reserved (default one frame time). For -controller pool and cluster the
-// batch queue sits in front of each board. -batch 1 (or 0) is exactly the
+// oldest frame past -deadline. For -controller pool and cluster the batch
+// queue sits in front of each board. -batch 1 (or 0) is exactly the
 // historical single-frame serving.
 //
 // -controller cluster shards -streams camera streams (or an explicit
@@ -114,7 +113,6 @@ func main() {
 	queueDepth := flag.Float64("queue-depth", 0, "admission queue bound in frames (0 = default 16)")
 	deadline := flag.Float64("deadline", 0, "admission deadline in seconds (0 = no deadline shedding)")
 	batch := flag.Int("batch", 0, "micro-batch size: frames served per dispatch (<= 1 keeps single-frame serving)")
-	batchSlack := flag.Float64("batch-flush-slack", 0, "deadline slack in seconds reserved when sizing a batch (0 = one frame time)")
 	csv := flag.Bool("csv", false, "print per-step trace CSV (single run)")
 	traceFile := flag.String("trace", "", "write a JSONL event/decision trace to this file")
 	traceSample := flag.Int("trace-sample", 25, "keep every nth hot-path trace event (decision events are never sampled)")
@@ -219,7 +217,7 @@ func main() {
 			cfg.SwitchPolicy = switchPolicy
 			return multiedge.NewSupervisedPool(lib, multiedge.Config{
 				Boards: *boards, Standby: *standby, Manager: cfg,
-				Batch: *batch, BatchFlushSlack: *batchSlack,
+				Batch: *batch,
 			})
 		default:
 			return nil, fmt.Errorf("unknown controller %q", *controller)
@@ -287,7 +285,7 @@ func main() {
 			TenantShare: *tenantShare, Seed: *seed,
 			FaultPlan: plan, FaultPools: fp, FaultSeed: *faultSeed,
 			QueueFrames: *queueDepth, Deadline: *deadline, Manager: mcfg,
-			Batch: *batch, BatchFlushSlack: *batchSlack,
+			Batch: *batch,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -306,7 +304,7 @@ func main() {
 
 	cfg := edge.SimConfig{
 		AdmissionConfig: edge.AdmissionConfig{QueueFrames: *queueDepth, Deadline: *deadline},
-		BatchConfig:     edge.BatchConfig{Size: *batch, FlushSlack: *batchSlack},
+		BatchConfig:     edge.BatchConfig{Size: *batch},
 		FaultConfig:     edge.FaultConfig{Plan: plan, Seed: *faultSeed},
 		Adapt:           adaptCfg,
 	}

@@ -1,13 +1,14 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzStreamSpec drives the stream-spec parser with arbitrary input: it
-// must never panic, never accept a spec that fails validation, never
-// emit duplicate stream names, and always reject unknown identifiers
+// must never panic, never accept a spec that fails validation or holds a
+// NaN or infinite number, never emit duplicate stream names, and always reject unknown identifiers
 // with a hard error (the did-you-mean path must not crash on weird
 // near-misses). Registered in verify.sh's fuzz smoke alongside the
 // fault-plan fuzzer it shares grammar conventions with.
@@ -36,6 +37,11 @@ func FuzzStreamSpec(f *testing.F) {
 		for _, s := range specs {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("accepted spec fails validation: %v (input %q)", err, spec)
+			}
+			for _, v := range []float64{s.Rate, s.SLO, s.Deviation, s.Interval} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted spec holds a non-finite number: %+v (input %q)", s, spec)
+				}
 			}
 			if seen[s.Name] {
 				t.Fatalf("duplicate stream name %q accepted (input %q)", s.Name, spec)

@@ -291,8 +291,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative tenant share", func(c *Config) { c.TenantShare = -0.5 }, "TenantShare"},
 		{"NaN blackout", func(c *Config) { c.MigrationBlackout = nan }, "MigrationBlackout"},
 		{"negative blackout", func(c *Config) { c.MigrationBlackout = -1 }, "MigrationBlackout"},
-		{"NaN flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, nan }, "BatchFlushSlack"},
-		{"negative flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, -0.001 }, "BatchFlushSlack"},
 	} {
 		cfg := Config{Pools: 2, BoardsPerPool: 2, Epochs: 2, Seed: 1}
 		tc.set(&cfg)

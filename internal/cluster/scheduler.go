@@ -72,13 +72,12 @@ type Config struct {
 	Step        float64
 	QueueFrames float64
 	Deadline    float64
-	// Batch and BatchFlushSlack enable micro-batched service on every
-	// pool (see edge.SimConfig.BatchConfig): they configure the pools'
-	// per-board dispatch queues, whose counters each epoch's edge.Run
-	// drains into its result. Batch <= 1 keeps the historical
-	// single-frame serving bit-identical.
-	Batch           int
-	BatchFlushSlack float64
+	// Batch enables micro-batched service on every pool (see
+	// edge.SimConfig.BatchConfig): it configures the pools' per-board
+	// dispatch queues, whose counters each epoch's edge.Run drains into
+	// its result. Batch <= 1 keeps the historical single-frame serving
+	// bit-identical.
+	Batch int
 	// Manager configures every board's Runtime Manager.
 	Manager manager.Config
 	// Workers caps concurrent pool runs for this scheduler (0 = the
@@ -101,8 +100,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: TenantShare %v must be non-negative", c.TenantShare)
 	case math.IsNaN(c.MigrationBlackout) || c.MigrationBlackout < 0:
 		return fmt.Errorf("cluster: MigrationBlackout %v must be a non-negative number of seconds", c.MigrationBlackout)
-	case math.IsNaN(c.BatchFlushSlack) || c.BatchFlushSlack < 0:
-		return fmt.Errorf("cluster: BatchFlushSlack %v must be non-negative", c.BatchFlushSlack)
 	}
 	for _, p := range c.FaultPools {
 		if p < 0 || p >= c.Pools {
@@ -285,7 +282,7 @@ func New(lib *library.Library, streams []StreamSpec, cfg Config) (*Scheduler, er
 	for i := 0; i < cfg.Pools; i++ {
 		p, err := multiedge.NewSupervisedPool(lib, multiedge.Config{
 			Boards: cfg.BoardsPerPool, Standby: cfg.Standby, Manager: cfg.Manager,
-			Batch: cfg.Batch, BatchFlushSlack: cfg.BatchFlushSlack,
+			Batch: cfg.Batch,
 		})
 		if err != nil {
 			return nil, err

@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -92,6 +93,14 @@ type StreamSpec struct {
 
 // Validate checks one spec's invariants.
 func (s StreamSpec) Validate() error {
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{"rate", s.Rate}, {"slo", s.SLO}, {"dev", s.Deviation}, {"interval", s.Interval}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cluster: stream %q %s=%v is not a finite number", s.Name, f.key, f.v)
+		}
+	}
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("cluster: stream with empty name")

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,15 @@ func TestParseStreamsErrors(t *testing.T) {
 		{"deviation range", "cam:rate=30,dev=1.5", "outside [0,1]"},
 		{"negative slo", "cam:rate=30,slo=-1", "negative SLO"},
 		{"duplicate expanded", "cam*2:rate=30;cam-1:rate=30", `duplicate stream name "cam-1"`},
+		{"NaN rate", "a:rate=30;b:rate=NaN", "rate=NaN is not a finite number"},
+		{"+Inf rate", "cam:rate=+Inf", "rate=+Inf is not a finite number"},
+		{"NaN slo", "cam:rate=30,slo=NaN", "slo=NaN is not a finite number"},
+		{"+Inf slo", "cam:rate=30,slo=Inf", "slo=+Inf is not a finite number"},
+		{"-Inf slo", "cam:rate=30,slo=-Inf", "slo=-Inf is not a finite number"},
+		{"NaN dev", "cam:rate=30,dev=NaN", "dev=NaN is not a finite number"},
+		{"NaN interval", "cam:rate=30,interval=NaN", "interval=NaN is not a finite number"},
+		{"+Inf interval", "cam:rate=30,interval=Inf", "interval=+Inf is not a finite number"},
+		{"-Inf interval", "cam:rate=30,interval=-Inf", "interval=-Inf is not a finite number"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,6 +123,25 @@ func TestParseStreamsErrors(t *testing.T) {
 				t.Fatalf("ParseStreams(%q) error %q does not mention %q", tc.spec, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestStreamSpecValidateNonFinite: specs built in Go get the same
+// finite-number check as parsed ones, on every numeric field.
+func TestStreamSpecValidateNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for key, set := range map[string]func(*StreamSpec){
+			"rate":     func(s *StreamSpec) { s.Rate = v },
+			"slo":      func(s *StreamSpec) { s.SLO = v },
+			"dev":      func(s *StreamSpec) { s.Deviation = v },
+			"interval": func(s *StreamSpec) { s.Interval = v },
+		} {
+			s := StreamSpec{Name: "cam", Rate: 30}
+			set(&s)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), key+"=") {
+				t.Errorf("%s=%v: Validate() = %v", key, v, err)
+			}
+		}
 	}
 }
 

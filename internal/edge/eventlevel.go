@@ -213,7 +213,9 @@ func (m *eventModel) done() {
 		m.latencyN++
 	}
 	if m.cfg.BatchConfig.Size > 1 {
-		m.acc.Batch.Add(float64(n), m.cause)
+		if !m.ctlBatches {
+			m.acc.Batch.Add(float64(n), m.cause)
+		}
 		if m.traced {
 			m.tr.Hot(now, obs.EdgeCat, "batch",
 				obs.I("size", n),

@@ -20,15 +20,9 @@ type fluidModel struct {
 	*run
 	queue      float64
 	batchCarry float64
-	// ctlBatches is set when the controller dispatches through its own
-	// batch queues (multiedge pools) and so owns the batch accounting;
-	// the fluid carry models batching only for plain controllers —
-	// running both would count every frame twice.
-	ctlBatches bool
 }
 
 func (m *fluidModel) start() error {
-	_, m.ctlBatches = m.ctl.(BatchStatsReporter)
 	step := m.step // one hoisted closure serves every step
 	steps := int(m.scn.Duration/m.cfg.Step + 0.5)
 	for i := 1; i <= steps; i++ {

@@ -53,6 +53,11 @@ type run struct {
 	ra      ReconfigAware // nil when the controller cannot survive a failed reconfiguration
 	al      *adapt.Loop   // nil unless cfg.Adapt.Enabled
 	swapper LibrarySwapper
+	// ctlBatches is set when the controller dispatches through its own
+	// batch queues (multiedge pools) and so owns the batch accounting;
+	// the serving models count batches only for plain controllers, since
+	// counting both would count every frame twice.
+	ctlBatches bool
 
 	acc        metrics.Accumulator
 	res        Result
@@ -104,6 +109,7 @@ func simulate(scn Scenario, ctl Controller, cfg SimConfig, opts []RunOption, mk 
 		}
 	}
 	r.ra, _ = ctl.(ReconfigAware)
+	_, r.ctlBatches = ctl.(BatchStatsReporter)
 
 	// Closed adaptation loop: detector + retrain/swap state machine. All
 	// of its transitions happen inside the engine's serial event loop, so

@@ -385,24 +385,33 @@ func (c *AdaFlowController) React(now, incomingFPS float64) (Serving, time.Durat
 	prev, had := c.mgr.Current()
 	d, changed := c.mgr.Decide(now, incomingFPS)
 	lib := c.mgr.Library()
-	e := lib.Entries[d.Entry]
-	s := Serving{Accuracy: e.Accuracy}
-	if d.Kind == manager.Flexible {
-		s.FPS = e.FlexFPS
-		s.PowerAt = powerAtChannels(lib, e)
-		s.IdlePower = lib.Flexible.IdlePower()
-		s.Label = fmt.Sprintf("flex p=%.0f%%", e.NominalRate*100)
+	s := DecisionServing(lib, d)
+	if rate := lib.Entries[d.Entry].NominalRate * 100; d.Kind == manager.Flexible {
+		s.Label = fmt.Sprintf("flex p=%.0f%%", rate)
 	} else {
-		s.FPS = e.FixedFPS
-		s.PowerAt = e.Fixed.PowerAt
-		s.IdlePower = e.Fixed.IdlePower()
-		s.Label = fmt.Sprintf("fixed p=%.0f%%", e.NominalRate*100)
+		s.Label = fmt.Sprintf("fixed p=%.0f%%", rate)
 	}
 	if !changed {
 		return s, 0, false, false
 	}
 	switched := !had || prev.Entry != d.Entry
 	return s, d.SwitchCost, switched, d.Reconfigured
+}
+
+// DecisionServing returns the serving parameters of a Runtime Manager
+// decision on lib, without a label: the entry's accuracy, and the frame
+// rate, idle power and power curve of the accelerator the decision runs
+// on (the shared flexible one for a Flexible decision, the entry's own
+// fixed one otherwise). Every controller that serves manager decisions
+// maps them through here.
+func DecisionServing(lib *library.Library, d manager.Decision) Serving {
+	e := lib.Entries[d.Entry]
+	if d.Kind == manager.Flexible {
+		return Serving{FPS: e.FlexFPS, Accuracy: e.Accuracy,
+			PowerAt: powerAtChannels(lib, e), IdlePower: lib.Flexible.IdlePower()}
+	}
+	return Serving{FPS: e.FixedFPS, Accuracy: e.Accuracy,
+		PowerAt: e.Fixed.PowerAt, IdlePower: e.Fixed.IdlePower()}
 }
 
 // powerAtChannels returns a power model for the flexible accelerator

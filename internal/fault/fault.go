@@ -191,6 +191,15 @@ func (r Rule) Validate() error {
 	if r.Kind < 0 || r.Kind >= numKinds {
 		return fmt.Errorf("fault: unknown kind %d", int(r.Kind))
 	}
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{"p", r.Prob}, {"start", r.Start}, {"end", r.End}, {"mag", r.Mag},
+		{"slope", r.Slope}, {"hold", r.Hold}, {"repair", r.Repair}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: %s %s=%v is not a finite number", r.Kind, f.key, f.v)
+		}
+	}
 	if r.Prob < 0 || r.Prob > 1 {
 		return fmt.Errorf("fault: %s probability %v outside [0,1]", r.Kind, r.Prob)
 	}

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -60,6 +62,40 @@ func TestParsePlanErrors(t *testing.T) {
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
+		}
+	}
+}
+
+// TestRuleRejectsNonFinite: NaN and ±Inf are errors on every numeric
+// rule key, whether parsed or built in Go.
+func TestRuleRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		key, spec string // spec takes the value in place of %s
+		set       func(*Rule, float64)
+	}{
+		{"p", "reconfig-fail:p=%s", func(r *Rule, v float64) { r.Prob = v }},
+		{"start", "reconfig-fail:p=0.5,start=%s", func(r *Rule, v float64) { r.Start = v }},
+		{"end", "reconfig-fail:p=0.5,end=%s", func(r *Rule, v float64) { r.End = v }},
+		{"mag", "accuracy-drift:p=1,mag=%s", func(r *Rule, v float64) { r.Mag = v }},
+		{"slope", "drift-sustained:p=1,slope=%s", func(r *Rule, v float64) { r.Slope = v }},
+		{"hold", "drift-sustained:p=1,hold=%s", func(r *Rule, v float64) { r.Hold = v }},
+		{"repair", "board-crash:p=1,repair=%s", func(r *Rule, v float64) { r.Repair = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			want := fmt.Sprintf("%s=%v is not a finite number", tc.key, v)
+			spec := fmt.Sprintf(tc.spec, fmt.Sprint(v))
+			if _, err := ParsePlan(spec); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ParsePlan(%q) = %v, want an error containing %q", spec, err, want)
+			}
+			plan, err := ParsePlan(fmt.Sprintf(tc.spec, "1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := plan.Rules[0]
+			tc.set(&r, v)
+			if err := r.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%+v: Validate() = %v, want an error containing %q", r, err, want)
+			}
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzParsePlan asserts the plan grammar's safety contract: ParsePlan
-// never panics, and any spec it accepts must (a) pass Rule validation,
-// (b) survive a String() → ParsePlan round trip unchanged, and (c) be
+// never panics, and any spec it accepts must (a) pass Rule validation and
+// hold only finite numbers, (b) survive a String() → ParsePlan round trip unchanged, and (c) be
 // usable to build an injector. Unknown kinds and malformed parameters
 // must be rejected, never silently dropped.
 func FuzzParsePlan(f *testing.F) {
@@ -42,6 +43,11 @@ func FuzzParsePlan(f *testing.F) {
 		for i, r := range plan.Rules {
 			if err := r.Validate(); err != nil {
 				t.Fatalf("spec %q: accepted rule %d fails validation: %v", spec, i, err)
+			}
+			for _, v := range []float64{r.Prob, r.Start, r.End, r.Mag, r.Slope, r.Hold, r.Repair} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("spec %q: accepted rule %d holds a non-finite number: %+v", spec, i, r)
+				}
 			}
 		}
 		// Round trip: the rendered spec parses back to the same plan.

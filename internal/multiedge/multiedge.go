@@ -99,10 +99,6 @@ type Config struct {
 	// heartbeat, and the pool reports the aggregate occupancy through
 	// DrainBatchStats. Batch <= 1 computes and emits nothing.
 	Batch int
-	// BatchFlushSlack mirrors edge.SimConfig.BatchConfig.FlushSlack for the
-	// boards' dispatchers (carried for configuration symmetry; the pool's
-	// analytic queues model occupancy, deadline cuts happen at serving).
-	BatchFlushSlack float64
 	// Manager configures each board's Runtime Manager.
 	Manager manager.Config
 }
@@ -119,8 +115,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("multiedge: quorum %d exceeds pool size %d", c.Quorum, c.Boards)
 	case math.IsNaN(c.HeartbeatEvery) || math.IsInf(c.HeartbeatEvery, 0):
 		return fmt.Errorf("multiedge: HeartbeatEvery %v must be a finite number of seconds", c.HeartbeatEvery)
-	case math.IsNaN(c.BatchFlushSlack) || c.BatchFlushSlack < 0:
-		return fmt.Errorf("multiedge: BatchFlushSlack %v must be non-negative", c.BatchFlushSlack)
 	}
 	return nil
 }
@@ -810,17 +804,8 @@ func (p *Pool) React(now, incomingFPS float64) (edge.Serving, time.Duration, boo
 // hot-swap, boards that have not adopted the pending library yet keep
 // serving exactly their committed version, never a half-swapped blend.
 func (p *Pool) apply(b *board, d manager.Decision) {
-	lib := b.mgr.Library()
-	e := lib.Entries[d.Entry]
-	if d.Kind == manager.Flexible {
-		b.fps = e.FlexFPS
-		b.idle = lib.Flexible.IdlePower()
-	} else {
-		b.fps = e.FixedFPS
-		b.idle = e.Fixed.IdlePower()
-	}
-	b.accuracy = e.Accuracy
-	b.powerAt = e.Fixed.PowerAt
+	s := edge.DecisionServing(b.mgr.Library(), d)
+	b.fps, b.accuracy, b.idle, b.powerAt = s.FPS, s.Accuracy, s.IdlePower, s.PowerAt
 }
 
 // ReconfigFailed implements edge.ReconfigAware for the pool. The fault

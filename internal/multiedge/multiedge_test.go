@@ -1,6 +1,7 @@
 package multiedge
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/accuracy"
@@ -104,7 +105,8 @@ func TestPoolBeatsSingleOnOverload(t *testing.T) {
 }
 
 // TestPoolSingleBoardMatchesAdaFlowController: a 1-board pool behaves like
-// the plain AdaFlow controller (same decisions, same library).
+// the plain AdaFlow controller (same decisions, same library, same
+// accelerator power curves, so the same energy).
 func TestPoolSingleBoardMatchesAdaFlowController(t *testing.T) {
 	lib := paperLib(t)
 	mk1 := func() (edge.Controller, error) { return NewPool(lib, 1, manager.DefaultConfig()) }
@@ -115,19 +117,50 @@ func TestPoolSingleBoardMatchesAdaFlowController(t *testing.T) {
 		}
 		return edge.NewAdaFlow(mgr), nil
 	}
-	a, _, err := edge.RunRepeated(edge.Scenario1(), mk1, 5, 9, edge.SimConfig{})
-	if err != nil {
-		t.Fatal(err)
+	for _, scn := range []edge.Scenario{edge.Scenario1(), edge.Scenario2()} {
+		a, _, err := edge.RunRepeated(scn, mk1, 5, 9, edge.SimConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := edge.RunRepeated(scn, mk2, 5, 9, edge.SimConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := a.FrameLossPct - b.FrameLossPct; d > 1 || d < -1 {
+			t.Fatalf("%s: 1-board pool loss %.2f%% vs AdaFlow %.2f%%", scn.Name, a.FrameLossPct, b.FrameLossPct)
+		}
+		if d := a.QoEPct - b.QoEPct; d > 1.5 || d < -1.5 {
+			t.Fatalf("%s: 1-board pool QoE %.2f vs AdaFlow %.2f", scn.Name, a.QoEPct, b.QoEPct)
+		}
+		if d := math.Abs(a.EnergyJ-b.EnergyJ) / b.EnergyJ; d > 0.01 {
+			t.Fatalf("%s: 1-board pool energy %.2f J vs AdaFlow %.2f J", scn.Name, a.EnergyJ, b.EnergyJ)
+		}
 	}
-	b, _, err := edge.RunRepeated(edge.Scenario1(), mk2, 5, 9, edge.SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := a.FrameLossPct - b.FrameLossPct; d > 1 || d < -1 {
-		t.Fatalf("1-board pool loss %.2f%% vs AdaFlow %.2f%%", a.FrameLossPct, b.FrameLossPct)
-	}
-	if d := a.QoEPct - b.QoEPct; d > 1.5 || d < -1.5 {
-		t.Fatalf("1-board pool QoE %.2f vs AdaFlow %.2f", a.QoEPct, b.QoEPct)
+}
+
+// TestPoolBatchesCountedOnce: a batching pool accounts its own dispatch
+// batches, so under either run kind the batched frames never exceed the
+// frames processed plus those still queued at the end of the run.
+func TestPoolBatchesCountedOnce(t *testing.T) {
+	lib := paperLib(t)
+	cfg := edge.SimConfig{Seed: 3, BatchConfig: edge.BatchConfig{Size: 8}}
+	for _, run := range []struct {
+		name string
+		fn   func(edge.Scenario, edge.Controller, edge.SimConfig, ...edge.RunOption) (*edge.Result, error)
+	}{{"fluid", edge.Run}, {"event", edge.RunEventLevel}} {
+		pool, err := NewSupervisedPool(lib, Config{Boards: 4, Batch: 8, Manager: manager.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := run.fn(edge.Scenario2(), pool, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backlog := res.Arrived - res.Processed - res.Dropped
+		if res.Batch.Frames == 0 || res.Batch.Frames > res.Processed+backlog+1e-6 {
+			t.Errorf("%s: %.0f batched frames, %.0f processed and %.0f queued at the end",
+				run.name, res.Batch.Frames, res.Processed, backlog)
+		}
 	}
 }
 

@@ -506,8 +506,6 @@ func TestSupervisedPoolConfigValidation(t *testing.T) {
 		{"NaN heartbeat", func(c *Config) { c.HeartbeatEvery = nan }, "HeartbeatEvery"},
 		{"+Inf heartbeat", func(c *Config) { c.HeartbeatEvery = inf }, "HeartbeatEvery"},
 		{"-Inf heartbeat", func(c *Config) { c.HeartbeatEvery = -inf }, "HeartbeatEvery"},
-		{"NaN flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, nan }, "BatchFlushSlack"},
-		{"negative flush slack", func(c *Config) { c.Batch, c.BatchFlushSlack = 8, -0.001 }, "BatchFlushSlack"},
 	} {
 		cfg := Config{Boards: 2, Manager: manager.DefaultConfig()}
 		tc.set(&cfg)

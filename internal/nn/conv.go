@@ -25,34 +25,19 @@ type Conv2D struct {
 	// scale.
 	PerChannel bool
 
-	// forward cache
-	cols   *tensor.Tensor // im2col of last input (borrowed scratch)
-	qw     *tensor.Tensor // quantized weight matrix (OutC, InC*KH*KW)
+	// Backward state, kept by Forward(train=true).
+	cols   *tensor.Tensor // im2col of the input (borrowed scratch)
+	qw     *tensor.Tensor // the weights as the forward used them
 	inGeom tensor.ConvGeom
 
-	// EffectiveWeights cache, keyed on the weight Param's identity and
-	// version so inference-only workloads stop re-quantizing identical
-	// weights every image. quantRuns counts actual quantizer passes (for
-	// the regression test guarding the cache).
-	effW        *tensor.Tensor
-	effWOf      *Param
-	effWVersion uint64
-	quantRuns   int
+	weightCache
 
-	// Integer fast-path cache, keyed like effW: the weight grid codes,
-	// their scales and, when every code is in {−1, 0, 1}, their bit planes,
-	// rebuilt only when the weight version changes. The path counters
-	// record which kernel served each inference forward (the int8-path
-	// acceptance tests fail if a quantized layer falls back to float, or a
-	// 2-bit layer off the bit planes).
-	effWQ        *tensor.Int8Matrix
-	effWQScales  []float32
-	effWB        *tensor.BitplaneWeights // nil when a code is outside {−1, 0, 1}
-	effWQOf      *Param
-	effWQVersion uint64
-	intForwards  int
-	bitForwards  int // the subset of intForwards served by the bit planes
-	floatFwds    int
+	// The path counters record which kernel served each inference sample
+	// (the int8-path acceptance tests fail if a quantized layer falls back
+	// to float, or a 2-bit layer off the bit planes).
+	intForwards int
+	bitForwards int // the subset of intForwards served by the bit planes
+	floatFwds   int
 }
 
 // ConvConfig collects Conv2D construction options.
@@ -107,115 +92,178 @@ func (c *Conv2D) Params() []*Param {
 // configured), or the raw weights for float layers. The dataflow compiler
 // consumes exactly this view. For quantized layers the result is cached
 // until the weight Param's version changes (see Param.BumpVersion), so
-// repeated inference does not re-quantize; callers must treat the returned
+// repeated forwards do not re-quantize; callers must treat the returned
 // tensor as read-only.
 func (c *Conv2D) EffectiveWeights() (*tensor.Tensor, error) {
-	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	wm, err := c.Weight.Value.Reshape(c.OutC, k)
-	if err != nil {
-		return nil, err
-	}
 	if c.Quant == nil {
-		return wm, nil
+		return c.Weight.Value.Reshape(c.OutC, c.Geom.InC*c.Geom.KH*c.Geom.KW)
 	}
-	if c.effW != nil && c.effWOf == c.Weight && c.effWVersion == c.Weight.Version() {
-		return c.effW, nil
-	}
-	version := c.Weight.Version()
-	q := tensor.New(c.OutC, k)
-	if c.PerChannel {
-		if _, err := c.Quant.QuantizeTensorPerChannel(q.Data(), wm.Data(), k); err != nil {
-			return nil, err
-		}
-	} else if _, err := c.Quant.QuantizeTensor(q.Data(), wm.Data()); err != nil {
-		return nil, err
-	}
-	c.quantRuns++
-	c.effW, c.effWOf, c.effWVersion = q, c.Weight, version
-	return q, nil
+	return c.floatWeights(c.Weight, c.Quant, c.OutC, c.scaleRowLen())
 }
 
-// int8Weights returns the weight grid codes, per-row scales and bit planes
-// for the integer fast path, cached until the weight Param's identity or
-// version changes (the same key as the EffectiveWeights cache). One scale
-// is returned for tensor-wide quantization, OutC scales for per-channel.
-// The planes are nil unless every code is in {−1, 0, 1}.
-func (c *Conv2D) int8Weights() (*tensor.Int8Matrix, []float32, *tensor.BitplaneWeights, error) {
-	if c.effWQ != nil && c.effWQOf == c.Weight && c.effWQVersion == c.Weight.Version() {
-		return c.effWQ, c.effWQScales, c.effWB, nil
-	}
-	version := c.Weight.Version()
+// scaleRowLen returns how many weights share one quantization scale: one
+// filter's with PerChannel, else all of them.
+func (c *Conv2D) scaleRowLen() int {
 	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	wq := tensor.NewInt8Matrix(c.OutC, k)
-	var scales []float32
 	if c.PerChannel {
-		s, err := c.Quant.QuantizeTensorPerChannelInt8(wq.Data, c.Weight.Value.Data(), k)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		scales = s
-	} else {
-		s, err := c.Quant.QuantizeTensorInt8(wq.Data, c.Weight.Value.Data())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		scales = []float32{s}
+		return k
 	}
-	wb, err := tensor.PackBitplaneWeights(wq, c.Geom)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c.quantRuns++
-	c.effWQ, c.effWQScales, c.effWB, c.effWQOf, c.effWQVersion = wq, scales, wb, c.Weight, version
-	return wq, scales, wb, nil
-}
-
-// useInt8 reports whether inference forwards take the integer fast path.
-func (c *Conv2D) useInt8() bool {
-	return c.Quant != nil && c.Quant.Int8Capable() && Int8GEMMEnabled()
+	return c.OutC * k
 }
 
 // Forward implements Layer. Input is CHW; output is (OutC, OutH, OutW).
-// Quantized layers serve inference through the integer fast path, as the
-// B = 1 case of forwardBatchInt8; training and float layers run the float
-// reference: the im2col matrix lives in borrowed scratch — inference
-// returns it to the arena before Forward exits, training keeps it until
-// Backward finishes.
+// It is the B = 1 case of ForwardBatch, except that with train set the
+// float body keeps its im2col scratch and weights for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	if !train && c.useInt8() {
-		outs, err := c.forwardBatchInt8([]*tensor.Tensor{x})
-		if err != nil {
-			return nil, err
-		}
-		return outs[0], nil
-	}
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	if !train {
-		c.floatFwds++
-	}
-	cols := tensor.Borrow(c.Geom.InC*c.Geom.KH*c.Geom.KW, oh*ow)
-	if err := tensor.Im2ColInto(cols, x, c.Geom); err != nil {
-		tensor.Release(cols)
+	return first(c.forward([]*tensor.Tensor{x}, train))
+}
+
+// ForwardBatch implements BatchLayer.
+func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return c.forward(xs, false)
+}
+
+// forward serves quantized inference on the integer body and everything
+// else, training included, on the float body.
+func (c *Conv2D) forward(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+	if err := c.checkInputs(xs); err != nil {
 		return nil, err
 	}
+	if !train {
+		c.cols, c.qw = nil, nil
+		if useInt8(c.Quant) {
+			return c.forwardInt8(xs)
+		}
+	}
+	return c.forwardFloat(xs, train)
+}
+
+// checkInputs reports the first sample whose shape does not match the
+// layer's input geometry.
+func (c *Conv2D) checkInputs(xs []*tensor.Tensor) error {
+	for _, x := range xs {
+		if x.Rank() != 3 || x.Dim(0) != c.Geom.InC || x.Dim(1) != c.Geom.InH || x.Dim(2) != c.Geom.InW {
+			return fmt.Errorf("nn: conv %q input %v does not match geometry %dx%dx%d",
+				c.ID, x.Shape(), c.Geom.InC, c.Geom.InH, c.Geom.InW)
+		}
+	}
+	return nil
+}
+
+// forwardFloat is the float reference: per sample, an im2col into one
+// scratch matrix borrowed for the whole batch, then a GEMM against the
+// effective weights. With train (B = 1) the scratch stays borrowed until
+// Backward finishes.
+func (c *Conv2D) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
 	wm, err := c.EffectiveWeights()
 	if err != nil {
-		tensor.Release(cols)
 		return nil, err
 	}
-	out := tensor.New(c.OutC, oh*ow)
-	if err := tensor.GemmInto(out, wm, cols); err != nil {
-		tensor.Release(cols)
-		return nil, err
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
+	cols := tensor.Borrow(c.Geom.InC*c.Geom.KH*c.Geom.KW, oh*ow)
+	outs := make([]*tensor.Tensor, len(xs))
+	for j, x := range xs {
+		out := tensor.New(c.OutC, oh*ow)
+		err := tensor.Im2ColInto(cols, x, c.Geom)
+		if err == nil {
+			err = tensor.GemmInto(out, wm, cols)
+		}
+		if err == nil {
+			outs[j], err = c.finish(out)
+		}
+		if err != nil {
+			tensor.Release(cols)
+			return nil, err
+		}
 	}
-	c.addBias(out, oh, ow)
 	if train {
-		c.cols = cols
-		c.qw = wm
-		c.inGeom = c.Geom
+		c.cols, c.qw, c.inGeom = cols, wm, c.Geom
 	} else {
 		tensor.Release(cols)
-		c.cols, c.qw = nil, nil
+		c.floatFwds += len(xs)
+	}
+	return outs, nil
+}
+
+// forwardInt8 is the integer inference body. Weights are the cached int8
+// grid codes, every sample is quantized dynamically to int8, and one of
+// two exact kernels computes the int32 products, rescaled once by weight
+// scale × sample scale:
+//
+//   - tensor.ConvBitplaneBatchInto when the layer has bit planes (every
+//     weight code in {−1, 0, 1}) and every sample's codes decompose into
+//     two planes, as the 2-bit activations of CNV's conv1–conv5 do;
+//   - tensor.ConvInt8BatchInto, the batch-packed paired-lane kernel,
+//     otherwise: an image input, a wider weight grid, or one sample with
+//     more than two planes' worth of codes sends the whole batch here.
+//
+// Both give the same int32 sums and the same rescale expression, so the
+// choice never changes a bit of the output.
+func (c *Conv2D) forwardInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	wq, wScales, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen())
+	if err != nil {
+		return nil, err
+	}
+	wb, err := c.bitplanes(c.Geom)
+	if err != nil {
+		return nil, err
+	}
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
+	bsz := len(xs)
+	vol := c.Geom.InC * c.Geom.InH * c.Geom.InW
+	xqBuf := tensor.BorrowInt8(bsz * vol)
+	defer tensor.ReleaseInt8(xqBuf)
+	xqs := make([][]int8, bsz)
+	scaleBuf := make([]float32, bsz*len(wScales))
+	outScales := make([][]float32, bsz)
+	dsts := make([]*tensor.Tensor, bsz)
+	for j, x := range xs {
+		xq := xqBuf[j*vol : (j+1)*vol]
+		xqs[j] = xq
+		sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
+		if err != nil {
+			return nil, fmt.Errorf("nn: conv %q sample %d: %w", c.ID, j, err)
+		}
+		row := scaleBuf[j*len(wScales) : (j+1)*len(wScales)]
+		for i, s := range wScales {
+			row[i] = s * sx
+		}
+		outScales[j] = row
+		dsts[j] = tensor.New(c.OutC, oh*ow)
+	}
+	served := false
+	if wb != nil {
+		if served, err = tensor.ConvBitplaneBatchInto(dsts, wb, xqs, c.Geom, outScales); err != nil {
+			return nil, err
+		}
+	}
+	if served {
+		c.bitForwards += bsz
+	} else if err := tensor.ConvInt8BatchInto(dsts, wq, xqs, c.Geom, outScales); err != nil {
+		return nil, err
+	}
+	outs := make([]*tensor.Tensor, bsz)
+	for j, out := range dsts {
+		if outs[j], err = c.finish(out); err != nil {
+			return nil, err
+		}
+	}
+	c.intForwards += bsz
+	return outs, nil
+}
+
+// finish adds the per-filter bias to a rescaled (OutC, OutH·OutW) output
+// and returns it as (OutC, OutH, OutW).
+func (c *Conv2D) finish(out *tensor.Tensor) (*tensor.Tensor, error) {
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
+	if c.Bias != nil {
+		od := out.Data()
+		for o, b := range c.Bias.Value.Data() {
+			row := od[o*oh*ow : (o+1)*oh*ow]
+			for i := range row {
+				row[i] += b
+			}
+		}
 	}
 	return out.Reshape(c.OutC, oh, ow)
 }
@@ -260,7 +308,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 			bg[o] += s
 		}
 	}
-	// dX = Col2Im(Wᵀ · g).
+	// dX = Col2ImInto(Wᵀ · g).
 	dCols := tensor.Borrow(k, oh*ow)
 	if err := tensor.GemmTransAInto(dCols, c.qw, g); err != nil {
 		tensor.Release(dCols)

@@ -23,24 +23,15 @@ type Dense struct {
 
 	Quant *quant.WeightQuantizer
 
-	// forward cache
-	x  *tensor.Tensor
-	qw *tensor.Tensor
+	// Backward state, kept by Forward(train=true).
+	x  *tensor.Tensor // the input
+	qw *tensor.Tensor // the weights as the forward used them
 
-	// EffectiveWeights cache, keyed on the weight Param's identity and
-	// version (see Conv2D).
-	effW        *tensor.Tensor
-	effWOf      *Param
-	effWVersion uint64
-	quantRuns   int
+	weightCache
 
-	// Integer fast-path cache and path counters (see Conv2D).
-	effWQ        *tensor.Int8Matrix
-	effWQScale   float32
-	effWQOf      *Param
-	effWQVersion uint64
-	intForwards  int
-	floatFwds    int
+	// Path counters (see Conv2D).
+	intForwards int
+	floatFwds   int
 }
 
 // DenseConfig collects Dense construction options.
@@ -91,111 +82,130 @@ func (d *Dense) EffectiveWeights() (*tensor.Tensor, error) {
 	if d.Quant == nil {
 		return d.Weight.Value, nil
 	}
-	if d.effW != nil && d.effWOf == d.Weight && d.effWVersion == d.Weight.Version() {
-		return d.effW, nil
-	}
-	version := d.Weight.Version()
-	q := tensor.New(d.Out, d.In)
-	if _, err := d.Quant.QuantizeTensor(q.Data(), d.Weight.Value.Data()); err != nil {
-		return nil, err
-	}
-	d.quantRuns++
-	d.effW, d.effWOf, d.effWVersion = q, d.Weight, version
-	return q, nil
+	return d.floatWeights(d.Weight, d.Quant, d.Out, d.Out*d.In)
 }
 
-// int8Weights returns the weight grid codes and tensor-wide scale for the
-// integer fast path, cached until the weight version changes (see
-// Conv2D.int8Weights).
-func (d *Dense) int8Weights() (*tensor.Int8Matrix, float32, error) {
-	if d.effWQ != nil && d.effWQOf == d.Weight && d.effWQVersion == d.Weight.Version() {
-		return d.effWQ, d.effWQScale, nil
-	}
-	version := d.Weight.Version()
-	wq := tensor.NewInt8Matrix(d.Out, d.In)
-	scale, err := d.Quant.QuantizeTensorInt8(wq.Data, d.Weight.Value.Data())
-	if err != nil {
-		return nil, 0, err
-	}
-	d.quantRuns++
-	d.effWQ, d.effWQScale, d.effWQOf, d.effWQVersion = wq, scale, d.Weight, version
-	return wq, scale, nil
+// Forward implements Layer. It is the B = 1 case of ForwardBatch, except
+// that with train set the float body keeps its input and weights for
+// Backward.
+func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	return first(d.forward([]*tensor.Tensor{x}, train))
 }
 
-// useInt8 reports whether inference forwards take the integer fast path.
-func (d *Dense) useInt8() bool {
-	return d.Quant != nil && d.Quant.Int8Capable() && Int8GEMMEnabled()
+// ForwardBatch implements BatchLayer.
+func (d *Dense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return d.forward(xs, false)
 }
 
-// forwardInt8 is the inference fast path: an int8 matrix-vector product
-// accumulated in int32 with one float rescale (see Conv2D.forwardBatchInt8).
-func (d *Dense) forwardInt8(x *tensor.Tensor) (*tensor.Tensor, error) {
-	wq, wScale, err := d.int8Weights()
-	if err != nil {
-		return nil, err
-	}
-	xq := tensor.BorrowInt8(d.In)
-	defer tensor.ReleaseInt8(xq)
-	sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
-	if err != nil {
-		return nil, err
-	}
-	acc := tensor.BorrowInt32(d.Out)
-	defer tensor.ReleaseInt32(acc)
-	if err := tensor.GemmInt8Into(acc, wq, &tensor.Int8Matrix{Rows: d.In, Cols: 1, Data: xq}); err != nil {
-		return nil, err
-	}
-	s := wScale * sx
-	out := tensor.New(d.Out)
-	od := out.Data()
-	for i, v := range acc[:d.Out] {
-		od[i] = float32(v) * s
-	}
-	if d.Bias != nil {
-		for i := range od {
-			od[i] += d.Bias.Value.Data()[i]
+// forward serves quantized inference on the integer body and everything
+// else, training included, on the float body. Both pack the B samples as
+// the columns of one In×B matrix, so a batch is one GEMM with n = B.
+func (d *Dense) forward(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+	for _, x := range xs {
+		if x.Len() != d.In {
+			return nil, fmt.Errorf("nn: dense %q input volume %d, want %d", d.ID, x.Len(), d.In)
 		}
 	}
-	d.intForwards++
-	d.x, d.qw = nil, nil
-	return out, nil
+	if !train {
+		d.x, d.qw = nil, nil
+		if useInt8(d.Quant) {
+			return d.forwardInt8(xs)
+		}
+	}
+	return d.forwardFloat(xs, train)
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	if x.Len() != d.In {
-		return nil, fmt.Errorf("nn: dense %q input volume %d, want %d", d.ID, x.Len(), d.In)
-	}
-	if !train && d.useInt8() {
-		return d.forwardInt8(x)
-	}
-	if !train {
-		d.floatFwds++
-	}
-	xm, err := x.Reshape(d.In, 1)
-	if err != nil {
-		return nil, err
-	}
+// forwardFloat is the float reference: one GEMM of the effective weights
+// against the packed batch.
+func (d *Dense) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
 	wm, err := d.EffectiveWeights()
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New(d.Out, 1)
-	if err := tensor.GemmInto(out, wm, xm); err != nil {
-		return nil, err
-	}
-	if d.Bias != nil {
-		for i := range out.Data() {
-			out.Data()[i] += d.Bias.Value.Data()[i]
+	bsz := len(xs)
+	xb := tensor.Borrow(d.In, bsz)
+	defer tensor.Release(xb)
+	xbd := xb.Data()
+	for j, x := range xs {
+		for p, v := range x.Data() {
+			xbd[p*bsz+j] = v
 		}
 	}
-	if train {
-		d.x = x.Clone()
-		d.qw = wm
-	} else {
-		d.x, d.qw = nil, nil
+	ob := tensor.Borrow(d.Out, bsz)
+	defer tensor.Release(ob)
+	if err := tensor.GemmInto(ob, wm, xb); err != nil {
+		return nil, err
 	}
-	return out.Reshape(d.Out)
+	obd := ob.Data()
+	outs := make([]*tensor.Tensor, bsz)
+	for j := range xs {
+		out := tensor.New(d.Out)
+		od := out.Data()
+		for i := range od {
+			od[i] = obd[i*bsz+j]
+		}
+		d.addBias(od)
+		outs[j] = out
+	}
+	if train {
+		d.x, d.qw = xs[0].Clone(), wm
+	} else {
+		d.floatFwds += bsz
+	}
+	return outs, nil
+}
+
+// forwardInt8 is the integer inference body: each sample is quantized
+// dynamically to int8 into its column, one int8 GEMM accumulates exactly
+// in int32, and each sample's outputs are rescaled once by weight scale ×
+// sample scale, then biased.
+func (d *Dense) forwardInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	wq, wScales, err := d.int8Weights(d.Weight, d.Quant, d.Out, d.Out*d.In)
+	if err != nil {
+		return nil, err
+	}
+	bsz := len(xs)
+	xq := tensor.BorrowInt8(d.In)
+	defer tensor.ReleaseInt8(xq)
+	xb := tensor.BorrowInt8(d.In * bsz)
+	defer tensor.ReleaseInt8(xb)
+	scales := make([]float32, bsz)
+	for j, x := range xs {
+		sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
+		if err != nil {
+			return nil, err
+		}
+		for p, v := range xq {
+			xb[p*bsz+j] = v
+		}
+		scales[j] = wScales[0] * sx
+	}
+	acc := tensor.BorrowInt32(d.Out * bsz)
+	defer tensor.ReleaseInt32(acc)
+	if err := tensor.GemmInt8Into(acc, wq, &tensor.Int8Matrix{Rows: d.In, Cols: bsz, Data: xb}); err != nil {
+		return nil, err
+	}
+	outs := make([]*tensor.Tensor, bsz)
+	for j := range xs {
+		out := tensor.New(d.Out)
+		od := out.Data()
+		for i := range od {
+			od[i] = float32(acc[i*bsz+j]) * scales[j]
+		}
+		d.addBias(od)
+		outs[j] = out
+	}
+	d.intForwards += bsz
+	return outs, nil
+}
+
+// addBias adds the bias to one sample's outputs, after the rescale.
+func (d *Dense) addBias(od []float32) {
+	if d.Bias != nil {
+		for i, b := range d.Bias.Value.Data() {
+			od[i] += b
+		}
+	}
 }
 
 // Backward implements Layer.

@@ -15,11 +15,15 @@ func ConvPathCounts(c *Conv2D) (int8Fwds, bitplaneFwds int) {
 // planes set aside, so every sample goes through the paired-lane kernel:
 // the reference the bit-plane path must match bit for bit.
 func PairedLaneForwardBatch(c *Conv2D, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if _, _, _, err := c.int8Weights(); err != nil {
+	if _, _, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen()); err != nil {
 		return nil, err
 	}
-	wb, served := c.effWB, c.bitForwards
+	wb, err := c.bitplanes(c.Geom)
+	if err != nil {
+		return nil, err
+	}
+	served := c.bitForwards
 	c.effWB = nil
 	defer func() { c.effWB, c.bitForwards = wb, served }()
-	return c.forwardBatchInt8(xs)
+	return c.forwardInt8(xs)
 }

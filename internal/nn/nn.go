@@ -4,12 +4,16 @@
 // activations), a sequential network container, and the softmax
 // cross-entropy loss.
 //
-// Training processes one sample at a time; inference additionally offers a
-// micro-batched path (Network.ForwardBatch) that packs B samples into one
-// GEMM call for Dense layers and streams each convolution weight panel once
-// per batch — bit-identical to B sequential Forward calls. Layers cache
-// forward state for the following backward call, so a network must not be
-// shared between goroutines without external synchronization.
+// Conv2D and Dense each compute with one integer and one float forward
+// body, both over a batch of samples: quantized inference runs the integer
+// body, training and float layers the float one, and Forward is the B = 1
+// case of either. Training processes one sample at a time; inference
+// additionally offers a micro-batched path (Network.ForwardBatch) that
+// packs B samples into one GEMM call for Dense layers and streams each
+// convolution weight panel once per batch — bit-identical to B sequential
+// Forward calls. Layers cache forward state for the following backward
+// call, and derived views of their weights (see weightCache), so a network
+// must not be shared between goroutines without external synchronization.
 //
 // Quantization follows FINN/Brevitas conventions: weights are
 // fake-quantized on the forward pass with straight-through gradients, and

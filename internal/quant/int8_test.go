@@ -7,9 +7,9 @@ import (
 )
 
 // The integer fast path's correctness hinges on one identity: the int8
-// codes written by QuantizeTensorInt8 / QuantizeTensorPerChannelInt8,
-// rescaled in float32, must reproduce the fake-quantized float weights of
-// QuantizeTensor / QuantizeTensorPerChannel bit for bit. These tests pin
+// codes written by QuantizeTensorInt8, rescaled in float32, must reproduce
+// the fake-quantized float weights of QuantizeTensor bit for bit, with one
+// tensor-wide scale or one scale per row. These tests pin
 // that identity and the rounding rule it rests on.
 
 func randWeights(rng *rand.Rand, n int) []float32 {
@@ -39,17 +39,18 @@ func TestInt8CodesMatchFakeQuantizedFloats(t *testing.T) {
 		}
 		ws := randWeights(rng, 257)
 		ref := make([]float32, len(ws))
-		refScale, err := q.QuantizeTensor(ref, ws)
+		refScales, err := q.QuantizeTensor(ref, ws, len(ws))
 		if err != nil {
 			t.Fatal(err)
 		}
 		codes := make([]int8, len(ws))
-		scale, err := q.QuantizeTensorInt8(codes, ws)
+		scales, err := q.QuantizeTensorInt8(codes, ws, len(ws))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scale != refScale {
-			t.Fatalf("bits=%d: int8 scale %v, float scale %v", bits, scale, refScale)
+		scale := scales[0]
+		if scale != refScales[0] {
+			t.Fatalf("bits=%d: int8 scale %v, float scale %v", bits, scale, refScales[0])
 		}
 		for i, c := range codes {
 			if lim := int8(q.Levels()); c > lim || c < -lim {
@@ -72,12 +73,12 @@ func TestInt8PerChannelCodesMatchFloats(t *testing.T) {
 	const rows, rowLen = 7, 33
 	ws := randWeights(rng, rows*rowLen)
 	ref := make([]float32, len(ws))
-	refScales, err := q.QuantizeTensorPerChannel(ref, ws, rowLen)
+	refScales, err := q.QuantizeTensor(ref, ws, rowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	codes := make([]int8, len(ws))
-	scales, err := q.QuantizeTensorPerChannelInt8(codes, ws, rowLen)
+	scales, err := q.QuantizeTensorInt8(codes, ws, rowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,8 @@ func TestInt8RejectsWideGrids(t *testing.T) {
 	if q.Int8Capable() {
 		t.Fatal("9-bit grid reported int8-capable")
 	}
-	if _, err := q.QuantizeTensorInt8(make([]int8, 1), make([]float32, 1)); err == nil {
+	if _, err := q.QuantizeTensorInt8(make([]int8, 1), make([]float32, 1), 1); err == nil {
 		t.Fatal("QuantizeTensorInt8 accepted a 9-bit grid")
-	}
-	if _, err := q.QuantizeTensorPerChannelInt8(make([]int8, 1), make([]float32, 1), 1); err == nil {
-		t.Fatal("QuantizeTensorPerChannelInt8 accepted a 9-bit grid")
 	}
 }
 
@@ -235,17 +233,18 @@ func FuzzRoundHalfAway(f *testing.F) {
 		q := &WeightQuantizer{Bits: 8, Scale: 1}
 		src := []float32{v}
 		ref := []float32{0}
-		refScale, err := q.QuantizeTensor(ref, src)
+		refScales, err := q.QuantizeTensor(ref, src, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		codes := []int8{0}
-		scale, err := q.QuantizeTensorInt8(codes, src)
+		scales, err := q.QuantizeTensorInt8(codes, src, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scale != refScale {
-			t.Fatalf("scales diverge: %v vs %v", scale, refScale)
+		scale := scales[0]
+		if scale != refScales[0] {
+			t.Fatalf("scales diverge: %v vs %v", scale, refScales[0])
 		}
 		if got := float32(codes[0]) * scale; got != ref[0] {
 			t.Fatalf("v=%v: code %d * %v = %v, float path %v", v, codes[0], scale, got, ref[0])

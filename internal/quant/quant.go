@@ -75,28 +75,8 @@ func (q *WeightQuantizer) Quantize(w float32) float32 {
 	return r * q.Scale
 }
 
-// QuantizeSlice quantizes in place and returns its argument for chaining.
-func (q *WeightQuantizer) QuantizeSlice(ws []float32) []float32 {
-	for i, w := range ws {
-		ws[i] = q.Quantize(w)
-	}
-	return ws
-}
-
-// QuantizeInto writes the quantized values of src into dst (which may alias
-// src). It reports an error on length mismatch.
-func (q *WeightQuantizer) QuantizeInto(dst, src []float32) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("quant: QuantizeInto length mismatch %d vs %d", len(dst), len(src))
-	}
-	for i, w := range src {
-		dst[i] = q.Quantize(w)
-	}
-	return nil
-}
-
-// TensorScale returns the adaptive per-tensor grid step used by
-// QuantizeTensor, derived from the weight statistics the way
+// TensorScale returns the adaptive grid step of one QuantizeTensor row,
+// derived from the weight statistics the way
 // quantization-aware training frameworks do: binary weights use the mean
 // magnitude (XNOR-style), low-bit grids use a mean-based step so the grid
 // is actually occupied, and wider grids use max|w|/levels. A zero tensor
@@ -155,40 +135,37 @@ func (q *WeightQuantizer) codeWith(w, scale float32) int32 {
 }
 
 // QuantizeTensor writes the adaptively-scaled quantization of src into dst
-// (which may alias src) and returns the scale used. This is the forward
-// path quantization used by internal/nn layers.
-func (q *WeightQuantizer) QuantizeTensor(dst, src []float32) (float32, error) {
-	if len(dst) != len(src) {
-		return 0, fmt.Errorf("quant: QuantizeTensor length mismatch %d vs %d", len(dst), len(src))
+// (which may alias src) and returns the scales used. src is read as rows
+// of rowLen values, each row with its own adaptive scale: FINN's
+// per-channel weight scaling, which tolerates filters of very different
+// magnitudes, when a row is one output channel's weights, and tensor-wide
+// quantization with a single scale when rowLen == len(src). This is the
+// forward path quantization used by internal/nn layers.
+func (q *WeightQuantizer) QuantizeTensor(dst, src []float32, rowLen int) ([]float32, error) {
+	scales, err := q.rowScales("QuantizeTensor", len(dst), src, rowLen)
+	if err != nil {
+		return nil, err
 	}
-	scale := q.TensorScale(src)
-	for i, w := range src {
-		dst[i] = q.quantizeWith(w, scale)
+	for r, scale := range scales {
+		for i := r * rowLen; i < (r+1)*rowLen; i++ {
+			dst[i] = q.quantizeWith(src[i], scale)
+		}
 	}
-	return scale, nil
+	return scales, nil
 }
 
-// QuantizeTensorPerChannel quantizes src row-wise: src is a matrix of
-// rows×rowLen values (one row per output channel/filter), each row getting
-// its own adaptive scale — FINN's per-channel weight scaling, which
-// tolerates filters of very different magnitudes. It returns the per-row
-// scales.
-func (q *WeightQuantizer) QuantizeTensorPerChannel(dst, src []float32, rowLen int) ([]float32, error) {
-	if len(dst) != len(src) {
-		return nil, fmt.Errorf("quant: QuantizeTensorPerChannel length mismatch %d vs %d", len(dst), len(src))
+// rowScales checks a QuantizeTensor call's lengths and returns the
+// adaptive scale of each row of rowLen values of src.
+func (q *WeightQuantizer) rowScales(fn string, dstLen int, src []float32, rowLen int) ([]float32, error) {
+	if dstLen != len(src) {
+		return nil, fmt.Errorf("quant: %s length mismatch %d vs %d", fn, dstLen, len(src))
 	}
 	if rowLen <= 0 || len(src)%rowLen != 0 {
 		return nil, fmt.Errorf("quant: row length %d does not divide %d values", rowLen, len(src))
 	}
-	rows := len(src) / rowLen
-	scales := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		row := src[r*rowLen : (r+1)*rowLen]
-		scale := q.TensorScale(row)
-		scales[r] = scale
-		for i, w := range row {
-			dst[r*rowLen+i] = q.quantizeWith(w, scale)
-		}
+	scales := make([]float32, len(src)/rowLen)
+	for r := range scales {
+		scales[r] = q.TensorScale(src[r*rowLen : (r+1)*rowLen])
 	}
 	return scales, nil
 }
@@ -198,46 +175,23 @@ func (q *WeightQuantizer) QuantizeTensorPerChannel(dst, src []float32, rowLen in
 // Every grid up to 8 bits has at most ±127 levels.
 func (q *WeightQuantizer) Int8Capable() bool { return q.Bits <= 8 }
 
-// QuantizeTensorInt8 writes the adaptively-scaled int8 grid codes of src
-// into dst and returns the scale, such that float32(dst[i])*scale is
-// bit-identical to what QuantizeTensor writes. This is the weight view the
-// int8×int8→int32 GEMM kernels in internal/tensor consume. It errors for
-// grids wider than 8 bits (codes would not fit int8).
-func (q *WeightQuantizer) QuantizeTensorInt8(dst []int8, src []float32) (float32, error) {
-	if !q.Int8Capable() {
-		return 0, fmt.Errorf("quant: %d-bit grid does not fit int8 codes", q.Bits)
-	}
-	if len(dst) != len(src) {
-		return 0, fmt.Errorf("quant: QuantizeTensorInt8 length mismatch %d vs %d", len(dst), len(src))
-	}
-	scale := q.TensorScale(src)
-	for i, w := range src {
-		dst[i] = int8(q.codeWith(w, scale))
-	}
-	return scale, nil
-}
-
-// QuantizeTensorPerChannelInt8 is QuantizeTensorInt8 with one adaptive
-// scale per row of rowLen values (FINN's per-channel weight scaling),
-// mirroring QuantizeTensorPerChannel code for code.
-func (q *WeightQuantizer) QuantizeTensorPerChannelInt8(dst []int8, src []float32, rowLen int) ([]float32, error) {
+// QuantizeTensorInt8 writes the int8 grid codes of src into dst, row by
+// row like QuantizeTensor, and returns the same scales, such that
+// float32(dst[i])*scale of its row is bit-identical to what QuantizeTensor
+// writes. This is the weight view the int8×int8→int32 kernels in
+// internal/tensor consume. It errors for grids wider than 8 bits (codes
+// would not fit int8).
+func (q *WeightQuantizer) QuantizeTensorInt8(dst []int8, src []float32, rowLen int) ([]float32, error) {
 	if !q.Int8Capable() {
 		return nil, fmt.Errorf("quant: %d-bit grid does not fit int8 codes", q.Bits)
 	}
-	if len(dst) != len(src) {
-		return nil, fmt.Errorf("quant: QuantizeTensorPerChannelInt8 length mismatch %d vs %d", len(dst), len(src))
+	scales, err := q.rowScales("QuantizeTensorInt8", len(dst), src, rowLen)
+	if err != nil {
+		return nil, err
 	}
-	if rowLen <= 0 || len(src)%rowLen != 0 {
-		return nil, fmt.Errorf("quant: row length %d does not divide %d values", rowLen, len(src))
-	}
-	rows := len(src) / rowLen
-	scales := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		row := src[r*rowLen : (r+1)*rowLen]
-		scale := q.TensorScale(row)
-		scales[r] = scale
-		for i, w := range row {
-			dst[r*rowLen+i] = int8(q.codeWith(w, scale))
+	for r, scale := range scales {
+		for i := r * rowLen; i < (r+1)*rowLen; i++ {
+			dst[i] = int8(q.codeWith(src[i], scale))
 		}
 	}
 	return scales, nil

@@ -87,28 +87,6 @@ func TestQuantizeIdempotent(t *testing.T) {
 	}
 }
 
-func TestQuantizeSliceAndInto(t *testing.T) {
-	q, _ := NewWeightQuantizer(2)
-	ws := []float32{0.9, -0.9, 0.1}
-	q.QuantizeSlice(ws)
-	for _, w := range ws {
-		if q.Quantize(w) != w {
-			t.Fatalf("slice element %v not on grid", w)
-		}
-	}
-	dst := make([]float32, 2)
-	if err := q.QuantizeInto(dst, []float32{1, 2, 3}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	src := []float32{0.7, -0.2}
-	if err := q.QuantizeInto(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != q.Quantize(0.7) || dst[1] != q.Quantize(-0.2) {
-		t.Fatal("QuantizeInto wrong values")
-	}
-}
-
 // TestPerChannelBeatsPerTensorOnHeterogeneousRows: when filters have very
 // different magnitudes, per-channel scales reconstruct the weights with
 // lower error than one tensor-wide scale.
@@ -123,11 +101,11 @@ func TestPerChannelBeatsPerTensorOnHeterogeneousRows(t *testing.T) {
 		}
 	}
 	perT := make([]float32, len(src))
-	if _, err := q.QuantizeTensor(perT, src); err != nil {
+	if _, err := q.QuantizeTensor(perT, src, len(src)); err != nil {
 		t.Fatal(err)
 	}
 	perC := make([]float32, len(src))
-	scales, err := q.QuantizeTensorPerChannel(perC, src, rowLen)
+	scales, err := q.QuantizeTensor(perC, src, rowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +130,13 @@ func TestPerChannelBeatsPerTensorOnHeterogeneousRows(t *testing.T) {
 
 func TestQuantizeTensorPerChannelValidation(t *testing.T) {
 	q, _ := NewWeightQuantizer(2)
-	if _, err := q.QuantizeTensorPerChannel(make([]float32, 4), make([]float32, 6), 3); err == nil {
+	if _, err := q.QuantizeTensor(make([]float32, 4), make([]float32, 6), 3); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := q.QuantizeTensorPerChannel(make([]float32, 6), make([]float32, 6), 4); err == nil {
+	if _, err := q.QuantizeTensor(make([]float32, 6), make([]float32, 6), 4); err == nil {
 		t.Fatal("indivisible row length accepted")
 	}
-	if _, err := q.QuantizeTensorPerChannel(make([]float32, 6), make([]float32, 6), 0); err == nil {
+	if _, err := q.QuantizeTensor(make([]float32, 6), make([]float32, 6), 0); err == nil {
 		t.Fatal("zero row length accepted")
 	}
 }

@@ -115,7 +115,7 @@ func TestConvInt8SelfTest(t *testing.T) {
 		for _, cap := range workerCaps {
 			prev := SetMaxWorkers(cap)
 			dst := New(outC, g.OutH()*g.OutW())
-			err := ConvInt8Into(dst, w, x, g, outScales)
+			err := ConvInt8BatchInto([]*Tensor{dst}, w, [][]int8{x}, g, [][]float32{outScales})
 			SetMaxWorkers(prev)
 			if err != nil {
 				t.Fatalf("trial %d %+v: %v", trial, g, err)
@@ -172,7 +172,7 @@ func checkConvBatch(t *testing.T, rng *rand.Rand, g ConvGeom, outC, bsz int, cod
 		err := ConvInt8BatchInto(dsts, w, xs, g, scales)
 		for b := 0; err == nil && b < bsz; b++ {
 			single := New(outC, cols)
-			if err = ConvInt8Into(single, w, xs[b], g, scales[b]); err != nil {
+			if err = ConvInt8BatchInto([]*Tensor{single}, w, [][]int8{xs[b]}, g, [][]float32{scales[b]}); err != nil {
 				break
 			}
 			for i, v := range dsts[b].Data() {
@@ -246,8 +246,8 @@ func TestInt8LaneBound(t *testing.T) {
 		b.Data[i] = -128
 	}
 	lo, hi := int32(k*128*128), int32(-k*127*128)
-	got, err := GemmInt8(a, b)
-	if err != nil {
+	got := make([]int32, 3*n)
+	if err := GemmInt8Into(got, a, b); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < n; j++ {
@@ -257,7 +257,7 @@ func TestInt8LaneBound(t *testing.T) {
 	}
 	g := ConvGeom{InC: k, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	dst := New(3, 1)
-	if err := ConvInt8Into(dst, a, b.Data[:k], g, []float32{1}); err != nil {
+	if err := ConvInt8BatchInto([]*Tensor{dst}, a, [][]int8{b.Data[:k]}, g, [][]float32{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := dst.Data(); d[0] != float32(lo) || d[1] != float32(hi) || d[2] != float32(lo) {
@@ -269,7 +269,7 @@ func TestInt8LaneBound(t *testing.T) {
 		t.Fatalf("GemmInt8Into accepted k=%d on the paired-lane path", k)
 	}
 	g.InC = k
-	if err := ConvInt8Into(New(1, 1), NewInt8Matrix(1, k), make([]int8, k), g, []float32{1}); err == nil {
+	if err := ConvInt8BatchInto([]*Tensor{New(1, 1)}, NewInt8Matrix(1, k), [][]int8{make([]int8, k)}, g, [][]float32{{1}}); err == nil {
 		t.Fatalf("ConvInt8Into accepted k=%d", k)
 	}
 }
@@ -299,7 +299,8 @@ func TestGemmInt8SelfTest(t *testing.T) {
 		}
 		for _, cap := range []int{1, 2, runtime.NumCPU()} {
 			prev := SetMaxWorkers(cap)
-			got, err := GemmInt8(a, b)
+			got := make([]int32, m*n)
+			err := GemmInt8Into(got, a, b)
 			SetMaxWorkers(prev)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -323,8 +324,8 @@ func TestGemmInt8PanelBoundaries(t *testing.T) {
 			m := 5 // odd: exercises the non-multiple-of-4 row tail
 			a := &Int8Matrix{Rows: m, Cols: k, Data: randInt8s(rng, m*k)}
 			b := &Int8Matrix{Rows: k, Cols: n, Data: randInt8s(rng, k*n)}
-			got, err := GemmInt8(a, b)
-			if err != nil {
+			got := make([]int32, m*n)
+			if err := GemmInt8Into(got, a, b); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < m; i++ {
@@ -345,7 +346,7 @@ func TestGemmInt8PanelBoundaries(t *testing.T) {
 func TestGemmInt8Validation(t *testing.T) {
 	a := NewInt8Matrix(2, 3)
 	b := NewInt8Matrix(4, 2)
-	if _, err := GemmInt8(a, b); err == nil {
+	if err := GemmInt8Into(make([]int32, 4), a, b); err == nil {
 		t.Fatal("inner-dimension mismatch accepted")
 	}
 	b = NewInt8Matrix(3, 2)
@@ -353,7 +354,7 @@ func TestGemmInt8Validation(t *testing.T) {
 		t.Fatal("wrong dst length accepted")
 	}
 	b.Data = b.Data[:4]
-	if _, err := GemmInt8(a, b); err == nil {
+	if err := GemmInt8Into(make([]int32, 4), a, b); err == nil {
 		t.Fatal("truncated storage accepted")
 	}
 }
@@ -368,23 +369,23 @@ func TestConvInt8Validation(t *testing.T) {
 		run  func() error
 	}{
 		{"bad weights", func() error {
-			return ConvInt8Into(New(3, cols), NewInt8Matrix(3, 5), x, g, []float32{1})
+			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, NewInt8Matrix(3, 5), [][]int8{x}, g, [][]float32{{1}})
 		}},
 		{"bad input", func() error {
-			return ConvInt8Into(New(3, cols), w, x[:7], g, []float32{1})
+			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, w, [][]int8{x[:7]}, g, [][]float32{{1}})
 		}},
 		{"bad dst", func() error {
-			return ConvInt8Into(New(4, cols), w, x, g, []float32{1})
+			return ConvInt8BatchInto([]*Tensor{New(4, cols)}, w, [][]int8{x}, g, [][]float32{{1}})
 		}},
 		{"bad scales", func() error {
-			return ConvInt8Into(New(3, cols), w, x, g, []float32{1, 2})
+			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, w, [][]int8{x}, g, [][]float32{{1, 2}})
 		}},
 	} {
 		if err := tc.run(); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
 	}
-	if err := ConvInt8Into(New(3, cols), w, x, g, []float32{1, 2, 3}); err != nil {
+	if err := ConvInt8BatchInto([]*Tensor{New(3, cols)}, w, [][]int8{x}, g, [][]float32{{1, 2, 3}}); err != nil {
 		t.Fatalf("per-channel scales rejected: %v", err)
 	}
 }

@@ -11,23 +11,11 @@ import "fmt"
 // same skip-on-zero semantics — so results are bit-identical to the serial
 // reference no matter how many workers run.
 
-// Gemm computes C = A·B for row-major matrices. A is (m×k), B is (k×n) and
-// the result is (m×n). It is the workhorse behind convolution via im2col
-// and dense layers.
-func Gemm(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: Gemm needs rank-2 operands, got %v and %v", a.shape, b.shape)
-	}
-	c := New(a.shape[0], b.shape[1])
-	if err := GemmInto(c, a, b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// GemmInto computes dst = A·B, overwriting dst, which must be a rank-2
-// (m×n) tensor supplied by the caller (typically borrowed from the scratch
-// arena). dst must not alias a or b.
+// GemmInto computes dst = A·B for row-major matrices, A (m×k) and B (k×n),
+// overwriting dst, which must be a rank-2 (m×n) tensor supplied by the
+// caller (typically borrowed from the scratch arena). dst must not alias a
+// or b. It is the workhorse behind convolution via im2col and dense
+// layers.
 func GemmInto(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return fmt.Errorf("tensor: Gemm needs rank-2 operands, got %v and %v", a.shape, b.shape)
@@ -165,21 +153,9 @@ func axpy4(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// GemmTransA computes C = Aᵀ·B where A is (k×m), B is (k×n), result (m×n).
-// Used by the backward pass of dense layers.
-func GemmTransA(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: GemmTransA needs rank-2 operands, got %v and %v", a.shape, b.shape)
-	}
-	c := New(a.shape[1], b.shape[1])
-	if err := GemmTransAInto(c, a, b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// GemmTransAInto computes dst = Aᵀ·B, overwriting dst (rank-2, m×n). dst
-// must not alias a or b.
+// GemmTransAInto computes dst = Aᵀ·B, where A is (k×m) and B is (k×n),
+// overwriting dst (rank-2, m×n). dst must not alias a or b. Used by the
+// convolution backward pass.
 func GemmTransAInto(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return fmt.Errorf("tensor: GemmTransA needs rank-2 operands, got %v and %v", a.shape, b.shape)
@@ -208,21 +184,9 @@ func GemmTransAInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// GemmTransB computes C = A·Bᵀ where A is (m×k), B is (n×k), result (m×n).
-// Used by the backward pass of dense layers.
-func GemmTransB(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: GemmTransB needs rank-2 operands, got %v and %v", a.shape, b.shape)
-	}
-	c := New(a.shape[0], b.shape[0])
-	if err := GemmTransBInto(c, a, b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// GemmTransBInto computes dst = A·Bᵀ, overwriting dst (rank-2, m×n). dst
-// must not alias a or b.
+// GemmTransBInto computes dst = A·Bᵀ, where A is (m×k) and B is (n×k),
+// overwriting dst (rank-2, m×n). dst must not alias a or b. Used by the
+// convolution backward pass.
 func GemmTransBInto(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return fmt.Errorf("tensor: GemmTransB needs rank-2 operands, got %v and %v", a.shape, b.shape)

@@ -36,23 +36,11 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a CHW input into a matrix of shape
-// (InC·KH·KW) × (OutH·OutW): each column holds one receptive field. This is
-// the software analogue of FINN's Sliding Window Unit (SWU), which streams
-// exactly these windows into the MVTU.
-func Im2Col(in *Tensor, g ConvGeom) (*Tensor, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	out := New(g.InC*g.KH*g.KW, g.OutH()*g.OutW())
-	if err := Im2ColInto(out, in, g); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Im2ColInto lowers in into dst, a caller-provided (InC·KH·KW)×(OutH·OutW)
-// tensor (typically borrowed from the scratch arena). Every element of dst
+// Im2ColInto lowers a CHW input into dst, a caller-provided
+// (InC·KH·KW)×(OutH·OutW) tensor (typically borrowed from the scratch
+// arena): each column holds one receptive field. This is the software
+// analogue of FINN's Sliding Window Unit (SWU), which streams exactly these
+// windows into the MVTU. Every element of dst
 // is written: positions that fall into padding are zeroed, so dst may hold
 // stale data on entry. Channels are split across the package worker pool;
 // each output row belongs to exactly one channel, so the result is
@@ -105,21 +93,13 @@ func Im2ColInto(dst, in *Tensor, g ConvGeom) error {
 // accumulator rows it feeds stay cache-resident.
 const convTileCols = 128
 
-// ConvInt8Into computes a quantized convolution without ever materializing
-// the full im2col patch matrix: dst = rescale(W · im2col(x)), where W is
-// the (OutC × InC·KH·KW) int8 weight matrix, x the int8-quantized CHW
-// input, and rescale multiplies output row o by outScales[o] (or
-// outScales[0] when a single tensor-wide scale is given). dst is a
-// caller-provided rank-2 (OutC × OutH·OutW) float32 tensor, fully
-// overwritten. It is the B = 1 case of ConvInt8BatchInto.
-func ConvInt8Into(dst *Tensor, w *Int8Matrix, x []int8, g ConvGeom, outScales []float32) error {
-	return ConvInt8BatchInto([]*Tensor{dst}, w, [][]int8{x}, g, [][]float32{outScales})
-}
-
 // ConvInt8BatchInto convolves B same-geometry inputs against one weight
-// matrix, writing each sample's rescaled output into dsts[b]; outScales[b]
-// follows the outScales contract of ConvInt8Into (1 or OutC entries per
-// sample). The inner dimension InC·KH·KW must be below maxLaneK.
+// matrix: dsts[b] = rescale(W · im2col(xs[b])), where W is the
+// (OutC × InC·KH·KW) int8 weight matrix, xs[b] the int8-quantized CHW
+// input, and rescale multiplies output row o by outScales[b][o] (or
+// outScales[b][0] when one tensor-wide scale is given). Each dsts[b] is a
+// caller-provided rank-2 (OutC × OutH·OutW) float32 tensor, fully
+// overwritten. The inner dimension InC·KH·KW must be below maxLaneK.
 //
 // This is the fused streaming SWU+MVTU. Output positions are cut into
 // tiles of tw = max(1, convTileCols/B) positions per sample, and for each
@@ -133,8 +113,8 @@ func ConvInt8Into(dst *Tensor, w *Int8Matrix, x []int8, g ConvGeom, outScales []
 //
 // Tiles are split across the package worker pool. Every output element
 // accumulates exactly its own products, and integer accumulation is exact,
-// so each dsts[b] is bit-identical to a standalone ConvInt8Into call for
-// any worker count and batch size.
+// so each dsts[b] is bit-identical to the sample convolved alone (B = 1)
+// for any worker count and batch size.
 func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, outScales [][]float32) error {
 	outC := w.Rows
 	if err := validateConvBatch("ConvInt8BatchInto", dsts, xs, g, outC, outScales); err != nil {
@@ -268,25 +248,13 @@ func streamPatchPanel(panel []int8, ld, off int, x []int8, g ConvGeom, p0, p1, j
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a (InC·KH·KW)×(OutH·OutW)
-// matrix of per-window gradients back onto a CHW tensor, summing where
-// windows overlap. Used by the convolution backward pass.
-func Col2Im(cols *Tensor, g ConvGeom) (*Tensor, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	out := New(g.InC, g.InH, g.InW)
-	if err := Col2ImInto(out, cols, g); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Col2ImInto scatters cols into dst, a caller-provided CHW tensor whose
-// contents are overwritten (dst may hold stale data on entry). Channels are
-// split across the package worker pool; each channel of dst is written by
-// exactly one worker in the serial loop's order, so results are
-// bit-identical to Col2Im.
+// Col2ImInto is the adjoint of Im2ColInto: it scatters a
+// (InC·KH·KW)×(OutH·OutW) matrix of per-window gradients back onto dst, a
+// caller-provided CHW tensor, summing where windows overlap; dst's
+// contents are overwritten (it may hold stale data on entry). Used by the
+// convolution backward pass. Channels are split across the package worker
+// pool; each channel of dst is written by exactly one worker in the serial
+// loop's order, so results are identical for any worker count.
 func Col2ImInto(dst, cols *Tensor, g ConvGeom) error {
 	if err := g.Validate(); err != nil {
 		return err

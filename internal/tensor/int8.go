@@ -45,17 +45,6 @@ const (
 // that a low-lane overflow would carry into the high lane.
 const maxLaneK = 1 << 17
 
-// GemmInt8 computes C = A·B over int8 operands with int32 accumulation.
-// A is (m×k), B is (k×n), the result is a freshly allocated m·n int32
-// slice in row-major order.
-func GemmInt8(a, b *Int8Matrix) ([]int32, error) {
-	dst := make([]int32, a.Rows*b.Cols)
-	if err := GemmInt8Into(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // GemmInt8Into computes dst = A·B over int8 operands, overwriting dst (a
 // row-major m×n int32 slice, typically borrowed via BorrowInt32). Rows of
 // the output are split across the package worker pool exactly like the

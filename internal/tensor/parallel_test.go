@@ -164,30 +164,28 @@ func TestGemmVariantsMatchSerialReference(t *testing.T) {
 		n := 1 + rng.Intn(37)
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
-		got, err := Gemm(a, b)
-		if err != nil {
+		got := New(m, n)
+		if err := GemmInto(got, a, b); err != nil {
 			t.Fatal(err)
 		}
 		if want := refGemm(a, b); !Equal(got, want) {
-			t.Fatalf("Gemm differs from serial reference at m=%d k=%d n=%d", m, k, n)
+			t.Fatalf("GemmInto differs from serial reference at m=%d k=%d n=%d", m, k, n)
 		}
 
 		at := randTensor(rng, k, m)
-		got, err = GemmTransA(at, b)
-		if err != nil {
+		if err := GemmTransAInto(got, at, b); err != nil {
 			t.Fatal(err)
 		}
 		if want := refGemmTransA(at, b); !Equal(got, want) {
-			t.Fatalf("GemmTransA differs from serial reference at m=%d k=%d n=%d", m, k, n)
+			t.Fatalf("GemmTransAInto differs from serial reference at m=%d k=%d n=%d", m, k, n)
 		}
 
 		bt := randTensor(rng, n, k)
-		got, err = GemmTransB(a, bt)
-		if err != nil {
+		if err := GemmTransBInto(got, a, bt); err != nil {
 			t.Fatal(err)
 		}
 		if want := refGemmTransB(a, bt); !Equal(got, want) {
-			t.Fatalf("GemmTransB differs from serial reference at m=%d k=%d n=%d", m, k, n)
+			t.Fatalf("GemmTransBInto differs from serial reference at m=%d k=%d n=%d", m, k, n)
 		}
 	}
 }
@@ -264,21 +262,21 @@ func TestIm2ColCol2ImMatchSerialReference(t *testing.T) {
 			continue // kernel larger than padded input; skip this draw
 		}
 		in := randTensor(rng, g.InC, g.InH, g.InW)
-		got, err := Im2Col(in, g)
-		if err != nil {
+		got := New(g.InC*g.KH*g.KW, g.OutH()*g.OutW())
+		if err := Im2ColInto(got, in, g); err != nil {
 			t.Fatal(err)
 		}
 		if want := refIm2Col(in, g); !Equal(got, want) {
-			t.Fatalf("Im2Col differs from serial reference for %+v", g)
+			t.Fatalf("Im2ColInto differs from serial reference for %+v", g)
 		}
 		// Scatter random per-window gradients back and compare.
 		grad := randTensor(rng, g.InC*g.KH*g.KW, g.OutH()*g.OutW())
-		gotIm, err := Col2Im(grad, g)
-		if err != nil {
+		gotIm := New(g.InC, g.InH, g.InW)
+		if err := Col2ImInto(gotIm, grad, g); err != nil {
 			t.Fatal(err)
 		}
 		if want := refCol2Im(grad, g); !Equal(gotIm, want) {
-			t.Fatalf("Col2Im differs from serial reference for %+v", g)
+			t.Fatalf("Col2ImInto differs from serial reference for %+v", g)
 		}
 		// Into variants must overwrite dirty scratch completely.
 		dirtyCols := Borrow(g.InC*g.KH*g.KW, g.OutH()*g.OutW())
@@ -309,12 +307,9 @@ func TestIm2ColOneByOneKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := ConvGeom{InC: 3, InH: 5, InW: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	in := randTensor(rng, 3, 5, 4)
-	cols, err := Im2Col(in, g)
-	if err != nil {
+	cols := New(3, 20)
+	if err := Im2ColInto(cols, in, g); err != nil {
 		t.Fatal(err)
-	}
-	if cols.Dim(0) != 3 || cols.Dim(1) != 20 {
-		t.Fatalf("1x1 im2col shape %v", cols.Shape())
 	}
 	for i, v := range in.Data() {
 		if cols.Data()[i] != v {
@@ -338,8 +333,8 @@ func TestConcurrentGemmSharedPool(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 20; it++ {
-				got, err := Gemm(a, b)
-				if err != nil {
+				got := New(33, 31)
+				if err := GemmInto(got, a, b); err != nil {
 					errs <- err
 					return
 				}

@@ -155,8 +155,8 @@ func TestEqualAllClose(t *testing.T) {
 func TestGemmKnown(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := Gemm(a, b)
-	if err != nil {
+	c := New(2, 2)
+	if err := GemmInto(c, a, b); err != nil {
 		t.Fatal(err)
 	}
 	want := MustFromSlice([]float32{58, 64, 139, 154}, 2, 2)
@@ -166,16 +166,16 @@ func TestGemmKnown(t *testing.T) {
 }
 
 func TestGemmShapeErrors(t *testing.T) {
-	if _, err := Gemm(New(2, 3), New(2, 3)); err == nil {
+	if err := GemmInto(New(2, 3), New(2, 3), New(2, 3)); err == nil {
 		t.Fatal("inner mismatch accepted")
 	}
-	if _, err := Gemm(New(2), New(2, 3)); err == nil {
+	if err := GemmInto(New(2, 3), New(2), New(2, 3)); err == nil {
 		t.Fatal("rank-1 operand accepted")
 	}
-	if _, err := GemmTransA(New(2, 3), New(3, 2)); err == nil {
+	if err := GemmTransAInto(New(3, 2), New(2, 3), New(3, 2)); err == nil {
 		t.Fatal("GemmTransA inner mismatch accepted")
 	}
-	if _, err := GemmTransB(New(2, 3), New(2, 4)); err == nil {
+	if err := GemmTransBInto(New(2, 2), New(2, 3), New(2, 4)); err == nil {
 		t.Fatal("GemmTransB inner mismatch accepted")
 	}
 }
@@ -188,8 +188,8 @@ func randMat(rng *rand.Rand, m, n int) *Tensor {
 	return t
 }
 
-// Property: GemmTransA(Aᵀ stored as A, B) equals Gemm of the explicit
-// transpose, and likewise for GemmTransB.
+// Property: GemmTransAInto(Aᵀ stored as A, B) equals GemmInto of the
+// explicit transpose, and likewise for GemmTransBInto.
 func TestGemmTransposeAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 25; iter++ {
@@ -204,12 +204,11 @@ func TestGemmTransposeAgree(t *testing.T) {
 				at.Set(a.At(i, j), j, i)
 			}
 		}
-		got, err := GemmTransA(a, b)
-		if err != nil {
+		got, want := New(m, n), New(m, n)
+		if err := GemmTransAInto(got, a, b); err != nil {
 			t.Fatal(err)
 		}
-		want, err := Gemm(at, b)
-		if err != nil {
+		if err := GemmInto(want, at, b); err != nil {
 			t.Fatal(err)
 		}
 		if !AllClose(got, want, 1e-4) {
@@ -223,12 +222,11 @@ func TestGemmTransposeAgree(t *testing.T) {
 				bt.Set(b.At(i, j), j, i)
 			}
 		}
-		got2, err := GemmTransB(a2, bt)
-		if err != nil {
+		got2, want2 := New(m, n), New(m, n)
+		if err := GemmTransBInto(got2, a2, bt); err != nil {
 			t.Fatal(err)
 		}
-		want2, err := Gemm(a2, b)
-		if err != nil {
+		if err := GemmInto(want2, a2, b); err != nil {
 			t.Fatal(err)
 		}
 		if !AllClose(got2, want2, 1e-4) {
@@ -250,16 +248,8 @@ func TestGemmLinearityQuick(t *testing.T) {
 		if err := sum.Add(a2); err != nil {
 			return false
 		}
-		lhs, err := Gemm(sum, b)
-		if err != nil {
-			return false
-		}
-		c1, err := Gemm(a1, b)
-		if err != nil {
-			return false
-		}
-		c2, err := Gemm(a2, b)
-		if err != nil {
+		lhs, c1, c2 := New(m, n), New(m, n), New(m, n)
+		if GemmInto(lhs, sum, b) != nil || GemmInto(c1, a1, b) != nil || GemmInto(c2, a2, b) != nil {
 			return false
 		}
 		if err := c1.Add(c2); err != nil {
@@ -305,8 +295,8 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1: im2col is the identity flattening.
 	in := MustFromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
-	cols, err := Im2Col(in, g)
-	if err != nil {
+	cols := New(1, 4)
+	if err := Im2ColInto(cols, in, g); err != nil {
 		t.Fatal(err)
 	}
 	want := MustFromSlice([]float32{1, 2, 3, 4}, 1, 4)
@@ -323,8 +313,8 @@ func TestIm2ColKnownWindows(t *testing.T) {
 		7, 8, 9,
 	}, 1, 3, 3)
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
-	cols, err := Im2Col(in, g)
-	if err != nil {
+	cols := New(4, 4)
+	if err := Im2ColInto(cols, in, g); err != nil {
 		t.Fatal(err)
 	}
 	// Rows are kernel positions, columns are windows in raster order.
@@ -342,12 +332,9 @@ func TestIm2ColKnownWindows(t *testing.T) {
 func TestIm2ColPaddingZeros(t *testing.T) {
 	in := MustFromSlice([]float32{5}, 1, 1, 1)
 	g := ConvGeom{InC: 1, InH: 1, InW: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	cols, err := Im2Col(in, g)
-	if err != nil {
+	cols := New(9, 1)
+	if err := Im2ColInto(cols, in, g); err != nil {
 		t.Fatal(err)
-	}
-	if cols.Dim(0) != 9 || cols.Dim(1) != 1 {
-		t.Fatalf("shape %v", cols.Shape())
 	}
 	// Only the center tap sees the value.
 	for r := 0; r < 9; r++ {
@@ -363,12 +350,12 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 
 func TestIm2ColShapeMismatch(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
-	if _, err := Im2Col(New(1, 4, 4), g); err == nil {
+	if err := Im2ColInto(New(18, 4), New(1, 4, 4), g); err == nil {
 		t.Fatal("channel mismatch accepted")
 	}
 }
 
-// Property: Col2Im(Im2Col(x)) multiplies each input element by the number
+// Property: Col2ImInto(Im2ColInto(x)) multiplies each input element by the number
 // of windows covering it. With 1x1 kernels and stride 1, that is exactly x.
 func TestCol2ImAdjointIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -377,12 +364,11 @@ func TestCol2ImAdjointIdentity(t *testing.T) {
 		in.Data()[i] = rng.Float32()
 	}
 	g := ConvGeom{InC: 2, InH: 5, InW: 5, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
-	cols, err := Im2Col(in, g)
-	if err != nil {
+	cols, back := New(2, 25), New(2, 5, 5)
+	if err := Im2ColInto(cols, in, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Col2Im(cols, g)
-	if err != nil {
+	if err := Col2ImInto(back, cols, g); err != nil {
 		t.Fatal(err)
 	}
 	if !AllClose(in, back, 1e-6) {
@@ -413,16 +399,16 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = rng.Float32()*2 - 1
 		}
-		cx, err := Im2Col(x, g)
-		if err != nil {
+		cx := New(g.InC*g.KH*g.KW, g.OutH()*g.OutW())
+		if err := Im2ColInto(cx, x, g); err != nil {
 			t.Fatal(err)
 		}
 		y := New(cx.Dim(0), cx.Dim(1))
 		for i := range y.Data() {
 			y.Data()[i] = rng.Float32()*2 - 1
 		}
-		cy, err := Col2Im(y, g)
-		if err != nil {
+		cy := New(g.InC, g.InH, g.InW)
+		if err := Col2ImInto(cy, y, g); err != nil {
 			t.Fatal(err)
 		}
 		var lhs, rhs float64
@@ -440,7 +426,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 
 func TestCol2ImShapeMismatch(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
-	if _, err := Col2Im(New(3, 4), g); err == nil {
+	if err := Col2ImInto(New(1, 3, 3), New(3, 4), g); err == nil {
 		t.Fatal("wrong row count accepted")
 	}
 }

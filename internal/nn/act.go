@@ -121,7 +121,8 @@ func (s *ScaleShift) Pruned(remove []int, weights bool) (*ScaleShift, error) {
 
 // QuantAct applies an activation quantizer element-wise with a
 // straight-through gradient; the hardware equivalent is a multi-threshold
-// unit.
+// unit, and Forward reads the quantizer's exact threshold ladder
+// (quant.ActQuantizer.QuantizeInto) in training and inference alike.
 type QuantAct struct {
 	ID string
 	Q  *quant.ActQuantizer
@@ -146,9 +147,7 @@ func (a *QuantAct) Params() []*Param { return nil }
 // Forward implements Layer.
 func (a *QuantAct) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	out := tensor.New(x.Shape()...)
-	for i, v := range x.Data() {
-		out.Data()[i] = a.Q.Quantize(v)
-	}
+	a.Q.QuantizeInto(out.Data(), x.Data())
 	if train {
 		a.x = x.Clone()
 	} else {

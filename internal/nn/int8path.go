@@ -24,6 +24,21 @@ import (
 // c1+c2}, as 2-bit activations do) runs on tensor.ConvBitplaneBatchInto:
 // AND and popcount instead of multiply-add, the same int32 sums, the same
 // outputs bit for bit. Conv2D.forwardInt8 makes that choice.
+//
+// Around the kernels, the float passes round without math.Round. Each
+// layer's int8 input codes come from quant.QuantizeSymmetricInt8, whose
+// quant.RoundHalfAway is the branch-free
+// float32(math.Trunc(float64(v) + math.Copysign(0.5, float64(v)))), equal
+// to math.Round's result bit for bit. QuantAct reads the exact threshold
+// ladder that quant.NewActQuantizer builds from Bits and Max: 2^bits
+// float32 edges found by bisection, each bin valued by Quantize itself,
+// so counting the edges at or below an input, with no divide and no
+// rounding, gives Quantize's result bit for bit. Bits and Max are
+// therefore read-only after NewActQuantizer, and cloned layers share the
+// ladder without a lock. ActQuantizer.Thresholds() stays the midpoint
+// ladder: internal/compile maps it through (t−β)/γ onto a float64
+// accumulator scale, where exact float32 edges would not stay exact, and
+// its tests agree with this engine to a tolerance either way.
 
 // floatGEMM is the inverted switch, so the zero value selects the int8 path.
 var floatGEMM atomic.Bool

@@ -186,10 +186,14 @@ func TestQuantizeSymmetricInt8Bound(t *testing.T) {
 	}
 }
 
+// roundRef is the reference definition of RoundHalfAway.
+func roundRef(v float32) float32 { return float32(math.Round(float64(v))) }
+
 // FuzzRoundHalfAway pins the rounding rule shared by the float and integer
-// quantization paths: halves round away from zero, results are exact
-// integers, and the int8 clamp boundaries stay consistent between
-// Quantize/QuantizeTensor and the code-producing int8 variants.
+// quantization paths: RoundHalfAway must equal the math.Round reference
+// bit for bit, ±0, ±Inf and NaN included, and the int8 clamp boundaries
+// stay consistent between Quantize/QuantizeTensor and the code-producing
+// int8 variants.
 func FuzzRoundHalfAway(f *testing.F) {
 	f.Add(float32(0))
 	f.Add(float32(0.5))
@@ -199,32 +203,18 @@ func FuzzRoundHalfAway(f *testing.F) {
 	f.Add(float32(126.5))
 	f.Add(float32(-126.5))
 	f.Add(float32(127.49))
+	f.Add(float32(0.49999997))
+	f.Add(float32(8388607.5))
 	f.Add(float32(1e30))
 	f.Add(float32(-1e30))
+	f.Add(float32(math.NaN()))
 	f.Fuzz(func(t *testing.T, v float32) {
-		if math.IsNaN(float64(v)) {
-			t.Skip()
+		if got, want := RoundHalfAway(v), roundRef(v); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("RoundHalfAway(%v) = %v (%#x), math.Round gives %v (%#x)",
+				v, got, math.Float32bits(got), want, math.Float32bits(want))
 		}
-		r := RoundHalfAway(v)
-		if math.IsInf(float64(r), 0) {
-			// |v| beyond float32 integer range: Round is identity there.
-			if !math.IsInf(float64(v), 0) {
-				t.Fatalf("finite %v rounded to %v", v, r)
-			}
-			return
-		}
-		if r != float32(math.Trunc(float64(r))) {
-			t.Fatalf("RoundHalfAway(%v) = %v is not integral", v, r)
-		}
-		if d := math.Abs(float64(v) - float64(r)); d > 0.5 {
-			t.Fatalf("RoundHalfAway(%v) = %v is %v away", v, r, d)
-		}
-		// Half-away: exactly-representable halves round to the larger
-		// magnitude.
-		if math.Abs(float64(v)-math.Trunc(float64(v))) == 0.5 {
-			if want := math.Trunc(float64(v)) + math.Copysign(1, float64(v)); float64(r) != want {
-				t.Fatalf("RoundHalfAway(%v) = %v, want %v (half away from zero)", v, r, want)
-			}
+		if v != v {
+			return // a NaN weight has no grid code
 		}
 
 		// Clamp-boundary consistency: an 8-bit grid quantizing the single
@@ -250,4 +240,20 @@ func FuzzRoundHalfAway(f *testing.F) {
 			t.Fatalf("v=%v: code %d * %v = %v, float path %v", v, codes[0], scale, got, ref[0])
 		}
 	})
+}
+
+// TestRoundHalfAwayHalves sweeps every k+½ with |k| < 2^20, both signs,
+// and the three float32 neighbours on each side, against the reference.
+func TestRoundHalfAwayHalves(t *testing.T) {
+	for k := 0; k < 1<<20; k++ {
+		for _, sign := range []float32{1, -1} {
+			key := math.Float32bits(float32(k) + 0.5)
+			for d := uint32(0); d <= 6; d++ {
+				v := sign * math.Float32frombits(key+d-3)
+				if got, want := RoundHalfAway(v), roundRef(v); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("RoundHalfAway(%v) = %v, math.Round gives %v", v, got, want)
+				}
+			}
+		}
+	}
 }

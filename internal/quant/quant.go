@@ -51,8 +51,15 @@ func (q *WeightQuantizer) Levels() int { return wLevels(q.Bits) }
 // this package — weight grids, activation levels and the int8 code path
 // all round identically, so the integer kernels in internal/tensor
 // reproduce the fake-quantized float values bit for bit.
+//
+// It is math.Round without its branches. For a float32 v, float64(v) ± ½
+// is exact when ½ ≤ |v| < 2^52, stays below 1 in magnitude when |v| < ½,
+// and rounds back to v (an even integer) from 2^52 up, so truncating it
+// rounds half away from zero; ±0, ±Inf and NaN come out as math.Round
+// returns them.
 func RoundHalfAway(v float32) float32 {
-	return float32(math.Round(float64(v)))
+	f := float64(v)
+	return float32(math.Trunc(f + math.Copysign(0.5, f)))
 }
 
 // Quantize returns the nearest grid value to w. For 1-bit, the result is
@@ -259,20 +266,101 @@ func (q *WeightQuantizer) STEGrad(w, grad float32) float32 {
 
 // ActQuantizer is a uniform unsigned activation quantizer with the given
 // bit width over [0, Max]; A2 in CNVW2A2 means Bits == 2 (levels 0..3).
+//
+// Bits and Max are read-only after NewActQuantizer: it builds the exact
+// threshold ladder that QuantizeInto reads from them, and every cloned
+// layer shares that ladder without a lock.
 type ActQuantizer struct {
 	Bits int
-	Max  float32 // upper clip value; must be > 0
+	Max  float32 // upper clip value; positive and finite
+
+	// The exact ladder. edges holds ascending ordered keys (orderedKey),
+	// one per level above 0 plus a last one at Max, padded to at least
+	// four with keys no input reaches; an input with c edges at or below
+	// its key quantizes to values[c].
+	edges  []int64
+	values []float32
 }
 
-// NewActQuantizer returns an activation quantizer with range [0, max].
+// NewActQuantizer returns an activation quantizer with range [0, max]. The
+// step max/(2^bits−1) must be a normal float32, so that no input below max
+// rounds above the top level.
 func NewActQuantizer(bits int, max float32) (*ActQuantizer, error) {
 	if bits < 1 || bits > 16 {
 		return nil, fmt.Errorf("quant: activation bit width %d out of range [1,16]", bits)
 	}
-	if !(max > 0) {
-		return nil, fmt.Errorf("quant: activation max %v must be positive", max)
+	if !(max > 0) || math.IsInf(float64(max), 1) {
+		return nil, fmt.Errorf("quant: activation max %v must be positive and finite", max)
 	}
-	return &ActQuantizer{Bits: bits, Max: max}, nil
+	q := &ActQuantizer{Bits: bits, Max: max}
+	if step := q.Step(); step < 0x1p-126 {
+		return nil, fmt.Errorf("quant: activation max %v gives a %d-bit step %v below the smallest normal float32", max, bits, step)
+	}
+	q.buildLadder()
+	return q, nil
+}
+
+// buildLadder computes the exact ladder of Quantize. Positive float32 bit
+// patterns order as their values, so for each level k ≥ 1 it bisects them
+// for the first input whose rounding index Code reaches k; the last edge
+// is Max itself. Each bin's value is Quantize of its first input, so the
+// ladder is exact even where Step()·(Levels−1) ≠ Max in float32.
+func (q *ActQuantizer) buildLadder() {
+	n := q.Levels()
+	maxKey := orderedKey(q.Max)
+	q.edges = make([]int64, max(n, 4))
+	q.values = make([]float32, n+1)
+	lo := int64(1) // the smallest positive subnormal
+	for k := 1; k < n; k++ {
+		hi := maxKey
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if q.Code(math.Float32frombits(uint32(mid))) >= k {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		q.edges[k-1] = lo
+	}
+	q.edges[n-1] = maxKey
+	for c, e := range q.edges[:n] {
+		q.values[c+1] = q.Quantize(math.Float32frombits(uint32(e)))
+	}
+	for c := n; c < len(q.edges); c++ {
+		q.edges[c] = math.MaxInt32 + 1 // above every key: never counted
+	}
+}
+
+// orderedKey maps x to an integer that orders as float32 values do (−0
+// just below +0): negative floats get their magnitude bits flipped.
+func orderedKey(x float32) int64 {
+	b := int32(math.Float32bits(x))
+	return int64(b ^ int32(uint32(b>>31)>>1))
+}
+
+// QuantizeInto writes Quantize(x) for each x of src into the same index
+// of dst, which must be at least as long and may alias src. It reads the
+// ladder built by NewActQuantizer: a branch-free bisection narrows the
+// count of edges at or below x's ordered key to a window of four, which
+// it counts with four independent compares; there is no divide and no
+// rounding. A NaN input comes out quieted, as Quantize's arithmetic
+// returns it.
+func (q *ActQuantizer) QuantizeInto(dst, src []float32) {
+	edges, values := q.edges, q.values
+	dst = dst[:len(src)]
+	for i, x := range src {
+		key := orderedKey(x)
+		c := 0
+		for s := len(edges) / 2; s >= 4; s >>= 1 {
+			c += s & int((edges[c+s-1]-key-1)>>63) // s if edge ≤ key
+		}
+		w := edges[c : c+4 : c+4]
+		c -= int((w[0]-key-1)>>63) + int((w[1]-key-1)>>63) + int((w[2]-key-1)>>63) + int((w[3]-key-1)>>63)
+		b := math.Float32bits(x)
+		nan := uint32(int32(0x7f800000-b&0x7fffffff) >> 31)
+		dst[i] = math.Float32frombits(math.Float32bits(values[c])&^nan | (b|0x00400000)&nan)
+	}
 }
 
 // Levels returns the number of representable activation values (2^bits).
@@ -318,6 +406,12 @@ func (q *ActQuantizer) STEGrad(x, grad float32) float32 {
 // quantizer: Levels-1 ascending values t_k such that Code(x) equals the
 // number of thresholds with x > t_k. FINN's MVTU applies exactly this
 // comparison to its accumulators.
+//
+// These are the real-valued midpoints, not the exact float32 edges that
+// QuantizeInto reads. internal/compile maps each one through (t−β)/γ onto
+// its float64 accumulator scale, where an exact float32 edge would not
+// stay exact, so its programs agree with internal/nn to a tolerance
+// either way, and its tests are written against these midpoints.
 func (q *ActQuantizer) Thresholds() []float32 {
 	n := q.Levels() - 1
 	out := make([]float32, n)

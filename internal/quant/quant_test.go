@@ -165,6 +165,108 @@ func TestNewActQuantizerValidation(t *testing.T) {
 	if _, err := NewActQuantizer(2, -1); err == nil {
 		t.Fatal("negative max accepted")
 	}
+	if _, err := NewActQuantizer(2, float32(math.Inf(1))); err == nil {
+		t.Fatal("max=+Inf accepted")
+	}
+	if _, err := NewActQuantizer(2, float32(math.NaN())); err == nil {
+		t.Fatal("max=NaN accepted")
+	}
+	// A subnormal step rounds far from max/(2^bits−1), so inputs below
+	// max could round above the top level.
+	if _, err := NewActQuantizer(3, 10*math.SmallestNonzeroFloat32); err == nil {
+		t.Fatal("subnormal step accepted")
+	}
+	if _, err := NewActQuantizer(16, math.MaxFloat32); err != nil {
+		t.Fatalf("max=MaxFloat32 rejected: %v", err)
+	}
+}
+
+// checkLadder demands QuantizeInto(x) == Quantize(x) bit for bit for every
+// x of xs; a NaN must come out NaN.
+func checkLadder(t *testing.T, q *ActQuantizer, xs []float32) {
+	t.Helper()
+	got := make([]float32, len(xs))
+	q.QuantizeInto(got, xs)
+	for i, x := range xs {
+		want := q.Quantize(x)
+		if x != x {
+			if got[i] == got[i] {
+				t.Fatalf("bits=%d max=%v: ladder(NaN) = %v", q.Bits, q.Max, got[i])
+			}
+			continue
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want) {
+			t.Fatalf("bits=%d max=%v: ladder(%v) = %v, Quantize = %v", q.Bits, q.Max, x, got[i], want)
+		}
+	}
+}
+
+// ulpsAround returns the 2n+1 float32 values within n ulps of x, walking
+// the ordered keys (so it steps across ±0).
+func ulpsAround(x float32, n int) []float32 {
+	out := make([]float32, 0, 2*n+1)
+	for d := -n; d <= n; d++ {
+		k := int32(orderedKey(x)) + int32(d)
+		out = append(out, math.Float32frombits(uint32(k^int32(uint32(k>>31)>>1))))
+	}
+	return out
+}
+
+func TestActLadderMatchesQuantize(t *testing.T) {
+	inf := float32(math.Inf(1))
+	special := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, float32(math.NaN()),
+		-float32(math.NaN()), math.Float32frombits(0x7f800001), // a signalling NaN
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x00400000), // subnormals
+		math.MaxFloat32, -math.MaxFloat32}
+	sawInexactTop := false
+	for _, max := range []float32{3, 2, 1, 0.1, 6.3, 1e-3, 1e30} {
+		for bits := 1; bits <= 8; bits++ {
+			q, err := NewActQuantizer(bits, max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Step()*float32(q.Levels()-1) != max {
+				sawInexactTop = true
+			}
+			xs := append([]float32(nil), special...)
+			xs = append(xs, ulpsAround(max, 8)...)
+			for _, e := range q.edges {
+				xs = append(xs, ulpsAround(math.Float32frombits(uint32(e)), 8)...)
+			}
+			rng := rand.New(rand.NewSource(int64(bits)))
+			for i := 0; i < 2000; i++ {
+				xs = append(xs, (rng.Float32()*1.4-0.2)*max, math.Float32frombits(rng.Uint32()))
+			}
+			checkLadder(t, q, xs)
+		}
+	}
+	if !sawInexactTop {
+		t.Fatal("no case with Step()·(Levels−1) ≠ Max; the list no longer covers it")
+	}
+}
+
+// FuzzActLadder checks the exact ladder against Quantize on fuzzed
+// quantizers and inputs, bit for bit, and that NewActQuantizer rejects
+// only what it documents.
+func FuzzActLadder(f *testing.F) {
+	f.Add(uint8(2), float32(2), float32(0.5))
+	f.Add(uint8(2), float32(3), float32(1.5))
+	f.Add(uint8(1), float32(1), float32(0.5))
+	f.Add(uint8(8), float32(0.1), float32(0.05))
+	f.Add(uint8(3), float32(1e-30), float32(4e-31))
+	f.Add(uint8(16), float32(6.5), float32(6.4999))
+	f.Fuzz(func(t *testing.T, b uint8, max, x float32) {
+		bits := int(b%16) + 1
+		q, err := NewActQuantizer(bits, max)
+		if err != nil {
+			if max > 0 && max <= math.MaxFloat32 && max/float32(int(1)<<bits-1) >= 0x1p-126 {
+				t.Fatalf("NewActQuantizer(%d, %v) rejected a valid quantizer: %v", bits, max, err)
+			}
+			return
+		}
+		checkLadder(t, q, ulpsAround(x, 2))
+	})
 }
 
 func TestActQuantizeA2(t *testing.T) {

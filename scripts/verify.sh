@@ -29,6 +29,9 @@ go test -run '^$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
 echo "== fuzz smoke (round-half-away quantizer helper, 5s)"
 go test -run '^$' -fuzz FuzzRoundHalfAway -fuzztime=5s ./internal/quant/
 
+echo "== fuzz smoke (exact activation threshold ladder vs Quantize, 5s)"
+go test -run '^$' -fuzz FuzzActLadder -fuzztime=5s ./internal/quant/
+
 echo "== fuzz smoke (bit-plane convolution vs the six-loop reference, 10s)"
 go test -run '^$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
 

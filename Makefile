@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-chaos trace-golden bench bench-all verify
+.PHONY: all build test test-race test-chaos trace-golden fuzz-smoke bench verify
 
 all: build
 
@@ -38,6 +38,22 @@ test-chaos:
 	$(GO) test -count=1 ./internal/fault/... ./internal/adapt/...
 	$(GO) test -count=1 -run 'Property|Degrade|ReconfigFailed|Backoff|Swap' ./internal/manager/...
 
+# Fuzz smoke: a short run of every fuzz target in the repo. go test takes
+# one -fuzz target per invocation. The targets guard the outside-input
+# parsers (fault plans, workload scenarios, stream specs, serialized
+# models) and the fast kernels' bit-exactness against their references
+# (round-half-away, the activation ladder, the bit-plane convolution, the
+# calendar event queue).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime=10s ./internal/edge/
+	$(GO) test -run '^$$' -fuzz FuzzStreamSpec -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime=10s ./internal/modelio/
+	$(GO) test -run '^$$' -fuzz FuzzRoundHalfAway -fuzztime=5s ./internal/quant/
+	$(GO) test -run '^$$' -fuzz FuzzActLadder -fuzztime=5s ./internal/quant/
+	$(GO) test -run '^$$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzCalendarQueue -fuzztime=10s ./internal/sim/
+
 # Timing gate: three fresh 5 s runs each of the serving workloads
 # (edge-fluid, edge-event, cluster), compared with the committed seed-1
 # baseline under the bounds of BENCHMARK.json. Host times are normalised
@@ -50,11 +66,7 @@ bench:
 	done && \
 	bash bench/run.sh -compare bench/results/baseline-seed1.json "$$tmp/runs.json"
 
-# Full sweep over every benchmark in the repo (paper figures included).
-bench-all:
-	$(GO) test -bench=. -benchmem ./...
-
-# Everything CI would check: gofmt, vet, build, tests, race detector,
-# benchmark gate.
+# Everything CI would check: gofmt, vet, build, tests, fuzz smoke, race
+# detector, benchmark gate.
 verify:
 	./scripts/verify.sh

@@ -2,7 +2,11 @@
 // Adaptive Dataflow CNN Acceleration on FPGAs" (Korol et al., DATE 2022).
 //
 // AdaFlow adds runtime adaptability to FINN-style streaming dataflow CNN
-// accelerators in two steps:
+// accelerators in two steps (paper Fig. 4: user inputs → Library Generator
+// → Runtime Managers). The user inputs are the initial CNN models, their
+// datasets, the FINN configuration and an accuracy threshold;
+// GenerateLibrary is the Library Generator and NewRuntimeManager builds one
+// Runtime Manager per generated library:
 //
 //   - Design time: a Library Generator applies dataflow-aware filter
 //     pruning (ℓ1 ranking under PE/SIMD divisibility constraints) at rates
@@ -34,7 +38,7 @@
 //	res, _ := adaflow.RunEdge(scn, adaflow.NewAdaFlowController(mgr), adaflow.SimConfig{Seed: 1})
 //
 // The cmd/ tools and examples/ directory exercise this API end to end;
-// bench_test.go regenerates every paper table and figure.
+// cmd/adaflow-repro regenerates every paper table and figure.
 package adaflow
 
 import (
@@ -55,11 +59,11 @@ import (
 
 // SetParallelism drives every parallelism cap in the repo at once: the
 // tensor kernel pool, RunEdgeRepeated's concurrent simulations, the
-// experiment harness fan-out, and GenerateLibrary's default rate-sweep
-// width. n <= 0 resets each cap to its own default (NumCPU for the compute
-// pools, serial for library generation). Individual caps remain adjustable
-// afterwards through their package setters (tensor.SetMaxWorkers, …); an
-// explicit LibraryConfig.Workers always wins over the default this sets.
+// experiment harness fan-out, the cluster scheduler's per-pool fan-out,
+// and GenerateLibrary's default rate-sweep width. n <= 0 resets each cap
+// to its own default (NumCPU for the compute pools, serial for library
+// generation). An explicit LibraryConfig.Workers always wins over the
+// default this sets.
 // Results are bit-identical for every value — parallel fan-outs write
 // indexed slots in deterministic order.
 func SetParallelism(n int) { parallel.SetAll(n) }

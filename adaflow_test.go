@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/edge"
 	"repro/internal/experiments"
 	"repro/internal/library"
@@ -177,6 +178,9 @@ func TestSetParallelism(t *testing.T) {
 	}
 	if got := library.DefaultWorkers(); got != 3 {
 		t.Fatalf("library default = %d, want 3", got)
+	}
+	if got := cluster.MaxWorkers(); got != 3 {
+		t.Fatalf("cluster cap = %d, want 3", got)
 	}
 	SetParallelism(0)
 	if got := tensor.MaxWorkers(); got != runtime.NumCPU() {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	adaflow-repro [-exp all|fig1a|fig1b|fig5a|fig5b|fig5c|table1|fig6|ablations|churn]
+//	adaflow-repro [-exp all|fig1a|fig1b|fig5a|fig5b|fig5c|table1|fig6|ablations|churn|pool|engine|mlp]
 //	              [-runs N] [-seed S] [-format text|csv]
 //
 // CSV output is supported for the paper's figures/tables (not ablations).

@@ -23,11 +23,6 @@ import (
 // any worker count.
 var maxWorkers = parallel.RegisterKnob("cluster.pools", runtime.NumCPU())
 
-// SetMaxWorkers caps how many pool epochs run concurrently and returns
-// the previous cap. n <= 0 resets to runtime.NumCPU(); 1 forces the
-// serial path. Safe to call concurrently; in-flight runs keep their cap.
-func SetMaxWorkers(n int) int { return maxWorkers.Set(n) }
-
 // MaxWorkers returns the current cap.
 func MaxWorkers() int { return maxWorkers.Get() }
 

@@ -43,8 +43,8 @@ func TestScenarioValidate(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
-		if s.BaseRate() != 600 {
-			t.Errorf("%s base rate = %v", s.Name, s.BaseRate())
+		if rate := float64(s.Devices) * s.PerDeviceFPS; rate != 600 {
+			t.Errorf("%s base rate = %v", s.Name, rate)
 		}
 	}
 	bad := Scenario1()

@@ -177,7 +177,7 @@ func TestWorkloadDiurnal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.BaseRate()
+	base := float64(s.Devices) * s.PerDeviceFPS
 	// dev=0, so the rate is exactly base·(1+0.5·sin(2πt/40)).
 	if r := wl.Redraw(10); math.Abs(r-base*1.5) > 1e-9 {
 		t.Errorf("rate at crest = %v, want %v", r, base*1.5)
@@ -198,7 +198,7 @@ func TestWorkloadBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.BaseRate()
+	base := float64(s.Devices) * s.PerDeviceFPS
 	if r := wl.Redraw(4.99); r != base {
 		t.Errorf("pre-burst rate %v, want %v", r, base)
 	}
@@ -227,7 +227,7 @@ func TestWorkloadTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.BaseRate()
+	base := float64(s.Devices) * s.PerDeviceFPS
 	spikes := 0
 	for i := 0; i < 1000; i++ {
 		r := wl.Redraw(float64(i))
@@ -254,7 +254,7 @@ func TestWorkloadCorr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.BaseRate()
+	base := float64(s.Devices) * s.PerDeviceFPS
 	burstSeen := false
 	for i := 0; i < 200; i++ {
 		tt := float64(i) * 0.5

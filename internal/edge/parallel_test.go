@@ -27,9 +27,9 @@ func repeatedAcrossWorkers(t *testing.T, scn Scenario, mk func() (Controller, er
 	var serialMean metrics.RunStats
 	var serialRuns []metrics.RunStats
 	for _, workers := range []int{1, 2, 0} { // 0 resets to NumCPU
-		old := SetMaxParallelRuns(workers)
+		old := maxParallelRuns.Set(workers)
 		mean, runs, err := RunRepeated(scn, mk, n, seed, cfg)
-		SetMaxParallelRuns(old)
+		maxParallelRuns.Set(old)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/sim"
 )
 
 // RateTrace is a recorded workload: the piecewise-constant incoming rate
@@ -25,29 +23,6 @@ type RateTrace struct {
 	PerDeviceFPS float64
 	Times        []float64
 	Rates        []float64
-}
-
-// CaptureRateTrace records the rate trace a run of scn with the given
-// seed would see: the initial draw at t=0 and one sample per redraw
-// boundary before the scenario end, mirroring the run loops' redraw
-// schedule exactly.
-func CaptureRateTrace(scn Scenario, seed int64) (*RateTrace, error) {
-	wl, err := NewWorkload(scn, sim.RNG(seed, "workload/"+scn.Name))
-	if err != nil {
-		return nil, err
-	}
-	tr := &RateTrace{
-		Name:     scn.Name,
-		Duration: scn.Duration,
-		Devices:  scn.Devices, PerDeviceFPS: scn.PerDeviceFPS,
-		Times: []float64{0},
-		Rates: []float64{wl.Rate()},
-	}
-	for t := wl.NextBoundary(0); t < scn.Duration; t = wl.NextBoundary(t) {
-		tr.Times = append(tr.Times, t)
-		tr.Rates = append(tr.Rates, wl.Redraw(t))
-	}
-	return tr, nil
 }
 
 // Scenario builds the replay scenario for the trace. The slices are
@@ -81,26 +56,6 @@ type traceHeader struct {
 type traceSample struct {
 	T    float64 `json:"t"`
 	Rate float64 `json:"rate"`
-}
-
-// WriteJSONL writes the trace in its JSONL wire format: a header line
-// {"name",...,"samples"} followed by one {"t","rate"} line per sample.
-func (tr *RateTrace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(traceHeader{
-		Name: tr.Name, Duration: tr.Duration,
-		Devices: tr.Devices, FPS: tr.PerDeviceFPS,
-		Samples: len(tr.Times),
-	}); err != nil {
-		return err
-	}
-	for i := range tr.Times {
-		if err := enc.Encode(traceSample{T: tr.Times[i], Rate: tr.Rates[i]}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ReadRateTrace parses the JSONL wire format back into a trace and

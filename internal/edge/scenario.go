@@ -237,9 +237,6 @@ type Scenario struct {
 	Replay *Replay
 }
 
-// BaseRate returns the nominal aggregate incoming FPS.
-func (s Scenario) BaseRate() float64 { return float64(s.Devices) * s.PerDeviceFPS }
-
 // Validate checks scenario invariants.
 func (s Scenario) Validate() error {
 	switch {

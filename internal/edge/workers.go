@@ -6,19 +6,11 @@ import (
 	"repro/internal/parallel"
 )
 
-// Concurrency cap for RunRepeated, following the tensor.SetMaxWorkers
-// convention: a package-level cap that callers (CLIs, benchmarks) can
-// lower to 1 for serial execution or raise for fan-out. It lives in the
-// parallel knob registry so adaflow.SetParallelism drives it together
-// with the repo's other caps.
+// Concurrency cap for RunRepeated. It lives in the parallel knob
+// registry, so adaflow.SetParallelism drives it together with the repo's
+// other caps.
 
 var maxParallelRuns = parallel.RegisterKnob("edge.runs", runtime.NumCPU())
-
-// SetMaxParallelRuns caps how many simulations RunRepeated executes
-// concurrently and returns the previous cap. n <= 0 resets the cap to
-// runtime.NumCPU(); 1 forces the serial path. Safe to call concurrently;
-// in-flight calls keep their cap.
-func SetMaxParallelRuns(n int) int { return maxParallelRuns.Set(n) }
 
 // MaxParallelRuns returns the current cap.
 func MaxParallelRuns() int { return maxParallelRuns.Get() }

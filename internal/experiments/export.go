@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -40,21 +39,6 @@ func (r *Fig1bResult) WriteCSV(w io.Writer) error {
 		rows = append(rows, []string{s.Label, f(s.ReconfigMS), f(s.FrameLossPct)})
 	}
 	return csvWrite(w, []string{"server", "reconfig_ms", "frame_loss_pct"}, rows)
-}
-
-// TraceCSV exports one series' per-step trace.
-func (r *Fig1bResult) TraceCSV(w io.Writer, label string) error {
-	for _, s := range r.Series {
-		if s.Label != label {
-			continue
-		}
-		rows := make([][]string, 0, len(s.Trace))
-		for _, p := range s.Trace {
-			rows = append(rows, []string{f(p.Time), f(p.IncomingFPS), f(p.ProcessedFPS), f(p.LossPct)})
-		}
-		return csvWrite(w, []string{"time_s", "incoming_fps", "processed_fps", "loss_pct"}, rows)
-	}
-	return fmt.Errorf("experiments: no series %q", label)
 }
 
 // WriteCSV exports the Fig. 5(a) resource table.
@@ -96,29 +80,6 @@ func (r *Table1Result) WriteCSV(w io.Writer) error {
 		"pair", "scenario", "ada_loss_pct", "finn_loss_pct",
 		"ada_qoe_pct", "finn_qoe_pct", "ada_power_w", "finn_power_w", "power_eff_ratio",
 	}, rows)
-}
-
-// WriteMarkdown renders Table I as a GitHub-flavoured markdown table with
-// the paper's values in parentheses — the format EXPERIMENTS.md embeds.
-func (r *Table1Result) WriteMarkdown(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "| dataset/model | scen. | loss %% Ada/FINN (paper) | QoE Ada/FINN (paper) | power Ada/FINN W | eff. (paper) |\n|---|---|---|---|---|---|\n"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		scen := "1"
-		if row.Scenario == "scenario2" {
-			scen = "2"
-		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %.1f / %.1f (%.1f / %.1f) | %.1f / %.1f (%.1f / %.1f) | %.2f / %.2f | %.2f× (%.2f×) |\n",
-			row.Pair, scen,
-			row.AdaFlow.FrameLossPct, row.FINN.FrameLossPct, row.PaperAdaLoss, row.PaperFINNLoss,
-			row.AdaFlow.QoEPct, row.FINN.QoEPct, row.PaperAdaQoE, row.PaperFINNQoE,
-			row.AdaFlow.AvgPowerW, row.FINN.AvgPowerW,
-			row.PowerEffRatio, row.PaperEffRatio); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteCSV exports the Fig. 6 per-step traces of every series, long-form.

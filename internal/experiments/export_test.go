@@ -46,15 +46,10 @@ func TestFig1bCSVAndTrace(t *testing.T) {
 	if recs := parseCSV(t, &buf); len(recs) != 7 {
 		t.Fatalf("rows = %d", len(recs))
 	}
-	buf.Reset()
-	if err := r.TraceCSV(&buf, "No Pruning"); err != nil {
-		t.Fatal(err)
-	}
-	if recs := parseCSV(t, &buf); len(recs) != 2501 {
-		t.Fatalf("trace rows = %d", len(recs))
-	}
-	if err := r.TraceCSV(&buf, "nope"); err == nil {
-		t.Fatal("unknown series accepted")
+	for _, s := range r.Series {
+		if len(s.Trace) != 2500 {
+			t.Fatalf("%s: trace steps = %d", s.Label, len(s.Trace))
+		}
 	}
 }
 
@@ -105,25 +100,6 @@ func TestTable1AndFig5CSV(t *testing.T) {
 	}
 	if recs := parseCSV(t, &buf); len(recs) != 6*2500+1 {
 		t.Fatalf("fig6 rows = %d", len(recs))
-	}
-}
-
-func TestTable1Markdown(t *testing.T) {
-	tb, err := Table1(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tb.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Count(out, "\n")
-	if lines != 10 { // header + separator + 8 rows
-		t.Fatalf("markdown lines = %d", lines)
-	}
-	if !strings.Contains(out, "| cifar10/CNVW2A2 | 1 |") {
-		t.Fatalf("markdown missing row:\n%s", out)
 	}
 }
 

@@ -11,14 +11,14 @@ func TestHarnessDeterministicAcrossWorkers(t *testing.T) {
 	if err := WarmLibraries(nil); err != nil {
 		t.Fatal(err)
 	}
-	prev := SetMaxWorkers(1)
+	prev := maxWorkers.Set(1)
 	f6serial, err := Fig6(7)
 	if err != nil {
-		SetMaxWorkers(prev)
+		maxWorkers.Set(prev)
 		t.Fatal(err)
 	}
 	f1serial, err := Fig1b(3, 7)
-	SetMaxWorkers(prev)
+	maxWorkers.Set(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

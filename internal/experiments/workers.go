@@ -7,17 +7,12 @@ import (
 )
 
 // Concurrency cap for the experiment harness (library warm-up and
-// per-scenario/per-series fan-outs), following the tensor.SetMaxWorkers
-// convention. Every fan-out writes indexed result slots and assembles them
-// in loop order, so results never depend on this value. The cap lives in
-// the parallel knob registry so adaflow.SetParallelism drives it together
-// with the repo's other caps.
+// per-scenario/per-series fan-outs). Every fan-out writes indexed result
+// slots and assembles them in loop order, so results never depend on this
+// value. The cap lives in the parallel knob registry so
+// adaflow.SetParallelism drives it together with the repo's other caps.
 
 var maxWorkers = parallel.RegisterKnob("experiments.harness", runtime.NumCPU())
-
-// SetMaxWorkers caps the harness's fan-out width and returns the previous
-// cap. n <= 0 resets to runtime.NumCPU(); 1 forces serial execution.
-func SetMaxWorkers(n int) int { return maxWorkers.Set(n) }
 
 // MaxWorkers returns the current cap.
 func MaxWorkers() int { return maxWorkers.Get() }

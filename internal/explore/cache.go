@@ -70,19 +70,9 @@ func cachePut(k evalKey, v evalResult) {
 }
 
 // CacheStats returns the evaluation cache's cumulative hit and miss
-// counters (process lifetime, reset by ResetCache).
+// counters over the process lifetime.
 func CacheStats() (hits, misses uint64) {
 	return cacheHits.Load(), cacheMisses.Load()
-}
-
-// ResetCache empties the evaluation cache and zeroes its counters.
-// Benchmarks use it to measure cold-start search cost.
-func ResetCache() {
-	cacheMu.Lock()
-	cache = map[evalKey]evalResult{}
-	cacheMu.Unlock()
-	cacheHits.Store(0)
-	cacheMisses.Store(0)
 }
 
 // modelSignature fingerprints everything about a model that the

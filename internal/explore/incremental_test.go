@@ -8,13 +8,23 @@ import (
 	"repro/internal/synth"
 )
 
+// resetCache empties the evaluation cache and zeroes its counters, so a
+// test sees a cold search.
+func resetCache() {
+	cacheMu.Lock()
+	cache = map[evalKey]evalResult{}
+	cacheMu.Unlock()
+	cacheHits.Store(0)
+	cacheMisses.Store(0)
+}
+
 // TestIncrementalMatchesFull walks one greedy trajectory and checks every
 // step of the searcher's incremental evaluation (Refold + patched
 // cycle/resource shares) against a fresh Map+Synthesize of the same
 // folding: identical FPS, identical resources, identical bottleneck.
 func TestIncrementalMatchesFull(t *testing.T) {
 	m := cnv(t)
-	ResetCache()
+	resetCache()
 	for _, flexible := range []bool{false, true} {
 		opts := Options{Flexible: flexible}
 		s := newSearcher(m, opts)
@@ -63,7 +73,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 // steer it.
 func TestEvalCacheDeterminism(t *testing.T) {
 	m := cnv(t)
-	ResetCache()
+	resetCache()
 	r1, err := TargetFPS(m, 400, Options{MaxIterations: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -95,26 +105,15 @@ func TestEvalCacheDeterminism(t *testing.T) {
 	}
 }
 
-func TestResetCacheClearsStats(t *testing.T) {
-	m := cnv(t)
-	if _, err := TargetFPS(m, 50, Options{MaxIterations: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	ResetCache()
-	if h, ms := CacheStats(); h != 0 || ms != 0 {
-		t.Fatalf("stats not reset: hits=%d misses=%d", h, ms)
-	}
-}
-
 // TestFrontierDeterministic runs the same multi-target sweep serially and
 // concurrently (exercised under -race by make test-race) and requires
 // index-aligned, identical results.
 func TestFrontierDeterministic(t *testing.T) {
 	m := cnv(t)
 	targets := []float64{50, 100, 200, 400, 600, 1e9}
-	ResetCache()
+	resetCache()
 	serial := Frontier(m, targets, Options{MaxIterations: 2000}, 1)
-	ResetCache()
+	resetCache()
 	par := Frontier(m, targets, Options{MaxIterations: 2000}, 4)
 	if len(serial) != len(par) {
 		t.Fatalf("length mismatch: %d vs %d", len(serial), len(par))

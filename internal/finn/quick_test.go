@@ -197,37 +197,3 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 }
-
-func TestSizeFIFOs(t *testing.T) {
-	m, err := model.CNVW2A2("cifar10", 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, err := Map(m, DefaultFolding(m), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	depths, err := df.SizeFIFOs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(depths) == 0 {
-		t.Fatal("no FIFOs sized")
-	}
-	for i, d := range depths {
-		if d < minFIFODepth || d > maxFIFODepth {
-			t.Fatalf("fifo %d depth %d out of [%d,%d]", i, d, minFIFODepth, maxFIFODepth)
-		}
-	}
-	// At least one FIFO should be deeper than the minimum on this layer
-	// mix (there are real rate mismatches).
-	deeper := false
-	for _, d := range depths {
-		if d > minFIFODepth {
-			deeper = true
-		}
-	}
-	if !deeper {
-		t.Fatal("all FIFOs at minimum depth; sizing vacuous")
-	}
-}

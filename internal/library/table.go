@@ -82,23 +82,6 @@ func (l *Library) SaveTable(w io.Writer) error {
 	return enc.Encode(l.Table())
 }
 
-// LoadTable reads a table written by SaveTable. The table is data-only:
-// it carries everything needed to inspect a library or feed plots, but not
-// the synthesized accelerators (regenerate the library for serving).
-func LoadTable(r io.Reader) (*Table, error) {
-	var t Table
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("library: %w", err)
-	}
-	if t.Version != tableVersion {
-		return nil, fmt.Errorf("library: unsupported table version %d", t.Version)
-	}
-	if len(t.Rows) == 0 {
-		return nil, fmt.Errorf("library: table has no rows")
-	}
-	return &t, nil
-}
-
 // Validate checks table invariants (mirrors Library.Validate on the
 // data-only form).
 func (t *Table) Validate() error {

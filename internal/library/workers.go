@@ -9,10 +9,5 @@ import "repro/internal/parallel"
 // resets it back to serial.
 var defaultWorkers = parallel.RegisterKnob("library.generate", 1)
 
-// SetDefaultWorkers sets the worker count Generate uses when
-// Config.Workers <= 0, returning the previous default. n <= 0 resets to
-// the serial default of 1. An explicit Config.Workers always wins.
-func SetDefaultWorkers(n int) int { return defaultWorkers.Set(n) }
-
 // DefaultWorkers returns the current default for Config.Workers <= 0.
 func DefaultWorkers() int { return defaultWorkers.Get() }

@@ -307,10 +307,6 @@ func (m *Manager) ReconfigFailures() int { return m.reconfFails }
 // forced the manager to fall back to the Flexible accelerator.
 func (m *Manager) Degradations() int { return m.degradations }
 
-// DegradedAt reports whether the Fixed family is banned at time now
-// (degradation fallback active).
-func (m *Manager) DegradedAt(now float64) bool { return now < m.fixedBanUntil }
-
 // ReconfigFailed tells the manager that the reconfiguration its last
 // Decide requested did not take effect: the previous configuration keeps
 // serving, so the decision is rolled back (state, counters and log). It

@@ -280,7 +280,7 @@ func TestDegradeAfterRetryBudget(t *testing.T) {
 	if mgr.Degradations() != 1 {
 		t.Fatalf("degradations = %d", mgr.Degradations())
 	}
-	if !mgr.DegradedAt(now) {
+	if now >= mgr.fixedBanUntil {
 		t.Fatal("fixed not banned after budget exhausted")
 	}
 	// The fallback decision serves from Flexible even though the
@@ -296,7 +296,7 @@ func TestDegradeAfterRetryBudget(t *testing.T) {
 	mgr.ReconfigSucceeded(now)
 	// After the ban expires, Fixed becomes available again.
 	after := now + cfg.FixedBanMultiple*lib.ReconfigTime.Seconds() + 1
-	if mgr.DegradedAt(after) {
+	if after < mgr.fixedBanUntil {
 		t.Fatal("ban never expires")
 	}
 }

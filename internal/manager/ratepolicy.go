@@ -114,9 +114,6 @@ type RateTracker struct {
 	have bool
 }
 
-// NewRateTracker builds a tracker with the given tuning.
-func NewRateTracker(cfg RateConfig) *RateTracker { return &RateTracker{cfg: cfg} }
-
 // Observe feeds one rate observation at simulation time now. The first
 // observation seeds the estimate; later ones decay toward it with the
 // configured half-life. Observations at the same instant (dt = 0) leave

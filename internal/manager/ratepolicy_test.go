@@ -26,7 +26,7 @@ func TestParseSwitchPolicy(t *testing.T) {
 }
 
 func TestRateTrackerHalfLife(t *testing.T) {
-	r := NewRateTracker(RateConfig{HalfLife: 2})
+	r := &RateTracker{cfg: RateConfig{HalfLife: 2}}
 	r.Observe(0, 100)
 	if r.Mean() != 100 {
 		t.Fatalf("seed mean %v", r.Mean())
@@ -47,8 +47,8 @@ func TestRateTrackerHalfLife(t *testing.T) {
 // estimate (approximately) independent of how often a constant-rate
 // stretch is sampled.
 func TestRateTrackerSamplingIndependent(t *testing.T) {
-	coarse := NewRateTracker(RateConfig{})
-	fine := NewRateTracker(RateConfig{})
+	coarse := &RateTracker{}
+	fine := &RateTracker{}
 	coarse.Observe(0, 100)
 	fine.Observe(0, 100)
 	// 10 s of a steady 300 FPS, sampled at 1 Hz vs 100 Hz.
@@ -64,7 +64,7 @@ func TestRateTrackerSamplingIndependent(t *testing.T) {
 }
 
 func TestRateTrackerStability(t *testing.T) {
-	r := NewRateTracker(RateConfig{HalfLife: 1, Stability: 0.15})
+	r := &RateTracker{cfg: RateConfig{HalfLife: 1, Stability: 0.15}}
 	if r.Stable() {
 		t.Fatal("unseeded tracker reports stable")
 	}

@@ -508,22 +508,3 @@ func Mean(runs []RunStats) (RunStats, error) {
 	m.Adapt.Rollbacks = int(math.Round(ad[3] / n))
 	return m, nil
 }
-
-// StdFrameLoss returns the standard deviation of frame loss across runs —
-// a dispersion check for the stochastic scenarios.
-func StdFrameLoss(runs []RunStats) float64 {
-	if len(runs) < 2 {
-		return 0
-	}
-	var mean float64
-	for _, r := range runs {
-		mean += r.FrameLossPct
-	}
-	mean /= float64(len(runs))
-	var v float64
-	for _, r := range runs {
-		d := r.FrameLossPct - mean
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(runs)-1))
-}

@@ -103,16 +103,6 @@ func TestMeanCarriesLatency(t *testing.T) {
 	}
 }
 
-func TestStdFrameLoss(t *testing.T) {
-	if StdFrameLoss([]RunStats{{FrameLossPct: 5}}) != 0 {
-		t.Fatal("single run std not zero")
-	}
-	std := StdFrameLoss([]RunStats{{FrameLossPct: 10}, {FrameLossPct: 20}})
-	if math.Abs(std-math.Sqrt(50)) > 1e-9 {
-		t.Fatalf("std = %v", std)
-	}
-}
-
 // TestAccumulatorFaultCounters checks fault counts survive Finalize
 // untouched and average (with rounding) through Mean.
 func TestAccumulatorFaultCounters(t *testing.T) {

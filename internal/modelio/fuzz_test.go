@@ -1,6 +1,7 @@
 package modelio
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/model"
@@ -15,10 +16,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := EncodeBytes(m)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := encoded(f, m)
 	f.Add(valid)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"layers":[]}`))
@@ -33,7 +31,7 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeBytes(data)
+		m, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}

@@ -6,7 +6,6 @@
 package modelio
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -154,15 +153,6 @@ func Encode(w io.Writer, m *model.Model) error {
 	return enc.Encode(&env)
 }
 
-// EncodeBytes is Encode into a byte slice.
-func EncodeBytes(m *model.Model) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Decode reads a model from r.
 func Decode(r io.Reader) (*model.Model, error) {
 	var env envelope
@@ -292,9 +282,4 @@ func Decode(r io.Reader) (*model.Model, error) {
 		BaseChannels: env.BaseCh, PruneRate: env.PrRate,
 	}
 	return m, nil
-}
-
-// DecodeBytes is Decode from a byte slice.
-func DecodeBytes(b []byte) (*model.Model, error) {
-	return Decode(bytes.NewReader(b))
 }

@@ -10,13 +10,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// encoded returns m's serialized envelope.
+func encoded(tb testing.TB, m *model.Model) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, m); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func roundTrip(t *testing.T, m *model.Model) *model.Model {
 	t.Helper()
-	b, err := EncodeBytes(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeBytes(b)
+	back, err := Decode(bytes.NewReader(encoded(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +85,7 @@ func TestEnvelopeCarriesChannelMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EncodeBytes(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encoded(t, m)
 	// The flexible accelerator's runtime ports read this field.
 	if !bytes.Contains(b, []byte(`"channels":[8,16]`)) {
 		t.Fatal("channel metadata missing from envelope")
@@ -124,10 +127,10 @@ func TestRoundTripMixedPrecision(t *testing.T) {
 }
 
 func TestDecodeRejectsBadInput(t *testing.T) {
-	if _, err := DecodeBytes([]byte("not json")); err == nil {
+	if _, err := Decode(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := DecodeBytes([]byte(`{"version":99}`)); err == nil {
+	if _, err := Decode(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Fatal("future version accepted")
 	}
 	if _, err := Decode(strings.NewReader(`{"version":1,"layers":[{"kind":"alien"}]}`)); err == nil {
@@ -140,10 +143,7 @@ func TestDecodeRejectsTruncatedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EncodeBytes(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encoded(t, m)
 	// Corrupt a weight payload by shrinking it.
 	s := string(b)
 	i := strings.Index(s, `"w":"`)
@@ -151,7 +151,7 @@ func TestDecodeRejectsTruncatedWeights(t *testing.T) {
 		t.Fatal("no weight field found")
 	}
 	corrupted := s[:i+5] + "QUJD" + s[strings.Index(s[i+5:], `"`)+i+5:]
-	if _, err := DecodeBytes([]byte(corrupted)); err == nil {
+	if _, err := Decode(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("truncated weights accepted")
 	}
 }

@@ -243,12 +243,6 @@ func NewPool(lib *library.Library, n int, cfg manager.Config) (*Pool, error) {
 	return NewSupervisedPool(lib, Config{Boards: n, Manager: cfg})
 }
 
-// Boards returns the total pool size (serving set plus standbys).
-func (p *Pool) Boards() int { return len(p.boards) }
-
-// State returns board i's current health state.
-func (p *Pool) State(i int) BoardState { return p.boards[i].state }
-
 // Degraded reports whether the pool is currently below quorum and
 // serving with a relaxed accuracy threshold.
 func (p *Pool) Degraded() bool { return p.degraded }

@@ -38,8 +38,8 @@ func TestNewPoolValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Boards() != 3 {
-		t.Fatalf("boards = %d", p.Boards())
+	if len(p.boards) != 3 {
+		t.Fatalf("boards = %d", len(p.boards))
 	}
 }
 

@@ -81,10 +81,10 @@ func TestChaosAcceptanceCrashTwoOfFour(t *testing.T) {
 		t.Errorf("dropped %.3f != sum of causes %.3f", res.Dropped, res.Drops.Total())
 	}
 	// The pool's reported topology tracks the survivors.
-	if got, want := p.State(0), Dead; got != want {
+	if got, want := p.boards[0].state, Dead; got != want {
 		t.Errorf("board 0 state = %v, want %v", got, want)
 	}
-	if got, want := p.State(1), Dead; got != want {
+	if got, want := p.boards[1].state, Dead; got != want {
 		t.Errorf("board 1 state = %v, want %v", got, want)
 	}
 	s, _, _, _ := p.React(edge.Scenario12().Duration, 600)
@@ -208,7 +208,7 @@ func TestPoolStandbyPromotionAndRecovery(t *testing.T) {
 	if res.Pool.BoardsRecovered != 1 {
 		t.Errorf("boards recovered = %d, want 1", res.Pool.BoardsRecovered)
 	}
-	if got := p.State(0); got != Healthy {
+	if got := p.boards[0].state; got != Healthy {
 		t.Errorf("repaired board state = %v, want healthy", got)
 	}
 }
@@ -297,7 +297,7 @@ func TestPoolHangSuspectDeadRecover(t *testing.T) {
 			t.Errorf("missing state transition %s in trace", key)
 		}
 	}
-	if got := p.State(0); got != Healthy {
+	if got := p.boards[0].state; got != Healthy {
 		t.Errorf("board 0 final state = %v, want healthy", got)
 	}
 }
@@ -517,8 +517,8 @@ func TestSupervisedPoolConfigValidation(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if want := cfg.Boards + cfg.Standby; p.Boards() != want {
-				return fmt.Errorf("%d boards, want %d", p.Boards(), want)
+			if want := cfg.Boards + cfg.Standby; len(p.boards) != want {
+				return fmt.Errorf("%d boards, want %d", len(p.boards), want)
 			}
 			_, err = edge.Run(scn, p, edge.SimConfig{Seed: 1})
 			return err

@@ -37,25 +37,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (float64, *tensor.Ten
 	loss := -math.Log(math.Max(probs[label], 1e-12))
 	return loss, grad, nil
 }
-
-// Softmax returns the normalized class probabilities for logits.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(logits.Shape()...)
-	ld, od := logits.Data(), out.Data()
-	maxv := float64(math.Inf(-1))
-	for _, v := range ld {
-		if float64(v) > maxv {
-			maxv = float64(v)
-		}
-	}
-	var sum float64
-	for i, v := range ld {
-		e := math.Exp(float64(v) - maxv)
-		od[i] = float32(e)
-		sum += e
-	}
-	for i := range od {
-		od[i] = float32(float64(od[i]) / sum)
-	}
-	return out
-}

@@ -12,6 +12,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// fromSlice is tensor.FromSlice for literals whose shape is statically
+// correct.
+func fromSlice(data []float32, shape ...int) *tensor.Tensor {
+	t, err := tensor.FromSlice(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestConvForwardKnown(t *testing.T) {
 	// 1 input channel 3x3, one 2x2 filter of ones: output = window sums.
 	c, err := NewConv2D(ConvConfig{
@@ -23,12 +33,12 @@ func TestConvForwardKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Weight.Value.Fill(1)
-	in := tensor.MustFromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
+	in := fromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	out, err := c.Forward(in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MustFromSlice([]float32{12, 16, 24, 28}, 1, 2, 2)
+	want := fromSlice([]float32{12, 16, 24, 28}, 1, 2, 2)
 	if !tensor.Equal(out, want) {
 		t.Fatalf("conv out = %v, want %v", out.Data(), want.Data())
 	}
@@ -159,7 +169,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	d, _ := NewDense(DenseConfig{ID: "d", In: 2, Out: 2, Bias: true})
 	copy(d.Weight.Value.Data(), []float32{1, 2, 3, 4})
 	copy(d.Bias.Value.Data(), []float32{10, 20})
-	out, err := d.Forward(tensor.MustFromSlice([]float32{1, 1}, 2), false)
+	out, err := d.Forward(fromSlice([]float32{1, 1}, 2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,7 @@ func TestDenseVolumeMismatch(t *testing.T) {
 
 func TestMaxPoolForwardBackward(t *testing.T) {
 	p, _ := NewMaxPool2D("p", tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2})
-	in := tensor.MustFromSlice([]float32{1, 5, 3, 2}, 1, 2, 2)
+	in := fromSlice([]float32{1, 5, 3, 2}, 1, 2, 2)
 	out, err := p.Forward(in, true)
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +195,11 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	if out.Len() != 1 || out.At(0, 0, 0) != 5 {
 		t.Fatalf("pool out = %v", out.Data())
 	}
-	g, err := p.Backward(tensor.MustFromSlice([]float32{7}, 1, 1, 1))
+	g, err := p.Backward(fromSlice([]float32{7}, 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MustFromSlice([]float32{0, 7, 0, 0}, 1, 2, 2)
+	want := fromSlice([]float32{0, 7, 0, 0}, 1, 2, 2)
 	if !tensor.Equal(g, want) {
 		t.Fatalf("pool grad = %v", g.Data())
 	}
@@ -201,11 +211,11 @@ func TestQuantActForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := a.Forward(tensor.MustFromSlice([]float32{-1, 0.6, 2.7, 9}, 4), false)
+	out, err := a.Forward(fromSlice([]float32{-1, 0.6, 2.7, 9}, 4), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MustFromSlice([]float32{0, 1, 3, 3}, 4)
+	want := fromSlice([]float32{0, 1, 3, 3}, 4)
 	if !tensor.Equal(out, want) {
 		t.Fatalf("quantact out = %v", out.Data())
 	}
@@ -308,12 +318,12 @@ func TestScaleShiftForward(t *testing.T) {
 	s.Gamma.Value.Set(3, 1)
 	s.Beta.Value.Set(1, 0)
 	s.Beta.Value.Set(-1, 1)
-	in := tensor.MustFromSlice([]float32{1, 1, 2, 2}, 2, 2, 1)
+	in := fromSlice([]float32{1, 1, 2, 2}, 2, 2, 1)
 	out, err := s.Forward(in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MustFromSlice([]float32{3, 3, 5, 5}, 2, 2, 1)
+	want := fromSlice([]float32{3, 3, 5, 5}, 2, 2, 1)
 	if !tensor.Equal(out, want) {
 		t.Fatalf("scaleshift = %v", out.Data())
 	}
@@ -323,7 +333,7 @@ func TestScaleShiftForward(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropy(t *testing.T) {
-	logits := tensor.MustFromSlice([]float32{0, 0}, 2)
+	logits := fromSlice([]float32{0, 0}, 2)
 	loss, grad, err := SoftmaxCrossEntropy(logits, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -337,17 +347,19 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 	if _, _, err := SoftmaxCrossEntropy(logits, 5); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
-	p := Softmax(logits)
-	if math.Abs(float64(p.At(0))-0.5) > 1e-6 {
-		t.Fatalf("softmax = %v", p.Data())
-	}
 }
 
 func TestSoftmaxNumericallyStable(t *testing.T) {
-	logits := tensor.MustFromSlice([]float32{1000, 999}, 2)
-	p := Softmax(logits)
-	if math.IsNaN(float64(p.At(0))) || p.At(0) <= p.At(1) {
-		t.Fatalf("softmax unstable: %v", p.Data())
+	logits := fromSlice([]float32{1000, 999}, 2)
+	loss, grad, err := SoftmaxCrossEntropy(logits, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// p = (e/(e+1), 1/(e+1)) whatever the common offset.
+	p1 := 1 / (math.E + 1)
+	if math.IsNaN(loss) || math.Abs(loss+math.Log(1-p1)) > 1e-6 ||
+		math.Abs(float64(grad.At(0))+p1) > 1e-6 || math.Abs(float64(grad.At(1))-p1) > 1e-6 {
+		t.Fatalf("softmax unstable: loss %v, grad %v", loss, grad.Data())
 	}
 }
 
@@ -481,8 +493,13 @@ func TestPruneConsistencyPreservesFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AllClose(wantOut, gotOut, 1e-4) {
-		t.Fatal("pruned pipeline does not match zeroed-filter reference")
+	if !slices.Equal(wantOut.Shape(), gotOut.Shape()) {
+		t.Fatalf("pruned pipeline shape %v, reference %v", gotOut.Shape(), wantOut.Shape())
+	}
+	for i, v := range gotOut.Data() {
+		if math.Abs(float64(v-wantOut.Data()[i])) > 1e-4 {
+			t.Fatal("pruned pipeline does not match zeroed-filter reference")
+		}
 	}
 }
 

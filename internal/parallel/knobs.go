@@ -8,14 +8,15 @@ import (
 
 // The knob registry unifies the repo's parallelism caps. Each package that
 // fans work out (tensor kernels, repeated edge runs, the experiment
-// harness, library generation) registers one Knob at init; its own
-// Set/Max accessors delegate here, and SetAll drives every cap at once —
-// the single switch behind the adaflow.SetParallelism facade.
+// harness, library generation, cluster pool dispatch) registers one Knob
+// at init and reads its cap from it, and SetAll drives every cap at once —
+// the single switch behind the adaflow.SetParallelism facade. Only the
+// tensor kernels' cap also has a setter of its own (tensor.SetMaxWorkers,
+// behind the CLIs' -workers flag).
 
-// Knob is one named parallelism cap. Reads are a single atomic load, so
+// Knob is one registered parallelism cap. Reads are a single atomic load, so
 // hot paths can consult a knob per call.
 type Knob struct {
-	name    string
 	initial int
 	v       atomic.Int64
 }
@@ -41,14 +42,11 @@ func RegisterKnob(name string, initial int) *Knob {
 		}
 		return k
 	}
-	k := &Knob{name: name, initial: initial}
+	k := &Knob{initial: initial}
 	k.v.Store(int64(initial))
 	knobs[name] = k
 	return k
 }
-
-// Name returns the knob's registry name.
-func (k *Knob) Name() string { return k.name }
 
 // Get returns the current cap.
 func (k *Knob) Get() int { return int(k.v.Load()) }
@@ -71,16 +69,4 @@ func SetAll(n int) {
 	for _, k := range knobs {
 		k.Set(n)
 	}
-}
-
-// Snapshot reports every registered knob's current value (diagnostics and
-// tests).
-func Snapshot() map[string]int {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	out := make(map[string]int, len(knobs))
-	for name, k := range knobs {
-		out[name] = k.Get()
-	}
-	return out
 }

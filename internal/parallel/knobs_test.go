@@ -47,16 +47,12 @@ func TestRegisterKnobConflictPanics(t *testing.T) {
 	RegisterKnob("test.conflict", 5)
 }
 
-func TestSetAllAndSnapshot(t *testing.T) {
+func TestSetAll(t *testing.T) {
 	a := RegisterKnob("test.all.a", 8)
 	b := RegisterKnob("test.all.b", 1)
 	SetAll(3)
 	if a.Get() != 3 || b.Get() != 3 {
 		t.Fatalf("SetAll(3): got %d, %d", a.Get(), b.Get())
-	}
-	snap := Snapshot()
-	if snap["test.all.a"] != 3 || snap["test.all.b"] != 3 {
-		t.Fatalf("Snapshot after SetAll(3) = %v", snap)
 	}
 	SetAll(0)
 	if a.Get() != 8 {

@@ -76,12 +76,6 @@ func (r Ranking) Shrink(m *model.Model, rate float64, granularity []int) (*model
 	return pm, p, nil
 }
 
-// PlanFilters computes a pruning plan for the model at the given nominal
-// rate (see Ranking.Plan).
-func PlanFilters(m *model.Model, rate float64, granularity []int) (*Plan, error) {
-	return RankFilters(m).Plan(rate, granularity)
-}
-
 // Shrink builds m pruned at the given rate and returns it with its plan.
 // The original is untouched. Sweeps over many rates rank once with
 // RankFilters and call Ranking.Shrink instead.

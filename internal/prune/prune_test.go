@@ -24,23 +24,23 @@ func tiny(t *testing.T) *model.Model {
 
 func TestPlanFiltersValidation(t *testing.T) {
 	m := tiny(t)
-	if _, err := PlanFilters(m, -0.1, Ones(2)); err == nil {
+	if _, err := RankFilters(m).Plan(-0.1, Ones(2)); err == nil {
 		t.Fatal("negative rate accepted")
 	}
-	if _, err := PlanFilters(m, 1.0, Ones(2)); err == nil {
+	if _, err := RankFilters(m).Plan(1.0, Ones(2)); err == nil {
 		t.Fatal("rate 1.0 accepted")
 	}
-	if _, err := PlanFilters(m, 0.5, Ones(1)); err == nil {
+	if _, err := RankFilters(m).Plan(0.5, Ones(1)); err == nil {
 		t.Fatal("wrong granularity arity accepted")
 	}
-	if _, err := PlanFilters(m, 0.5, []int{0, 1}); err == nil {
+	if _, err := RankFilters(m).Plan(0.5, []int{0, 1}); err == nil {
 		t.Fatal("zero granularity accepted")
 	}
 }
 
 func TestPlanRespectsGranularity(t *testing.T) {
 	m := tiny(t) // channels 8, 16
-	p, err := PlanFilters(m, 0.30, []int{4, 8})
+	p, err := RankFilters(m).Plan(0.30, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestPlanRespectsGranularity(t *testing.T) {
 	if p.Channels[0] != 8 || p.Channels[1] != 16 {
 		t.Fatalf("channels = %v", p.Channels)
 	}
-	p2, err := PlanFilters(m, 0.5, []int{4, 8})
+	p2, err := RankFilters(m).Plan(0.5, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPlanRespectsGranularity(t *testing.T) {
 
 func TestPlanNeverRemovesAllFilters(t *testing.T) {
 	m := tiny(t)
-	p, err := PlanFilters(m, 0.99, Ones(2))
+	p, err := RankFilters(m).Plan(0.99, Ones(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPlanInvariantsQuick(t *testing.T) {
 			rate /= 2
 		}
 		gs := []int{int(g0%8) + 1, int(g1%8) + 1}
-		p, err := PlanFilters(m, rate, gs)
+		p, err := RankFilters(m).Plan(rate, gs)
 		if err != nil {
 			return false
 		}
@@ -129,7 +129,7 @@ func TestPlanPicksLowestL1Filters(t *testing.T) {
 			c.Weight.Value.Data()[o*k+i] = v
 		}
 	}
-	p, err := PlanFilters(m, 0.25, Ones(2)) // 25% of 8 = 2 filters
+	p, err := RankFilters(m).Plan(0.25, Ones(2)) // 25% of 8 = 2 filters
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +224,11 @@ func TestPlanMonotoneInRate(t *testing.T) {
 			r1, r2 = r2, r1
 		}
 		g := []int{1 + rng.Intn(4), 1 + rng.Intn(8)}
-		p1, err := PlanFilters(m, r1, g)
+		p1, err := RankFilters(m).Plan(r1, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := PlanFilters(m, r2, g)
+		p2, err := RankFilters(m).Plan(r2, g)
 		if err != nil {
 			t.Fatal(err)
 		}

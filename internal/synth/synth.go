@@ -77,26 +77,6 @@ func (d Device) Fits(r Resources) bool {
 	return r.LUT <= d.LUT && r.FF <= d.FF && r.BRAM <= d.BRAM && r.DSP <= d.DSP
 }
 
-// WithPartialReconfiguration returns a copy of the device whose
-// model-switch bitstreams cover only the given fraction of the fabric
-// (dynamic partial reconfiguration, as the Seyoum et al. work the paper
-// cites uses); the reconfiguration time scales with the bitstream size.
-// The reconfigurable region must still host the accelerators, so the
-// resource budget is scaled too.
-func (d Device) WithPartialReconfiguration(fraction float64) (Device, error) {
-	if fraction <= 0 || fraction > 1 {
-		return Device{}, fmt.Errorf("synth: partial-reconfiguration fraction %v out of (0,1]", fraction)
-	}
-	p := d
-	p.Name = fmt.Sprintf("%s (PR %.0f%%)", d.Name, fraction*100)
-	p.BitstreamBytes = int64(float64(d.BitstreamBytes) * fraction)
-	p.LUT = int(float64(d.LUT) * fraction)
-	p.FF = int(float64(d.FF) * fraction)
-	p.BRAM = int(float64(d.BRAM) * fraction)
-	p.DSP = int(float64(d.DSP) * fraction)
-	return p, nil
-}
-
 // Calibration constants. Each is a structural cost driver with a
 // coefficient fitted to the paper's reported ratios (see package comment).
 const (
@@ -270,20 +250,4 @@ func (a *Accelerator) TotalEnergyPerInference() float64 {
 		return 0
 	}
 	return a.PowerAt(fps) / fps
-}
-
-// ReconfigTime returns the FPGA reconfiguration time needed to load this
-// accelerator (full bitstream over the configuration port).
-func (a *Accelerator) ReconfigTime() time.Duration {
-	return a.Device.ReconfigTime()
-}
-
-// Utilization returns each resource as a fraction of the device.
-func (a *Accelerator) Utilization() map[string]float64 {
-	return map[string]float64{
-		"LUT":  float64(a.Res.LUT) / float64(a.Device.LUT),
-		"FF":   float64(a.Res.FF) / float64(a.Device.FF),
-		"BRAM": float64(a.Res.BRAM) / float64(a.Device.BRAM),
-		"DSP":  float64(a.Res.DSP) / float64(a.Device.DSP),
-	}
 }

@@ -197,42 +197,19 @@ func TestSynthesizeValidation(t *testing.T) {
 	}
 }
 
-func TestPartialReconfiguration(t *testing.T) {
-	pr, err := ZCU104.WithPartialReconfiguration(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.ReconfigTime() >= ZCU104.ReconfigTime() {
-		t.Fatal("partial reconfiguration not faster")
-	}
-	if got, want := pr.ReconfigTime().Seconds(), ZCU104.ReconfigTime().Seconds()/2; got < want*0.99 || got > want*1.01 {
-		t.Fatalf("PR time %v, want half of %v", pr.ReconfigTime(), ZCU104.ReconfigTime())
-	}
-	if pr.LUT != ZCU104.LUT/2 {
-		t.Fatalf("PR region LUTs %d", pr.LUT)
-	}
-	for _, bad := range []float64{0, -0.5, 1.5} {
-		if _, err := ZCU104.WithPartialReconfiguration(bad); err == nil {
-			t.Errorf("fraction %v accepted", bad)
-		}
-	}
-	// A half-fabric region still fits the fixed CNV but the flexible one
-	// gets tight; synthesizing against the PR region exercises Fits.
-	m := cnv(t)
-	df, err := finn.Map(m, finn.DefaultFolding(m), finn.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Synthesize(df, pr); err != nil {
-		t.Fatalf("fixed CNV should fit half the fabric: %v", err)
+// utilization returns each resource of acc as a fraction of its device.
+func utilization(acc *Accelerator) map[string]float64 {
+	return map[string]float64{
+		"LUT":  float64(acc.Res.LUT) / float64(acc.Device.LUT),
+		"FF":   float64(acc.Res.FF) / float64(acc.Device.FF),
+		"BRAM": float64(acc.Res.BRAM) / float64(acc.Device.BRAM),
+		"DSP":  float64(acc.Res.DSP) / float64(acc.Device.DSP),
 	}
 }
 
 func TestUtilizationFractions(t *testing.T) {
 	m := cnv(t)
-	acc := synthFor(t, m, false)
-	u := acc.Utilization()
-	for k, v := range u {
+	for k, v := range utilization(synthFor(t, m, false)) {
 		if v < 0 || v > 1 {
 			t.Fatalf("utilization %s = %v out of [0,1]", k, v)
 		}
@@ -246,7 +223,7 @@ func TestUtilizationFractions(t *testing.T) {
 func TestBRAMIsLimitingFactor(t *testing.T) {
 	m := cnv(t)
 	for _, flexible := range []bool{false, true} {
-		u := synthFor(t, m, flexible).Utilization()
+		u := utilization(synthFor(t, m, flexible))
 		for k, v := range u {
 			if k != "BRAM" && v > u["BRAM"] {
 				t.Errorf("flexible=%v: %s utilization %.3f exceeds BRAM %.3f", flexible, k, v, u["BRAM"])

@@ -53,16 +53,6 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	return &Tensor{shape: s, data: data}, nil
 }
 
-// MustFromSlice is FromSlice but panics on error. Intended for tests and
-// literals where the shape is statically correct.
-func MustFromSlice(data []float32, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Shape returns the tensor's dimensions. The caller must not modify the
 // returned slice.
 func (t *Tensor) Shape() []int { return t.shape }
@@ -171,41 +161,12 @@ func Equal(a, b *Tensor) bool {
 	return true
 }
 
-// AllClose reports whether two tensors have identical shape and all elements
-// within tol of each other.
-func AllClose(a, b *Tensor, tol float64) bool {
-	if a.Rank() != b.Rank() {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	for i := range a.data {
-		if math.Abs(float64(a.data[i])-float64(b.data[i])) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Sum returns the sum of all elements (accumulated in float64 for
 // stability).
 func (t *Tensor) Sum() float64 {
 	var s float64
 	for _, v := range t.data {
 		s += float64(v)
-	}
-	return s
-}
-
-// AbsSum returns the ℓ1 norm of all elements. This is the filter-importance
-// measure used by dataflow-aware pruning (Li et al., ICLR'17).
-func (t *Tensor) AbsSum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
 	}
 	return s
 }

@@ -23,26 +23,8 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== fuzz smoke (fault-plan grammar, 10s)"
-go test -run '^$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
-
-echo "== fuzz smoke (round-half-away quantizer helper, 5s)"
-go test -run '^$' -fuzz FuzzRoundHalfAway -fuzztime=5s ./internal/quant/
-
-echo "== fuzz smoke (exact activation threshold ladder vs Quantize, 5s)"
-go test -run '^$' -fuzz FuzzActLadder -fuzztime=5s ./internal/quant/
-
-echo "== fuzz smoke (bit-plane convolution vs the six-loop reference, 10s)"
-go test -run '^$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
-
-echo "== fuzz smoke (calendar-vs-heap event queue, 10s)"
-go test -run '^$' -fuzz FuzzCalendarQueue -fuzztime=10s ./internal/sim/
-
-echo "== fuzz smoke (stream-spec grammar, 10s)"
-go test -run '^$' -fuzz FuzzStreamSpec -fuzztime=10s ./internal/cluster/
-
-echo "== fuzz smoke (workload-scenario grammar, 10s)"
-go test -run '^$' -fuzz FuzzParseScenario -fuzztime=10s ./internal/edge/
+echo "== fuzz smoke (every fuzz target)"
+make fuzz-smoke
 
 echo "== go test -race (concurrent + serving packages)"
 make test-race

@@ -20,7 +20,8 @@ test-race:
 		./internal/cluster/... ./internal/adapt/... \
 		./internal/prune/... ./internal/accuracy/... \
 		./internal/library/... ./internal/explore/... ./internal/parallel/... \
-		./internal/sim/... ./internal/experiments/... ./internal/obs/...
+		./internal/sim/... ./internal/experiments/... ./internal/obs/... \
+		./internal/fault/... ./internal/synth/...
 
 # Golden trace suite: the Fig. 6 scenario traces plus the pinned
 # decision-event streams (manager verdicts) for Scenarios 1, 2 and 1+2,

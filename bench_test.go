@@ -27,29 +27,29 @@ type hotPath struct {
 var hotPaths = []hotPath{
 	// The AdaFlow controller and Runtime Manager over the full 25 s
 	// Scenario 2, tracing and adaptation off: both must stay free when
-	// disabled. Measured 261; margin 4.
-	{"RunEdge", "fluid", 265, func(tb testing.TB) func(int) {
+	// disabled. Measured 241; margin 4.
+	{"RunEdge", "fluid", 245, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdge, SimConfig{})
 	}},
 	// The event-level simulator under a deadline, every frame an event:
 	// batch=1 dispatches per frame, batch=8 amortizes the per-dispatch
 	// costs (service completions, their engine events, controller
-	// bookkeeping) over eight frames. Measured 210–211 and 214; margin 4.
-	{"RunEdge", "batch=1", 215, func(tb testing.TB) func(int) {
+	// bookkeeping) over eight frames. Measured 191 and 194; margin 4.
+	{"RunEdge", "batch=1", 195, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdgeEventLevel, SimConfig{
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 1},
 		})
 	}},
-	{"RunEdge", "batch=8", 218, func(tb testing.TB) func(int) {
+	{"RunEdge", "batch=8", 198, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdgeEventLevel, SimConfig{
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 8},
 		})
 	}},
 	// The closed drift-recovery loop (detect, retrain, swap) under a
-	// sustained shift. Measured 272; margin 4.
-	{"RunEdge", "adapt", 276, func(tb testing.TB) func(int) {
+	// sustained shift. Measured 254; margin 4.
+	{"RunEdge", "adapt", 258, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdge, SimConfig{
 			FaultConfig: FaultConfig{Plan: mustPlan(tb, "drift-sustained:p=1,start=5,mag=-0.15"), Seed: 1},
 			Adapt:       AdaptConfig{Enabled: true},
@@ -59,27 +59,27 @@ var hotPaths = []hotPath{
 	// heartbeats and health bookkeeping must stay free when no fault
 	// fires. One-dead: a board crashes mid-run (detection, failover,
 	// capacity redistribution). Batched: an 8-frame dispatch queue per
-	// board, advanced on the heartbeats. Measured 344, 334 and 344;
+	// board, advanced on the heartbeats. Measured 324, 316 and 324;
 	// margin 4.
-	{"PoolRun", "healthy", 348, func(tb testing.TB) func(int) {
+	{"PoolRun", "healthy", 328, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, nil)
 	}},
-	{"PoolRun", "one-dead", 338, func(tb testing.TB) func(int) {
+	{"PoolRun", "one-dead", 320, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, mustPlan(tb, "board-crash:p=1,board=0,start=5,end=5.05,repair=60"))
 	}},
-	{"PoolRun", "batched", 348, func(tb testing.TB) func(int) {
+	{"PoolRun", "batched", 328, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4, Batch: 8}, nil)
 	}},
 	// The fleet scheduler: 1000 streams on 8 supervised pools for 5
 	// epochs. Placement, rebalancing and aggregation must stay cheap next
 	// to the serving they orchestrate; one-pool-dead crashes every board
 	// of pool 0 mid-run (migration, blackout accounting, repair).
-	// Measured 5461–5462 and 5420–5421; margin 20, below the ~2000
+	// Measured 4659–4660 and 4620; margin 20, below the ~2000
 	// allocations one per heartbeat would add.
-	{"ClusterRun", "healthy", 5482, func(tb testing.TB) func(int) {
+	{"ClusterRun", "healthy", 4680, func(tb testing.TB) func(int) {
 		return clusterOp(tb, nil, nil)
 	}},
-	{"ClusterRun", "one-pool-dead", 5441, func(tb testing.TB) func(int) {
+	{"ClusterRun", "one-pool-dead", 4640, func(tb testing.TB) func(int) {
 		return clusterOp(tb, mustPlan(tb, "board-crash:p=1,start=6,end=6.3,repair=8"), []int{0})
 	}},
 	// 1000 events through the calendar queue. The closure is hoisted out

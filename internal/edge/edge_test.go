@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -603,5 +604,43 @@ func TestAdaFlowHandlesChurn(t *testing.T) {
 	}
 	if ada.QoEPct <= finn.QoEPct {
 		t.Fatalf("churn: AdaFlow QoE %.1f ≤ FINN %.1f", ada.QoEPct, finn.QoEPct)
+	}
+}
+
+// TestServingPowerMatchesSynth checks that the power curves serving reads
+// from the library reproduce the synthesized accelerators' own power
+// model bit for bit: the fixed curve against Fixed.PowerAt, and the
+// flexible curve against the flexible accelerator reconfigured to the
+// entry's channels, at negative, zero, in-range, capacity, beyond-capacity
+// and non-finite rates.
+func TestServingPowerMatchesSynth(t *testing.T) {
+	lib := paperLib(t)
+	flexDF := lib.Flexible.Dataflow
+	static := NewStaticFINN(lib).S
+	for i := range lib.Entries {
+		e := &lib.Entries[i]
+		fixed := DecisionServing(lib, manager.Decision{Entry: i, Kind: manager.Fixed})
+		flex := DecisionServing(lib, manager.Decision{Entry: i, Kind: manager.Flexible})
+		if err := flexDF.SetChannels(e.Channels); err != nil {
+			t.Fatal(err)
+		}
+		if fixed.IdlePower != e.Fixed.IdlePower() || flex.IdlePower != lib.Flexible.IdlePower() {
+			t.Fatalf("rate %v: idle power %v/%v, synthesized %v/%v", e.NominalRate,
+				fixed.IdlePower, flex.IdlePower, e.Fixed.IdlePower(), lib.Flexible.IdlePower())
+		}
+		check := func(name string, got func(float64) float64, want func(float64) float64, cap float64) {
+			t.Helper()
+			for _, fps := range []float64{-1, math.Copysign(0, -1), 0, 1, cap / 3, cap,
+				math.Nextafter(cap, math.Inf(1)), 2 * cap, math.Inf(1), math.NaN()} {
+				if g, w := got(fps), want(fps); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("rate %v: %s power at %v fps = %v, synthesized %v", e.NominalRate, name, fps, g, w)
+				}
+			}
+		}
+		check("fixed", fixed.PowerAt, e.Fixed.PowerAt, e.Fixed.Dataflow.FPS())
+		check("flexible", flex.PowerAt, lib.Flexible.PowerAt, flexDF.FPS())
+		if i == 0 {
+			check("static FINN", static.PowerAt, e.Fixed.PowerAt, e.Fixed.Dataflow.FPS())
+		}
 	}
 }

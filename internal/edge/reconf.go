@@ -42,7 +42,8 @@ func (c *ReconfController) selectEntry(incomingFPS float64) int {
 	base := c.lib.BaselineAccuracy()
 	best, bestFPS := 0, -1.0
 	foundAcc, found := -1.0, -1
-	for i, e := range c.lib.Entries {
+	for i := range c.lib.Entries {
+		e := &c.lib.Entries[i]
 		if e.Accuracy < base-c.threshold {
 			continue
 		}
@@ -62,12 +63,12 @@ func (c *ReconfController) selectEntry(incomingFPS float64) int {
 // React implements Controller.
 func (c *ReconfController) React(now, incomingFPS float64) (Serving, time.Duration, bool, bool) {
 	idx := c.selectEntry(incomingFPS)
-	e := c.lib.Entries[idx]
+	e := &c.lib.Entries[idx]
 	s := Serving{
 		FPS:       e.FixedFPS,
 		Accuracy:  e.Accuracy,
-		PowerAt:   e.Fixed.PowerAt,
-		IdlePower: e.Fixed.IdlePower(),
+		PowerAt:   e.FixedPower.At,
+		IdlePower: e.FixedPower.IdleW,
 		Label:     fmt.Sprintf("reconf p=%.0f%%", e.NominalRate*100),
 	}
 	if c.have && idx == c.cur {

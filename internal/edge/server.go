@@ -321,12 +321,12 @@ type StaticController struct {
 // NewStaticFINN builds the baseline controller from a library's unpruned
 // entry.
 func NewStaticFINN(lib *library.Library) *StaticController {
-	e := lib.Entries[0]
+	e := &lib.Entries[0]
 	return &StaticController{S: Serving{
 		FPS:       e.FixedFPS,
 		Accuracy:  e.Accuracy,
-		PowerAt:   e.Fixed.PowerAt,
-		IdlePower: e.Fixed.IdlePower(),
+		PowerAt:   e.FixedPower.At,
+		IdlePower: e.FixedPower.IdleW,
 		Label:     "FINN " + lib.ModelName,
 	}}
 }
@@ -402,43 +402,16 @@ func (c *AdaFlowController) React(now, incomingFPS float64) (Serving, time.Durat
 // decision on lib, without a label: the entry's accuracy, and the frame
 // rate, idle power and power curve of the accelerator the decision runs
 // on (the shared flexible one for a Flexible decision, the entry's own
-// fixed one otherwise). Every controller that serves manager decisions
-// maps them through here.
+// fixed one otherwise). PowerAt is bound to the curve the library
+// tabulated for the entry, so power queries read three numbers and never
+// walk a dataflow. Every controller that serves manager decisions maps
+// them through here.
 func DecisionServing(lib *library.Library, d manager.Decision) Serving {
-	e := lib.Entries[d.Entry]
+	e := &lib.Entries[d.Entry]
 	if d.Kind == manager.Flexible {
 		return Serving{FPS: e.FlexFPS, Accuracy: e.Accuracy,
-			PowerAt: powerAtChannels(lib, e), IdlePower: lib.Flexible.IdlePower()}
+			PowerAt: e.FlexPower.At, IdlePower: e.FlexPower.IdleW}
 	}
 	return Serving{FPS: e.FixedFPS, Accuracy: e.Accuracy,
-		PowerAt: e.Fixed.PowerAt, IdlePower: e.Fixed.IdlePower()}
-}
-
-// powerAtChannels returns a power model for the flexible accelerator
-// configured to an entry's channels. The flexible accelerator's energy per
-// inference depends on the loaded model's MACs, which the library
-// generator precomputes per entry (Entry.FlexEnergyPerInfJ) — so the
-// closure is pure and concurrent simulations can query it without touching
-// the shared flexible dataflow. It reproduces synth.Accelerator.PowerAt
-// exactly: idle power plus per-inference energy times the frame rate,
-// clamped to the entry's flexible capacity.
-func powerAtChannels(lib *library.Library, e library.Entry) func(float64) float64 {
-	flex := lib.Flexible
-	idle := flex.IdlePower()
-	eInf := e.FlexEnergyPerInfJ
-	if eInf <= 0 {
-		// Library predates the precomputed column: fall back to the
-		// worst-case (unpruned) energy rather than failing mid-simulation.
-		eInf = flex.EnergyPerInference()
-	}
-	capFPS := e.FlexFPS
-	return func(fps float64) float64 {
-		if fps < 0 {
-			fps = 0
-		}
-		if fps > capFPS {
-			fps = capFPS
-		}
-		return idle + eInf*fps
-	}
+		PowerAt: e.FixedPower.At, IdlePower: e.FixedPower.IdleW}
 }

@@ -129,24 +129,17 @@ func Fig5bc(dataset string) (*Fig5bcResult, error) {
 	}
 	res := &Fig5bcResult{Pair: pair, PaperFixedRed25: 1.64, PaperFlexRed25: 1.38}
 
-	// Flexible energy per point: the library precomputes each entry's
-	// per-inference dynamic energy (flexible resources — and so idle power —
-	// are worst-case and don't vary with the loaded channels), so the
-	// total-energy figure follows without reconfiguring the shared flexible
-	// dataflow. Matches synth.Accelerator.TotalEnergyPerInference at the
-	// entry's channels exactly: (idle + E_inf·fps) / fps.
-	flexIdle := lib.Flexible.IdlePower()
+	// Energy per point from the library's tabulated power curves, so the
+	// flexible figure needs no reconfiguration of the shared flexible
+	// dataflow.
 	baseE := lib.Baseline.TotalEnergyPerInference()
-	for _, e := range lib.Entries {
-		var flexE float64
-		if e.FlexFPS > 0 {
-			flexE = (flexIdle + e.FlexEnergyPerInfJ*e.FlexFPS) / e.FlexFPS
-		}
+	for i := range lib.Entries {
+		e := &lib.Entries[i]
 		pt := Fig5bcPoint{
 			NominalRate:  e.NominalRate,
 			Accuracy:     e.Accuracy,
-			FixedEnergyJ: e.Fixed.TotalEnergyPerInference(),
-			FlexEnergyJ:  flexE,
+			FixedEnergyJ: e.FixedPower.TotalEnergyPerInference(),
+			FlexEnergyJ:  e.FlexPower.TotalEnergyPerInference(),
 		}
 		res.Points = append(res.Points, pt)
 		if e.NominalRate == 0.25 {

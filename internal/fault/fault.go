@@ -476,9 +476,10 @@ type Counts struct {
 	BoardBrownouts   int
 }
 
-// Injector draws scheduled faults from a plan. Each fault kind consumes
-// its own deterministic RNG stream, so runs that issue the same query
-// sequence (as the discrete-event simulations do) replay bit-identically.
+// Injector draws scheduled faults from a plan. Each fault kind the plan
+// uses consumes its own deterministic RNG stream (nil for the others), so
+// runs that issue the same query sequence (as the discrete-event
+// simulations do) replay bit-identically.
 // An Injector is single-run state: build a fresh one per run.
 type Injector struct {
 	plan    Plan
@@ -506,8 +507,11 @@ type Injector struct {
 // SetTracer attaches an observability trace (nil detaches).
 func (in *Injector) SetTracer(tr *obs.Trace) { in.trace = tr }
 
-// NewInjector validates the plan and derives the per-kind streams from
-// seed. A nil plan yields a fault-free injector.
+// NewInjector validates the plan and derives from seed a stream for each
+// kind the plan has rules for. Every draw of a kind sits behind a rule of
+// that kind, so kinds without rules need no stream, and each stream
+// yields the same sequence whatever other kinds the plan holds. A nil
+// plan yields a fault-free injector with no streams.
 func NewInjector(p *Plan, seed int64) (*Injector, error) {
 	in := &Injector{}
 	if p != nil {
@@ -518,8 +522,10 @@ func NewInjector(p *Plan, seed int64) (*Injector, error) {
 	}
 	in.sustainedDecided = make([]bool, len(in.plan.Rules))
 	in.sustainedEngaged = make([]bool, len(in.plan.Rules))
-	for k := Kind(0); k < numKinds; k++ {
-		in.streams[k] = sim.RNG(seed, "fault/"+kindNames[k])
+	for _, r := range in.plan.Rules {
+		if in.streams[r.Kind] == nil {
+			in.streams[r.Kind] = sim.RNG(seed, "fault/"+kindNames[r.Kind])
+		}
 	}
 	return in, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestParsePlanRoundTrip(t *testing.T) {
@@ -250,6 +252,46 @@ func TestNilPlanFaultFree(t *testing.T) {
 	}
 	if (in.Counts() != Counts{}) {
 		t.Fatalf("fault-free counts %+v", in.Counts())
+	}
+}
+
+// TestInjectorStreamsOnlyForPlannedKinds: the injector seeds a stream
+// only for kinds its plan has rules for, and each such stream yields the
+// sequence of sim.RNG(seed, "fault/"+kind), whatever else the plan holds.
+func TestInjectorStreamsOnlyForPlannedKinds(t *testing.T) {
+	const seed = 11
+	plan := &Plan{Rules: []Rule{
+		{Kind: ReconfigFail, Prob: 0.5},
+		{Kind: SensorSpike, Prob: 0.5, Mag: 0.2},
+		{Kind: ReconfigFail, Prob: 0.25, Start: 3},
+	}}
+	in, err := NewInjector(plan, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		planned := k == ReconfigFail || k == SensorSpike
+		if got := in.streams[k] != nil; got != planned {
+			t.Fatalf("%s: stream present = %v, want %v", k, got, planned)
+		}
+		if !planned {
+			continue
+		}
+		want := sim.RNG(seed, "fault/"+k.String())
+		for i := 0; i < 100; i++ {
+			if g, w := in.streams[k].Float64(), want.Float64(); g != w {
+				t.Fatalf("%s draw %d = %v, sim.RNG stream %v", k, i, g, w)
+			}
+		}
+	}
+	empty, err := NewInjector(nil, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, s := range empty.streams {
+		if s != nil {
+			t.Fatalf("nil plan built a stream for %s", Kind(k))
+		}
 	}
 }
 

@@ -85,7 +85,8 @@ func TestGenerateSharesSynthesisAcrossDuplicateRates(t *testing.T) {
 					first.NominalRate, e.NominalRate, e.Channels)
 			}
 			if first.FixedFPS != e.FixedFPS || first.FlexFPS != e.FlexFPS ||
-				first.FlexEnergyPerInfJ != e.FlexEnergyPerInfJ {
+				first.FlexEnergyPerInfJ != e.FlexEnergyPerInfJ ||
+				first.FixedPower != e.FixedPower || first.FlexPower != e.FlexPower {
 				t.Fatalf("duplicate-shape rates %v and %v disagree on derived values",
 					first.NominalRate, e.NominalRate)
 			}
@@ -101,9 +102,9 @@ func TestGenerateSharesSynthesisAcrossDuplicateRates(t *testing.T) {
 	}
 }
 
-// FlexEnergyPerInfJ must match what the old reconfigure-and-measure path
-// computed: configure the flexible dataflow to the entry's channels and
-// read EnergyPerInference.
+// The tabulated power curves must match a measurement of the synthesized
+// accelerators: the fixed one as built, the flexible one configured to the
+// entry's channels.
 func TestFlexEnergyMatchesReconfiguredMeasurement(t *testing.T) {
 	lib := paperLibrary(t)
 	df := lib.Flexible.Dataflow
@@ -111,13 +112,17 @@ func TestFlexEnergyMatchesReconfiguredMeasurement(t *testing.T) {
 		if err := df.SetChannels(e.Channels); err != nil {
 			t.Fatal(err)
 		}
-		want := lib.Flexible.EnergyPerInference()
+		want := lib.Flexible.Curve()
 		if err := df.SetChannels(df.WorstChannels); err != nil {
 			t.Fatal(err)
 		}
-		if e.FlexEnergyPerInfJ != want {
-			t.Fatalf("rate %v: FlexEnergyPerInfJ = %v, reconfigured measurement = %v",
-				e.NominalRate, e.FlexEnergyPerInfJ, want)
+		if e.FlexPower != want || e.FlexEnergyPerInfJ != want.EnergyPerInfJ || e.FlexFPS != want.CapFPS {
+			t.Fatalf("rate %v: flexible curve %+v (energy %v, fps %v), reconfigured measurement %+v",
+				e.NominalRate, e.FlexPower, e.FlexEnergyPerInfJ, e.FlexFPS, want)
+		}
+		if fixed := e.Fixed.Curve(); e.FixedPower != fixed || e.FixedFPS != fixed.CapFPS {
+			t.Fatalf("rate %v: fixed curve %+v (fps %v), synthesized %+v",
+				e.NominalRate, e.FixedPower, e.FixedFPS, fixed)
 		}
 	}
 }

@@ -12,8 +12,8 @@
 // fixed accelerator per *distinct* channel configuration — dataflow
 // constraints round several small rates to the same shape, so duplicate
 // rates reuse the memoized synthesis — and measures the flexible
-// accelerator at those channels under a mutex. Stage 3 assembles the
-// entries in rate order. Every per-entry value is a pure function of the
+// accelerator's power curve at those channels under a mutex. Stage 3
+// assembles the entries in rate order. Every per-entry value is a pure function of the
 // entry's inputs and the memo is consulted identically at any worker
 // count, so the output is bit-identical regardless of parallelism.
 package library
@@ -50,11 +50,16 @@ type Entry struct {
 	// the Flexible accelerator configured to this version.
 	FixedFPS float64
 	FlexFPS  float64
-	// FlexEnergyPerInfJ is the flexible accelerator's dynamic energy per
-	// inference when configured to this version's channels, in joules.
-	// Precomputed here so runtime power queries need not reconfigure the
-	// shared flexible dataflow (which would be a data race across
-	// concurrent simulations).
+	// FixedPower and FlexPower are the power curves of the Fixed
+	// accelerator and of the Flexible one configured to this version's
+	// channels. Serving reads power from them, so it never walks a
+	// dataflow or reconfigures the shared flexible one (which would be a
+	// data race across concurrent simulations).
+	FixedPower synth.PowerCurve
+	FlexPower  synth.PowerCurve
+	// FlexEnergyPerInfJ is FlexPower.EnergyPerInfJ, the flexible
+	// accelerator's dynamic energy per inference at this version's
+	// channels in joules (the library digest of bench/ reads this field).
 	FlexEnergyPerInfJ float64
 	// Fixed is the synthesized Fixed-Pruning accelerator for this version.
 	// Entries whose constraints rounded to the same channel configuration
@@ -255,15 +260,13 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 
 	// Stage 2: map and synthesize one fixed accelerator per distinct
 	// channel configuration (first occurrence in rate order owns it), and
-	// measure the flexible accelerator configured to those channels. The
-	// flexible dataflow is shared, so each configure-measure-restore is
-	// atomic under a mutex; every measurement is a pure function of the
+	// tabulate both power curves: the fixed accelerator's, and the flexible
+	// accelerator's configured to those channels. The flexible dataflow is
+	// shared, so each configure-measure-restore is atomic under a mutex; every measurement is a pure function of the
 	// channels, so lock order cannot change results.
 	type synthed struct {
-		fixed    *synth.Accelerator
-		fixedFPS float64
-		flexFPS  float64
-		flexE    float64
+		fixed                 *synth.Accelerator
+		fixedPower, flexPower synth.PowerCurve
 	}
 	owner := map[string]int{} // channelsKey → first rate index
 	var distinct []int        // first-occurrence rate indices, rate order
@@ -292,12 +295,11 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 		if err := flexDF.SetChannels(plan.Channels); err != nil {
 			return fmt.Errorf("library: rate %v violates flexible constraints: %w", rates[i], err)
 		}
-		flexFPS := flexDF.FPS()
-		flexE := lib.Flexible.EnergyPerInference()
+		flexPower := lib.Flexible.Curve()
 		if err := flexDF.SetChannels(flexDF.WorstChannels); err != nil {
 			return err
 		}
-		memo[i] = synthed{fixed: fixedAcc, fixedFPS: fixedDF.FPS(), flexFPS: flexFPS, flexE: flexE}
+		memo[i] = synthed{fixed: fixedAcc, fixedPower: fixedAcc.Curve(), flexPower: flexPower}
 		return nil
 	})
 	if err != nil {
@@ -306,6 +308,7 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 
 	// Stage 3: assemble rows in rate order from the per-rate results and
 	// the per-shape memo.
+	lib.Entries = make([]Entry, 0, len(rates))
 	for i, rate := range rates {
 		s1 := stage1[i]
 		sy := memo[owner[channelsKey(s1.plan.Channels)]]
@@ -314,9 +317,11 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 			EffectiveRate:     s1.plan.EffectiveRate,
 			Channels:          append([]int(nil), s1.plan.Channels...),
 			Accuracy:          s1.acc,
-			FixedFPS:          sy.fixedFPS,
-			FlexFPS:           sy.flexFPS,
-			FlexEnergyPerInfJ: sy.flexE,
+			FixedFPS:          sy.fixedPower.CapFPS,
+			FlexFPS:           sy.flexPower.CapFPS,
+			FixedPower:        sy.fixedPower,
+			FlexPower:         sy.flexPower,
+			FlexEnergyPerInfJ: sy.flexPower.EnergyPerInfJ,
 			Fixed:             sy.fixed,
 		}
 		if cfg.KeepModels {

@@ -36,8 +36,7 @@ type TableRow struct {
 	FixedBRAM     int     `json:"fixed_bram"`
 	EnergyPerInfJ float64 `json:"energy_per_inf_j"`
 	// FlexEnergyPerInfJ is the flexible accelerator's dynamic energy per
-	// inference configured to this row's channels (0 in tables written
-	// before the column existed).
+	// inference configured to this row's channels.
 	FlexEnergyPerInfJ float64 `json:"flex_energy_per_inf_j"`
 	FixedIdleW        float64 `json:"fixed_idle_w"`
 }
@@ -67,9 +66,9 @@ func (l *Library) Table() *Table {
 			FlexFPS:           e.FlexFPS,
 			FixedLUT:          e.Fixed.Res.LUT,
 			FixedBRAM:         e.Fixed.Res.BRAM,
-			EnergyPerInfJ:     e.Fixed.TotalEnergyPerInference(),
-			FlexEnergyPerInfJ: e.FlexEnergyPerInfJ,
-			FixedIdleW:        e.Fixed.IdlePower(),
+			EnergyPerInfJ:     e.FixedPower.TotalEnergyPerInference(),
+			FlexEnergyPerInfJ: e.FlexPower.EnergyPerInfJ,
+			FixedIdleW:        e.FixedPower.IdleW,
 		})
 	}
 	return t

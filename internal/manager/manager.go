@@ -373,7 +373,7 @@ func (m *Manager) eligible(i int) bool {
 
 // fps returns the throughput entry i would deliver on the given family.
 func (m *Manager) fps(i int, kind AccelKind) float64 {
-	e := m.lib.Entries[i]
+	e := &m.lib.Entries[i]
 	if kind == Flexible {
 		return e.FlexFPS
 	}
@@ -406,13 +406,13 @@ func (m *Manager) SelectModel(incomingFPS float64) int {
 		if !m.eligible(i) {
 			continue
 		}
-		e := m.lib.Entries[i]
+		e := &m.lib.Entries[i]
 		if e.FixedFPS < need {
 			continue
 		}
 		var score float64
 		if m.cfg.Policy == PolicyEnergy {
-			score = -e.Fixed.TotalEnergyPerInference()
+			score = -e.FixedPower.TotalEnergyPerInference()
 		} else {
 			score = e.Accuracy
 		}

@@ -229,25 +229,56 @@ func (a *Accelerator) IdlePower() float64 {
 	return staticW + clockWPerLUT*float64(a.Res.LUT)
 }
 
-// PowerAt returns total power in watts while processing the given frame
-// rate. Rates above the accelerator's capacity are clamped (the pipeline
-// cannot switch faster than full utilization).
-func (a *Accelerator) PowerAt(processedFPS float64) float64 {
+// PowerCurve is the clamp-linear power model of an accelerator at one
+// channel configuration: idle power plus dynamic energy per inference
+// times the processed frame rate, with the rate clamped to [0, CapFPS]
+// (the pipeline cannot switch faster than full utilization). The library
+// generator tabulates one per entry, so serving reads power from the
+// table instead of walking the dataflow.
+type PowerCurve struct {
+	IdleW         float64 // static plus clock-tree power, watts
+	EnergyPerInfJ float64 // dynamic energy per inference, joules
+	CapFPS        float64 // frame rate at full utilization
+}
+
+// At returns total power in watts at the given processed frame rate. The
+// receiver is a pointer so a method value bound to a tabulated curve
+// captures only its address.
+func (c *PowerCurve) At(processedFPS float64) float64 {
 	if processedFPS < 0 {
 		processedFPS = 0
 	}
-	if cap := a.Dataflow.FPS(); processedFPS > cap {
-		processedFPS = cap
+	if processedFPS > c.CapFPS {
+		processedFPS = c.CapFPS
 	}
-	return a.IdlePower() + a.EnergyPerInference()*processedFPS
+	return c.IdleW + c.EnergyPerInfJ*processedFPS
+}
+
+// TotalEnergyPerInference returns total (static + dynamic) energy per
+// inference at full utilization, or 0 for a curve with no capacity.
+func (c *PowerCurve) TotalEnergyPerInference() float64 {
+	if c.CapFPS <= 0 {
+		return 0
+	}
+	return c.At(c.CapFPS) / c.CapFPS
+}
+
+// Curve returns the accelerator's power curve at its current channel
+// configuration.
+func (a *Accelerator) Curve() PowerCurve {
+	return PowerCurve{IdleW: a.IdlePower(), EnergyPerInfJ: a.EnergyPerInference(), CapFPS: a.Dataflow.FPS()}
+}
+
+// PowerAt returns total power in watts while processing the given frame
+// rate (see PowerCurve).
+func (a *Accelerator) PowerAt(processedFPS float64) float64 {
+	c := a.Curve()
+	return c.At(processedFPS)
 }
 
 // TotalEnergyPerInference returns total (static + dynamic) energy per
 // inference at full utilization — the Fig. 5(b)/(c) metric.
 func (a *Accelerator) TotalEnergyPerInference() float64 {
-	fps := a.Dataflow.FPS()
-	if fps <= 0 {
-		return 0
-	}
-	return a.PowerAt(fps) / fps
+	c := a.Curve()
+	return c.TotalEnergyPerInference()
 }

@@ -43,8 +43,8 @@ test-chaos:
 # one -fuzz target per invocation. The targets guard the outside-input
 # parsers (fault plans, workload scenarios, stream specs, serialized
 # models) and the fast kernels' bit-exactness against their references
-# (round-half-away, the activation ladder, the bit-plane convolution, the
-# calendar event queue).
+# (round-half-away, the activation ladder and its affine fold, the
+# bit-plane convolution, the calendar event queue).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime=10s ./internal/edge/
@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime=10s ./internal/modelio/
 	$(GO) test -run '^$$' -fuzz FuzzRoundHalfAway -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzActLadder -fuzztime=5s ./internal/quant/
+	$(GO) test -run '^$$' -fuzz FuzzAffineLadder -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzCalendarQueue -fuzztime=10s ./internal/sim/
 

@@ -26,36 +26,27 @@ package compile
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// Thresholds is a per-channel activation ladder on the accumulator scale.
-// The activation code of accumulator a is the number of entries in Asc
-// that a strictly exceeds when Up is true; when Up is false (negative
-// batch-norm gain) the comparison direction flips: the code is the number
-// of entries a falls strictly below, counted from the top.
+// Thresholds is a per-channel activation ladder on the accumulator scale:
+// the float32 edges quant.ActQuantizer.AffineLadder derives from the
+// channel's ScaleShift and the exact ladder nn's QuantAct reads.
 type Thresholds struct {
-	Asc []float64
-	Up  bool
+	Edges []float32
+	Up    bool // false for a negative batch-norm gain
 }
 
-// Code returns the activation code for accumulator value a.
-func (t Thresholds) Code(a float64) int {
+// Code returns the ladder level of float32 accumulator a: the number of
+// edges at or below a when Up, at or above it otherwise. It equals the
+// level nn's QuantAct gives γ·a+β, bit for bit.
+func (t Thresholds) Code(a float32) int {
 	n := 0
-	if t.Up {
-		for _, th := range t.Asc {
-			if a > th {
-				n++
-			}
-		}
-		return n
-	}
-	for _, th := range t.Asc {
-		if a < th {
+	for _, e := range t.Edges {
+		if t.Up && a >= e || !t.Up && a <= e {
 			n++
 		}
 	}
@@ -91,9 +82,9 @@ type stage struct {
 
 	// Per-output-channel threshold ladders (nil for head/pool).
 	thresholds []Thresholds
-	// actStep converts activation codes back to the value grid the next
-	// stage's weights expect.
-	actStep float64
+	// levels maps a ladder level to the activation value the next
+	// stage's weights expect, as QuantAct writes it.
+	levels []float64
 
 	// footprint multiplier for dense stages fed by conv channels.
 	inFoot int
@@ -220,47 +211,27 @@ func absorbActivation(layers []*nn.NamedLayer, li int) (ss *nn.ScaleShift, qa *n
 	return ss, qa, j - li - 1, nil
 }
 
-// buildLadders converts γ·y+β followed by an activation quantizer into
-// per-channel accumulator-scale threshold ladders.
-func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC, synOutC int) ([]Thresholds, float64) {
-	base := qa.Q.Thresholds()
+// buildLadders folds γ·y+β followed by an activation quantizer into
+// per-channel accumulator-scale threshold ladders and the value of each
+// ladder level. Padded channels beyond outC get the identity affine.
+func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC, synOutC int) ([]Thresholds, []float64, error) {
 	ladders := make([]Thresholds, synOutC)
-	for c := 0; c < synOutC; c++ {
-		gamma, beta := 1.0, 0.0
+	for c := range ladders {
+		gamma, beta := float32(1), float32(0)
 		if ss != nil && c < outC {
-			gamma = float64(ss.Gamma.Value.At(c))
-			beta = float64(ss.Beta.Value.At(c))
+			gamma, beta = ss.Gamma.Value.At(c), ss.Beta.Value.At(c)
 		}
-		t := Thresholds{Asc: make([]float64, len(base)), Up: true}
-		switch {
-		case gamma > 0:
-			for k, th := range base {
-				t.Asc[k] = (float64(th) - beta) / gamma
-			}
-		case gamma < 0:
-			// z = γ·a + β crosses th downward: a < (th−β)/γ.
-			t.Up = false
-			for k, th := range base {
-				// Descending in th for γ<0; store ascending for Code.
-				t.Asc[len(base)-1-k] = (float64(th) - beta) / gamma
-			}
-		default:
-			// γ == 0: constant pre-activation β; code is fixed.
-			fixed := 0
-			for _, th := range base {
-				if beta > float64(th) {
-					fixed++
-				}
-			}
-			// Encode as a ladder that always yields `fixed`.
-			t.Asc = make([]float64, fixed)
-			for k := range t.Asc {
-				t.Asc[k] = math.Inf(-1)
-			}
+		edges, up, err := qa.Q.AffineLadder(gamma, beta)
+		if err != nil {
+			return nil, nil, fmt.Errorf("compile: %s channel %d: %w", ss.Name(), c, err)
 		}
-		ladders[c] = t
+		ladders[c] = Thresholds{Edges: edges, Up: up}
 	}
-	return ladders, float64(qa.Q.Step())
+	levels := make([]float64, qa.Q.Levels()+1)
+	for c := range levels {
+		levels[c] = float64(qa.Q.LevelValue(c))
+	}
+	return ladders, levels, nil
 }
 
 // compileConvBlock lowers conv (+ScaleShift+QuantAct) into one MVTU stage.
@@ -304,7 +275,10 @@ func compileConvBlock(l *nn.Conv2D, layers []*nn.NamedLayer, li, convIdx, prevCo
 			bias[o] = float64(l.Bias.Value.At(o))
 		}
 	}
-	ladders, step := buildLadders(ss, qa, l.OutC, synOut)
+	ladders, levels, err := buildLadders(ss, qa, l.OutC, synOut)
+	if err != nil {
+		return nil, 0, err
+	}
 	g := l.Geom
 	g.InC = synIn
 	return &stage{
@@ -313,7 +287,7 @@ func compileConvBlock(l *nn.Conv2D, layers []*nn.NamedLayer, li, convIdx, prevCo
 		synInC: synIn, synOutC: synOut,
 		curInC: l.Geom.InC, curOutC: l.OutC,
 		weights: weights, bias: bias,
-		thresholds: ladders, actStep: step,
+		thresholds: ladders, levels: levels,
 	}, consumed, nil
 }
 
@@ -376,7 +350,9 @@ func compileDenseBlock(l *nn.Dense, layers []*nn.NamedLayer, li, prevConv int, w
 		inFoot: foot,
 	}
 	if kind == stageDense {
-		st.thresholds, st.actStep = buildLadders(ss, qa, l.Out, l.Out)
+		if st.thresholds, st.levels, err = buildLadders(ss, qa, l.Out, l.Out); err != nil {
+			return nil, 0, err
+		}
 	}
 	return st, consumed, nil
 }

@@ -45,16 +45,91 @@ func trainedTiny(t *testing.T, wbits int, seed int64) (*model.Model, *dataset.Da
 	return m, ds
 }
 
-// agreeOn compares program logits against nn logits on n dataset samples,
-// requiring identical argmax and close logits.
-func agreeOn(t *testing.T, p *Program, m *model.Model, ds *dataset.Dataset, n int) {
+// checkStageCodes runs p and m's layers side by side on x and demands
+// that every MVTU stage write exactly the activations nn's QuantAct
+// writes, bit for bit, so the two agree code for code. A mismatch names
+// the stage, the element and both accumulators. It returns the number of
+// activations compared and nn's logits.
+func checkStageCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor) (int, *tensor.Tensor) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		x, _ := ds.TestSample(i)
-		want, err := m.Net.Forward(x, false)
+	layers := m.Net.Layers
+	outs := make([]*tensor.Tensor, len(layers))
+	cur := x
+	for i, nl := range layers {
+		var err error
+		if cur, err = nl.Layer.Forward(cur, false); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = cur
+	}
+	in := make([]float64, x.Len())
+	for i, v := range x.Data() {
+		in[i] = float64(v)
+	}
+	c, h, w := p.InC, p.InH, p.InW
+	li, compared := 0, 0
+	for _, st := range p.stages {
+		for !computes(layers[li].Layer) {
+			li++
+		}
+		accLayer := li
+		for li+1 < len(layers) && absorbed(layers[li+1].Layer) {
+			li++
+		}
+		out, oc, oh, ow, err := st.run(in, c, h, w)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if st.thresholds != nil {
+			want := outs[li].Data()
+			if len(want) != len(out) {
+				t.Fatalf("stage %s: %d activations, nn has %d", st.name, len(out), len(want))
+			}
+			for i, v := range out {
+				if math.Float64bits(v) != math.Float64bits(float64(want[i])) {
+					raw := *st
+					raw.thresholds = nil
+					acc, _, _, _, _ := raw.run(in, c, h, w)
+					t.Fatalf("stage %s activation %d: compile accumulator %v gives %v, nn accumulator %v gives %v",
+						st.name, i, float32(acc[i]), v, outs[accLayer].Data()[i], want[i])
+				}
+			}
+			compared += len(out)
+		}
+		in, c, h, w = out, oc, oh, ow
+		li++
+	}
+	return compared, outs[len(outs)-1]
+}
+
+// computes reports whether l lowers to a compile stage of its own.
+func computes(l nn.Layer) bool {
+	switch l.(type) {
+	case *nn.Conv2D, *nn.Dense, *nn.MaxPool2D:
+		return true
+	}
+	return false
+}
+
+// absorbed reports whether l folds into the preceding MVTU's ladders.
+func absorbed(l nn.Layer) bool {
+	switch l.(type) {
+	case *nn.ScaleShift, *nn.QuantAct:
+		return true
+	}
+	return false
+}
+
+// agreeOn compares program against nn on n dataset samples: every stage's
+// activation codes must be identical (checkStageCodes), and so must the
+// argmax, with logits within 1e-3.
+func agreeOn(t *testing.T, p *Program, m *model.Model, ds *dataset.Dataset, n int) {
+	t.Helper()
+	compared := 0
+	for i := 0; i < n; i++ {
+		x, _ := ds.TestSample(i)
+		c, want := checkStageCodes(t, p, m, x)
+		compared += c
 		got, err := p.Run(x)
 		if err != nil {
 			t.Fatal(err)
@@ -72,6 +147,7 @@ func agreeOn(t *testing.T, p *Program, m *model.Model, ds *dataset.Dataset, n in
 			}
 		}
 	}
+	t.Logf("%s: %d activation codes identical to nn", p.Name, compared)
 }
 
 // TestCompiledMatchesNNFixed is the core functional-verification property:
@@ -258,20 +334,20 @@ func TestCompiledMLPMatchesNN(t *testing.T) {
 }
 
 func TestThresholdsCode(t *testing.T) {
-	up := Thresholds{Asc: []float64{0.5, 1.5, 2.5}, Up: true}
+	up := Thresholds{Edges: []float32{0.5, 1.5, 2.5}, Up: true}
 	cases := []struct {
-		a    float64
+		a    float32
 		want int
-	}{{-1, 0}, {0.6, 1}, {2.0, 2}, {99, 3}}
+	}{{-1, 0}, {0.5, 1}, {0.6, 1}, {2.0, 2}, {99, 3}}
 	for _, c := range cases {
 		if got := up.Code(c.a); got != c.want {
 			t.Errorf("up Code(%v) = %d, want %d", c.a, got, c.want)
 		}
 	}
-	down := Thresholds{Asc: []float64{-2.5, -1.5, -0.5}, Up: false}
-	// Down ladders count thresholds the accumulator falls below.
-	if down.Code(-3) != 3 || down.Code(-2) != 2 || down.Code(0) != 0 {
-		t.Fatalf("down ladder wrong: %d %d %d", down.Code(-3), down.Code(-2), down.Code(0))
+	// Down ladders count the edges at or above the accumulator.
+	down := Thresholds{Edges: []float32{-0.5, -1.5, -2.5}, Up: false}
+	if down.Code(-3) != 3 || down.Code(-1.5) != 2 || down.Code(0) != 0 {
+		t.Fatalf("down ladder wrong: %d %d %d", down.Code(-3), down.Code(-1.5), down.Code(0))
 	}
 }
 
@@ -291,6 +367,33 @@ func TestNegativeGammaLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreeOn(t, p, m, ds, 20)
+}
+
+// TestCompileRejectsNonFiniteAffine: a NaN or infinite γ or β has no
+// threshold ladder (nn would emit NaN or saturate), so Compile errors
+// instead of serving a constant code.
+func TestCompileRejectsNonFiniteAffine(t *testing.T) {
+	m, _ := trainedTiny(t, 2, 21)
+	ss := findFirstScaleShift(t, m)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		name  string
+		param *nn.Param
+		v     float32
+	}{{"NaN γ", ss.Gamma, nan}, {"+Inf γ", ss.Gamma, inf}, {"-Inf γ", ss.Gamma, -inf},
+		{"NaN β", ss.Beta, nan}, {"-Inf β", ss.Beta, -inf}} {
+		old := tc.param.Value.At(1)
+		tc.param.Value.Set(tc.v, 1)
+		for _, flexible := range []bool{false, true} {
+			if _, err := Compile(m, flexible); err == nil {
+				t.Errorf("%s: Compile(flexible=%v) accepted it", tc.name, flexible)
+			}
+		}
+		tc.param.Value.Set(old, 1)
+	}
+	if _, err := Compile(m, false); err != nil {
+		t.Fatalf("restored model rejected: %v", err)
+	}
 }
 
 func findFirstScaleShift(t *testing.T, m *model.Model) *nn.ScaleShift {
@@ -345,5 +448,57 @@ func TestRunRandomInputs(t *testing.T) {
 		if out.Len() != 4 {
 			t.Fatalf("logits = %d", out.Len())
 		}
+	}
+}
+
+// TestCNVStageCodesMatchNN pins the compiled CNVW2A2 dataflow to nn code
+// for code at 0/25/50/85 % pruning, with every ScaleShift channel's γ and
+// β randomized: some γ negative, some exactly zero. The unpruned model
+// runs as a Fixed program, the pruned ones as Flexible programs padded to
+// the worst case.
+func TestCNVStageCodesMatchNN(t *testing.T) {
+	ds := dataset.SyntheticCIFAR10(1)
+	m, err := model.CNVW2A2("cifar10", 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gran, err := finn.DefaultFolding(m).ChannelGranularity(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, rate := range []float64{0, 0.25, 0.5, 0.85} {
+		pm, _, err := prune.Shrink(m, rate, gran)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nl := range pm.Net.Layers {
+			ss, ok := nl.Layer.(*nn.ScaleShift)
+			if !ok {
+				continue
+			}
+			for c := 0; c < ss.Channels; c++ {
+				g := 0.2 + 1.8*rng.Float32()
+				switch rng.Intn(8) {
+				case 0:
+					g = 0
+				case 1, 2:
+					g = -g
+				}
+				ss.Gamma.Value.Set(g*ss.Gamma.Value.At(c), c)
+				ss.Beta.Value.Set(float32(rng.NormFloat64()), c)
+			}
+		}
+		p, err := Compile(pm, rate > 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compared := 0
+		for i := 0; i < 4; i++ {
+			x, _ := ds.TestSample(i)
+			c, _ := checkStageCodes(t, p, pm, x)
+			compared += c
+		}
+		t.Logf("p%.0f: %d activation codes identical to nn", rate*100, compared)
 	}
 }

@@ -20,28 +20,11 @@ func (p *Program) Run(x *tensor.Tensor) (*tensor.Tensor, error) {
 	for i, v := range x.Data() {
 		cur[i] = float64(v)
 	}
-	curC, curH, curW := p.InC, p.InH, p.InW
-
+	c, h, w := p.InC, p.InH, p.InW
 	for _, st := range p.stages {
-		switch st.kind {
-		case stageConv:
-			out, oh, ow, err := st.runConv(cur, curC, curH, curW)
-			if err != nil {
-				return nil, err
-			}
-			cur, curC, curH, curW = out, st.curOutC, oh, ow
-		case stagePool:
-			out, oh, ow, err := st.runPool(cur, curC, curH, curW)
-			if err != nil {
-				return nil, err
-			}
-			cur, curH, curW = out, oh, ow
-		case stageDense, stageHead:
-			out, err := st.runDense(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur, curC, curH, curW = out, st.curOutC, 1, 1
+		var err error
+		if cur, c, h, w, err = st.run(cur, c, h, w); err != nil {
+			return nil, err
 		}
 	}
 	logits := tensor.New(len(cur))
@@ -51,8 +34,43 @@ func (p *Program) Run(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return logits, nil
 }
 
+// run executes one stage on a CHW stream of c×h×w values and returns its
+// output stream and shape. MVTU stages apply their threshold ladders to
+// the accumulators; the head emits them as logits.
+func (st *stage) run(in []float64, c, h, w int) ([]float64, int, int, int, error) {
+	switch st.kind {
+	case stageConv:
+		out, oh, ow, err := st.runConv(in, c, h, w)
+		if err == nil {
+			st.activate(out, oh*ow)
+		}
+		return out, st.curOutC, oh, ow, err
+	case stagePool:
+		out, oh, ow, err := st.runPool(in, c, h, w)
+		return out, c, oh, ow, err
+	default:
+		out, err := st.runDense(in)
+		if err == nil {
+			st.activate(out, 1)
+		}
+		return out, st.curOutC, 1, 1, err
+	}
+}
+
+// activate replaces each accumulator of a stream with spatial values per
+// channel by its ladder level's activation value; the head, which has no
+// ladders, keeps its accumulators.
+func (st *stage) activate(acc []float64, spatial int) {
+	if st.thresholds == nil {
+		return
+	}
+	for i, a := range acc {
+		acc[i] = st.levels[st.thresholds[i/spatial].Code(float32(a))]
+	}
+}
+
 // runConv is the SWU+MVTU pair: window generation followed by guarded
-// dot products and threshold application.
+// dot products.
 func (st *stage) runConv(in []float64, inC, inH, inW int) ([]float64, int, int, error) {
 	if inC != st.curInC {
 		return nil, 0, 0, fmt.Errorf("compile: stage %s fed %d channels, configured for %d", st.name, inC, st.curInC)
@@ -81,7 +99,7 @@ func (st *stage) runConv(in []float64, inC, inH, inW int) ([]float64, int, int, 
 					}
 				}
 			}
-			// MVTU: guarded accumulate + per-channel threshold ladder.
+			// MVTU: guarded accumulate.
 			for o := 0; o < st.curOutC; o++ { // runtime channel guard
 				acc := 0.0
 				w := st.weights[o]
@@ -91,8 +109,7 @@ func (st *stage) runConv(in []float64, inC, inH, inW int) ([]float64, int, int, 
 				if st.bias != nil {
 					acc += st.bias[o]
 				}
-				code := st.thresholds[o].Code(acc)
-				out[(o*oh+oy)*ow+ox] = float64(code) * st.actStep
+				out[(o*oh+oy)*ow+ox] = acc
 			}
 		}
 	}
@@ -135,8 +152,7 @@ func (st *stage) runPool(in []float64, inC, inH, inW int) ([]float64, int, int, 
 	return out, oh, ow, nil
 }
 
-// runDense is the dense MVTU (hidden layers apply threshold ladders; the
-// head emits raw logits).
+// runDense is the dense MVTU's guarded accumulate.
 func (st *stage) runDense(in []float64) ([]float64, error) {
 	if len(in) != st.curInC {
 		return nil, fmt.Errorf("compile: stage %s fed %d values, configured for %d", st.name, len(in), st.curInC)
@@ -151,11 +167,7 @@ func (st *stage) runDense(in []float64) ([]float64, error) {
 		if st.bias != nil {
 			acc += st.bias[o]
 		}
-		if st.kind == stageHead {
-			out[o] = acc
-		} else {
-			out[o] = float64(st.thresholds[o].Code(acc)) * st.actStep
-		}
+		out[o] = acc
 	}
 	return out, nil
 }

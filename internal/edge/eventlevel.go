@@ -181,10 +181,7 @@ func (m *eventModel) batchSize(now float64) (int, metrics.FlushCause) {
 		k, cause = len(m.queue), metrics.FlushIdle
 	}
 	if m.cfg.Deadline > 0 {
-		slack := m.cfg.FlushSlack
-		if slack <= 0 {
-			slack = 1 / m.serving.FPS
-		}
+		slack := 1 / m.serving.FPS
 		if kMax := int((m.queue[0] + m.cfg.Deadline - slack - now) * m.serving.FPS); kMax < k {
 			k, cause = kMax, metrics.FlushDeadlineSlack
 		}

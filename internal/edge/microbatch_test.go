@@ -85,15 +85,11 @@ func TestBatchingNeverCausesDeadlineMiss(t *testing.T) {
 			rng := rand.New(rand.NewSource(1000*int64(batch) + seed))
 			scn := randScenario(rng)
 			deadline := 0.05 + rng.Float64()*0.25
-			slack := 0.0
-			if rng.Intn(2) == 0 {
-				slack = rng.Float64() * 0.01
-			}
 			sink := &eventSink{}
 			cfg := SimConfig{
 				Seed:            seed,
 				AdmissionConfig: AdmissionConfig{Deadline: deadline},
-				BatchConfig:     BatchConfig{Size: batch, FlushSlack: slack},
+				BatchConfig:     BatchConfig{Size: batch},
 				PoissonArrivals: rng.Intn(2) == 0,
 				FaultConfig:     FaultConfig{Plan: randPlan(t, rng), Seed: seed + 100},
 			}

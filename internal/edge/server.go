@@ -99,11 +99,9 @@ type BatchConfig struct {
 	// frame past the deadline, so batching introduces no new drop causes
 	// and never misses a deadline that single-frame serving would make.
 	// Size <= 1 keeps the historical single-frame path bit-identical.
+	// Event-level runs reserve one frame time at the current serving
+	// rate as deadline slack when deciding how many frames still fit.
 	Size int
-	// FlushSlack is the deadline slack, in seconds, reserved when
-	// deciding how many frames still fit in a batch (event-level runs).
-	// Zero means one frame time at the current serving rate.
-	FlushSlack float64
 }
 
 // FaultConfig groups the chaos-injection knobs.
@@ -230,8 +228,7 @@ type BatchStatsReporter interface {
 // rejects:
 //   - a NaN, infinite or negative Step;
 //   - a NaN or negative QueueFrames (+Inf is an unbounded queue);
-//   - a NaN or +Inf Deadline;
-//   - a NaN, infinite or negative BatchConfig.FlushSlack.
+//   - a NaN or +Inf Deadline.
 //
 // It keeps the documented meanings of the other values: a Deadline ≤ 0
 // disables deadline admission, and a BatchConfig.Size ≤ 1 serves single
@@ -244,8 +241,6 @@ func (c *SimConfig) Validate() error {
 		return fmt.Errorf("edge: QueueFrames %v must be non-negative", c.QueueFrames)
 	case math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 1):
 		return fmt.Errorf("edge: Deadline %v must be finite (≤ 0 disables it)", c.Deadline)
-	case math.IsNaN(c.FlushSlack) || math.IsInf(c.FlushSlack, 0) || c.FlushSlack < 0:
-		return fmt.Errorf("edge: BatchConfig.FlushSlack %v must be a finite non-negative number of seconds", c.FlushSlack)
 	}
 	return nil
 }

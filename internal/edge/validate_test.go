@@ -34,9 +34,6 @@ func TestSimConfigValidate(t *testing.T) {
 		{"NaN queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: nan}}, "QueueFrames"},
 		{"NaN deadline", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: nan}}, "Deadline"},
 		{"+Inf deadline", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: inf}}, "Deadline"},
-		{"NaN flush slack", SimConfig{BatchConfig: BatchConfig{Size: 8, FlushSlack: nan}}, "FlushSlack"},
-		{"negative flush slack", SimConfig{BatchConfig: BatchConfig{Size: 8, FlushSlack: -0.001}}, "FlushSlack"},
-		{"+Inf flush slack", SimConfig{BatchConfig: BatchConfig{Size: 8, FlushSlack: inf}}, "FlushSlack"},
 	} {
 		if err := tc.cfg.Validate(); (err == nil) != (tc.wantErr == "") {
 			t.Errorf("%s: Validate() = %v", tc.name, err)

@@ -385,14 +385,21 @@ func (p *Pool) SetAccuracyThreshold(threshold float64) error {
 	return p.applyThreshold()
 }
 
-func (p *Pool) applyThreshold() error {
-	thr := p.baseThreshold
-	if p.degraded {
-		thr -= p.cfg.DegradedRelax
-		if thr < 0 {
-			thr = 0
-		}
+// threshold returns the accuracy threshold the boards serve under: the
+// base, relaxed by DegradedRelax (floored at 0) in degraded mode.
+func (p *Pool) threshold() float64 {
+	if !p.degraded {
+		return p.baseThreshold
 	}
+	thr := p.baseThreshold - p.cfg.DegradedRelax
+	if thr < 0 {
+		return 0
+	}
+	return thr
+}
+
+func (p *Pool) applyThreshold() error {
+	thr := p.threshold()
 	for _, b := range p.boards {
 		if err := b.mgr.SetAccuracyThreshold(thr); err != nil {
 			return err
@@ -631,12 +638,7 @@ func (p *Pool) promote(now float64) bool {
 // survivors serve under a relaxed accuracy threshold — the stream keeps
 // flowing at lower quality rather than being shed.
 func (p *Pool) updateDegraded(now float64) bool {
-	responsive := 0
-	for _, b := range p.boards {
-		if b.serving && (b.state == Healthy || b.state == Suspect) && now >= b.hangUntil {
-			responsive++
-		}
-	}
+	responsive := p.Responsive(now)
 	want := responsive < p.cfg.Quorum
 	if want == p.degraded {
 		return false
@@ -648,16 +650,9 @@ func (p *Pool) updateDegraded(now float64) bool {
 	// The threshold move cannot fail: base and relax are validated.
 	_ = p.applyThreshold()
 	if p.trace.Enabled() {
-		thr := p.baseThreshold
-		if want {
-			thr -= p.cfg.DegradedRelax
-			if thr < 0 {
-				thr = 0
-			}
-		}
 		p.trace.Emit(now, obs.PoolCat, "degraded",
 			obs.B("on", want), obs.I("responsive", responsive),
-			obs.I("quorum", p.cfg.Quorum), obs.F("threshold", thr))
+			obs.I("quorum", p.cfg.Quorum), obs.F("threshold", p.threshold()))
 	}
 	return true
 }

@@ -35,10 +35,10 @@ import (
 // so counting the edges at or below an input, with no divide and no
 // rounding, gives Quantize's result bit for bit. Bits and Max are
 // therefore read-only after NewActQuantizer, and cloned layers share the
-// ladder without a lock. ActQuantizer.Thresholds() stays the midpoint
-// ladder: internal/compile maps it through (t−β)/γ onto a float64
-// accumulator scale, where exact float32 edges would not stay exact, and
-// its tests agree with this engine to a tolerance either way.
+// ladder without a lock. internal/compile folds ScaleShift into the same
+// ladder with quant.ActQuantizer.AffineLadder, which searches float32
+// accumulators rather than mapping edges through (t−β)/γ, so its
+// programs match this engine's float path code for code.
 
 // floatGEMM is the inverted switch, so the zero value selects the int8 path.
 var floatGEMM atomic.Bool

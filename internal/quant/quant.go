@@ -34,8 +34,8 @@ func NewWeightQuantizer(bits int) (*WeightQuantizer, error) {
 }
 
 // wLevels returns the number of positive levels of a signed grid of the
-// given width: 1-bit → 1 (±1), 2-bit → 1 (±1, 0? — see below), n-bit →
-// 2^(n-1)-1 positive levels. For 1-bit there is no zero level.
+// given width: 2^(n-1)−1 for n bits, so 2-bit grids are {−1, 0, +1}. A
+// 1-bit grid is the exception, {−1, +1}: one positive level and no zero.
 func wLevels(bits int) int {
 	if bits == 1 {
 		return 1
@@ -300,11 +300,11 @@ func NewActQuantizer(bits int, max float32) (*ActQuantizer, error) {
 	return q, nil
 }
 
-// buildLadder computes the exact ladder of Quantize. Positive float32 bit
-// patterns order as their values, so for each level k ≥ 1 it bisects them
-// for the first input whose rounding index Code reaches k; the last edge
-// is Max itself. Each bin's value is Quantize of its first input, so the
-// ladder is exact even where Step()·(Levels−1) ≠ Max in float32.
+// buildLadder computes the exact ladder of Quantize. For each level k ≥ 1
+// it bisects the positive float32 keys for the first input whose rounding
+// index Code reaches k; the last edge is Max itself. Each bin's value is
+// Quantize of its first input, so the ladder is exact even where
+// Step()·(Levels−1) ≠ Max in float32.
 func (q *ActQuantizer) buildLadder() {
 	n := q.Levels()
 	maxKey := orderedKey(q.Max)
@@ -312,15 +312,7 @@ func (q *ActQuantizer) buildLadder() {
 	q.values = make([]float32, n+1)
 	lo := int64(1) // the smallest positive subnormal
 	for k := 1; k < n; k++ {
-		hi := maxKey
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if q.Code(math.Float32frombits(uint32(mid))) >= k {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
+		lo = firstKey(lo, maxKey, func(x float32) bool { return q.Code(x) >= k })
 		q.edges[k-1] = lo
 	}
 	q.edges[n-1] = maxKey
@@ -338,6 +330,79 @@ func orderedKey(x float32) int64 {
 	b := int32(math.Float32bits(x))
 	return int64(b ^ int32(uint32(b>>31)>>1))
 }
+
+// keyFloat inverts orderedKey.
+func keyFloat(k int64) float32 {
+	b := int32(k)
+	return math.Float32frombits(uint32(b ^ int32(uint32(b>>31)>>1)))
+}
+
+// firstKey bisects the ordered keys in [lo, hi] for the first whose
+// float32 reached reports true. reached must be monotone over the range,
+// false then true, and true at hi. It is the one search behind every
+// ladder of this package.
+func firstKey(lo, hi int64, reached func(float32) bool) int64 {
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if reached(keyFloat(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// AffineLadder folds a per-channel affine γ·a+β, computed in float32 as
+// nn's ScaleShift computes it, into this quantizer's exact ladder, as
+// FINN's multi-threshold unit absorbs batch-norm. It returns one
+// accumulator threshold per edge such that, for every finite float32 a,
+// QuantizeInto(γ·a+β) writes LevelValue(level) bit for bit, where level
+// counts the thresholds at or below a when up, at or above it otherwise.
+//
+// The edges are not mapped through (e−β)/γ, which would lose exactness;
+// the accumulator itself is searched. For γ > 0, threshold k is the
+// first float32 a, in key order, whose γ·a+β reaches edge k; float32
+// multiply and add round monotonically, so the count is exact. For γ < 0
+// it is the last such a: γ·a = |γ|·(−a) bit for bit, so it is the
+// negated threshold of |γ|. At γ = 0 the thresholds are −Inf up to β's
+// level and +Inf above. A NaN or infinite γ or β is an error.
+func (q *ActQuantizer) AffineLadder(gamma, beta float32) (t []float32, up bool, err error) {
+	if !isFinite(gamma) || !isFinite(beta) {
+		return nil, false, fmt.Errorf("quant: affine γ=%v β=%v must be finite", gamma, beta)
+	}
+	n := q.Levels()
+	t = make([]float32, n)
+	inf := float32(math.Inf(1))
+	if gamma == 0 {
+		for k, e := range q.edges[:n] {
+			t[k] = inf
+			if e <= orderedKey(beta) {
+				t[k] = -inf
+			}
+		}
+		return t, true, nil
+	}
+	g := gamma
+	if g < 0 {
+		g = -g
+	}
+	lo := orderedKey(-inf)
+	for k, e := range q.edges[:n] {
+		lo = firstKey(lo, orderedKey(inf), func(a float32) bool { return orderedKey(g*a+beta) >= e })
+		t[k] = keyFloat(lo)
+		if gamma < 0 {
+			t[k] = -t[k]
+		}
+	}
+	return t, gamma > 0, nil
+}
+
+// LevelValue returns what QuantizeInto writes for an input at ladder level
+// c, the count of edges at or below it (0 ≤ c ≤ Levels()).
+func (q *ActQuantizer) LevelValue(c int) float32 { return q.values[c] }
+
+func isFinite(x float32) bool { return !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0) }
 
 // QuantizeInto writes Quantize(x) for each x of src into the same index
 // of dst, which must be at least as long and may alias src. It reads the
@@ -400,49 +465,4 @@ func (q *ActQuantizer) STEGrad(x, grad float32) float32 {
 		return 0
 	}
 	return grad
-}
-
-// Thresholds materializes the multi-threshold ladder equivalent to this
-// quantizer: Levels-1 ascending values t_k such that Code(x) equals the
-// number of thresholds with x > t_k. FINN's MVTU applies exactly this
-// comparison to its accumulators.
-//
-// These are the real-valued midpoints, not the exact float32 edges that
-// QuantizeInto reads. internal/compile maps each one through (t−β)/γ onto
-// its float64 accumulator scale, where an exact float32 edge would not
-// stay exact, so its programs agree with internal/nn to a tolerance
-// either way, and its tests are written against these midpoints.
-func (q *ActQuantizer) Thresholds() []float32 {
-	n := q.Levels() - 1
-	out := make([]float32, n)
-	step := q.Step()
-	for k := 0; k < n; k++ {
-		// Midpoint between level k and k+1: crossing it rounds up.
-		out[k] = step * (float32(k) + 0.5)
-	}
-	return out
-}
-
-// ApplyThresholds counts how many thresholds x strictly exceeds. For a
-// ladder built by Thresholds this equals Code(x) except exactly at
-// midpoints, where rounding direction differs by at most one level.
-func ApplyThresholds(x float32, thresholds []float32) int {
-	n := 0
-	for _, t := range thresholds {
-		if x > t {
-			n++
-		}
-	}
-	return n
-}
-
-// ValidateLadder reports an error unless thresholds are strictly ascending.
-func ValidateLadder(thresholds []float32) error {
-	for i := 1; i < len(thresholds); i++ {
-		if !(thresholds[i] > thresholds[i-1]) {
-			return fmt.Errorf("quant: threshold ladder not strictly ascending at %d (%v ≥ %v)",
-				i, thresholds[i-1], thresholds[i])
-		}
-	}
-	return nil
 }

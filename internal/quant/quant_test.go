@@ -206,8 +206,7 @@ func checkLadder(t *testing.T, q *ActQuantizer, xs []float32) {
 func ulpsAround(x float32, n int) []float32 {
 	out := make([]float32, 0, 2*n+1)
 	for d := -n; d <= n; d++ {
-		k := int32(orderedKey(x)) + int32(d)
-		out = append(out, math.Float32frombits(uint32(k^int32(uint32(k>>31)>>1))))
+		out = append(out, keyFloat(orderedKey(x)+int64(d)))
 	}
 	return out
 }
@@ -269,6 +268,108 @@ func FuzzActLadder(f *testing.F) {
 	})
 }
 
+// checkAffineLadder demands, for every finite accumulator a of as, that
+// AffineLadder(γ, β)'s threshold count equal the level QuantizeInto's
+// ladder gives γ·a+β, and that LevelValue of that count be what
+// QuantizeInto writes, bit for bit.
+func checkAffineLadder(t *testing.T, q *ActQuantizer, gamma, beta float32, as []float32) {
+	t.Helper()
+	th, up, err := q.AffineLadder(gamma, beta)
+	if err != nil {
+		t.Fatalf("AffineLadder(%v, %v): %v", gamma, beta, err)
+	}
+	if len(th) != q.Levels() {
+		t.Fatalf("bits=%d: %d thresholds, want %d", q.Bits, len(th), q.Levels())
+	}
+	zs := make([]float32, len(as))
+	for i, a := range as {
+		zs[i] = gamma*a + beta
+	}
+	got := make([]float32, len(zs))
+	q.QuantizeInto(got, zs)
+	for i, a := range as {
+		if !isFinite(a) {
+			continue
+		}
+		n := 0
+		for _, e := range th {
+			if up && a >= e || !up && a <= e {
+				n++
+			}
+		}
+		level := 0
+		for _, e := range q.edges {
+			if e <= orderedKey(zs[i]) {
+				level++
+			}
+		}
+		if n != level || math.Float32bits(q.LevelValue(n)) != math.Float32bits(got[i]) {
+			t.Fatalf("bits=%d max=%v γ=%v β=%v a=%v: %d thresholds crossed (value %v), QuantizeInto(%v) level %d (value %v)",
+				q.Bits, q.Max, gamma, beta, a, n, q.LevelValue(n), zs[i], level, got[i])
+		}
+	}
+}
+
+func TestAffineLadderMatchesQuantizeInto(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	gammas := []float32{1, 0.37, 2.5e-3, -1.3, -0.004, 0, negZero,
+		math.SmallestNonzeroFloat32, -1e-40, 1e30, -3e38}
+	for _, max := range []float32{3, 0.1, 6.3, 1e-3} {
+		for bits := 1; bits <= 8; bits++ {
+			q, err := NewActQuantizer(bits, max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(bits)))
+			for _, gamma := range gammas {
+				for _, beta := range []float32{0, 0.7 * max, -1.2 * max} {
+					var as []float32
+					for i := 0; i < 300; i++ {
+						as = append(as, float32(rng.NormFloat64())*2*max, math.Float32frombits(rng.Uint32()))
+					}
+					th, _, err := q.AffineLadder(gamma, beta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range th {
+						if isFinite(e) {
+							as = append(as, ulpsAround(e, 8)...)
+						}
+					}
+					checkAffineLadder(t, q, gamma, beta, as)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAffineLadder checks AffineLadder's threshold count against
+// QuantizeInto on fuzzed quantizers, affines and accumulators, and that
+// it rejects a NaN or infinite γ or β.
+func FuzzAffineLadder(f *testing.F) {
+	f.Add(uint8(2), float32(2), float32(math.NaN()), float32(0), float32(1))
+	f.Add(uint8(2), float32(2), float32(math.Inf(-1)), float32(0), float32(1))
+	f.Add(uint8(2), float32(2), float32(1), float32(math.Inf(1)), float32(1))
+	f.Add(uint8(2), float32(2), float32(0.8), float32(0.1), float32(1.25))
+	f.Add(uint8(2), float32(3), float32(-1.3), float32(0.7), float32(-0.4))
+	f.Add(uint8(1), float32(1), float32(0), float32(0.6), float32(5))
+	f.Add(uint8(8), float32(0.1), float32(1e-40), float32(0.05), float32(1e38))
+	f.Add(uint8(4), float32(6.3), float32(3e38), float32(-1), float32(1e-38))
+	f.Fuzz(func(t *testing.T, b uint8, max, gamma, beta, a float32) {
+		q, err := NewActQuantizer(int(b%8)+1, max)
+		if err != nil {
+			return
+		}
+		if !isFinite(gamma) || !isFinite(beta) {
+			if _, _, err := q.AffineLadder(gamma, beta); err == nil {
+				t.Fatalf("AffineLadder(%v, %v) accepted", gamma, beta)
+			}
+			return
+		}
+		checkAffineLadder(t, q, gamma, beta, ulpsAround(a, 2))
+	})
+}
+
 func TestActQuantizeA2(t *testing.T) {
 	q, _ := NewActQuantizer(2, 3) // levels 0,1,2,3
 	if q.Levels() != 4 || q.Step() != 1 {
@@ -299,62 +400,5 @@ func TestActSTEGrad(t *testing.T) {
 	}
 	if q.STEGrad(-0.1, 2) != 0 || q.STEGrad(3.1, 2) != 0 {
 		t.Fatal("clipped act gradient not zero")
-	}
-}
-
-func TestThresholdLadderMatchesCode(t *testing.T) {
-	for _, bits := range []int{1, 2, 3} {
-		q, _ := NewActQuantizer(bits, 3)
-		th := q.Thresholds()
-		if len(th) != q.Levels()-1 {
-			t.Fatalf("bits=%d: ladder length %d", bits, len(th))
-		}
-		if err := ValidateLadder(th); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(bits)))
-		for i := 0; i < 500; i++ {
-			x := rng.Float32()*5 - 1
-			code := q.Code(x)
-			cnt := ApplyThresholds(x, th)
-			if code != cnt {
-				// Rounding at exact midpoints may differ by one; anything
-				// else is a real bug.
-				if d := code - cnt; d < -1 || d > 1 {
-					t.Fatalf("bits=%d x=%v: code=%d thresholds=%d", bits, x, code, cnt)
-				}
-			}
-		}
-	}
-}
-
-// Property: ApplyThresholds is monotone non-decreasing in x.
-func TestApplyThresholdsMonotoneQuick(t *testing.T) {
-	q, _ := NewActQuantizer(3, 7)
-	th := q.Thresholds()
-	f := func(a, b float32) bool {
-		if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) {
-			return true
-		}
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return ApplyThresholds(lo, th) <= ApplyThresholds(hi, th)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateLadderRejectsNonAscending(t *testing.T) {
-	if err := ValidateLadder([]float32{1, 1}); err == nil {
-		t.Fatal("flat ladder accepted")
-	}
-	if err := ValidateLadder([]float32{2, 1}); err == nil {
-		t.Fatal("descending ladder accepted")
-	}
-	if err := ValidateLadder(nil); err != nil {
-		t.Fatal("empty ladder rejected")
 	}
 }

@@ -42,9 +42,10 @@ test-chaos:
 # Fuzz smoke: a short run of every fuzz target in the repo. go test takes
 # one -fuzz target per invocation. The targets guard the outside-input
 # parsers (fault plans, workload scenarios, stream specs, serialized
-# models) and the fast kernels' bit-exactness against their references
+# models), the fast kernels' bit-exactness against their references
 # (round-half-away, the activation ladder and its affine fold, the
-# bit-plane convolution, the calendar event queue).
+# bit-plane convolution, the calendar event queue), and the pruning count
+# plan against the ranked one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime=10s ./internal/edge/
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAffineLadder -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzCalendarQueue -fuzztime=10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzPlanChannels -fuzztime=5s ./internal/prune/
 
 # Timing gate: three fresh 5 s runs each of the serving workloads
 # (edge-fluid, edge-event, cluster), compared with the committed seed-1

@@ -8,12 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// ---- serving hot paths: allocation ceilings and profiling entry points ----
+// ---- hot paths: allocation ceilings and profiling entry points ----
 
-// hotPath is one serving hot-path case. TestHotPathAllocs holds its
-// allocations per operation under maxAllocs, and Benchmark<bench>/<name>
-// runs the same operation for profiling. setup builds what every
-// operation shares and returns operation i, which runs with seed i.
+// hotPath is one serving or design-time hot-path case. TestHotPathAllocs
+// holds its allocations per operation under maxAllocs, and
+// Benchmark<bench>/<name> runs the same operation for profiling. setup
+// builds what every operation shares and returns operation i, which runs
+// with seed i.
 type hotPath struct {
 	bench, name string
 	// maxAllocs is the allocs/op the test measured plus the margin the
@@ -102,6 +103,27 @@ var hotPaths = []hotPath{
 			}
 		}
 	}},
+	// The design-time Library Generator on its shape-only path: CNVW2A2
+	// on CIFAR-10 with the calibrated evaluator, one worker, 18 rates.
+	// Plans come from channel counts alone, so ranking the filters again
+	// (a few allocations per convolution) or building removal lists (at
+	// least one per pruned layer and rate) trips it. Measured 5074;
+	// margin 4.
+	{"LibraryGenerate", "shape-only", 5078, func(tb testing.TB) func(int) {
+		m, err := NewCNVW2A2("cifar10", 10, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ev, err := NewCalibratedEvaluator("CNVW2A2", "cifar10")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return func(int) {
+			if _, err := GenerateLibrary(m, LibraryConfig{Evaluator: ev, Workers: 1}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}},
 }
 
 func paperLib(tb testing.TB) *Library {
@@ -172,10 +194,10 @@ func clusterOp(tb testing.TB, plan *FaultPlan, faultPools []int) func(int) {
 	}
 }
 
-// TestHotPathAllocs gates every serving hot path on an exact allocation
-// ceiling. The counts do not depend on the machine: AllocsPerRun pins
-// GOMAXPROCS to 1 and the test pins every worker-pool cap to 2, so the
-// pools' fan-outs start the same goroutines everywhere.
+// TestHotPathAllocs gates every hot path on an exact allocation ceiling.
+// The counts do not depend on the machine: AllocsPerRun pins GOMAXPROCS
+// to 1 and the test pins every worker-pool cap to 2, so the pools'
+// fan-outs start the same goroutines everywhere.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -228,3 +250,7 @@ func BenchmarkClusterRun(b *testing.B) { benchHotPaths(b, "ClusterRun") }
 // BenchmarkDESKernel measures raw event throughput of the simulation
 // kernel's calendar queue (see hotPaths).
 func BenchmarkDESKernel(b *testing.B) { benchHotPaths(b, "DESKernel") }
+
+// BenchmarkLibraryGenerate measures design-time library generation on
+// its shape-only path (see hotPaths).
+func BenchmarkLibraryGenerate(b *testing.B) { benchHotPaths(b, "LibraryGenerate") }

@@ -108,9 +108,10 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 		worst = cur
 	}
 
+	key := m.Key()
 	df := &Dataflow{
-		Name:          fmt.Sprintf("%s-%s", m.Key(), kindName(opts.Flexible)),
-		Model:         m.Key(),
+		Name:          key + "-" + kindName(opts.Flexible),
+		Model:         key,
 		Flexible:      opts.Flexible,
 		ClockHz:       clock,
 		WorstChannels: append([]int(nil), worst...),

@@ -6,20 +6,22 @@
 // Flexible-Pruning accelerator per initial model.
 //
 // Generation is a three-stage pipeline. Stage 1 prunes and evaluates each
-// rate independently (building pruned weights only when the evaluator or
-// Config.KeepModels reads them), fanned across Config.Workers
-// goroutines with indexed result slots. Stage 2 maps and synthesizes one
-// fixed accelerator per *distinct* channel configuration — dataflow
-// constraints round several small rates to the same shape, so duplicate
-// rates reuse the memoized synthesis — and measures the flexible
-// accelerator's power curve at those channels under a mutex. Stage 3
-// assembles the entries in rate order. Every per-entry value is a pure function of the
-// entry's inputs and the memo is consulted identically at any worker
-// count, so the output is bit-identical regardless of parallelism.
+// rate independently (ranking filters and building pruned weights only
+// when the evaluator or Config.KeepModels reads them), fanned across
+// Config.Workers goroutines with indexed result slots. Stage 2 maps and
+// synthesizes one fixed accelerator per *distinct* channel configuration
+// — dataflow constraints round several small rates to the same shape, so
+// duplicate rates reuse the memoized synthesis — and measures the
+// flexible accelerator's power curve at those channels under a mutex.
+// Stage 3 assembles the entries in rate order. Every per-entry value is a
+// pure function of the entry's inputs and the memo is consulted
+// identically at any worker count, so the output is bit-identical
+// regardless of parallelism.
 package library
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,9 +126,10 @@ type Config struct {
 	// KeepModels retains each pruned model, with its weights, in
 	// Entry.Model (memory-heavy for paper-scale models; tests and examples
 	// with tiny models set it). Without it, and with an Evaluator that
-	// implements accuracy.ChannelEvaluator (Calibrated), Generate never
-	// builds pruned weights at all: mapping, synthesis and the evaluator
-	// read only the pruned shapes.
+	// implements accuracy.ChannelEvaluator (Calibrated), Generate neither
+	// ranks filters nor builds pruned weights: it plans channel counts
+	// alone, and mapping, synthesis and the evaluator read only the
+	// pruned shapes.
 	KeepModels bool
 	// FlexSwitchTime defaults to 1 ms.
 	FlexSwitchTime time.Duration
@@ -157,7 +160,13 @@ func channelsKey(ch []int) string {
 	return b.String()
 }
 
-// Generate builds the library from an initial model.
+// Generate builds the library from an initial model. Rates must lie in
+// [0, 1); NaN and infinite rates are rejected up front. With a
+// channel-count evaluator and no KeepModels, each rate is planned from
+// channel counts (prune.PlanChannels) and built shape-only
+// (prune.ApplyShape); otherwise the initial filters are ranked once and
+// each rate's pruned weights are gathered (prune.Apply). Both paths give
+// the same library.
 func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	start := time.Now()
 	if cfg.Evaluator == nil {
@@ -167,6 +176,11 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	if cfg.Rates != nil {
 		if len(cfg.Rates) == 0 {
 			return nil, fmt.Errorf("library: empty rate sweep")
+		}
+		for _, r := range cfg.Rates {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return nil, fmt.Errorf("library: rate %v is not a number in [0,1)", r)
+			}
 		}
 		// Sort a copy: the slice belongs to the caller.
 		rates = append([]float64(nil), cfg.Rates...)
@@ -212,14 +226,16 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 		return nil, err
 	}
 
-	// Stage 1: prune and evaluate every rate. The filters are ranked once
-	// and every rate plans from that ranking. Pruned weights are gathered
+	// Stage 1: prune and evaluate every rate. Pruned weights are gathered
 	// only when something reads them: an evaluator that is not a
-	// channel-count evaluator, or KeepModels. Otherwise each rate builds
-	// the shape-only model (prune.ApplyShape), which is all mapping and
-	// synthesis read, and which never leaves Generate. Each model is built
-	// fresh from the initial one and the evaluator only reads its own
-	// copy, so rates are independent; results land in indexed slots.
+	// channel-count evaluator, or KeepModels. Then the filters are ranked
+	// once and every rate plans from that ranking. Otherwise each rate
+	// plans its channel counts alone (prune.PlanChannels) and builds the
+	// shape-only model (prune.ApplyShape), which is all mapping and
+	// synthesis read, and which never leaves Generate; nothing is ranked.
+	// Each model is built fresh from the initial one and the evaluator
+	// only reads its own copy, so rates are independent; results land in
+	// indexed slots.
 	type pruned struct {
 		model *model.Model
 		plan  *prune.Plan
@@ -227,14 +243,16 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	}
 	chEval, ok := cfg.Evaluator.(accuracy.ChannelEvaluator)
 	shapeOnly := ok && !cfg.KeepModels
-	apply := prune.Apply
-	if shapeOnly {
-		apply = prune.ApplyShape
+	planAt := func(rate float64) (*prune.Plan, error) { return prune.PlanChannels(initial, rate, gran) }
+	apply := prune.ApplyShape
+	if !shapeOnly {
+		rank := prune.RankFilters(initial)
+		planAt = func(rate float64) (*prune.Plan, error) { return rank.Plan(rate, gran) }
+		apply = prune.Apply
 	}
-	rank := prune.RankFilters(initial)
 	stage1 := make([]pruned, len(rates))
 	err = parallel.ForEachErr(len(rates), workers, func(i int) error {
-		plan, err := rank.Plan(rates[i], gran)
+		plan, err := planAt(rates[i])
 		if err != nil {
 			return fmt.Errorf("library: rate %v: %w", rates[i], err)
 		}
@@ -244,7 +262,7 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 		}
 		var acc float64
 		if shapeOnly {
-			acc, err = chEval.AccuracyOfChannels(m.BaseChannels, m.ConvChannels())
+			acc, err = chEval.AccuracyOfChannels(m.BaseChannels, plan.Channels)
 		} else {
 			acc, err = cfg.Evaluator.Accuracy(m)
 		}

@@ -3,6 +3,8 @@ package library
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/accuracy"
@@ -45,6 +47,38 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(m, Config{}); err == nil {
 		t.Fatal("missing evaluator accepted")
+	}
+}
+
+// TestGenerateRejectsBadRates: a NaN or infinite rate fails up front with
+// an error naming it, and any other rate outside [0, 1) fails at planning
+// with the rate named, on the shape-only and the weight path alike.
+func TestGenerateRejectsBadRates(t *testing.T) {
+	m, err := model.TinyCNV("tiny", "tiny-syn", 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := accuracy.NewCalibrated("CNVW2A2", "cifar10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rates []float64
+		want  string
+	}{
+		{[]float64{math.NaN()}, "library: rate NaN is not a number in [0,1)"},
+		{[]float64{0, math.NaN()}, "library: rate NaN is not a number in [0,1)"},
+		{[]float64{0.5, math.Inf(1)}, "library: rate +Inf is not a number in [0,1)"},
+		{[]float64{math.Inf(-1), 0.25}, "library: rate -Inf is not a number in [0,1)"},
+		{[]float64{0, 1}, "library: rate 1: prune: rate 1 out of [0,1)"},
+		{[]float64{-0.5, 0.5}, "library: rate -0.5: prune: rate -0.5 out of [0,1)"},
+	} {
+		for _, keep := range []bool{false, true} {
+			_, err := Generate(m, Config{Rates: tc.rates, Evaluator: ev, KeepModels: keep})
+			if fmt.Sprint(err) != tc.want {
+				t.Errorf("rates %v (KeepModels %v): err = %v, want %q", tc.rates, keep, err, tc.want)
+			}
+		}
 	}
 }
 

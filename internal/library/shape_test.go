@@ -73,14 +73,17 @@ func TestGenerateShapeOnlyMatchesWeightPath(t *testing.T) {
 }
 
 // generateCeiling bounds the bytes one paper-scale Generate (Calibrated,
-// KeepModels off, one worker) may allocate. It measures about 1.1 MB; the
-// ceiling adds about 3 MB of margin. Gathering even one unpruned CNVW2A2
-// (1.5M float32 parameters, about 6 MB) trips it, and the whole weight
-// path allocated about 61 MB.
-const generateCeiling = 4 << 20
+// KeepModels off, one worker) may allocate. It measures about 345 KB
+// (0.33 MB); the ceiling adds about 65 KB of margin. Building the shapes
+// from removal lists again (plans' index lists, their sort and the
+// per-layer keep lists) would add more than that, gathering even one
+// unpruned CNVW2A2 (1.5M float32 parameters, about 6 MB) trips it, and
+// the whole weight path allocated about 61 MB.
+const generateCeiling = 400 << 10
 
 // TestGenerateMemoryCeiling guards the shape-only path: with a
-// channel-count evaluator and no kept models, Generate builds no weights.
+// channel-count evaluator and no kept models, Generate builds no weights
+// and no removal lists.
 func TestGenerateMemoryCeiling(t *testing.T) {
 	m, ev := paperPair(t, "CNVW2A2", "cifar10")
 	cfg := Config{Evaluator: ev, Workers: 1}
@@ -95,9 +98,9 @@ func TestGenerateMemoryCeiling(t *testing.T) {
 	})
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-	t.Logf("Generate: %.2f MB/op, %.0f allocs/op", float64(perOp)/(1<<20), allocs)
+	t.Logf("Generate: %.2f MB/op (%d B), %.0f allocs/op", float64(perOp)/(1<<20), perOp, allocs)
 	if perOp > generateCeiling {
-		t.Fatalf("Generate allocated %.2f MB/op, ceiling %.2f MB: are pruned weights gathered again?",
+		t.Fatalf("Generate allocated %.2f MB/op, ceiling %.2f MB: are pruned weights or removal lists built again?",
 			float64(perOp)/(1<<20), float64(generateCeiling)/(1<<20))
 	}
 }

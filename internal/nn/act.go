@@ -105,18 +105,14 @@ func (s *ScaleShift) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Pruned returns a copy of the affine without the listed channels
-// (ascending and unique): with weights, gathered once at the final size;
-// without, the channel count only (see Conv2D.Pruned).
-func (s *ScaleShift) Pruned(remove []int, weights bool) (*ScaleShift, error) {
+// (ascending and unique), gathered once at the final size (see
+// Conv2D.Pruned).
+func (s *ScaleShift) Pruned(remove []int) (*ScaleShift, error) {
 	keep, err := keepIndices(s.Channels, remove)
 	if err != nil {
 		return nil, fmt.Errorf("nn: scaleshift %q: %w", s.ID, err)
 	}
-	p := &ScaleShift{ID: s.ID, Channels: len(keep)}
-	if weights {
-		p.Gamma, p.Beta = gatherParam(s.Gamma, keep), gatherParam(s.Beta, keep)
-	}
-	return p, nil
+	return &ScaleShift{ID: s.ID, Channels: len(keep), Gamma: gatherParam(s.Gamma, keep), Beta: gatherParam(s.Beta, keep)}, nil
 }
 
 // QuantAct applies an activation quantizer element-wise with a

@@ -328,13 +328,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // Pruned returns a copy of the convolution without the given output
 // filters and input channels (each list ascending and unique; either may
-// be empty), matching an upstream filter prune on the input side. With
-// weights, every parameter is gathered once into a tensor of its final
-// size, so the copy never aliases the receiver, which is left untouched.
-// Without, the copy carries geometry and quantizer only and no
-// parameters: enough to map or synthesize it, not to run it. Both forms
-// validate the lists alike.
-func (c *Conv2D) Pruned(removeOut, removeIn []int, weights bool) (*Conv2D, error) {
+// be empty), matching an upstream filter prune on the input side. Every
+// parameter is gathered once into a tensor of its final size, so the copy
+// never aliases the receiver, which is left untouched.
+func (c *Conv2D) Pruned(removeOut, removeIn []int) (*Conv2D, error) {
 	keepOut, err := keepIndices(c.OutC, removeOut)
 	if err != nil {
 		return nil, fmt.Errorf("nn: conv %q: %w", c.ID, err)
@@ -345,9 +342,6 @@ func (c *Conv2D) Pruned(removeOut, removeIn []int, weights bool) (*Conv2D, error
 	}
 	p := &Conv2D{ID: c.ID, Geom: c.Geom, OutC: len(keepOut), Quant: c.Quant, PerChannel: c.PerChannel}
 	p.Geom.InC = len(keepIn)
-	if !weights {
-		return p, nil
-	}
 	kk := c.Geom.KH * c.Geom.KW
 	w := tensor.New(len(keepOut), len(keepIn), c.Geom.KH, c.Geom.KW)
 	gatherRows(w.Data(), c.Weight.Value.Data(), keepOut, c.Geom.InC*kk, keepIn, kk)

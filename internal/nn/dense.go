@@ -261,10 +261,9 @@ func (d *Dense) NeuronL1Norms() []float64 {
 // neurons and input groups (each list ascending and unique; either may be
 // empty). removeIn indexes groups of groupSize consecutive inputs — the
 // flattened spatial footprint of one upstream channel, or 1 after a dense
-// producer. As with Conv2D.Pruned, with weights every parameter is
-// gathered once at its final size, without them the copy is shape only,
-// and the receiver is left untouched.
-func (d *Dense) Pruned(removeOut, removeIn []int, groupSize int, weights bool) (*Dense, error) {
+// producer. As with Conv2D.Pruned, every parameter is gathered once at its
+// final size, and the receiver is left untouched.
+func (d *Dense) Pruned(removeOut, removeIn []int, groupSize int) (*Dense, error) {
 	if groupSize <= 0 || d.In%groupSize != 0 {
 		return nil, fmt.Errorf("nn: dense %q group size %d does not divide In %d", d.ID, groupSize, d.In)
 	}
@@ -277,9 +276,6 @@ func (d *Dense) Pruned(removeOut, removeIn []int, groupSize int, weights bool) (
 		return nil, fmt.Errorf("nn: dense %q inputs: %w", d.ID, err)
 	}
 	p := &Dense{ID: d.ID, In: len(keepIn) * groupSize, Out: len(keepOut), Flat: d.Flat, Quant: d.Quant}
-	if !weights {
-		return p, nil
-	}
 	w := tensor.New(p.Out, p.In)
 	gatherRows(w.Data(), d.Weight.Value.Data(), keepOut, d.In, keepIn, groupSize)
 	p.Weight = newParam(d.Weight.Name, w)

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -374,7 +373,7 @@ func TestPruneFilters(t *testing.T) {
 		c.Bias.Value.Set(float32(10*(o+1)), o)
 	}
 	orig := c
-	c, err := c.Pruned([]int{1, 3}, nil, true)
+	c, err := c.Pruned([]int{1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +409,9 @@ func TestPruneFiltersValidation(t *testing.T) {
 		{"out of range", []int{5}, nil, "out of range"},
 		{"all inputs", nil, []int{0}, "cannot remove 1 of 1"},
 	} {
-		_, err := c.Pruned(tc.out, tc.in, true)
+		_, err := c.Pruned(tc.out, tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.wantFragment) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantFragment)
-		}
-		if _, shapeErr := c.Pruned(tc.out, tc.in, false); fmt.Sprint(shapeErr) != fmt.Sprint(err) {
-			t.Errorf("%s: shape-only err = %v, want %v", tc.name, shapeErr, err)
 		}
 	}
 }
@@ -431,7 +427,7 @@ func TestPruneInputChannels(t *testing.T) {
 			c.Weight.Value.Set(float32(10*o+i), o, i, 0, 0)
 		}
 	}
-	c, err := c.Pruned(nil, []int{1}, true)
+	c, err := c.Pruned(nil, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +473,11 @@ func TestPruneConsistencyPreservesFunction(t *testing.T) {
 	}
 
 	// Pruned pipeline.
-	c1, err = c1.Pruned([]int{1, 3}, nil, true)
+	c1, err = c1.Pruned([]int{1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err = c2.Pruned(nil, []int{1, 3}, true)
+	c2, err = c2.Pruned(nil, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +503,7 @@ func TestDensePruneInputs(t *testing.T) {
 	d, _ := NewDense(DenseConfig{ID: "d", In: 6, Out: 1})
 	copy(d.Weight.Value.Data(), []float32{0, 1, 2, 3, 4, 5})
 	// Groups of 2 (channels of spatial footprint 2); remove group 1.
-	d, err := d.Pruned(nil, []int{1}, 2, true)
+	d, err := d.Pruned(nil, []int{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,10 +516,8 @@ func TestDensePruneInputs(t *testing.T) {
 			t.Fatalf("weights = %v, want %v", d.Weight.Value.Data(), want)
 		}
 	}
-	for _, weights := range []bool{true, false} {
-		if _, err := d.Pruned(nil, []int{0}, 3, weights); err == nil {
-			t.Fatalf("indivisible group size accepted (weights=%v)", weights)
-		}
+	if _, err := d.Pruned(nil, []int{0}, 3); err == nil {
+		t.Fatal("indivisible group size accepted")
 	}
 }
 
@@ -558,7 +552,7 @@ func TestGradAllocatedOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := c.Pruned([]int{1}, nil, true)
+	pc, err := c.Pruned([]int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,15 +27,19 @@ func PlanNeurons(m *model.Model, rate float64, granularity []int) (*DensePlan, e
 	if err != nil {
 		return nil, err
 	}
+	units := make([]int, len(hidden))
+	for i, d := range hidden {
+		units[i] = d.Out
+	}
+	widths, eff, err := planCounts(units, rate, granularity, "dense")
+	if err != nil {
+		return nil, err
+	}
 	orders := make([][]int, len(hidden))
 	for i, d := range hidden {
 		orders[i] = rankL1(d.NeuronL1Norms())
 	}
-	removed, widths, eff, err := planPrefixes(orders, rate, granularity, "dense")
-	if err != nil {
-		return nil, err
-	}
-	return &DensePlan{Rate: rate, Removed: removed, Widths: widths, EffectiveRate: eff}, nil
+	return &DensePlan{Rate: rate, Removed: prefixes(orders, widths), Widths: widths, EffectiveRate: eff}, nil
 }
 
 // hiddenDenses returns m's dense layers except the classifier head.
@@ -59,7 +63,7 @@ func ApplyNeurons(m *model.Model, p *DensePlan) (*model.Model, error) {
 	if len(p.Removed) != len(hidden) {
 		return nil, fmt.Errorf("prune: plan has %d entries for %d hidden dense layers", len(p.Removed), len(hidden))
 	}
-	return gather(m, nil, p.Removed, true)
+	return gather(m, nil, p.Removed)
 }
 
 // ShrinkDense builds m neuron-pruned at the given rate and returns it with

@@ -1,8 +1,8 @@
 package prune
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -247,10 +247,9 @@ func TestApplyArityMismatch(t *testing.T) {
 	}
 }
 
-// TestApplyShapeFailsLikeApply: the shape-only walk validates a plan as
-// Apply does, so every invalid plan fails both with the same error.
-func TestApplyShapeFailsLikeApply(t *testing.T) {
-	m := tiny(t) // convs of 8 and 16 filters
+// headless returns a one-convolution model with no consumer after it.
+func headless(t *testing.T) *model.Model {
+	t.Helper()
 	c, err := nn.NewConv2D(nn.ConvConfig{
 		ID:   "c",
 		Geom: tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
@@ -259,28 +258,31 @@ func TestApplyShapeFailsLikeApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headless := &model.Model{Name: "headless", InC: 1, InH: 2, InW: 2, Net: nn.NewNetwork(c), BaseChannels: []int{2}}
+	return &model.Model{Name: "headless", InC: 1, InH: 2, InW: 2, Net: nn.NewNetwork(c), BaseChannels: []int{2}}
+}
+
+// TestApplyRejectsInvalidLists: Apply validates a plan's removal lists;
+// every malformed one fails with an error naming what is wrong.
+func TestApplyRejectsInvalidLists(t *testing.T) {
+	m := tiny(t) // convs of 8 and 16 filters
 	for _, tc := range []struct {
 		name    string
 		m       *model.Model
 		removed [][]int
+		want    string
 	}{
-		{"short plan", m, make([][]int, 1)},
-		{"long plan", m, make([][]int, 3)},
-		{"all filters", m, [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, nil}},
-		{"descending", m, [][]int{{2, 1}, nil}},
-		{"duplicate", m, [][]int{nil, {3, 3}}},
-		{"negative", m, [][]int{{-1}, nil}},
-		{"out of range", m, [][]int{nil, {16}}},
-		{"no consumer", headless, [][]int{{0}}},
+		{"short plan", m, make([][]int, 1), "plan has 1 conv entries for 2"},
+		{"long plan", m, make([][]int, 3), "plan has 3 conv entries for 2"},
+		{"all filters", m, [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, nil}, "cannot remove 8 of 8"},
+		{"descending", m, [][]int{{2, 1}, nil}, "strictly ascending"},
+		{"duplicate", m, [][]int{nil, {3, 3}}, "strictly ascending"},
+		{"negative", m, [][]int{{-1}, nil}, "strictly ascending"},
+		{"out of range", m, [][]int{nil, {16}}, "out of range"},
+		{"no consumer", headless(t), [][]int{{0}}, "no downstream consumer"},
 	} {
-		p := &Plan{Rate: 0.5, Removed: tc.removed}
-		_, err := Apply(tc.m, p)
-		if err == nil {
-			t.Fatalf("%s: Apply accepted the plan", tc.name)
-		}
-		if _, shapeErr := ApplyShape(tc.m, p); fmt.Sprint(shapeErr) != err.Error() {
-			t.Errorf("%s: ApplyShape err = %v, want %v", tc.name, shapeErr, err)
+		_, err := Apply(tc.m, &Plan{Rate: 0.5, Removed: tc.removed})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Apply err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -358,11 +358,16 @@ func stripParams(m *model.Model) {
 }
 
 // TestApplyShapeMatchesApply: at every paper rate, with and without the
-// dataflow constraints, the shape-only walk builds Apply's model minus its
-// parameters (sameModel requires both sides' to be nil), and finn maps
-// both to the same dataflow.
+// dataflow constraints, the shape-only walk over the count plan builds
+// Apply's model over the ranked plan minus its parameters (sameModel
+// requires both sides' to be nil), and finn maps both to the same
+// dataflow.
 func TestApplyShapeMatchesApply(t *testing.T) {
-	cnv, err := model.CNVW1A2("gtsrb", 43, 1)
+	w1, err := model.CNVW1A2("gtsrb", 43, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := model.CNVW2A2("cifar10", 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +375,7 @@ func TestApplyShapeMatchesApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []*model.Model{tiny, cnv} {
+	for _, m := range []*model.Model{tiny, w1, w2} {
 		gran, err := finn.DefaultFolding(m).ChannelGranularity(m)
 		if err != nil {
 			t.Fatal(err)
@@ -382,11 +387,15 @@ func TestApplyShapeMatchesApply(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				counts, err := prune.PlanChannels(m, rate, g)
+				if err != nil {
+					t.Fatal(err)
+				}
 				full, err := prune.Apply(m, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
-				shape, err := prune.ApplyShape(m, plan)
+				shape, err := prune.ApplyShape(m, counts)
 				if err != nil {
 					t.Fatal(err)
 				}

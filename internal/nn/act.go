@@ -20,6 +20,12 @@ type ScaleShift struct {
 
 	// forward cache
 	x *tensor.Tensor
+
+	// ladders holds the layer folded into the ladder of the QuantAct that
+	// follows it, for Network.ForwardBatch's staged path; nil until the
+	// first staged forward, so the layers library generation prunes by
+	// the thousand stay one size class.
+	ladders *ladderCache
 }
 
 // NewScaleShift builds the affine with γ=1, β=0.

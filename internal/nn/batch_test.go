@@ -16,7 +16,10 @@ import (
 
 // testBatchNet builds a small conv→relu→pool→flatten→dense network plus a
 // batch of random inputs. Quantized when bits > 0 (per-channel conv).
-func testBatchNet(t *testing.T, bits, batch int, seed int64) (*Network, []*tensor.Tensor) {
+// staged replaces the ReLU with ScaleShift → QuantAct (random γ and β,
+// 2-bit activations), so ForwardBatch carries levels from the conv to the
+// dense layer.
+func testBatchNet(t *testing.T, bits, batch int, seed int64, staged bool) (*Network, []*tensor.Tensor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var wq *quant.WeightQuantizer
@@ -49,6 +52,25 @@ func testBatchNet(t *testing.T, bits, batch int, seed int64) (*Network, []*tenso
 		t.Fatal(err)
 	}
 	net := NewNetwork(conv, NewReLU("r1"), pool, NewFlatten("f1"), dense)
+	if staged {
+		ss, err := NewScaleShift("s1", 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range ss.Channels {
+			ss.Gamma.Value.Data()[c] = float32(rng.NormFloat64() * 2)
+			ss.Beta.Value.Data()[c] = float32(1 + rng.NormFloat64())
+		}
+		aq, err := quant.NewActQuantizer(2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		act, err := NewQuantAct("a1", aq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net = NewNetwork(conv, ss, act, pool, NewFlatten("f1"), dense)
+	}
 	xs := make([]*tensor.Tensor, batch)
 	for j := range xs {
 		x := tensor.New(3, 12, 12)
@@ -64,13 +86,16 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 	prevGrain := tensor.SetParallelGrain(1)
 	defer tensor.SetParallelGrain(prevGrain)
 	for _, tc := range []struct {
-		name string
-		bits int
-		int8 bool
+		name   string
+		bits   int
+		int8   bool
+		staged bool
 	}{
-		{"float", 0, false},
-		{"quantized-float-path", 2, false},
-		{"int8", 2, true},
+		{"float", 0, false, false},
+		{"quantized-float-path", 2, false, false},
+		{"int8", 2, true, false},
+		{"staged-float-path", 2, false, true},
+		{"staged", 2, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prev := SetInt8GEMM(tc.int8)
@@ -78,7 +103,7 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			for _, batch := range []int{1, 3, 8} {
 				for _, workers := range []int{1, 2, runtime.NumCPU()} {
 					prevW := tensor.SetMaxWorkers(workers)
-					net, xs := testBatchNet(t, tc.bits, batch, 91)
+					net, xs := testBatchNet(t, tc.bits, batch, 91, tc.staged)
 					// Reference: B sequential single-sample forwards.
 					want := make([]*tensor.Tensor, len(xs))
 					for j, x := range xs {
@@ -113,21 +138,27 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 }
 
 // The batched path must actually take the intended kernels: int8 batch
-// forwards count as int forwards, never float fallbacks.
+// forwards count as int forwards, never float fallbacks, and in the staged
+// variant the dense layer reads the conv's levels on the bit planes.
 func TestForwardBatchTakesInt8Path(t *testing.T) {
 	prev := SetInt8GEMM(true)
 	defer SetInt8GEMM(prev)
-	net, xs := testBatchNet(t, 2, 4, 92)
-	if _, err := net.ForwardBatch(xs); err != nil {
-		t.Fatal(err)
-	}
-	conv := net.Convs()[0]
-	dense := net.Denses()[0]
-	if conv.intForwards != 4 || conv.floatFwds != 0 {
-		t.Fatalf("conv batch: int=%d float=%d, want 4/0", conv.intForwards, conv.floatFwds)
-	}
-	if dense.intForwards != 4 || dense.floatFwds != 0 {
-		t.Fatalf("dense batch: int=%d float=%d, want 4/0", dense.intForwards, dense.floatFwds)
+	for _, staged := range []bool{false, true} {
+		net, xs := testBatchNet(t, 2, 4, 92, staged)
+		if _, err := net.ForwardBatch(xs); err != nil {
+			t.Fatal(err)
+		}
+		conv := net.Convs()[0]
+		dense := net.Denses()[0]
+		if conv.intForwards != 4 || conv.floatFwds != 0 {
+			t.Fatalf("staged=%v conv batch: int=%d float=%d, want 4/0", staged, conv.intForwards, conv.floatFwds)
+		}
+		if dense.intForwards != 4 || dense.floatFwds != 0 {
+			t.Fatalf("staged=%v dense batch: int=%d float=%d, want 4/0", staged, dense.intForwards, dense.floatFwds)
+		}
+		if want := map[bool]int32{true: 4}[staged]; dense.levelForwards != want || dense.bitForwards != want {
+			t.Fatalf("staged=%v dense batch: %d from levels, %d on bit planes, want %d", staged, dense.levelForwards, dense.bitForwards, want)
+		}
 	}
 }
 
@@ -186,7 +217,7 @@ func TestConvForwardBatchAllocs(t *testing.T) {
 }
 
 func TestPredictBatchMatchesPredict(t *testing.T) {
-	net, xs := testBatchNet(t, 2, 5, 93)
+	net, xs := testBatchNet(t, 2, 5, 93, false)
 	classes, err := net.PredictBatch(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +234,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 func TestForwardBatchEmpty(t *testing.T) {
-	net, _ := testBatchNet(t, 0, 1, 94)
+	net, _ := testBatchNet(t, 0, 1, 94, false)
 	if _, err := net.ForwardBatch(nil); err == nil {
 		t.Fatal("empty batch should error")
 	}

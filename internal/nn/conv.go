@@ -31,13 +31,7 @@ type Conv2D struct {
 	inGeom tensor.ConvGeom
 
 	weightCache
-
-	// The path counters record which kernel served each inference sample
-	// (the int8-path acceptance tests fail if a quantized layer falls back
-	// to float, or a 2-bit layer off the bit planes).
-	intForwards int
-	bitForwards int // the subset of intForwards served by the bit planes
-	floatFwds   int
+	pathCounts
 }
 
 // ConvConfig collects Conv2D construction options.
@@ -126,16 +120,37 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 // forward serves quantized inference on the integer body and everything
 // else, training included, on the float body.
 func (c *Conv2D) forward(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
+	if !train && useInt8(c.Quant) {
+		outs, _, err := c.forwardStage(xs, nil, nil)
+		return outs, err
+	}
 	if err := c.checkInputs(xs); err != nil {
 		return nil, err
 	}
 	if !train {
 		c.cols, c.qw = nil, nil
-		if useInt8(c.Quant) {
-			return c.forwardInt8(xs)
-		}
 	}
 	return c.forwardFloat(xs, train)
+}
+
+// int8Path, outChannels, takesLevels and forwardStage implement
+// stageLayer.
+func (c *Conv2D) int8Path() bool { return useInt8(c.Quant) }
+
+func (c *Conv2D) outChannels() int { return c.OutC }
+
+func (c *Conv2D) takesLevels(shape []int) bool {
+	return len(shape) == 3 && shape[0] == c.Geom.InC && shape[1] == c.Geom.InH && shape[2] == c.Geom.InW
+}
+
+func (c *Conv2D) forwardStage(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
+	if lv == nil {
+		if err := c.checkInputs(xs); err != nil {
+			return nil, nil, err
+		}
+	}
+	c.cols, c.qw = nil, nil
+	return c.forwardInt8(xs, lv, lad)
 }
 
 // checkInputs reports the first sample whose shape does not match the
@@ -180,15 +195,16 @@ func (c *Conv2D) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor
 		c.cols, c.qw, c.inGeom = cols, wm, c.Geom
 	} else {
 		tensor.Release(cols)
-		c.floatFwds += len(xs)
+		c.floatFwds += int32(len(xs))
 	}
 	return outs, nil
 }
 
 // forwardInt8 is the integer inference body. Weights are the cached int8
-// grid codes, every sample is quantized dynamically to int8, and one of
-// two exact kernels computes the int32 products, rescaled once by weight
-// scale × sample scale:
+// grid codes; the input is the float samples xs, coded dynamically to int8
+// per sample, or the levels lv of a staged batch, coded through their
+// tables (see intInput). One of two exact kernels computes the int32
+// products, rescaled once by weight scale × sample scale:
 //
 //   - tensor.ConvBitplaneBatchInto when the layer has bit planes (every
 //     weight code in {−1, 0, 1}) and every sample's codes decompose into
@@ -198,74 +214,43 @@ func (c *Conv2D) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor
 //     more than two planes' worth of codes sends the whole batch here.
 //
 // Both give the same int32 sums and the same rescale expression, so the
-// choice never changes a bit of the output.
-func (c *Conv2D) forwardInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// choice never changes a bit of the output. Without lad the body adds the
+// bias and returns floats; with the ladder of the ScaleShift → QuantAct
+// that follows it returns their levels instead (see intExit).
+func (c *Conv2D) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
 	wq, wScales, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wb, err := c.bitplanes(c.Geom)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	in, j, err := newIntInput(xs, lv, c.Geom.InC*c.Geom.InH*c.Geom.InW, wb != nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("nn: conv %q sample %d: %w", c.ID, j, err)
+	}
+	defer in.release()
 	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	bsz := len(xs)
-	vol := c.Geom.InC * c.Geom.InH * c.Geom.InW
-	xqBuf := tensor.BorrowInt8(bsz * vol)
-	defer tensor.ReleaseInt8(xqBuf)
-	xqs := make([][]int8, bsz)
-	scaleBuf := make([]float32, bsz*len(wScales))
-	outScales := make([][]float32, bsz)
-	dsts := make([]*tensor.Tensor, bsz)
-	for j, x := range xs {
-		xq := xqBuf[j*vol : (j+1)*vol]
-		xqs[j] = xq
-		sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
-		if err != nil {
-			return nil, fmt.Errorf("nn: conv %q sample %d: %w", c.ID, j, err)
-		}
-		row := scaleBuf[j*len(wScales) : (j+1)*len(wScales)]
-		for i, s := range wScales {
-			row[i] = s * sx
-		}
-		outScales[j] = row
-		dsts[j] = tensor.New(c.OutC, oh*ow)
+	outScales := in.outScales(wScales)
+	dsts := newOutputs(len(outScales), c.OutC, oh*ow, lad != nil)
+	if in.maps != nil {
+		err = in.bitplane(dsts, wb, c.Geom, outScales)
+	} else {
+		err = tensor.ConvInt8BatchInto(dsts, wq, in.codes, c.Geom, outScales)
 	}
-	served := false
-	if wb != nil {
-		if served, err = tensor.ConvBitplaneBatchInto(dsts, wb, xqs, c.Geom, outScales); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	if served {
-		c.bitForwards += bsz
-	} else if err := tensor.ConvInt8BatchInto(dsts, wq, xqs, c.Geom, outScales); err != nil {
-		return nil, err
-	}
-	outs := make([]*tensor.Tensor, bsz)
-	for j, out := range dsts {
-		if outs[j], err = c.finish(out); err != nil {
-			return nil, err
-		}
-	}
-	c.intForwards += bsz
-	return outs, nil
+	c.count(len(dsts), in)
+	return intExit(dsts, c.Bias, lad, c.OutC, oh, ow)
 }
 
 // finish adds the per-filter bias to a rescaled (OutC, OutH·OutW) output
 // and returns it as (OutC, OutH, OutW).
 func (c *Conv2D) finish(out *tensor.Tensor) (*tensor.Tensor, error) {
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	if c.Bias != nil {
-		od := out.Data()
-		for o, b := range c.Bias.Value.Data() {
-			row := od[o*oh*ow : (o+1)*oh*ow]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
-	return out.Reshape(c.OutC, oh, ow)
+	addBias(out.Data(), c.Bias)
+	return out.Reshape(c.OutC, c.Geom.OutH(), c.Geom.OutW())
 }
 
 // Backward implements Layer.

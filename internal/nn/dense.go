@@ -28,10 +28,7 @@ type Dense struct {
 	qw *tensor.Tensor // the weights as the forward used them
 
 	weightCache
-
-	// Path counters (see Conv2D).
-	intForwards int
-	floatFwds   int
+	pathCounts
 }
 
 // DenseConfig collects Dense construction options.
@@ -98,25 +95,58 @@ func (d *Dense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 }
 
 // forward serves quantized inference on the integer body and everything
-// else, training included, on the float body. Both pack the B samples as
-// the columns of one In×B matrix, so a batch is one GEMM with n = B.
+// else, training included, on the float body.
 func (d *Dense) forward(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
-	for _, x := range xs {
-		if x.Len() != d.In {
-			return nil, fmt.Errorf("nn: dense %q input volume %d, want %d", d.ID, x.Len(), d.In)
-		}
+	if !train && useInt8(d.Quant) {
+		outs, _, err := d.forwardStage(xs, nil, nil)
+		return outs, err
+	}
+	if err := d.checkInputs(xs); err != nil {
+		return nil, err
 	}
 	if !train {
 		d.x, d.qw = nil, nil
-		if useInt8(d.Quant) {
-			return d.forwardInt8(xs)
-		}
 	}
 	return d.forwardFloat(xs, train)
 }
 
-// forwardFloat is the float reference: one GEMM of the effective weights
-// against the packed batch.
+// checkInputs reports the first sample whose volume is not In.
+func (d *Dense) checkInputs(xs []*tensor.Tensor) error {
+	for _, x := range xs {
+		if x.Len() != d.In {
+			return fmt.Errorf("nn: dense %q input volume %d, want %d", d.ID, x.Len(), d.In)
+		}
+	}
+	return nil
+}
+
+// int8Path, outChannels, takesLevels and forwardStage implement
+// stageLayer.
+func (d *Dense) int8Path() bool { return useInt8(d.Quant) }
+
+func (d *Dense) outChannels() int { return d.Out }
+
+func (d *Dense) takesLevels(shape []int) bool { return volume(shape) == d.In }
+
+func (d *Dense) forwardStage(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
+	if lv == nil {
+		if err := d.checkInputs(xs); err != nil {
+			return nil, nil, err
+		}
+	}
+	d.x, d.qw = nil, nil
+	return d.forwardInt8(xs, lv, lad)
+}
+
+// pixelGeom is the layer as a 1×1 convolution over one pixel of In
+// channels, the geometry its bit planes are packed for.
+func (d *Dense) pixelGeom() tensor.ConvGeom {
+	return tensor.ConvGeom{InC: d.In, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+}
+
+// forwardFloat is the float reference: the B samples packed as the
+// columns of one In×B matrix, and one GEMM of the effective weights against
+// it.
 func (d *Dense) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
 	wm, err := d.EffectiveWeights()
 	if err != nil {
@@ -144,68 +174,76 @@ func (d *Dense) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor,
 		for i := range od {
 			od[i] = obd[i*bsz+j]
 		}
-		d.addBias(od)
+		addBias(od, d.Bias)
 		outs[j] = out
 	}
 	if train {
 		d.x, d.qw = xs[0].Clone(), wm
 	} else {
-		d.floatFwds += bsz
+		d.floatFwds += int32(bsz)
 	}
 	return outs, nil
 }
 
-// forwardInt8 is the integer inference body: each sample is quantized
-// dynamically to int8 into its column, one int8 GEMM accumulates exactly
-// in int32, and each sample's outputs are rescaled once by weight scale ×
-// sample scale, then biased.
-func (d *Dense) forwardInt8(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// forwardInt8 is the integer inference body, Conv2D.forwardInt8 for a 1×1
+// convolution over one pixel: the same inputs (float samples or levels),
+// the same exits, and the same two exact kernels. The bit planes serve it
+// when the weight codes are in {−1, 0, 1} and every sample's codes
+// decompose; otherwise one int8 GEMM with n = B accumulates the batch,
+// packed as the columns of an In×B matrix. Each sample's outputs are
+// rescaled once by weight scale × sample scale.
+func (d *Dense) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
 	wq, wScales, err := d.int8Weights(d.Weight, d.Quant, d.Out, d.Out*d.In)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	bsz := len(xs)
-	xq := tensor.BorrowInt8(d.In)
-	defer tensor.ReleaseInt8(xq)
+	g := d.pixelGeom()
+	wb, err := d.bitplanes(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, _, err := newIntInput(xs, lv, d.In, wb != nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer in.release()
+	outScales := in.outScales(wScales)
+	dsts := newOutputs(len(outScales), d.Out, 1, lad != nil)
+	if in.maps != nil {
+		err = in.bitplane(dsts, wb, g, outScales)
+	} else {
+		err = d.gemmInt8(dsts, wq, in.codes, outScales)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	d.count(len(dsts), in)
+	return intExit(dsts, d.Bias, lad, d.Out)
+}
+
+// gemmInt8 writes each sample's rescaled outputs into its dst from one
+// int8 GEMM of the weights against the batch's codes.
+func (d *Dense) gemmInt8(dsts []*tensor.Tensor, wq *tensor.Int8Matrix, codes [][]int8, outScales [][]float32) error {
+	bsz := len(codes)
 	xb := tensor.BorrowInt8(d.In * bsz)
 	defer tensor.ReleaseInt8(xb)
-	scales := make([]float32, bsz)
-	for j, x := range xs {
-		sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
-		if err != nil {
-			return nil, err
-		}
+	for j, xq := range codes {
 		for p, v := range xq {
 			xb[p*bsz+j] = v
 		}
-		scales[j] = wScales[0] * sx
 	}
 	acc := tensor.BorrowInt32(d.Out * bsz)
 	defer tensor.ReleaseInt32(acc)
 	if err := tensor.GemmInt8Into(acc, wq, &tensor.Int8Matrix{Rows: d.In, Cols: bsz, Data: xb}); err != nil {
-		return nil, err
+		return err
 	}
-	outs := make([]*tensor.Tensor, bsz)
-	for j := range xs {
-		out := tensor.New(d.Out)
-		od := out.Data()
+	for j, dst := range dsts {
+		od, sc := dst.Data(), outScales[j][0]
 		for i := range od {
-			od[i] = float32(acc[i*bsz+j]) * scales[j]
-		}
-		d.addBias(od)
-		outs[j] = out
-	}
-	d.intForwards += bsz
-	return outs, nil
-}
-
-// addBias adds the bias to one sample's outputs, after the rescale.
-func (d *Dense) addBias(od []float32) {
-	if d.Bias != nil {
-		for i, b := range d.Bias.Value.Data() {
-			od[i] += b
+			od[i] = float32(acc[i*bsz+j]) * sc
 		}
 	}
+	return nil
 }
 
 // Backward implements Layer.

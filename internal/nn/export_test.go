@@ -8,7 +8,7 @@ import "repro/internal/tensor"
 // ConvPathCounts returns how many inference samples the layer served on
 // the integer path, and how many of those on the bit planes.
 func ConvPathCounts(c *Conv2D) (int8Fwds, bitplaneFwds int) {
-	return c.intForwards, c.bitForwards
+	return int(c.intForwards), int(c.bitForwards)
 }
 
 // PairedLaneForwardBatch runs the layer's integer inference with its bit
@@ -25,5 +25,33 @@ func PairedLaneForwardBatch(c *Conv2D, xs []*tensor.Tensor) ([]*tensor.Tensor, e
 	served := c.bitForwards
 	c.effWB = nil
 	defer func() { c.effWB, c.bitForwards = wb, served }()
-	return c.forwardInt8(xs)
+	outs, _, err := c.forwardInt8(xs, nil, nil)
+	return outs, err
+}
+
+// PathCounts returns how many inference samples a Conv2D or Dense served
+// on the integer path, how many of those on the bit planes, and how many
+// of those from ladder levels (the staged path of Network.ForwardBatch).
+func PathCounts(l Layer) (int8Fwds, bitplaneFwds, levelFwds int) {
+	var pc pathCounts
+	switch l := l.(type) {
+	case *Conv2D:
+		pc = l.pathCounts
+	case *Dense:
+		pc = l.pathCounts
+	}
+	return int(pc.intForwards), int(pc.bitForwards), int(pc.levelForwards)
+}
+
+// LayerByLayerBatch is the per-layer loop ForwardBatch's staged path must
+// match: every layer over the whole batch on floats, with its batched path
+// when it has one.
+func LayerByLayerBatch(n *Network, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	cur := append([]*tensor.Tensor(nil), xs...)
+	for _, nl := range n.Layers {
+		if err := forwardLayer(nl, cur); err != nil {
+			return nil, err
+		}
+	}
+	return cur, nil
 }

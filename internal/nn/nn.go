@@ -9,11 +9,14 @@
 // body, training and float layers the float one, and Forward is the B = 1
 // case of either. Training processes one sample at a time; inference
 // additionally offers a micro-batched path (Network.ForwardBatch) that
-// packs B samples into one GEMM call for Dense layers and streams each
-// convolution weight panel once per batch — bit-identical to B sequential
-// Forward calls. Layers cache forward state for the following backward
-// call, and derived views of their weights (see weightCache), so a network
-// must not be shared between goroutines without external synchronization.
+// serves B samples per kernel call and, between quantized layers, carries
+// each activation as the ladder level its QuantAct selects instead of a
+// float (see stage.go) — bit-identical to B sequential Forward calls,
+// which stay layer by layer on floats as the reference. Layers cache
+// forward state for the following backward call, and derived views of
+// their weights (see weightCache) and of a ScaleShift folded into the
+// activation ladder after it (see ladderCache), so a network must not be
+// shared between goroutines without external synchronization.
 //
 // Quantization follows FINN/Brevitas conventions: weights are
 // fake-quantized on the forward pass with straight-through gradients, and

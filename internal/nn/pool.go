@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -80,6 +81,49 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 		m.argmax = nil
 	}
 	return out, nil
+}
+
+// poolLevels is inference Forward on a staged batch: QuantAct's ladder is
+// monotone, so a window's largest value is the value of its top level, and
+// the batch stays in levels. It returns nil, leaving the float path to the
+// caller, for a padded pool (a padded window is never pooled on levels)
+// or an input shape Forward would refuse.
+func (m *MaxPool2D) poolLevels(lv *levelBatch) *levelBatch {
+	g := m.Geom
+	if g.PadH != 0 || g.PadW != 0 || !slices.Equal(lv.shape, []int{g.InC, g.InH, g.InW}) {
+		return nil
+	}
+	oh, ow := g.OutH(), g.OutW()
+	out := newLevelBatch(lv.q, len(lv.levels), g.InC, oh, ow)
+	tensor.ParallelFor(len(lv.levels), g.InC*oh*ow*g.KH*g.KW, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			m.poolSample(out.levels[j], lv.levels[j])
+			out.present[j] = levelSet(out.levels[j])
+		}
+	})
+	m.argmax = nil
+	return out
+}
+
+// poolSample pools one sample's levels x into dst.
+func (m *MaxPool2D) poolSample(dst, x []uint8) {
+	g := m.Geom
+	oh, ow := g.OutH(), g.OutW()
+	clear(dst) // level 0 is the least, and no window is empty
+	for c := 0; c < g.InC; c++ {
+		xc := x[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+		for oy := 0; oy < oh; oy++ {
+			orow := dst[(c*oh+oy)*ow : (c*oh+oy+1)*ow]
+			for ky := 0; ky < g.KH; ky++ {
+				irow := xc[(oy*g.StrideH+ky)*g.InW : (oy*g.StrideH+ky+1)*g.InW]
+				for kx := 0; kx < g.KW; kx++ {
+					for ox := range orow {
+						orow[ox] = max(orow[ox], irow[ox*g.StrideW+kx])
+					}
+				}
+			}
+		}
+	}
 }
 
 // Backward implements Layer: the gradient routes to each window's argmax.

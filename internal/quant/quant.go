@@ -231,9 +231,21 @@ func QuantizeSymmetricInt8(dst []int8, src []float32) (float32, error) {
 	if math.IsInf(float64(maxAbs), 1) {
 		return 0, fmt.Errorf("quant: QuantizeSymmetricInt8 input is infinite")
 	}
+	return SymmetricInt8Codes(dst, src, maxAbs), nil
+}
+
+// SymmetricInt8Codes writes the codes of src on the symmetric int8 grid
+// whose scale maps maxAbs to 127 and returns that scale: the second half
+// of QuantizeSymmetricInt8, for a caller that already knows the largest
+// magnitude (internal/nn builds a layer's code table from the values of
+// its input's ladder levels). maxAbs must be finite and at least every
+// |src[i]|; maxAbs = 0 gives scale 0 and all-zero codes. len(dst) must be
+// at least len(src).
+func SymmetricInt8Codes(dst []int8, src []float32, maxAbs float32) float32 {
+	dst = dst[:len(src)]
 	if maxAbs == 0 {
 		clear(dst)
-		return 0, nil
+		return 0
 	}
 	scale := maxAbs / 127
 	inv := 1 / scale
@@ -247,7 +259,7 @@ func QuantizeSymmetricInt8(dst []int8, src []float32) (float32, error) {
 		}
 		dst[i] = int8(r)
 	}
-	return scale, nil
+	return scale
 }
 
 // STEGrad implements the straight-through estimator: the gradient passes

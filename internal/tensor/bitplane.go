@@ -19,7 +19,11 @@ import (
 //
 // the same integer the paired-lane kernel accumulates, and the rescale is
 // the same float32(int32(acc))·scale expression, so ConvBitplaneBatchInto
-// and ConvInt8BatchInto agree bit for bit wherever both apply.
+// and ConvInt8BatchInto agree bit for bit wherever both apply. A sample
+// reaches the kernel as symbols, its int8 codes themselves or indices into
+// a table of codes (internal/nn's ladder levels), and a PlaneMap, built by
+// the one decomposition rule over the codes the sample holds, says which
+// planes each symbol sets.
 //
 // Activation planes are per-pixel channel words: pixel (y, x) of a sample
 // holds ⌈InC/64⌉ words per plane, channel c in bit c mod 64 of word c/64,
@@ -41,7 +45,9 @@ type BitplaneWeights struct {
 
 // PackBitplaneWeights packs the (OutC × InC·KH·KW) OIHW codes of w for
 // geometry g into sign planes. It returns nil, without error, when a code
-// lies outside {−1, 0, 1}: such a layer has no planes.
+// lies outside {−1, 0, 1}, or when the inner dimension InC·KH·KW is past
+// the bound every batched convolution kernel refuses (see
+// validateConvBatch): such a layer has no planes.
 func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -50,6 +56,9 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	k := g.InC * kk
 	if w.Cols != k || len(w.Data) != w.Rows*k {
 		return nil, fmt.Errorf("tensor: PackBitplaneWeights weights %dx%d, want %dx%d", w.Rows, w.Cols, w.Rows, k)
+	}
+	if k >= maxLaneK {
+		return nil, nil
 	}
 	for _, v := range w.Data {
 		if v < -1 || v > 1 {
@@ -84,7 +93,8 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 // nonzero codes the unused weight is 0. ok is false when x has a negative
 // code, more than three nonzero codes, or three whose largest is not the
 // sum of the other two. The scan stops at the first code that rules x out,
-// so an image input costs a few pixels.
+// so an image input costs a few pixels. It is the one decomposition rule
+// of the bit-plane kernel.
 func planeCodes(x []int8) (c1, c2 int32, ok bool) {
 	var seen [128]bool
 	var vals [3]int8
@@ -118,20 +128,64 @@ func planeCodes(x []int8) (c1, c2 int32, ok bool) {
 	return lo, mid, hi == lo+mid
 }
 
-// packActPlanes writes the two activation planes of x (codes in
-// {0, c1, c2, c1+c2}) into a0 and a1, each (InH+2·PadH)·(InW+2·PadW)·words
-// long, padding included.
-func packActPlanes(a0, a1 []uint64, x []int8, g ConvGeom, words int, c1, c2 int32) {
-	var lut [128]uint8 // code → plane bits: 1 for a₀, 2 for a₁
+// PlaneMap is how one sample's input symbols split into the two
+// activation planes of the bit-plane kernel: symbol s sets a₀ where bit 0
+// of Bits[s] is set and a₁ where bit 1 is, so the code it stands for is
+// C1·(Bits[s]&1) + C2·(Bits[s]>>1). A symbol is an int8 code itself
+// (Int8PlaneMap) or an index into a table of codes (NewPlaneMap).
+type PlaneMap struct {
+	C1, C2 int32
+	Bits   [256]uint8
+}
+
+// planeMap returns the map of the int8 codes {0, c1, c2, c1+c2} onto
+// themselves as symbols.
+func planeMap(c1, c2 int32) PlaneMap {
+	m := PlaneMap{C1: c1, C2: c2}
 	if c1 > 0 {
-		lut[c1] = 1
+		m.Bits[c1] = 1
 	}
 	if c2 > 0 {
-		lut[c2] = 2
-		if c1+c2 < int32(len(lut)) {
-			lut[c1+c2] = 3
+		m.Bits[c2] = 2
+		if c1+c2 < 128 {
+			m.Bits[c1+c2] = 3
 		}
 	}
+	return m
+}
+
+// Int8PlaneMap returns the plane map of a sample of int8 codes, each code
+// its own symbol. ok is false when the codes do not decompose into two
+// planes (see planeCodes).
+func Int8PlaneMap(x []int8) (m PlaneMap, ok bool) {
+	c1, c2, ok := planeCodes(x)
+	if !ok {
+		return PlaneMap{}, false
+	}
+	return planeMap(c1, c2), true
+}
+
+// NewPlaneMap returns the plane map of symbols that stand for int8 codes:
+// symbol s is codes[s], and a symbol the sample does not hold must have
+// code 0. ok is false when the codes do not decompose into two planes
+// (see planeCodes).
+func NewPlaneMap(codes []int8) (m PlaneMap, ok bool) {
+	c1, c2, ok := planeCodes(codes)
+	if !ok {
+		return PlaneMap{}, false
+	}
+	byCode := planeMap(c1, c2)
+	m = PlaneMap{C1: c1, C2: c2}
+	for s, v := range codes {
+		m.Bits[s] = byCode.Bits[uint8(v)]
+	}
+	return m, true
+}
+
+// packActPlanes writes the two activation planes of the symbols x, split
+// by bits, into a0 and a1, each (InH+2·PadH)·(InW+2·PadW)·words long,
+// padding included.
+func packActPlanes[S int8 | uint8](a0, a1 []uint64, x []S, g ConvGeom, words int, bits *[256]uint8) {
 	clear(a0)
 	clear(a1)
 	pw := g.InW + 2*g.PadW
@@ -142,7 +196,7 @@ func packActPlanes(a0, a1 []uint64, x []int8, g ConvGeom, words int, c1, c2 int3
 		for y := 0; y < g.InH; y++ {
 			i := ((y+g.PadH)*pw+g.PadW)*words + c>>6
 			for _, v := range xc[y*g.InW : (y+1)*g.InW] {
-				p := lut[v]
+				p := bits[uint8(v)]
 				a0[i] |= uint64(p&1) << sh
 				a1[i] |= uint64(p>>1) << sh
 				i += words
@@ -152,11 +206,11 @@ func packActPlanes(a0, a1 []uint64, x []int8, g ConvGeom, words int, c1, c2 int3
 }
 
 // ConvBitplaneBatchInto is ConvInt8BatchInto for weights held as sign
-// planes: the same dsts, xs, g and outScales contract and, where it serves
-// a batch, the same results bit for bit. It serves the batch only when
-// every sample's codes decompose into two planes (see planeCodes) and
-// otherwise returns false without writing anything, leaving the batch to
-// ConvInt8BatchInto.
+// planes and inputs held as symbols: sample b's symbol s stands for the
+// code maps[b] gives it, and otherwise the dsts, g and outScales contract
+// and the results are ConvInt8BatchInto's, bit for bit. The caller finds
+// the maps (Int8PlaneMap, NewPlaneMap); a sample whose codes do not
+// decompose into two planes goes to ConvInt8BatchInto instead.
 //
 // Work is split across the package worker pool by (sample, output row).
 // A worker packs the planes of each sample it reaches into its own
@@ -164,21 +218,16 @@ func packActPlanes(a0, a1 []uint64, x []int8, g ConvGeom, words int, c1, c2 int3
 // and no plane buffer spans the batch. Each output element is written by
 // exactly one worker from an exact integer sum, so the results are the
 // same for any worker count.
-func ConvBitplaneBatchInto(dsts []*Tensor, w *BitplaneWeights, xs [][]int8, g ConvGeom, outScales [][]float32) (bool, error) {
+func ConvBitplaneBatchInto[S int8 | uint8](dsts []*Tensor, w *BitplaneWeights, xs [][]S, maps []PlaneMap, g ConvGeom, outScales [][]float32) error {
 	if err := validateConvBatch("ConvBitplaneBatchInto", dsts, xs, g, w.outC, outScales); err != nil {
-		return false, err
+		return err
 	}
 	if g != w.g {
-		return false, fmt.Errorf("tensor: ConvBitplaneBatchInto geometry %+v, weights packed for %+v", g, w.g)
+		return fmt.Errorf("tensor: ConvBitplaneBatchInto geometry %+v, weights packed for %+v", g, w.g)
 	}
 	bsz := len(xs)
-	codes := make([][2]int32, bsz)
-	for b, x := range xs {
-		c1, c2, ok := planeCodes(x)
-		if !ok {
-			return false, nil
-		}
-		codes[b] = [2]int32{c1, c2}
+	if len(maps) != bsz {
+		return fmt.Errorf("tensor: ConvBitplaneBatchInto wants %d plane maps, got %d", bsz, len(maps))
 	}
 	nw := w.words
 	plane := (g.InH + 2*g.PadH) * (g.InW + 2*g.PadW) * nw
@@ -192,13 +241,13 @@ func ConvBitplaneBatchInto(dsts []*Tensor, w *BitplaneWeights, xs [][]int8, g Co
 		for u := lo; u < hi; u++ {
 			b, oy := u/oh, u%oh
 			if u == lo || oy == 0 {
-				packActPlanes(a0, a1, xs[b], g, nw, codes[b][0], codes[b][1])
+				packActPlanes(a0, a1, xs[b], g, nw, &maps[b].Bits)
 			}
 			gatherPatches(patch, a0, a1, g, nw, oy)
-			bitplaneRow(dsts[b].data, w, patch, oy, codes[b], outScales[b])
+			bitplaneRow(dsts[b].data, w, patch, oy, [2]int32{maps[b].C1, maps[b].C2}, outScales[b])
 		}
 	})
-	return true, nil
+	return nil
 }
 
 // gatherPatches copies the receptive fields of output row oy out of the

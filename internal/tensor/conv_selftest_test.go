@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -439,21 +440,53 @@ func ternaryCodes(rng *rand.Rand, n int, binary bool) []int8 {
 	return w
 }
 
-// convInt8Dispatch serves a batch the way internal/nn does: on the bit
-// planes when the layer has them and the batch decomposes, else on the
-// paired-lane kernel. It reports which kernel ran.
+// convInt8Dispatch serves a batch the way internal/nn serves a float
+// input: on the bit planes, each int8 code its own symbol, when the layer
+// has them and every sample decomposes, else on the paired-lane kernel. It
+// reports which kernel ran.
 func convInt8Dispatch(dsts []*Tensor, w *Int8Matrix, wb *BitplaneWeights, xs [][]int8, g ConvGeom, scales [][]float32) (bool, error) {
-	if wb != nil {
-		if served, err := ConvBitplaneBatchInto(dsts, wb, xs, g, scales); err != nil || served {
-			return served, err
-		}
+	if maps, ok := int8PlaneMaps(xs); wb != nil && ok {
+		return true, ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales)
 	}
 	return false, ConvInt8BatchInto(dsts, w, xs, g, scales)
 }
 
+// int8PlaneMaps returns every sample's Int8PlaneMap, and whether they all
+// decompose.
+func int8PlaneMaps(xs [][]int8) ([]PlaneMap, bool) {
+	maps := make([]PlaneMap, len(xs))
+	for b, x := range xs {
+		m, ok := Int8PlaneMap(x)
+		if !ok {
+			return nil, false
+		}
+		maps[b] = m
+	}
+	return maps, true
+}
+
+// tableSymbols recodes a sample as internal/nn's ladder levels reach the
+// kernel: each distinct code becomes a symbol, an index into a table of
+// codes. It returns the symbols and the table.
+func tableSymbols(x []int8) ([]uint8, []int8) {
+	var table []int8
+	syms := make([]uint8, len(x))
+	for i, v := range x {
+		s := slices.Index(table, v)
+		if s < 0 {
+			s = len(table)
+			table = append(table, v)
+		}
+		syms[i] = uint8(s)
+	}
+	return syms, table
+}
+
 // checkBitplaneBatch runs one batch through convInt8Dispatch at 1, 2 and
 // NumCPU workers: the kernel must be the expected one and every output
-// must equal the six-loop reference exactly.
+// must equal the six-loop reference exactly. A batch on the bit planes is
+// run once more with its codes as table symbols (NewPlaneMap), which must
+// serve it too, with the same outputs.
 func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix, xs [][]int8, g ConvGeom, wantPlanes bool) {
 	t.Helper()
 	wb, err := PackBitplaneWeights(w, g)
@@ -463,6 +496,9 @@ func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix
 	cols := g.OutH() * g.OutW()
 	scales := make([][]float32, len(xs))
 	want := make([][]float32, len(xs))
+	syms := make([][]uint8, len(xs))
+	maps := make([]PlaneMap, len(xs))
+	tablesDecompose := true
 	for b := range xs {
 		scales[b] = []float32{rng.Float32() + 0.5}
 		if rng.Intn(2) == 0 {
@@ -472,6 +508,14 @@ func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix
 			}
 		}
 		want[b] = naiveConvInt8(w.Data, xs[b], g, w.Rows, scales[b])
+		var table []int8
+		syms[b], table = tableSymbols(xs[b])
+		m, ok := NewPlaneMap(table)
+		tablesDecompose = tablesDecompose && ok
+		maps[b] = m
+	}
+	if _, ok := int8PlaneMaps(xs); ok != tablesDecompose {
+		t.Fatalf("%s: int8 codes decompose %v, their tables %v", name, ok, tablesDecompose)
 	}
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		prev := SetMaxWorkers(workers)
@@ -487,14 +531,31 @@ func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix
 		if served != wantPlanes {
 			t.Fatalf("%s %+v workers=%d: served on bit planes %v, want %v", name, g, workers, served, wantPlanes)
 		}
-		for b := range xs {
-			for i, v := range dsts[b].Data() {
-				if v != want[b][i] {
-					t.Fatalf("%s %+v outC=%d workers=%d sample %d: out[%d] = %v, naive %v",
-						name, g, w.Rows, workers, b, i, v, want[b][i])
+		checkOutputs := func(route string) {
+			t.Helper()
+			for b := range xs {
+				for i, v := range dsts[b].Data() {
+					if v != want[b][i] {
+						t.Fatalf("%s %+v outC=%d workers=%d %s sample %d: out[%d] = %v, naive %v",
+							name, g, w.Rows, workers, route, b, i, v, want[b][i])
+					}
 				}
 			}
 		}
+		checkOutputs("int8 codes")
+		if !served {
+			continue
+		}
+		prev = SetMaxWorkers(workers)
+		for b := range dsts {
+			dsts[b] = New(w.Rows, cols)
+		}
+		err = ConvBitplaneBatchInto(dsts, wb, syms, maps, g, scales)
+		SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatalf("%s %+v table symbols: %v", name, g, err)
+		}
+		checkOutputs("table symbols")
 	}
 }
 
@@ -566,32 +627,40 @@ func TestConvBitplaneValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wide := ConvGeom{InC: maxLaneK, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+	if wb, err := PackBitplaneWeights(NewInt8Matrix(1, maxLaneK), wide); wb != nil || err != nil {
+		t.Fatalf("inner dimension %d past the kernels' bound: planes %v, error %v; want none", maxLaneK, wb, err)
+	}
 	x := make([]int8, 2*4*4)
 	cols := g.OutH() * g.OutW()
 	other := g
 	other.PadH = 1
+	maps := make([]PlaneMap, 1)
 	for _, tc := range []struct {
 		name string
-		run  func() (bool, error)
+		run  func() error
 	}{
-		{"other geometry", func() (bool, error) {
-			return ConvBitplaneBatchInto([]*Tensor{New(3, other.OutH()*other.OutW())}, wb, [][]int8{x}, other, [][]float32{{1}})
+		{"other geometry", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, other.OutH()*other.OutW())}, wb, [][]int8{x}, maps, other, [][]float32{{1}})
 		}},
-		{"bad input", func() (bool, error) {
-			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x[:7]}, g, [][]float32{{1}})
+		{"bad input", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x[:7]}, maps, g, [][]float32{{1}})
 		}},
-		{"bad dst", func() (bool, error) {
-			return ConvBitplaneBatchInto([]*Tensor{New(4, cols)}, wb, [][]int8{x}, g, [][]float32{{1}})
+		{"bad dst", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(4, cols)}, wb, [][]int8{x}, maps, g, [][]float32{{1}})
 		}},
-		{"bad scales", func() (bool, error) {
-			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, g, [][]float32{{1, 2}})
+		{"bad scales", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, maps, g, [][]float32{{1, 2}})
 		}},
-		{"empty batch", func() (bool, error) {
-			return ConvBitplaneBatchInto(nil, wb, nil, g, nil)
+		{"missing plane map", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, nil, g, [][]float32{{1}})
+		}},
+		{"empty batch", func() error {
+			return ConvBitplaneBatchInto[int8](nil, wb, nil, nil, g, nil)
 		}},
 	} {
-		if served, err := tc.run(); err == nil || served {
-			t.Fatalf("%s accepted (served %v)", tc.name, served)
+		if err := tc.run(); err == nil {
+			t.Fatalf("%s accepted", tc.name)
 		}
 	}
 }
@@ -616,10 +685,14 @@ func BenchmarkConvBitplane(b *testing.B) {
 		dsts[i] = New(64, g.OutH()*g.OutW())
 		scales[i] = []float32{0.01}
 	}
+	maps, ok := int8PlaneMaps(xs)
+	if !ok {
+		b.Fatal("codes do not decompose")
+	}
 	b.Run("bitplane", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if served, err := ConvBitplaneBatchInto(dsts, wb, xs, g, scales); err != nil || !served {
-				b.Fatal(served, err)
+			if err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

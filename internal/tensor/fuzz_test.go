@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// FuzzConvBitplane is a differential target for the bit-plane convolution.
-// shape picks the geometry and filter count, codes the activation codes
-// (mode 0: drawn from {0, c1, c2, c1+c2} for c1, c2 taken from codes; mode
-// 1: the raw bytes), and wseed the weights (binary, ternary, or ternary
-// with one code of ±2). Whenever the kernel serves a batch its outputs must
-// equal the six-loop reference exactly; whenever it declines, a
-// brute-force search over every pair c1 < c2 must confirm that some sample
-// does not decompose, or the weights must have no planes.
+// FuzzConvBitplane is a differential target for the bit-plane convolution
+// and its decomposition rule. shape picks the geometry and filter count,
+// codes the activation codes (mode 0: drawn from {0, c1, c2, c1+c2} for
+// c1, c2 taken from codes; mode 1: the raw bytes), and wseed the weights
+// (binary, ternary, or ternary with one code of ±2). Whenever every
+// sample's codes decompose (Int8PlaneMap), the kernel's outputs must equal
+// the six-loop reference exactly, with the codes as symbols and again with
+// them recoded as table symbols (NewPlaneMap); whenever one does not, a
+// brute-force search over every pair c1 < c2 must confirm it, or the
+// weights must have no planes.
 func FuzzConvBitplane(f *testing.F) {
 	f.Add(uint64(0), []byte{42, 85, 0, 1, 2, 3}, int64(1), uint8(0))
 	f.Add(uint64(63), []byte{64, 63, 9, 8, 7}, int64(2), uint8(0))
@@ -73,10 +75,7 @@ func FuzzConvBitplane(f *testing.F) {
 			dsts[b] = New(outC, g.OutH()*g.OutW())
 			scales[b] = []float32{0.25 + float32(b)}
 		}
-		served, err := ConvBitplaneBatchInto(dsts, wb, xs, g, scales)
-		if err != nil {
-			t.Fatal(err)
-		}
+		maps, served := int8PlaneMaps(xs)
 		decomposes := true
 		for _, x := range xs {
 			decomposes = decomposes && bruteDecomposes(x)
@@ -87,14 +86,34 @@ func FuzzConvBitplane(f *testing.F) {
 		if !served {
 			return
 		}
-		for b, x := range xs {
-			want := naiveConvInt8(w.Data, x, g, outC, scales[b])
-			for i, v := range dsts[b].Data() {
-				if v != want[i] {
-					t.Fatalf("%+v outC=%d sample %d: out[%d] = %v, naive %v", g, outC, b, i, v, want[i])
+		if err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales); err != nil {
+			t.Fatal(err)
+		}
+		check := func(route string) {
+			for b, x := range xs {
+				want := naiveConvInt8(w.Data, x, g, outC, scales[b])
+				for i, v := range dsts[b].Data() {
+					if v != want[i] {
+						t.Fatalf("%+v outC=%d %s sample %d: out[%d] = %v, naive %v", g, outC, route, b, i, v, want[i])
+					}
 				}
 			}
 		}
+		check("int8 codes")
+		syms := make([][]uint8, bsz)
+		for b, x := range xs {
+			var table []int8
+			syms[b], table = tableSymbols(x)
+			var ok bool
+			if maps[b], ok = NewPlaneMap(table); !ok {
+				t.Fatalf("sample %d decomposes, its table %v does not", b, table)
+			}
+			dsts[b] = New(outC, g.OutH()*g.OutW())
+		}
+		if err := ConvBitplaneBatchInto(dsts, wb, syms, maps, g, scales); err != nil {
+			t.Fatal(err)
+		}
+		check("table symbols")
 	})
 }
 

@@ -182,7 +182,7 @@ func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, o
 // outScales, inputs and outputs of the geometry's size, 1 or outC scales
 // per sample, and an inner dimension InC·KH·KW below maxLaneK, so every
 // kernel accepts and refuses the same calls.
-func validateConvBatch(op string, dsts []*Tensor, xs [][]int8, g ConvGeom, outC int, outScales [][]float32) error {
+func validateConvBatch[S int8 | uint8](op string, dsts []*Tensor, xs [][]S, g ConvGeom, outC int, outScales [][]float32) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}

@@ -78,6 +78,11 @@ func ensurePool() chan func() {
 	return poolTasks
 }
 
+// ParallelFor is parallelFor for the per-sample passes around the kernels
+// (internal/nn's level epilogue and pooling): body must write only state
+// owned by its index range, so results are the same for any worker count.
+func ParallelFor(n, opsPerUnit int, body func(lo, hi int)) { parallelFor(n, opsPerUnit, body) }
+
 // parallelFor runs body over [0, n) split into contiguous chunks.
 // opsPerUnit estimates the scalar-op cost of one index unit; when the total
 // work divided by the grain threshold yields a single chunk, body runs

@@ -65,6 +65,7 @@ func (a *arena[T]) release(s []T) {
 var (
 	floatArena  arena[float32]
 	int8Arena   arena[int8]
+	uint8Arena  arena[uint8] // internal/nn's ladder levels between layers
 	int32Arena  arena[int32]
 	int64Arena  arena[int64]
 	uint64Arena arena[uint64] // the bit-plane convolution's activation planes
@@ -108,6 +109,13 @@ func BorrowInt8(n int) []int8 { return int8Arena.borrow(n) }
 // ReleaseInt8 returns a slice obtained from BorrowInt8 to the arena. The
 // caller must not use s afterwards. Slices of unpooled sizes are dropped.
 func ReleaseInt8(s []int8) { int8Arena.release(s) }
+
+// BorrowUint8 returns a uint8 scratch slice of length n with unspecified
+// contents: activations held as ladder levels between layers.
+func BorrowUint8(n int) []uint8 { return uint8Arena.borrow(n) }
+
+// ReleaseUint8 returns a slice obtained from BorrowUint8 to the arena.
+func ReleaseUint8(s []uint8) { uint8Arena.release(s) }
 
 // BorrowInt32 returns an int32 scratch slice of length n with unspecified
 // contents: int8 GEMM outputs.

@@ -1,4 +1,6 @@
 GO ?= go
+# Extra flags for test-race; CI passes -short to stay inside its budget.
+RACEFLAGS ?=
 
 .PHONY: all build test test-race test-chaos trace-golden fuzz-smoke bench verify
 
@@ -14,7 +16,7 @@ test:
 # pipeline (library sweep, memoized explorer, experiment harness) on top
 # of the concurrent compute packages.
 test-race:
-	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/train/... \
+	$(GO) test -race $(RACEFLAGS) ./internal/tensor/... ./internal/nn/... ./internal/train/... \
 		./internal/quant/... \
 		./internal/edge/... ./internal/manager/... ./internal/multiedge/... \
 		./internal/cluster/... ./internal/adapt/... \

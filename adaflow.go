@@ -250,10 +250,11 @@ func SaveModel(w io.Writer, m *Model) error { return modelio.Encode(w, m) }
 // LoadModel deserializes a model.
 func LoadModel(r io.Reader) (*Model, error) { return modelio.Decode(r) }
 
-// Program is a functional dataflow program: the model lowered to SWU/MVTU
+// Program is a functional dataflow program: the model lowered to MVTU
 // stages with FINN-style per-channel threshold ladders (batch-norm and
-// activation quantization absorbed). Flexible programs are sized to
-// worst-case channels and switch models with Program.LoadModel.
+// activation quantization absorbed), which run copies of the loaded
+// model's own layers and threshold their outputs. Flexible programs are
+// sized to worst-case channels and switch models with Program.LoadModel.
 type Program = compile.Program
 
 // CompileProgram lowers a quantized model to a functional dataflow

@@ -4,24 +4,29 @@
 //
 // The lowering mirrors what FINN's streamlining does in hardware:
 //
-//   - each convolution becomes an SWU stage (window generation) feeding an
-//     MVTU stage whose weights are the layer's quantized values;
-//   - the trailing ScaleShift (folded batch-norm) and QuantAct layers are
-//     absorbed into per-channel *threshold ladders* applied directly to the
-//     MVTU accumulators — the activation code equals the number of
+//   - each convolution or hidden dense layer becomes an MVTU stage, and
+//     the trailing ScaleShift (folded batch-norm) and QuantAct layers are
+//     absorbed into per-channel *threshold ladders* applied directly to
+//     its accumulators — the activation code equals the number of
 //     thresholds the accumulator crosses, exactly FINN's
 //     Matrix-Vector-Threshold semantics;
-//   - max-pooling operates on activation codes (monotone, so pooling codes
+//   - max-pooling stays a stage of its own (monotone, so pooling codes
 //     equals pooling values);
 //   - the classifier head stays affine and yields logits.
 //
+// A program runs the loaded model's own layers: each stage holds a copy
+// of an nn layer, taken when the model is compiled or loaded, and calls
+// its Forward (nn's integer body by default, its float body under
+// nn.SetInt8GEMM(false)); an MVTU stage then replaces each output by its
+// ladder level's value. There is no second executor to drift from nn's.
+//
 // Programs can be built for the model's own channel counts (a
-// Fixed-Pruning accelerator) or for worst-case channel counts with the
-// actual model's channels configured at run time (a Flexible-Pruning
-// accelerator): weights of absent channels are zero-padded and the
-// execution loops are guarded on the runtime channel count, reproducing
-// the paper's Fig. 3 template semantics. The test suite verifies both
-// modes compute exactly what the nn engine computes.
+// Fixed-Pruning accelerator) or for worst-case channel counts (a
+// Flexible-Pruning accelerator), which load any pruned version of the
+// same initial model — the fast model switch of the paper's Fig. 3
+// templates. Worst-case sizing itself (cycles, resources, HLS code)
+// belongs to internal/finn. The test suite verifies that both modes
+// compute exactly what the nn engine computes, code for code.
 package compile
 
 import (
@@ -29,7 +34,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // Thresholds is a per-channel activation ladder on the accumulator scale:
@@ -53,41 +57,17 @@ func (t Thresholds) Code(a float32) int {
 	return n
 }
 
-// Stage kinds.
-type stageKind int
-
-const (
-	stageConv stageKind = iota
-	stagePool
-	stageDense
-	stageHead
-)
-
-// stage is one compiled pipeline step.
+// stage is one compiled pipeline step: an MVTU (a convolution or dense
+// layer with the ladders of the ScaleShift and QuantAct it absorbs), a
+// max-pool, or the head (a dense layer without an activation, whose
+// accumulators are the logits). layer is a copy taken at compile time,
+// so later edits to the model do not reach the program.
 type stage struct {
-	kind stageKind
-	name string
-
-	// Geometry at worst case (synthesis) and currently configured.
-	geom    tensor.ConvGeom // conv/pool window over worst-case channels
-	synInC  int
-	synOutC int
-	curInC  int
-	curOutC int
-
-	// Conv/dense parameters, worst-case sized and zero-padded: weights
-	// indexed [out][in*k²] (conv) or [out][in] (dense).
-	weights [][]float64
-	bias    []float64
-
-	// Per-output-channel threshold ladders (nil for head/pool).
+	layer nn.Layer
+	// Per-output-channel threshold ladders and the activation value of
+	// each ladder level, as QuantAct writes it; nil for pool and head.
 	thresholds []Thresholds
-	// levels maps a ladder level to the activation value the next
-	// stage's weights expect, as QuantAct writes it.
-	levels []float64
-
-	// footprint multiplier for dense stages fed by conv channels.
-	inFoot int
+	levels     []float32
 }
 
 // Program is a compiled functional dataflow.
@@ -98,7 +78,7 @@ type Program struct {
 	InW     int
 	Classes int
 	// Flexible programs are sized to worst-case channels and accept
-	// SetChannels.
+	// LoadModel.
 	Flexible      bool
 	WorstChannels []int
 	CurChannels   []int
@@ -107,9 +87,8 @@ type Program struct {
 }
 
 // Compile lowers a model. When flexible is true the program is sized to
-// the model's BaseChannels (worst case) with the current weights
-// zero-padded into the worst-case arrays; otherwise it is sized to the
-// model's own channels.
+// the model's BaseChannels (worst case), which every model it later
+// loads must share; otherwise it is sized to the model's own channels.
 func Compile(m *model.Model, flexible bool) (*Program, error) {
 	if m == nil || m.Net == nil {
 		return nil, fmt.Errorf("compile: nil model")
@@ -139,46 +118,34 @@ func Compile(m *model.Model, flexible bool) (*Program, error) {
 	}
 
 	layers := m.Net.Layers
-	shapes, err := nn.OutputShapeAfter(m.Net, m.InC, m.InH, m.InW)
-	if err != nil {
-		return nil, err
-	}
-	convIdx := -1
-	prevConv := -1
 	for li := 0; li < len(layers); li++ {
 		switch l := layers[li].Layer.(type) {
 		case *nn.Conv2D:
-			convIdx++
-			st, consumed, err := compileConvBlock(l, layers, li, convIdx, prevConv, worst, flexible)
+			ss, qa, consumed, err := absorbActivation(layers, li)
 			if err != nil {
+				return nil, err
+			}
+			st := &stage{layer: l.CloneLayer()}
+			if st.thresholds, st.levels, err = buildLadders(ss, qa, l.OutC); err != nil {
 				return nil, err
 			}
 			p.stages = append(p.stages, st)
 			li += consumed
-			prevConv = convIdx
-		case *nn.MaxPool2D:
-			synC := l.Geom.InC
-			if flexible && prevConv >= 0 {
-				synC = worst[prevConv]
-			}
-			g := l.Geom
-			g.InC = synC
-			p.stages = append(p.stages, &stage{
-				kind: stagePool, name: fmt.Sprintf("pool@%d", li),
-				geom:   g,
-				synInC: synC, synOutC: synC,
-				curInC: l.Geom.InC, curOutC: l.Geom.InC,
-			})
 		case *nn.Dense:
-			st, consumed, err := compileDenseBlock(l, layers, li, prevConv, worst, flexible, shapes)
-			if err != nil {
-				return nil, err
+			st := &stage{layer: l.CloneLayer()}
+			// Without an activation to absorb, the layer is the head.
+			if ss, qa, consumed, err := absorbActivation(layers, li); err == nil {
+				if st.thresholds, st.levels, err = buildLadders(ss, qa, l.Out); err != nil {
+					return nil, err
+				}
+				li += consumed
 			}
 			p.stages = append(p.stages, st)
-			li += consumed
-			prevConv = -1
+		case *nn.MaxPool2D:
+			p.stages = append(p.stages, &stage{layer: l.CloneLayer()})
 		case *nn.Flatten:
-			// Stream reinterpretation only.
+			// Stream reinterpretation only: Dense reads any input of its
+			// volume.
 		case *nn.ScaleShift, *nn.QuantAct, *nn.ReLU:
 			return nil, fmt.Errorf("compile: dangling %s not absorbed into a compute stage", layers[li].Layer.Name())
 		default:
@@ -212,13 +179,13 @@ func absorbActivation(layers []*nn.NamedLayer, li int) (ss *nn.ScaleShift, qa *n
 }
 
 // buildLadders folds γ·y+β followed by an activation quantizer into
-// per-channel accumulator-scale threshold ladders and the value of each
-// ladder level. Padded channels beyond outC get the identity affine.
-func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC, synOutC int) ([]Thresholds, []float64, error) {
-	ladders := make([]Thresholds, synOutC)
+// per-channel accumulator-scale threshold ladders for outC channels and
+// the value of each ladder level.
+func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC int) ([]Thresholds, []float32, error) {
+	ladders := make([]Thresholds, outC)
 	for c := range ladders {
 		gamma, beta := float32(1), float32(0)
-		if ss != nil && c < outC {
+		if ss != nil {
 			gamma, beta = ss.Gamma.Value.At(c), ss.Beta.Value.At(c)
 		}
 		edges, up, err := qa.Q.AffineLadder(gamma, beta)
@@ -227,132 +194,9 @@ func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC, synOutC int) ([]Thre
 		}
 		ladders[c] = Thresholds{Edges: edges, Up: up}
 	}
-	levels := make([]float64, qa.Q.Levels()+1)
+	levels := make([]float32, qa.Q.Levels()+1)
 	for c := range levels {
-		levels[c] = float64(qa.Q.LevelValue(c))
+		levels[c] = qa.Q.LevelValue(c)
 	}
 	return ladders, levels, nil
-}
-
-// compileConvBlock lowers conv (+ScaleShift+QuantAct) into one MVTU stage.
-func compileConvBlock(l *nn.Conv2D, layers []*nn.NamedLayer, li, convIdx, prevConv int, worst []int, flexible bool) (*stage, int, error) {
-	ss, qa, consumed, err := absorbActivation(layers, li)
-	if err != nil {
-		return nil, 0, err
-	}
-	synIn := l.Geom.InC
-	if flexible && prevConv >= 0 {
-		synIn = worst[prevConv]
-	}
-	synOut := l.OutC
-	if flexible {
-		synOut = worst[convIdx]
-	}
-	k2 := l.Geom.KH * l.Geom.KW
-	// Weights exactly as the forward pass computes them (including
-	// per-channel quantization scales when configured).
-	q, err := l.EffectiveWeights()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Zero-padded worst-case weight array, laid out [out][in*k²] with the
-	// *worst-case* input stride so runtime channel guards skip pad lanes.
-	weights := make([][]float64, synOut)
-	for o := range weights {
-		weights[o] = make([]float64, synIn*k2)
-	}
-	for o := 0; o < l.OutC; o++ {
-		for ci := 0; ci < l.Geom.InC; ci++ {
-			for kk := 0; kk < k2; kk++ {
-				weights[o][ci*k2+kk] = float64(q.At(o, ci*k2+kk))
-			}
-		}
-	}
-	var bias []float64
-	if l.Bias != nil {
-		bias = make([]float64, synOut)
-		for o := 0; o < l.OutC; o++ {
-			bias[o] = float64(l.Bias.Value.At(o))
-		}
-	}
-	ladders, levels, err := buildLadders(ss, qa, l.OutC, synOut)
-	if err != nil {
-		return nil, 0, err
-	}
-	g := l.Geom
-	g.InC = synIn
-	return &stage{
-		kind: stageConv, name: "mvtu:" + l.ID,
-		geom:   g,
-		synInC: synIn, synOutC: synOut,
-		curInC: l.Geom.InC, curOutC: l.OutC,
-		weights: weights, bias: bias,
-		thresholds: ladders, levels: levels,
-	}, consumed, nil
-}
-
-// compileDenseBlock lowers dense (+ScaleShift+QuantAct) or the bare head.
-func compileDenseBlock(l *nn.Dense, layers []*nn.NamedLayer, li, prevConv int, worst []int, flexible bool, shapes [][]int) (*stage, int, error) {
-	foot := 1
-	if prevConv >= 0 {
-		// Spatial footprint of the stream entering this dense layer: the
-		// last rank-3 shape upstream.
-		for lj := li - 1; lj >= 0; lj-- {
-			if len(shapes[lj]) == 3 {
-				foot = shapes[lj][1] * shapes[lj][2]
-				break
-			}
-		}
-	}
-	synIn := l.In
-	curIn := l.In
-	if flexible && prevConv >= 0 {
-		synIn = worst[prevConv] * foot
-	}
-	// Head (no trailing activation) vs hidden dense.
-	var ss *nn.ScaleShift
-	var qa *nn.QuantAct
-	consumed := 0
-	kind := stageHead
-	if li+1 < len(layers) {
-		if s, q, c, err := absorbActivation(layers, li); err == nil {
-			ss, qa, consumed = s, q, c
-			kind = stageDense
-		}
-	}
-	q, err := l.EffectiveWeights()
-	if err != nil {
-		return nil, 0, err
-	}
-	weights := make([][]float64, l.Out)
-	for o := range weights {
-		weights[o] = make([]float64, synIn)
-	}
-	// Pad per channel group: input element ci*foot+f of the current model
-	// maps to the same channel index in the worst-case layout.
-	for o := 0; o < l.Out; o++ {
-		for i := 0; i < l.In; i++ {
-			weights[o][i] = float64(q.At(o, i))
-		}
-	}
-	var bias []float64
-	if l.Bias != nil {
-		bias = make([]float64, l.Out)
-		for o := 0; o < l.Out; o++ {
-			bias[o] = float64(l.Bias.Value.At(o))
-		}
-	}
-	st := &stage{
-		kind: kind, name: "fc:" + l.ID,
-		synInC: synIn, synOutC: l.Out,
-		curInC: curIn, curOutC: l.Out,
-		weights: weights, bias: bias,
-		inFoot: foot,
-	}
-	if kind == stageDense {
-		if st.thresholds, st.levels, err = buildLadders(ss, qa, l.Out, l.Out); err != nil {
-			return nil, 0, err
-		}
-	}
-	return st, consumed, nil
 }

@@ -1,9 +1,11 @@
 package compile
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -14,15 +16,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
-
-// The compiled dataflow programs reproduce the float fake-quantized
-// reference, so the logit comparisons below pin the nn engine to that path;
-// the integer fast path is only quantization-tolerance close, not 1e-3
-// close. Its own agreement bound is tested in internal/nn.
-func TestMain(m *testing.M) {
-	nn.SetInt8GEMM(false)
-	os.Exit(m.Run())
-}
 
 func trainedTiny(t *testing.T, wbits int, seed int64) (*model.Model, *dataset.Dataset) {
 	t.Helper()
@@ -45,11 +38,12 @@ func trainedTiny(t *testing.T, wbits int, seed int64) (*model.Model, *dataset.Da
 	return m, ds
 }
 
-// checkStageCodes runs p and m's layers side by side on x and demands
-// that every MVTU stage write exactly the activations nn's QuantAct
-// writes, bit for bit, so the two agree code for code. A mismatch names
-// the stage, the element and both accumulators. It returns the number of
-// activations compared and nn's logits.
+// checkStageCodes runs p's stages and m's layers side by side on x and
+// demands that every MVTU stage's thresholded output equal what nn's
+// unfolded ScaleShift → QuantAct writes, bit for bit, so the two agree
+// code for code. A mismatch names the stage, the element and the
+// accumulator. It returns the number of activations compared and nn's
+// logits.
 func checkStageCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor) (int, *tensor.Tensor) {
 	t.Helper()
 	layers := m.Net.Layers
@@ -62,41 +56,34 @@ func checkStageCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor)
 		}
 		outs[i] = cur
 	}
-	in := make([]float64, x.Len())
-	for i, v := range x.Data() {
-		in[i] = float64(v)
-	}
-	c, h, w := p.InC, p.InH, p.InW
+	in := x
 	li, compared := 0, 0
 	for _, st := range p.stages {
 		for !computes(layers[li].Layer) {
 			li++
 		}
-		accLayer := li
 		for li+1 < len(layers) && absorbed(layers[li+1].Layer) {
 			li++
 		}
-		out, oc, oh, ow, err := st.run(in, c, h, w)
+		out, err := st.run(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.thresholds != nil {
 			want := outs[li].Data()
-			if len(want) != len(out) {
-				t.Fatalf("stage %s: %d activations, nn has %d", st.name, len(out), len(want))
+			if len(want) != out.Len() {
+				t.Fatalf("stage %s: %d activations, nn has %d", st.layer.Name(), out.Len(), len(want))
 			}
-			for i, v := range out {
-				if math.Float64bits(v) != math.Float64bits(float64(want[i])) {
-					raw := *st
-					raw.thresholds = nil
-					acc, _, _, _, _ := raw.run(in, c, h, w)
-					t.Fatalf("stage %s activation %d: compile accumulator %v gives %v, nn accumulator %v gives %v",
-						st.name, i, float32(acc[i]), v, outs[accLayer].Data()[i], want[i])
+			for i, v := range out.Data() {
+				if math.Float32bits(v) != math.Float32bits(want[i]) {
+					acc, _ := st.layer.Forward(in, false)
+					t.Fatalf("stage %s activation %d: accumulator %v gives %v, nn gives %v",
+						st.layer.Name(), i, acc.Data()[i], v, want[i])
 				}
 			}
-			compared += len(out)
+			compared += len(want)
 		}
-		in, c, h, w = out, oc, oh, ow
+		in = out
 		li++
 	}
 	return compared, outs[len(outs)-1]
@@ -120,57 +107,101 @@ func absorbed(l nn.Layer) bool {
 	return false
 }
 
-// agreeOn compares program against nn on n dataset samples: every stage's
-// activation codes must be identical (checkStageCodes), and so must the
-// argmax, with logits within 1e-3.
-func agreeOn(t *testing.T, p *Program, m *model.Model, ds *dataset.Dataset, n int) {
+// agreeOn compares program against nn on xs: every stage's activation
+// codes must be identical (checkStageCodes), and Run's logits must equal
+// both nn's Forward and its ForwardBatch over all of xs, bit for bit.
+func agreeOn(t *testing.T, p *Program, m *model.Model, xs []*tensor.Tensor) {
 	t.Helper()
+	batch, err := m.Net.ForwardBatch(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	compared := 0
-	for i := 0; i < n; i++ {
-		x, _ := ds.TestSample(i)
+	for i, x := range xs {
 		c, want := checkStageCodes(t, p, m, x)
 		compared += c
 		got, err := p.Run(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("sample %d: logit count %d vs %d", i, got.Len(), want.Len())
-		}
-		if got.ArgMax() != want.ArgMax() {
-			t.Fatalf("sample %d: argmax %d vs %d (logits %v vs %v)",
-				i, got.ArgMax(), want.ArgMax(), got.Data(), want.Data())
-		}
-		for j := range got.Data() {
-			if d := math.Abs(float64(got.At(j) - want.At(j))); d > 1e-3 {
-				t.Fatalf("sample %d logit %d: %v vs %v", i, j, got.At(j), want.At(j))
+		for _, ref := range []struct {
+			name string
+			y    *tensor.Tensor
+		}{{"Forward", want}, {"ForwardBatch", batch[i]}} {
+			if !sameBits(got, ref.y) {
+				t.Fatalf("sample %d: logits %v, nn %s %v", i, got.Data(), ref.name, ref.y.Data())
 			}
 		}
 	}
-	t.Logf("%s: %d activation codes identical to nn", p.Name, compared)
+	t.Logf("%s: %d activation codes and %d logit vectors identical to nn", p.Name, compared, len(xs))
+}
+
+// sameBits reports whether a and b hold the same shape and the same
+// float32 bits, counting any two NaNs as equal.
+func sameBits(a, b *tensor.Tensor) bool {
+	if !slices.Equal(a.Shape(), b.Shape()) {
+		return false
+	}
+	for i, v := range a.Data() {
+		w := b.Data()[i]
+		if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+			return false
+		}
+	}
+	return true
+}
+
+// testSamples returns the first n test inputs of ds.
+func testSamples(ds *dataset.Dataset, n int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		xs[i], _ = ds.TestSample(i)
+	}
+	return xs
+}
+
+// floatBody runs the rest of t on nn's float body, restoring the switch
+// when t ends.
+func floatBody(t *testing.T) {
+	prev := nn.SetInt8GEMM(false)
+	t.Cleanup(func() { nn.SetInt8GEMM(prev) })
+}
+
+// onBothBodies runs f as subtest name/int8 on nn's default integer body
+// and again as name/float on its float body.
+func onBothBodies(t *testing.T, name string, f func(t *testing.T)) {
+	t.Run(name, func(t *testing.T) {
+		t.Run("int8", f)
+		t.Run("float", func(t *testing.T) {
+			floatBody(t)
+			f(t)
+		})
+	})
 }
 
 // TestCompiledMatchesNNFixed is the core functional-verification property:
-// the compiled dataflow (threshold ladders, SWU windows, MVTU loops)
-// computes exactly what the layer-by-layer nn engine computes.
+// the compiled dataflow, with ScaleShift and QuantAct folded into each
+// MVTU stage's threshold ladders, computes exactly what the layer-by-layer
+// nn engine computes, on nn's integer body and on its float body.
 func TestCompiledMatchesNNFixed(t *testing.T) {
 	for _, wbits := range []int{1, 2} {
 		m, ds := trainedTiny(t, wbits, int64(40+wbits))
-		p, err := Compile(m, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Flexible {
-			t.Fatal("fixed program flagged flexible")
-		}
-		agreeOn(t, p, m, ds, 30)
+		onBothBodies(t, fmt.Sprintf("W%d", wbits), func(t *testing.T) {
+			p, err := Compile(m, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Flexible {
+				t.Fatal("fixed program flagged flexible")
+			}
+			agreeOn(t, p, m, testSamples(ds, 30))
+		})
 	}
 }
 
 // TestCompiledMatchesNNFlexiblePruned verifies the paper's Fig. 3
 // semantics: a program synthesized to worst-case channels, loaded with a
-// pruned model (zero-padded weights + runtime channel guards), computes
-// exactly what the pruned model computes.
+// pruned model, computes exactly what the pruned model computes.
 func TestCompiledMatchesNNFlexiblePruned(t *testing.T) {
 	m, ds := trainedTiny(t, 2, 77)
 	fold := finn.DefaultFolding(m)
@@ -192,7 +223,7 @@ func TestCompiledMatchesNNFlexiblePruned(t *testing.T) {
 	if p.WorstChannels[1] != 16 || p.CurChannels[1] != 8 {
 		t.Fatalf("channels worst=%v cur=%v", p.WorstChannels, p.CurChannels)
 	}
-	agreeOn(t, p, pruned, ds, 30)
+	agreeOn(t, p, pruned, testSamples(ds, 30))
 }
 
 // TestFlexibleLoadModelSwitch verifies the fast model switch: one flexible
@@ -213,15 +244,15 @@ func TestFlexibleLoadModelSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agreeOn(t, p, m, ds, 10)
+	agreeOn(t, p, m, testSamples(ds, 10))
 	if err := p.LoadModel(pruned); err != nil {
 		t.Fatal(err)
 	}
-	agreeOn(t, p, pruned, ds, 10)
+	agreeOn(t, p, pruned, testSamples(ds, 10))
 	if err := p.LoadModel(m); err != nil {
 		t.Fatal(err)
 	}
-	agreeOn(t, p, m, ds, 10)
+	agreeOn(t, p, m, testSamples(ds, 10))
 }
 
 func TestFixedProgramRejectsLoadModel(t *testing.T) {
@@ -245,20 +276,37 @@ func TestLoadModelRejectsForeignModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same architecture: allowed. Different worst-case channels: rejected.
-	foreign, err := model.Build(model.Config{
-		Name: "wide", Dataset: "tiny-syn", WBits: 2, ABits: 2,
-		InC: 3, InH: 8, InW: 8, Classes: 4,
-		ConvChannels: []int{16, 16}, PoolAfter: []int{1}, DenseSizes: []int{32},
-	})
+	tinyTen, err := model.TinyCNV("ten", "tiny-syn", 2, 10, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.LoadModel(foreign); err == nil {
-		t.Fatal("foreign worst-case channels accepted")
+	build := func(cfg model.Config) *model.Model {
+		cfg.Dataset, cfg.WBits, cfg.ABits = "tiny-syn", 2, 2
+		cfg.PoolAfter, cfg.DenseSizes = []int{1}, []int{32}
+		f, err := model.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
+	for _, tc := range []struct {
+		name string
+		m    *model.Model
+	}{
+		{"worst-case channels", build(model.Config{Name: "wide", InC: 3, InH: 8, InW: 8, Classes: 4, ConvChannels: []int{16, 16}})},
+		{"classes", tinyTen},
+		{"input size", build(model.Config{Name: "big", InC: 3, InH: 16, InW: 16, Classes: 4, ConvChannels: []int{8, 16}})},
+	} {
+		if err := p.LoadModel(tc.m); err == nil {
+			t.Errorf("foreign %s accepted", tc.name)
+		}
+	}
+	// Same architecture: allowed, and the program takes the model's name.
 	if err := p.LoadModel(other); err != nil {
 		t.Fatalf("same-architecture model rejected: %v", err)
+	}
+	if p.Name != other.Key() {
+		t.Fatalf("program name %q after loading %q", p.Name, other.Key())
 	}
 }
 
@@ -330,7 +378,7 @@ func TestCompiledMLPMatchesNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agreeOn(t, p, m, ds, 25)
+	agreeOn(t, p, m, testSamples(ds, 25))
 }
 
 func TestThresholdsCode(t *testing.T) {
@@ -366,7 +414,7 @@ func TestNegativeGammaLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agreeOn(t, p, m, ds, 20)
+	agreeOn(t, p, m, testSamples(ds, 20))
 }
 
 // TestCompileRejectsNonFiniteAffine: a NaN or infinite γ or β has no
@@ -428,7 +476,10 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// Property: random inputs never crash and always yield Classes logits.
+// Property: random inputs never crash and always yield Classes logits; a
+// NaN or infinite pixel gives nn's own answer, never a panic. On the
+// integer body that is QuantizeSymmetricInt8's error; on the float body
+// it is whatever Forward returns.
 func TestRunRandomInputs(t *testing.T) {
 	m, _ := trainedTiny(t, 2, 55)
 	p, err := Compile(m, false)
@@ -436,12 +487,15 @@ func TestRunRandomInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20; i++ {
+	random := func() *tensor.Tensor {
 		x := tensor.New(3, 8, 8)
 		for j := range x.Data() {
 			x.Data()[j] = rng.Float32()*20 - 10
 		}
-		out, err := p.Run(x)
+		return x
+	}
+	for i := 0; i < 20; i++ {
+		out, err := p.Run(random())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,13 +503,60 @@ func TestRunRandomInputs(t *testing.T) {
 			t.Fatalf("logits = %d", out.Len())
 		}
 	}
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for _, v := range bad {
+		x := random()
+		x.Data()[rng.Intn(x.Len())] = v
+		if _, err := p.Run(x); err == nil || !strings.Contains(err.Error(), "QuantizeSymmetricInt8") {
+			t.Errorf("pixel %v on the integer body: err = %v, want QuantizeSymmetricInt8's", v, err)
+		}
+	}
+	floatBody(t)
+	for _, v := range bad {
+		x := random()
+		x.Data()[rng.Intn(x.Len())] = v
+		got, gotErr := p.Run(x)
+		want, wantErr := m.Net.Forward(x, false)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("pixel %v on the float body: Run err %v, Forward err %v", v, gotErr, wantErr)
+		}
+		if gotErr == nil && !sameBits(got, want) {
+			t.Fatalf("pixel %v on the float body: Run %v, Forward %v", v, got.Data(), want.Data())
+		}
+	}
+}
+
+// TestProgramIsSnapshot: a program keeps the layers it was compiled from,
+// so an edit to the model afterwards does not reach it.
+func TestProgramIsSnapshot(t *testing.T) {
+	m, ds := trainedTiny(t, 2, 61)
+	p, err := Compile(m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := ds.TestSample(0)
+	before, err := p.Run(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.Net.Convs()[0].Weight
+	w.Value.Data()[0] += 1
+	w.BumpVersion()
+	after, err := p.Run(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(before, after) {
+		t.Fatalf("logits moved with the model: %v → %v", before.Data(), after.Data())
+	}
 }
 
 // TestCNVStageCodesMatchNN pins the compiled CNVW2A2 dataflow to nn code
-// for code at 0/25/50/85 % pruning, with every ScaleShift channel's γ and
-// β randomized: some γ negative, some exactly zero. The unpruned model
-// runs as a Fixed program, the pruned ones as Flexible programs padded to
-// the worst case.
+// for code, and its logits bit for bit, at 0/25/50/85 % pruning, with
+// every ScaleShift channel's γ and β randomized: some γ negative, some
+// exactly zero. The unpruned model runs as a Fixed program, the pruned
+// ones as Flexible programs sized to the worst case; all of it on nn's
+// integer body and again on its float body.
 func TestCNVStageCodesMatchNN(t *testing.T) {
 	ds := dataset.SyntheticCIFAR10(1)
 	m, err := model.CNVW2A2("cifar10", 10, 1)
@@ -467,6 +568,7 @@ func TestCNVStageCodesMatchNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
+	xs := testSamples(ds, 4)
 	for _, rate := range []float64{0, 0.25, 0.5, 0.85} {
 		pm, _, err := prune.Shrink(m, rate, gran)
 		if err != nil {
@@ -489,16 +591,12 @@ func TestCNVStageCodesMatchNN(t *testing.T) {
 				ss.Beta.Value.Set(float32(rng.NormFloat64()), c)
 			}
 		}
-		p, err := Compile(pm, rate > 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compared := 0
-		for i := 0; i < 4; i++ {
-			x, _ := ds.TestSample(i)
-			c, _ := checkStageCodes(t, p, pm, x)
-			compared += c
-		}
-		t.Logf("p%.0f: %d activation codes identical to nn", rate*100, compared)
+		onBothBodies(t, fmt.Sprintf("p%.0f", rate*100), func(t *testing.T) {
+			p, err := Compile(pm, rate > 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agreeOn(t, p, pm, xs)
+		})
 	}
 }

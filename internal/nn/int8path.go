@@ -18,8 +18,9 @@ import (
 // int8 codes (bit width ≤ 8); wider grids and training always use the
 // float body, which the backward pass and the dataflow compiler consume.
 // Call SetInt8GEMM(false) to force the float body at inference time too,
-// e.g. when bisecting a numeric difference against the compiled dataflow
-// programs; ForwardBatch then runs layer by layer on floats.
+// e.g. when bisecting a numeric difference between the two bodies;
+// ForwardBatch then runs layer by layer on floats, and the compiled
+// dataflow programs, which run these layers, follow the switch.
 //
 // Layers whose weight codes are all in {−1, 0, 1} (W1 and W2 grids) also
 // get their codes as bit planes from the weight cache, and a batch whose
@@ -44,7 +45,7 @@ import (
 // epilogue fold ScaleShift into the same ladder with
 // quant.ActQuantizer.AffineLadder, which searches float32 accumulators
 // rather than mapping edges through (t−β)/γ, so both match this engine's
-// float path code for code.
+// unfolded ScaleShift → QuantAct code for code, on either body.
 
 // floatGEMM is the inverted switch, so the zero value selects the int8 path.
 var floatGEMM atomic.Bool

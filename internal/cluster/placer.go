@@ -1,6 +1,10 @@
 package cluster
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Placement policy. All functions here are pure or operate on plain
 // slices, run only from the scheduler's serial control loop, and order
@@ -29,17 +33,15 @@ func orderStreams(streams []StreamSpec) []StreamSpec {
 
 // evictOrder sorts stream indices (into an ordered slice) into eviction
 // order for an over-committed pool: lowest priority first, and within a
-// class the largest rate first so the fewest streams migrate.
+// class the largest rate first so the fewest streams migrate. Within a
+// class an ordered slice runs by rate descending, then name, so the
+// index itself breaks the tie.
 func evictOrder(streams []StreamSpec, idx []int) {
-	sort.Slice(idx, func(x, y int) bool {
-		a, b := streams[idx[x]], streams[idx[y]]
-		if a.Class != b.Class {
-			return a.Class < b.Class
+	slices.SortFunc(idx, func(x, y int) int {
+		if c := cmp.Compare(streams[x].Class, streams[y].Class); c != 0 {
+			return c
 		}
-		if a.Rate != b.Rate {
-			return a.Rate > b.Rate
-		}
-		return a.Name < b.Name
+		return cmp.Compare(x, y)
 	})
 }
 
@@ -49,27 +51,32 @@ func evictOrder(streams []StreamSpec, idx []int) {
 // per-tenant share cap is set, while the stream's tenant stays within
 // its share. Rejected streams are throttled for the epoch — their frames
 // drop with the exclusive cause tenant-throttled. Because the walk is in
-// priority order, pressure always sheds the lowest classes first.
-func admit(ordered []StreamSpec, clusterCap, tenantShare float64) (admitted, throttled []StreamSpec) {
+// priority order, pressure always sheds the lowest classes first. The
+// indices into ordered of admitted and throttled streams are appended to
+// admitted and throttled, and perTenant (cleared first) tallies the
+// tenants' admitted rates, so the caller's buffers serve every epoch.
+func admit(ordered []StreamSpec, clusterCap, tenantShare float64,
+	admitted, throttled []int, perTenant map[string]float64) ([]int, []int) {
+	clear(perTenant)
 	total := 0.0
-	perTenant := make(map[string]float64)
 	limit := clusterCap
 	tenantLimit := 0.0
 	if tenantShare > 0 {
 		tenantLimit = tenantShare * clusterCap
 	}
-	for _, s := range ordered {
+	for i := range ordered {
+		s := &ordered[i]
 		if total+s.Rate > limit {
-			throttled = append(throttled, s)
+			throttled = append(throttled, i)
 			continue
 		}
 		if tenantLimit > 0 && perTenant[s.Tenant]+s.Rate > tenantLimit {
-			throttled = append(throttled, s)
+			throttled = append(throttled, i)
 			continue
 		}
 		total += s.Rate
 		perTenant[s.Tenant] += s.Rate
-		admitted = append(admitted, s)
+		admitted = append(admitted, i)
 	}
 	return admitted, throttled
 }

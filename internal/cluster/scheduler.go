@@ -216,6 +216,11 @@ type epochScratch struct {
 	blackout map[string]bool
 	results  []*edge.Result
 	loads    [][]edge.Load
+	// admit's outputs (indices into the scheduler's ordered streams) and
+	// its per-tenant tally.
+	admitted  []int
+	throttled []int
+	perTenant map[string]float64
 }
 
 // reset sizes the scratch for n pools (first epoch) and clears every
@@ -231,6 +236,7 @@ func (sc *epochScratch) reset(n int) {
 		sc.loads = make([][]edge.Load, n)
 		sc.kept = make(map[string]int)
 		sc.blackout = make(map[string]bool)
+		sc.perTenant = make(map[string]float64)
 	}
 	for i := 0; i < n; i++ {
 		sc.load[i] = 0
@@ -241,6 +247,8 @@ func (sc *epochScratch) reset(n int) {
 	clear(sc.kept)
 	clear(sc.blackout)
 	sc.loose = sc.loose[:0]
+	sc.admitted = sc.admitted[:0]
+	sc.throttled = sc.throttled[:0]
 }
 
 // New builds a scheduler over a shared library. Stream names must be
@@ -397,39 +405,43 @@ func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
 		clusterCap += caps[i]
 	}
 
-	admitted, throttled := admit(s.ordered, clusterCap, s.cfg.TenantShare)
+	admitted, throttled := admit(s.ordered, clusterCap, s.cfg.TenantShare,
+		s.scr.admitted, s.scr.throttled, s.scr.perTenant)
+	s.scr.admitted, s.scr.throttled = admitted, throttled
 
 	// Sticky pass: a stream stays on its pool while the pool is neither
 	// quorum-degraded nor over-committed against its rescored capacity.
 	// Over-committed pools evict lowest-priority (then largest) streams
 	// until they fit; evicted streams re-place worst-fit below.
 	pl := &placer{rem: append(s.scr.rem[:0], caps...)}
+	ordered := s.ordered
 	kept := s.scr.kept
-	keptIdx := s.scr.keptIdx // per pool, indices into admitted
+	keptIdx := s.scr.keptIdx // per pool, indices into ordered
 	load := s.scr.load
-	loose := s.scr.loose // admitted indices needing placement
-	for idx, st := range admitted {
+	loose := s.scr.loose // admitted indices into ordered needing placement
+	for _, i := range admitted {
+		st := &ordered[i]
 		p, was := assigned[st.Name]
 		if was && !s.pools[p].Degraded() && s.pools[p].Responsive(0) > 0 {
-			keptIdx[p] = append(keptIdx[p], idx)
+			keptIdx[p] = append(keptIdx[p], i)
 			load[p] += st.Rate
 			continue
 		}
-		loose = append(loose, idx)
+		loose = append(loose, i)
 	}
 	for p := 0; p < n; p++ {
 		idx := keptIdx[p]
-		evictOrder(admitted, idx)
+		evictOrder(ordered, idx)
 		// Walk eviction order, shedding until the pool fits.
 		for len(idx) > 0 && load[p] > caps[p] {
 			victim := idx[0]
 			idx = idx[1:]
-			load[p] -= admitted[victim].Rate
+			load[p] -= ordered[victim].Rate
 			loose = append(loose, victim)
 		}
 		for _, i := range idx {
-			kept[admitted[i].Name] = p
-			pl.reserve(p, admitted[i].Rate)
+			kept[ordered[i].Name] = p
+			pl.reserve(p, ordered[i].Rate)
 		}
 	}
 	// Loose streams (new, evicted, previously shed, or on broken pools)
@@ -466,13 +478,13 @@ func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
 
 	// Kept streams first, in placement order, so byPool ordering (and the
 	// composed scenarios) is deterministic.
-	for _, st := range admitted {
-		if p, ok := kept[st.Name]; ok {
-			placeOne(st, p, false, 0)
+	for _, i := range admitted {
+		if p, ok := kept[ordered[i].Name]; ok {
+			placeOne(ordered[i], p, false, 0)
 		}
 	}
 	for _, i := range loose {
-		st := admitted[i]
+		st := ordered[i]
 		pool, ok := pl.place(st.Rate)
 		if !ok {
 			plan.rep.Unplaced = append(plan.rep.Unplaced, st.Name)
@@ -485,11 +497,12 @@ func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
 		from, was := assigned[st.Name]
 		placeOne(st, pool, was && from != pool, from)
 	}
-	for _, st := range throttled {
-		plan.rep.Throttled = append(plan.rep.Throttled, st.Name)
+	for _, i := range throttled {
+		name := ordered[i].Name
+		plan.rep.Throttled = append(plan.rep.Throttled, name)
 		if traced {
 			tr.Emit(now, obs.ClusterCat, "shed",
-				obs.S("stream", st.Name), obs.S("cause", metrics.ClusterTenantThrottled.String()))
+				obs.S("stream", name), obs.S("cause", metrics.ClusterTenantThrottled.String()))
 		}
 	}
 

@@ -42,6 +42,9 @@ import (
 type Thresholds struct {
 	Edges []float32
 	Up    bool // false for a negative batch-norm gain
+	// ZeroGain marks a channel with γ = 0: every finite accumulator is at
+	// β's level, and an infinite one gives NaN (0·∞), as ScaleShift does.
+	ZeroGain bool
 }
 
 // Code returns the ladder level of float32 accumulator a: the number of
@@ -192,7 +195,7 @@ func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC int) ([]Thresholds, [
 		if err != nil {
 			return nil, nil, fmt.Errorf("compile: %s channel %d: %w", ss.Name(), c, err)
 		}
-		ladders[c] = Thresholds{Edges: edges, Up: up}
+		ladders[c] = Thresholds{Edges: edges, Up: up, ZeroGain: gamma == 0}
 	}
 	levels := make([]float32, qa.Q.Levels()+1)
 	for c := range levels {

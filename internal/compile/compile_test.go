@@ -524,6 +524,31 @@ func TestRunRandomInputs(t *testing.T) {
 			t.Fatalf("pixel %v on the float body: Run %v, Forward %v", v, got.Data(), want.Data())
 		}
 	}
+	// γ = 0 on every other channel of the first ScaleShift: there an
+	// infinite accumulator gives nn NaN (0·∞), and so must the program.
+	ss := findFirstScaleShift(t, m)
+	for c := 0; c < ss.Gamma.Value.Len(); c += 2 {
+		ss.Gamma.Value.Set(0, c)
+	}
+	pz, err := Compile(m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range bad[1:] {
+		x := random()
+		x.Data()[rng.Intn(x.Len())] = v
+		got, err := pz.Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Net.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("pixel %v on the float body, γ = 0: Run %v, Forward %v", v, got.Data(), want.Data())
+		}
+	}
 }
 
 // TestProgramIsSnapshot: a program keeps the layers it was compiled from,

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/tensor"
@@ -39,8 +40,13 @@ func (st *stage) run(x *tensor.Tensor) (*tensor.Tensor, error) {
 	d := out.Data()
 	spatial := len(d) / len(st.thresholds)
 	for i, a := range d {
-		if a == a { // a NaN stays NaN, as QuantAct passes it
-			d[i] = st.levels[st.thresholds[i/spatial].Code(a)]
+		t := &st.thresholds[i/spatial]
+		switch {
+		case a != a: // a NaN stays NaN, as QuantAct passes it
+		case t.ZeroGain && math.IsInf(float64(a), 0):
+			d[i] = float32(math.NaN()) // ScaleShift's 0·∞
+		default:
+			d[i] = st.levels[t.Code(a)]
 		}
 	}
 	return out, nil

@@ -22,15 +22,11 @@ type fluidModel struct {
 	batchCarry float64
 }
 
+// start queues the run's accounting steps as engine ticks: one pending
+// step event at a time, dispatched exactly where the steps scheduled up
+// front would be.
 func (m *fluidModel) start() error {
-	step := m.step // one hoisted closure serves every step
-	steps := int(m.scn.Duration/m.cfg.Step + 0.5)
-	for i := 1; i <= steps; i++ {
-		if err := m.eng.Schedule(float64(i)*m.cfg.Step, step); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.eng.Ticks(int(m.scn.Duration/m.cfg.Step+0.5), m.cfg.Step, m.step)
 }
 
 func (m *fluidModel) beforeReact(float64) {}

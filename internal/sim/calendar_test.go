@@ -143,56 +143,16 @@ func TestCalendarResizeGrowShrink(t *testing.T) {
 
 // Identical stimulus → identical fired sequence and identical Stats on
 // both queue implementations: the continuity guarantee for MaxHeap and
-// Compactions across the engine swap.
+// Compactions across the engine swap. The tapes schedule, cancel and
+// run part way (3:1:1); tick sequences are TestTicksMatchUpfrontSchedule's.
 func TestCalendarMatchesHeapDifferential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		type rec struct {
-			t   float64
-			tag int
+		rng := rand.New(rand.NewSource(seed + 2000))
+		ops := make([]byte, 400)
+		for i := range ops {
+			ops[i] = []byte{0, 0, 0, 1, 2}[rng.Intn(5)]
 		}
-		run := func(e *Engine) ([]rec, Stats) {
-			rng := rand.New(rand.NewSource(seed))
-			var fired []rec
-			var handles []Handle
-			tag := 0
-			for step := 0; step < 400; step++ {
-				switch rng.Intn(5) {
-				case 0, 1, 2: // schedule
-					tt := e.Now() + rng.Float64()*float64(1+rng.Intn(1000))
-					if rng.Intn(4) == 0 {
-						tt = e.Now() // equal-time FIFO traffic
-					}
-					tag++
-					id := tag
-					h, err := e.ScheduleCancelable(tt, func() { fired = append(fired, rec{tt, id}) })
-					if err != nil {
-						panic(err)
-					}
-					handles = append(handles, h)
-				case 3: // cancel a random outstanding handle
-					if len(handles) > 0 {
-						e.Cancel(handles[rng.Intn(len(handles))])
-					}
-				case 4: // advance
-					e.Run(e.Now() + rng.Float64()*200)
-				}
-			}
-			e.Run(1e12)
-			return fired, e.Stats()
-		}
-		calFired, calStats := run(NewEngine())
-		heapFired, heapStats := run(newHeapEngine())
-		if len(calFired) != len(heapFired) {
-			t.Fatalf("seed %d: calendar fired %d, heap fired %d", seed, len(calFired), len(heapFired))
-		}
-		for i := range calFired {
-			if calFired[i] != heapFired[i] {
-				t.Fatalf("seed %d event %d: calendar %+v, heap %+v", seed, i, calFired[i], heapFired[i])
-			}
-		}
-		if calStats != heapStats {
-			t.Fatalf("seed %d: stats diverge: calendar %+v, heap %+v", seed, calStats, heapStats)
-		}
+		checkTicksTape(t, seed, ops)
 	}
 }
 
@@ -204,7 +164,7 @@ func TestCalendarHandlerScheduling(t *testing.T) {
 	if err := e.Schedule(10, func() {
 		order = append(order, 1)
 		// Same-time follow-up: must run before anything later.
-		if err := e.After(0, func() { order = append(order, 2) }); err != nil {
+		if err := e.Schedule(e.Now(), func() { order = append(order, 2) }); err != nil {
 			t.Error(err)
 		}
 		// Far jump, then a chain back near the clock.
@@ -230,56 +190,17 @@ func TestCalendarHandlerScheduling(t *testing.T) {
 }
 
 // FuzzCalendarQueue drives both queue implementations with a fuzzer-chosen
-// operation tape and requires identical observable behavior.
+// operation tape (schedule, cancel, partial run, tick sequence) and
+// requires identical observable behavior, with tick sequences run both
+// through Ticks and as up-front Schedule calls (checkTicksTape).
 func FuzzCalendarQueue(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 1, 2, 0, 2})
 	f.Add(int64(7), []byte{0, 1, 0, 1, 0, 1, 2, 2})
+	f.Add(int64(3), []byte{3, 0, 0, 2, 3, 0, 1, 2, 0, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		run := func(e *Engine) ([]int, Stats, float64) {
-			rng := rand.New(rand.NewSource(seed))
-			var fired []int
-			var handles []Handle
-			id := 0
-			for _, op := range ops {
-				switch op % 3 {
-				case 0:
-					tt := e.Now() + rng.Float64()*float64(1+rng.Intn(300))
-					id++
-					ev := id
-					h, err := e.ScheduleCancelable(tt, func() { fired = append(fired, ev) })
-					if err != nil {
-						t.Fatal(err)
-					}
-					handles = append(handles, h)
-				case 1:
-					if len(handles) > 0 {
-						e.Cancel(handles[rng.Intn(len(handles))])
-					}
-				case 2:
-					e.Run(e.Now() + rng.Float64()*100)
-				}
-			}
-			e.Run(1e9)
-			return fired, e.Stats(), e.Now()
-		}
-		calFired, calStats, calNow := run(NewEngine())
-		heapFired, heapStats, heapNow := run(newHeapEngine())
-		if len(calFired) != len(heapFired) {
-			t.Fatalf("calendar fired %d, heap %d", len(calFired), len(heapFired))
-		}
-		for i := range calFired {
-			if calFired[i] != heapFired[i] {
-				t.Fatalf("event %d: calendar id %d, heap id %d", i, calFired[i], heapFired[i])
-			}
-		}
-		if calStats != heapStats {
-			t.Fatalf("stats diverge: calendar %+v, heap %+v", calStats, heapStats)
-		}
-		if calNow != heapNow {
-			t.Fatalf("clock diverges: %v vs %v", calNow, heapNow)
-		}
+		checkTicksTape(t, seed, ops)
 	})
 }

@@ -5,6 +5,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/obs"
@@ -78,30 +79,68 @@ func (e *Engine) schedule(t float64, fn func()) (*event, error) {
 	if t < e.now {
 		return nil, fmt.Errorf("sim: schedule at %v before now %v", t, e.now)
 	}
+	e.seq++
+	return e.file(t, e.seq, fn), nil
+}
+
+// file queues fn at (t, seq) on recycled event storage. The caller has
+// validated t and fn and owns seq.
+func (e *Engine) file(t float64, seq int64, fn func()) *event {
 	if len(e.free) == 0 {
 		slab := make([]event, eventSlab)
 		for i := range slab {
 			e.free = append(e.free, &slab[i])
 		}
 	}
-	e.seq++
 	n := len(e.free)
 	ev := e.free[n-1]
 	e.free = e.free[:n-1]
-	*ev = event{time: t, seq: e.seq, fn: fn}
+	*ev = event{time: t, seq: seq, fn: fn}
 	e.q.push(ev)
 	if n := e.q.len(); n > e.stats.MaxHeap {
 		e.stats.MaxHeap = n
 	}
-	return ev, nil
+	return ev
 }
 
-// After enqueues fn to run delay seconds from now.
-func (e *Engine) After(delay float64, fn func()) error {
-	if delay < 0 {
-		return fmt.Errorf("sim: negative delay %v", delay)
+// Ticks runs fn at float64(i)*step for i = 1…n. It reserves the sequence
+// numbers n Schedule calls made now would get, but queues only the next
+// tick: tick i+1 is filed with its reserved (time, seq) once tick i's fn
+// returns. It is missing from the queue only while that fn runs, when
+// nothing is dispatched, so the dispatch order — ties included — is
+// exactly that of the n up-front Schedule calls, while the queue holds
+// one tick instead of n.
+// A non-positive or non-finite step, a negative n, a first tick before
+// now or a last tick past the finite range is rejected before anything
+// is queued, so no later tick can fail.
+func (e *Engine) Ticks(n int, step float64, fn func()) error {
+	switch {
+	case fn == nil:
+		return fmt.Errorf("sim: nil tick function")
+	case n < 0:
+		return fmt.Errorf("sim: negative tick count %d", n)
+	case !(step > 0) || math.IsInf(step, 1):
+		return fmt.Errorf("sim: tick step %v must be positive and finite", step)
+	case n == 0:
+		return nil
+	case step < e.now:
+		return fmt.Errorf("sim: first tick at %v before now %v", step, e.now)
+	case math.IsInf(float64(n)*step, 1):
+		return fmt.Errorf("sim: %d ticks of %v overflow the clock", n, step)
 	}
-	return e.Schedule(e.now+delay, fn)
+	base := e.seq
+	e.seq += int64(n)
+	i := 1
+	var tick func()
+	tick = func() {
+		fn()
+		if i < n {
+			i++
+			e.file(float64(i)*step, base+int64(i), tick)
+		}
+	}
+	e.file(step, base+1, tick)
+	return nil
 }
 
 // Handle identifies a scheduled event for cancellation. The zero Handle

@@ -55,8 +55,8 @@ func TestScheduleInPastRejected(t *testing.T) {
 	if err := e.Schedule(6, nil); err == nil {
 		t.Fatal("nil fn accepted")
 	}
-	if err := e.After(-1, func() {}); err == nil {
-		t.Fatal("negative delay accepted")
+	if err := e.Schedule(e.Now()-1, func() {}); err == nil {
+		t.Fatal("schedule one second before now accepted")
 	}
 }
 
@@ -86,7 +86,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 5 {
-			if err := e.After(1, chain); err != nil {
+			if err := e.Schedule(e.Now()+1, chain); err != nil {
 				t.Error(err)
 			}
 		}

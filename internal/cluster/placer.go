@@ -3,7 +3,7 @@ package cluster
 import (
 	"cmp"
 	"slices"
-	"sort"
+	"strings"
 )
 
 // Placement policy. All functions here are pure or operate on plain
@@ -11,51 +11,50 @@ import (
 // every decision deterministically — this is what makes a cluster run
 // seed-replayable bit-identically at any worker count.
 
-// orderStreams sorts a copy of the stream set into placement order:
-// higher priority first, then higher rate (big streams place first so
-// worst-fit packs them where fragmentation hurts least), then name for a
-// total deterministic order.
-func orderStreams(streams []StreamSpec) []StreamSpec {
-	out := make([]StreamSpec, len(streams))
-	copy(out, streams)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Class != b.Class {
-			return a.Class > b.Class
-		}
-		if a.Rate != b.Rate {
-			return a.Rate > b.Rate
-		}
-		return a.Name < b.Name
-	})
-	return out
-}
-
-// evictOrder sorts stream indices (into an ordered slice) into eviction
-// order for an over-committed pool: lowest priority first, and within a
-// class the largest rate first so the fewest streams migrate. Within a
-// class an ordered slice runs by rate descending, then name, so the
-// index itself breaks the tie.
-func evictOrder(streams []StreamSpec, idx []int) {
-	slices.SortFunc(idx, func(x, y int) int {
-		if c := cmp.Compare(streams[x].Class, streams[y].Class); c != 0 {
+// orderStreams returns the placement order of a stream set as indices
+// into it: higher priority first, then higher rate (big streams place
+// first so worst-fit packs them where fragmentation hurts least), then
+// name for a total deterministic order.
+func orderStreams(streams []StreamSpec) []int {
+	order := make([]int, len(streams))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		a, b := &streams[x], &streams[y]
+		if c := cmp.Compare(b.Class, a.Class); c != 0 {
 			return c
 		}
-		return cmp.Compare(x, y)
+		if c := cmp.Compare(b.Rate, a.Rate); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
+	return order
+}
+
+// evictOrder sorts the streams kept on an over-committed pool into
+// eviction order: lowest priority first, and within a class the largest
+// rate first so the fewest streams migrate. idx must arrive in placement
+// order, which within a class runs by rate descending, then name, so a
+// sort stable on class alone yields (class, placement position).
+func evictOrder(streams []StreamSpec, idx []int) {
+	slices.SortStableFunc(idx, func(x, y int) int {
+		return cmp.Compare(streams[x].Class, streams[y].Class)
 	})
 }
 
-// admit applies cluster-level tenant/priority admission control to the
-// already-ordered stream set: streams are admitted highest-priority
+// admit applies cluster-level tenant/priority admission control, walking
+// the streams in placement order: streams are admitted highest-priority
 // first while the cluster's aggregate usable capacity lasts and, when a
 // per-tenant share cap is set, while the stream's tenant stays within
 // its share. Rejected streams are throttled for the epoch — their frames
 // drop with the exclusive cause tenant-throttled. Because the walk is in
 // priority order, pressure always sheds the lowest classes first. The
-// indices into ordered of admitted and throttled streams are appended to
-// admitted and throttled, and perTenant (cleared first) tallies the
-// tenants' admitted rates, so the caller's buffers serve every epoch.
-func admit(ordered []StreamSpec, clusterCap, tenantShare float64,
+// indices of admitted and throttled streams are appended, in placement
+// order, to admitted and throttled, and perTenant (cleared first) tallies
+// the tenants' admitted rates, so the caller's buffers serve every epoch.
+func admit(streams []StreamSpec, order []int, clusterCap, tenantShare float64,
 	admitted, throttled []int, perTenant map[string]float64) ([]int, []int) {
 	clear(perTenant)
 	total := 0.0
@@ -64,8 +63,8 @@ func admit(ordered []StreamSpec, clusterCap, tenantShare float64,
 	if tenantShare > 0 {
 		tenantLimit = tenantShare * clusterCap
 	}
-	for i := range ordered {
-		s := &ordered[i]
+	for _, i := range order {
+		s := &streams[i]
 		if total+s.Rate > limit {
 			throttled = append(throttled, i)
 			continue
@@ -89,12 +88,6 @@ func admit(ordered []StreamSpec, clusterCap, tenantShare float64,
 // contribute nothing; browned-out boards are derated).
 type placer struct {
 	rem []float64
-}
-
-func newPlacer(caps []float64) *placer {
-	rem := make([]float64, len(caps))
-	copy(rem, caps)
-	return &placer{rem: rem}
 }
 
 // reserve pins an already-placed (sticky) stream to its pool.

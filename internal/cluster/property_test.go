@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,20 +32,20 @@ func chaosPlan(t testing.TB) *fault.Plan {
 // fragmentation genuinely strands one stream (three equal streams, two
 // single-board pools that each fit one).
 func TestPropertyPlacementCompleteness(t *testing.T) {
-	res := runCluster(t, []StreamSpec{
+	streams := []StreamSpec{
 		{Name: "a", Rate: 400}, {Name: "b", Rate: 400}, {Name: "c", Rate: 400},
-	}, Config{Pools: 2, BoardsPerPool: 1, Seed: 1, Epochs: 3})
+	}
+	res := runCluster(t, streams, Config{Pools: 2, BoardsPerPool: 1, Seed: 1, Epochs: 3})
 	if res.Unplaced == 0 {
 		t.Fatal("no stream-epoch went unplaced; the property was not exercised")
 	}
-	byName := map[string]float64{"a": 400, "b": 400, "c": 400}
 	for _, rep := range res.Reports {
-		for _, name := range rep.Unplaced {
-			rate := byName[name]
+		for _, i := range rep.Unplaced {
+			st := streams[i]
 			for p := range rep.Capacity {
-				if rem := rep.Capacity[p] - rep.Assigned[p]; rem >= rate {
+				if rem := rep.Capacity[p] - rep.Assigned[p]; rem >= st.Rate {
 					t.Fatalf("epoch %d: %q unplaced while pool %d had %.1f FPS headroom for its %.1f FPS",
-						rep.Epoch, name, p, rem, rate)
+						rep.Epoch, st.Name, p, rem, st.Rate)
 				}
 			}
 		}
@@ -51,9 +53,19 @@ func TestPropertyPlacementCompleteness(t *testing.T) {
 }
 
 // renderResult stringifies every decision-relevant field of a Result —
-// totals, taxonomy, sorted per-tenant stats (dereferenced, so the text
-// is address-free), and each epoch's full decision record.
+// its totals (see renderTotals) and each epoch's full decision record.
 func renderResult(res *Result) string {
+	var b strings.Builder
+	b.WriteString(renderTotals(res))
+	for _, rep := range res.Reports {
+		fmt.Fprintf(&b, "epoch %+v\n", rep)
+	}
+	return b.String()
+}
+
+// renderTotals stringifies a Result's totals, taxonomy and sorted
+// per-tenant stats (dereferenced, so the text is address-free).
+func renderTotals(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "arr=%v proc=%v drop=%v drops=%+v mig=%d thr=%d unp=%d pool=%+v\n",
 		res.Arrived, res.Processed, res.Dropped, res.Drops,
@@ -66,9 +78,6 @@ func renderResult(res *Result) string {
 	for _, name := range tenants {
 		fmt.Fprintf(&b, "tenant %s: %+v\n", name, *res.Tenants[name])
 	}
-	for _, rep := range res.Reports {
-		fmt.Fprintf(&b, "epoch %+v\n", rep) // fmt prints map keys sorted
-	}
 	return b.String()
 }
 
@@ -76,9 +85,11 @@ func renderResult(res *Result) string {
 // — same totals, same taxonomy, same per-epoch placement decisions — at
 // 1, 2, and NumCPU workers, under a chaos plan that forces migrations.
 func TestPropertyDeterministicReplay(t *testing.T) {
+	defer maxWorkers.Set(maxWorkers.Get())
 	run := func(workers int) string {
+		maxWorkers.Set(workers)
 		res := runCluster(t, DefaultStreams(1000), Config{
-			Pools: 8, Seed: 7, Epochs: 5, Workers: workers,
+			Pools: 8, Seed: 7, Epochs: 5,
 			FaultPlan: chaosPlan(t), FaultPools: []int{0, 1}, FaultSeed: 42,
 		})
 		return renderResult(res)
@@ -89,6 +100,83 @@ func TestPropertyDeterministicReplay(t *testing.T) {
 			t.Fatalf("result diverged at %d workers", w)
 		}
 	}
+}
+
+// TestPropertyShuffleInvariance: placement depends only on each stream's
+// (class, rate, name), never on where it sits in the slice given to New,
+// and report indices follow the caller's order. Shuffling the streams
+// leaves the totals, tenants and drop taxonomy unchanged, and every
+// epoch gives each stream name the same verdict: the same pool (and
+// migration), throttled, or unplaced.
+func TestPropertyShuffleInvariance(t *testing.T) {
+	type scenario struct {
+		streams []StreamSpec
+		cfg     Config
+	}
+	greedy, err := ParseStreams("greedy*8:rate=120,tenant=greedy;modest*2:rate=60,prio=high,tenant=modest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var migrated, throttled, unplaced int
+	for _, sc := range []scenario{
+		{DefaultStreams(1000), Config{
+			Pools: 8, Seed: 7, Epochs: 5,
+			FaultPlan: chaosPlan(t), FaultPools: []int{0, 1}, FaultSeed: 42,
+		}},
+		{greedy, Config{Pools: 2, BoardsPerPool: 2, Seed: 1, Epochs: 3, TenantShare: 0.4}},
+		{[]StreamSpec{{Name: "a", Rate: 400}, {Name: "b", Rate: 400}, {Name: "c", Rate: 400}},
+			Config{Pools: 2, BoardsPerPool: 1, Seed: 1, Epochs: 3}},
+	} {
+		base := runCluster(t, sc.streams, sc.cfg)
+		migrated += base.Migrations
+		throttled += base.Throttled
+		unplaced += base.Unplaced
+		shuffled := append([]StreamSpec(nil), sc.streams...)
+		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		got := runCluster(t, shuffled, sc.cfg)
+		if a, b := renderTotals(base), renderTotals(got); a != b {
+			t.Fatalf("shuffling the streams changed the totals:\n%s\nvs\n%s", a, b)
+		}
+		for e, rep := range base.Reports {
+			want, have := verdicts(rep, sc.streams), verdicts(got.Reports[e], shuffled)
+			for _, st := range sc.streams {
+				if want[st.Name] != have[st.Name] {
+					t.Fatalf("epoch %d: shuffling the streams changed %q from %q to %q",
+						e, st.Name, want[st.Name], have[st.Name])
+				}
+			}
+			if g := got.Reports[e]; !slices.Equal(rep.Capacity, g.Capacity) || !slices.Equal(rep.Assigned, g.Assigned) {
+				t.Fatalf("epoch %d: capacity/assigned %v/%v became %v/%v",
+					e, rep.Capacity, rep.Assigned, g.Capacity, g.Assigned)
+			}
+		}
+	}
+	if migrated == 0 || throttled == 0 || unplaced == 0 {
+		t.Fatalf("migrated %d, throttled %d, unplaced %d: every verdict must be exercised",
+			migrated, throttled, unplaced)
+	}
+}
+
+// verdicts maps each stream's name to its verdict in one epoch's report.
+func verdicts(rep EpochReport, streams []StreamSpec) map[string]string {
+	out := make(map[string]string, len(streams))
+	for i, p := range rep.Placed {
+		if p >= 0 {
+			out[streams[i].Name] = fmt.Sprintf("pool %d", p)
+		}
+	}
+	for _, m := range rep.Migrated {
+		out[streams[m.Stream].Name] += fmt.Sprintf(" from %d", m.From)
+	}
+	for _, i := range rep.Throttled {
+		out[streams[i].Name] += "throttled"
+	}
+	for _, i := range rep.Unplaced {
+		out[streams[i].Name] += "unplaced"
+	}
+	return out
 }
 
 // TestPropertyOneCausePerDrop: across fault plans of every board-level
@@ -131,8 +219,8 @@ func TestPropertyOneCausePerDrop(t *testing.T) {
 }
 
 // TestPropertyNoDoubleServe: each epoch's decision record partitions the
-// stream set — every stream is placed on exactly one pool, throttled, or
-// unplaced, never two of those — so rebalancing can never double-serve
+// stream set — every stream index is placed on one pool, throttled, or
+// unplaced, exactly one of those — so rebalancing can never double-serve
 // (or double-drop) a frame. Migrations always move between distinct
 // pools and land in the placed set.
 func TestPropertyNoDoubleServe(t *testing.T) {
@@ -145,32 +233,43 @@ func TestPropertyNoDoubleServe(t *testing.T) {
 		t.Fatal("no migrations; rebalancing was not exercised")
 	}
 	for _, rep := range res.Reports {
-		seen := make(map[string]string, len(streams))
-		mark := func(name, as string) {
-			if prev, dup := seen[name]; dup {
-				t.Fatalf("epoch %d: stream %q is both %s and %s", rep.Epoch, name, prev, as)
+		if len(rep.Placed) != len(streams) {
+			t.Fatalf("epoch %d: placement covers %d of %d streams", rep.Epoch, len(rep.Placed), len(streams))
+		}
+		seen := make([]string, len(streams))
+		mark := func(i int, as string) {
+			if seen[i] != "" {
+				t.Fatalf("epoch %d: stream %q is both %s and %s", rep.Epoch, streams[i].Name, seen[i], as)
 			}
-			seen[name] = as
+			seen[i] = as
 		}
-		for name := range rep.Placed {
-			mark(name, "placed")
+		for i, p := range rep.Placed {
+			switch {
+			case p >= len(rep.Capacity):
+				t.Fatalf("epoch %d: stream %q placed on pool %d of %d", rep.Epoch, streams[i].Name, p, len(rep.Capacity))
+			case p >= 0:
+				mark(i, "placed")
+			}
 		}
-		for _, name := range rep.Throttled {
-			mark(name, "throttled")
+		for _, i := range rep.Throttled {
+			mark(i, "throttled")
 		}
-		for _, name := range rep.Unplaced {
-			mark(name, "unplaced")
+		for _, i := range rep.Unplaced {
+			mark(i, "unplaced")
 		}
-		if len(seen) != len(streams) {
-			t.Fatalf("epoch %d: %d of %d streams accounted for", rep.Epoch, len(seen), len(streams))
+		for i, as := range seen {
+			if as == "" {
+				t.Fatalf("epoch %d: stream %q neither placed, throttled nor unplaced", rep.Epoch, streams[i].Name)
+			}
 		}
 		for _, m := range rep.Migrated {
+			name := streams[m.Stream].Name
 			if m.From == m.To {
-				t.Fatalf("epoch %d: %q migrated to its own pool %d", rep.Epoch, m.Stream, m.To)
+				t.Fatalf("epoch %d: %q migrated to its own pool %d", rep.Epoch, name, m.To)
 			}
-			if p, ok := rep.Placed[m.Stream]; !ok || p != m.To {
-				t.Fatalf("epoch %d: migration of %q to pool %d not reflected in placement (%d, %v)",
-					rep.Epoch, m.Stream, m.To, p, ok)
+			if p := rep.Placed[m.Stream]; p != m.To {
+				t.Fatalf("epoch %d: migration of %q to pool %d not reflected in placement (%d)",
+					rep.Epoch, name, m.To, p)
 			}
 		}
 	}
@@ -192,26 +291,22 @@ func TestPropertyPrioritySheds(t *testing.T) {
 	if res.Throttled == 0 {
 		t.Fatal("overloaded cluster throttled nothing; the property was not exercised")
 	}
-	class := make(map[string]Priority, len(streams))
-	for _, s := range streams {
-		class[s.Name] = s.Class
-	}
 	for _, rep := range res.Reports {
 		worstAdmitted := High
-		for name := range rep.Placed {
-			if class[name] < worstAdmitted {
-				worstAdmitted = class[name]
+		for i, p := range rep.Placed {
+			if p >= 0 && streams[i].Class < worstAdmitted {
+				worstAdmitted = streams[i].Class
 			}
 		}
-		for _, name := range rep.Unplaced {
-			if class[name] < worstAdmitted {
-				worstAdmitted = class[name]
+		for _, i := range rep.Unplaced {
+			if streams[i].Class < worstAdmitted {
+				worstAdmitted = streams[i].Class
 			}
 		}
-		for _, name := range rep.Throttled {
-			if class[name] > worstAdmitted {
+		for _, i := range rep.Throttled {
+			if st := streams[i]; st.Class > worstAdmitted {
 				t.Fatalf("epoch %d: %s-priority %q throttled while a %s-priority stream was admitted",
-					rep.Epoch, class[name], name, worstAdmitted)
+					rep.Epoch, st.Class, st.Name, worstAdmitted)
 			}
 		}
 	}

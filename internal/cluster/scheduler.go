@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/edge"
 	"repro/internal/fault"
@@ -75,9 +74,6 @@ type Config struct {
 	Batch int
 	// Manager configures every board's Runtime Manager.
 	Manager manager.Config
-	// Workers caps concurrent pool runs for this scheduler (0 = the
-	// package-level MaxWorkers cap).
-	Workers int
 }
 
 // Validate reports a knob the scheduler cannot honour. Zero selects each
@@ -127,12 +123,13 @@ func (c *Config) defaults() {
 
 // Migration records one stream moved between pools at an epoch boundary.
 type Migration struct {
-	Stream   string
+	Stream   int // index into the streams passed to New
 	From, To int
 }
 
 // EpochReport is the serial placer's full decision record for one epoch
-// — what the property suite asserts invariants against.
+// — what the property suite asserts invariants against. A stream is
+// named by its index into the streams passed to New.
 type EpochReport struct {
 	Epoch int
 	// Capacity is each pool's usable capacity at placement time
@@ -140,15 +137,16 @@ type EpochReport struct {
 	// nominal rate placed on it.
 	Capacity []float64
 	Assigned []float64
-	// Placed maps every served stream to its pool — a stream appears at
-	// most once, so no frame is ever double-served.
-	Placed map[string]int
+	// Placed holds each stream's pool, or -1 for a stream shed this
+	// epoch: one slot per stream, so no frame is ever double-served.
+	Placed []int
 	// Migrated lists streams that changed pools this epoch (each pays the
-	// migration blackout); Throttled and Unplaced name the streams shed
+	// migration blackout); Throttled and Unplaced list the streams shed
 	// for the whole epoch with causes tenant-throttled / no-pool-capacity.
+	// All three run in placement order.
 	Migrated  []Migration
-	Throttled []string
-	Unplaced  []string
+	Throttled []int
+	Unplaced  []int
 }
 
 // TenantStats aggregates one tenant's served and shed frames. Pool-level
@@ -190,10 +188,13 @@ type Result struct {
 // Scheduler places a declared stream set onto a fleet of supervised
 // pools and runs them epoch by epoch. Create with New, run with Run.
 type Scheduler struct {
-	lib     *library.Library
-	cfg     Config
-	ordered []StreamSpec // placement order
-	nameIdx map[string]StreamSpec
+	lib *library.Library
+	cfg Config
+	// streams holds the defaulted specs in the caller's order: an index
+	// into it names a stream from admission to the reports. order is the
+	// placement order, as indices into streams.
+	streams []StreamSpec
+	order   []int
 	pools   []*multiedge.Pool
 	nominal float64 // per-board capacity estimate for unscored boards
 	trace   *obs.Trace
@@ -206,47 +207,42 @@ type Scheduler struct {
 // copied before being retained in an EpochReport or dead once the epoch's
 // aggregation completes.
 type epochScratch struct {
-	caps     []float64
-	load     []float64
-	rem      []float64 // placer remaining-capacity buffer
-	keptIdx  [][]int
-	loose    []int
-	kept     map[string]int
-	byPool   [][]StreamSpec
-	blackout map[string]bool
+	caps    []float64
+	load    []float64
+	rem     []float64 // placer remaining-capacity buffer
+	keptIdx [][]int
+	// byPool and blackout back the epochPlan fields of the same name.
+	byPool   [][]int
+	blackout []bool
 	results  []*edge.Result
 	loads    [][]edge.Load
-	// admit's outputs (indices into the scheduler's ordered streams) and
-	// its per-tenant tally.
+	// admit's outputs and its per-tenant tally.
 	admitted  []int
 	throttled []int
 	perTenant map[string]float64
 }
 
-// reset sizes the scratch for n pools (first epoch) and clears every
-// buffer for reuse.
-func (sc *epochScratch) reset(n int) {
-	if len(sc.caps) != n {
-		sc.caps = make([]float64, n)
-		sc.load = make([]float64, n)
-		sc.rem = make([]float64, n)
-		sc.keptIdx = make([][]int, n)
-		sc.byPool = make([][]StreamSpec, n)
-		sc.results = make([]*edge.Result, n)
-		sc.loads = make([][]edge.Load, n)
-		sc.kept = make(map[string]int)
-		sc.blackout = make(map[string]bool)
+// reset sizes the scratch for the scheduler's pools and streams (first
+// epoch) and clears every buffer for reuse.
+func (sc *epochScratch) reset(pools, streams int) {
+	if len(sc.caps) != pools {
+		sc.caps = make([]float64, pools)
+		sc.load = make([]float64, pools)
+		sc.rem = make([]float64, pools)
+		sc.keptIdx = make([][]int, pools)
+		sc.byPool = make([][]int, pools)
+		sc.blackout = make([]bool, streams)
+		sc.results = make([]*edge.Result, pools)
+		sc.loads = make([][]edge.Load, pools)
 		sc.perTenant = make(map[string]float64)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < pools; i++ {
 		sc.load[i] = 0
 		sc.keptIdx[i] = sc.keptIdx[i][:0]
 		sc.byPool[i] = sc.byPool[i][:0]
 		sc.results[i] = nil
 	}
-	clear(sc.kept)
 	clear(sc.blackout)
-	sc.loose = sc.loose[:0]
 	sc.admitted = sc.admitted[:0]
 	sc.throttled = sc.throttled[:0]
 }
@@ -277,11 +273,7 @@ func New(lib *library.Library, streams []StreamSpec, cfg Config) (*Scheduler, er
 		seen[s.Name] = true
 		specs[i] = s
 	}
-	s := &Scheduler{lib: lib, cfg: cfg, ordered: orderStreams(specs)}
-	s.nameIdx = make(map[string]StreamSpec, len(s.ordered))
-	for _, st := range s.ordered {
-		s.nameIdx[st.Name] = st
-	}
+	s := &Scheduler{lib: lib, cfg: cfg, streams: specs, order: orderStreams(specs)}
 	for i := 0; i < cfg.Pools; i++ {
 		p, err := multiedge.NewSupervisedPool(lib, multiedge.Config{
 			Boards: cfg.BoardsPerPool, Standby: cfg.Standby, Manager: cfg.Manager,
@@ -325,10 +317,10 @@ func (s *Scheduler) SetTracer(tr *obs.Trace) { s.trace = tr }
 // parallel dispatcher.
 type epochPlan struct {
 	rep EpochReport
-	// byPool holds each pool's placed streams; blackout flags the streams
-	// paying the migration gap this epoch.
-	byPool   [][]StreamSpec
-	blackout map[string]bool
+	// byPool holds each pool's placed streams; blackout flags, per
+	// stream, the ones paying the migration gap this epoch.
+	byPool   [][]int
+	blackout []bool
 }
 
 // faultPlanFor rebases the cluster fault plan into epoch e's local clock
@@ -392,12 +384,14 @@ func (s *Scheduler) usableCapacity(i int) float64 {
 }
 
 // placeEpoch runs the serial placement/rebalance pass for epoch e given
-// the previous epoch's assignment, emits the cluster trace events, and
-// updates assigned in place to the new placement.
-func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
+// the previous epoch's placement (each stream's pool, -1 if unplaced)
+// and emits the cluster trace events. The plan's report holds the new
+// placement.
+func (s *Scheduler) placeEpoch(e int, prev []int) *epochPlan {
 	n := s.cfg.Pools
 	now := float64(e) * s.cfg.EpochSeconds
-	s.scr.reset(n)
+	streams := s.streams
+	s.scr.reset(n, len(streams))
 	caps := s.scr.caps
 	clusterCap := 0.0
 	for i := range caps {
@@ -405,121 +399,113 @@ func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
 		clusterCap += caps[i]
 	}
 
-	admitted, throttled := admit(s.ordered, clusterCap, s.cfg.TenantShare,
+	admitted, throttled := admit(streams, s.order, clusterCap, s.cfg.TenantShare,
 		s.scr.admitted, s.scr.throttled, s.scr.perTenant)
 	s.scr.admitted, s.scr.throttled = admitted, throttled
+
+	plan := &epochPlan{
+		rep: EpochReport{
+			Epoch:     e,
+			Capacity:  append([]float64(nil), caps...), // retained in Reports; caps is scratch
+			Assigned:  make([]float64, n),
+			Placed:    unplaced(len(streams)),
+			Throttled: append([]int(nil), throttled...),
+		},
+		byPool:   s.scr.byPool,
+		blackout: s.scr.blackout,
+	}
+	rep := &plan.rep
+	placed := rep.Placed
 
 	// Sticky pass: a stream stays on its pool while the pool is neither
 	// quorum-degraded nor over-committed against its rescored capacity.
 	// Over-committed pools evict lowest-priority (then largest) streams
 	// until they fit; evicted streams re-place worst-fit below.
 	pl := &placer{rem: append(s.scr.rem[:0], caps...)}
-	ordered := s.ordered
-	kept := s.scr.kept
-	keptIdx := s.scr.keptIdx // per pool, indices into ordered
+	keptIdx := s.scr.keptIdx // per pool, in placement order
 	load := s.scr.load
-	loose := s.scr.loose // admitted indices into ordered needing placement
 	for _, i := range admitted {
-		st := &ordered[i]
-		p, was := assigned[st.Name]
-		if was && !s.pools[p].Degraded() && s.pools[p].Responsive(0) > 0 {
+		if p := prev[i]; p >= 0 && !s.pools[p].Degraded() && s.pools[p].Responsive(0) > 0 {
 			keptIdx[p] = append(keptIdx[p], i)
-			load[p] += st.Rate
-			continue
+			load[p] += streams[i].Rate
 		}
-		loose = append(loose, i)
 	}
 	for p := 0; p < n; p++ {
 		idx := keptIdx[p]
-		evictOrder(ordered, idx)
+		evictOrder(streams, idx)
 		// Walk eviction order, shedding until the pool fits.
 		for len(idx) > 0 && load[p] > caps[p] {
-			victim := idx[0]
+			load[p] -= streams[idx[0]].Rate
 			idx = idx[1:]
-			load[p] -= ordered[victim].Rate
-			loose = append(loose, victim)
 		}
 		for _, i := range idx {
-			kept[ordered[i].Name] = p
-			pl.reserve(p, ordered[i].Rate)
-		}
-	}
-	// Loose streams (new, evicted, previously shed, or on broken pools)
-	// place worst-fit in deterministic placement order.
-	sort.Ints(loose)
-	s.scr.loose = loose
-
-	rep := EpochReport{
-		Epoch:    e,
-		Capacity: append([]float64(nil), caps...), // retained in Reports; caps is scratch
-		Assigned: make([]float64, n),
-		Placed:   make(map[string]int, len(admitted)),
-	}
-	plan := &epochPlan{rep: rep, byPool: s.scr.byPool, blackout: s.scr.blackout}
-	tr := s.trace
-	traced := tr.Enabled()
-
-	placeOne := func(st StreamSpec, pool int, migrated bool, from int) {
-		plan.rep.Placed[st.Name] = pool
-		plan.rep.Assigned[pool] += st.Rate
-		plan.byPool[pool] = append(plan.byPool[pool], st)
-		if migrated {
-			plan.blackout[st.Name] = true
-			plan.rep.Migrated = append(plan.rep.Migrated, Migration{Stream: st.Name, From: from, To: pool})
-			if traced {
-				tr.Emit(now, obs.ClusterCat, "migrate",
-					obs.S("stream", st.Name), obs.I("from", from), obs.I("to", pool))
-			}
-		} else if _, ok := assigned[st.Name]; !ok && traced {
-			tr.Emit(now, obs.ClusterCat, "place",
-				obs.S("stream", st.Name), obs.I("pool", pool), obs.F("rate", st.Rate))
+			placed[i] = p
+			pl.reserve(p, streams[i].Rate)
 		}
 	}
 
 	// Kept streams first, in placement order, so byPool ordering (and the
 	// composed scenarios) is deterministic.
 	for _, i := range admitted {
-		if p, ok := kept[ordered[i].Name]; ok {
-			placeOne(ordered[i], p, false, 0)
+		if p := placed[i]; p >= 0 {
+			rep.Assigned[p] += streams[i].Rate
+			plan.byPool[p] = append(plan.byPool[p], i)
 		}
 	}
-	for _, i := range loose {
-		st := ordered[i]
+	// Loose streams (new, evicted, previously shed, or on broken pools)
+	// place worst-fit, also in placement order.
+	tr := s.trace
+	traced := tr.Enabled()
+	for _, i := range admitted {
+		if placed[i] >= 0 {
+			continue // kept
+		}
+		st := &streams[i]
 		pool, ok := pl.place(st.Rate)
 		if !ok {
-			plan.rep.Unplaced = append(plan.rep.Unplaced, st.Name)
+			rep.Unplaced = append(rep.Unplaced, i)
 			if traced {
 				tr.Emit(now, obs.ClusterCat, "shed",
 					obs.S("stream", st.Name), obs.S("cause", metrics.ClusterNoPoolCapacity.String()))
 			}
 			continue
 		}
-		from, was := assigned[st.Name]
-		placeOne(st, pool, was && from != pool, from)
-	}
-	for _, i := range throttled {
-		name := ordered[i].Name
-		plan.rep.Throttled = append(plan.rep.Throttled, name)
-		if traced {
-			tr.Emit(now, obs.ClusterCat, "shed",
-				obs.S("stream", name), obs.S("cause", metrics.ClusterTenantThrottled.String()))
+		placed[i] = pool
+		rep.Assigned[pool] += st.Rate
+		plan.byPool[pool] = append(plan.byPool[pool], i)
+		switch from := prev[i]; {
+		case from != pool && from >= 0:
+			plan.blackout[i] = true
+			rep.Migrated = append(rep.Migrated, Migration{Stream: i, From: from, To: pool})
+			if traced {
+				tr.Emit(now, obs.ClusterCat, "migrate",
+					obs.S("stream", st.Name), obs.I("from", from), obs.I("to", pool))
+			}
+		case from < 0 && traced:
+			tr.Emit(now, obs.ClusterCat, "place",
+				obs.S("stream", st.Name), obs.I("pool", pool), obs.F("rate", st.Rate))
 		}
 	}
-
-	// The new placement replaces the old one; shed streams hold no slot.
-	for k := range assigned {
-		delete(assigned, k)
-	}
-	for name, p := range plan.rep.Placed {
-		assigned[name] = p
-	}
 	if traced {
+		for _, i := range throttled {
+			tr.Emit(now, obs.ClusterCat, "shed",
+				obs.S("stream", streams[i].Name), obs.S("cause", metrics.ClusterTenantThrottled.String()))
+		}
 		tr.Emit(now, obs.ClusterCat, "epoch",
 			obs.I("epoch", e), obs.F("capacity", clusterCap),
-			obs.I("placed", len(plan.rep.Placed)), obs.I("migrated", len(plan.rep.Migrated)),
-			obs.I("throttled", len(plan.rep.Throttled)), obs.I("unplaced", len(plan.rep.Unplaced)))
+			obs.I("placed", len(admitted)-len(rep.Unplaced)), obs.I("migrated", len(rep.Migrated)),
+			obs.I("throttled", len(throttled)), obs.I("unplaced", len(rep.Unplaced)))
 	}
 	return plan
+}
+
+// unplaced returns a placement of n streams with every stream unplaced.
+func unplaced(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = -1
+	}
+	return out
 }
 
 // dispatch runs every pool's epoch concurrently and returns the per-pool
@@ -529,23 +515,20 @@ func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
 func (s *Scheduler) dispatch(e int, plan *epochPlan) ([]*edge.Result, error) {
 	n := s.cfg.Pools
 	results := s.scr.results
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = MaxWorkers()
-	}
 	E := s.cfg.EpochSeconds
 	// Workers touch only their own pool index in the scratch, so the
 	// per-epoch buffers are race-free without locks.
-	err := parallel.ForEachErr(n, workers, func(i int) error {
-		streams := plan.byPool[i]
-		if len(streams) == 0 {
+	err := parallel.ForEachErr(n, MaxWorkers(), func(i int) error {
+		placed := plan.byPool[i]
+		if len(placed) == 0 {
 			return s.idleEpoch(i, e)
 		}
 		loads := s.scr.loads[i][:0]
 		deadline := s.cfg.Deadline
-		for _, st := range streams {
+		for _, j := range placed {
+			st := &s.streams[j]
 			rate := st.Rate
-			if plan.blackout[st.Name] {
+			if plan.blackout[j] {
 				// The migrated stream serves only after its blackout; the
 				// blackout frames are accounted analytically as migrating.
 				rate *= (E - s.blackout()) / E
@@ -613,7 +596,7 @@ func (s *Scheduler) idleEpoch(i, e int) error {
 }
 
 // tenantOf looks up (creating) the tenant entry for a spec.
-func (r *Result) tenantOf(st StreamSpec) *TenantStats {
+func (r *Result) tenantOf(st *StreamSpec) *TenantStats {
 	t := r.Tenants[st.Tenant]
 	if t == nil {
 		t = &TenantStats{Class: st.Class}
@@ -630,7 +613,6 @@ func (r *Result) tenantOf(st StreamSpec) *TenantStats {
 // thus every floating-point sum — is deterministic.
 func (s *Scheduler) aggregate(e int, plan *epochPlan, runs []*edge.Result, res *Result) {
 	E := s.cfg.EpochSeconds
-	byName := s.nameIdx
 	for i, r := range runs {
 		if r == nil {
 			continue
@@ -642,13 +624,14 @@ func (s *Scheduler) aggregate(e int, plan *epochPlan, runs []*edge.Result, res *
 		res.Batch.Merge(r.Batch)
 		// Attribute the pool's frames to tenants by placed-rate share.
 		total := 0.0
-		for _, st := range plan.byPool[i] {
-			total += st.Rate
+		for _, j := range plan.byPool[i] {
+			total += s.streams[j].Rate
 		}
 		if total <= 0 {
 			continue
 		}
-		for _, st := range plan.byPool[i] {
+		for _, j := range plan.byPool[i] {
+			st := &s.streams[j]
 			share := st.Rate / total
 			t := res.tenantOf(st)
 			t.Arrived += r.Arrived * share
@@ -656,7 +639,7 @@ func (s *Scheduler) aggregate(e int, plan *epochPlan, runs []*edge.Result, res *
 			t.Dropped += r.Dropped * share
 		}
 	}
-	shed := func(st StreamSpec, frames float64, cause metrics.ClusterDropCause) {
+	shed := func(st *StreamSpec, frames float64, cause metrics.ClusterDropCause) {
 		res.Arrived += frames
 		res.Dropped += frames
 		res.Drops.Add(cause, frames)
@@ -665,14 +648,16 @@ func (s *Scheduler) aggregate(e int, plan *epochPlan, runs []*edge.Result, res *
 		t.Dropped += frames
 	}
 	for _, m := range plan.rep.Migrated {
-		st := byName[m.Stream]
+		st := &s.streams[m.Stream]
 		shed(st, st.Rate*s.blackout(), metrics.ClusterMigrating)
 	}
-	for _, name := range plan.rep.Throttled {
-		shed(byName[name], byName[name].Rate*E, metrics.ClusterTenantThrottled)
+	for _, j := range plan.rep.Throttled {
+		st := &s.streams[j]
+		shed(st, st.Rate*E, metrics.ClusterTenantThrottled)
 	}
-	for _, name := range plan.rep.Unplaced {
-		shed(byName[name], byName[name].Rate*E, metrics.ClusterNoPoolCapacity)
+	for _, j := range plan.rep.Unplaced {
+		st := &s.streams[j]
+		shed(st, st.Rate*E, metrics.ClusterNoPoolCapacity)
 	}
 	res.Migrations += len(plan.rep.Migrated)
 	res.Throttled += len(plan.rep.Throttled)
@@ -685,15 +670,15 @@ func (s *Scheduler) aggregate(e int, plan *epochPlan, runs []*edge.Result, res *
 // across epochs within the run, so reuse would not replay.
 func (s *Scheduler) Run() (*Result, error) {
 	res := &Result{
-		Streams: len(s.ordered),
+		Streams: len(s.streams),
 		Pools:   s.cfg.Pools,
 		Epochs:  s.cfg.Epochs,
 		Tenants: make(map[string]*TenantStats),
 	}
-	for _, st := range s.ordered {
-		res.tenantOf(st).Streams++
+	for i := range s.streams {
+		res.tenantOf(&s.streams[i]).Streams++
 	}
-	assigned := make(map[string]int, len(s.ordered))
+	placed := unplaced(len(s.streams))
 	for e := 0; e < s.cfg.Epochs; e++ {
 		if e > 0 {
 			// Epoch clocks restart at zero; shift every board timer so
@@ -702,7 +687,8 @@ func (s *Scheduler) Run() (*Result, error) {
 				p.Rebase(s.cfg.EpochSeconds)
 			}
 		}
-		plan := s.placeEpoch(e, assigned)
+		plan := s.placeEpoch(e, placed)
+		placed = plan.rep.Placed
 		runs, err := s.dispatch(e, plan)
 		if err != nil {
 			return nil, err

@@ -16,6 +16,8 @@ fi
 
 echo "== go vet"
 go vet ./...
+# bench/ is a module of its own, so the root `go vet ./...` never vets it.
+(cd bench && go vet ./...)
 
 echo "== go build"
 go build ./...

@@ -46,7 +46,7 @@ test-chaos:
 # parsers (fault plans, workload scenarios, stream specs, serialized
 # models), the fast kernels' bit-exactness against their references
 # (round-half-away, the activation ladder and its affine fold, the
-# bit-plane convolution, the calendar event queue), the staged inference
+# bit-plane convolution, the event queue), the staged inference
 # path (level codes between layers) against the per-layer one, and the
 # pruning count plan against the ranked one.
 fuzz-smoke:
@@ -59,7 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAffineLadder -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzStagedForward -fuzztime=10s ./internal/nn/
-	$(GO) test -run '^$$' -fuzz FuzzCalendarQueue -fuzztime=10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime=10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzPlanChannels -fuzztime=5s ./internal/prune/
 
 # Timing gate: three fresh 5 s runs each of the serving workloads

@@ -7,11 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/edge"
 	"repro/internal/experiments"
 	"repro/internal/library"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -179,7 +179,7 @@ func TestSetParallelism(t *testing.T) {
 	if got := library.DefaultWorkers(); got != 3 {
 		t.Fatalf("library default = %d, want 3", got)
 	}
-	if got := cluster.MaxWorkers(); got != 3 {
+	if got := parallel.RegisterKnob("cluster.pools", runtime.NumCPU()).Get(); got != 3 {
 		t.Fatalf("cluster cap = %d, want 3", got)
 	}
 	SetParallelism(0)

@@ -31,29 +31,29 @@ var hotPaths = []hotPath{
 	// Scenario 2, tracing and adaptation off: both must stay free when
 	// disabled. The accounting steps are engine ticks, one queued at a
 	// time: queuing them up front (event slabs, queue resizes) trips it.
-	// Measured 182; margin 4.
-	{"RunEdge", "fluid", 186, func(tb testing.TB) func(int) {
+	// Measured 181; margin 4.
+	{"RunEdge", "fluid", 185, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdge, SimConfig{})
 	}},
 	// The event-level simulator under a deadline, every frame an event:
 	// batch=1 dispatches per frame, batch=8 amortizes the per-dispatch
 	// costs (service completions, their engine events, controller
-	// bookkeeping) over eight frames. Measured 191 and 194; margin 4.
-	{"RunEdge", "batch=1", 195, func(tb testing.TB) func(int) {
+	// bookkeeping) over eight frames. Measured 190 and 193; margin 4.
+	{"RunEdge", "batch=1", 194, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdgeEventLevel, SimConfig{
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 1},
 		})
 	}},
-	{"RunEdge", "batch=8", 198, func(tb testing.TB) func(int) {
+	{"RunEdge", "batch=8", 197, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdgeEventLevel, SimConfig{
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 8},
 		})
 	}},
 	// The closed drift-recovery loop (detect, retrain, swap) under a
-	// sustained shift. Measured 195; margin 4.
-	{"RunEdge", "adapt", 199, func(tb testing.TB) func(int) {
+	// sustained shift. Measured 194; margin 4.
+	{"RunEdge", "adapt", 198, func(tb testing.TB) func(int) {
 		return edgeOp(tb, RunEdge, SimConfig{
 			FaultConfig: FaultConfig{Plan: mustPlan(tb, "drift-sustained:p=1,start=5,mag=-0.15"), Seed: 1},
 			Adapt:       AdaptConfig{Enabled: true},
@@ -63,15 +63,15 @@ var hotPaths = []hotPath{
 	// heartbeats and health bookkeeping must stay free when no fault
 	// fires. One-dead: a board crashes mid-run (detection, failover,
 	// capacity redistribution). Batched: an 8-frame dispatch queue per
-	// board, advanced on the heartbeats. Measured 265, 257 and 265;
+	// board, advanced on the heartbeats. Measured 264, 256 and 264;
 	// margin 4.
-	{"PoolRun", "healthy", 269, func(tb testing.TB) func(int) {
+	{"PoolRun", "healthy", 268, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, nil)
 	}},
-	{"PoolRun", "one-dead", 261, func(tb testing.TB) func(int) {
+	{"PoolRun", "one-dead", 260, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, mustPlan(tb, "board-crash:p=1,board=0,start=5,end=5.05,repair=60"))
 	}},
-	{"PoolRun", "batched", 269, func(tb testing.TB) func(int) {
+	{"PoolRun", "batched", 268, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4, Batch: 8}, nil)
 	}},
 	// The fleet scheduler: 1000 streams on 8 supervised pools for 5
@@ -80,19 +80,21 @@ var hotPaths = []hotPath{
 	// of pool 0 mid-run (migration, blackout accounting, repair).
 	// Admission fills reused index buffers and each epoch's report holds
 	// index slices, so fresh per-epoch buffers or name-keyed maps trip it.
-	// Measured 3734 and 3713; margin 20, below the ~2000 allocations one
+	// Measured 3694 and 3674; margin 20, below the ~2000 allocations one
 	// per heartbeat would add.
-	{"ClusterRun", "healthy", 3754, func(tb testing.TB) func(int) {
+	{"ClusterRun", "healthy", 3714, func(tb testing.TB) func(int) {
 		return clusterOp(tb, nil, nil)
 	}},
-	{"ClusterRun", "one-pool-dead", 3733, func(tb testing.TB) func(int) {
+	{"ClusterRun", "one-pool-dead", 3694, func(tb testing.TB) func(int) {
 		return clusterOp(tb, mustPlan(tb, "board-crash:p=1,start=6,end=6.3,repair=8"), []int{0})
 	}},
-	// 1000 events through the calendar queue. The closure is hoisted out
-	// of the schedule loop so the count is the engine's own (event
-	// storage, queue bookkeeping): slab-allocated events cost a few
-	// allocations per thousand, not one each. Measured 44; margin 2.
-	{"DESKernel", "calendar", 46, func(tb testing.TB) func(int) {
+	// 1000 events queued up front, then drained through the event heap.
+	// The closure is hoisted out of the schedule loop so the count is the
+	// engine's own (event storage, heap growth): slab-allocated events
+	// cost a few allocations per thousand, not one each. No served run
+	// queues like this; it keeps the kernel's worst case measured.
+	// Measured 38; margin 2.
+	{"DESKernel", "heap", 40, func(tb testing.TB) func(int) {
 		return func(int) {
 			e := sim.NewEngine()
 			n := 0
@@ -276,7 +278,7 @@ func BenchmarkPoolRun(b *testing.B) { benchHotPaths(b, "PoolRun") }
 func BenchmarkClusterRun(b *testing.B) { benchHotPaths(b, "ClusterRun") }
 
 // BenchmarkDESKernel measures raw event throughput of the simulation
-// kernel's calendar queue (see hotPaths).
+// kernel's event heap (see hotPaths).
 func BenchmarkDESKernel(b *testing.B) { benchHotPaths(b, "DESKernel") }
 
 // BenchmarkLibraryGenerate measures design-time library generation on

@@ -22,9 +22,6 @@ import (
 // any worker count.
 var maxWorkers = parallel.RegisterKnob("cluster.pools", runtime.NumCPU())
 
-// MaxWorkers returns the current cap.
-func MaxWorkers() int { return maxWorkers.Get() }
-
 // Config tunes a cluster scheduler.
 type Config struct {
 	// Pools is the fleet size (required, >= 1).
@@ -518,7 +515,7 @@ func (s *Scheduler) dispatch(e int, plan *epochPlan) ([]*edge.Result, error) {
 	E := s.cfg.EpochSeconds
 	// Workers touch only their own pool index in the scratch, so the
 	// per-epoch buffers are race-free without locks.
-	err := parallel.ForEachErr(n, MaxWorkers(), func(i int) error {
+	err := parallel.ForEachErr(n, maxWorkers.Get(), func(i int) error {
 		placed := plan.byPool[i]
 		if len(placed) == 0 {
 			return s.idleEpoch(i, e)

@@ -1,6 +1,8 @@
 // Package sim provides a small discrete-event simulation kernel: a clock,
-// a stable priority queue of timestamped events, and seeded RNG streams.
-// The edge-server simulation in internal/edge runs on it.
+// a binary min-heap of timestamped events ordered by (time, schedule
+// order), and seeded RNG streams. The edge-server simulation in
+// internal/edge runs on it; its runs hold a handful of pending events at
+// a time, which a heap serves in a few comparisons.
 package sim
 
 import (
@@ -16,7 +18,9 @@ import (
 type Engine struct {
 	now float64
 	seq int64
-	q   eventQueue
+	// heap is the pending-event min-heap on (time, seq) (queue.go),
+	// canceled events included until popped or compacted.
+	heap []*event
 	// free recycles popped events so steady-state simulation (the edge
 	// scenario replays schedule millions of events per run) does not
 	// allocate per Schedule call. Refills come from eventSlab-sized batch
@@ -41,8 +45,7 @@ type Stats struct {
 	Canceled int
 	// Compactions counts lazy-deletion queue compaction passes.
 	Compactions int
-	// MaxHeap is the peak queue occupancy (live + canceled entries). The
-	// name predates the calendar queue; the semantics are unchanged.
+	// MaxHeap is the peak heap occupancy (live + canceled entries).
 	MaxHeap int
 }
 
@@ -55,9 +58,9 @@ func (e *Engine) Stats() Stats { return e.stats }
 // cannot change event order, timing, or results.
 func (e *Engine) SetTracer(tr *obs.Trace) { e.trace = tr }
 
-// NewEngine returns an engine with the clock at zero, backed by a
-// calendar queue.
-func NewEngine() *Engine { return &Engine{q: newCalendarQueue()} }
+// NewEngine returns an engine with the clock at zero and an empty heap
+// sized for the few events a served run keeps pending.
+func NewEngine() *Engine { return &Engine{heap: make([]*event, 0, 8)} }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -96,8 +99,8 @@ func (e *Engine) file(t float64, seq int64, fn func()) *event {
 	ev := e.free[n-1]
 	e.free = e.free[:n-1]
 	*ev = event{time: t, seq: seq, fn: fn}
-	e.q.push(ev)
-	if n := e.q.len(); n > e.stats.MaxHeap {
+	e.push(ev)
+	if n := len(e.heap); n > e.stats.MaxHeap {
 		e.stats.MaxHeap = n
 	}
 	return ev
@@ -177,19 +180,10 @@ func (e *Engine) Cancel(h Handle) bool {
 	// timers superseded on every workload change) would otherwise grow the
 	// queue with dead entries and tax every operation. Once the majority
 	// of the queue is dead, compact it in one O(n) pass.
-	if e.canceled > e.q.len()/2 {
+	if e.canceled > len(e.heap)/2 {
 		e.compact()
 	}
 	return true
-}
-
-// compact removes canceled events from the queue and recycles their
-// storage. Relative order of live events is unaffected: ordering is by
-// (time, seq), which compaction doesn't touch.
-func (e *Engine) compact() {
-	e.q.compact(func(ev *event) { e.free = append(e.free, ev) })
-	e.canceled = 0
-	e.stats.Compactions++
 }
 
 // Run executes events in time order until the queue empties or the clock
@@ -198,12 +192,8 @@ func (e *Engine) compact() {
 func (e *Engine) Run(until float64) {
 	traced := e.trace.Enabled()
 	startDispatched := e.stats.Dispatched
-	for {
-		next := e.q.peek()
-		if next == nil || next.time > until {
-			break
-		}
-		e.q.pop()
+	for len(e.heap) > 0 && !(e.heap[0].time > until) {
+		next := e.pop()
 		fn := next.fn
 		next.fn = nil // drop the closure before recycling
 		e.free = append(e.free, next)
@@ -217,7 +207,7 @@ func (e *Engine) Run(until float64) {
 		e.stats.Dispatched++
 		if traced {
 			e.trace.Hot(e.now, obs.SimCat, "event",
-				obs.I("heap", e.q.len()), obs.I("pending", e.Pending()))
+				obs.I("heap", len(e.heap)), obs.I("pending", e.Pending()))
 		}
 		fn()
 	}
@@ -236,15 +226,12 @@ func (e *Engine) Run(until float64) {
 
 // Pending returns the number of queued events that will still run
 // (canceled events awaiting recycling are not counted).
-func (e *Engine) Pending() int { return e.q.len() - e.canceled }
+func (e *Engine) Pending() int { return len(e.heap) - e.canceled }
 
 type event struct {
 	time float64
 	seq  int64
 	fn   func()
-	// next threads the calendar queue's bucket lists; nil on the free
-	// list.
-	next *event
 }
 
 // RNG returns a deterministic random stream derived from a base seed and a

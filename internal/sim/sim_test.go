@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,32 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	e.Run(100)
 	if count != 5 {
 		t.Fatalf("chain count = %d", count)
+	}
+}
+
+// Events scheduled from inside a handler join the heap relative to the
+// advanced clock: a follow-up at now runs before later events, a far one
+// after them.
+func TestCalendarHandlerScheduling(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	if err := e.Schedule(10, func() {
+		order = append(order, 1)
+		if err := e.Schedule(e.Now(), func() { order = append(order, 2) }); err != nil {
+			t.Error(err)
+		}
+		if err := e.Schedule(5000, func() { order = append(order, 4) }); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Schedule(20, func() { order = append(order, 3) }); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(1e4)
+	if !slices.Equal(order, []int{1, 2, 3, 4}) {
+		t.Fatalf("order = %v, want [1 2 3 4]", order)
 	}
 }
 

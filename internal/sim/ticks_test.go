@@ -32,22 +32,41 @@ type tickSeq struct {
 	n, ran int
 }
 
-// eachQueued calls f on every event stored in q, canceled included.
-func eachQueued(q eventQueue, f func(*event)) {
-	switch q := q.(type) {
-	case *calendarQueue:
-		for _, ev := range q.buckets {
-			for ; ev != nil; ev = ev.next {
-				f(ev)
-			}
+// shadowEvent is one scheduled event as the tape's oracle sees it: the
+// (time, seq) key it must be dispatched by and the tape's id for it.
+type shadowEvent struct {
+	t   float64
+	seq int64
+	id  int
+}
+
+// shadow is the brute-force reference for the event order: every live
+// scheduled event, a tick sequence's n reserved keys included from the
+// Ticks call on. It knows nothing of the heap.
+type shadow []shadowEvent
+
+// least returns the index of the entry with the least (time, seq), by
+// linear scan, or -1 when the shadow is empty.
+func (s shadow) least() int {
+	m := -1
+	for i, ev := range s {
+		if m < 0 || ev.t < s[m].t || ev.t == s[m].t && ev.seq < s[m].seq {
+			m = i
 		}
-	case *heapQueue:
-		for _, ev := range q.h {
-			f(ev)
-		}
-	default:
-		panic("eachQueued: unknown queue")
 	}
+	return m
+}
+
+// remove deletes the entry keyed seq and reports whether there was one.
+func (s *shadow) remove(seq int64) bool {
+	for i, ev := range *s {
+		if ev.seq == seq {
+			(*s)[i] = (*s)[len(*s)-1]
+			*s = (*s)[:len(*s)-1]
+			return true
+		}
+	}
+	return false
 }
 
 // runTape drives e through a seeded operation tape. Op 0 schedules a
@@ -55,24 +74,41 @@ func eachQueued(q eventQueue, f func(*event)) {
 // each; op 1 cancels a random handle; op 2 runs part way; op 3 starts a
 // tick sequence, through Ticks or, when upfront is set, as the n
 // Schedule calls Ticks stands for. Handlers sometimes schedule more
-// events, at now or on the next tick, so ties cross every path. With
-// Ticks, every observation (after each op, at the start and end of each
-// handler) fails the test if a sequence has more than one tick queued.
+// events, at now or on the next tick, so ties cross every path.
+//
+// A shadow list checks every step against the (time, seq) order: each
+// dispatch must be the shadow's least entry and fire at its time, Cancel
+// must report true exactly for a live entry, a partial run must leave no
+// entry due, and the final run must drain the shadow. With Ticks, every
+// observation (after each op, at the start and end of each handler)
+// fails the test if a sequence has more than one tick queued; up front,
+// Pending must equal the shadow's length.
 func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tapeResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var r tapeResult
 	var seqs []*tickSeq
 	var handles []Handle
+	var live shadow
 	id := 0
 
+	dispatched := func(id int) {
+		m := live.least()
+		if m < 0 || live[m].id != id || live[m].t != e.Now() {
+			t.Fatalf("dispatched %d at %v; oracle's least is %+v (index %d of %d)", id, e.Now(), live[max(m, 0)], m, len(live))
+		}
+		live.remove(live[m].seq)
+	}
 	observe := func() {
 		if upfront {
+			if e.Pending() != len(live) {
+				t.Fatalf("Pending %d, oracle holds %d", e.Pending(), len(live))
+			}
 			return
 		}
 		queued := make([]int, len(seqs))
 		other := 0
-		eachQueued(e.q, func(ev *event) {
+		for _, ev := range e.heap { // canceled entries included
 			// Sequences reserve ascending, disjoint ranges.
 			k := sort.Search(len(seqs), func(k int) bool { return seqs[k].hi >= ev.seq })
 			if k < len(seqs) && seqs[k].lo <= ev.seq {
@@ -80,7 +116,7 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 			} else {
 				other++
 			}
-		})
+		}
 		for k, c := range queued {
 			if c > 1 {
 				t.Fatalf("sequence %d has %d ticks queued", k, c)
@@ -103,6 +139,7 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 		id++
 		me := id
 		h, err := e.ScheduleCancelable(tt, func() {
+			dispatched(me)
 			observe()
 			r.fired = append(r.fired, tapeEvent{e.Now(), me})
 			if rng.Intn(8) == 0 {
@@ -114,6 +151,7 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
+		live = append(live, shadowEvent{tt, h.seq, me})
 		observe()
 	}
 	for _, op := range ops {
@@ -131,18 +169,29 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 			schedule(tt)
 		case 1:
 			if len(handles) > 0 {
-				e.Cancel(handles[rng.Intn(len(handles))])
+				h := handles[rng.Intn(len(handles))]
+				if got, want := e.Cancel(h), live.remove(h.seq); got != want {
+					t.Fatalf("Cancel of seq %d reported %v, oracle says live = %v", h.seq, got, want)
+				}
 			}
 		case 2:
-			e.Run(e.Now() + rng.Float64()*100)
+			until := e.Now() + rng.Float64()*100
+			e.Run(until)
+			if m := live.least(); m >= 0 && live[m].t <= until {
+				t.Fatalf("Run(%v) left %+v due", until, live[m])
+			}
 		case 3:
 			s := &tickSeq{step: e.Now() + 0.25 + rng.Float64()*5, n: rng.Intn(40)}
 			s.lo, s.hi = e.seq+1, e.seq+int64(s.n)
 			k := len(seqs)
 			seqs = append(seqs, s)
+			for i := 1; i <= s.n; i++ {
+				live = append(live, shadowEvent{float64(i) * s.step, s.lo + int64(i-1), -(k*1000 + i)})
+			}
 			fn := func() {
-				observe()
 				s.ran++
+				dispatched(-(k*1000 + s.ran))
+				observe()
 				r.fired = append(r.fired, tapeEvent{e.Now(), -(k*1000 + s.ran)})
 				switch rng.Intn(4) {
 				case 0:
@@ -165,6 +214,9 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 		observe()
 	}
 	e.Run(1e12)
+	if len(live) != 0 {
+		t.Fatalf("final run left %d scheduled events undispatched", len(live))
+	}
 	r.now, r.stats, r.seqs = e.Now(), e.Stats(), len(seqs)
 	return r
 }
@@ -189,43 +241,65 @@ func sameTape(t *testing.T, what string, a, b tapeResult) {
 	}
 }
 
-// checkTicksTape runs one tape four ways — Ticks and up-front Schedule
-// calls, each on the calendar queue and the heap reference — and
-// requires the same dispatches everywhere, identical Stats between the
-// two Ticks queues, and a Ticks MaxHeap of at most one entry per
-// sequence above the other events.
+// checkTicksTape runs one tape two ways, through Ticks and as up-front
+// Schedule calls, each checked step by step against runTape's oracle,
+// and requires the same dispatches both ways and a Ticks MaxHeap of at
+// most one entry per sequence above the other events.
 func checkTicksTape(t *testing.T, seed int64, ops []byte) {
 	t.Helper()
-	cal := runTape(t, NewEngine(), seed, ops, false)
-	heap := runTape(t, newHeapEngine(), seed, ops, false)
-	calUp := runTape(t, NewEngine(), seed, ops, true)
-	heapUp := runTape(t, newHeapEngine(), seed, ops, true)
-	sameTape(t, "ticks calendar/heap", cal, heap)
-	if cal.stats != heap.stats {
-		t.Fatalf("ticks stats diverge: calendar %+v, heap %+v", cal.stats, heap.stats)
-	}
-	sameTape(t, "ticks/up-front calendar", cal, calUp)
-	sameTape(t, "up-front calendar/heap", calUp, heapUp)
-	if calUp.stats != heapUp.stats {
-		t.Fatalf("up-front stats diverge: calendar %+v, heap %+v", calUp.stats, heapUp.stats)
-	}
-	if cal.stats.MaxHeap > cal.seqs+cal.peakOther {
-		t.Fatalf("MaxHeap %d above %d sequences + %d other events", cal.stats.MaxHeap, cal.seqs, cal.peakOther)
+	ticks := runTape(t, NewEngine(), seed, ops, false)
+	upfront := runTape(t, NewEngine(), seed, ops, true)
+	sameTape(t, "ticks/up-front", ticks, upfront)
+	if ticks.stats.MaxHeap > ticks.seqs+ticks.peakOther {
+		t.Fatalf("MaxHeap %d above %d sequences + %d other events", ticks.stats.MaxHeap, ticks.seqs, ticks.peakOther)
 	}
 }
 
 // TestTicksMatchUpfrontSchedule: a tick sequence dispatches exactly as
 // the n Schedule calls it replaces, ties with other traffic included,
-// on both queues, while holding one tick in the queue.
+// while holding one tick in the heap, and both dispatch in the oracle's
+// order.
 func TestTicksMatchUpfrontSchedule(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
 		ops := make([]byte, 300)
 		for i := range ops {
-			ops[i] = byte(rng.Intn(4))
+			ops[i] = []byte{0, 1, 2, 3}[rng.Intn(4)]
 		}
 		checkTicksTape(t, seed, ops)
 	}
+}
+
+// TestCalendarMatchesHeapDifferential keeps its name from when the engine
+// had a calendar queue checked against a reference heap. It now checks
+// the engine's heap against runTape's brute-force oracle on tapes that
+// schedule, cancel and run part way (3:1:1) without ticks, so lazy
+// deletions pile up and compactions come often.
+func TestCalendarMatchesHeapDifferential(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed + 2000))
+		ops := make([]byte, 400)
+		for i := range ops {
+			ops[i] = []byte{0, 0, 0, 1, 2}[rng.Intn(5)]
+		}
+		checkTicksTape(t, seed, ops)
+	}
+}
+
+// FuzzEventQueue drives the engine with a fuzzer-chosen operation tape
+// (schedule, cancel, partial run, tick sequence) through Ticks and as
+// up-front Schedule calls, each checked against the oracle
+// (checkTicksTape).
+func FuzzEventQueue(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 1, 2, 0, 2})
+	f.Add(int64(7), []byte{0, 1, 0, 1, 0, 1, 2, 2})
+	f.Add(int64(3), []byte{3, 0, 0, 2, 3, 0, 1, 2, 0, 2})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 256 {
+			ops = ops[:256]
+		}
+		checkTicksTape(t, seed, ops)
+	})
 }
 
 // TestTicksRejectsBadArguments: every invalid call errors before it
@@ -254,8 +328,8 @@ func TestTicksRejectsBadArguments(t *testing.T) {
 		if err := e.Ticks(c.n, c.step, c.fn); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-		if e.q.len() != 0 || e.seq != 0 {
-			t.Errorf("%s: queued %d events, reserved %d sequence numbers", c.name, e.q.len(), e.seq)
+		if len(e.heap) != 0 || e.seq != 0 {
+			t.Errorf("%s: queued %d events, reserved %d sequence numbers", c.name, len(e.heap), e.seq)
 		}
 		e.Run(math.MaxFloat64)
 	}
@@ -263,7 +337,7 @@ func TestTicksRejectsBadArguments(t *testing.T) {
 	if err := e.Ticks(0, 1, fn); err != nil {
 		t.Fatalf("n = 0: %v", err)
 	}
-	if e.q.len() != 0 || e.seq != 0 {
-		t.Fatalf("n = 0 queued %d events, reserved %d sequence numbers", e.q.len(), e.seq)
+	if len(e.heap) != 0 || e.seq != 0 {
+		t.Fatalf("n = 0 queued %d events, reserved %d sequence numbers", len(e.heap), e.seq)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/library"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/tensor"
 )
 
 // TestFacadeEndToEnd drives the whole public API with a tiny model: build,
@@ -167,7 +166,7 @@ func TestRunEdgeRepeatedAll(t *testing.T) {
 func TestSetParallelism(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(3)
-	if got := tensor.MaxWorkers(); got != 3 {
+	if got := parallel.RegisterKnob("tensor.kernels", runtime.NumCPU()).Get(); got != 3 {
 		t.Fatalf("tensor cap = %d, want 3", got)
 	}
 	if got := edge.MaxParallelRuns(); got != 3 {
@@ -183,7 +182,7 @@ func TestSetParallelism(t *testing.T) {
 		t.Fatalf("cluster cap = %d, want 3", got)
 	}
 	SetParallelism(0)
-	if got := tensor.MaxWorkers(); got != runtime.NumCPU() {
+	if got := parallel.RegisterKnob("tensor.kernels", runtime.NumCPU()).Get(); got != runtime.NumCPU() {
 		t.Fatalf("tensor reset = %d, want NumCPU %d", got, runtime.NumCPU())
 	}
 	if got := library.DefaultWorkers(); got != 1 {

@@ -44,7 +44,7 @@ func TestConvQuantizedOnceAcrossInference(t *testing.T) {
 	if c.quantRuns != 1 {
 		t.Fatalf("quantizer ran %d times across two no-train forwards, want 1", c.quantRuns)
 	}
-	if !tensor.Equal(a, b) {
+	if !equalTensors(a, b) {
 		t.Fatal("cached weights changed the forward result")
 	}
 	// A weight edit plus version bump must invalidate the cache...
@@ -90,7 +90,7 @@ func TestDenseQuantizedOnceAcrossInference(t *testing.T) {
 	if d.quantRuns != 1 {
 		t.Fatalf("quantizer ran %d times across two no-train forwards, want 1", d.quantRuns)
 	}
-	if !tensor.Equal(a, b) {
+	if !equalTensors(a, b) {
 		t.Fatal("cached weights changed the forward result")
 	}
 	d.Weight.Value.Data()[0] += 1
@@ -151,7 +151,7 @@ func TestConvForwardBackwardScratchReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tensor.Equal(out, first) {
+		if !equalTensors(out, first) {
 			t.Fatalf("inference result drifted on cycle %d", i)
 		}
 	}
@@ -169,7 +169,7 @@ func TestConvForwardBackwardScratchReuse(t *testing.T) {
 		}
 		if firstDx == nil {
 			firstDx = dx
-		} else if !tensor.Equal(dx, firstDx) {
+		} else if !equalTensors(dx, firstDx) {
 			t.Fatalf("backward result drifted on cycle %d", i)
 		}
 	}
@@ -206,7 +206,7 @@ func TestConvBitplanesRepackedOnBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, want[0]) {
+	if !equalTensors(got, want[0]) {
 		t.Fatal("bit-plane forward after a bump differs from the paired-lane kernel")
 	}
 }

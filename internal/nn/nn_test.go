@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,14 +12,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// fromSlice is tensor.FromSlice for literals whose shape is statically
-// correct.
+// fromSlice returns a tensor of the given shape holding a copy of data.
+// It panics unless len(data) is the shape's volume.
 func fromSlice(data []float32, shape ...int) *tensor.Tensor {
-	t, err := tensor.FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
+	t := tensor.New(shape...)
+	if t.Len() != len(data) {
+		panic(fmt.Sprintf("fromSlice: %d elements for shape %v", len(data), shape))
 	}
+	copy(t.Data(), data)
 	return t
+}
+
+// equalTensors reports whether two tensors have identical shape and
+// elements.
+func equalTensors(a, b *tensor.Tensor) bool {
+	return slices.Equal(a.Shape(), b.Shape()) && slices.Equal(a.Data(), b.Data())
 }
 
 func TestConvForwardKnown(t *testing.T) {
@@ -38,7 +46,7 @@ func TestConvForwardKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fromSlice([]float32{12, 16, 24, 28}, 1, 2, 2)
-	if !tensor.Equal(out, want) {
+	if !equalTensors(out, want) {
 		t.Fatalf("conv out = %v, want %v", out.Data(), want.Data())
 	}
 }
@@ -50,8 +58,8 @@ func TestConvBiasApplied(t *testing.T) {
 		OutC: 2, Bias: true,
 	})
 	c.Weight.Value.Fill(0)
-	c.Bias.Value.Set(3, 0)
-	c.Bias.Value.Set(-1, 1)
+	c.Bias.Value.Data()[0] = 3
+	c.Bias.Value.Data()[1] = -1
 	out, err := c.Forward(tensor.New(1, 2, 2), false)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +207,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fromSlice([]float32{0, 7, 0, 0}, 1, 2, 2)
-	if !tensor.Equal(g, want) {
+	if !equalTensors(g, want) {
 		t.Fatalf("pool grad = %v", g.Data())
 	}
 }
@@ -215,7 +223,7 @@ func TestQuantActForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fromSlice([]float32{0, 1, 3, 3}, 4)
-	if !tensor.Equal(out, want) {
+	if !equalTensors(out, want) {
 		t.Fatalf("quantact out = %v", out.Data())
 	}
 	if _, err := NewQuantAct("bad", nil); err == nil {
@@ -313,17 +321,17 @@ func TestPerChannelConvQuantization(t *testing.T) {
 
 func TestScaleShiftForward(t *testing.T) {
 	s, _ := NewScaleShift("s", 2)
-	s.Gamma.Value.Set(2, 0)
-	s.Gamma.Value.Set(3, 1)
-	s.Beta.Value.Set(1, 0)
-	s.Beta.Value.Set(-1, 1)
+	s.Gamma.Value.Data()[0] = 2
+	s.Gamma.Value.Data()[1] = 3
+	s.Beta.Value.Data()[0] = 1
+	s.Beta.Value.Data()[1] = -1
 	in := fromSlice([]float32{1, 1, 2, 2}, 2, 2, 1)
 	out, err := s.Forward(in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fromSlice([]float32{3, 3, 5, 5}, 2, 2, 1)
-	if !tensor.Equal(out, want) {
+	if !equalTensors(out, want) {
 		t.Fatalf("scaleshift = %v", out.Data())
 	}
 	if _, err := s.Forward(tensor.New(3), false); err == nil {
@@ -369,8 +377,8 @@ func TestPruneFilters(t *testing.T) {
 		OutC: 4, Bias: true,
 	})
 	for o := 0; o < 4; o++ {
-		c.Weight.Value.Set(float32(o+1), o, 0, 0, 0)
-		c.Bias.Value.Set(float32(10*(o+1)), o)
+		c.Weight.Value.Data()[o] = float32(o + 1) // (o, 0, 0, 0) of 4×1×1×1
+		c.Bias.Value.Data()[o] = float32(10 * (o + 1))
 	}
 	orig := c
 	c, err := c.Pruned([]int{1, 3}, nil)
@@ -424,7 +432,7 @@ func TestPruneInputChannels(t *testing.T) {
 	})
 	for o := 0; o < 2; o++ {
 		for i := 0; i < 3; i++ {
-			c.Weight.Value.Set(float32(10*o+i), o, i, 0, 0)
+			c.Weight.Value.Data()[o*3+i] = float32(10*o + i) // (o, i, 0, 0) of 2×3×1×1
 		}
 	}
 	c, err := c.Pruned(nil, []int{1})
@@ -527,8 +535,8 @@ func TestFilterL1Norms(t *testing.T) {
 		Geom: tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
 		OutC: 2,
 	})
-	c.Weight.Value.Set(-3, 0, 0, 0, 0)
-	c.Weight.Value.Set(1, 1, 0, 0, 0)
+	c.Weight.Value.Data()[0] = -3 // (0, 0, 0, 0) of 2×1×1×1
+	c.Weight.Value.Data()[1] = 1  // (1, 0, 0, 0)
 	norms := c.FilterL1Norms()
 	if norms[0] != 3 || norms[1] != 1 {
 		t.Fatalf("norms = %v", norms)

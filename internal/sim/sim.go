@@ -66,7 +66,9 @@ func NewEngine() *Engine { return &Engine{heap: make([]*event, 0, 8)} }
 func (e *Engine) Now() float64 { return e.now }
 
 // Schedule enqueues fn to run at absolute time t. Events at equal times run
-// in scheduling order (FIFO). Scheduling in the past is an error.
+// in scheduling order (FIFO). Scheduling in the past or at a NaN time is
+// an error: a NaN key is unordered against every other and would misorder
+// the heap.
 func (e *Engine) Schedule(t float64, fn func()) error {
 	_, err := e.schedule(t, fn)
 	return err
@@ -79,8 +81,8 @@ func (e *Engine) schedule(t float64, fn func()) (*event, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sim: nil event function")
 	}
-	if t < e.now {
-		return nil, fmt.Errorf("sim: schedule at %v before now %v", t, e.now)
+	if !(t >= e.now) {
+		return nil, fmt.Errorf("sim: schedule at %v, not at or after now %v", t, e.now)
 	}
 	e.seq++
 	return e.file(t, e.seq, fn), nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -58,6 +59,13 @@ func TestScheduleInPastRejected(t *testing.T) {
 	}
 	if err := e.Schedule(e.Now()-1, func() {}); err == nil {
 		t.Fatal("schedule one second before now accepted")
+	}
+	// A NaN time compares false against now and every queued key.
+	if err := e.Schedule(math.NaN(), func() {}); err == nil {
+		t.Fatal("NaN time accepted")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending %d after rejected schedules, want 0", e.Pending())
 	}
 }
 
@@ -238,6 +246,9 @@ func TestScheduleCancelableValidation(t *testing.T) {
 	e.Run(5)
 	if _, err := e.ScheduleCancelable(1, func() {}); err == nil {
 		t.Fatal("past scheduling accepted")
+	}
+	if _, err := e.ScheduleCancelable(math.NaN(), func() {}); err == nil {
+		t.Fatal("NaN time accepted")
 	}
 	if e.Cancel(Handle{}) {
 		t.Fatal("zero handle canceled something")

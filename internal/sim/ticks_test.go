@@ -73,8 +73,10 @@ func (s *shadow) remove(seq int64) bool {
 // cancelable event, at now or on a tick's time a quarter of the time
 // each; op 1 cancels a random handle; op 2 runs part way; op 3 starts a
 // tick sequence, through Ticks or, when upfront is set, as the n
-// Schedule calls Ticks stands for. Handlers sometimes schedule more
-// events, at now or on the next tick, so ties cross every path.
+// Schedule calls Ticks stands for; op 4 schedules at a NaN time or just
+// before now, which must fail and leave the queue and the sequence
+// numbers as they were. Handlers sometimes schedule more events, at now
+// or on the next tick, so ties cross every path.
 //
 // A shadow list checks every step against the (time, seq) order: each
 // dispatch must be the shadow's least entry and fire at its time, Cancel
@@ -155,7 +157,7 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 		observe()
 	}
 	for _, op := range ops {
-		switch op % 4 {
+		switch op % 5 {
 		case 0:
 			tt := e.Now() + rng.Float64()*float64(1+rng.Intn(300))
 			switch rng.Intn(4) {
@@ -209,6 +211,18 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 				}
 			} else if err := e.Ticks(s.n, s.step, fn); err != nil {
 				t.Fatal(err)
+			}
+		case 4:
+			tt := math.NaN()
+			if rng.Intn(2) == 0 {
+				tt = math.Nextafter(e.Now(), math.Inf(-1))
+			}
+			pending, seq := e.Pending(), e.seq
+			if _, err := e.ScheduleCancelable(tt, func() { t.Errorf("event at %v ran", tt) }); err == nil {
+				t.Fatalf("schedule at %v with the clock at %v accepted", tt, e.Now())
+			}
+			if e.Pending() != pending || e.seq != seq {
+				t.Fatalf("rejected schedule at %v changed Pending %d → %d, seq %d → %d", tt, pending, e.Pending(), seq, e.seq)
 			}
 		}
 		observe()
@@ -287,13 +301,14 @@ func TestCalendarMatchesHeapDifferential(t *testing.T) {
 }
 
 // FuzzEventQueue drives the engine with a fuzzer-chosen operation tape
-// (schedule, cancel, partial run, tick sequence) through Ticks and as
-// up-front Schedule calls, each checked against the oracle
-// (checkTicksTape).
+// (schedule, cancel, partial run, tick sequence, rejected schedule)
+// through Ticks and as up-front Schedule calls, each checked against the
+// oracle (checkTicksTape).
 func FuzzEventQueue(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 1, 2, 0, 2})
 	f.Add(int64(7), []byte{0, 1, 0, 1, 0, 1, 2, 2})
 	f.Add(int64(3), []byte{3, 0, 0, 2, 3, 0, 1, 2, 0, 2})
+	f.Add(int64(5), []byte{0, 4, 3, 4, 2, 4, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]

@@ -10,16 +10,24 @@ import (
 // channel words instead of 8-bit multiply-adds. This is how FINN's MVTU
 // multiplies 1- and 2-bit operands.
 //
-// Weights w ∈ {−1, 0, 1} become two sign planes, w⁺ (w = 1) and w⁻
-// (w = −1). A sample whose int8 codes all lie in {0, c1, c2, c1+c2} with
-// 0 < c1 < c2 becomes two activation planes, a₀ (the code holds c1) and a₁
-// (the code holds c2), so x = c1·a₀ + c2·a₁ elementwise. Then
+// Weights w ∈ {−1, 0, 1} become two planes, a nonzero mask m (w ≠ 0) and
+// a sign n (w = −1). A sample whose int8 codes all lie in {0, c1, c2,
+// c1+c2} with 0 < c1 < c2 becomes two activation planes, a₀ (the code
+// holds c1) and a₁ (the code holds c2), so x = c1·a₀ + c2·a₁ elementwise.
+// For any activation word v, pop(m&(v^n)) counts the +1 weights where v is
+// set and the −1 weights where it is not, so, with w⁺ and w⁻ marking the
+// +1 and −1 weights,
 //
-//	Σ w·x = c1·(pop(w⁺&a₀) − pop(w⁻&a₀)) + c2·(pop(w⁺&a₁) − pop(w⁻&a₁)),
+//	pop(m&(v^n)) − pop(n) = pop(w⁺&v) − pop(w⁻&v),
 //
-// the same integer the paired-lane kernel accumulates, and the rescale is
-// the same float32(int32(acc))·scale expression, so ConvBitplaneBatchInto
-// and ConvInt8BatchInto agree bit for bit wherever both apply. A sample
+// and with N = Σ pop(n) over a filter's words, a constant of the filter,
+//
+//	Σ w·x = c1·(Σ pop(m&(a₀^n)) − N) + c2·(Σ pop(m&(a₁^n)) − N):
+//
+// one popcount per plane and filter word. That is the same integer the
+// paired-lane kernel accumulates, and the rescale is the same
+// float32(int32(acc))·scale expression, so ConvBitplaneBatchInto and
+// ConvInt8BatchInto agree bit for bit wherever both apply. A sample
 // reaches the kernel as symbols, its int8 codes themselves or indices into
 // a table of codes (internal/nn's ladder levels), and a PlaneMap, built by
 // the one decomposition rule over the codes the sample holds, says which
@@ -31,23 +39,27 @@ import (
 // of KW pixels is one run of KW·⌈InC/64⌉ consecutive words for any stride.
 // A filter is KH such runs, its words in (kh, kw, word) order.
 
-// BitplaneWeights are the sign planes of a convolution whose weight codes
-// all lie in {−1, 0, 1}. Filters are stored in blocks of four, the last
-// block padded with zero filters: for each filter word (kh, kw, word) of a
-// block come w⁺ of its four filters, then w⁻ of the four, so the kernel
-// streams one block as a single run of words.
+// BitplaneWeights are the mask and sign planes of a convolution whose
+// weight codes all lie in {−1, 0, 1}. Filters are stored in blocks of
+// four, the last block padded with zero filters: for each filter word
+// (kh, kw, word) of a block come the masks m of its four filters (bit set
+// where the weight is ±1), then their signs n (bit set where it is −1), so
+// the kernel streams one block as a single run of words. negs holds each
+// filter's N, its count of −1 weights.
 type BitplaneWeights struct {
 	g      ConvGeom
 	outC   int
 	words  int // channel words per pixel, ⌈InC/64⌉
 	planes []uint64
+	negs   []int64
 }
 
 // PackBitplaneWeights packs the (OutC × InC·KH·KW) OIHW codes of w for
-// geometry g into sign planes. It returns nil, without error, when a code
-// lies outside {−1, 0, 1}, or when the inner dimension InC·KH·KW is past
-// the bound every batched convolution kernel refuses (see
-// validateConvBatch): such a layer has no planes.
+// geometry g into mask and sign planes and counts each filter's −1
+// weights. It returns nil, without error, when a code lies outside
+// {−1, 0, 1}, or when the inner dimension InC·KH·KW is past the bound
+// every batched convolution kernel refuses (see validateConvBatch): such
+// a layer has no planes.
 func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -67,7 +79,7 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	}
 	nw := (g.InC + 63) / 64
 	filter := kk * nw
-	bw := &BitplaneWeights{g: g, outC: w.Rows, words: nw}
+	bw := &BitplaneWeights{g: g, outC: w.Rows, words: nw, negs: make([]int64, w.Rows)}
 	bw.planes = make([]uint64, (w.Rows+3)/4*filter*8)
 	for o := 0; o < w.Rows; o++ {
 		blk := bw.planes[o/4*filter*8:]
@@ -76,11 +88,12 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 			codes := w.Data[o*k+c*kk : o*k+(c+1)*kk] // (kh, kw) of channel c
 			for r, v := range codes {
 				i := (r*nw+c>>6)*8 + o%4
-				switch v {
-				case 1:
+				if v != 0 {
 					blk[i] |= bit
-				case -1:
+				}
+				if v < 0 {
 					blk[i+4] |= bit
+					bw.negs[o]++
 				}
 			}
 		}
@@ -205,10 +218,10 @@ func packActPlanes[S int8 | uint8](a0, a1 []uint64, x []S, g ConvGeom, words int
 	}
 }
 
-// ConvBitplaneBatchInto is ConvInt8BatchInto for weights held as sign
-// planes and inputs held as symbols: sample b's symbol s stands for the
-// code maps[b] gives it, and otherwise the dsts, g and outScales contract
-// and the results are ConvInt8BatchInto's, bit for bit. The caller finds
+// ConvBitplaneBatchInto is ConvInt8BatchInto for weights held as mask and
+// sign planes and inputs held as symbols: sample b's symbol s stands for
+// the code maps[b] gives it, and otherwise the dsts, g and outScales
+// contract and the results are ConvInt8BatchInto's, bit for bit. The caller finds
 // the maps (Int8PlaneMap, NewPlaneMap); a sample whose codes do not
 // decompose into two planes goes to ConvInt8BatchInto instead.
 //
@@ -278,25 +291,27 @@ const rowChunk = 32
 
 // bitplaneRow writes output row oy of one sample into dst (OutC × OH·OW)
 // from the row's patches: per block of four filters, bitDot4 forms the
-// plane sums at the row's positions, and each output becomes
-// float32(int32(c1·s₀ + c2·s₁))·scale.
+// plane counts p₀, p₁ at the row's positions, and each output becomes
+// float32(int32(c1·(p₀−N) + c2·(p₁−N)))·scale.
 func bitplaneRow(dst []float32, w *BitplaneWeights, patch []uint64, oy int, c [2]int32, s []float32) {
 	g := w.g
 	ow := g.OutW()
 	cols := g.OutH() * ow
 	filter := g.KH * g.KW * w.words
 	c1, c2 := int64(c[0]), int64(c[1])
-	var sums [8 * rowChunk]int64
+	var sums [4 * rowChunk]uint64
 	for o := 0; o < w.outC; o += 4 {
 		wb := w.planes[o/4*filter*8 : (o/4+1)*filter*8]
 		for x0 := 0; x0 < ow; x0 += rowChunk {
 			npos := min(rowChunk, ow-x0)
-			bitDot4(sums[:8*npos], wb, patch[2*x0*filter:2*(x0+npos)*filter])
+			bitDot4(sums[:4*npos], wb, patch[2*x0*filter:2*(x0+npos)*filter])
 			for i := range min(4, w.outC-o) {
 				sc := s[min(o+i, len(s)-1)] // one scale, or one per channel
+				n := w.negs[o+i]
 				row := dst[(o+i)*cols+oy*ow+x0 : (o+i)*cols+oy*ow+x0+npos]
 				for j := range row {
-					acc := c1*sums[j*8+2*i] + c2*sums[j*8+2*i+1]
+					p := sums[j*4+i]
+					acc := c1*(int64(uint32(p))-n) + c2*(int64(p>>32)-n)
 					row[j] = float32(int32(acc)) * sc
 				}
 			}
@@ -305,27 +320,24 @@ func bitplaneRow(dst []float32, w *BitplaneWeights, patch []uint64, oy int, c [2
 }
 
 // bitDot4 forms, for each patch of patch and each filter i of the block
-// wb, the plane sums s₀ = pop(w⁺&a₀) − pop(w⁻&a₀) and
-// s₁ = pop(w⁺&a₁) − pop(w⁻&a₁) into sums[pos·8+2i] and sums[pos·8+2i+1].
-func bitDot4(sums []int64, wb, patch []uint64) {
+// wb, the plane counts p₀ = Σ pop(m&(a₀^n)) and p₁ = Σ pop(m&(a₁^n)) into
+// sums[pos·4+i], p₀ in the low 32 bits and p₁ in the high. Each count is
+// at most the inner dimension, below maxLaneK = 2¹⁷, so the low half never
+// carries into the high one.
+func bitDot4(sums []uint64, wb, patch []uint64) {
 	filter := len(wb) / 8
-	for pos := range len(sums) / 8 {
+	for pos := range len(sums) / 4 {
 		x := patch[pos*2*filter : (pos+1)*2*filter]
-		var s00, s01, s10, s11, s20, s21, s30, s31 int
+		var s0, s1, s2, s3 uint64
 		for f := range filter {
 			v0, v1 := x[2*f], x[2*f+1]
 			q := wb[8*f : 8*f+8 : 8*f+8]
-			s00 += bits.OnesCount64(q[0]&v0) - bits.OnesCount64(q[4]&v0)
-			s01 += bits.OnesCount64(q[0]&v1) - bits.OnesCount64(q[4]&v1)
-			s10 += bits.OnesCount64(q[1]&v0) - bits.OnesCount64(q[5]&v0)
-			s11 += bits.OnesCount64(q[1]&v1) - bits.OnesCount64(q[5]&v1)
-			s20 += bits.OnesCount64(q[2]&v0) - bits.OnesCount64(q[6]&v0)
-			s21 += bits.OnesCount64(q[2]&v1) - bits.OnesCount64(q[6]&v1)
-			s30 += bits.OnesCount64(q[3]&v0) - bits.OnesCount64(q[7]&v0)
-			s31 += bits.OnesCount64(q[3]&v1) - bits.OnesCount64(q[7]&v1)
+			s0 += uint64(bits.OnesCount64(q[0]&(v0^q[4]))) + uint64(bits.OnesCount64(q[0]&(v1^q[4])))<<32
+			s1 += uint64(bits.OnesCount64(q[1]&(v0^q[5]))) + uint64(bits.OnesCount64(q[1]&(v1^q[5])))<<32
+			s2 += uint64(bits.OnesCount64(q[2]&(v0^q[6]))) + uint64(bits.OnesCount64(q[2]&(v1^q[6])))<<32
+			s3 += uint64(bits.OnesCount64(q[3]&(v0^q[7]))) + uint64(bits.OnesCount64(q[3]&(v1^q[7])))<<32
 		}
-		out := sums[pos*8 : pos*8+8 : pos*8+8]
-		out[0], out[1], out[2], out[3] = int64(s00), int64(s01), int64(s10), int64(s11)
-		out[4], out[5], out[6], out[7] = int64(s20), int64(s21), int64(s30), int64(s31)
+		out := sums[pos*4 : pos*4+4 : pos*4+4]
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
 	}
 }

@@ -562,7 +562,8 @@ func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix
 // TestConvBitplaneSelfTest checks the bit-plane kernel against the six-loop
 // reference with ==: InC on both sides of every 64-channel word edge, W1
 // and W2 weights, every code set of bitplaneCodeSets, padding and stride,
-// partial blocks of four filters, and batches of one to three.
+// partial blocks of four filters, and batches of one to three; then
+// constant filters and an inner dimension just below maxLaneK.
 func TestConvBitplaneSelfTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	prevGrain := SetParallelGrain(1)
@@ -586,6 +587,63 @@ func TestConvBitplaneSelfTest(t *testing.T) {
 				checkBitplaneBatch(t, rng, name, w, xs, g, set.planes)
 			}
 		}
+	}
+
+	// The edges of the mask–sign identity: filters of all −1 (the largest
+	// correction N), all 0 and all +1 beside random ones, OutC = 7 so the
+	// last block of four carries a zero filter, and padding on both axes,
+	// where a word v = 0 contributes pop(m&n) = pop(n) and so nothing net.
+	for _, inC := range []int{1, 63, 64, 65, 130} {
+		g := ConvGeom{InC: inC, InH: 4, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 2, PadH: 2, PadW: 1}
+		k := inC * g.KH * g.KW
+		w := &Int8Matrix{Rows: 7, Cols: k, Data: ternaryCodes(rng, 7*k, false)}
+		const random = 2 // not a weight code: the filter stays random
+		for o, fill := range []int8{-1, 0, 1, random, random, 1, -1} {
+			if fill != random {
+				for i := range k {
+					w.Data[o*k+i] = fill
+				}
+			}
+		}
+		for _, set := range [][]int8{{0, 42, 85, 127}, {0, 127}, {0}} {
+			xs := [][]int8{drawCodes(rng, set, inC*g.InH*g.InW), drawCodes(rng, set, inC*g.InH*g.InW)}
+			checkBitplaneBatch(t, rng, fmt.Sprintf("InC=%d constant filters codes=%v", inC, set), w, xs, g, true)
+		}
+	}
+
+	// The largest plane counts: k = 131067, just below maxLaneK, and every
+	// code c1+c2, so both planes are all ones. An all +1 filter counts k in
+	// both halves of its uint64 (neither may carry into the other), an all
+	// −1 filter counts 0 and subtracts N = k from each.
+	g := ConvGeom{InC: 14563, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	k := g.InC * g.KH * g.KW
+	if k >= maxLaneK || maxLaneK-k > 8 {
+		t.Fatalf("near-bound layer has k = %d, want just below %d", k, maxLaneK)
+	}
+	w := &Int8Matrix{Rows: 5, Cols: k, Data: ternaryCodes(rng, 5*k, false)}
+	for o, fill := range []int8{1, -1, 1, -1} {
+		for i := range k {
+			w.Data[o*k+i] = fill
+		}
+	}
+	wb, err := PackBitplaneWeights(w, g)
+	if err != nil || wb == nil {
+		t.Fatalf("near-bound layer: planes %v, error %v", wb, err)
+	}
+	x := make([]int8, g.InC*g.InH*g.InW)
+	for i := range x {
+		x[i] = 42 + 85
+	}
+	m := PlaneMap{C1: 42, C2: 85}
+	m.Bits[42+85] = 3
+	scales := [][]float32{{1}}
+	dst := New(w.Rows, 1)
+	if err := ConvBitplaneBatchInto([]*Tensor{dst}, wb, [][]int8{x}, []PlaneMap{m}, g, scales); err != nil {
+		t.Fatal(err)
+	}
+	want := naiveConvInt8(w.Data, x, g, w.Rows, scales[0])
+	if got := dst.Data(); !slices.Equal(got, want) || got[0] != float32(127*k) || got[1] != -float32(127*k) {
+		t.Fatalf("near-bound layer: got %v, want %v (±127·%d in the constant filters)", got, want, k)
 	}
 }
 

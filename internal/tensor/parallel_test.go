@@ -168,7 +168,7 @@ func TestGemmVariantsMatchSerialReference(t *testing.T) {
 		if err := GemmInto(got, a, b); err != nil {
 			t.Fatal(err)
 		}
-		if want := refGemm(a, b); !Equal(got, want) {
+		if want := refGemm(a, b); !equal(got, want) {
 			t.Fatalf("GemmInto differs from serial reference at m=%d k=%d n=%d", m, k, n)
 		}
 
@@ -176,7 +176,7 @@ func TestGemmVariantsMatchSerialReference(t *testing.T) {
 		if err := GemmTransAInto(got, at, b); err != nil {
 			t.Fatal(err)
 		}
-		if want := refGemmTransA(at, b); !Equal(got, want) {
+		if want := refGemmTransA(at, b); !equal(got, want) {
 			t.Fatalf("GemmTransAInto differs from serial reference at m=%d k=%d n=%d", m, k, n)
 		}
 
@@ -184,7 +184,7 @@ func TestGemmVariantsMatchSerialReference(t *testing.T) {
 		if err := GemmTransBInto(got, a, bt); err != nil {
 			t.Fatal(err)
 		}
-		if want := refGemmTransB(a, bt); !Equal(got, want) {
+		if want := refGemmTransB(a, bt); !equal(got, want) {
 			t.Fatalf("GemmTransBInto differs from serial reference at m=%d k=%d n=%d", m, k, n)
 		}
 	}
@@ -206,7 +206,7 @@ func TestGemmIntoOverwritesDirtyScratch(t *testing.T) {
 	if err := GemmInto(dst, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(dst, refGemm(a, b)) {
+	if !equal(dst, refGemm(a, b)) {
 		t.Fatal("GemmInto left stale data in dst")
 	}
 	at := randTensor(rng, 14, 9)
@@ -214,7 +214,7 @@ func TestGemmIntoOverwritesDirtyScratch(t *testing.T) {
 	if err := GemmTransAInto(dst, at, b); err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(dst, refGemmTransA(at, b)) {
+	if !equal(dst, refGemmTransA(at, b)) {
 		t.Fatal("GemmTransAInto left stale data in dst")
 	}
 	bt := randTensor(rng, 6, 14)
@@ -222,7 +222,7 @@ func TestGemmIntoOverwritesDirtyScratch(t *testing.T) {
 	if err := GemmTransBInto(dst, a, bt); err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(dst, refGemmTransB(a, bt)) {
+	if !equal(dst, refGemmTransB(a, bt)) {
 		t.Fatal("GemmTransBInto left stale data in dst")
 	}
 }
@@ -266,7 +266,7 @@ func TestIm2ColCol2ImMatchSerialReference(t *testing.T) {
 		if err := Im2ColInto(got, in, g); err != nil {
 			t.Fatal(err)
 		}
-		if want := refIm2Col(in, g); !Equal(got, want) {
+		if want := refIm2Col(in, g); !equal(got, want) {
 			t.Fatalf("Im2ColInto differs from serial reference for %+v", g)
 		}
 		// Scatter random per-window gradients back and compare.
@@ -275,7 +275,7 @@ func TestIm2ColCol2ImMatchSerialReference(t *testing.T) {
 		if err := Col2ImInto(gotIm, grad, g); err != nil {
 			t.Fatal(err)
 		}
-		if want := refCol2Im(grad, g); !Equal(gotIm, want) {
+		if want := refCol2Im(grad, g); !equal(gotIm, want) {
 			t.Fatalf("Col2ImInto differs from serial reference for %+v", g)
 		}
 		// Into variants must overwrite dirty scratch completely.
@@ -284,7 +284,7 @@ func TestIm2ColCol2ImMatchSerialReference(t *testing.T) {
 		if err := Im2ColInto(dirtyCols, in, g); err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(dirtyCols, got) {
+		if !equal(dirtyCols, got) {
 			t.Fatalf("Im2ColInto left stale data for %+v", g)
 		}
 		Release(dirtyCols)
@@ -293,7 +293,7 @@ func TestIm2ColCol2ImMatchSerialReference(t *testing.T) {
 		if err := Col2ImInto(dirtyIm, grad, g); err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(dirtyIm, gotIm) {
+		if !equal(dirtyIm, gotIm) {
 			t.Fatalf("Col2ImInto left stale data for %+v", g)
 		}
 		Release(dirtyIm)
@@ -338,7 +338,7 @@ func TestConcurrentGemmSharedPool(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !Equal(got, want) {
+				if !equal(got, want) {
 					errs <- fmt.Errorf("concurrent Gemm diverged on iteration %d", it)
 					return
 				}
@@ -354,15 +354,15 @@ func TestConcurrentGemmSharedPool(t *testing.T) {
 
 func TestSetMaxWorkersRoundTrip(t *testing.T) {
 	prev := SetMaxWorkers(3)
-	if got := MaxWorkers(); got != 3 {
-		t.Fatalf("MaxWorkers = %d, want 3", got)
+	if got := maxWorkers.Get(); got != 3 {
+		t.Fatalf("worker cap = %d, want 3", got)
 	}
 	if back := SetMaxWorkers(prev); back != 3 {
 		t.Fatalf("SetMaxWorkers returned %d, want 3", back)
 	}
 	// n <= 0 resets to NumCPU, which is always >= 1.
 	old := SetMaxWorkers(0)
-	if MaxWorkers() < 1 {
+	if maxWorkers.Get() < 1 {
 		t.Fatal("reset cap below 1")
 	}
 	SetMaxWorkers(old)

@@ -42,9 +42,6 @@ func init() {
 // concurrently with running kernels; in-flight calls keep their cap.
 func SetMaxWorkers(n int) int { return maxWorkers.Set(n) }
 
-// MaxWorkers returns the current worker cap.
-func MaxWorkers() int { return maxWorkers.Get() }
-
 // SetParallelGrain sets the minimum number of scalar operations a kernel
 // call must involve per chunk before it fans out, returning the previous
 // threshold. ops <= 0 resets the default. Lowering it (e.g. to 1 in tests)

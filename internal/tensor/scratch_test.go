@@ -37,10 +37,7 @@ func TestScratchDoubleReleaseSafe(t *testing.T) {
 // cleared either way.
 func TestScratchReleaseForeignBuffer(t *testing.T) {
 	// Capacity 100 is not a power-of-two class: dropped silently.
-	f, err := FromSlice(make([]float32, 100), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := fromSlice(make([]float32, 100), 100)
 	Release(f)
 	if f.data != nil || f.shape != nil {
 		t.Fatal("foreign tensor not cleared")

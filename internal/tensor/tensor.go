@@ -8,10 +8,7 @@
 // convolutions are OIHW (outChannels, inChannels, kernelH, kernelW).
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense float32 tensor. The zero value is an empty tensor.
 type Tensor struct {
@@ -33,24 +30,6 @@ func New(shape ...int) *Tensor {
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{shape: s, data: make([]float32, n)}
-}
-
-// FromSlice wraps data in a tensor of the given shape. The slice is used
-// directly (not copied); len(data) must equal the shape volume.
-func FromSlice(data []float32, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			return nil, fmt.Errorf("tensor: negative dimension %d in shape %v", d, shape)
-		}
-		n *= d
-	}
-	if len(data) != n {
-		return nil, fmt.Errorf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n)
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: data}, nil
 }
 
 // Shape returns the tensor's dimensions. The caller must not modify the
@@ -108,9 +87,6 @@ func (t *Tensor) index(idx ...int) int {
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 { return t.data[t.index(idx...)] }
 
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.index(idx...)] = v }
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.data {
@@ -120,67 +96,6 @@ func (t *Tensor) Fill(v float32) {
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
-
-// Scale multiplies every element by s in place.
-func (t *Tensor) Scale(s float32) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
-// AddScaled adds s*o to t element-wise in place. Shapes must match in
-// volume; layout is the caller's responsibility.
-func (t *Tensor) AddScaled(o *Tensor, s float32) error {
-	if len(o.data) != len(t.data) {
-		return fmt.Errorf("tensor: AddScaled volume mismatch %d vs %d", len(t.data), len(o.data))
-	}
-	for i := range t.data {
-		t.data[i] += s * o.data[i]
-	}
-	return nil
-}
-
-// Add adds o to t element-wise in place.
-func (t *Tensor) Add(o *Tensor) error { return t.AddScaled(o, 1) }
-
-// Equal reports whether two tensors have identical shape and elements.
-func Equal(a, b *Tensor) bool {
-	if a.Rank() != b.Rank() {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	for i := range a.data {
-		if a.data[i] != b.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for
-// stability).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Max returns the maximum element, or -Inf for an empty tensor.
-func (t *Tensor) Max() float32 {
-	m := float32(math.Inf(-1))
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // ArgMax returns the flat index of the maximum element (first on ties), or
 // -1 for an empty tensor.

@@ -213,9 +213,9 @@ func NewAdaFlowController(mgr *RuntimeManager) Controller { return edge.NewAdaFl
 // NewStaticFINNController serves the unpruned FINN baseline.
 func NewStaticFINNController(lib *Library) Controller { return edge.NewStaticFINN(lib) }
 
-// RunEdge simulates one scenario run. Trailing RunOptions (WithTracer,
-// WithRNG) customize cross-cutting behaviour; zero options reproduce the
-// historical signature and results exactly.
+// RunEdge simulates one scenario run, fluid unless cfg.EventLevel is
+// set. Trailing RunOptions (WithTracer) customize cross-cutting
+// behaviour; zero options reproduce the historical results exactly.
 func RunEdge(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
 	return edge.Run(scn, ctl, cfg, opts...)
 }
@@ -224,8 +224,10 @@ func RunEdge(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*R
 // on the discrete-event kernel: frames arrive, queue, and are served (or
 // shed) individually, so queue depth, deadline shedding, and micro-batched
 // dispatch (SimConfig.BatchConfig) are exact rather than fluid-averaged.
+// It is RunEdge with cfg.EventLevel set.
 func RunEdgeEventLevel(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
-	return edge.RunEventLevel(scn, ctl, cfg, opts...)
+	cfg.EventLevel = true
+	return edge.Run(scn, ctl, cfg, opts...)
 }
 
 // RunEdgeRepeated averages repeated runs (the paper averages 100). It is

@@ -31,30 +31,32 @@ var hotPaths = []hotPath{
 	// Scenario 2, tracing and adaptation off: both must stay free when
 	// disabled. The accounting steps are engine ticks, one queued at a
 	// time: queuing them up front (event slabs, queue resizes) trips it.
-	// Measured 181; margin 4.
-	{"RunEdge", "fluid", 185, func(tb testing.TB) func(int) {
-		return edgeOp(tb, RunEdge, SimConfig{})
+	// Measured 173; margin 4.
+	{"RunEdge", "fluid", 177, func(tb testing.TB) func(int) {
+		return edgeOp(tb, SimConfig{})
 	}},
 	// The event-level simulator under a deadline, every frame an event:
 	// batch=1 dispatches per frame, batch=8 amortizes the per-dispatch
 	// costs (service completions, their engine events, controller
-	// bookkeeping) over eight frames. Measured 190 and 193; margin 4.
-	{"RunEdge", "batch=1", 194, func(tb testing.TB) func(int) {
-		return edgeOp(tb, RunEdgeEventLevel, SimConfig{
+	// bookkeeping) over eight frames. Measured 181–182 and 184; margin 4.
+	{"RunEdge", "batch=1", 186, func(tb testing.TB) func(int) {
+		return edgeOp(tb, SimConfig{
+			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 1},
 		})
 	}},
-	{"RunEdge", "batch=8", 197, func(tb testing.TB) func(int) {
-		return edgeOp(tb, RunEdgeEventLevel, SimConfig{
+	{"RunEdge", "batch=8", 188, func(tb testing.TB) func(int) {
+		return edgeOp(tb, SimConfig{
+			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 8},
 		})
 	}},
 	// The closed drift-recovery loop (detect, retrain, swap) under a
-	// sustained shift. Measured 194; margin 4.
-	{"RunEdge", "adapt", 198, func(tb testing.TB) func(int) {
-		return edgeOp(tb, RunEdge, SimConfig{
+	// sustained shift. Measured 186; margin 4.
+	{"RunEdge", "adapt", 190, func(tb testing.TB) func(int) {
+		return edgeOp(tb, SimConfig{
 			FaultConfig: FaultConfig{Plan: mustPlan(tb, "drift-sustained:p=1,start=5,mag=-0.15"), Seed: 1},
 			Adapt:       AdaptConfig{Enabled: true},
 		})
@@ -63,15 +65,15 @@ var hotPaths = []hotPath{
 	// heartbeats and health bookkeeping must stay free when no fault
 	// fires. One-dead: a board crashes mid-run (detection, failover,
 	// capacity redistribution). Batched: an 8-frame dispatch queue per
-	// board, advanced on the heartbeats. Measured 264, 256 and 264;
+	// board, advanced on the heartbeats. Measured 259, 251 and 259;
 	// margin 4.
-	{"PoolRun", "healthy", 268, func(tb testing.TB) func(int) {
+	{"PoolRun", "healthy", 263, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, nil)
 	}},
-	{"PoolRun", "one-dead", 260, func(tb testing.TB) func(int) {
+	{"PoolRun", "one-dead", 255, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, mustPlan(tb, "board-crash:p=1,board=0,start=5,end=5.05,repair=60"))
 	}},
-	{"PoolRun", "batched", 268, func(tb testing.TB) func(int) {
+	{"PoolRun", "batched", 263, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4, Batch: 8}, nil)
 	}},
 	// The fleet scheduler: 1000 streams on 8 supervised pools for 5
@@ -80,12 +82,12 @@ var hotPaths = []hotPath{
 	// of pool 0 mid-run (migration, blackout accounting, repair).
 	// Admission fills reused index buffers and each epoch's report holds
 	// index slices, so fresh per-epoch buffers or name-keyed maps trip it.
-	// Measured 3694 and 3674; margin 20, below the ~2000 allocations one
+	// Measured 3587 and 3570; margin 20, below the ~2000 allocations one
 	// per heartbeat would add.
-	{"ClusterRun", "healthy", 3714, func(tb testing.TB) func(int) {
+	{"ClusterRun", "healthy", 3607, func(tb testing.TB) func(int) {
 		return clusterOp(tb, nil, nil)
 	}},
-	{"ClusterRun", "one-pool-dead", 3694, func(tb testing.TB) func(int) {
+	{"ClusterRun", "one-pool-dead", 3590, func(tb testing.TB) func(int) {
 		return clusterOp(tb, mustPlan(tb, "board-crash:p=1,start=6,end=6.3,repair=8"), []int{0})
 	}},
 	// 1000 events queued up front, then drained through the event heap.
@@ -174,8 +176,8 @@ func mustPlan(tb testing.TB, spec string) *FaultPlan {
 	return plan
 }
 
-// edgeOp serves Scenario 2 under a fresh AdaFlow controller with run.
-func edgeOp(tb testing.TB, run func(Scenario, Controller, SimConfig, ...RunOption) (*Result, error), cfg SimConfig) func(int) {
+// edgeOp serves Scenario 2 under a fresh AdaFlow controller.
+func edgeOp(tb testing.TB, cfg SimConfig) func(int) {
 	lib := paperLib(tb)
 	return func(i int) {
 		mgr, err := NewRuntimeManager(lib, DefaultManagerConfig())
@@ -183,7 +185,7 @@ func edgeOp(tb testing.TB, run func(Scenario, Controller, SimConfig, ...RunOptio
 			tb.Fatal(err)
 		}
 		cfg.Seed = int64(i)
-		if _, err := run(edge.Scenario2(), NewAdaFlowController(mgr), cfg); err != nil {
+		if _, err := RunEdge(edge.Scenario2(), NewAdaFlowController(mgr), cfg); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -439,9 +439,6 @@ func (l *Loop) rollback(now float64, why string) {
 	l.st = stateIdle
 }
 
-// Library returns the committed serving version as the loop tracks it.
-func (l *Loop) Library() *library.Library { return l.lib }
-
 // Stats returns the run counters with RecoveredPoints resolved to the
 // processed-weighted mean compensation.
 func (l *Loop) Stats() metrics.AdaptStats {

@@ -114,7 +114,7 @@ func TestFullCycle(t *testing.T) {
 	}
 	now = detected + l.RetrainTime()
 	l.Committed(now)
-	if l.Library() != cand {
+	if l.lib != cand {
 		t.Fatal("committed swap did not replace the loop's library")
 	}
 	// Compensation is now active and must not overshoot a shallower (or
@@ -223,7 +223,7 @@ func TestBackoffDoubling(t *testing.T) {
 func TestProbationRollback(t *testing.T) {
 	l := newTestLoop(t, Config{Window: 0.2, Threshold: 0.03, HoldDown: 0.1,
 		RecoverFraction: 0.1, ValidateMargin: 0.001, Probation: 0.3})
-	orig := l.Library()
+	orig := l.lib
 	const dt, shift = 0.01, -0.15
 	now, detected := 0.0, math.NaN()
 	for i := 0; i < 200 && math.IsNaN(detected); i++ {
@@ -255,7 +255,7 @@ func TestProbationRollback(t *testing.T) {
 		t.Fatalf("rollback staged %p, want the prior version %p", back, orig)
 	}
 	l.Committed(now)
-	if l.Library() != orig {
+	if l.lib != orig {
 		t.Fatal("rollback did not restore the prior version")
 	}
 	if sd := l.Compensate(shift); sd != shift {

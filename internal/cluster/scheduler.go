@@ -57,10 +57,10 @@ type Config struct {
 	FaultPlan  *fault.Plan
 	FaultPools []int
 	FaultSeed  int64
-	// Step, QueueFrames, and Deadline pass through to each pool's
-	// edge.Run; Deadline is the default SLO for streams that declare
-	// none (a pool serves at the tightest SLO placed on it).
-	Step        float64
+	// QueueFrames and Deadline pass through to each pool's edge.Run,
+	// which accounts at its default step; Deadline is the default SLO for
+	// streams that declare none (a pool serves at the tightest SLO placed
+	// on it).
 	QueueFrames float64
 	Deadline    float64
 	// Batch enables micro-batched service on every pool (see
@@ -545,7 +545,6 @@ func (s *Scheduler) dispatch(e int, plan *epochPlan) ([]*edge.Result, error) {
 		// edge.Run drains it, so setting SimConfig.BatchConfig here would count
 		// every frame twice.
 		res, err := edge.Run(scn, s.pools[i], edge.SimConfig{
-			Step:            s.cfg.Step,
 			AdmissionConfig: edge.AdmissionConfig{QueueFrames: s.cfg.QueueFrames, Deadline: deadline},
 			Seed:            s.cfg.Seed,
 			FaultConfig:     edge.FaultConfig{Plan: s.faultPlanFor(i, e), Seed: s.faultSeedFor(i, e)},

@@ -43,19 +43,21 @@ func TestAdaptChaosAcceptance(t *testing.T) {
 	lib := paperLib(t)
 	for _, mode := range runModes {
 		t.Run(mode.name, func(t *testing.T) {
-			clean, err := mode.run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1})
+			clean, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, EventLevel: mode.eventLevel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			drifted, err := mode.run(Scenario2(), adaflow(t, lib), SimConfig{
+			drifted, err := Run(Scenario2(), adaflow(t, lib), SimConfig{
 				Seed:        1,
+				EventLevel:  mode.eventLevel,
 				FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			adaptive, err := mode.run(Scenario2(), adaflow(t, lib), SimConfig{
+			adaptive, err := Run(Scenario2(), adaflow(t, lib), SimConfig{
 				Seed:        1,
+				EventLevel:  mode.eventLevel,
 				FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
 				Adapt:       adapt.Config{Enabled: true},
 			})
@@ -90,7 +92,7 @@ func TestAdaptChaosAcceptance(t *testing.T) {
 			}
 			dropsAccounted(t, adaptive.RunStats)
 			// The disabled path must not drift from the clean baseline.
-			cleanAgain, err := mode.run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1})
+			cleanAgain, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, EventLevel: mode.eventLevel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +137,7 @@ func TestDriftBoundaryDifferential(t *testing.T) {
 	if fluid.RunStats.Faults.AccuracyDrifts == 0 {
 		t.Error("fluid mode stepped over the sub-step window")
 	}
-	event, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
+	event, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, EventLevel: true, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestAdaptRequiresSwappableController(t *testing.T) {
 	if err == nil {
 		t.Fatal("static controller accepted an adaptive run")
 	}
-	if _, err := RunEventLevel(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 1,
+	if _, err := Run(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 1, EventLevel: true,
 		Adapt: adapt.Config{Enabled: true}}); err == nil {
 		t.Fatal("static controller accepted an adaptive event-level run")
 	}

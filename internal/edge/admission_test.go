@@ -21,16 +21,16 @@ func overloadScn() Scenario {
 // tight deadline some of the shedding is deadline-attributed.
 func TestAdmissionDropAttribution(t *testing.T) {
 	lib := paperLib(t)
-	modes := []struct {
-		name string
-		run  func(cfg SimConfig) (*Result, error)
-	}{
-		{"fluid", func(cfg SimConfig) (*Result, error) { return Run(overloadScn(), adaflow(t, lib), cfg) }},
-		{"event", func(cfg SimConfig) (*Result, error) { return RunEventLevel(overloadScn(), adaflow(t, lib), cfg) }},
-	}
-	for _, m := range modes {
+	for _, m := range []struct {
+		name       string
+		eventLevel bool
+	}{{"fluid", false}, {"event", true}} {
 		t.Run(m.name, func(t *testing.T) {
-			res, err := m.run(SimConfig{Seed: 1, AdmissionConfig: AdmissionConfig{QueueFrames: 16, Deadline: 0.005}})
+			res, err := Run(overloadScn(), adaflow(t, lib), SimConfig{
+				Seed:            1,
+				EventLevel:      m.eventLevel,
+				AdmissionConfig: AdmissionConfig{QueueFrames: 16, Deadline: 0.005},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,32 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/manager"
+	"repro/internal/obs"
 )
+
+// decisionLog is a trace sink keeping a run's committed decision history:
+// one "manager/decide" event per decision that changed the serving
+// configuration, less each one a "manager/rollback" undid.
+type decisionLog []obs.Event
+
+func (l *decisionLog) Emit(ev obs.Event) {
+	switch {
+	case ev.Cat != obs.ManagerCat:
+	case ev.Name == "decide" && attrValue(ev, "changed") == true:
+		*l = append(*l, ev)
+	case ev.Name == "rollback" && len(*l) > 0:
+		*l = (*l)[:len(*l)-1]
+	}
+}
+
+// attrValue returns the named attribute's payload (nil when absent).
+func attrValue(ev obs.Event, key string) any {
+	a, ok := ev.Attr(key)
+	if !ok {
+		return nil
+	}
+	return a.Value()
+}
 
 // TestChaosBitIdenticalReplay: two runs with the same workload seed, fault
 // plan and fault seed replay bit-identically — traces, switch and fault
@@ -77,24 +102,25 @@ func TestChaosDegradeToFlexibleWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const relaxed = 0.10
+	var log decisionLog
 	res, err := Run(steadyOverload(), NewAdaFlow(mgr), SimConfig{
 		Seed:             1,
 		FaultConfig:      FaultConfig{Plan: plan, Seed: 5},
 		ThresholdChanges: []ThresholdChange{{Time: 5, Threshold: relaxed}},
-	})
+	}, WithTracer(obs.New(&log)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if mgr.ReconfigFailures() < cfg.MaxReconfigRetries {
-		// normalize() fills the default budget of 3 inside New; reading the
-		// zero cfg field here would always pass.
-		t.Fatalf("only %d reconfig failures injected; the retry budget (3) was never exercised",
-			mgr.ReconfigFailures())
+	// normalize() fills the default budget of 3 inside New; the zero
+	// cfg.MaxReconfigRetries would make this check always pass.
+	const budget = 3
+	if res.Faults.ReconfigFailures < budget {
+		t.Fatalf("only %d reconfig failures injected; the retry budget (%d) was never exercised",
+			res.Faults.ReconfigFailures, budget)
 	}
-	if mgr.Degradations() < 1 || res.Faults.Degradations < 1 {
-		t.Fatalf("retry budget exhausted but no degradation recorded (mgr %d, run %d)",
-			mgr.Degradations(), res.Faults.Degradations)
+	if res.Faults.Degradations < 1 {
+		t.Fatal("retry budget exhausted but no degradation recorded")
 	}
 	cur, ok := mgr.Current()
 	if !ok || cur.Kind != manager.Flexible {
@@ -102,15 +128,15 @@ func TestChaosDegradeToFlexibleWithinBudget(t *testing.T) {
 	}
 	sawDegraded := false
 	floor := lib.BaselineAccuracy() - relaxed
-	for _, le := range mgr.Log() {
-		if le.Degraded {
+	for _, ev := range log {
+		if attrValue(ev, "degraded") == true {
 			sawDegraded = true
-			if le.Kind != manager.Flexible {
-				t.Fatalf("degraded decision at t=%.3f served %v, want Flexible", le.Time, le.Kind)
+			if kind := attrValue(ev, "kind"); kind != manager.Flexible.String() {
+				t.Fatalf("degraded decision at t=%.3f served %v, want Flexible", ev.Time, kind)
 			}
 		}
-		if lib.Entries[le.Entry].Accuracy < floor-1e-12 {
-			t.Fatalf("decision at t=%.3f violates the accuracy threshold", le.Time)
+		if lib.Entries[attrValue(ev, "entry").(int64)].Accuracy < floor-1e-12 {
+			t.Fatalf("decision at t=%.3f violates the accuracy threshold", ev.Time)
 		}
 	}
 	if !sawDegraded {
@@ -129,7 +155,8 @@ func TestChaosInvariantsSeedMatrix(t *testing.T) {
 		for _, fseed := range []int64{1, 9} {
 			cfg := SimConfig{Seed: seed, FaultConfig: FaultConfig{Seed: fseed, Plan: plan}, RecordTrace: true}
 			for _, mode := range runModes {
-				res, err := mode.run(Scenario2(), adaflow(t, lib), cfg)
+				cfg.EventLevel = mode.eventLevel
+				res, err := Run(Scenario2(), adaflow(t, lib), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -74,12 +74,14 @@ func TestTracingBitIdentical(t *testing.T) {
 	cfg := SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}
 	for _, mode := range runModes {
 		t.Run(mode.name, func(t *testing.T) {
-			plain, err := mode.run(Scenario12(), adaflow(t, lib), cfg)
+			cfg := cfg
+			cfg.EventLevel = mode.eventLevel
+			plain, err := Run(Scenario12(), adaflow(t, lib), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ring := obs.NewRing(128)
-			traced, err := mode.run(Scenario12(), adaflow(t, lib), cfg, WithTracer(obs.New(ring, obs.Sample(1))))
+			traced, err := Run(Scenario12(), adaflow(t, lib), cfg, WithTracer(obs.New(ring, obs.Sample(1))))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,20 +28,21 @@ func TestServedRunsKeepFewEventsPending(t *testing.T) {
 	}
 	modes := []struct {
 		name string
-		run  func(Scenario, Controller, SimConfig, ...RunOption) (*Result, error)
 		cfg  SimConfig
 	}{
-		{"event batch=1", RunEventLevel, SimConfig{
+		{"event batch=1", SimConfig{
+			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 1},
 			PoissonArrivals: true,
 		}},
-		{"event batch=8", RunEventLevel, SimConfig{
+		{"event batch=8", SimConfig{
+			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 8},
 			PoissonArrivals: true,
 		}},
-		{"fluid", Run, SimConfig{
+		{"fluid", SimConfig{
 			FaultConfig: FaultConfig{Plan: plan, Seed: 1},
 			Adapt:       adapt.Config{Enabled: true},
 		}},
@@ -57,7 +58,7 @@ func TestServedRunsKeepFewEventsPending(t *testing.T) {
 			keep := func(ev obs.Event) bool { return ev.Cat == obs.SimCat && ev.Name == "run" }
 			cfg := m.cfg
 			cfg.Seed = 1
-			if _, err := m.run(scn, adaflow(t, lib), cfg, WithTracer(obs.New(obs.Filter(ring, keep)))); err != nil {
+			if _, err := Run(scn, adaflow(t, lib), cfg, WithTracer(obs.New(obs.Filter(ring, keep)))); err != nil {
 				t.Fatal(err)
 			}
 			evs := ring.Events()

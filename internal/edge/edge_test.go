@@ -10,6 +10,7 @@ import (
 	"repro/internal/library"
 	"repro/internal/manager"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -302,32 +303,24 @@ func TestEventLevelValidatesFluidModel(t *testing.T) {
 	lib := paperLib(t)
 	for _, tc := range []struct {
 		name string
-		mk   func() Controller
+		mk   func() (Controller, error)
 	}{
-		{"finn", func() Controller { return NewStaticFINN(lib) }},
-		{"adaflow", func() Controller { return adaflow(t, lib) }},
+		{"finn", func() (Controller, error) { return NewStaticFINN(lib), nil }},
+		{"adaflow", func() (Controller, error) { return adaflow(t, lib), nil }},
 	} {
-		var fluidLoss, eventLoss, fluidQoE, eventQoE float64
-		const n = 5
-		for i := 0; i < n; i++ {
-			f, err := Run(Scenario2(), tc.mk(), SimConfig{Seed: int64(100 + i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := RunEventLevel(Scenario2(), tc.mk(), SimConfig{Seed: int64(100 + i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fluidLoss += f.FrameLossPct / n
-			eventLoss += e.FrameLossPct / n
-			fluidQoE += f.QoEPct / n
-			eventQoE += e.QoEPct / n
+		fluid, _, err := RunRepeated(Scenario2(), tc.mk, 5, 100, SimConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := fluidLoss - eventLoss; d > 4 || d < -4 {
-			t.Errorf("%s: loss disagreement fluid %.2f%% vs event %.2f%%", tc.name, fluidLoss, eventLoss)
+		event, _, err := RunRepeated(Scenario2(), tc.mk, 5, 100, SimConfig{EventLevel: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := fluidQoE - eventQoE; d > 4 || d < -4 {
-			t.Errorf("%s: QoE disagreement fluid %.2f vs event %.2f", tc.name, fluidQoE, eventQoE)
+		if d := fluid.FrameLossPct - event.FrameLossPct; d > 4 || d < -4 {
+			t.Errorf("%s: loss disagreement fluid %.2f%% vs event %.2f%%", tc.name, fluid.FrameLossPct, event.FrameLossPct)
+		}
+		if d := fluid.QoEPct - event.QoEPct; d > 4 || d < -4 {
+			t.Errorf("%s: QoE disagreement fluid %.2f vs event %.2f", tc.name, fluid.QoEPct, event.QoEPct)
 		}
 	}
 }
@@ -337,7 +330,7 @@ func TestEventLevelValidatesFluidModel(t *testing.T) {
 // service rate plus service time.
 func TestEventLevelLatencyExact(t *testing.T) {
 	lib := paperLib(t)
-	r, err := RunEventLevel(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: 9})
+	r, err := Run(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: 9, EventLevel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +348,7 @@ func TestEventLevelLatencyExact(t *testing.T) {
 // or still in flight at the end.
 func TestEventLevelConservation(t *testing.T) {
 	lib := paperLib(t)
-	r, err := RunEventLevel(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 3})
+	r, err := Run(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 3, EventLevel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +403,7 @@ func TestZeroCapacityServing(t *testing.T) {
 	if r.Processed != 0 {
 		t.Fatalf("dead server processed %v frames", r.Processed)
 	}
-	re, err := RunEventLevel(Scenario1(), dead, SimConfig{Seed: 1})
+	re, err := Run(Scenario1(), dead, SimConfig{Seed: 1, EventLevel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,22 +417,17 @@ func TestZeroCapacityServing(t *testing.T) {
 // (burstiness can only hurt a finite queue).
 func TestPoissonArrivalsBurstier(t *testing.T) {
 	lib := paperLib(t)
-	var det, poi float64
-	const n = 5
-	for i := 0; i < n; i++ {
-		d, err := RunEventLevel(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := RunEventLevel(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: int64(i), PoissonArrivals: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		det += d.FrameLossPct / n
-		poi += p.FrameLossPct / n
+	mk := func() (Controller, error) { return NewStaticFINN(lib), nil }
+	det, _, err := RunRepeated(Scenario1(), mk, 5, 0, SimConfig{EventLevel: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if poi < det-1 {
-		t.Fatalf("poisson loss %.2f%% well below deterministic %.2f%%", poi, det)
+	poi, _, err := RunRepeated(Scenario1(), mk, 5, 0, SimConfig{EventLevel: true, PoissonArrivals: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poi.FrameLossPct < det.FrameLossPct-1 {
+		t.Fatalf("poisson loss %.2f%% well below deterministic %.2f%%", poi.FrameLossPct, det.FrameLossPct)
 	}
 }
 
@@ -461,7 +449,7 @@ func TestSchedulingErrorReported(t *testing.T) {
 }
 
 func TestEventLevelValidation(t *testing.T) {
-	if _, err := RunEventLevel(Scenario1(), nil, SimConfig{}); err == nil {
+	if _, err := Run(Scenario1(), nil, SimConfig{EventLevel: true}); err == nil {
 		t.Fatal("nil controller accepted")
 	}
 }
@@ -477,11 +465,12 @@ func TestRuntimeThresholdChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var log decisionLog
 	res, err := Run(scn, NewAdaFlow(mgr), SimConfig{
 		Seed:             3,
 		RecordTrace:      true,
 		ThresholdChanges: []ThresholdChange{{Time: 12.5, Threshold: 0.50}},
-	})
+	}, WithTracer(obs.New(&log)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,8 +493,8 @@ func TestRuntimeThresholdChange(t *testing.T) {
 	if mgr.AccuracyThreshold() != 0.50 {
 		t.Fatal("threshold not applied")
 	}
-	if len(mgr.Log()) == 0 {
-		t.Fatal("decision log empty")
+	if len(log) == 0 || log[len(log)-1].Time < 12.5 {
+		t.Fatal("no decision logged after the threshold change")
 	}
 	// The event-level mode shares the run skeleton, threshold events
 	// included.
@@ -513,8 +502,9 @@ func TestRuntimeThresholdChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunEventLevel(scn, NewAdaFlow(mgr), SimConfig{
+	if _, err := Run(scn, NewAdaFlow(mgr), SimConfig{
 		Seed:             3,
+		EventLevel:       true,
 		ThresholdChanges: []ThresholdChange{{Time: 12.5, Threshold: 0.50}},
 	}); err != nil {
 		t.Fatal(err)
@@ -568,7 +558,7 @@ func TestChurnVariesDevices(t *testing.T) {
 	seen := map[int]bool{}
 	for tt := 0.0; tt < 25; tt = wl.NextBoundary(tt) {
 		wl.Redraw(tt)
-		d := wl.Devices()
+		d := wl.devices
 		if d < scn.Churn.MinDevices || d > scn.Churn.MaxDevices {
 			t.Fatalf("devices %d outside [%d,%d]", d, scn.Churn.MinDevices, scn.Churn.MaxDevices)
 		}

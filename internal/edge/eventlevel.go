@@ -5,23 +5,25 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
-// RunEventLevel simulates a scenario at per-frame granularity: one arrival
-// event per frame, one completion event per service, exact queueing
-// delays. It is an order of magnitude slower than Run's fluid accounting
-// (≈30 k events per 25 s run) and exists to validate it — the test suite
-// checks that both modes agree on frame loss and QoE — and to measure
-// true per-frame latency rather than Little's-law estimates. Both modes
-// share one run skeleton and differ only in their serving model.
+// RunEventLevel is Run with cfg.EventLevel set. It stays only because
+// the bench module calls it; new code sets SimConfig.EventLevel.
 func RunEventLevel(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
-	return simulate(scn, ctl, cfg, opts, func(r *run) servingModel { return &eventModel{run: r} })
+	cfg.EventLevel = true
+	return Run(scn, ctl, cfg, opts...)
 }
 
-// eventModel is the per-frame queue serving model. Frames arrive with
-// deterministic spacing at the current rate, or with exponential gaps when
-// PoissonArrivals is set, and wait in a bounded queue. The server takes
-// one frame at a time, or with micro-batching up to BatchConfig.Size.
+// eventModel is the per-frame queue serving model (SimConfig.EventLevel):
+// one arrival event per frame, one completion event per service, exact
+// queueing delays. It is an order of magnitude slower than the fluid
+// model and exists to validate it (the tests check that both models agree
+// on frame loss and QoE) and to measure true per-frame latency rather than
+// Little's-law estimates. Frames arrive with deterministic spacing at the
+// current rate, or with exponential gaps when PoissonArrivals is set, and
+// wait in a bounded queue. The server takes one frame at a time, or with
+// micro-batching up to BatchConfig.Size.
 type eventModel struct {
 	*run
 	arrivals   *rand.Rand
@@ -41,7 +43,7 @@ type eventModel struct {
 }
 
 func (m *eventModel) start() error {
-	m.arrivals = m.opts.rng(m.cfg.Seed, "arrivals/"+m.scn.Name)
+	m.arrivals = sim.RNG(m.cfg.Seed, "arrivals/"+m.scn.Name)
 	m.arriveFn = m.arrive
 	m.recheckFn = func() { m.scheduleArrival(m.eng.Now()) }
 	m.doneFn = m.done

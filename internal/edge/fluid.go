@@ -5,14 +5,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Run simulates one scenario run with the given controller, accounting
-// frames analytically in fixed steps of cfg.Step. Trailing RunOptions
-// attach cross-cutting behaviour (WithTracer, WithRNG); with no options
-// the behaviour is exactly the historical one.
-func Run(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
-	return simulate(scn, ctl, cfg, opts, func(r *run) servingModel { return &fluidModel{run: r} })
-}
-
 // fluidModel is the step-accounting serving model: each step admits the
 // frames that arrived, serves what the availability-scaled capacity
 // allows, and sheds the rest through admitStep.

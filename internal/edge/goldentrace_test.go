@@ -141,11 +141,12 @@ func catTrace(t *testing.T, cat obs.Category, run func(RunOption) (*Result, erro
 	return res, buf.String()
 }
 
-// runModes are the two simulation modes, for tests that check both.
+// runModes are the two serving models, as SimConfig.EventLevel values, for
+// tests that check both.
 var runModes = []struct {
-	name string
-	run  func(Scenario, Controller, SimConfig, ...RunOption) (*Result, error)
-}{{"fluid", Run}, {"event-level", RunEventLevel}}
+	name       string
+	eventLevel bool
+}{{"fluid", false}, {"event-level", true}}
 
 // diffLines reports the first few differing lines between two renderings.
 func diffLines(want, got string) string {

@@ -88,12 +88,13 @@ func TestBatchingNeverCausesDeadlineMiss(t *testing.T) {
 			sink := &eventSink{}
 			cfg := SimConfig{
 				Seed:            seed,
+				EventLevel:      true,
 				AdmissionConfig: AdmissionConfig{Deadline: deadline},
 				BatchConfig:     BatchConfig{Size: batch},
 				PoissonArrivals: rng.Intn(2) == 0,
 				FaultConfig:     FaultConfig{Plan: randPlan(t, rng), Seed: seed + 100},
 			}
-			res, err := RunEventLevel(scn, adaflow(t, lib), cfg, WithTracer(obs.New(sink)))
+			res, err := Run(scn, adaflow(t, lib), cfg, WithTracer(obs.New(sink)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,19 +136,20 @@ func TestBatchingNeverCausesDeadlineMiss(t *testing.T) {
 	}
 }
 
-// TestBatchedRunBitIdenticalReplay: a batched run replays bit-identically
-// with itself, and RunRepeated over a batched config is identical at 1, 2
-// and NumCPU workers.
+// TestBatchedRunBitIdenticalReplay: a batched event-level run replays
+// bit-identically with itself, and RunRepeated over the same config is
+// identical at 1, 2 and NumCPU workers.
 func TestBatchedRunBitIdenticalReplay(t *testing.T) {
 	lib := paperLib(t)
 	cfg := SimConfig{
 		Seed:            3,
+		EventLevel:      true,
 		AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 		BatchConfig:     BatchConfig{Size: 8},
 		FaultConfig:     FaultConfig{Plan: chaosPlan(t), Seed: 11},
 	}
 	run := func() *Result {
-		res, err := RunEventLevel(Scenario12(), adaflow(t, lib), cfg)
+		res, err := Run(Scenario12(), adaflow(t, lib), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +169,9 @@ func TestBatchedRunBitIdenticalReplay(t *testing.T) {
 func TestBatchDisabledIsHistoricalPath(t *testing.T) {
 	lib := paperLib(t)
 	run := func(batch int) *Result {
-		res, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{
+		res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{
 			Seed:            5,
+			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: batch},
 		})

@@ -1,35 +1,25 @@
 package edge
 
-import (
-	"math/rand"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
-
-// RunOption customizes a simulation run beyond SimConfig: cross-cutting
-// concerns (tracing, RNG construction, future observers) compose as
-// functional options instead of growing the config struct. Run,
-// RunEventLevel and RunRepeated all take a trailing ...RunOption, so every
-// pre-existing call site compiles unchanged.
+// RunOption customizes a simulation run beyond SimConfig with a
+// cross-cutting concern (today only tracing) as a functional option
+// instead of a config field. Run and RunRepeated take a trailing
+// ...RunOption.
 type RunOption func(*runOptions)
 
-// runOptions is the resolved option set. Its zero value (plus defaults)
-// reproduces the un-optioned behaviour exactly.
+// runOptions is the resolved option set. Its zero value reproduces the
+// un-optioned behaviour exactly.
 type runOptions struct {
 	tracer *obs.Trace
-	rng    func(seed int64, stream string) *rand.Rand
 }
 
 func applyRunOptions(opts []RunOption) runOptions {
-	o := runOptions{rng: sim.RNG}
+	var o runOptions
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&o)
 		}
-	}
-	if o.rng == nil {
-		o.rng = sim.RNG
 	}
 	return o
 }
@@ -40,14 +30,6 @@ func applyRunOptions(opts []RunOption) runOptions {
 // bit-identical with or without it. A nil trace is ignored.
 func WithTracer(tr *obs.Trace) RunOption {
 	return func(o *runOptions) { o.tracer = tr }
-}
-
-// WithRNG overrides how the run derives its seeded random streams (the
-// workload redraw and arrival-gap streams). The default is sim.RNG. The
-// function is called once per stream with the run's seed and a stream
-// label, and must be deterministic in (seed, stream) for runs to replay.
-func WithRNG(fn func(seed int64, stream string) *rand.Rand) RunOption {
-	return func(o *runOptions) { o.rng = fn }
 }
 
 // TracerAware is implemented by controllers that can propagate the run's

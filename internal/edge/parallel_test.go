@@ -11,12 +11,17 @@ import (
 // concurrent fan-out must keep: per-run stats and their mean are identical
 // whether the repeats execute serially or across workers. Runs with the
 // AdaFlow controller, whose flexible power model queries the shared
-// library from every run (exercised under -race by make test-race).
+// library from every run (exercised under -race by make test-race), in
+// both serving models.
 func TestRunRepeatedDeterministicAcrossParallelism(t *testing.T) {
 	lib := paperLib(t)
 	mk := func() (Controller, error) { return adaflow(t, lib), nil }
-	cfg := SimConfig{FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11}}
-	repeatedAcrossWorkers(t, Scenario12(), mk, 8, 3, cfg)
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := SimConfig{EventLevel: mode.eventLevel, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11}}
+			repeatedAcrossWorkers(t, Scenario12(), mk, 8, 3, cfg)
+		})
+	}
 }
 
 // repeatedAcrossWorkers runs RunRepeated serially and at 2 and NumCPU

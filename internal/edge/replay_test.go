@@ -116,7 +116,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func(s Scenario) (*Result, string) {
 				return catTrace(t, obs.ManagerCat, func(o RunOption) (*Result, error) {
-					return mode.run(s, adaflow(t, lib), SimConfig{Seed: seed, RecordTrace: true}, o)
+					return Run(s, adaflow(t, lib), SimConfig{Seed: seed, RecordTrace: true, EventLevel: mode.eventLevel}, o)
 				})
 			}
 			orig, origDec := run(scn)

@@ -13,8 +13,9 @@ import (
 
 // servingModel is what differs between the two simulation modes: how
 // frames move through the server between the run's control events. The
-// fluid model (Run) accounts frames analytically in fixed steps; the event
-// model (RunEventLevel) queues and serves every frame as its own DES event.
+// fluid model accounts frames analytically in fixed steps; the event
+// model (SimConfig.EventLevel) queues and serves every frame as its own
+// DES event.
 // Everything else — workload, fault injector, tracer and controller
 // wiring, reactions with their retry and cancel logic, the adaptation
 // loop, and the redraw, threshold and heartbeat events — is the shared run
@@ -41,7 +42,6 @@ type run struct {
 	scn    Scenario
 	cfg    SimConfig
 	ctl    Controller
-	opts   runOptions
 	eng    *sim.Engine
 	wl     *Workload
 	inj    *fault.Injector
@@ -78,8 +78,12 @@ type run struct {
 	err error
 }
 
-// simulate runs scn under ctl with the serving model mk builds.
-func simulate(scn Scenario, ctl Controller, cfg SimConfig, opts []RunOption, mk func(*run) servingModel) (*Result, error) {
+// Run simulates one scenario run with the given controller. The fluid
+// model (the zero SimConfig) accounts frames analytically in fixed steps
+// of cfg.Step; cfg.EventLevel serves every frame as its own DES event.
+// Trailing RunOptions attach cross-cutting behaviour (WithTracer); with
+// no options the behaviour is exactly the historical one.
+func Run(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,15 +91,19 @@ func simulate(scn Scenario, ctl Controller, cfg SimConfig, opts []RunOption, mk 
 	if ctl == nil {
 		return nil, fmt.Errorf("edge: nil controller")
 	}
-	r := &run{scn: scn, cfg: cfg, ctl: ctl, opts: applyRunOptions(opts), eng: sim.NewEngine()}
-	r.model = mk(r)
-	r.tr = r.opts.tracer
+	r := &run{scn: scn, cfg: cfg, ctl: ctl, eng: sim.NewEngine()}
+	if cfg.EventLevel {
+		r.model = &eventModel{run: r}
+	} else {
+		r.model = &fluidModel{run: r}
+	}
+	r.tr = applyRunOptions(opts).tracer
 	r.traced = r.tr.Enabled()
 	if r.traced {
 		r.meter = &moduleMeter{}
 	}
 	var err error
-	if r.wl, err = NewWorkload(scn, r.opts.rng(cfg.Seed, "workload/"+scn.Name)); err != nil {
+	if r.wl, err = NewWorkload(scn, sim.RNG(cfg.Seed, "workload/"+scn.Name)); err != nil {
 		return nil, err
 	}
 	if r.inj, err = fault.NewInjector(cfg.FaultConfig.Plan, cfg.FaultConfig.Seed); err != nil {

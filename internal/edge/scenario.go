@@ -450,9 +450,6 @@ func NewWorkload(scn Scenario, rng *rand.Rand) (*Workload, error) {
 // Rate returns the current incoming FPS.
 func (w *Workload) Rate() float64 { return w.rate }
 
-// Devices returns the currently connected device count.
-func (w *Workload) Devices() int { return w.devices }
-
 // Redraw applies any due churn and correlated-burst ticks, redraws the
 // rate for the phase active at time t, applies the scenario's modulation
 // laws (tail, diurnal, bursts, correlated groups), and returns it. Under

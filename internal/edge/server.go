@@ -138,9 +138,14 @@ type SimConfig struct {
 	Seed int64
 	// RecordTrace keeps per-step curves (off for bulk averaging).
 	RecordTrace bool
-	// PoissonArrivals makes RunEventLevel draw exponential inter-arrival
-	// gaps instead of deterministic spacing (burstier traffic). The fluid
-	// Run ignores it.
+	// EventLevel serves every frame as its own DES event instead of
+	// accounting frames in fluid steps (the zero value). It is the
+	// reference the fluid model is validated against, and the only model
+	// that measures exact per-frame latency.
+	EventLevel bool
+	// PoissonArrivals makes EventLevel runs draw exponential inter-arrival
+	// gaps instead of deterministic spacing (burstier traffic). Fluid runs
+	// ignore it.
 	PoissonArrivals bool
 	// ThresholdChanges schedules user accuracy-threshold updates during
 	// the run (delivered to controllers implementing ThresholdSetter).
@@ -258,13 +263,14 @@ func (c *SimConfig) defaults() {
 }
 
 // RunRepeated averages n runs with seeds seed, seed+1, … and returns the
-// mean stats plus the individual runs. Runs are independent simulations
-// (each gets its own controller, RNG, engine, and fault injector over a
-// read-only scenario and library), so they execute concurrently over up to
-// MaxParallelRuns goroutines; per-run stats land in seed-indexed slots and
-// the mean is taken in seed order, making the result identical to the
-// serial loop. Controllers are still constructed serially in seed order —
-// mk closures are not required to be concurrency-safe.
+// mean stats plus the individual runs, in the serving model cfg selects.
+// Runs are independent simulations (each gets its own controller, RNG,
+// engine, and fault injector over a read-only scenario and library), so
+// they execute concurrently over up to MaxParallelRuns goroutines;
+// per-run stats land in seed-indexed slots and the mean is taken in seed
+// order, making the result identical to the serial loop. Controllers are
+// still constructed serially in seed order — mk closures are not required
+// to be concurrency-safe.
 func RunRepeated(scn Scenario, mk func() (Controller, error), n int, seed int64, cfg SimConfig, opts ...RunOption) (metrics.RunStats, []metrics.RunStats, error) {
 	if n <= 0 {
 		return metrics.RunStats{}, nil, fmt.Errorf("edge: non-positive run count %d", n)

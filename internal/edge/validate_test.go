@@ -38,12 +38,12 @@ func TestSimConfigValidate(t *testing.T) {
 		if err := tc.cfg.Validate(); (err == nil) != (tc.wantErr == "") {
 			t.Errorf("%s: Validate() = %v", tc.name, err)
 		}
-		for kind, run := range map[string]func(Scenario, Controller, SimConfig, ...RunOption) (*Result, error){
-			"fluid": Run, "event": RunEventLevel,
-		} {
+		for kind, eventLevel := range map[string]bool{"fluid": false, "event": true} {
 			ctl := adaflow(t, lib)
+			cfg := tc.cfg
+			cfg.EventLevel = eventLevel
 			err := runGuarded(func() error {
-				_, err := run(scn, ctl, tc.cfg)
+				_, err := Run(scn, ctl, cfg)
 				return err
 			})
 			switch {

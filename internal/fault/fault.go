@@ -704,9 +704,10 @@ func (in *Injector) Observe(now, actual float64) (obs float64, ok bool) {
 }
 
 // Drift draws the accuracy-evaluator drift at the instant now: the delta
-// to add to the measured serving accuracy (0 when inactive). RunEventLevel
-// calls it at each frame-completion instant; the fluid loop accounts in
-// steps and uses DriftSpan so the two modes share boundary semantics.
+// to add to the measured serving accuracy (0 when inactive). Event-level
+// edge runs call it at each frame-completion instant; the fluid loop
+// accounts in steps and uses DriftSpan so the two modes share boundary
+// semantics.
 func (in *Injector) Drift(now float64) float64 {
 	if drifted, mag := in.fires(AccuracyDrift, now); drifted {
 		in.counts.AccuracyDrifts++
@@ -819,7 +820,7 @@ func (in *Injector) sustainedAt(act func(Rule) bool, eval float64) float64 {
 
 // Sustained draws the sustained distribution shift at the instant now:
 // the delta to add to the measured serving accuracy (0 when no engaged
-// rule is active). RunEventLevel calls it per frame completion.
+// rule is active). Event-level edge runs call it per frame completion.
 func (in *Injector) Sustained(now float64) float64 {
 	return in.sustainedAt(func(r Rule) bool { return r.active(now) }, now)
 }

@@ -158,7 +158,6 @@ type Manager struct {
 	haveEMA    bool
 	switches   int
 	reconfigs  int
-	log        []LogEntry
 
 	// Degradation state: snap holds the pre-decision state while a
 	// reconfiguration's outcome is unknown (valid when haveSnap), so a
@@ -168,7 +167,6 @@ type Manager struct {
 	haveSnap      bool
 	consecFails   int
 	reconfFails   int
-	degradations  int
 	fixedBanUntil float64
 
 	// rate is the sustained-rate estimator behind SwitchRate. It tracks
@@ -194,7 +192,6 @@ type snapshot struct {
 	haveEMA    bool
 	switches   int
 	reconfigs  int
-	logLen     int
 }
 
 // New builds a manager over a generated library.
@@ -273,23 +270,6 @@ func (m *Manager) SetAccuracyThreshold(threshold float64) error {
 // AccuracyThreshold returns the active threshold.
 func (m *Manager) AccuracyThreshold() float64 { return m.cfg.AccuracyThreshold }
 
-// LogEntry is one recorded decision.
-type LogEntry struct {
-	Time     float64
-	Incoming float64
-	Entry    int
-	Kind     AccelKind
-	Switched bool
-	// Degraded marks decisions whose accelerator family was forced to
-	// Flexible by the degradation policy (Fixed ban after repeated
-	// reconfiguration failures).
-	Degraded bool
-}
-
-// Log returns the decision history (every Decide call that changed the
-// serving configuration, plus the initial load).
-func (m *Manager) Log() []LogEntry { return m.log }
-
 // Current returns the active decision (valid after the first Decide).
 func (m *Manager) Current() (Decision, bool) { return m.cur, m.haveCur }
 
@@ -299,17 +279,9 @@ func (m *Manager) Switches() int { return m.switches }
 // Reconfigs returns how many FPGA reconfigurations those switches cost.
 func (m *Manager) Reconfigs() int { return m.reconfigs }
 
-// ReconfigFailures returns how many reconfiguration attempts were
-// reported failed (faults rolled back; not counted in Reconfigs).
-func (m *Manager) ReconfigFailures() int { return m.reconfFails }
-
-// Degradations returns how many times repeated reconfiguration failures
-// forced the manager to fall back to the Flexible accelerator.
-func (m *Manager) Degradations() int { return m.degradations }
-
 // ReconfigFailed tells the manager that the reconfiguration its last
 // Decide requested did not take effect: the previous configuration keeps
-// serving, so the decision is rolled back (state, counters and log). It
+// serving, so the decision is rolled back (state and counters). It
 // returns the delay before the caller should retry — exponential backoff
 // doubling per consecutive failure — and whether the retry budget is now
 // exhausted, which bans Fixed-Pruning for FixedBanMultiple ×
@@ -324,7 +296,6 @@ func (m *Manager) ReconfigFailed(now float64) (retry time.Duration, degraded boo
 	m.cur, m.haveCur = s.cur, s.haveCur
 	m.lastSwitch, m.emaIval, m.haveEMA = s.lastSwitch, s.emaIval, s.haveEMA
 	m.switches, m.reconfigs = s.switches, s.reconfigs
-	m.log = m.log[:s.logLen]
 	m.haveSnap = false
 
 	m.consecFails++
@@ -335,7 +306,6 @@ func (m *Manager) ReconfigFailed(now float64) (retry time.Duration, degraded boo
 	}
 	if m.consecFails >= m.cfg.MaxReconfigRetries {
 		m.fixedBanUntil = now + m.cfg.FixedBanMultiple*m.lib.ReconfigTime.Seconds()
-		m.degradations++
 		m.consecFails = 0
 		// Retry promptly: the fallback decision itself (loading the
 		// Flexible accelerator) is what the retry will apply.
@@ -567,7 +537,7 @@ func (m *Manager) Decide(now float64, incomingFPS float64) (Decision, bool) {
 	m.snap = snapshot{
 		cur: m.cur, haveCur: m.haveCur,
 		lastSwitch: m.lastSwitch, emaIval: m.emaIval, haveEMA: m.haveEMA,
-		switches: m.switches, reconfigs: m.reconfigs, logLen: len(m.log),
+		switches: m.switches, reconfigs: m.reconfigs,
 	}
 	m.haveSnap = d.Reconfigured
 	if modelSwitch {
@@ -588,10 +558,6 @@ func (m *Manager) Decide(now float64, incomingFPS float64) (Decision, bool) {
 	}
 	m.cur = d
 	m.haveCur = true
-	m.log = append(m.log, LogEntry{
-		Time: now, Incoming: incomingFPS,
-		Entry: d.Entry, Kind: d.Kind, Switched: modelSwitch, Degraded: degraded,
-	})
 	if traced {
 		m.traceDecide(now, incomingFPS, entry, kind, ruleKind, interval, cutoff, true, modelSwitch, degraded)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/accuracy"
 	"repro/internal/library"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 func paperLib(t *testing.T) *library.Library {
@@ -24,6 +25,37 @@ func paperLib(t *testing.T) *library.Library {
 		t.Fatal(err)
 	}
 	return lib
+}
+
+// decisionLog is a trace sink keeping the committed decision history:
+// one "manager/decide" event per Decide that changed the serving
+// configuration, less each one a "manager/rollback" undid.
+type decisionLog []obs.Event
+
+func (l *decisionLog) Emit(ev obs.Event) {
+	switch {
+	case ev.Cat != obs.ManagerCat:
+	case ev.Name == "decide" && attr(ev, "changed") == true:
+		*l = append(*l, ev)
+	case ev.Name == "rollback" && len(*l) > 0:
+		*l = (*l)[:len(*l)-1]
+	}
+}
+
+// traceDecisions attaches a decisionLog to mgr.
+func traceDecisions(mgr *Manager) *decisionLog {
+	l := &decisionLog{}
+	mgr.SetTracer(obs.New(l))
+	return l
+}
+
+// attr returns the named attribute's payload (nil when absent).
+func attr(ev obs.Event, key string) any {
+	a, ok := ev.Attr(key)
+	if !ok {
+		return nil
+	}
+	return a.Value()
 }
 
 func TestNewValidation(t *testing.T) {
@@ -199,13 +231,15 @@ func TestPolicyEnergyPrefersCheaperVersion(t *testing.T) {
 }
 
 // TestReconfigFailedRollsBack: a failed reconfiguration leaves the
-// manager exactly as before the decision — state, counters and log.
+// manager exactly as before the decision — state, counters and the
+// traced decision history.
 func TestReconfigFailedRollsBack(t *testing.T) {
 	lib := paperLib(t)
 	mgr, err := New(lib, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := traceDecisions(mgr)
 	d, changed := mgr.Decide(0, 100)
 	if !changed || !d.Reconfigured {
 		t.Fatalf("initial decision %+v", d)
@@ -217,12 +251,12 @@ func TestReconfigFailedRollsBack(t *testing.T) {
 	if _, have := mgr.Current(); have {
 		t.Fatal("rollback kept a current decision")
 	}
-	if mgr.Switches() != 0 || mgr.Reconfigs() != 0 || len(mgr.Log()) != 0 {
-		t.Fatalf("rollback left counters: %d switches, %d reconfigs, %d log",
-			mgr.Switches(), mgr.Reconfigs(), len(mgr.Log()))
+	if mgr.Switches() != 0 || mgr.Reconfigs() != 0 || len(*log) != 0 {
+		t.Fatalf("rollback left counters: %d switches, %d reconfigs, %d logged",
+			mgr.Switches(), mgr.Reconfigs(), len(*log))
 	}
-	if mgr.ReconfigFailures() != 1 {
-		t.Fatalf("failures = %d", mgr.ReconfigFailures())
+	if mgr.reconfFails != 1 {
+		t.Fatalf("failures = %d", mgr.reconfFails)
 	}
 	// A fresh decision re-attempts normally.
 	if d, changed := mgr.Decide(0.1, 100); !changed || !d.Reconfigured {
@@ -261,6 +295,7 @@ func TestDegradeAfterRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := traceDecisions(mgr)
 	now := 0.0
 	wantRetry := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 100 * time.Millisecond}
 	for i := 0; i < 3; i++ {
@@ -277,21 +312,17 @@ func TestDegradeAfterRetryBudget(t *testing.T) {
 		}
 		now += retry.Seconds()
 	}
-	if mgr.Degradations() != 1 {
-		t.Fatalf("degradations = %d", mgr.Degradations())
-	}
 	if now >= mgr.fixedBanUntil {
 		t.Fatal("fixed not banned after budget exhausted")
 	}
 	// The fallback decision serves from Flexible even though the
-	// switch-interval rule says Fixed, and the log marks it degraded.
+	// switch-interval rule says Fixed, and its trace marks it degraded.
 	d, changed := mgr.Decide(now, 100)
 	if !changed || d.Kind != Flexible {
 		t.Fatalf("fallback decision %+v (changed=%v)", d, changed)
 	}
-	log := mgr.Log()
-	if len(log) == 0 || !log[len(log)-1].Degraded {
-		t.Fatal("fallback decision not marked degraded in log")
+	if l := *log; len(l) == 0 || attr(l[len(l)-1], "degraded") != true {
+		t.Fatal("fallback decision not traced as degraded")
 	}
 	mgr.ReconfigSucceeded(now)
 	// After the ban expires, Fixed becomes available again.
@@ -311,12 +342,12 @@ func TestReconfigSucceededResetsStreak(t *testing.T) {
 	mgr, _ := New(lib, cfg)
 
 	mgr.Decide(0, 100)
-	if retry, _ := mgr.ReconfigFailed(0); retry != 50*time.Millisecond {
-		t.Fatalf("first retry %v", retry)
+	if retry, degraded := mgr.ReconfigFailed(0); retry != 50*time.Millisecond || degraded {
+		t.Fatalf("first retry %v degraded %v", retry, degraded)
 	}
 	mgr.Decide(0.1, 100)
-	if retry, _ := mgr.ReconfigFailed(0.1); retry != 100*time.Millisecond {
-		t.Fatalf("second retry %v", retry)
+	if retry, degraded := mgr.ReconfigFailed(0.1); retry != 100*time.Millisecond || degraded {
+		t.Fatalf("second retry %v degraded %v", retry, degraded)
 	}
 	mgr.Decide(0.3, 100)
 	mgr.ReconfigSucceeded(0.3)
@@ -325,9 +356,6 @@ func TestReconfigSucceededResetsStreak(t *testing.T) {
 	mgr.Decide(crit*5, lib.BaselineFPS()*2) // slow switch: Fixed reconfig
 	if retry, degraded := mgr.ReconfigFailed(crit * 5); retry != 50*time.Millisecond || degraded {
 		t.Fatalf("post-success retry %v degraded %v", retry, degraded)
-	}
-	if mgr.Degradations() != 0 {
-		t.Fatalf("degradations = %d", mgr.Degradations())
 	}
 }
 

@@ -192,6 +192,7 @@ func TestPropertyThresholdNeverViolatedUnderChaos(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		log := traceDecisions(mgr)
 		floor := lib.BaselineAccuracy() - cfg.AccuracyThreshold
 		now := 0.0
 		for i := 0; i < 150; i++ {
@@ -212,8 +213,8 @@ func TestPropertyThresholdNeverViolatedUnderChaos(t *testing.T) {
 				}
 			}
 		}
-		for _, le := range mgr.Log() {
-			if lib.Entries[le.Entry].Accuracy < floor-1e-12 {
+		for _, ev := range *log {
+			if lib.Entries[attr(ev, "entry").(int64)].Accuracy < floor-1e-12 {
 				return false
 			}
 		}
@@ -225,17 +226,18 @@ func TestPropertyThresholdNeverViolatedUnderChaos(t *testing.T) {
 }
 
 // TestPropertyDeterministicReplay: the same decision/fault history drives
-// two managers to bit-identical logs and counters.
+// two managers to bit-identical logs, counters and Fixed bans.
 func TestPropertyDeterministicReplay(t *testing.T) {
 	lib := paperLib(t)
 	top := maxFixedFPS(lib)
 	f := func(seed int64) bool {
-		run := func() ([]LogEntry, int, int, int) {
+		run := func() (decisionLog, int, int, float64) {
 			rng := rand.New(rand.NewSource(seed))
 			mgr, err := New(lib, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
+			log := traceDecisions(mgr)
 			now := 0.0
 			for i := 0; i < 100; i++ {
 				now += 0.01 + rng.Float64()*2
@@ -248,11 +250,11 @@ func TestPropertyDeterministicReplay(t *testing.T) {
 					}
 				}
 			}
-			return mgr.Log(), mgr.Switches(), mgr.ReconfigFailures(), mgr.Degradations()
+			return *log, mgr.Switches(), mgr.reconfFails, mgr.fixedBanUntil
 		}
-		l1, s1, f1, d1 := run()
-		l2, s2, f2, d2 := run()
-		return reflect.DeepEqual(l1, l2) && s1 == s2 && f1 == f2 && d1 == d2
+		l1, s1, f1, b1 := run()
+		l2, s2, f2, b2 := run()
+		return reflect.DeepEqual(l1, l2) && s1 == s2 && f1 == f2 && b1 == b2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -137,9 +137,6 @@ func (r *RateTracker) Observe(now, rate float64) {
 // the EWMA plus Margin deviation-multiples of headroom.
 func (r *RateTracker) Sustained() float64 { return r.ewma + r.cfg.margin()*r.dev }
 
-// Mean returns the raw EWMA estimate.
-func (r *RateTracker) Mean() float64 { return r.ewma }
-
 // Deviation returns the EWMA of the absolute deviation.
 func (r *RateTracker) Deviation() float64 { return r.dev }
 

@@ -28,18 +28,18 @@ func TestParseSwitchPolicy(t *testing.T) {
 func TestRateTrackerHalfLife(t *testing.T) {
 	r := &RateTracker{cfg: RateConfig{HalfLife: 2}}
 	r.Observe(0, 100)
-	if r.Mean() != 100 {
-		t.Fatalf("seed mean %v", r.Mean())
+	if r.ewma != 100 {
+		t.Fatalf("seed mean %v", r.ewma)
 	}
 	// One half-life later the estimate moves half way to the new rate.
 	r.Observe(2, 200)
-	if math.Abs(r.Mean()-150) > 1e-9 {
-		t.Fatalf("after one half-life mean = %v, want 150", r.Mean())
+	if math.Abs(r.ewma-150) > 1e-9 {
+		t.Fatalf("after one half-life mean = %v, want 150", r.ewma)
 	}
 	// dt = 0 leaves the estimate unchanged.
 	r.Observe(2, 1000)
-	if math.Abs(r.Mean()-150) > 1e-9 {
-		t.Fatalf("zero-dt observation moved the mean to %v", r.Mean())
+	if math.Abs(r.ewma-150) > 1e-9 {
+		t.Fatalf("zero-dt observation moved the mean to %v", r.ewma)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestRateTrackerSamplingIndependent(t *testing.T) {
 	for ti := 1; ti <= 1000; ti++ {
 		fine.Observe(float64(ti)*0.01, 300)
 	}
-	if math.Abs(coarse.Mean()-fine.Mean()) > 1.0 {
-		t.Fatalf("sampling rate changed the estimate: 1 Hz %v vs 100 Hz %v", coarse.Mean(), fine.Mean())
+	if math.Abs(coarse.ewma-fine.ewma) > 1.0 {
+		t.Fatalf("sampling rate changed the estimate: 1 Hz %v vs 100 Hz %v", coarse.ewma, fine.ewma)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestRateTrackerStability(t *testing.T) {
 		r.Observe(float64(i)*0.5, 600)
 	}
 	if !r.Stable() {
-		t.Fatalf("steady rate not stable: mean %v dev %v", r.Mean(), r.Deviation())
+		t.Fatalf("steady rate not stable: mean %v dev %v", r.ewma, r.Deviation())
 	}
 	// Strong alternation drives the deviation above 15 % of the mean.
 	for i := 101; i <= 200; i++ {
@@ -83,10 +83,10 @@ func TestRateTrackerStability(t *testing.T) {
 		r.Observe(float64(i)*0.5, rate)
 	}
 	if r.Stable() {
-		t.Fatalf("±67%% alternation reported stable: mean %v dev %v", r.Mean(), r.Deviation())
+		t.Fatalf("±67%% alternation reported stable: mean %v dev %v", r.ewma, r.Deviation())
 	}
-	if s := r.Sustained(); s <= r.Mean() {
-		t.Fatalf("sustained %v not above mean %v under fluctuation", s, r.Mean())
+	if s := r.Sustained(); s <= r.ewma {
+		t.Fatalf("sustained %v not above mean %v under fluctuation", s, r.ewma)
 	}
 }
 

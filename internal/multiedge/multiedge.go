@@ -833,21 +833,3 @@ func (p *Pool) ReconfigSucceeded(now float64) {
 		b.mgr.ReconfigSucceeded(now)
 	}
 }
-
-// ReconfigFailures sums failed reconfiguration attempts across boards.
-func (p *Pool) ReconfigFailures() int {
-	total := 0
-	for _, b := range p.boards {
-		total += b.mgr.ReconfigFailures()
-	}
-	return total
-}
-
-// Degradations sums retry-budget exhaustions across boards.
-func (p *Pool) Degradations() int {
-	total := 0
-	for _, b := range p.boards {
-		total += b.mgr.Degradations()
-	}
-	return total
-}

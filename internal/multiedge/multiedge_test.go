@@ -10,6 +10,7 @@ import (
 	"repro/internal/library"
 	"repro/internal/manager"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 func paperLib(t testing.TB) *library.Library {
@@ -145,14 +146,15 @@ func TestPoolBatchesCountedOnce(t *testing.T) {
 	lib := paperLib(t)
 	cfg := edge.SimConfig{Seed: 3, BatchConfig: edge.BatchConfig{Size: 8}}
 	for _, run := range []struct {
-		name string
-		fn   func(edge.Scenario, edge.Controller, edge.SimConfig, ...edge.RunOption) (*edge.Result, error)
-	}{{"fluid", edge.Run}, {"event", edge.RunEventLevel}} {
+		name       string
+		eventLevel bool
+	}{{"fluid", false}, {"event", true}} {
 		pool, err := NewSupervisedPool(lib, Config{Boards: 4, Batch: 8, Manager: manager.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := run.fn(edge.Scenario2(), pool, cfg)
+		cfg.EventLevel = run.eventLevel
+		res, err := edge.Run(edge.Scenario2(), pool, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +201,12 @@ func TestChaosPoolInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := obs.NewSnapshot()
 		res, err := edge.Run(edge.Scenario2(), p, edge.SimConfig{
 			Seed:        seed,
 			RecordTrace: true,
 			FaultConfig: edge.FaultConfig{Plan: plan, Seed: seed * 101},
-		})
+		}, edge.WithTracer(obs.New(snap)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,10 +236,7 @@ func TestChaosPoolInvariants(t *testing.T) {
 			}
 			prev = tp
 		}
-		if p.ReconfigFailures() < 0 || p.Degradations() < 0 {
-			t.Fatalf("seed %d: negative pool fault counters", seed)
-		}
-		if res.Faults.ReconfigFailures > 0 && p.ReconfigFailures() == 0 {
+		if res.Faults.ReconfigFailures > 0 && snap.Count(obs.ManagerCat, "rollback") == 0 {
 			t.Fatalf("seed %d: injector reports %d reconfig failures but no board rolled back",
 				seed, res.Faults.ReconfigFailures)
 		}

@@ -14,7 +14,6 @@ package adaflow
 
 import (
 	"io"
-	"math/rand"
 
 	"repro/internal/edge"
 	"repro/internal/obs"
@@ -70,7 +69,3 @@ func MultiSink(sinks ...TraceSink) TraceSink { return obs.Multi(sinks...) }
 // WithTracer attaches a trace to a run: the event engine, serving loop,
 // fault injector, and Runtime Manager all emit through it.
 func WithTracer(tr *Trace) RunOption { return edge.WithTracer(tr) }
-
-// WithRNG overrides how a run derives its seeded random streams (default
-// sim.RNG); fn must be deterministic in (seed, stream).
-func WithRNG(fn func(seed int64, stream string) *rand.Rand) RunOption { return edge.WithRNG(fn) }

@@ -46,9 +46,9 @@ test-chaos:
 # parsers (fault plans, workload scenarios, stream specs, serialized
 # models), the fast kernels' bit-exactness against their references
 # (round-half-away, the activation ladder and its affine fold, the
-# bit-plane convolution, the event queue), the staged inference
-# path (level codes between layers) against the per-layer one, and the
-# pruning count plan against the ranked one.
+# bit-plane convolution and its popcount kernel, the event queue), the
+# staged inference path (level codes between layers) against the
+# per-layer one, and the pruning count plan against the ranked one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime=10s ./internal/edge/
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzActLadder -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzAffineLadder -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzBitDot4 -fuzztime=5s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzStagedForward -fuzztime=10s ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime=10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzPlanChannels -fuzztime=5s ./internal/prune/

@@ -29,8 +29,6 @@ type Engine struct {
 	ClockHz float64
 	// DRAMBytesPerSec bounds weight reloading between layers.
 	DRAMBytesPerSec float64
-	// WBits/ABits follow the model executed.
-	WBits, ABits int
 }
 
 // Config parameterizes NewEngine.

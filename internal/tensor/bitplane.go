@@ -319,12 +319,13 @@ func bitplaneRow(dst []float32, w *BitplaneWeights, patch []uint64, oy int, c [2
 	}
 }
 
-// bitDot4 forms, for each patch of patch and each filter i of the block
+// bitDot4Go forms, for each patch of patch and each filter i of the block
 // wb, the plane counts p₀ = Σ pop(m&(a₀^n)) and p₁ = Σ pop(m&(a₁^n)) into
 // sums[pos·4+i], p₀ in the low 32 bits and p₁ in the high. Each count is
 // at most the inner dimension, below maxLaneK = 2¹⁷, so the low half never
-// carries into the high one.
-func bitDot4(sums []uint64, wb, patch []uint64) {
+// carries into the high one. It is bitDot4 off amd64 and on CPUs without
+// AVX2, and the reference the assembly body is tested against.
+func bitDot4Go(sums []uint64, wb, patch []uint64) {
 	filter := len(wb) / 8
 	for pos := range len(sums) / 4 {
 		x := patch[pos*2*filter : (pos+1)*2*filter]

@@ -723,6 +723,104 @@ func TestConvBitplaneValidation(t *testing.T) {
 	}
 }
 
+// checkBitDot4 runs bitDot4 and the Go loop on the same npos patches and
+// demands equal sums, and that bitDot4 writes nothing past its sums.
+func checkBitDot4(t *testing.T, name string, wb, patch []uint64, npos int) []uint64 {
+	t.Helper()
+	const sentinel = 0x5a5a5a5a5a5a5a5a
+	got := make([]uint64, 4*npos+4)
+	for i := range got {
+		got[i] = sentinel
+	}
+	want := make([]uint64, 4*npos)
+	bitDot4(got[:4*npos], wb, patch)
+	bitDot4Go(want, wb, patch)
+	if !slices.Equal(got[:4*npos], want) {
+		t.Fatalf("%s: bitDot4 %x, Go loop %x", name, got[:4*npos], want)
+	}
+	for _, v := range got[4*npos:] {
+		if v != sentinel {
+			t.Fatalf("%s: bitDot4 wrote past its sums: %x", name, got[4*npos:])
+		}
+	}
+	return want
+}
+
+// randBitWords returns n words of mixed density: sparse, even and dense.
+func randBitWords(rng *rand.Rand, n int) []uint64 {
+	ws := make([]uint64, n)
+	for i := range ws {
+		switch v := rng.Uint64(); rng.Intn(3) {
+		case 0:
+			ws[i] = v & rng.Uint64() & rng.Uint64()
+		case 1:
+			ws[i] = v
+		default:
+			ws[i] = v | rng.Uint64() | rng.Uint64()
+		}
+	}
+	return ws
+}
+
+// TestBitDot4Kernels compares bitDot4, the AVX2 body on a CPU that has
+// AVX2, with the Go loop on random words at filter lengths from 1 to 2047
+// words and 1 to rowChunk positions, then at the largest counts: 2047
+// words, the longest whole-word filter below maxLaneK, of all-ones masks,
+// zero signs and all-ones planes, which count 2047·64 in both halves of
+// every uint64.
+func TestBitDot4Kernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for _, filter := range []int{1, 2, 9, 31, 32, 36, 2047} {
+		for npos := 1; npos <= rowChunk; npos++ {
+			wb := randBitWords(rng, 8*filter)
+			patch := randBitWords(rng, 2*filter*npos)
+			checkBitDot4(t, fmt.Sprintf("filter=%d npos=%d", filter, npos), wb, patch, npos)
+		}
+	}
+
+	filter := (maxLaneK - 1) / 64
+	wb := make([]uint64, 8*filter)
+	for f := range filter {
+		for i := range 4 {
+			wb[8*f+i] = ^uint64(0)
+		}
+	}
+	patch := make([]uint64, 2*filter*rowChunk)
+	for i := range patch {
+		patch[i] = ^uint64(0)
+	}
+	sums := checkBitDot4(t, "largest counts", wb, patch, rowChunk)
+	top := uint64(64 * filter)
+	for i, v := range sums {
+		if v != top|top<<32 {
+			t.Fatalf("largest counts: sums[%d] = %x, want %d in both halves", i, v, top)
+		}
+	}
+}
+
+// BenchmarkBitDot4 times bitDot4 and the Go loop on one row chunk at the
+// filter lengths of CNVW2A2's bit-plane layers (3, 9 and 36 words), per
+// popcount: eight per filter word and position.
+func BenchmarkBitDot4(b *testing.B) {
+	rng := rand.New(rand.NewSource(79))
+	for _, filter := range []int{3, 9, 36} {
+		wb := randBitWords(rng, 8*filter)
+		patch := randBitWords(rng, 2*filter*rowChunk)
+		sums := make([]uint64, 4*rowChunk)
+		for _, k := range []struct {
+			name string
+			run  func(sums, wb, patch []uint64)
+		}{{"bitDot4", bitDot4}, {"go", bitDot4Go}} {
+			b.Run(fmt.Sprintf("%s/filter=%d", k.name, filter), func(b *testing.B) {
+				for b.Loop() {
+					k.run(sums, wb, patch)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8*filter*rowChunk), "ns/popcount")
+			})
+		}
+	}
+}
+
 // BenchmarkConvBitplane compares the two integer kernels on CNVW2A2's
 // unpruned conv1 (64→64 channels, 30×30 in, 3×3), batch 8, on the codes
 // its 2-bit activations quantize to.

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -142,4 +144,28 @@ func bruteDecomposes(x []int8) bool {
 		}
 	}
 	return false
+}
+
+// FuzzBitDot4 compares bitDot4 with the Go loop on arbitrary words: word i
+// of the weight block and the patches is the 8 bytes of data at i·8 (mod
+// its length) rotated left by i bits, so a short input still gives
+// distinct words, and shape picks the filter length (1–1024 words) and
+// the positions (1–rowChunk).
+func FuzzBitDot4(f *testing.F) {
+	f.Add([]byte{0xff, 0, 0x0f, 0xf0, 1, 2, 3, 4}, uint16(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(35|31<<10))
+	f.Add([]byte("bit-plane words, eight bytes each"), uint16(8|5<<10))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint16) {
+		if len(data) < 8 {
+			t.Skip()
+		}
+		filter := 1 + int(shape&0x3ff)
+		npos := 1 + int(shape>>10)%rowChunk
+		words := make([]uint64, 8*filter+2*filter*npos)
+		for i := range words {
+			o := i * 8 % (len(data) - 7)
+			words[i] = bits.RotateLeft64(binary.LittleEndian.Uint64(data[o:]), i)
+		}
+		checkBitDot4(t, "fuzz", words[:8*filter], words[8*filter:], npos)
+	})
 }

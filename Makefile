@@ -46,9 +46,10 @@ test-chaos:
 # parsers (fault plans, workload scenarios, stream specs, serialized
 # models), the fast kernels' bit-exactness against their references
 # (round-half-away, the activation ladder and its affine fold, the
-# bit-plane convolution and its popcount kernel, the event queue), the
-# staged inference path (level codes between layers) against the
-# per-layer one, and the pruning count plan against the ranked one.
+# bit-plane convolution and its popcount kernel, the event queue),
+# generated inference cases (staged and per-sample, both bodies) against
+# the brute-force oracle, and the pruning count plan against the ranked
+# one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime=10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime=10s ./internal/edge/

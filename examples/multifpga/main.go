@@ -51,7 +51,7 @@ func main() {
 		"1 board", sres.FrameLossPct, sres.QoEPct, sres.AvgPowerW, sres.PowerEff)
 
 	for _, boards := range []int{2, 3, 4} {
-		pool, err := multiedge.NewPool(lib, boards, manager.DefaultConfig())
+		pool, err := multiedge.NewSupervisedPool(lib, multiedge.Config{Boards: boards, Manager: manager.DefaultConfig()})
 		if err != nil {
 			log.Fatal(err)
 		}

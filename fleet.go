@@ -78,13 +78,6 @@ func NewSupervisedPool(lib *Library, cfg PoolConfig) (*Pool, error) {
 	return multiedge.NewSupervisedPool(lib, cfg)
 }
 
-// NewPool builds a pool of n serving boards with default supervision —
-// the historical constructor; without board-level fault rules it behaves
-// as the plain capacity splitter.
-func NewPool(lib *Library, n int, cfg ManagerConfig) (*Pool, error) {
-	return multiedge.NewPool(lib, n, cfg)
-}
-
 // ParseFaultPlan parses the fault-plan grammar used by adaflow-sim's
 // -fault-plan flag ("kind:p=X,start=Y,end=Z,mag=M[,board=K,repair=S];…").
 func ParseFaultPlan(spec string) (*FaultPlan, error) {

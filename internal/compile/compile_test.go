@@ -1,9 +1,12 @@
 package compile
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/finn"
 	"repro/internal/model"
+	"repro/internal/modelio"
 	"repro/internal/nn"
 	"repro/internal/prune"
 	"repro/internal/tensor"
@@ -224,6 +228,137 @@ func TestCompiledMatchesNNFlexiblePruned(t *testing.T) {
 		t.Fatalf("channels worst=%v cur=%v", p.WorstChannels, p.CurChannels)
 	}
 	agreeOn(t, p, pruned, testSamples(ds, 30))
+}
+
+// corpusDir holds internal/nn's golden corpus: small models in the
+// modelio format, their inputs, and the brute-force oracle's activation
+// codes per MVTU stage and logits, on nn's integer and float bodies.
+const corpusDir = "../nn/testdata/oracle"
+
+// golden is a corpus entry's <name>.golden.json.
+type golden struct {
+	Inputs [][]float32 `json:"inputs"`
+	Int8   goldenBody  `json:"int8"`
+	Float  goldenBody  `json:"float"`
+}
+
+// goldenBody holds, per input, each stage's codes ('0'+code per
+// activation) and the logits.
+type goldenBody struct {
+	Codes  [][]string  `json:"codes"`
+	Logits [][]float32 `json:"logits"`
+}
+
+// TestCompiledMatchesCorpus is the core functional-verification property:
+// every corpus model, lowered to a Fixed and to a Flexible program (the
+// pruned one sized to its worst-case channels, the paper's Fig. 3
+// semantics), with ScaleShift and QuantAct folded into each MVTU stage's
+// threshold ladders, computes the oracle's codes at every stage and its
+// logits bit for bit, on nn's integer body and on its float body.
+func TestCompiledMatchesCorpus(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(corpusDir, "*.golden.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden corpus in %s (%v)", corpusDir, err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".golden.json")
+		m, g := readCorpusEntry(t, name)
+		onBothBodies(t, name, func(t *testing.T) {
+			want := g.Float
+			if nn.Int8GEMMEnabled() {
+				want = g.Int8
+			}
+			for _, flexible := range []bool{false, true} {
+				p, err := Compile(m, flexible)
+				if err != nil {
+					t.Fatal(err)
+				}
+				worst := m.ConvChannels()
+				if flexible {
+					worst = m.BaseChannels
+				}
+				if p.Flexible != flexible || !slices.Equal(p.WorstChannels, worst) || !slices.Equal(p.CurChannels, m.ConvChannels()) {
+					t.Fatalf("flexible=%v: program flexible=%v, channels worst %v cur %v; want worst %v cur %v",
+						flexible, p.Flexible, p.WorstChannels, p.CurChannels, worst, m.ConvChannels())
+				}
+				for j, in := range g.Inputs {
+					x := tensor.New(m.InC, m.InH, m.InW)
+					copy(x.Data(), in)
+					codes := programCodes(t, p, m, x)
+					if !slices.Equal(codes, want.Codes[j]) {
+						t.Fatalf("flexible=%v sample %d: stage codes\n%v\ngolden\n%v", flexible, j, codes, want.Codes[j])
+					}
+					got, err := p.Run(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got, tensorOf(want.Logits[j])) {
+						t.Fatalf("flexible=%v sample %d: logits %v, golden %v", flexible, j, got.Data(), want.Logits[j])
+					}
+				}
+			}
+		})
+	}
+}
+
+// readCorpusEntry decodes the corpus entry name's model and golden file.
+func readCorpusEntry(t *testing.T, name string) (*model.Model, *golden) {
+	t.Helper()
+	f, err := os.Open(filepath.Join(corpusDir, name+".model.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := modelio.Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(corpusDir, name+".golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g golden
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatal(err)
+	}
+	return m, &g
+}
+
+// programCodes runs p's stages on x and returns each MVTU stage's output
+// as codes of the quantizer of the QuantAct it absorbed.
+func programCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor) []string {
+	t.Helper()
+	var acts []*nn.QuantAct
+	for _, nl := range m.Net.Layers {
+		if qa, ok := nl.Layer.(*nn.QuantAct); ok {
+			acts = append(acts, qa)
+		}
+	}
+	var codes []string
+	cur := x
+	for _, st := range p.stages {
+		out, err := st.run(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.thresholds != nil {
+			q := acts[len(codes)].Q
+			b := make([]byte, out.Len())
+			for i, v := range out.Data() {
+				b[i] = byte('0' + q.Code(v))
+			}
+			codes = append(codes, string(b))
+		}
+		cur = out
+	}
+	return codes
+}
+
+// tensorOf wraps v as a rank-1 tensor.
+func tensorOf(v []float32) *tensor.Tensor {
+	t := tensor.New(len(v))
+	copy(t.Data(), v)
+	return t
 }
 
 // TestFlexibleLoadModelSwitch verifies the fast model switch: one flexible

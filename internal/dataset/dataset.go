@@ -145,6 +145,3 @@ func (d *Dataset) sample(i, split int) (*tensor.Tensor, int) {
 	}
 	return x, label
 }
-
-// Shape returns the sample shape (C, H, W).
-func (d *Dataset) Shape() (c, h, w int) { return d.C, d.H, d.W }

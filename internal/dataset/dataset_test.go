@@ -85,9 +85,8 @@ func TestSampleShapeAndFiniteness(t *testing.T) {
 			t.Fatal("non-finite pixel")
 		}
 	}
-	c, h, w := d.Shape()
-	if c != 3 || h != 32 || w != 32 {
-		t.Fatal("Shape() wrong")
+	if d.C != 3 || d.H != 32 || d.W != 32 {
+		t.Fatalf("sample shape %dx%dx%d, want 3x32x32", d.C, d.H, d.W)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/synth"
 )
 
 func paperLib(t testing.TB) *library.Library {
@@ -599,7 +600,7 @@ func TestAdaFlowHandlesChurn(t *testing.T) {
 
 // TestServingPowerMatchesSynth checks that the power curves serving reads
 // from the library reproduce the synthesized accelerators' own power
-// model bit for bit: the fixed curve against Fixed.PowerAt, and the
+// model bit for bit: the fixed curve against Fixed's power curve, and the
 // flexible curve against the flexible accelerator reconfigured to the
 // entry's channels, at negative, zero, in-range, capacity, beyond-capacity
 // and non-finite rates.
@@ -627,10 +628,19 @@ func TestServingPowerMatchesSynth(t *testing.T) {
 				}
 			}
 		}
-		check("fixed", fixed.PowerAt, e.Fixed.PowerAt, e.Fixed.Dataflow.FPS())
-		check("flexible", flex.PowerAt, lib.Flexible.PowerAt, flexDF.FPS())
+		check("fixed", fixed.PowerAt, synthPower(e.Fixed), e.Fixed.Dataflow.FPS())
+		check("flexible", flex.PowerAt, synthPower(lib.Flexible), flexDF.FPS())
 		if i == 0 {
-			check("static FINN", static.PowerAt, e.Fixed.PowerAt, e.Fixed.Dataflow.FPS())
+			check("static FINN", static.PowerAt, synthPower(e.Fixed), e.Fixed.Dataflow.FPS())
 		}
+	}
+}
+
+// synthPower is the synthesized accelerator's total power at a processed
+// frame rate: its power curve at its current channel configuration.
+func synthPower(a *synth.Accelerator) func(float64) float64 {
+	return func(fps float64) float64 {
+		c := a.Curve()
+		return c.At(fps)
 	}
 }

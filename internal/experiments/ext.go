@@ -90,7 +90,7 @@ func ExtPoolScaling(runs int, seed int64) (*ExtPoolResult, error) {
 		scn := edge.Scenario2()
 		scn.Devices *= boards // keep per-board load constant
 		mean, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
-			return multiedge.NewPool(lib, boards, manager.DefaultConfig())
+			return multiedge.NewSupervisedPool(lib, multiedge.Config{Boards: boards, Manager: manager.DefaultConfig()})
 		}, runs, seed, edge.SimConfig{})
 		if err != nil {
 			return nil, err

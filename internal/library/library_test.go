@@ -166,7 +166,7 @@ func TestTableRoundTrip(t *testing.T) {
 	if err := json.NewDecoder(&buf).Decode(&tab); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Validate(); err != nil {
+	if err := validateTable(&tab); err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != len(lib.Entries) {
@@ -197,7 +197,7 @@ func TestTableValidateRejectsDisorder(t *testing.T) {
 		{NominalRate: 0.5, Accuracy: 0.8},
 		{NominalRate: 0.2, Accuracy: 0.9},
 	}}
-	if err := tab.Validate(); err == nil {
+	if err := validateTable(tab); err == nil {
 		t.Fatal("descending rates accepted")
 	}
 }
@@ -249,4 +249,21 @@ func TestGenerateLeavesCallerRatesAlone(t *testing.T) {
 	if _, err := Generate(m, Config{Rates: []float64{}, Evaluator: ev}); err == nil {
 		t.Fatal("empty rate sweep accepted")
 	}
+}
+
+// validateTable checks a table's invariants, Library.Validate on the
+// data-only form: rows present, rates ascending, accuracy not increasing.
+func validateTable(t *Table) error {
+	if len(t.Rows) == 0 {
+		return fmt.Errorf("library: empty table")
+	}
+	for i := 1; i < len(t.Rows); i++ {
+		if t.Rows[i].NominalRate < t.Rows[i-1].NominalRate {
+			return fmt.Errorf("library: table rates not ascending at row %d", i)
+		}
+		if t.Rows[i].Accuracy > t.Rows[i-1].Accuracy+1e-9 {
+			return fmt.Errorf("library: table accuracy increases at row %d", i)
+		}
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package library
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 )
@@ -79,21 +78,4 @@ func (l *Library) SaveTable(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(l.Table())
-}
-
-// Validate checks table invariants (mirrors Library.Validate on the
-// data-only form).
-func (t *Table) Validate() error {
-	if len(t.Rows) == 0 {
-		return fmt.Errorf("library: empty table")
-	}
-	for i := 1; i < len(t.Rows); i++ {
-		if t.Rows[i].NominalRate < t.Rows[i-1].NominalRate {
-			return fmt.Errorf("library: table rates not ascending at row %d", i)
-		}
-		if t.Rows[i].Accuracy > t.Rows[i-1].Accuracy+1e-9 {
-			return fmt.Errorf("library: table accuracy increases at row %d", i)
-		}
-	}
-	return nil
 }

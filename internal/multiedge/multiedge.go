@@ -235,14 +235,6 @@ func NewSupervisedPool(lib *library.Library, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// NewPool builds an unsupervised-looking pool of n serving boards — the
-// historical constructor. The pool is still a supervised one; without
-// board-level fault rules its behaviour is identical to the old static
-// splitter.
-func NewPool(lib *library.Library, n int, cfg manager.Config) (*Pool, error) {
-	return NewSupervisedPool(lib, Config{Boards: n, Manager: cfg})
-}
-
 // Degraded reports whether the pool is currently below quorum and
 // serving with a relaxed accuracy threshold.
 func (p *Pool) Degraded() bool { return p.degraded }

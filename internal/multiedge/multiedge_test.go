@@ -32,10 +32,10 @@ func paperLib(t testing.TB) *library.Library {
 
 func TestNewPoolValidation(t *testing.T) {
 	lib := paperLib(t)
-	if _, err := NewPool(lib, 0, manager.DefaultConfig()); err == nil {
+	if _, err := NewSupervisedPool(lib, Config{Boards: 0, Manager: manager.DefaultConfig()}); err == nil {
 		t.Fatal("zero boards accepted")
 	}
-	p, err := NewPool(lib, 3, manager.DefaultConfig())
+	p, err := NewSupervisedPool(lib, Config{Boards: 3, Manager: manager.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPoolCapacityScales(t *testing.T) {
 	lib := paperLib(t)
 
 	single, _, err := edge.RunRepeated(edge.Scenario2(), func() (edge.Controller, error) {
-		return NewPool(lib, 1, manager.DefaultConfig())
+		return NewSupervisedPool(lib, Config{Boards: 1, Manager: manager.DefaultConfig()})
 	}, 10, 1, edge.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestPoolCapacityScales(t *testing.T) {
 	doubled := edge.Scenario2()
 	doubled.Devices *= 2
 	pool2, _, err := edge.RunRepeated(doubled, func() (edge.Controller, error) {
-		return NewPool(lib, 2, manager.DefaultConfig())
+		return NewSupervisedPool(lib, Config{Boards: 2, Manager: manager.DefaultConfig()})
 	}, 10, 1, edge.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestPoolBeatsSingleOnOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
-		return NewPool(lib, 4, manager.DefaultConfig())
+		return NewSupervisedPool(lib, Config{Boards: 4, Manager: manager.DefaultConfig()})
 	}, 5, 1, edge.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,9 @@ func TestPoolBeatsSingleOnOverload(t *testing.T) {
 // accelerator power curves, so the same energy).
 func TestPoolSingleBoardMatchesAdaFlowController(t *testing.T) {
 	lib := paperLib(t)
-	mk1 := func() (edge.Controller, error) { return NewPool(lib, 1, manager.DefaultConfig()) }
+	mk1 := func() (edge.Controller, error) {
+		return NewSupervisedPool(lib, Config{Boards: 1, Manager: manager.DefaultConfig()})
+	}
 	mk2 := func() (edge.Controller, error) {
 		mgr, err := manager.New(lib, manager.DefaultConfig())
 		if err != nil {
@@ -168,7 +170,7 @@ func TestPoolBatchesCountedOnce(t *testing.T) {
 
 func TestPoolCounters(t *testing.T) {
 	lib := paperLib(t)
-	pool, err := NewPool(lib, 2, manager.DefaultConfig())
+	pool, err := NewSupervisedPool(lib, Config{Boards: 2, Manager: manager.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestChaosPoolInvariants(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2, 3, 7, 42} {
 		seed := seed
-		p, err := NewPool(lib, 3, manager.DefaultConfig())
+		p, err := NewSupervisedPool(lib, Config{Boards: 3, Manager: manager.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}

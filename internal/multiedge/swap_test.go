@@ -38,7 +38,7 @@ func emptyInjector(t *testing.T) *fault.Injector {
 // half-swapped mix.
 func TestPoolStaggeredSwap(t *testing.T) {
 	lib := paperLib(t)
-	p, err := NewPool(lib, 3, manager.DefaultConfig())
+	p, err := NewSupervisedPool(lib, Config{Boards: 3, Manager: manager.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPoolStaggeredSwap(t *testing.T) {
 // indices are refused outright and leave no swap pending.
 func TestPoolSwapShapeGuard(t *testing.T) {
 	lib := paperLib(t)
-	p, err := NewPool(lib, 2, manager.DefaultConfig())
+	p, err := NewSupervisedPool(lib, Config{Boards: 2, Manager: manager.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

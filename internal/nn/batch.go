@@ -11,11 +11,11 @@ import (
 // scratch borrow/release, int8 weight-panel streaming — are paid once per
 // batch instead of once per frame. Conv2D and Dense each have one integer
 // and one float forward body, both over a batch; Forward is their B = 1
-// case. The integer body serves the B samples in one kernel call: the
-// bit-plane kernel (tensor.ConvBitplaneBatchInto) for ternary or binary
-// weights on 2-bit activation codes, Dense as a 1×1 convolution over one
-// pixel, else the paired-lane kernels (tensor.ConvInt8BatchInto, one int8
-// GEMM with n = B for Dense). Between quantized layers ForwardBatch keeps
+// case. The integer body serves the B samples in one kernel call, Dense as
+// a 1×1 convolution over one pixel: the bit-plane kernel
+// (tensor.ConvBitplaneBatchInto) for ternary or binary weights on 2-bit
+// activation codes, else the paired-lane kernel (tensor.ConvInt8BatchInto).
+// Between quantized layers ForwardBatch keeps
 // the batch as ladder levels (stage.go): the integer body can take levels
 // in and give levels out, so ScaleShift and QuantAct become one threshold
 // epilogue and no float activation is allocated. A batch is bit-identical

@@ -12,7 +12,8 @@ import (
 
 // Bit-identity acceptance for the micro-batched inference path:
 // ForwardBatch(B frames) must equal B sequential Forward calls exactly —
-// float and int8 paths, at 1, 2 and NumCPU workers.
+// float and int8 paths, at 1, 2 and NumCPU workers. The oracle
+// (oracle_test.go) checks the integer outputs against brute force.
 
 // testBatchNet builds a small conv→relu→pool→flatten→dense network plus a
 // batch of random inputs. Quantized when bits > 0 (per-channel conv).
@@ -242,7 +243,7 @@ func TestForwardBatchEmpty(t *testing.T) {
 
 // BenchmarkForwardBatch shows the per-frame amortization of batched
 // serving on the compute core (int8 path): batch=8 streams each weight
-// panel once per batch and escapes the n==1 GEMM matvec.
+// panel once per batch.
 func BenchmarkForwardBatch(b *testing.B) {
 	prev := SetInt8GEMM(true)
 	defer SetInt8GEMM(prev)

@@ -202,11 +202,29 @@ func TestConvBitplanesRepackedOnBump(t *testing.T) {
 		t.Fatalf("after a bump: planes repacked %v, %d quantizer runs, %d bit-plane forwards; want true, 2, 2",
 			c.effWB != before, c.quantRuns, c.bitForwards)
 	}
-	want, err := PairedLaneForwardBatch(c, []*tensor.Tensor{x})
+	want, err := pairedLaneForward(c, []*tensor.Tensor{x})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalTensors(got, want[0]) {
 		t.Fatal("bit-plane forward after a bump differs from the paired-lane kernel")
 	}
+}
+
+// pairedLaneForward runs the layer's integer inference with its bit
+// planes set aside, so every sample goes through the paired-lane kernel:
+// the reference the bit-plane path must match bit for bit.
+func pairedLaneForward(c *Conv2D, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if _, _, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen()); err != nil {
+		return nil, err
+	}
+	wb, err := c.bitplanes(c.Geom)
+	if err != nil {
+		return nil, err
+	}
+	served := c.bitForwards
+	c.effWB = nil
+	defer func() { c.effWB, c.bitForwards = wb, served }()
+	outs, _, err := c.forwardInt8(xs, nil, nil)
+	return outs, err
 }

@@ -187,11 +187,11 @@ func (d *Dense) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor,
 
 // forwardInt8 is the integer inference body, Conv2D.forwardInt8 for a 1×1
 // convolution over one pixel: the same inputs (float samples or levels),
-// the same exits, and the same two exact kernels. The bit planes serve it
-// when the weight codes are in {−1, 0, 1} and every sample's codes
-// decompose; otherwise one int8 GEMM with n = B accumulates the batch,
-// packed as the columns of an In×B matrix. Each sample's outputs are
-// rescaled once by weight scale × sample scale.
+// the same exits, and the same two exact kernels on d.pixelGeom(). The bit
+// planes serve it when the weight codes are in {−1, 0, 1} and every
+// sample's codes decompose; otherwise tensor.ConvInt8BatchInto does, as
+// for every other convolution. Each sample's outputs are rescaled once by
+// weight scale × sample scale.
 func (d *Dense) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
 	wq, wScales, err := d.int8Weights(d.Weight, d.Quant, d.Out, d.Out*d.In)
 	if err != nil {
@@ -212,38 +212,13 @@ func (d *Dense) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadd
 	if in.maps != nil {
 		err = in.bitplane(dsts, wb, g, outScales)
 	} else {
-		err = d.gemmInt8(dsts, wq, in.codes, outScales)
+		err = tensor.ConvInt8BatchInto(dsts, wq, in.codes, g, outScales)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	d.count(len(dsts), in)
 	return intExit(dsts, d.Bias, lad, d.Out)
-}
-
-// gemmInt8 writes each sample's rescaled outputs into its dst from one
-// int8 GEMM of the weights against the batch's codes.
-func (d *Dense) gemmInt8(dsts []*tensor.Tensor, wq *tensor.Int8Matrix, codes [][]int8, outScales [][]float32) error {
-	bsz := len(codes)
-	xb := tensor.BorrowInt8(d.In * bsz)
-	defer tensor.ReleaseInt8(xb)
-	for j, xq := range codes {
-		for p, v := range xq {
-			xb[p*bsz+j] = v
-		}
-	}
-	acc := tensor.BorrowInt32(d.Out * bsz)
-	defer tensor.ReleaseInt32(acc)
-	if err := tensor.GemmInt8Into(acc, wq, &tensor.Int8Matrix{Rows: d.In, Cols: bsz, Data: xb}); err != nil {
-		return err
-	}
-	for j, dst := range dsts {
-		od, sc := dst.Data(), outScales[j][0]
-		for i := range od {
-			od[i] = float32(acc[i*bsz+j]) * sc
-		}
-	}
-	return nil
 }
 
 // Backward implements Layer.

@@ -11,22 +11,9 @@ func ConvPathCounts(c *Conv2D) (int8Fwds, bitplaneFwds int) {
 	return int(c.intForwards), int(c.bitForwards)
 }
 
-// PairedLaneForwardBatch runs the layer's integer inference with its bit
-// planes set aside, so every sample goes through the paired-lane kernel:
-// the reference the bit-plane path must match bit for bit.
+// PairedLaneForwardBatch is pairedLaneForward for the external tests.
 func PairedLaneForwardBatch(c *Conv2D, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if _, _, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen()); err != nil {
-		return nil, err
-	}
-	wb, err := c.bitplanes(c.Geom)
-	if err != nil {
-		return nil, err
-	}
-	served := c.bitForwards
-	c.effWB = nil
-	defer func() { c.effWB, c.bitForwards = wb, served }()
-	outs, _, err := c.forwardInt8(xs, nil, nil)
-	return outs, err
+	return pairedLaneForward(c, xs)
 }
 
 // PathCounts returns how many inference samples a Conv2D or Dense served
@@ -54,4 +41,17 @@ func LayerByLayerBatch(n *Network, xs []*tensor.Tensor) ([]*tensor.Tensor, error
 		}
 	}
 	return cur, nil
+}
+
+// SetBias sets the bias of a Conv2D or Dense to b, one value per output
+// channel, giving the layer a bias parameter when it has none.
+func SetBias(l Layer, b []float32) {
+	v := tensor.New(len(b))
+	copy(v.Data(), b)
+	switch l := l.(type) {
+	case *Conv2D:
+		l.Bias = newParam(l.ID+".bias", v)
+	case *Dense:
+		l.Bias = newParam(l.ID+".bias", v)
+	}
 }

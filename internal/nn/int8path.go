@@ -8,8 +8,9 @@ import (
 
 // The integer fast path: quantized layers run inference as int8×int8
 // products with exact integer accumulation and a single float rescale at
-// the output (tensor.ConvInt8BatchInto / tensor.GemmInt8Into) instead of
-// dequantizing weights to float. Each of Conv2D and Dense has one integer
+// the output (tensor.ConvInt8BatchInto) instead of dequantizing weights to
+// float. A Dense layer runs as a 1×1 convolution over one pixel, so there
+// is one int8 kernel for both. Each of Conv2D and Dense has one integer
 // forward body, forwardInt8, over a batch; Forward and ForwardBatch both
 // reach it. It has two entries, float samples or ladder levels, and two
 // exits, floats or, when a ScaleShift → QuantAct follows, their levels
@@ -27,8 +28,7 @@ import (
 // int8 activation codes decompose into two planes ({0, c1, c2, c1+c2}, as
 // 2-bit activations do) runs on tensor.ConvBitplaneBatchInto: AND and
 // popcount instead of multiply-add, the same int32 sums, the same outputs
-// bit for bit. A Dense layer runs there as a 1×1 convolution over one
-// pixel. forwardInt8 makes that choice.
+// bit for bit. forwardInt8 makes that choice.
 //
 // Around the kernels, the float passes round without math.Round. Each
 // layer's int8 input codes come from quant.QuantizeSymmetricInt8, or, for

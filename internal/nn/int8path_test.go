@@ -13,7 +13,8 @@ import (
 // Acceptance tests for the integer inference fast path: quantized layers
 // must actually execute the int8 kernel (not silently fall back to float),
 // agree with the float reference within the activation-quantization bound,
-// and be bit-identical across worker counts.
+// and be bit-identical across worker counts. The oracle (oracle_test.go)
+// checks both bodies against brute force.
 
 func forceFloat(t *testing.T) {
 	t.Helper()

@@ -62,26 +62,6 @@ func RoundHalfAway(v float32) float32 {
 	return float32(math.Trunc(f + math.Copysign(0.5, f)))
 }
 
-// Quantize returns the nearest grid value to w. For 1-bit, the result is
-// sign(w)·scale (zero maps to +scale, matching Brevitas binary weights).
-func (q *WeightQuantizer) Quantize(w float32) float32 {
-	if q.Bits == 1 {
-		if w < 0 {
-			return -q.Scale
-		}
-		return q.Scale
-	}
-	levels := float32(q.Levels())
-	r := RoundHalfAway(w / q.Scale)
-	if r > levels {
-		r = levels
-	}
-	if r < -levels {
-		r = -levels
-	}
-	return r * q.Scale
-}
-
 // TensorScale returns the adaptive grid step of one QuantizeTensor row,
 // derived from the weight statistics the way
 // quantization-aware training frameworks do: binary weights use the mean
@@ -260,20 +240,6 @@ func SymmetricInt8Codes(dst []int8, src []float32, maxAbs float32) float32 {
 		dst[i] = int8(r)
 	}
 	return scale
-}
-
-// STEGrad implements the straight-through estimator: the gradient passes
-// unchanged where |w| does not exceed the grid range and is clipped to zero
-// outside, which keeps saturated weights from drifting further.
-func (q *WeightQuantizer) STEGrad(w, grad float32) float32 {
-	limit := q.Scale * float32(q.Levels())
-	if q.Bits == 1 {
-		limit = 1 // binary weights clip at ±1 like Brevitas' binary STE
-	}
-	if w > limit || w < -limit {
-		return 0
-	}
-	return grad
 }
 
 // ActQuantizer is a uniform unsigned activation quantizer with the given

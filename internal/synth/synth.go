@@ -269,13 +269,6 @@ func (a *Accelerator) Curve() PowerCurve {
 	return PowerCurve{IdleW: a.IdlePower(), EnergyPerInfJ: a.EnergyPerInference(), CapFPS: a.Dataflow.FPS()}
 }
 
-// PowerAt returns total power in watts while processing the given frame
-// rate (see PowerCurve).
-func (a *Accelerator) PowerAt(processedFPS float64) float64 {
-	c := a.Curve()
-	return c.At(processedFPS)
-}
-
 // TotalEnergyPerInference returns total (static + dynamic) energy per
 // inference at full utilization — the Fig. 5(b)/(c) metric.
 func (a *Accelerator) TotalEnergyPerInference() float64 {

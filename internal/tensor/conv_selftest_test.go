@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// Randomized brute-force self-test of the fused int8 convolution (and the
-// int8 GEMM beneath it), in the spirit of mumax3's conv self-tests: draw
-// random geometries, run the fast kernels, and demand exact agreement with
-// a transparent serial reference. Integer accumulation is exact, so the
-// comparison is == on every element — no tolerance — and repeating the run
-// under different worker caps must be bit-identical too.
+// Randomized brute-force self-test of the fused int8 convolution, in the
+// spirit of mumax3's conv self-tests: draw random geometries, run the fast
+// kernels, and demand exact agreement with a transparent serial reference.
+// Integer accumulation is exact, so the comparison is == on every element
+// — no tolerance — and repeating the run under different worker caps must
+// be bit-identical too.
 
 // naiveConvInt8 is the obviously-correct reference: the direct six-loop
 // convolution with int64 accumulation, rescaled through the same
@@ -209,6 +209,18 @@ func TestConvInt8BatchSelfTest(t *testing.T) {
 			checkConvBatch(t, rng, g, 4+(bsz+si)%4, bsz, randInt8s)
 		}
 	}
+	// One-pixel 1×1 convolutions, the geometry a Dense layer runs as:
+	// k = InC on both sides of kcPanel and two panels, an odd OutC for the
+	// unpaired last lane, and B up to 17 samples side by side in a panel.
+	for _, inC := range []int{kcPanel - 1, kcPanel, kcPanel + 1, 2 * kcPanel} {
+		for _, bsz := range []int{1, 8, 17} {
+			checkConvBatch(t, rng, pixelGeom(inC), 5, bsz, randInt8s)
+		}
+	}
+	// Small random one-pixel shapes: OutC 1…20, InC 1…40, B 1…20.
+	for range 20 {
+		checkConvBatch(t, rng, pixelGeom(1+rng.Intn(40)), 1+rng.Intn(20), 1+rng.Intn(20), randInt8s)
+	}
 	g := ConvGeom{InC: 29, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	for _, wc := range []int8{-128, 127} {
 		for _, xc := range []int8{-128, 127} {
@@ -226,6 +238,11 @@ func TestConvInt8BatchSelfTest(t *testing.T) {
 	}
 }
 
+// pixelGeom is a 1×1 convolution over one pixel of inC channels.
+func pixelGeom(inC int) ConvGeom {
+	return ConvGeom{InC: inC, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+}
+
 // TestInt8LaneBound pins the paired-lane overflow guard. A 32-bit lane is
 // exact while k·128·128 < 2³¹: at k = maxLaneK-1 the extreme codes still
 // come out exact in both lanes, and k = maxLaneK is refused.
@@ -234,31 +251,20 @@ func TestInt8LaneBound(t *testing.T) {
 		t.Fatalf("maxLaneK = %d, want 2^31/(128·128)", maxLaneK)
 	}
 	k := maxLaneK - 1
-	const n = narrowN + 1 // the wide, paired-lane path
-	a := NewInt8Matrix(3, k)
-	for i := range a.Data {
-		a.Data[i] = -128
+	w := NewInt8Matrix(3, k)
+	for i := range w.Data {
+		w.Data[i] = -128
 		if i/k == 1 {
-			a.Data[i] = 127
+			w.Data[i] = 127
 		}
 	}
-	b := NewInt8Matrix(k, n)
-	for i := range b.Data {
-		b.Data[i] = -128
+	x := make([]int8, k)
+	for i := range x {
+		x[i] = -128
 	}
 	lo, hi := int32(k*128*128), int32(-k*127*128)
-	got := make([]int32, 3*n)
-	if err := GemmInt8Into(got, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < n; j++ {
-		if got[j] != lo || got[n+j] != hi || got[2*n+j] != lo {
-			t.Fatalf("k=%d column %d: got %d %d %d, want %d %d %d", k, j, got[j], got[n+j], got[2*n+j], lo, hi, lo)
-		}
-	}
-	g := ConvGeom{InC: k, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	dst := New(3, 1)
-	if err := ConvInt8BatchInto([]*Tensor{dst}, a, [][]int8{b.Data[:k]}, g, [][]float32{{1}}); err != nil {
+	if err := ConvInt8BatchInto([]*Tensor{dst}, w, [][]int8{x}, pixelGeom(k), [][]float32{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := dst.Data(); d[0] != float32(lo) || d[1] != float32(hi) || d[2] != float32(lo) {
@@ -266,97 +272,8 @@ func TestInt8LaneBound(t *testing.T) {
 	}
 
 	k = maxLaneK
-	if err := GemmInt8Into(make([]int32, n), NewInt8Matrix(1, k), NewInt8Matrix(k, n)); err == nil {
-		t.Fatalf("GemmInt8Into accepted k=%d on the paired-lane path", k)
-	}
-	g.InC = k
-	if err := ConvInt8BatchInto([]*Tensor{New(1, 1)}, NewInt8Matrix(1, k), [][]int8{make([]int8, k)}, g, [][]float32{{1}}); err == nil {
-		t.Fatalf("ConvInt8Into accepted k=%d", k)
-	}
-}
-
-func TestGemmInt8SelfTest(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	prevGrain := SetParallelGrain(1)
-	defer SetParallelGrain(prevGrain)
-	for trial := 0; trial < 40; trial++ {
-		m := 1 + rng.Intn(20)
-		k := 1 + rng.Intn(40)
-		n := 1 + rng.Intn(20)
-		if trial%5 == 0 {
-			n = 1 // exercise the matrix-vector fast path
-		}
-		a := &Int8Matrix{Rows: m, Cols: k, Data: randInt8s(rng, m*k)}
-		b := &Int8Matrix{Rows: k, Cols: n, Data: randInt8s(rng, k*n)}
-		want := make([]int32, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var acc int32
-				for p := 0; p < k; p++ {
-					acc += int32(a.Data[i*k+p]) * int32(b.Data[p*n+j])
-				}
-				want[i*n+j] = acc
-			}
-		}
-		for _, cap := range []int{1, 2, runtime.NumCPU()} {
-			prev := SetMaxWorkers(cap)
-			got := make([]int32, m*n)
-			err := GemmInt8Into(got, a, b)
-			SetMaxWorkers(prev)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d %dx%dx%d workers=%d: c[%d] = %d, want %d",
-						trial, m, k, n, cap, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// Shapes that cross the panel boundaries exactly (k or n a multiple of the
-// panel sizes, ±1) are the classic off-by-one territory for cache blocking.
-func TestGemmInt8PanelBoundaries(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, k := range []int{kcPanel - 1, kcPanel, kcPanel + 1, 2 * kcPanel} {
-		for _, n := range []int{1, 2, ncPanel - 1, ncPanel, ncPanel + 1} {
-			m := 5 // odd: exercises the non-multiple-of-4 row tail
-			a := &Int8Matrix{Rows: m, Cols: k, Data: randInt8s(rng, m*k)}
-			b := &Int8Matrix{Rows: k, Cols: n, Data: randInt8s(rng, k*n)}
-			got := make([]int32, m*n)
-			if err := GemmInt8Into(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					var acc int32
-					for p := 0; p < k; p++ {
-						acc += int32(a.Data[i*k+p]) * int32(b.Data[p*n+j])
-					}
-					if got[i*n+j] != acc {
-						t.Fatalf("k=%d n=%d: c[%d,%d] = %d, want %d", k, n, i, j, got[i*n+j], acc)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestGemmInt8Validation(t *testing.T) {
-	a := NewInt8Matrix(2, 3)
-	b := NewInt8Matrix(4, 2)
-	if err := GemmInt8Into(make([]int32, 4), a, b); err == nil {
-		t.Fatal("inner-dimension mismatch accepted")
-	}
-	b = NewInt8Matrix(3, 2)
-	if err := GemmInt8Into(make([]int32, 5), a, b); err == nil {
-		t.Fatal("wrong dst length accepted")
-	}
-	b.Data = b.Data[:4]
-	if err := GemmInt8Into(make([]int32, 4), a, b); err == nil {
-		t.Fatal("truncated storage accepted")
+	if err := ConvInt8BatchInto([]*Tensor{New(1, 1)}, NewInt8Matrix(1, k), [][]int8{make([]int8, k)}, pixelGeom(k), [][]float32{{1}}); err == nil {
+		t.Fatalf("ConvInt8BatchInto accepted k=%d", k)
 	}
 }
 
@@ -371,6 +288,10 @@ func TestConvInt8Validation(t *testing.T) {
 	}{
 		{"bad weights", func() error {
 			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, NewInt8Matrix(3, 5), [][]int8{x}, g, [][]float32{{1}})
+		}},
+		{"truncated weights", func() error {
+			short := &Int8Matrix{Rows: 3, Cols: 2 * 3 * 3, Data: w.Data[:len(w.Data)-1]}
+			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, short, [][]int8{x}, g, [][]float32{{1}})
 		}},
 		{"bad input", func() error {
 			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, w, [][]int8{x[:7]}, g, [][]float32{{1}})
@@ -701,6 +622,10 @@ func TestConvBitplaneValidation(t *testing.T) {
 		{"other geometry", func() error {
 			return ConvBitplaneBatchInto([]*Tensor{New(3, other.OutH()*other.OutW())}, wb, [][]int8{x}, maps, other, [][]float32{{1}})
 		}},
+		{"truncated weights", func() error {
+			short := &Int8Matrix{Rows: 3, Cols: 2 * 3 * 3, Data: w.Data[:len(w.Data)-1]}
+			return ConvInt8BatchInto([]*Tensor{New(3, cols)}, short, [][]int8{x}, g, [][]float32{{1}})
+		}},
 		{"bad input", func() error {
 			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x[:7]}, maps, g, [][]float32{{1}})
 		}},
@@ -859,21 +784,4 @@ func BenchmarkConvBitplane(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkGemmInt8Sizes(b *testing.B) {
-	for _, sz := range []struct{ m, k, n int }{{64, 576, 196}} {
-		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {
-			a := &Int8Matrix{Rows: sz.m, Cols: sz.k, Data: randInt8s(rand.New(rand.NewSource(1)), sz.m*sz.k)}
-			bb := &Int8Matrix{Rows: sz.k, Cols: sz.n, Data: randInt8s(rand.New(rand.NewSource(2)), sz.k*sz.n)}
-			dst := make([]int32, sz.m*sz.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := GemmInt8Into(dst, a, bb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

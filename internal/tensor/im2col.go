@@ -148,7 +148,7 @@ func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, o
 				for b, x := range xs {
 					streamPatchPanel(panel, n, b*sw, x, g, p0, p1, j0, j1, ow)
 				}
-				mulInt8Lanes(lanes, wd, outC, k, 0, pairs, p0, p1, panel, n, n)
+				mulInt8Lanes(lanes, wd, outC, k, p0, p1, panel, n)
 			}
 			for b, dst := range dsts {
 				s := outScales[b]

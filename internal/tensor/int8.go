@@ -4,17 +4,21 @@ import "fmt"
 
 // Integer fast-path kernels: int8×int8 products with exact integer
 // accumulation, on the same worker pool as the float kernels in gemm.go.
-// Quantized layers in internal/nn route their inference GEMMs here so the
-// int8 representation produced by internal/quant is computed on directly
-// instead of being dequantized to float first; a single float rescale at
-// the output recovers real units. Integer accumulation is exact and
-// associative, so results are bit-identical across any worker count or
-// tile schedule by construction — a stronger guarantee than the float
+// Quantized layers in internal/nn route their inference products here so
+// the int8 representation produced by internal/quant is computed on
+// directly instead of being dequantized to float first; a single float
+// rescale at the output recovers real units. Integer accumulation is exact
+// and associative, so results are bit-identical across any worker count
+// or tile schedule by construction — a stronger guarantee than the float
 // kernels' order-preservation argument.
 //
-// Wide products run on one micro-kernel, mulInt8Lanes: two weight rows
-// share one int64 coefficient (w0 + w1<<32), so each multiply-add advances
-// two int32 output lanes at once.
+// There is one kernel per operand form, both convolutions over a batch: a
+// dense layer is a 1×1 convolution over one pixel. ConvInt8BatchInto
+// (im2col.go) takes int8 codes and runs on one micro-kernel, mulInt8Lanes:
+// two weight rows share one int64 coefficient (w0 + w1<<32), so each
+// multiply-add advances two int32 output lanes at once.
+// ConvBitplaneBatchInto (bitplane.go) takes codes that decompose into two
+// bit planes and counts bits instead.
 
 // Int8Matrix is a dense row-major int8 matrix, the storage format of
 // quantized weights and streamed activation patches on the integer path.
@@ -31,180 +35,47 @@ func NewInt8Matrix(rows, cols int) *Int8Matrix {
 	return &Int8Matrix{Rows: rows, Cols: cols, Data: make([]int8, rows*cols)}
 }
 
-// Cache-blocking panel sizes. One B panel (kcPanel×ncPanel int8) is
-// streamed against the lane accumulators of a worker's rows while the
-// k-strips of A it pairs with stay resident. Integer accumulation makes
-// the tiling invisible in the results, so these are pure tuning knobs.
-const (
-	kcPanel = 256 // rows of B per panel (k dimension)
-	ncPanel = 512 // columns of B per panel (n dimension)
-)
+// kcPanel is the k-strip of the cache blocking: one panel of kcPanel
+// patch rows is streamed against the lane accumulators of a tile while the
+// weight strips it pairs with stay resident. Integer accumulation makes the
+// tiling invisible in the results, so it is a pure tuning knob.
+const kcPanel = 256
 
 // maxLaneK bounds the inner dimension of the paired-lane kernel. A lane is
 // exact while its sum fits int32: k·128·128 < 2³¹, that is k < 2¹⁷. Past
 // that a low-lane overflow would carry into the high lane.
 const maxLaneK = 1 << 17
 
-// GemmInt8Into computes dst = A·B over int8 operands, overwriting dst (a
-// row-major m×n int32 slice, typically borrowed via BorrowInt32). Rows of
-// the output are split across the package worker pool exactly like the
-// float GemmInto. Products wider than narrowN columns need k < maxLaneK.
-func GemmInt8Into(dst []int32, a, b *Int8Matrix) error {
-	m, k := a.Rows, a.Cols
-	k2, n := b.Rows, b.Cols
-	if k != k2 {
-		return fmt.Errorf("tensor: GemmInt8 inner dimensions differ: %d vs %d", k, k2)
-	}
-	if len(a.Data) != m*k || len(b.Data) != k2*n {
-		return fmt.Errorf("tensor: GemmInt8 operand storage does not match declared shape")
-	}
-	if len(dst) != m*n {
-		return fmt.Errorf("tensor: GemmInt8Into dst length %d, want %d", len(dst), m*n)
-	}
-	ad, bd := a.Data, b.Data
-	if n == 1 {
-		// Matrix-vector product (the Dense inference shape): per-row dot
-		// products beat width-1 axpy sweeps.
-		parallelFor(m, k, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				var acc int32
-				for p, av := range arow {
-					acc += int32(av) * int32(bd[p])
-				}
-				dst[i] = acc
-			}
-		})
-		return nil
-	}
-	if n <= narrowN {
-		// Tall-skinny product (the micro-batched Dense shape, n = batch):
-		// walk k in kcPanel strips so the active B panel (kcPanel×n int8)
-		// stays L1-resident across every A row, each operand is streamed
-		// from memory exactly once per batch, and the n-wide column sums
-		// live in a stack register block instead of paying per-panel call
-		// overhead on tiny row widths. Integer accumulation is exact, so
-		// this path is bit-identical to the wide one.
-		parallelFor(m, k*n, func(lo, hi int) {
-			clear(dst[lo*n : hi*n])
-			var acc [narrowN]int32
-			for p0 := 0; p0 < k; p0 += kcPanel {
-				p1 := min(p0+kcPanel, k)
-				for i := lo; i < hi; i++ {
-					arow := ad[i*k+p0 : i*k+p1]
-					if n == 8 {
-						gemmInt8Narrow8(dst[i*n:i*n+8], arow, bd[p0*8:p1*8])
-						continue
-					}
-					s := acc[:n]
-					copy(s, dst[i*n:(i+1)*n])
-					// No zero-skip: on zero-heavy low-bit grids the skip
-					// branch is data-dependent and mispredicts, costing
-					// more than the n multiplies it saves at tiny widths.
-					for pp, av := range arow {
-						av32 := int32(av)
-						brow := bd[(p0+pp)*n : (p0+pp)*n+n]
-						for j, bv := range brow {
-							s[j] += av32 * int32(bv)
-						}
-					}
-					copy(dst[i*n:(i+1)*n], s)
-				}
-			}
-		})
-		return nil
-	}
-	if k >= maxLaneK {
-		return fmt.Errorf("tensor: GemmInt8 inner dimension %d exceeds the paired-lane bound %d", k, maxLaneK-1)
-	}
-	// Wide product: workers own lane pairs (row pairs) and sweep
-	// ncPanel-wide column blocks, accumulating int64 lanes over every
-	// kcPanel strip before unpacking them into dst.
-	parallelFor((m+1)/2, 2*k*n, func(lo, hi int) {
-		nw := min(n, ncPanel)
-		acc := BorrowInt64((hi - lo) * nw)
-		defer ReleaseInt64(acc)
-		for j0 := 0; j0 < n; j0 += ncPanel {
-			w := min(ncPanel, n-j0)
-			lanes := acc[:(hi-lo)*w]
-			clear(lanes)
-			for p0 := 0; p0 < k; p0 += kcPanel {
-				mulInt8Lanes(lanes, ad, m, k, lo, hi, p0, min(p0+kcPanel, k), bd[p0*n+j0:], n, w)
-			}
-			for q := lo; q < hi; q++ {
-				o := 2 * q
-				for jj, x := range lanes[(q-lo)*w : (q-lo+1)*w] {
-					l, h := unpackLanes(x)
-					dst[o*n+j0+jj] = l
-					if o+1 < m {
-						dst[(o+1)*n+j0+jj] = h
-					}
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// gemmInt8Narrow8 accumulates one output row strip of the n==8 narrow
-// path: s += arow · bpanel, straight-line unrolled so the eight column
-// sums live in registers and the inner loop carries one branch per weight
-// element. bpanel holds B rows [p0,p1) at width 8; len(bpanel) == 8·len(arow).
-func gemmInt8Narrow8(s []int32, arow []int8, bpanel []int8) {
-	_ = s[7]
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	s4, s5, s6, s7 := s[4], s[5], s[6], s[7]
-	for pp, av := range arow {
-		av32 := int32(av)
-		b := bpanel[pp*8 : pp*8+8 : pp*8+8]
-		s0 += av32 * int32(b[0])
-		s1 += av32 * int32(b[1])
-		s2 += av32 * int32(b[2])
-		s3 += av32 * int32(b[3])
-		s4 += av32 * int32(b[4])
-		s5 += av32 * int32(b[5])
-		s6 += av32 * int32(b[6])
-		s7 += av32 * int32(b[7])
-	}
-	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
-	s[4], s[5], s[6], s[7] = s4, s5, s6, s7
-}
-
-// narrowN is the widest b operand served by the register-block small-n
-// path of GemmInt8Into: n int32 accumulators must fit in registers/stack
-// while each weight row streams past once.
-const narrowN = 16
-
-// laneZeros stands in for the weight rows past the end of A or of the
-// caller's pair range, so a partial block of lane pairs runs the same
-// straight-line loop as a full one.
+// laneZeros stands in for the weight rows past the end of W, so a partial
+// block of lane pairs runs the same straight-line loop as a full one.
 var laneZeros [kcPanel]int8
 
-// mulInt8Lanes accumulates acc += W[:, p0:p1]·B for the lane pairs
-// [q0,q1) of the m×k row-major weights wd. Lane pair q packs weight rows 2q
-// (low 32 bits) and 2q+1 (high 32 bits; zero when 2q+1 == m) into one
-// int64 coefficient; acc holds one row of nw int64 lanes per pair, pair q
-// at row q-q0. Row p of B is b[(p-p0)·ldb:][:nw], and p1-p0 ≤ kcPanel.
+// mulInt8Lanes accumulates acc += W[:, p0:p1]·P for the m×k row-major
+// weights wd and a panel P of p1-p0 ≤ kcPanel rows of n codes, row p at
+// panel[(p-p0)·n:][:n]. Lane pair q packs weight rows 2q (low 32 bits) and
+// 2q+1 (high 32 bits; zero when 2q+1 == m) into one int64 coefficient;
+// acc holds one row of n int64 lanes per pair.
 //
-// Four lane pairs (eight weight rows) advance per sweep of a B row, and a
-// sweep is skipped only when all eight codes are zero. Every lane adds
+// Four lane pairs (eight weight rows) advance per sweep of a panel row, and
+// a sweep is skipped only when all eight codes are zero. Every lane adds
 // exactly its row's products, so unpackLanes recovers the int32 sums
 // bit-exactly as long as k < maxLaneK.
-func mulInt8Lanes(acc []int64, wd []int8, m, k, q0, q1, p0, p1 int, b []int8, ldb, nw int) {
+func mulInt8Lanes(acc []int64, wd []int8, m, k, p0, p1 int, panel []int8, n int) {
 	kp := p1 - p0
-	for q := q0; q < q1; q += 4 {
+	pairs := (m + 1) / 2
+	for q := 0; q < pairs; q += 4 {
 		var w [8][]int8
 		for i := range w {
 			w[i] = laneZeros[:kp]
-			if r := 2*q + i; r < m && r < 2*q1 {
+			if r := 2*q + i; r < m {
 				w[i] = wd[r*k+p0 : r*k+p1]
 			}
 		}
 		var c [4][]int64
 		for i := range c {
-			c[i] = acc[(q-q0)*nw : (q-q0+1)*nw] // missing pairs alias pair q with zero coefficients
-			if q+i < q1 {
-				c[i] = acc[(q+i-q0)*nw : (q+i-q0+1)*nw]
+			c[i] = acc[q*n : (q+1)*n] // missing pairs alias pair q with zero coefficients
+			if q+i < pairs {
+				c[i] = acc[(q+i)*n : (q+i+1)*n]
 			}
 		}
 		w0, w1, w2, w3 := w[0][:kp], w[1][:kp], w[2][:kp], w[3][:kp]
@@ -215,7 +86,7 @@ func mulInt8Lanes(acc []int64, wd []int8, m, k, q0, q1, p0, p1 int, b []int8, ld
 			a2 := int64(w4[pp]) + int64(w5[pp])<<32
 			a3 := int64(w6[pp]) + int64(w7[pp])<<32
 			if a0|a1|a2|a3 != 0 {
-				laneAxpy4(c[0], c[1], c[2], c[3], b[pp*ldb:pp*ldb+nw], a0, a1, a2, a3)
+				laneAxpy4(c[0], c[1], c[2], c[3], panel[pp*n:pp*n+n], a0, a1, a2, a3)
 			}
 		}
 	}

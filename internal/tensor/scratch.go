@@ -66,7 +66,6 @@ var (
 	floatArena  arena[float32]
 	int8Arena   arena[int8]
 	uint8Arena  arena[uint8] // internal/nn's ladder levels between layers
-	int32Arena  arena[int32]
 	int64Arena  arena[int64]
 	uint64Arena arena[uint64] // the bit-plane convolution's activation planes
 )
@@ -116,13 +115,6 @@ func BorrowUint8(n int) []uint8 { return uint8Arena.borrow(n) }
 
 // ReleaseUint8 returns a slice obtained from BorrowUint8 to the arena.
 func ReleaseUint8(s []uint8) { uint8Arena.release(s) }
-
-// BorrowInt32 returns an int32 scratch slice of length n with unspecified
-// contents: int8 GEMM outputs.
-func BorrowInt32(n int) []int32 { return int32Arena.borrow(n) }
-
-// ReleaseInt32 returns a slice obtained from BorrowInt32 to the arena.
-func ReleaseInt32(s []int32) { int32Arena.release(s) }
 
 // BorrowInt64 returns an int64 scratch slice of length n with unspecified
 // contents: the paired-lane accumulators of the int8 kernels.

@@ -26,10 +26,11 @@ echo "== go test"
 go test ./...
 
 # The bit-plane kernel is assembly on amd64 CPUs with AVX2; a 386 build
-# runs the Go loop instead, and an arm64 vet keeps the build-tag split
-# compiling off amd64.
+# runs the Go loop instead, through nn and compile against the oracle and
+# the golden corpus, and an arm64 vet keeps the build-tag split compiling
+# off amd64.
 echo "== go test (386) and go vet (arm64): the Go bit-plane kernel"
-GOARCH=386 go test ./internal/tensor/ ./internal/nn/
+GOARCH=386 go test ./internal/tensor/ ./internal/nn/ ./internal/compile/
 GOARCH=arm64 go vet ./internal/tensor/
 
 echo "== fuzz smoke (every fuzz target)"

@@ -46,7 +46,8 @@ test-chaos:
 # parsers (fault plans, workload scenarios, stream specs, serialized
 # models), the fast kernels' bit-exactness against their references
 # (round-half-away, the activation ladder and its affine fold, the
-# bit-plane convolution and its popcount kernel, the event queue),
+# bit-plane convolution and its popcount kernel, the threshold-count
+# kernel, the event queue),
 # generated inference cases (staged and per-sample, both bodies) against
 # the brute-force oracle, and the pruning count plan against the ranked
 # one.
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAffineLadder -fuzztime=5s ./internal/quant/
 	$(GO) test -run '^$$' -fuzz FuzzConvBitplane -fuzztime=10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzBitDot4 -fuzztime=5s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzLadder4 -fuzztime=5s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzStagedForward -fuzztime=10s ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime=10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzPlanChannels -fuzztime=5s ./internal/prune/

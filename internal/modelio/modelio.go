@@ -126,6 +126,9 @@ func Encode(w io.Writer, m *model.Model) error {
 		case *nn.Dense:
 			lj = layerJSON{Kind: "dense", ID: l.ID, In: l.In, Out: l.Out,
 				Quantized: l.Quant != nil, Weight: packTensor(l.Weight.Value)}
+			if l.Quant != nil && l.Quant.Bits != m.WBits {
+				lj.WBits = l.Quant.Bits
+			}
 			if l.Bias != nil {
 				lj.Bias = packTensor(l.Bias.Value)
 			}
@@ -153,6 +156,19 @@ func Encode(w io.Writer, m *model.Model) error {
 	return enc.Encode(&env)
 }
 
+// layerQuant returns the weight quantizer of a conv or dense layer: nil
+// when it is not quantized, its own grid when it names one (wbits), else
+// the model's wq.
+func layerQuant(lj layerJSON, wq *quant.WeightQuantizer) (*quant.WeightQuantizer, error) {
+	if !lj.Quantized {
+		return nil, nil
+	}
+	if lj.WBits > 0 {
+		return quant.NewWeightQuantizer(lj.WBits)
+	}
+	return wq, nil
+}
+
 // Decode reads a model from r.
 func Decode(r io.Reader) (*model.Model, error) {
 	var env envelope
@@ -177,16 +193,9 @@ func Decode(r io.Reader) (*model.Model, error) {
 			geom := tensor.ConvGeom{InC: lj.InC, InH: lj.InH, InW: lj.InW,
 				KH: lj.KH, KW: lj.KW, StrideH: lj.StrideH, StrideW: lj.StrideW,
 				PadH: lj.PadH, PadW: lj.PadW}
-			var q *quant.WeightQuantizer
-			if lj.Quantized {
-				q = wq
-				if lj.WBits > 0 {
-					lq, err := quant.NewWeightQuantizer(lj.WBits)
-					if err != nil {
-						return nil, fmt.Errorf("modelio: layer %d: %w", i, err)
-					}
-					q = lq
-				}
+			q, err := layerQuant(lj, wq)
+			if err != nil {
+				return nil, fmt.Errorf("modelio: layer %d: %w", i, err)
 			}
 			c, err := nn.NewConv2D(nn.ConvConfig{ID: lj.ID, Geom: geom, OutC: lj.OutC, Bias: lj.Bias != "", WQuant: q, PerChannel: lj.PerChannel})
 			if err != nil {
@@ -208,9 +217,9 @@ func Decode(r io.Reader) (*model.Model, error) {
 			}
 			net.Append(c)
 		case "dense":
-			var q *quant.WeightQuantizer
-			if lj.Quantized {
-				q = wq
+			q, err := layerQuant(lj, wq)
+			if err != nil {
+				return nil, fmt.Errorf("modelio: layer %d: %w", i, err)
 			}
 			d, err := nn.NewDense(nn.DenseConfig{ID: lj.ID, In: lj.In, Out: lj.Out, Bias: lj.Bias != "", WQuant: q})
 			if err != nil {

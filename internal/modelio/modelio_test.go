@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/prune"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -130,6 +131,46 @@ func TestRoundTripMixedPrecision(t *testing.T) {
 	}
 	if !equalTensors(a, b) {
 		t.Fatal("mixed-precision round trip changed outputs")
+	}
+}
+
+// TestRoundTripDenseWBits: a dense layer whose grid differs from the
+// model's (an 8-bit fc0 in a 2-bit model) keeps it through a round trip.
+func TestRoundTripDenseWBits(t *testing.T) {
+	m, err := model.Build(model.Config{
+		Name: "dense8", Dataset: "tiny-syn", WBits: 2, ABits: 2,
+		InC: 3, InH: 8, InW: 8, Classes: 4,
+		ConvChannels: []int{8, 16}, PoolAfter: []int{1}, DenseSizes: []int{32},
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q8, err := quant.NewWeightQuantizer(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Net.Denses()[0].Quant = q8
+	back := roundTrip(t, m)
+	ds := back.Net.Denses()
+	if ds[0].Quant == nil || ds[0].Quant.Bits != 8 {
+		t.Fatalf("fc0 quantizer lost: %+v", ds[0].Quant)
+	}
+	if last := ds[len(ds)-1]; last.Quant != nil && last.Quant.Bits != 2 {
+		t.Fatalf("fc%d quantizer %d-bit, want the model's 2", len(ds)-1, last.Quant.Bits)
+	}
+	x := tensor.New(3, 8, 8)
+	x.Fill(0.3)
+	a, err := m.Net.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := back.Net.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalTensors(a, b) {
+		t.Fatal("8-bit fc0 round trip changed outputs")
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -97,16 +98,28 @@ func (m *MaxPool2D) poolLevels(lv *levelBatch) *levelBatch {
 	out := newLevelBatch(lv.q, len(lv.levels), g.InC, oh, ow)
 	tensor.ParallelFor(len(lv.levels), g.InC*oh*ow*g.KH*g.KW, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			m.poolSample(out.levels[j], lv.levels[j])
-			out.present[j] = levelSet(out.levels[j])
+			out.present[j] = m.poolSample(out.levels[j], lv.levels[j])
 		}
 	})
 	m.argmax = nil
 	return out
 }
 
-// poolSample pools one sample's levels x into dst.
-func (m *MaxPool2D) poolSample(dst, x []uint8) {
+// poolSample pools one sample's levels x into dst and returns the set of
+// levels written. The 2×2 stride-2 window, the only pool of CNV and
+// TinyCNV, runs 8 bytes to a word (pool2x2); any other window runs the
+// generic loop.
+func (m *MaxPool2D) poolSample(dst, x []uint8) uint64 {
+	g := m.Geom
+	if g.KH == 2 && g.KW == 2 && g.StrideH == 2 && g.StrideW == 2 {
+		return pool2x2(dst, x, g.InC, g.InH, g.InW)
+	}
+	m.poolGeneric(dst, x)
+	return levelSet(dst)
+}
+
+// poolGeneric pools one sample's levels x into dst, window by window.
+func (m *MaxPool2D) poolGeneric(dst, x []uint8) {
 	g := m.Geom
 	oh, ow := g.OutH(), g.OutW()
 	clear(dst) // level 0 is the least, and no window is empty
@@ -124,6 +137,57 @@ func (m *MaxPool2D) poolSample(dst, x []uint8) {
 			}
 		}
 	}
+}
+
+// Byte masks of the SWAR pool: the high bit of every byte, and the even
+// bytes of a word.
+const (
+	swarHigh = 0x8080808080808080
+	swarEven = 0x00ff00ff00ff00ff
+)
+
+// maxBytes is the byte-wise max of a and b, whose bytes are all below 128:
+// (a|H)−b keeps each byte's high bit exactly where a ≥ b, and no byte
+// borrows from the next.
+func maxBytes(a, b uint64) uint64 {
+	ge := ((a | swarHigh) - b) & swarHigh
+	m := (ge >> 7) * 0xff // 0xff where a ≥ b
+	return a&m | b&^m
+}
+
+// pool2x2 pools the c×h×w levels x with a 2×2 window at stride 2 into dst
+// and returns the set of levels written. For each output row it takes
+// the byte-wise max of the two input rows 8 bytes at a time, the max of
+// adjacent byte pairs, and compacts the even bytes into 4 output levels;
+// an odd last column is never pooled, and the columns past the last whole
+// word run one at a time. Levels are below maxLevels, so below 128.
+func pool2x2(dst, x []uint8, c, h, w int) uint64 {
+	oh, ow := h/2, w/2
+	var present uint64
+	for ch := range c {
+		xc := x[ch*h*w : (ch+1)*h*w]
+		for oy := range oh {
+			r0 := xc[2*oy*w : (2*oy+1)*w]
+			r1 := xc[(2*oy+1)*w : (2*oy+2)*w]
+			out := dst[(ch*oh+oy)*ow : (ch*oh+oy+1)*ow]
+			ox := 0
+			for ; ox+4 <= ow; ox += 4 {
+				v := maxBytes(binary.LittleEndian.Uint64(r0[2*ox:]), binary.LittleEndian.Uint64(r1[2*ox:]))
+				v = maxBytes(v, v>>8) & swarEven
+				v = (v | v>>8) & 0x0000ffff0000ffff
+				v = (v | v>>16) & 0xffffffff
+				binary.LittleEndian.PutUint32(out[ox:], uint32(v))
+				present |= 1<<(v&(maxLevels-1)) | 1<<(v>>8&(maxLevels-1)) |
+					1<<(v>>16&(maxLevels-1)) | 1<<(v>>24&(maxLevels-1))
+			}
+			for ; ox < ow; ox++ {
+				l := max(r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1])
+				out[ox] = l
+				present |= 1 << (l & (maxLevels - 1))
+			}
+		}
+	}
+	return present
 }
 
 // Backward implements Layer: the gradient routes to each window's argmax.

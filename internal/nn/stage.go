@@ -182,7 +182,9 @@ func (l *affineLadder) levels(dsts []*tensor.Tensor, bias *Param, shape []int) *
 // levelsInto writes the levels of one sample's output src plus bias (nil
 // for none) into dst and returns the set of levels written; ok is false
 // when an element is not finite. Adding +0 where the layer has no bias may
-// turn a −0 into +0, which no threshold compare tells apart.
+// turn a −0 into +0, which no threshold compare tells apart. A channel of
+// a 2-bit ladder is one tensor.Ladder4 row, 8 elements a step where the
+// CPU has AVX2; other ladders count here.
 func (l *affineLadder) levelsInto(dst []uint8, src, bias []float32) (present uint64, ok bool) {
 	cols := len(src) / len(l.sign)
 	for c, sign := range l.sign {
@@ -192,35 +194,27 @@ func (l *affineLadder) levelsInto(dst []uint8, src, bias []float32) (present uin
 		}
 		th := l.th[c*l.n : (c+1)*l.n]
 		out, row := dst[c*cols:(c+1)*cols], src[c*cols:(c+1)*cols]
-		var p uint64
-		if len(th) == 4 { // 2-bit activations: four branch-free compares
-			t0, t1, t2, t3 := th[0], th[1], th[2], th[3]
-			for i, v := range row {
-				a := v + b
-				if a-a != 0 { // ±Inf or NaN
-					return 0, false
-				}
-				a *= sign
-				lv := b2u(a >= t0) + b2u(a >= t1) + b2u(a >= t2) + b2u(a >= t3)
-				out[i] = lv
-				p |= 1 << (lv & (maxLevels - 1))
+		if len(th) == 4 {
+			p, ok := tensor.Ladder4(out, row, b, sign, [4]float32(th))
+			if !ok {
+				return 0, false
 			}
-		} else {
-			for i, v := range row {
-				a := v + b
-				if a-a != 0 {
-					return 0, false
-				}
-				a *= sign
-				var lv uint8
-				for _, t := range th {
-					lv += b2u(a >= t)
-				}
-				out[i] = lv
-				p |= 1 << (lv & (maxLevels - 1))
-			}
+			present |= p
+			continue
 		}
-		present |= p
+		for i, v := range row {
+			a := v + b
+			if a-a != 0 { // ±Inf or NaN
+				return 0, false
+			}
+			a *= sign
+			var lv uint8
+			for _, t := range th {
+				lv += b2u(a >= t)
+			}
+			out[i] = lv
+			present |= 1 << (lv & (maxLevels - 1))
+		}
 	}
 	return present, true
 }

@@ -324,3 +324,107 @@ func TestPoolLevelsMatchesForward(t *testing.T) {
 		}
 	}
 }
+
+// TestPool2x2MatchesGeneric compares the SWAR 2×2 stride-2 pool with the
+// generic window loop on widths 2 to 33 (odd ones leave a column outside
+// every window, and widths past 8 reach the word loop and its tail),
+// heights 2, 3 and 8, random levels 0 to 63 and rows of the top level, at
+// batches 1 and 8: the pooled levels and the level set must agree.
+func TestPool2x2MatchesGeneric(t *testing.T) {
+	q, err := quant.NewActQuantizer(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(105))
+	for w := 2; w <= 33; w++ {
+		for _, h := range []int{2, 3, 8} {
+			for _, bsz := range []int{1, 8} {
+				m, err := NewMaxPool2D("p", tensor.ConvGeom{InC: 3, InH: h, InW: w, KH: 2, KW: 2, StrideH: 2, StrideW: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lv := newLevelBatch(q, bsz, 3, h, w)
+				for j, x := range lv.levels {
+					for i := range x {
+						x[i] = uint8(rng.Intn(maxLevels))
+						if j%4 == 1 {
+							x[i] &= 3 // few levels, many ties
+						}
+					}
+					if j%4 == 2 {
+						for i := range x[:w] {
+							x[i] = maxLevels - 1
+						}
+					}
+					lv.present[j] = levelSet(x)
+				}
+				out := m.poolLevels(lv)
+				want := make([]uint8, len(out.levels[0]))
+				for j, x := range lv.levels {
+					m.poolGeneric(want, x)
+					if got := out.levels[j]; string(got) != string(want) || out.present[j] != levelSet(want) {
+						t.Fatalf("w=%d h=%d B=%d sample %d: SWAR %v set %b, generic %v set %b",
+							w, h, bsz, j, got, out.present[j], want, levelSet(want))
+					}
+				}
+				out.release()
+				lv.release()
+			}
+		}
+	}
+}
+
+// BenchmarkStageEpilogue times the staged epilogue of CNVW2A2's first two
+// layers at batch 8 on 64 channels: the threshold count over conv0's and
+// conv1's rescaled outputs (30×30 and 28×28) with a bias, and the 2×2
+// level pool over levels of those shapes.
+func BenchmarkStageEpilogue(b *testing.B) {
+	const bsz, channels = 8, 64
+	rng := rand.New(rand.NewSource(106))
+	q, err := quant.NewActQuantizer(2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lad, err := newAffineLadder(q, randoms(rng, channels, 1), randoms(rng, channels, 0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bias := newParam("b", tensor.New(channels))
+	copy(bias.Value.Data(), randoms(rng, channels, 0.1))
+	for _, layer := range []struct {
+		name string
+		hw   int
+	}{{"conv0", 30}, {"conv1", 28}} {
+		shape := []int{channels, layer.hw, layer.hw}
+		dsts := make([]*tensor.Tensor, bsz)
+		for j := range dsts {
+			dsts[j] = tensor.New(channels, layer.hw*layer.hw)
+			copy(dsts[j].Data(), randoms(rng, channels*layer.hw*layer.hw, 1))
+		}
+		b.Run("ladder/"+layer.name, func(b *testing.B) {
+			for b.Loop() {
+				lad.levels(dsts, bias, shape).release()
+			}
+		})
+		lv := lad.levels(dsts, bias, shape)
+		m, err := NewMaxPool2D("p", tensor.ConvGeom{InC: channels, InH: layer.hw, InW: layer.hw, KH: 2, KW: 2, StrideH: 2, StrideW: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("pool/"+layer.name, func(b *testing.B) {
+			for b.Loop() {
+				m.poolLevels(lv).release()
+			}
+		})
+		lv.release()
+	}
+}
+
+// randoms returns n normal draws times scale.
+func randoms(rng *rand.Rand, n int, scale float64) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = float32(rng.NormFloat64() * scale)
+	}
+	return v
+}

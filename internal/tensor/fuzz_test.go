@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -167,5 +168,22 @@ func FuzzBitDot4(f *testing.F) {
 			words[i] = bits.RotateLeft64(binary.LittleEndian.Uint64(data[o:]), i)
 		}
 		checkBitDot4(t, "fuzz", words[:8*filter], words[8*filter:], npos)
+	})
+}
+
+// FuzzLadder4 compares the two bodies of the threshold count on arbitrary
+// rows: every 4 bytes of data are one float32 (NaN, ±Inf, ±0 and
+// subnormals included), and the bias, sign and thresholds are arbitrary
+// floats.
+func FuzzLadder4(f *testing.F) {
+	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xbf, 0, 0, 0x80, 0x7f}, float32(0), float32(1), float32(-0.5), float32(0), float32(0.5), float32(1))
+	f.Add(make([]byte, 4*37), float32(0.25), float32(-1), float32(0), float32(0), float32(0.25), float32(0.25))
+	f.Add([]byte("thirty-two bytes make eight floats, and a tail"), float32(-3), float32(-1), float32(1e30), float32(-1e30), float32(0), float32(1e-40))
+	f.Fuzz(func(t *testing.T, data []byte, bias, sign, t0, t1, t2, t3 float32) {
+		src := make([]float32, len(data)/4)
+		for i := range src {
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		checkLadder4(t, "fuzz", src, bias, sign, [4]float32{t0, t1, t2, t3})
 	})
 }

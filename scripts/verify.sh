@@ -25,11 +25,12 @@ go build ./...
 echo "== go test"
 go test ./...
 
-# The bit-plane kernel is assembly on amd64 CPUs with AVX2; a 386 build
-# runs the Go loop instead, through nn and compile against the oracle and
-# the golden corpus, and an arm64 vet keeps the build-tag split compiling
-# off amd64.
-echo "== go test (386) and go vet (arm64): the Go bit-plane kernel"
+# The bit-plane and threshold-count kernels are assembly on amd64 CPUs
+# with AVX2; a 386 build runs their Go loops instead, through nn and
+# compile against the oracle and the golden corpus, and an arm64 vet keeps
+# the build-tag split of internal/tensor, the one package with
+# architecture files, compiling off amd64.
+echo "== go test (386) and go vet (arm64): the Go kernel bodies"
 GOARCH=386 go test ./internal/tensor/ ./internal/nn/ ./internal/compile/
 GOARCH=arm64 go vet ./internal/tensor/
 

@@ -193,6 +193,7 @@ type Loop struct {
 	lastT      float64
 	belowSince float64
 	haveBelow  bool
+	alphas     alphaMemo
 
 	st      state
 	deficit float64 // EWMA deficit captured at detection
@@ -270,6 +271,28 @@ func (l *Loop) Account(n float64) {
 	l.compWeighted += l.applied * n
 }
 
+// alphaMemo holds the EWMA weights α = 1 − exp(−dt/Window) of recent
+// sample gaps dt, keyed on dt's bits. A run's samples come at a few
+// distinct gaps, so nearly every Observe finds its α here instead of
+// calling math.Exp, and gets the very bits the expression gives. The
+// multiplicative hash spreads gaps that differ only in low mantissa
+// bits; key 0 (dt = +0, never observed) marks an empty slot.
+type alphaMemo struct {
+	keys [16]uint64
+	vals [16]float64
+}
+
+// of returns 1 − exp(−dt/window) for dt > 0; window is the same on every
+// call.
+func (m *alphaMemo) of(dt, window float64) float64 {
+	k := math.Float64bits(dt)
+	i := k * 0x9E3779B97F4A7C15 >> 60
+	if m.keys[i] != k {
+		m.keys[i], m.vals[i] = k, 1-math.Exp(-dt/window)
+	}
+	return m.vals[i]
+}
+
 // Observe feeds one measured-accuracy sample at time now (expected is the
 // serving entry's nominal accuracy; measured already includes fault
 // deltas and compensation). It returns true when sustained drift was just
@@ -280,8 +303,7 @@ func (l *Loop) Observe(now, measured, expected float64) bool {
 	if !l.haveEwma {
 		l.ewma, l.haveEwma = x, true
 	} else if dt := now - l.lastT; dt > 0 {
-		alpha := 1 - math.Exp(-dt/l.cfg.Window)
-		l.ewma += (x - l.ewma) * alpha
+		l.ewma += (x - l.ewma) * l.alphas.of(dt, l.cfg.Window)
 	}
 	l.lastT = now
 

@@ -280,3 +280,25 @@ func TestRebuildImmutable(t *testing.T) {
 		t.Fatal("candidate mutation reached the published library")
 	}
 }
+
+// TestAlphaMemoExact feeds the EWMA weight memo more distinct gaps than it
+// has slots, several times over and in a shuffled order, so slots collide
+// and are refilled: every weight must equal 1 − exp(−dt/Window) bit for
+// bit. The gaps differ only in low mantissa bits, as a run's do.
+func TestAlphaMemoExact(t *testing.T) {
+	const window = 0.5
+	var gaps []float64
+	for i := range 40 {
+		gaps = append(gaps, 0.05+float64(i)*1e-12, float64(i+1)*0.0125)
+	}
+	var m alphaMemo
+	for round := range 3 {
+		for i := range gaps {
+			dt := gaps[(i*7+round*13)%len(gaps)]
+			want := 1 - math.Exp(-dt/window)
+			if got := m.of(dt, window); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d, dt %v: memo gives %v, the expression %v", round, dt, got, want)
+			}
+		}
+	}
+}

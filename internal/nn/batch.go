@@ -13,9 +13,9 @@ import (
 // and one float forward body, both over a batch; Forward is their B = 1
 // case. The integer body serves the B samples in one kernel call, Dense as
 // a 1×1 convolution over one pixel: the bit-plane kernel
-// (tensor.ConvBitplaneBatchInto) for ternary or binary weights on 2-bit
-// activation codes, else the paired-lane kernel (tensor.ConvInt8BatchInto).
-// Between quantized layers ForwardBatch keeps
+// (tensor.ConvBitplaneBatchInto) for ternary or binary weights, whatever
+// the activation codes, else the paired-lane kernel
+// (tensor.ConvInt8BatchInto). Between quantized layers ForwardBatch keeps
 // the batch as ladder levels (stage.go): the integer body can take levels
 // in and give levels out, so ScaleShift and QuantAct become one threshold
 // epilogue and no float activation is allocated. A batch is bit-identical

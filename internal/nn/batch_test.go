@@ -139,8 +139,9 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 }
 
 // The batched path must actually take the intended kernels: int8 batch
-// forwards count as int forwards, never float fallbacks, and in the staged
-// variant the dense layer reads the conv's levels on the bit planes.
+// forwards count as int forwards, never float fallbacks, both ternary
+// layers run on the bit planes, and in the staged variant the dense layer
+// reads the conv's levels.
 func TestForwardBatchTakesInt8Path(t *testing.T) {
 	prev := SetInt8GEMM(true)
 	defer SetInt8GEMM(prev)
@@ -157,8 +158,11 @@ func TestForwardBatchTakesInt8Path(t *testing.T) {
 		if dense.intForwards != 4 || dense.floatFwds != 0 {
 			t.Fatalf("staged=%v dense batch: int=%d float=%d, want 4/0", staged, dense.intForwards, dense.floatFwds)
 		}
-		if want := map[bool]int32{true: 4}[staged]; dense.levelForwards != want || dense.bitForwards != want {
-			t.Fatalf("staged=%v dense batch: %d from levels, %d on bit planes, want %d", staged, dense.levelForwards, dense.bitForwards, want)
+		if conv.bitForwards != 4 || dense.bitForwards != 4 {
+			t.Fatalf("staged=%v: conv %d, dense %d samples on bit planes, want 4", staged, conv.bitForwards, dense.bitForwards)
+		}
+		if want := map[bool]int32{true: 4}[staged]; dense.levelForwards != want {
+			t.Fatalf("staged=%v dense batch: %d from levels, want %d", staged, dense.levelForwards, want)
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 // TestCNVBitplanePath runs CNVW2A2 and CNVW1A2, pruned at FINN channel
 // granularity, through ForwardBatch and per-sample Forward and demands
 // bit-identical outputs against a per-layer reference that serves every
-// convolution on the paired-lane kernel. The path counters must show
-// conv1–conv5 (2-bit activations in, ternary or binary weights) on the
-// bit planes and conv0 (the image input) off them.
+// convolution on the paired-lane kernel. The path counters must show all
+// six convolutions on the bit planes: conv1–conv5 on two planes of 2-bit
+// activations, and conv0 on the two's-complement planes of its image
+// codes.
 func TestCNVBitplanePath(t *testing.T) {
 	const batch = 4
 	ds := dataset.SyntheticCIFAR10(1)
@@ -91,9 +92,6 @@ func checkBitplaneNet(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 	for i, c := range convs {
 		ints, bits := nn.ConvPathCounts(c)
 		wantBits := 2 * len(xs) // the batch, then every sample on its own
-		if i == 0 {
-			wantBits = 0
-		}
 		if ints != 3*len(xs) || bits != wantBits {
 			t.Errorf("conv%d: %d int8 samples, %d on bit planes; want %d and %d", i, ints, bits, 3*len(xs), wantBits)
 		}

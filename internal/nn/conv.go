@@ -207,11 +207,12 @@ func (c *Conv2D) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor
 // products, rescaled once by weight scale × sample scale:
 //
 //   - tensor.ConvBitplaneBatchInto when the layer has bit planes (every
-//     weight code in {−1, 0, 1}) and every sample's codes decompose into
-//     two planes, as the 2-bit activations of CNV's conv1–conv5 do;
-//   - tensor.ConvInt8BatchInto, the batch-packed paired-lane kernel,
-//     otherwise: an image input, a wider weight grid, or one sample with
-//     more than two planes' worth of codes sends the whole batch here.
+//     weight code in {−1, 0, 1}): each sample's codes on the planes the
+//     kernel's rule gives them, two for the 2-bit activations of CNV's
+//     conv1–conv5, seven or eight (their two's complement) for conv0's
+//     image codes;
+//   - tensor.ConvInt8BatchInto, the batch-packed paired-lane kernel, for
+//     a wider weight grid, or an inner dimension past the planes' bound.
 //
 // Both give the same int32 sums and the same rescale expression, so the
 // choice never changes a bit of the output. Without lad the body adds the

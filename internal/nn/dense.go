@@ -188,8 +188,8 @@ func (d *Dense) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor,
 // forwardInt8 is the integer inference body, Conv2D.forwardInt8 for a 1×1
 // convolution over one pixel: the same inputs (float samples or levels),
 // the same exits, and the same two exact kernels on d.pixelGeom(). The bit
-// planes serve it when the weight codes are in {−1, 0, 1} and every
-// sample's codes decompose; otherwise tensor.ConvInt8BatchInto does, as
+// planes serve it when the weight codes are in {−1, 0, 1}, as for TFC's
+// fc0 on signed image codes; otherwise tensor.ConvInt8BatchInto does, as
 // for every other convolution. Each sample's outputs are rescaled once by
 // weight scale × sample scale.
 func (d *Dense) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {

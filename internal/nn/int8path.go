@@ -24,11 +24,13 @@ import (
 // dataflow programs, which run these layers, follow the switch.
 //
 // Layers whose weight codes are all in {−1, 0, 1} (W1 and W2 grids) also
-// get their codes as bit planes from the weight cache, and a batch whose
-// int8 activation codes decompose into two planes ({0, c1, c2, c1+c2}, as
-// 2-bit activations do) runs on tensor.ConvBitplaneBatchInto: AND and
-// popcount instead of multiply-add, the same int32 sums, the same outputs
-// bit for bit. forwardInt8 makes that choice.
+// get their codes as bit planes from the weight cache and run on
+// tensor.ConvBitplaneBatchInto: AND and popcount instead of multiply-add,
+// the same int32 sums, the same outputs bit for bit. Each sample's int8
+// activation codes become bit planes by one rule: two planes when they
+// are {0, c1, c2, c1+c2}, as 2-bit activations are, else their two's
+// complement, so image codes run bit-serially on seven or eight planes.
+// forwardInt8 makes the choice of kernel.
 //
 // Around the kernels, the float passes round without math.Round. Each
 // layer's int8 input codes come from quant.QuantizeSymmetricInt8, or, for

@@ -566,8 +566,8 @@ func quantizerOf(l nn.Layer) *quant.WeightQuantizer {
 // checkDraw runs d through per-sample Forward and ForwardBatch at its
 // worker cap and body and demands the oracle's outputs bit for bit, or an
 // error where the oracle fails (for ForwardBatch, the per-layer loop's
-// error text). A staged draw must also serve the first quantized layer
-// from floats off the bit planes and every later one from levels on them.
+// error text). A staged draw must also serve every quantized layer on the
+// bit planes, the first from floats and every later one from levels.
 func checkDraw(t *testing.T, d *draw) {
 	t.Helper()
 	prevBody := nn.SetInt8GEMM(d.intBody)
@@ -639,15 +639,16 @@ func pathCounts(net *nn.Network) [][3]int {
 }
 
 // checkStagedCounts demands that one ForwardBatch of bsz samples served
-// the first quantized layer from floats off the bit planes and every later
-// one from levels on the bit planes.
+// every quantized layer on the bit planes (the generator's weights are all
+// binary or ternary), the first from floats and every later one from
+// levels.
 func checkStagedCounts(t *testing.T, before, after [][3]int, bsz int) {
 	t.Helper()
 	for i, a := range after {
 		d := [3]int{a[0] - before[i][0], a[1] - before[i][1], a[2] - before[i][2]}
 		want := [3]int{bsz, bsz, bsz}
 		if i == 0 {
-			want = [3]int{bsz, 0, 0}
+			want = [3]int{bsz, bsz, 0}
 		}
 		if d != want {
 			t.Errorf("quantized layer %d: %d int8 samples, %d on bit planes, %d from levels; want %v", i, d[0], d[1], d[2], want)

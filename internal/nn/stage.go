@@ -26,8 +26,8 @@ import (
 //     the sample's top level, the largest float the sample holds;
 //   - QuantAct's ladder is monotone, so a window's top level is the level
 //     of its largest value: pooling levels commutes with quantizing;
-//   - the bit planes and the plane weights c1, c2 come from the codes
-//     present, by the kernel's own decomposition rule.
+//   - the bit planes and their weights come from the codes present, by
+//     the kernel's own decomposition rule.
 
 // maxLevels bounds the ladder levels a staged batch can hold, so a
 // sample's level set fits one uint64. 2-bit activations have 5 (0..4).
@@ -254,10 +254,9 @@ func (s *ScaleShift) ladder(q *quant.ActQuantizer) (*affineLadder, error) {
 // intInput is a quantized layer's input batch on the integer body: per
 // sample, one int8 code per element and the scale. A float input is coded
 // by quant.QuantizeSymmetricInt8; a staged one arrives as levels, coded
-// through its codeTable. When the layer has bit planes and every sample's
-// codes decompose into two planes, maps holds the plane maps and the
-// kernel reads the symbols (the codes, or the levels) as they are;
-// otherwise codes holds every sample's int8 codes.
+// through its codeTable. When the layer has bit planes, maps holds every
+// sample's plane map and the kernel reads the symbols (the codes, or the
+// levels) as they are; otherwise codes holds every sample's int8 codes.
 type intInput struct {
 	scales []float32
 	codes  [][]int8
@@ -283,7 +282,10 @@ func newIntInput(xs []*tensor.Tensor, lv *levelBatch, vol int, planes bool) (*in
 			in.scales[j] = sx
 		}
 		if planes {
-			in.maps = planeMaps(len(xs), func(j int) (tensor.PlaneMap, bool) { return tensor.Int8PlaneMap(in.codes[j]) })
+			in.maps = make([]tensor.PlaneMap, len(xs))
+			for j, x := range in.codes {
+				in.maps[j] = tensor.Int8PlaneMap(x)
+			}
 		}
 		return in, 0, nil
 	}
@@ -294,33 +296,21 @@ func newIntInput(xs []*tensor.Tensor, lv *levelBatch, vol int, planes bool) (*in
 		tables[j], in.scales[j] = lv.codeTable(j)
 	}
 	if planes {
-		in.maps = planeMaps(bsz, func(j int) (tensor.PlaneMap, bool) { return tensor.NewPlaneMap(tables[j][:]) })
-	}
-	if in.maps == nil {
-		in.codes, in.buf = make([][]int8, bsz), tensor.BorrowInt8(bsz*vol)
-		for j, x := range lv.levels {
-			xq := in.buf[j*vol : (j+1)*vol]
-			for i, l := range x {
-				xq[i] = tables[j][l&(maxLevels-1)]
-			}
-			in.codes[j] = xq
+		in.maps = make([]tensor.PlaneMap, bsz)
+		for j := range tables {
+			in.maps[j] = tensor.NewPlaneMap(tables[j][:])
 		}
+		return in, 0, nil
+	}
+	in.codes, in.buf = make([][]int8, bsz), tensor.BorrowInt8(bsz*vol)
+	for j, x := range lv.levels {
+		xq := in.buf[j*vol : (j+1)*vol]
+		for i, l := range x {
+			xq[i] = tables[j][l&(maxLevels-1)]
+		}
+		in.codes[j] = xq
 	}
 	return in, 0, nil
-}
-
-// planeMaps returns the plane maps of the bsz samples, or nil when one
-// sample's codes do not decompose.
-func planeMaps(bsz int, mapOf func(j int) (tensor.PlaneMap, bool)) []tensor.PlaneMap {
-	maps := make([]tensor.PlaneMap, bsz)
-	for j := range maps {
-		m, ok := mapOf(j)
-		if !ok {
-			return nil
-		}
-		maps[j] = m
-	}
-	return maps
 }
 
 // release returns the codes' storage.
@@ -418,7 +408,7 @@ func addBias(od []float32, bias *Param) {
 
 // pathCounts record which kernel served each inference sample of a
 // quantized layer: the int8-path acceptance tests fail if one falls back
-// to float, a 2-bit layer off the bit planes, or a staged layer off its
+// to float, a ternary layer off the bit planes, or a staged layer off its
 // levels. They are int32, so the four fit where three ints did and no
 // layer grows a size class: library generation allocates thousands of
 // pruned layers.

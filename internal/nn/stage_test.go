@@ -190,7 +190,7 @@ func TestStagedForwardFallbacks(t *testing.T) {
 		{"ScaleShift without QuantAct", stageNetConfig{noAct: true}, nil, []string{"fc0"}},
 		{"padded pool", stageNetConfig{poolPad: 1}, nil, []string{"fc0"}},
 		{"float layer between", stageNetConfig{floatGap: true}, nil, []string{"fc0"}},
-		{"3-bit levels off the bit planes", stageNetConfig{actBits: 3}, nil, []string{"c1", "fc0"}},
+		{"3-bit levels on seven planes", stageNetConfig{actBits: 3}, nil, []string{"c1", "fc0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forceInt8(t)
@@ -204,8 +204,8 @@ func TestStagedForwardFallbacks(t *testing.T) {
 				return
 			}
 			after := levelCounts(net)
-			if c1 := net.Convs()[1]; tc.cfg.actBits == 3 && c1.bitForwards != 0 {
-				t.Errorf("c1 served %d samples of 3-bit levels on the bit planes, want the paired-lane kernel", c1.bitForwards)
+			if c1 := net.Convs()[1]; tc.cfg.actBits == 3 && c1.bitForwards != c1.intForwards {
+				t.Errorf("c1 served %d of %d samples of 3-bit levels on the bit planes, want all", c1.bitForwards, c1.intForwards)
 			}
 			for id, n := range after {
 				want := 0

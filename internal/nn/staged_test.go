@@ -19,9 +19,9 @@ import (
 // path: CNVW2A2 and CNVW1A2 pruned at 0/25/50/85 %, every ScaleShift
 // given random γ (an eighth of them zero, a quarter negative) and β, and
 // batches of 1, 3 and 8 at 1, 2 and NumCPU workers. ForwardBatch must equal
-// per-sample Forward bit for bit, and the path counters must show
-// conv1–conv5, fc0 and fc1 served from levels on the bit planes, and conv0
-// from floats.
+// per-sample Forward bit for bit, and the path counters must show every
+// quantized layer on the bit planes, conv1–conv5, fc0 and fc1 served from
+// levels, and conv0 from floats.
 func TestStagedForwardMatchesLayers(t *testing.T) {
 	prevGrain := tensor.SetParallelGrain(1)
 	defer tensor.SetParallelGrain(prevGrain)
@@ -83,8 +83,8 @@ func cnvPathCounts(net *nn.Network) [][3]int {
 }
 
 // checkCNVStagedCounts demands that one ForwardBatch of bsz samples served
-// CNV's conv0 from floats and conv1–conv5, fc0 and fc1 from levels on the
-// bit planes; the float head has no counts.
+// CNV's conv0 from floats and conv1–conv5, fc0 and fc1 from levels, all on
+// the bit planes; the float head has no counts.
 func checkCNVStagedCounts(t *testing.T, name string, net *nn.Network, before [][3]int, bsz int) {
 	t.Helper()
 	after := cnvPathCounts(net)
@@ -94,7 +94,7 @@ func checkCNVStagedCounts(t *testing.T, name string, net *nn.Network, before [][
 		want := [3]int{bsz, bsz, bsz}
 		switch names[i] {
 		case "conv0":
-			want = [3]int{bsz, 0, 0}
+			want = [3]int{bsz, bsz, 0}
 		case "head":
 			want = [3]int{}
 		}
@@ -125,6 +125,69 @@ func sameResults(t *testing.T, name string, got []*tensor.Tensor, gotErr error, 
 			if math.Float32bits(got[j].Data()[i]) != math.Float32bits(v) {
 				t.Fatalf("%s sample %d out[%d]: %v, want %v", name, j, i, got[j].Data()[i], v)
 			}
+		}
+	}
+}
+
+// TestImageLayersOnPlanes checks the layers that take image codes: in
+// ForwardBatch, CNVW2A2's conv0 (CIFAR images, codes 0…127, seven planes)
+// and TFC's fc0 (signed inputs, eight planes, and non-negative ones, seven)
+// must serve every sample on the bit planes, from floats.
+func TestImageLayersOnPlanes(t *testing.T) {
+	cnv, err := model.CNVW2A2("cifar10", 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfc, err := model.TFC("mnist", 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.SyntheticCIFAR10(3)
+	rng := rand.New(rand.NewSource(3))
+	images := func(signed bool) []*tensor.Tensor {
+		xs := make([]*tensor.Tensor, 3)
+		for j := range xs {
+			xs[j] = tensor.New(1, 28, 28)
+			for i := range xs[j].Data() {
+				v := rng.NormFloat64()
+				if !signed {
+					v = math.Abs(v)
+				}
+				xs[j].Data()[i] = float32(v)
+			}
+		}
+		return xs
+	}
+	cifar := make([]*tensor.Tensor, 3)
+	for j := range cifar {
+		cifar[j], _ = ds.TestSample(j)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *model.Model
+		xs   []*tensor.Tensor
+	}{
+		{"CNVW2A2 conv0", cnv, cifar},
+		{"TFC fc0, signed inputs", tfc, images(true)},
+		{"TFC fc0, non-negative inputs", tfc, images(false)},
+	} {
+		var first nn.Layer
+		for _, nl := range tc.m.Net.Layers {
+			switch nl.Layer.(type) {
+			case *nn.Conv2D, *nn.Dense:
+				first = nl.Layer
+			}
+			if first != nil {
+				break
+			}
+		}
+		ints, bits, levels := nn.PathCounts(first)
+		if _, err := tc.m.Net.ForwardBatch(tc.xs); err != nil {
+			t.Fatal(err)
+		}
+		ints2, bits2, levels2 := nn.PathCounts(first)
+		if got, want := [3]int{ints2 - ints, bits2 - bits, levels2 - levels}, [3]int{len(tc.xs), len(tc.xs), 0}; got != want {
+			t.Errorf("%s: %d int8 samples, %d on bit planes, %d from levels; want %v", tc.name, got[0], got[1], got[2], want)
 		}
 	}
 }

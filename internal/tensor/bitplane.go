@@ -1,65 +1,79 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
 
-// Bit-plane convolution: the integer convolution for ternary weights and
-// two-plane activation codes, computed with AND and popcount on packed
-// channel words instead of 8-bit multiply-adds. This is how FINN's MVTU
-// multiplies 1- and 2-bit operands.
+// Bit-plane convolution: the integer convolution for ternary weights,
+// computed with AND and popcount on packed receptive-field words instead
+// of 8-bit multiply-adds. This is how FINN's MVTU multiplies 1- and 2-bit
+// operands, and how bit-serial matrix multiplication (BISMO) extends it to
+// wide ones: a product of wide codes is a weighted sum of one popcount per
+// bit plane.
 //
 // Weights w ∈ {−1, 0, 1} become two planes, a nonzero mask m (w ≠ 0) and
-// a sign n (w = −1). A sample whose int8 codes all lie in {0, c1, c2,
-// c1+c2} with 0 < c1 < c2 becomes two activation planes, a₀ (the code
-// holds c1) and a₁ (the code holds c2), so x = c1·a₀ + c2·a₁ elementwise.
-// For any activation word v, pop(m&(v^n)) counts the +1 weights where v is
-// set and the −1 weights where it is not, so, with w⁺ and w⁻ marking the
-// +1 and −1 weights,
+// a sign n (w = −1). A sample's int8 codes become P activation planes
+// a_0 … a_{P−1} with plane weights ω_b, so x = Σ_b ω_b·a_b elementwise.
+// For any activation word v, pop(m&(v^n)) counts the +1 weights where v
+// is set and the −1 weights where it is not, so, with w⁺ and w⁻ marking
+// the +1 and −1 weights,
 //
 //	pop(m&(v^n)) − pop(n) = pop(w⁺&v) − pop(w⁻&v),
 //
 // and with N = Σ pop(n) over a filter's words, a constant of the filter,
 //
-//	Σ w·x = c1·(Σ pop(m&(a₀^n)) − N) + c2·(Σ pop(m&(a₁^n)) − N):
+//	Σ w·x = Σ_b ω_b·(p_b − N),  p_b = Σ pop(m&(a_b^n)):
 //
 // one popcount per plane and filter word. That is the same integer the
 // paired-lane kernel accumulates, and the rescale is the same
 // float32(int32(acc))·scale expression, so ConvBitplaneBatchInto and
-// ConvInt8BatchInto agree bit for bit wherever both apply. A sample
-// reaches the kernel as symbols, its int8 codes themselves or indices into
-// a table of codes (internal/nn's ladder levels), and a PlaneMap, built by
-// the one decomposition rule over the codes the sample holds, says which
-// planes each symbol sets.
+// ConvInt8BatchInto agree bit for bit on every input.
 //
-// Activation planes are per-pixel channel words: pixel (y, x) of a sample
-// holds ⌈InC/64⌉ words per plane, channel c in bit c mod 64 of word c/64,
-// and the input is stored with its zero padding, so a receptive-field row
-// of KW pixels is one run of KW·⌈InC/64⌉ consecutive words for any stride.
-// A filter is KH such runs, its words in (kh, kw, word) order.
+// One rule (Int8PlaneMap) picks a sample's planes from the codes it holds.
+// Codes in {0, c1, c2, c1+c2} with 0 < c1 < c2, the levels of a 2-bit
+// activation, take P = 2 and ω = (c1, c2), or P = 1 when c2 is unused. Any
+// other codes, an image's among them, take their two's complement:
+// P = 8 and ω = (1, 2, 4, …, 64, −128), or P = 7 when no code is negative.
+// A sample reaches the kernel as symbols, its int8 codes themselves or
+// indices into a table of codes (internal/nn's ladder levels), and a
+// PlaneMap says which planes each symbol sets.
+//
+// A receptive field is one bit string in (kh, kw, c) order: bit
+// (kh·KW + kw)·InC + c holds channel c of window pixel (kh, kw), and a
+// field is ⌈KH·KW·InC/64⌉ words per plane, with no padding between pixels,
+// so conv0's 3×3×3 field is one word and a pruned layer's few channels
+// fill their words. A sample is packed once per plane as padded row
+// bitstreams, pixel x of a padded row holding channel c in bit x·InC + c.
+// Row kh of the field at output (oy, ox) is then the run of KW·InC bits
+// that starts at bit ox·StrideW·InC of padded row oy·StrideH + kh, copied
+// word for word when InC is a multiple of 64 and cut out with shifts
+// otherwise. The kernel, bitDot4, weighs each plane's counts by ω_b and
+// rescales the sums as it goes, so a block of four filters leaves it as
+// finished outputs.
 
 // BitplaneWeights are the mask and sign planes of a convolution whose
 // weight codes all lie in {−1, 0, 1}. Filters are stored in blocks of
-// four, the last block padded with zero filters: for each filter word
-// (kh, kw, word) of a block come the masks m of its four filters (bit set
-// where the weight is ±1), then their signs n (bit set where it is −1), so
-// the kernel streams one block as a single run of words. negs holds each
-// filter's N, its count of −1 weights.
+// four, the last block padded with zero filters: for each field word of a
+// block come the masks m of its four filters (bit set where the weight is
+// ±1), then their signs n (bit set where it is −1), so the kernel streams
+// one block as a single run of words. negs holds each filter's N, its
+// count of −1 weights.
 type BitplaneWeights struct {
 	g      ConvGeom
 	outC   int
-	words  int // channel words per pixel, ⌈InC/64⌉
+	words  int // field words per plane, ⌈InC·KH·KW/64⌉
 	planes []uint64
 	negs   []int64
 }
 
 // PackBitplaneWeights packs the (OutC × InC·KH·KW) OIHW codes of w for
-// geometry g into mask and sign planes and counts each filter's −1
-// weights. It returns nil, without error, when a code lies outside
-// {−1, 0, 1}, or when the inner dimension InC·KH·KW is past the bound
-// every batched convolution kernel refuses (see validateConvBatch): such
-// a layer has no planes.
+// geometry g into mask and sign planes in field order and counts each
+// filter's −1 weights. It returns nil, without error, when a code lies
+// outside {−1, 0, 1}, or when the inner dimension InC·KH·KW is past the
+// bound every batched convolution kernel refuses (see validateConvBatch):
+// such a layer has no planes.
 func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -77,17 +91,17 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 			return nil, nil
 		}
 	}
-	nw := (g.InC + 63) / 64
-	filter := kk * nw
+	nw := (k + 63) / 64
 	bw := &BitplaneWeights{g: g, outC: w.Rows, words: nw, negs: make([]int64, w.Rows)}
-	bw.planes = make([]uint64, (w.Rows+3)/4*filter*8)
+	bw.planes = make([]uint64, (w.Rows+3)/4*nw*8)
 	for o := 0; o < w.Rows; o++ {
-		blk := bw.planes[o/4*filter*8:]
+		blk := bw.planes[o/4*nw*8:]
 		for c := 0; c < g.InC; c++ {
-			bit := uint64(1) << (c & 63)
 			codes := w.Data[o*k+c*kk : o*k+(c+1)*kk] // (kh, kw) of channel c
 			for r, v := range codes {
-				i := (r*nw+c>>6)*8 + o%4
+				j := r*g.InC + c // the field bit of (kh, kw, c)
+				i := j>>6*8 + o%4
+				bit := uint64(1) << (j & 63)
 				if v != 0 {
 					blk[i] |= bit
 				}
@@ -101,14 +115,27 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	return bw, nil
 }
 
+// PlaneMap is how one sample's input symbols split into the P activation
+// planes of the bit-plane kernel: symbol s sets plane b where bit b of
+// Bits[s] is set, so the code it stands for is Σ_b W[b]·(Bits[s]>>b&1)
+// over b < P. A symbol is an int8 code itself (Int8PlaneMap) or an index
+// into a table of codes (NewPlaneMap).
+type PlaneMap struct {
+	P    int     // planes, 1 to 8
+	W    [8]int8 // plane weights ω_b
+	Bits [256]uint8
+}
+
+// twosComplement are the plane weights of an int8 code's two's
+// complement: x = Σ_b 2^b·x_b − 128·x_7.
+var twosComplement = [8]int8{1, 2, 4, 8, 16, 32, 64, -128}
+
 // planeCodes returns the plane weights c1 < c2 of a sample's codes: every
 // code of x is 0, c1, c2 or c1+c2. When x has fewer than three distinct
 // nonzero codes the unused weight is 0. ok is false when x has a negative
 // code, more than three nonzero codes, or three whose largest is not the
-// sum of the other two. The scan stops at the first code that rules x out,
-// so an image input costs a few pixels. It is the one decomposition rule
-// of the bit-plane kernel.
-func planeCodes(x []int8) (c1, c2 int32, ok bool) {
+// sum of the other two. The scan stops at the first code that rules x out.
+func planeCodes(x []int8) (c1, c2 int8, ok bool) {
 	var seen [128]bool
 	var vals [3]int8
 	n := 0
@@ -129,7 +156,7 @@ func planeCodes(x []int8) (c1, c2 int32, ok bool) {
 		vals[n] = v
 		n++
 	}
-	a, b, c := int32(vals[0]), int32(vals[1]), int32(vals[2])
+	a, b, c := vals[0], vals[1], vals[2]
 	switch n {
 	case 0, 1:
 		return a, 0, true
@@ -137,100 +164,195 @@ func planeCodes(x []int8) (c1, c2 int32, ok bool) {
 		return min(a, b), max(a, b), true
 	}
 	lo, hi := min(a, b, c), max(a, b, c)
-	mid := a + b + c - lo - hi
-	return lo, mid, hi == lo+mid
+	mid := int(a) + int(b) + int(c) - int(lo) - int(hi)
+	return lo, int8(mid), int(hi) == int(lo)+mid
 }
 
-// PlaneMap is how one sample's input symbols split into the two
-// activation planes of the bit-plane kernel: symbol s sets a₀ where bit 0
-// of Bits[s] is set and a₁ where bit 1 is, so the code it stands for is
-// C1·(Bits[s]&1) + C2·(Bits[s]>>1). A symbol is an int8 code itself
-// (Int8PlaneMap) or an index into a table of codes (NewPlaneMap).
-type PlaneMap struct {
-	C1, C2 int32
-	Bits   [256]uint8
-}
-
-// planeMap returns the map of the int8 codes {0, c1, c2, c1+c2} onto
-// themselves as symbols.
-func planeMap(c1, c2 int32) PlaneMap {
-	m := PlaneMap{C1: c1, C2: c2}
+// Int8PlaneMap returns the plane map of a sample of int8 codes, each code
+// its own symbol. It is the one decomposition rule of the bit-plane
+// kernel: codes {0, c1, c2, c1+c2} take two planes weighted (c1, c2), one
+// when c2 is 0; any others take their two's complement, seven planes when
+// no code is negative and eight otherwise.
+func Int8PlaneMap(x []int8) PlaneMap {
+	c1, c2, ok := planeCodes(x)
+	if !ok {
+		m := PlaneMap{P: 7, W: twosComplement}
+		for _, v := range x {
+			if v < 0 {
+				m.P = 8
+				break
+			}
+		}
+		for s := range m.Bits {
+			m.Bits[s] = uint8(s)
+		}
+		return m
+	}
+	m := PlaneMap{P: 2, W: [8]int8{c1, c2}}
+	if c2 == 0 {
+		m.P = 1
+	}
 	if c1 > 0 {
 		m.Bits[c1] = 1
 	}
 	if c2 > 0 {
 		m.Bits[c2] = 2
-		if c1+c2 < 128 {
+		if int(c1)+int(c2) < 128 {
 			m.Bits[c1+c2] = 3
 		}
 	}
 	return m
 }
 
-// Int8PlaneMap returns the plane map of a sample of int8 codes, each code
-// its own symbol. ok is false when the codes do not decompose into two
-// planes (see planeCodes).
-func Int8PlaneMap(x []int8) (m PlaneMap, ok bool) {
-	c1, c2, ok := planeCodes(x)
-	if !ok {
-		return PlaneMap{}, false
-	}
-	return planeMap(c1, c2), true
-}
-
 // NewPlaneMap returns the plane map of symbols that stand for int8 codes:
 // symbol s is codes[s], and a symbol the sample does not hold must have
-// code 0. ok is false when the codes do not decompose into two planes
-// (see planeCodes).
-func NewPlaneMap(codes []int8) (m PlaneMap, ok bool) {
-	c1, c2, ok := planeCodes(codes)
-	if !ok {
-		return PlaneMap{}, false
-	}
-	byCode := planeMap(c1, c2)
-	m = PlaneMap{C1: c1, C2: c2}
+// code 0.
+func NewPlaneMap(codes []int8) PlaneMap {
+	byCode := Int8PlaneMap(codes)
+	m := PlaneMap{P: byCode.P, W: byCode.W}
 	for s, v := range codes {
 		m.Bits[s] = byCode.Bits[uint8(v)]
 	}
-	return m, true
+	return m
 }
 
-// packActPlanes writes the two activation planes of the symbols x, split
-// by bits, into a0 and a1, each (InH+2·PadH)·(InW+2·PadW)·words long,
-// padding included.
-func packActPlanes[S int8 | uint8](a0, a1 []uint64, x []S, g ConvGeom, words int, bits *[256]uint8) {
-	clear(a0)
-	clear(a1)
-	pw := g.InW + 2*g.PadW
+// packRows writes the m.P planes of the symbols x, a CHW sample, into
+// rows as padded row bitstreams of rw words: plane b's padded row y is
+// rows[(b·ph + y)·rw:][:rw], ph = InH + 2·PadH, and its last word is zero
+// so that cutting a run never reads past the row. hwc is scratch of
+// (rw−1)·64 bytes: each input row is first laid out pixel-major, one plane
+// byte (m.Bits of the symbol) per element, and every 64 bytes of it then
+// give one word of each plane.
+func packRows[S int8 | uint8](rows []uint64, hwc []uint8, x []S, g ConvGeom, m *PlaneMap, rw int) {
+	ph := g.InH + 2*g.PadH
+	clear(rows[:m.P*ph*rw])
+	clear(hwc)
 	hw := g.InH * g.InW
-	for c := 0; c < g.InC; c++ {
-		sh := uint(c & 63)
-		xc := x[c*hw : (c+1)*hw]
-		for y := 0; y < g.InH; y++ {
-			i := ((y+g.PadH)*pw+g.PadW)*words + c>>6
-			for _, v := range xc[y*g.InW : (y+1)*g.InW] {
-				p := bits[uint8(v)]
-				a0[i] |= uint64(p&1) << sh
-				a1[i] |= uint64(p>>1) << sh
-				i += words
+	pre := g.PadW * g.InC // the padding bits before pixel 0
+	for y := 0; y < g.InH; y++ {
+		for c := 0; c < g.InC; c++ {
+			spread(hwc[pre+c:], g.InC, x[c*hw+y*g.InW:c*hw+(y+1)*g.InW], &m.Bits)
+		}
+		planeWords(rows[(y+g.PadH)*rw:], ph*rw, hwc, m.P)
+	}
+}
+
+// spread writes the plane byte bits[x[i]] of each symbol to dst[i·step]:
+// one channel of an input row into its pixel-major place.
+func spread[S int8 | uint8](dst []uint8, step int, x []S, bits *[256]uint8) {
+	for i, v := range x {
+		dst[i*step] = bits[uint8(v)]
+	}
+}
+
+// planeWords writes word w of plane b of one row, from the 64 plane bytes
+// of hwc at w·64, to dst[b·stride + w], for the first p planes.
+func planeWords(dst []uint64, stride int, hwc []uint8, p int) {
+	for w := range len(hwc) / 64 {
+		var u [8]uint64
+		for k := range u {
+			u[k] = binary.LittleEndian.Uint64(hwc[w*64+8*k:])
+		}
+		for b := range p {
+			dst[b*stride+w] = gatherBits(&u, uint(b))
+		}
+	}
+}
+
+// gatherBits returns bit b of each of the 64 bytes in u, byte i (byte
+// i mod 8 of u[i/8]) in bit i. The multiply moves bit 8j of a word to bit
+// 56+j with no two partial products overlapping.
+func gatherBits(u *[8]uint64, b uint) uint64 {
+	var v uint64
+	for k, w := range u {
+		v |= (((w >> b) & 0x0101010101010101) * 0x0102040810204080 >> 56) << (8 * k)
+	}
+	return v
+}
+
+// cutFields writes the receptive fields of output row oy out of the row
+// bitstreams into fields, plane-minor: word f of plane b of position ox is
+// fields[(ox·words + f)·p + b], and row kh of the field is the KW·InC bits
+// at ox·StrideW·InC of padded row oy·StrideH + kh. fields holds p words
+// past the last field.
+func cutFields(fields, rows []uint64, g ConvGeom, rw, p, words, oy int) {
+	ph := g.InH + 2*g.PadH
+	run := g.KW * g.InC
+	clear(fields[:(g.OutW()*words+1)*p])
+	for b := 0; b < p; b++ {
+		for kh := 0; kh < g.KH; kh++ {
+			row := rows[(b*ph+oy*g.StrideH+kh)*rw:][:rw]
+			cutRuns(fields[b:], words*p, p, kh*run, row, g.StrideW*g.InC, run, g.OutW())
+		}
+	}
+}
+
+// cutRuns ORs the n-bit runs of row at bits i·step, i < npos, into npos
+// bit strings of dst, run i from bit dOff of the string whose word j is
+// dst[i·stride + j·p]. The strings' bits from dOff on are zero, and dst
+// holds a word past each string's last. Runs that start and end on word
+// edges are copied word for word. Runs of one word or less, as an image's
+// few channels give, have a loop of their own: one loop for both kinds
+// kept its counters on the stack.
+func cutRuns(dst []uint64, stride, p, dOff int, row []uint64, step, n, npos int) {
+	dst = dst[dOff>>6*p:]
+	switch {
+	case (dOff|step|n)&63 == 0:
+		for i := range npos {
+			for j, v := range row[i*step>>6 : (i*step+n)>>6] {
+				dst[i*stride+j*p] = v
 			}
 		}
+	case n <= 64:
+		cutShortRuns(dst, stride, p, uint(dOff&63), row, step, ^uint64(0)>>(64-n), npos)
+	default:
+		for i := range npos {
+			cutLongRun(dst[i*stride:], p, uint(dOff&63), row, i*step, n)
+		}
+	}
+}
+
+// cutShortRuns is cutRuns for runs of at most one word, masked by mask,
+// into the first npos strings of dst from bit ds of their first word.
+// Shifts by 64 − c are split into 1 and 63 − c, so that c = 0 shifts the
+// other word out and no count reaches 64.
+func cutShortRuns(dst []uint64, stride, p int, ds uint, row []uint64, step int, mask uint64, npos int) {
+	ds &= 63 // a no-op that spares each shift a check for counts past 63
+	for i := range npos {
+		s, d := i*step, i*stride
+		ss := uint(s & 63)
+		v := (row[s>>6]>>ss | row[s>>6+1]<<1<<(63-ss)) & mask
+		dst[d] |= v << ds
+		dst[d+p] |= v >> 1 >> (63 - ds)
+	}
+}
+
+// cutLongRun ORs the n bits of row from bit s into the string of dst
+// whose word j is dst[j·p], from bit ds of its first word.
+func cutLongRun(dst []uint64, p int, ds uint, row []uint64, s, n int) {
+	for d := 0; n > 0; n, s, d = n-64, s+64, d+p {
+		ss := uint(s & 63)
+		v := row[s>>6]>>ss | row[s>>6+1]<<1<<(63-ss)
+		v &= ^uint64(0) >> (uint(64-min(n, 64)) & 63)
+		dst[d] |= v << ds
+		dst[d+p] |= v >> 1 >> (63 - ds)
 	}
 }
 
 // ConvBitplaneBatchInto is ConvInt8BatchInto for weights held as mask and
 // sign planes and inputs held as symbols: sample b's symbol s stands for
 // the code maps[b] gives it, and otherwise the dsts, g and outScales
-// contract and the results are ConvInt8BatchInto's, bit for bit. The caller finds
-// the maps (Int8PlaneMap, NewPlaneMap); a sample whose codes do not
-// decompose into two planes goes to ConvInt8BatchInto instead.
+// contract and the results are ConvInt8BatchInto's, bit for bit. The
+// caller finds the maps (Int8PlaneMap, NewPlaneMap).
 //
-// Work is split across the package worker pool by (sample, output row).
-// A worker packs the planes of each sample it reaches into its own
-// borrowed scratch, so a sample split between two workers is packed twice
-// and no plane buffer spans the batch. Each output element is written by
-// exactly one worker from an exact integer sum, so the results are the
-// same for any worker count.
+// Work is split across the package worker pool by (sample, output row),
+// and by blocks of four filters too when there are fewer rows than
+// workers, as a one-pixel Dense at batch 1 has. A worker packs the row
+// bitstreams of each sample it reaches into its own borrowed scratch, so
+// a sample split between two workers is packed twice and no plane buffer
+// spans the batch. Each output element is written by exactly one worker
+// from an exact integer sum, so the results are the same for any worker
+// count.
 func ConvBitplaneBatchInto[S int8 | uint8](dsts []*Tensor, w *BitplaneWeights, xs [][]S, maps []PlaneMap, g ConvGeom, outScales [][]float32) error {
 	if err := validateConvBatch("ConvBitplaneBatchInto", dsts, xs, g, w.outC, outScales); err != nil {
 		return err
@@ -242,103 +364,141 @@ func ConvBitplaneBatchInto[S int8 | uint8](dsts []*Tensor, w *BitplaneWeights, x
 	if len(maps) != bsz {
 		return fmt.Errorf("tensor: ConvBitplaneBatchInto wants %d plane maps, got %d", bsz, len(maps))
 	}
+	planes := 0
+	for b := range maps {
+		if p := maps[b].P; p < 1 || p > len(maps[b].W) {
+			return fmt.Errorf("tensor: ConvBitplaneBatchInto plane map %d has %d planes, want 1 to %d", b, p, len(maps[b].W))
+		}
+		planes = max(planes, maps[b].P)
+	}
 	nw := w.words
-	plane := (g.InH + 2*g.PadH) * (g.InW + 2*g.PadW) * nw
+	ph := g.InH + 2*g.PadH
+	rw := ((g.InW+2*g.PadW)*g.InC+63)/64 + 1
 	oh, ow := g.OutH(), g.OutW()
-	filter := g.KH * g.KW * nw
-	parallelFor(bsz*oh, 4*w.outC*ow*filter, func(lo, hi int) {
-		// One sample's planes, then one output row's patches.
-		scratch := uint64Arena.borrow(2*plane + 2*ow*filter)
+	blocks := (w.outC + 3) / 4
+	units := bsz * oh
+	split := 1 // filter-block groups per (sample, output row)
+	if wk := maxWorkers.Get(); units < wk {
+		split = min(blocks, (wk+units-1)/units)
+	}
+	parallelFor(units*split, 4*blocks*ow*nw*planes/split, func(lo, hi int) {
+		// One sample's row bitstreams, then one output row's fields.
+		scratch := uint64Arena.borrow(planes*ph*rw + (ow*nw+1)*planes)
 		defer uint64Arena.release(scratch)
-		a0, a1, patch := scratch[:plane], scratch[plane:2*plane], scratch[2*plane:]
+		rows, fields := scratch[:planes*ph*rw], scratch[planes*ph*rw:]
+		// The pixel-major bytes of one input row: on the stack for every
+		// CNV layer, so a call borrows one slice, not two.
+		var row [2048]uint8
+		hwc := row[:min((rw-1)*64, len(row))]
+		if n := (rw - 1) * 64; n > len(row) {
+			wide := uint8Arena.borrow(n)
+			defer uint8Arena.release(wide)
+			hwc = wide // released through wide, so that row stays on the stack
+		}
 		for u := lo; u < hi; u++ {
-			b, oy := u/oh, u%oh
-			if u == lo || oy == 0 {
-				packActPlanes(a0, a1, xs[b], g, nw, &maps[b].Bits)
+			r, part := u/split, u%split
+			b, oy := r/oh, r%oh
+			m := &maps[b]
+			if u == lo || oy == 0 && part == 0 {
+				packRows(rows, hwc, xs[b], g, m, rw)
 			}
-			gatherPatches(patch, a0, a1, g, nw, oy)
-			bitplaneRow(dsts[b].data, w, patch, oy, [2]int32{maps[b].C1, maps[b].C2}, outScales[b])
+			if u == lo || part == 0 {
+				cutFields(fields, rows, g, rw, m.P, nw, oy)
+			}
+			bitplaneRow(dsts[b].data, w, fields, oy, m, outScales[b], part*blocks/split, (part+1)*blocks/split)
 		}
 	})
 	return nil
 }
 
-// gatherPatches copies the receptive fields of output row oy out of the
-// activation planes a0 and a1: position ox gets the words of its KH runs in
-// filter order, each word of a₀ followed by the same word of a₁. A row of
-// patches is a few KiB and is reused by every filter block.
-func gatherPatches(patch, a0, a1 []uint64, g ConvGeom, words, oy int) {
-	run := g.KW * words
-	rowStride := (g.InW + 2*g.PadW) * words
-	i := 0
-	for ox := range g.OutW() {
-		base := oy*g.StrideH*rowStride + ox*g.StrideW*words
-		for kh := 0; kh < g.KH; kh++ {
-			r := base + kh*rowStride
-			x1 := a1[r : r+run]
-			for j, v := range a0[r : r+run] {
-				patch[i] = v
-				patch[i+1] = x1[j]
-				i += 2
-			}
-		}
-	}
-}
-
-// rowChunk is how many output positions bitplaneRow hands bitDot4 at a
-// time, so their plane sums fit a stack buffer.
-const rowChunk = 32
-
-// bitplaneRow writes output row oy of one sample into dst (OutC × OH·OW)
-// from the row's patches: per block of four filters, bitDot4 forms the
-// plane counts p₀, p₁ at the row's positions, and each output becomes
-// float32(int32(c1·(p₀−N) + c2·(p₁−N)))·scale.
-func bitplaneRow(dst []float32, w *BitplaneWeights, patch []uint64, oy int, c [2]int32, s []float32) {
+// bitplaneRow writes filter blocks [b0, b1) of output row oy of one sample
+// into dst (OutC × OH·OW) from the row's fields: per block of four
+// filters, bitDot4 forms Σ_b ω_b·p_b at each of the row's positions and
+// writes float32(Σ_b ω_b·p_b − N·Σ_b ω_b)·scale, the int32 sum Σ w·x
+// rescaled, into the filters' output rows.
+func bitplaneRow(dst []float32, w *BitplaneWeights, fields []uint64, oy int, m *PlaneMap, s []float32, b0, b1 int) {
 	g := w.g
 	ow := g.OutW()
 	cols := g.OutH() * ow
-	filter := g.KH * g.KW * w.words
-	c1, c2 := int64(c[0]), int64(c[1])
-	var sums [4 * rowChunk]uint64
-	for o := 0; o < w.outC; o += 4 {
-		wb := w.planes[o/4*filter*8 : (o/4+1)*filter*8]
-		for x0 := 0; x0 < ow; x0 += rowChunk {
-			npos := min(rowChunk, ow-x0)
-			bitDot4(sums[:4*npos], wb, patch[2*x0*filter:2*(x0+npos)*filter])
-			for i := range min(4, w.outC-o) {
-				sc := s[min(o+i, len(s)-1)] // one scale, or one per channel
-				n := w.negs[o+i]
-				row := dst[(o+i)*cols+oy*ow+x0 : (o+i)*cols+oy*ow+x0+npos]
-				for j := range row {
-					p := sums[j*4+i]
-					acc := c1*(int64(uint32(p))-n) + c2*(int64(p>>32)-n)
-					row[j] = float32(int32(acc)) * sc
-				}
-			}
+	nw := w.words
+	pw := newPlaneWeights(m.W[:m.P])
+	var wsum int32
+	for _, v := range pw.w {
+		wsum += int32(v)
+	}
+	for blk := b0; blk < b1; blk++ {
+		o := 4 * blk
+		ep := blockEpilogue{n: min(4, w.outC-o)}
+		for i := range ep.n {
+			ep.corr[i] = int32(w.negs[o+i]) * wsum
+			ep.scale[i] = s[min(o+i, len(s)-1)] // one scale, or one per channel
 		}
+		bitDot4(dst[o*cols+oy*ow:], cols, ow, w.planes[blk*nw*8:(blk+1)*nw*8], fields, &pw, &ep)
 	}
 }
 
-// bitDot4Go forms, for each patch of patch and each filter i of the block
-// wb, the plane counts p₀ = Σ pop(m&(a₀^n)) and p₁ = Σ pop(m&(a₁^n)) into
-// sums[pos·4+i], p₀ in the low 32 bits and p₁ in the high. Each count is
-// at most the inner dimension, below maxLaneK = 2¹⁷, so the low half never
-// carries into the high one. It is bitDot4 off amd64 and on CPUs without
-// AVX2, and the reference the assembly body is tested against.
-func bitDot4Go(sums []uint64, wb, patch []uint64) {
-	filter := len(wb) / 8
-	for pos := range len(sums) / 4 {
-		x := patch[pos*2*filter : (pos+1)*2*filter]
-		var s0, s1, s2, s3 uint64
-		for f := range filter {
-			v0, v1 := x[2*f], x[2*f+1]
-			q := wb[8*f : 8*f+8 : 8*f+8]
-			s0 += uint64(bits.OnesCount64(q[0]&(v0^q[4]))) + uint64(bits.OnesCount64(q[0]&(v1^q[4])))<<32
-			s1 += uint64(bits.OnesCount64(q[1]&(v0^q[5]))) + uint64(bits.OnesCount64(q[1]&(v1^q[5])))<<32
-			s2 += uint64(bits.OnesCount64(q[2]&(v0^q[6]))) + uint64(bits.OnesCount64(q[2]&(v1^q[6])))<<32
-			s3 += uint64(bits.OnesCount64(q[3]&(v0^q[7]))) + uint64(bits.OnesCount64(q[3]&(v1^q[7])))<<32
+// planeWeights are the plane weights ω_b as bitDot4 reads them: w for the
+// Go loop, and for the assembly each ω_b in 32 bytes and the number of
+// filter words whose weighted byte counts fit its int16 lanes.
+type planeWeights struct {
+	w     []int8
+	bcast [8][32]int8
+	flush int
+}
+
+// newPlaneWeights returns the plane weights w. A word adds at most
+// 16·Σ|ω_b| to an int16 lane (two bytes of at most 8 bits each), so flush
+// words fit before the lanes must widen; at least one does, as
+// 16·8·128 < 2¹⁵.
+func newPlaneWeights(w []int8) planeWeights {
+	pw := planeWeights{w: w, flush: 32767}
+	abs := 0
+	for b, v := range w {
+		for i := range pw.bcast[b] {
+			pw.bcast[b][i] = v
 		}
-		out := sums[pos*4 : pos*4+4 : pos*4+4]
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		abs += max(int(v), -int(v))
+	}
+	if abs > 0 {
+		pw.flush = 32767 / (16 * abs)
+	}
+	return pw
+}
+
+// blockEpilogue is how bitDot4 turns the sums of a block's first n
+// filters into outputs: filter i's sum less corr[i], converted to float32
+// and multiplied by scale[i].
+type blockEpilogue struct {
+	corr  [4]int32
+	scale [4]float32
+	n     int
+}
+
+// bitDot4Go forms, for each of the npos fields of patch and each filter i
+// of the block wb, the weighted count Σ_b ω_b·p_b with
+// p_b = Σ pop(m&(a_b^n)) over the filter's words, and writes
+// float32(Σ_b ω_b·p_b − ep.corr[i])·ep.scale[i] into out[i·stride + pos]
+// for i < ep.n. A field is len(wb)/8 words of len(pw.w) planes each,
+// plane-minor. It is bitDot4 off amd64 and on CPUs without AVX2, and the
+// reference the assembly body is tested against.
+func bitDot4Go(out []float32, stride, npos int, wb, patch []uint64, pw *planeWeights, ep *blockEpilogue) {
+	filter := len(wb) / 8
+	p := len(pw.w)
+	for pos := range npos {
+		var s [4]int32
+		x := patch[pos*filter*p : (pos+1)*filter*p]
+		for f := range filter {
+			q := wb[8*f : 8*f+8 : 8*f+8]
+			for b, wt := range pw.w {
+				v := x[f*p+b]
+				s[0] += int32(wt) * int32(bits.OnesCount64(q[0]&(v^q[4])))
+				s[1] += int32(wt) * int32(bits.OnesCount64(q[1]&(v^q[5])))
+				s[2] += int32(wt) * int32(bits.OnesCount64(q[2]&(v^q[6])))
+				s[3] += int32(wt) * int32(bits.OnesCount64(q[3]&(v^q[7])))
+			}
+		}
+		for i := range ep.n {
+			out[i*stride+pos] = float32(s[i]-ep.corr[i]) * ep.scale[i]
+		}
 	}
 }

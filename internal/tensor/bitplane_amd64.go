@@ -22,21 +22,26 @@ func detectAVX2() bool {
 }
 
 // bitDot4 is bitDot4Go, in assembly where the CPU has AVX2. The assembly
-// reads len(sums)/4 patches of 2·len(wb)/8 words without bounds checks,
-// so their length is checked here.
-func bitDot4(sums []uint64, wb, patch []uint64) {
+// reads npos fields of len(pw.w)·len(wb)/8 words and writes ep.n output
+// rows without bounds checks, so their lengths are checked here.
+func bitDot4(out []float32, stride, npos int, wb, patch []uint64, pw *planeWeights, ep *blockEpilogue) {
 	if !hasAVX2 {
-		bitDot4Go(sums, wb, patch)
+		bitDot4Go(out, stride, npos, wb, patch, pw, ep)
 		return
 	}
-	if len(patch) < len(sums)/4*2*(len(wb)/8) {
-		panic("tensor: bitDot4 patch shorter than its positions")
+	p := len(pw.w)
+	if p < 1 || p > len(pw.bcast) || ep.n < 1 || ep.n > 4 || npos < 1 ||
+		len(patch) < npos*p*(len(wb)/8) || len(out) < (ep.n-1)*stride+npos {
+		panic("tensor: bitDot4 arguments out of range")
 	}
-	bitDot4AVX2(sums, wb, patch)
+	bitDot4AVX2(out, stride, npos, wb, patch, &pw.bcast, p, pw.flush, ep)
 }
 
+// bitDot4AVX2 is bitDot4 for 1 to 8 planes of weights bcast, widening its
+// int16 lanes every flush filter words.
+//
 //go:noescape
-func bitDot4AVX2(sums []uint64, wb, patch []uint64)
+func bitDot4AVX2(out []float32, stride, npos int, wb, patch []uint64, bcast *[8][32]int8, planes, flush int, ep *blockEpilogue)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -312,30 +313,42 @@ func TestConvInt8Validation(t *testing.T) {
 	}
 }
 
-// bitplaneCodeSets are activation code sets for the bit-plane kernel: the
-// sets CNV's 2-bit layers produce (three, two, one and no nonzero codes,
-// the last from an all-zero input), two more that decompose, and sets
-// that must fall back to the paired-lane kernel.
+// bitplaneCodeSets are activation code sets for the bit-plane kernel, with
+// the planes the decomposition rule gives them: the sets CNV's 2-bit
+// layers produce (three, two, one and no nonzero codes, the last from an
+// all-zero input) and two more that decompose into two planes, then sets
+// that take their two's complement, seven planes when no code is negative
+// and eight otherwise, the whole int8 range last.
 var bitplaneCodeSets = []struct {
 	codes  []int8
-	planes bool
+	planes int
 }{
-	{[]int8{0, 42, 85, 127}, true},
-	{[]int8{0, 64, 127}, true},
-	{[]int8{0, 127}, true},
-	{[]int8{0}, true},
-	{[]int8{0, 3, 7, 10}, true},
-	{[]int8{42, 85}, true},
-	{[]int8{0, -42, 42}, false},       // a negative code
-	{[]int8{0, 40, 85, 127}, false},   // c3 ≠ c1+c2
-	{[]int8{0, 1, 2, 3, 4}, false},    // four nonzero codes
-	{[]int8{-127, 0, 1, 127}, false},  // signed input, as an image gives
-	{[]int8{0, 64, 127, -1}, false},   // one stray negative code
-	{[]int8{0, 100, 110, 120}, false}, // three codes, none the sum of two
+	{[]int8{0, 42, 85, 127}, 2},
+	{[]int8{0, 64, 127}, 2},
+	{[]int8{0, 127}, 1},
+	{[]int8{0}, 1},
+	{[]int8{0, 3, 7, 10}, 2},
+	{[]int8{42, 85}, 2},
+	{[]int8{0, -42, 42}, 8},       // a negative code
+	{[]int8{0, 40, 85, 127}, 7},   // c3 ≠ c1+c2
+	{[]int8{0, 1, 2, 3, 4}, 7},    // four nonzero codes
+	{[]int8{-127, 0, 1, 127}, 8},  // signed input, as an image gives
+	{[]int8{0, 64, 127, -1}, 8},   // one stray negative code
+	{[]int8{0, 100, 110, 120}, 7}, // three codes, none the sum of two
+	{allCodes(), 8},
+}
+
+// allCodes returns every int8 code, −128 to 127.
+func allCodes() []int8 {
+	codes := make([]int8, 256)
+	for i := range codes {
+		codes[i] = int8(i - 128)
+	}
+	return codes
 }
 
 // drawCodes returns n codes from set, every code of the set present (when
-// n allows) so a set that must fall back cannot pass by chance.
+// n allows) so a set cannot pass on a subset that decomposes otherwise.
 func drawCodes(rng *rand.Rand, set []int8, n int) []int8 {
 	x := make([]int8, n)
 	for i := range x {
@@ -361,29 +374,13 @@ func ternaryCodes(rng *rand.Rand, n int, binary bool) []int8 {
 	return w
 }
 
-// convInt8Dispatch serves a batch the way internal/nn serves a float
-// input: on the bit planes, each int8 code its own symbol, when the layer
-// has them and every sample decomposes, else on the paired-lane kernel. It
-// reports which kernel ran.
-func convInt8Dispatch(dsts []*Tensor, w *Int8Matrix, wb *BitplaneWeights, xs [][]int8, g ConvGeom, scales [][]float32) (bool, error) {
-	if maps, ok := int8PlaneMaps(xs); wb != nil && ok {
-		return true, ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales)
-	}
-	return false, ConvInt8BatchInto(dsts, w, xs, g, scales)
-}
-
-// int8PlaneMaps returns every sample's Int8PlaneMap, and whether they all
-// decompose.
-func int8PlaneMaps(xs [][]int8) ([]PlaneMap, bool) {
+// int8PlaneMaps returns every sample's Int8PlaneMap.
+func int8PlaneMaps(xs [][]int8) []PlaneMap {
 	maps := make([]PlaneMap, len(xs))
 	for b, x := range xs {
-		m, ok := Int8PlaneMap(x)
-		if !ok {
-			return nil, false
-		}
-		maps[b] = m
+		maps[b] = Int8PlaneMap(x)
 	}
-	return maps, true
+	return maps
 }
 
 // tableSymbols recodes a sample as internal/nn's ladder levels reach the
@@ -403,23 +400,40 @@ func tableSymbols(x []int8) ([]uint8, []int8) {
 	return syms, table
 }
 
-// checkBitplaneBatch runs one batch through convInt8Dispatch at 1, 2 and
-// NumCPU workers: the kernel must be the expected one and every output
-// must equal the six-loop reference exactly. A batch on the bit planes is
-// run once more with its codes as table symbols (NewPlaneMap), which must
-// serve it too, with the same outputs.
-func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix, xs [][]int8, g ConvGeom, wantPlanes bool) {
+// nanOutputs returns one (rows × cols) output per sample filled with NaN,
+// so an element the kernel leaves unwritten cannot equal the reference.
+func nanOutputs(bsz, rows, cols int) []*Tensor {
+	dsts := make([]*Tensor, bsz)
+	for b := range dsts {
+		dsts[b] = New(rows, cols)
+		for i := range dsts[b].data {
+			dsts[b].data[i] = float32(math.NaN())
+		}
+	}
+	return dsts
+}
+
+// checkBitplaneBatch runs one batch on the bit planes at 1, 2, 3 and
+// NumCPU workers, with its int8 codes as symbols and again with them
+// recoded as table symbols (NewPlaneMap): sample b must take planes[b]
+// planes both ways, and every output must equal the six-loop reference
+// exactly. planes nil says the weights have no planes; the batch then runs
+// on the paired-lane kernel, which must equal the reference too.
+func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix, xs [][]int8, g ConvGeom, planes []int) {
 	t.Helper()
 	wb, err := PackBitplaneWeights(w, g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if (wb != nil) != (planes != nil) {
+		t.Fatalf("%s: planes built %v, want %v", name, wb != nil, planes != nil)
+	}
 	cols := g.OutH() * g.OutW()
 	scales := make([][]float32, len(xs))
 	want := make([][]float32, len(xs))
 	syms := make([][]uint8, len(xs))
-	maps := make([]PlaneMap, len(xs))
-	tablesDecompose := true
+	tableMaps := make([]PlaneMap, len(xs))
+	codeMaps := int8PlaneMaps(xs)
 	for b := range xs {
 		scales[b] = []float32{rng.Float32() + 0.5}
 		if rng.Intn(2) == 0 {
@@ -431,65 +445,64 @@ func checkBitplaneBatch(t *testing.T, rng *rand.Rand, name string, w *Int8Matrix
 		want[b] = naiveConvInt8(w.Data, xs[b], g, w.Rows, scales[b])
 		var table []int8
 		syms[b], table = tableSymbols(xs[b])
-		m, ok := NewPlaneMap(table)
-		tablesDecompose = tablesDecompose && ok
-		maps[b] = m
+		tableMaps[b] = NewPlaneMap(table)
+		if planes != nil && (codeMaps[b].P != planes[b] || tableMaps[b].P != planes[b]) {
+			t.Fatalf("%s: sample %d on %d planes as codes, %d as table symbols; want %d",
+				name, b, codeMaps[b].P, tableMaps[b].P, planes[b])
+		}
 	}
-	if _, ok := int8PlaneMaps(xs); ok != tablesDecompose {
-		t.Fatalf("%s: int8 codes decompose %v, their tables %v", name, ok, tablesDecompose)
-	}
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		prev := SetMaxWorkers(workers)
-		dsts := make([]*Tensor, len(xs))
-		for b := range dsts {
-			dsts[b] = New(w.Rows, cols)
+	for _, workers := range []int{1, 2, 3, runtime.NumCPU()} {
+		routes := []struct {
+			name string
+			run  func(dsts []*Tensor) error
+		}{
+			{"int8 codes", func(dsts []*Tensor) error { return ConvBitplaneBatchInto(dsts, wb, xs, codeMaps, g, scales) }},
+			{"table symbols", func(dsts []*Tensor) error { return ConvBitplaneBatchInto(dsts, wb, syms, tableMaps, g, scales) }},
 		}
-		served, err := convInt8Dispatch(dsts, w, wb, xs, g, scales)
-		SetMaxWorkers(prev)
-		if err != nil {
-			t.Fatalf("%s %+v: %v", name, g, err)
+		if wb == nil {
+			routes = routes[:1]
+			routes[0].name = "paired-lane"
+			routes[0].run = func(dsts []*Tensor) error { return ConvInt8BatchInto(dsts, w, xs, g, scales) }
 		}
-		if served != wantPlanes {
-			t.Fatalf("%s %+v workers=%d: served on bit planes %v, want %v", name, g, workers, served, wantPlanes)
-		}
-		checkOutputs := func(route string) {
-			t.Helper()
+		for _, route := range routes {
+			dsts := nanOutputs(len(xs), w.Rows, cols)
+			prev := SetMaxWorkers(workers)
+			err := route.run(dsts)
+			SetMaxWorkers(prev)
+			if err != nil {
+				t.Fatalf("%s %+v %s: %v", name, g, route.name, err)
+			}
 			for b := range xs {
 				for i, v := range dsts[b].Data() {
 					if v != want[b][i] {
 						t.Fatalf("%s %+v outC=%d workers=%d %s sample %d: out[%d] = %v, naive %v",
-							name, g, w.Rows, workers, route, b, i, v, want[b][i])
+							name, g, w.Rows, workers, route.name, b, i, v, want[b][i])
 					}
 				}
 			}
 		}
-		checkOutputs("int8 codes")
-		if !served {
-			continue
-		}
-		prev = SetMaxWorkers(workers)
-		for b := range dsts {
-			dsts[b] = New(w.Rows, cols)
-		}
-		err = ConvBitplaneBatchInto(dsts, wb, syms, maps, g, scales)
-		SetMaxWorkers(prev)
-		if err != nil {
-			t.Fatalf("%s %+v table symbols: %v", name, g, err)
-		}
-		checkOutputs("table symbols")
 	}
 }
 
+// repeatPlanes returns n copies of p.
+func repeatPlanes(p, n int) []int {
+	ps := make([]int, n)
+	for i := range ps {
+		ps[i] = p
+	}
+	return ps
+}
+
 // TestConvBitplaneSelfTest checks the bit-plane kernel against the six-loop
-// reference with ==: InC on both sides of every 64-channel word edge, W1
-// and W2 weights, every code set of bitplaneCodeSets, padding and stride,
+// reference with ==: InC on both sides of every 64-bit word edge, W1 and
+// W2 weights, every code set of bitplaneCodeSets, padding and stride,
 // partial blocks of four filters, and batches of one to three; then
 // constant filters and an inner dimension just below maxLaneK.
 func TestConvBitplaneSelfTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	prevGrain := SetParallelGrain(1)
 	defer SetParallelGrain(prevGrain)
-	for _, inC := range []int{1, 63, 64, 65, 128, 300} {
+	for _, inC := range []int{1, 3, 7, 63, 64, 65, 128, 300} {
 		for _, binary := range []bool{true, false} {
 			for si, set := range bitplaneCodeSets {
 				g := ConvGeom{InC: inC, InH: 3 + rng.Intn(5), InW: 3 + rng.Intn(5), KH: 1 + rng.Intn(3), KW: 1 + rng.Intn(3),
@@ -505,7 +518,7 @@ func TestConvBitplaneSelfTest(t *testing.T) {
 					xs[b] = drawCodes(rng, set.codes, inC*g.InH*g.InW)
 				}
 				name := fmt.Sprintf("InC=%d binary=%v codes=%v", inC, binary, set.codes)
-				checkBitplaneBatch(t, rng, name, w, xs, g, set.planes)
+				checkBitplaneBatch(t, rng, name, w, xs, g, repeatPlanes(set.planes, len(xs)))
 			}
 		}
 	}
@@ -514,7 +527,7 @@ func TestConvBitplaneSelfTest(t *testing.T) {
 	// correction N), all 0 and all +1 beside random ones, OutC = 7 so the
 	// last block of four carries a zero filter, and padding on both axes,
 	// where a word v = 0 contributes pop(m&n) = pop(n) and so nothing net.
-	for _, inC := range []int{1, 63, 64, 65, 130} {
+	for _, inC := range []int{1, 3, 63, 64, 65, 130} {
 		g := ConvGeom{InC: inC, InH: 4, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 2, PadH: 2, PadW: 1}
 		k := inC * g.KH * g.KW
 		w := &Int8Matrix{Rows: 7, Cols: k, Data: ternaryCodes(rng, 7*k, false)}
@@ -526,16 +539,18 @@ func TestConvBitplaneSelfTest(t *testing.T) {
 				}
 			}
 		}
-		for _, set := range [][]int8{{0, 42, 85, 127}, {0, 127}, {0}} {
-			xs := [][]int8{drawCodes(rng, set, inC*g.InH*g.InW), drawCodes(rng, set, inC*g.InH*g.InW)}
-			checkBitplaneBatch(t, rng, fmt.Sprintf("InC=%d constant filters codes=%v", inC, set), w, xs, g, true)
+		for _, set := range bitplaneCodeSets[:4] {
+			xs := [][]int8{drawCodes(rng, set.codes, inC*g.InH*g.InW), drawCodes(rng, set.codes, inC*g.InH*g.InW)}
+			checkBitplaneBatch(t, rng, fmt.Sprintf("InC=%d constant filters codes=%v", inC, set.codes), w, xs, g, repeatPlanes(set.planes, 2))
 		}
+		xs := [][]int8{drawCodes(rng, allCodes(), inC*g.InH*g.InW)}
+		checkBitplaneBatch(t, rng, fmt.Sprintf("InC=%d constant filters, every code", inC), w, xs, g, []int{8})
 	}
 
-	// The largest plane counts: k = 131067, just below maxLaneK, and every
-	// code c1+c2, so both planes are all ones. An all +1 filter counts k in
-	// both halves of its uint64 (neither may carry into the other), an all
-	// −1 filter counts 0 and subtracts N = k from each.
+	// The largest sums: k = 131067, just below maxLaneK, with every code
+	// c1+c2 (both planes all ones) and then every code −128 (the sign
+	// plane all ones). An all +1 filter sums ±127·k or −128·k, an all −1
+	// filter the negation, from counts of k on every plane.
 	g := ConvGeom{InC: 14563, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
 	k := g.InC * g.KH * g.KW
 	if k >= maxLaneK || maxLaneK-k > 8 {
@@ -551,26 +566,33 @@ func TestConvBitplaneSelfTest(t *testing.T) {
 	if err != nil || wb == nil {
 		t.Fatalf("near-bound layer: planes %v, error %v", wb, err)
 	}
-	x := make([]int8, g.InC*g.InH*g.InW)
-	for i := range x {
-		x[i] = 42 + 85
-	}
-	m := PlaneMap{C1: 42, C2: 85}
-	m.Bits[42+85] = 3
-	scales := [][]float32{{1}}
-	dst := New(w.Rows, 1)
-	if err := ConvBitplaneBatchInto([]*Tensor{dst}, wb, [][]int8{x}, []PlaneMap{m}, g, scales); err != nil {
-		t.Fatal(err)
-	}
-	want := naiveConvInt8(w.Data, x, g, w.Rows, scales[0])
-	if got := dst.Data(); !slices.Equal(got, want) || got[0] != float32(127*k) || got[1] != -float32(127*k) {
-		t.Fatalf("near-bound layer: got %v, want %v (±127·%d in the constant filters)", got, want, k)
+	for _, code := range []int8{42 + 85, -128} {
+		x := make([]int8, g.InC*g.InH*g.InW)
+		for i := range x {
+			x[i] = code
+		}
+		m := Int8PlaneMap(x)
+		if code > 0 {
+			m = PlaneMap{P: 2, W: [8]int8{42, 85}}
+			m.Bits[42+85] = 3
+		}
+		scales := [][]float32{{1}}
+		dst := New(w.Rows, 1)
+		if err := ConvBitplaneBatchInto([]*Tensor{dst}, wb, [][]int8{x}, []PlaneMap{m}, g, scales); err != nil {
+			t.Fatal(err)
+		}
+		want := naiveConvInt8(w.Data, x, g, w.Rows, scales[0])
+		if got := dst.Data(); !slices.Equal(got, want) || got[0] != float32(int(code)*k) || got[1] != -float32(int(code)*k) {
+			t.Fatalf("near-bound layer, code %d on %d planes: got %v, want %v (±%d·%d in the constant filters)", code, m.P, got, want, code, k)
+		}
 	}
 }
 
-// TestConvBitplaneFallbacks covers the two whole-batch fallbacks: one
-// sample that does not decompose sends the batch to the paired-lane kernel
-// with identical results, and a weight code of ±2 builds no planes.
+// TestConvBitplaneFallbacks covers the batches the kernel serves sample
+// by sample and the one fallback left: a batch mixing two-, seven- and
+// eight-plane samples runs in one call, each sample on its own planes, and
+// a weight code of ±2 builds no planes, so the paired-lane kernel serves
+// the layer.
 func TestConvBitplaneFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	g := ConvGeom{InC: 70, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
@@ -580,19 +602,63 @@ func TestConvBitplaneFallbacks(t *testing.T) {
 	for b := range xs {
 		xs[b] = drawCodes(rng, []int8{0, 42, 85, 127}, g.InC*g.InH*g.InW)
 	}
-	checkBitplaneBatch(t, rng, "all samples decompose", w, xs, g, true)
+	checkBitplaneBatch(t, rng, "all samples on two planes", w, xs, g, []int{2, 2, 2, 2})
+	xs[1] = drawCodes(rng, []int8{-128, 0, 127}, len(xs[1]))
 	xs[2] = drawCodes(rng, []int8{0, 40, 85, 127}, len(xs[2]))
-	checkBitplaneBatch(t, rng, "sample 2 does not decompose", w, xs, g, false)
+	checkBitplaneBatch(t, rng, "mixed planes", w, xs, g, []int{2, 8, 7, 2})
 
 	for _, c := range []int8{2, -2} {
 		w2 := &Int8Matrix{Rows: w.Rows, Cols: k, Data: append([]int8(nil), w.Data...)}
 		w2.Data[rng.Intn(len(w2.Data))] = c
-		wb, err := PackBitplaneWeights(w2, g)
-		if err != nil || wb != nil {
-			t.Fatalf("weight code %d: planes %v, error %v; want none", c, wb, err)
+		checkBitplaneBatch(t, rng, fmt.Sprintf("weight code %d", c), w2, xs, g, nil)
+	}
+}
+
+// TestConvBitplaneFilterSplit covers the split by filter blocks: a
+// one-pixel geometry (a Dense layer as the kernels see it) at batch 1 and
+// 2 has fewer (sample, output row) units than workers, so each unit's
+// filter blocks are spread over the workers. Every output must be written
+// once, exactly, for any worker count and filter count, partial last
+// block included.
+func TestConvBitplaneFilterSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	prevGrain := SetParallelGrain(1)
+	defer SetParallelGrain(prevGrain)
+	for _, outC := range []int{1, 3, 4, 5, 8, 13, 64} {
+		for _, inC := range []int{27, 784} {
+			g := ConvGeom{InC: inC, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+			w := &Int8Matrix{Rows: outC, Cols: inC, Data: ternaryCodes(rng, outC*inC, false)}
+			for _, bsz := range []int{1, 2} {
+				xs := make([][]int8, bsz)
+				for b := range xs {
+					xs[b] = drawCodes(rng, allCodes(), inC)
+				}
+				wb, err := PackBitplaneWeights(w, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maps := int8PlaneMaps(xs)
+				scales := make([][]float32, bsz)
+				for b := range scales {
+					scales[b] = []float32{0.5 + float32(b)}
+				}
+				for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+					dsts := nanOutputs(bsz, outC, 1)
+					prev := SetMaxWorkers(workers)
+					err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales)
+					SetMaxWorkers(prev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for b, x := range xs {
+						if want := naiveConvInt8(w.Data, x, g, outC, scales[b]); !slices.Equal(dsts[b].Data(), want) {
+							t.Fatalf("outC=%d InC=%d B=%d workers=%d sample %d: %v, naive %v",
+								outC, inC, bsz, workers, b, dsts[b].Data(), want)
+						}
+					}
+				}
+			}
 		}
-		xs[2] = drawCodes(rng, []int8{0, 127}, len(xs[2]))
-		checkBitplaneBatch(t, rng, fmt.Sprintf("weight code %d", c), w2, xs, g, false)
 	}
 }
 
@@ -614,7 +680,7 @@ func TestConvBitplaneValidation(t *testing.T) {
 	cols := g.OutH() * g.OutW()
 	other := g
 	other.PadH = 1
-	maps := make([]PlaneMap, 1)
+	maps := []PlaneMap{{P: 1}}
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -638,6 +704,12 @@ func TestConvBitplaneValidation(t *testing.T) {
 		{"missing plane map", func() error {
 			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, nil, g, [][]float32{{1}})
 		}},
+		{"no planes", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, []PlaneMap{{}}, g, [][]float32{{1}})
+		}},
+		{"nine planes", func() error {
+			return ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, []PlaneMap{{P: 9}}, g, [][]float32{{1}})
+		}},
 		{"empty batch", func() error {
 			return ConvBitplaneBatchInto[int8](nil, wb, nil, nil, g, nil)
 		}},
@@ -646,29 +718,58 @@ func TestConvBitplaneValidation(t *testing.T) {
 			t.Fatalf("%s accepted", tc.name)
 		}
 	}
+	if err := ConvBitplaneBatchInto([]*Tensor{New(3, cols)}, wb, [][]int8{x}, maps, g, [][]float32{{1}}); err != nil {
+		t.Fatalf("a valid call refused: %v", err)
+	}
 }
 
-// checkBitDot4 runs bitDot4 and the Go loop on the same npos patches and
-// demands equal sums, and that bitDot4 writes nothing past its sums.
-func checkBitDot4(t *testing.T, name string, wb, patch []uint64, npos int) []uint64 {
-	t.Helper()
-	const sentinel = 0x5a5a5a5a5a5a5a5a
-	got := make([]uint64, 4*npos+4)
-	for i := range got {
-		got[i] = sentinel
-	}
-	want := make([]uint64, 4*npos)
-	bitDot4(got[:4*npos], wb, patch)
-	bitDot4Go(want, wb, patch)
-	if !slices.Equal(got[:4*npos], want) {
-		t.Fatalf("%s: bitDot4 %x, Go loop %x", name, got[:4*npos], want)
-	}
-	for _, v := range got[4*npos:] {
-		if v != sentinel {
-			t.Fatalf("%s: bitDot4 wrote past its sums: %x", name, got[4*npos:])
+// planeFields splits npos fields of filter words a plane into the planes
+// of m: code i of codes (64·filter a field) sets bit i mod 64 of word
+// i/64 of plane b where bit b of m.Bits[code] is set. The fields are
+// plane-minor, as bitDot4 reads them.
+func planeFields(m *PlaneMap, codes []int8, filter, npos int) []uint64 {
+	patch := make([]uint64, npos*filter*m.P)
+	for pos := range npos {
+		for i, v := range codes[pos*64*filter : (pos+1)*64*filter] {
+			for b := range m.P {
+				if m.Bits[uint8(v)]>>b&1 != 0 {
+					patch[(pos*filter+i/64)*m.P+b] |= 1 << (i % 64)
+				}
+			}
 		}
 	}
-	return want
+	return patch
+}
+
+// checkBitDot4 runs bitDot4 and the Go loop on the same npos fields with
+// plane weights w and epilogue ep, into rows npos+3 apart that hold a NaN
+// sentinel, and demands the same bits everywhere: equal outputs, and the
+// sentinel left after each row's npos outputs and in the rows past ep.n.
+// It returns the Go loop's rows.
+func checkBitDot4(t *testing.T, name string, wb, patch []uint64, w []int8, npos int, ep *blockEpilogue) [][]float32 {
+	t.Helper()
+	sentinel := math.Float32frombits(0x7fc05a5a)
+	stride := npos + 3
+	got, want := make([]float32, 4*stride), make([]float32, 4*stride)
+	for i := range got {
+		got[i], want[i] = sentinel, sentinel
+	}
+	pw := newPlaneWeights(w)
+	bitDot4(got, stride, npos, wb, patch, &pw, ep)
+	bitDot4Go(want, stride, npos, wb, patch, &pw, ep)
+	for i, v := range got {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: row %d position %d: bitDot4 %v, Go loop %v", name, i/stride, i%stride, v, want[i])
+		}
+		if written := i/stride < ep.n && i%stride < npos; !written && math.Float32bits(v) != math.Float32bits(sentinel) {
+			t.Fatalf("%s: row %d position %d written, past the outputs", name, i/stride, i%stride)
+		}
+	}
+	rows := make([][]float32, ep.n)
+	for i := range rows {
+		rows[i] = want[i*stride : i*stride+npos]
+	}
+	return rows
 }
 
 // randBitWords returns n words of mixed density: sparse, even and dense.
@@ -688,18 +789,60 @@ func randBitWords(rng *rand.Rand, n int) []uint64 {
 }
 
 // TestBitDot4Kernels compares bitDot4, the AVX2 body on a CPU that has
-// AVX2, with the Go loop on random words at filter lengths from 1 to 2047
-// words and 1 to rowChunk positions, then at the largest counts: 2047
-// words, the longest whole-word filter below maxLaneK, of all-ones masks,
-// zero signs and all-ones planes, which count 2047·64 in both halves of
-// every uint64.
+// AVX2, with the Go loop at P = 1, 2, 7 and 8 planes, filters of 1 to 2047
+// words, 1 to 40 positions and blocks of 1 to 4 filters, on fields cut
+// from codes: the 2-bit levels {0, 42, 85, 127} on their two planes, and
+// codes over the whole int8 range on their two's complement. With the
+// correction N·Σω each output must be the dot product of the filter's
+// ternary weights with the codes. Then the largest counts: 2047 words, the
+// longest whole-word filter below maxLaneK, of all-ones masks, zero signs
+// and all-ones planes, which count 2047·64 on every plane.
 func TestBitDot4Kernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	for _, filter := range []int{1, 2, 9, 31, 32, 36, 2047} {
-		for npos := 1; npos <= rowChunk; npos++ {
-			wb := randBitWords(rng, 8*filter)
-			patch := randBitWords(rng, 2*filter*npos)
-			checkBitDot4(t, fmt.Sprintf("filter=%d npos=%d", filter, npos), wb, patch, npos)
+	for _, set := range []struct {
+		codes []int8
+		m     PlaneMap
+	}{
+		{[]int8{0, 127}, Int8PlaneMap([]int8{0, 127})},
+		{[]int8{0, 42, 85, 127}, Int8PlaneMap([]int8{0, 42, 85, 127})},
+		{allCodes()[128:], Int8PlaneMap(allCodes()[128:])},
+		{allCodes(), Int8PlaneMap(allCodes())},
+	} {
+		pw := set.m.W[:set.m.P]
+		var wsum int32
+		for _, v := range pw {
+			wsum += int32(v)
+		}
+		for _, filter := range []int{1, 2, 9, 13, 31, 32, 36, 2047} {
+			for _, npos := range []int{1, 2, 3, 5, 8, 17, 32, 40} {
+				wb := randBitWords(rng, 8*filter)
+				codes := drawCodes(rng, set.codes, 64*filter*npos)
+				ep := blockEpilogue{n: 1 + (filter+npos)%4, scale: [4]float32{1, 1, 1, 1}}
+				dots := make([][]int32, ep.n)
+				for i := range ep.n {
+					var negs int32
+					for j := range 64 * filter {
+						negs += int32(wb[8*(j/64)+i] & wb[8*(j/64)+4+i] >> (j % 64) & 1)
+					}
+					ep.corr[i] = negs * wsum
+					dots[i] = make([]int32, npos)
+					for pos := range npos {
+						for j, x := range codes[pos*64*filter : (pos+1)*64*filter] {
+							m, n := int32(wb[8*(j/64)+i]>>(j%64)&1), int32(wb[8*(j/64)+4+i]>>(j%64)&1)
+							dots[i][pos] += m * (1 - 2*n) * int32(x)
+						}
+					}
+				}
+				name := fmt.Sprintf("P=%d filter=%d npos=%d filters=%d", set.m.P, filter, npos, ep.n)
+				rows := checkBitDot4(t, name, wb, planeFields(&set.m, codes, filter, npos), pw, npos, &ep)
+				for i, row := range rows {
+					for pos, v := range row {
+						if v != float32(dots[i][pos]) {
+							t.Fatalf("%s filter %d position %d: %v, dot product %d", name, i, pos, v, dots[i][pos])
+						}
+					}
+				}
+			}
 		}
 	}
 
@@ -710,78 +853,99 @@ func TestBitDot4Kernels(t *testing.T) {
 			wb[8*f+i] = ^uint64(0)
 		}
 	}
-	patch := make([]uint64, 2*filter*rowChunk)
-	for i := range patch {
-		patch[i] = ^uint64(0)
-	}
-	sums := checkBitDot4(t, "largest counts", wb, patch, rowChunk)
-	top := uint64(64 * filter)
-	for i, v := range sums {
-		if v != top|top<<32 {
-			t.Fatalf("largest counts: sums[%d] = %x, want %d in both halves", i, v, top)
+	for _, pw := range [][]int8{{127, 127}, {-128, -128, -128, -128, -128, -128, -128, -128}, twosComplement[:]} {
+		const npos = 3
+		patch := make([]uint64, len(pw)*filter*npos)
+		for i := range patch {
+			patch[i] = ^uint64(0)
 		}
-	}
-}
-
-// BenchmarkBitDot4 times bitDot4 and the Go loop on one row chunk at the
-// filter lengths of CNVW2A2's bit-plane layers (3, 9 and 36 words), per
-// popcount: eight per filter word and position.
-func BenchmarkBitDot4(b *testing.B) {
-	rng := rand.New(rand.NewSource(79))
-	for _, filter := range []int{3, 9, 36} {
-		wb := randBitWords(rng, 8*filter)
-		patch := randBitWords(rng, 2*filter*rowChunk)
-		sums := make([]uint64, 4*rowChunk)
-		for _, k := range []struct {
-			name string
-			run  func(sums, wb, patch []uint64)
-		}{{"bitDot4", bitDot4}, {"go", bitDot4Go}} {
-			b.Run(fmt.Sprintf("%s/filter=%d", k.name, filter), func(b *testing.B) {
-				for b.Loop() {
-					k.run(sums, wb, patch)
+		ep := blockEpilogue{n: 4, scale: [4]float32{1, 1, 1, 1}}
+		var want int32
+		for _, v := range pw {
+			want += int32(v) * int32(64*filter)
+		}
+		for i, row := range checkBitDot4(t, "largest counts", wb, patch, pw, npos, &ep) {
+			for pos, v := range row {
+				if v != float32(want) {
+					t.Fatalf("largest counts on %d planes: filter %d position %d is %v, want %d", len(pw), i, pos, v, want)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8*filter*rowChunk), "ns/popcount")
-			})
+			}
 		}
 	}
 }
 
-// BenchmarkConvBitplane compares the two integer kernels on CNVW2A2's
-// unpruned conv1 (64→64 channels, 30×30 in, 3×3), batch 8, on the codes
-// its 2-bit activations quantize to.
+// BenchmarkBitDot4 times bitDot4 and the Go loop on one output row of 30
+// positions, conv0's, at the filter lengths of CNVW2A2's layers (1 word
+// for conv0, 9 and 36 for the others) on two and eight planes, per
+// popcount: four per plane, filter word and position.
+func BenchmarkBitDot4(b *testing.B) {
+	const npos = 30
+	rng := rand.New(rand.NewSource(79))
+	for _, planes := range []int{2, 8} {
+		pw := newPlaneWeights(twosComplement[:planes])
+		for _, filter := range []int{1, 9, 36} {
+			wb := randBitWords(rng, 8*filter)
+			patch := randBitWords(rng, planes*filter*npos)
+			out := make([]float32, 4*npos)
+			ep := blockEpilogue{n: 4, scale: [4]float32{1, 1, 1, 1}}
+			for _, k := range []struct {
+				name string
+				run  func(out []float32, stride, npos int, wb, patch []uint64, pw *planeWeights, ep *blockEpilogue)
+			}{{"bitDot4", bitDot4}, {"go", bitDot4Go}} {
+				b.Run(fmt.Sprintf("%s/P=%d/filter=%d", k.name, planes, filter), func(b *testing.B) {
+					for b.Loop() {
+						k.run(out, npos, npos, wb, patch, &pw, &ep)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4*planes*filter*npos), "ns/popcount")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkConvBitplane compares the two integer kernels, batch 8, on
+// CNVW2A2's conv0 (3→64 channels, 32×32 image codes over the whole int8
+// range, so eight planes, 3×3) and its unpruned conv1 (64→64 channels,
+// 30×30 in, 3×3) on the codes its 2-bit activations quantize to.
 func BenchmarkConvBitplane(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
-	g := ConvGeom{InC: 64, InH: 30, InW: 30, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
-	k := g.InC * g.KH * g.KW
-	w := &Int8Matrix{Rows: 64, Cols: k, Data: ternaryCodes(rng, 64*k, false)}
-	wb, err := PackBitplaneWeights(w, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := make([][]int8, 8)
-	dsts := make([]*Tensor, 8)
-	scales := make([][]float32, 8)
-	for i := range xs {
-		xs[i] = drawCodes(rng, []int8{0, 42, 85, 127}, g.InC*g.InH*g.InW)
-		dsts[i] = New(64, g.OutH()*g.OutW())
-		scales[i] = []float32{0.01}
-	}
-	maps, ok := int8PlaneMaps(xs)
-	if !ok {
-		b.Fatal("codes do not decompose")
-	}
-	b.Run("bitplane", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales); err != nil {
-				b.Fatal(err)
-			}
+	for _, layer := range []struct {
+		name  string
+		g     ConvGeom
+		codes []int8
+	}{
+		{"conv0", ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, allCodes()},
+		{"conv1", ConvGeom{InC: 64, InH: 30, InW: 30, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, []int8{0, 42, 85, 127}},
+	} {
+		g := layer.g
+		k := g.InC * g.KH * g.KW
+		w := &Int8Matrix{Rows: 64, Cols: k, Data: ternaryCodes(rng, 64*k, false)}
+		wb, err := PackBitplaneWeights(w, g)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("paired-lane", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := ConvInt8BatchInto(dsts, w, xs, g, scales); err != nil {
-				b.Fatal(err)
-			}
+		xs := make([][]int8, 8)
+		dsts := make([]*Tensor, 8)
+		scales := make([][]float32, 8)
+		for i := range xs {
+			xs[i] = drawCodes(rng, layer.codes, g.InC*g.InH*g.InW)
+			dsts[i] = New(64, g.OutH()*g.OutW())
+			scales[i] = []float32{0.01}
 		}
-	})
+		maps := int8PlaneMaps(xs)
+		b.Run(layer.name+"/bitplane", func(b *testing.B) {
+			for b.Loop() {
+				if err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(layer.name+"/paired-lane", func(b *testing.B) {
+			for b.Loop() {
+				if err := ConvInt8BatchInto(dsts, w, xs, g, scales); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -12,19 +12,21 @@ import (
 // FuzzConvBitplane is a differential target for the bit-plane convolution
 // and its decomposition rule. shape picks the geometry and filter count,
 // codes the activation codes (mode 0: drawn from {0, c1, c2, c1+c2} for
-// c1, c2 taken from codes; mode 1: the raw bytes), and wseed the weights
-// (binary, ternary, or ternary with one code of ±2). Whenever every
-// sample's codes decompose (Int8PlaneMap), the kernel's outputs must equal
-// the six-loop reference exactly, with the codes as symbols and again with
-// them recoded as table symbols (NewPlaneMap); whenever one does not, a
-// brute-force search over every pair c1 < c2 must confirm it, or the
-// weights must have no planes.
+// c1, c2 taken from codes; mode 1: the raw bytes, any int8 code), and
+// wseed the weights (binary, ternary, or ternary with one code of ±2).
+// Every sample must take two planes or fewer exactly when a brute-force
+// search over every pair c1 < c2 decomposes its codes, and otherwise
+// eight planes exactly when it holds a negative code. When the weights
+// have planes, the kernel's outputs must equal the six-loop reference
+// exactly, with the codes as symbols and again with them recoded as table
+// symbols (NewPlaneMap); a code of ±2 must build none.
 func FuzzConvBitplane(f *testing.F) {
 	f.Add(uint64(0), []byte{42, 85, 0, 1, 2, 3}, int64(1), uint8(0))
 	f.Add(uint64(63), []byte{64, 63, 9, 8, 7}, int64(2), uint8(0))
 	f.Add(uint64(1<<20|64), []byte{0, 127, 42, 85}, int64(3), uint8(1))
 	f.Add(uint64(1<<30|299), []byte{40, 85, 125}, int64(4), uint8(1))
 	f.Add(uint64(7<<40|65), []byte{200, 1}, int64(5), uint8(1))
+	f.Add(uint64(2|3<<9|5<<12|2<<15|2<<17), []byte{0x80, 0x7f, 0xff, 1, 0, 0x81}, int64(7), uint8(1))
 	f.Fuzz(func(t *testing.T, shape uint64, codes []byte, wseed int64, mode uint8) {
 		if len(codes) == 0 {
 			t.Skip()
@@ -61,6 +63,20 @@ func FuzzConvBitplane(f *testing.F) {
 				xs[b][i] = int8(c)
 			}
 		}
+		maps := int8PlaneMaps(xs)
+		for b, x := range xs {
+			want := 7
+			if bruteDecomposes(x) {
+				want = 2
+			} else if slices.Min(x) < 0 {
+				want = 8
+			}
+			if p := maps[b].P; p > 2 || want > 2 {
+				if p != want {
+					t.Fatalf("%+v sample %d: %d planes, want %d", g, b, p, want)
+				}
+			}
+		}
 		wb, err := PackBitplaneWeights(w, g)
 		if err != nil {
 			t.Fatal(err)
@@ -72,27 +88,11 @@ func FuzzConvBitplane(f *testing.F) {
 		if wb == nil {
 			return
 		}
-		dsts := make([]*Tensor, bsz)
 		scales := make([][]float32, bsz)
-		for b := range dsts {
-			dsts[b] = New(outC, g.OutH()*g.OutW())
+		for b := range scales {
 			scales[b] = []float32{0.25 + float32(b)}
 		}
-		maps, served := int8PlaneMaps(xs)
-		decomposes := true
-		for _, x := range xs {
-			decomposes = decomposes && bruteDecomposes(x)
-		}
-		if served != decomposes {
-			t.Fatalf("%+v: served %v, brute-force decomposition %v", g, served, decomposes)
-		}
-		if !served {
-			return
-		}
-		if err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales); err != nil {
-			t.Fatal(err)
-		}
-		check := func(route string) {
+		check := func(route string, dsts []*Tensor) {
 			for b, x := range xs {
 				want := naiveConvInt8(w.Data, x, g, outC, scales[b])
 				for i, v := range dsts[b].Data() {
@@ -102,21 +102,22 @@ func FuzzConvBitplane(f *testing.F) {
 				}
 			}
 		}
-		check("int8 codes")
+		dsts := nanOutputs(bsz, outC, g.OutH()*g.OutW())
+		if err := ConvBitplaneBatchInto(dsts, wb, xs, maps, g, scales); err != nil {
+			t.Fatal(err)
+		}
+		check("int8 codes", dsts)
 		syms := make([][]uint8, bsz)
 		for b, x := range xs {
 			var table []int8
 			syms[b], table = tableSymbols(x)
-			var ok bool
-			if maps[b], ok = NewPlaneMap(table); !ok {
-				t.Fatalf("sample %d decomposes, its table %v does not", b, table)
-			}
-			dsts[b] = New(outC, g.OutH()*g.OutW())
+			maps[b] = NewPlaneMap(table)
 		}
+		dsts = nanOutputs(bsz, outC, g.OutH()*g.OutW())
 		if err := ConvBitplaneBatchInto(dsts, wb, syms, maps, g, scales); err != nil {
 			t.Fatal(err)
 		}
-		check("table symbols")
+		check("table symbols", dsts)
 	})
 }
 
@@ -147,27 +148,40 @@ func bruteDecomposes(x []int8) bool {
 	return false
 }
 
-// FuzzBitDot4 compares bitDot4 with the Go loop on arbitrary words: word i
-// of the weight block and the patches is the 8 bytes of data at i·8 (mod
-// its length) rotated left by i bits, so a short input still gives
-// distinct words, and shape picks the filter length (1–1024 words) and
-// the positions (1–rowChunk).
+// FuzzBitDot4 compares bitDot4 with the Go loop on arbitrary words,
+// plane weights and epilogues: word i of the weight block and the fields
+// is the 8 bytes of data at i·8 (mod its length) rotated left by i bits,
+// so a short input still gives distinct words; shape picks the filter
+// length (1–1024 words) and the positions (1–32), planes the plane count
+// (1–8), and wseed the plane weights (any int8), the corrections, the
+// scales and the filters of the block (1–4).
 func FuzzBitDot4(f *testing.F) {
-	f.Add([]byte{0xff, 0, 0x0f, 0xf0, 1, 2, 3, 4}, uint16(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(35|31<<10))
-	f.Add([]byte("bit-plane words, eight bytes each"), uint16(8|5<<10))
-	f.Fuzz(func(t *testing.T, data []byte, shape uint16) {
+	f.Add([]byte{0xff, 0, 0x0f, 0xf0, 1, 2, 3, 4}, uint16(0), uint8(1), int64(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(35|31<<10), uint8(7), int64(1))
+	f.Add([]byte("bit-plane words, eight bytes each"), uint16(8|5<<10), uint8(6), int64(2))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint16, planes uint8, wseed int64) {
 		if len(data) < 8 {
 			t.Skip()
 		}
 		filter := 1 + int(shape&0x3ff)
-		npos := 1 + int(shape>>10)%rowChunk
-		words := make([]uint64, 8*filter+2*filter*npos)
+		npos := 1 + int(shape>>10)%32
+		p := 1 + int(planes%8)
+		rng := rand.New(rand.NewSource(wseed))
+		pw := make([]int8, p)
+		for b := range pw {
+			pw[b] = int8(rng.Uint32())
+		}
+		ep := blockEpilogue{n: 1 + rng.Intn(4)}
+		for i := range ep.corr {
+			ep.corr[i] = int32(rng.Intn(1<<20) - 1<<19)
+			ep.scale[i] = float32(rng.NormFloat64())
+		}
+		words := make([]uint64, 8*filter+p*filter*npos)
 		for i := range words {
 			o := i * 8 % (len(data) - 7)
 			words[i] = bits.RotateLeft64(binary.LittleEndian.Uint64(data[o:]), i)
 		}
-		checkBitDot4(t, "fuzz", words[:8*filter], words[8*filter:], npos)
+		checkBitDot4(t, "fuzz", words[:8*filter], words[8*filter:], pw, npos, &ep)
 	})
 }
 

@@ -17,8 +17,8 @@ import "fmt"
 // (im2col.go) takes int8 codes and runs on one micro-kernel, mulInt8Lanes:
 // two weight rows share one int64 coefficient (w0 + w1<<32), so each
 // multiply-add advances two int32 output lanes at once.
-// ConvBitplaneBatchInto (bitplane.go) takes codes that decompose into two
-// bit planes and counts bits instead.
+// ConvBitplaneBatchInto (bitplane.go) takes ternary weights and any codes,
+// split into bit planes, and counts bits instead.
 
 // Int8Matrix is a dense row-major int8 matrix, the storage format of
 // quantized weights and streamed activation patches on the integer path.

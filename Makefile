@@ -17,7 +17,7 @@ test:
 # of the concurrent compute packages.
 test-race:
 	$(GO) test -race $(RACEFLAGS) ./internal/tensor/... ./internal/nn/... ./internal/train/... \
-		./internal/quant/... \
+		./internal/compile/... ./internal/quant/... \
 		./internal/edge/... ./internal/manager/... ./internal/multiedge/... \
 		./internal/cluster/... ./internal/adapt/... \
 		./internal/prune/... ./internal/accuracy/... \

@@ -14,11 +14,13 @@
 //     equals pooling values);
 //   - the classifier head stays affine and yields logits.
 //
-// A program runs the loaded model's own layers: each stage holds a copy
-// of an nn layer, taken when the model is compiled or loaded, and calls
-// its Forward (nn's integer body by default, its float body under
-// nn.SetInt8GEMM(false)); an MVTU stage then replaces each output by its
-// ladder level's value. There is no second executor to drift from nn's.
+// A program runs the loaded model's own network: it holds a copy taken
+// when the model is compiled or loaded, and runs it with
+// nn.Network.ForwardBatch, whose staged path is that MVTU — a quantized
+// convolution or dense layer ending in the threshold count of the
+// ScaleShift and QuantAct it absorbs — on nn's integer body, and the
+// per-layer path under nn.SetInt8GEMM(false). Compile checks the
+// structure; there is no second executor to drift from nn's.
 //
 // Programs can be built for the model's own channel counts (a
 // Fixed-Pruning accelerator) or for worst-case channel counts (a
@@ -31,47 +33,11 @@ package compile
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/nn"
 )
-
-// Thresholds is a per-channel activation ladder on the accumulator scale:
-// the float32 edges quant.ActQuantizer.AffineLadder derives from the
-// channel's ScaleShift and the exact ladder nn's QuantAct reads.
-type Thresholds struct {
-	Edges []float32
-	Up    bool // false for a negative batch-norm gain
-	// ZeroGain marks a channel with γ = 0: every finite accumulator is at
-	// β's level, and an infinite one gives NaN (0·∞), as ScaleShift does.
-	ZeroGain bool
-}
-
-// Code returns the ladder level of float32 accumulator a: the number of
-// edges at or below a when Up, at or above it otherwise. It equals the
-// level nn's QuantAct gives γ·a+β, bit for bit.
-func (t Thresholds) Code(a float32) int {
-	n := 0
-	for _, e := range t.Edges {
-		if t.Up && a >= e || !t.Up && a <= e {
-			n++
-		}
-	}
-	return n
-}
-
-// stage is one compiled pipeline step: an MVTU (a convolution or dense
-// layer with the ladders of the ScaleShift and QuantAct it absorbs), a
-// max-pool, or the head (a dense layer without an activation, whose
-// accumulators are the logits). layer is a copy taken at compile time,
-// so later edits to the model do not reach the program.
-type stage struct {
-	layer nn.Layer
-	// Per-output-channel threshold ladders and the activation value of
-	// each ladder level, as QuantAct writes it; nil for pool and head.
-	thresholds []Thresholds
-	levels     []float32
-}
 
 // Program is a compiled functional dataflow.
 type Program struct {
@@ -86,7 +52,7 @@ type Program struct {
 	WorstChannels []int
 	CurChannels   []int
 
-	stages []*stage
+	net *nn.Network // a copy of the model's, so later edits do not reach it
 }
 
 // Compile lowers a model. When flexible is true the program is sized to
@@ -123,83 +89,58 @@ func Compile(m *model.Model, flexible bool) (*Program, error) {
 	layers := m.Net.Layers
 	for li := 0; li < len(layers); li++ {
 		switch l := layers[li].Layer.(type) {
-		case *nn.Conv2D:
-			ss, qa, consumed, err := absorbActivation(layers, li)
+		case *nn.Conv2D, *nn.Dense:
+			n, err := absorbActivation(layers, li)
 			if err != nil {
 				return nil, err
 			}
-			st := &stage{layer: l.CloneLayer()}
-			if st.thresholds, st.levels, err = buildLadders(ss, qa, l.OutC); err != nil {
-				return nil, err
+			// Only a dense layer may go without one: it is the head.
+			if _, head := l.(*nn.Dense); n == 0 && !head {
+				return nil, fmt.Errorf("compile: compute layer %q has no quantized activation to absorb", l.Name())
 			}
-			p.stages = append(p.stages, st)
-			li += consumed
-		case *nn.Dense:
-			st := &stage{layer: l.CloneLayer()}
-			// Without an activation to absorb, the layer is the head.
-			if ss, qa, consumed, err := absorbActivation(layers, li); err == nil {
-				if st.thresholds, st.levels, err = buildLadders(ss, qa, l.Out); err != nil {
-					return nil, err
-				}
-				li += consumed
-			}
-			p.stages = append(p.stages, st)
-		case *nn.MaxPool2D:
-			p.stages = append(p.stages, &stage{layer: l.CloneLayer()})
-		case *nn.Flatten:
-			// Stream reinterpretation only: Dense reads any input of its
-			// volume.
+			li += n
+		case *nn.MaxPool2D, *nn.Flatten:
+			// A stage of its own, and a stream reinterpretation.
 		case *nn.ScaleShift, *nn.QuantAct, *nn.ReLU:
-			return nil, fmt.Errorf("compile: dangling %s not absorbed into a compute stage", layers[li].Layer.Name())
+			return nil, fmt.Errorf("compile: dangling %s not absorbed into a compute stage", l.Name())
 		default:
-			return nil, fmt.Errorf("compile: unsupported layer %s", layers[li].Layer.Name())
+			return nil, fmt.Errorf("compile: unsupported layer %s", l.Name())
 		}
 	}
+	net, err := nn.CloneNetwork(m.Net)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	p.net = net
 	return p, nil
 }
 
-// absorbActivation scans forward from layer index li+1 for the
-// ScaleShift+QuantAct pair that FINN folds into the MVTU, returning the
-// ladder builder inputs and how many layers were consumed.
-func absorbActivation(layers []*nn.NamedLayer, li int) (ss *nn.ScaleShift, qa *nn.QuantAct, consumed int, err error) {
+// absorbActivation returns how many layers after layer li form the
+// ScaleShift+QuantAct pair, or the lone QuantAct, that FINN folds into
+// the MVTU's threshold ladders: 0 when there is none. A NaN or infinite γ
+// or β has no ladder (nn would emit NaN or saturate) and is an error.
+func absorbActivation(layers []*nn.NamedLayer, li int) (int, error) {
 	j := li + 1
+	var ss *nn.ScaleShift
 	if j < len(layers) {
 		if s, ok := layers[j].Layer.(*nn.ScaleShift); ok {
 			ss = s
 			j++
 		}
 	}
-	if j < len(layers) {
-		if q, ok := layers[j].Layer.(*nn.QuantAct); ok {
-			qa = q
-			j++
+	if j == len(layers) {
+		return 0, nil
+	}
+	if _, ok := layers[j].Layer.(*nn.QuantAct); !ok {
+		return 0, nil
+	}
+	if ss != nil {
+		for c, g := range ss.Gamma.Value.Data() {
+			b := ss.Beta.Value.At(c)
+			if math.IsNaN(float64(g)) || math.IsInf(float64(g), 0) || math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+				return 0, fmt.Errorf("compile: %s channel %d: affine γ=%v β=%v must be finite", ss.Name(), c, g, b)
+			}
 		}
 	}
-	if qa == nil {
-		return nil, nil, 0, fmt.Errorf("compile: compute layer %q has no quantized activation to absorb", layers[li].Layer.Name())
-	}
-	return ss, qa, j - li - 1, nil
-}
-
-// buildLadders folds γ·y+β followed by an activation quantizer into
-// per-channel accumulator-scale threshold ladders for outC channels and
-// the value of each ladder level.
-func buildLadders(ss *nn.ScaleShift, qa *nn.QuantAct, outC int) ([]Thresholds, []float32, error) {
-	ladders := make([]Thresholds, outC)
-	for c := range ladders {
-		gamma, beta := float32(1), float32(0)
-		if ss != nil {
-			gamma, beta = ss.Gamma.Value.At(c), ss.Beta.Value.At(c)
-		}
-		edges, up, err := qa.Q.AffineLadder(gamma, beta)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compile: %s channel %d: %w", ss.Name(), c, err)
-		}
-		ladders[c] = Thresholds{Edges: edges, Up: up, ZeroGain: gamma == 0}
-	}
-	levels := make([]float32, qa.Q.Levels()+1)
-	for c := range levels {
-		levels[c] = qa.Q.LevelValue(c)
-	}
-	return ladders, levels, nil
+	return j - li, nil
 }

@@ -39,15 +39,52 @@ func trainedTiny(t *testing.T, wbits int, seed int64) (*model.Model, *dataset.Da
 	if _, err := tr.Fit(m, ds); err != nil {
 		t.Fatal(err)
 	}
-	return m, ds
+	// Fit's accuracy loops run ForwardBatch, which caches each
+	// ScaleShift's folded ladder under its parameters' versions. The tests
+	// edit γ and β in place without BumpVersion, so they get a copy whose
+	// caches are cold, as a freshly built model's are.
+	c, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, ds
 }
 
-// checkStageCodes runs p's stages and m's layers side by side on x and
-// demands that every MVTU stage's thresholded output equal what nn's
-// unfolded ScaleShift → QuantAct writes, bit for bit, so the two agree
-// code for code. A mismatch names the stage, the element and the
-// accumulator. It returns the number of activations compared and nn's
-// logits.
+// stagedAct is the output of one QuantAct of a program's network.
+type stagedAct struct {
+	layer int // the QuantAct's index in the network
+	q     *nn.QuantAct
+	out   *tensor.Tensor
+}
+
+// stagedActs runs each prefix of p's network that ends in a QuantAct
+// through ForwardBatch on x and returns the prefixes' outputs in layer
+// order. On nn's integer body ForwardBatch runs such a prefix on its
+// staged path, ending in the threshold count of the last MVTU, the very
+// epilogue Run serves every stage with.
+func stagedActs(t *testing.T, p *Program, x *tensor.Tensor) []stagedAct {
+	t.Helper()
+	var acts []stagedAct
+	for k, nl := range p.net.Layers {
+		qa, ok := nl.Layer.(*nn.QuantAct)
+		if !ok {
+			continue
+		}
+		prefix := &nn.Network{Layers: p.net.Layers[:k+1]}
+		outs, err := prefix.ForwardBatch([]*tensor.Tensor{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts = append(acts, stagedAct{k, qa, outs[0]})
+	}
+	return acts
+}
+
+// checkStageCodes demands that every QuantAct output of p's network,
+// computed by stagedActs, equal what m's layer-by-layer Forward writes
+// there, bit for bit, so the two agree code for code. A mismatch names
+// the layer and the element. It returns the number of activations
+// compared and m's logits.
 func checkStageCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor) (int, *tensor.Tensor) {
 	t.Helper()
 	layers := m.Net.Layers
@@ -60,55 +97,20 @@ func checkStageCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor)
 		}
 		outs[i] = cur
 	}
-	in := x
-	li, compared := 0, 0
-	for _, st := range p.stages {
-		for !computes(layers[li].Layer) {
-			li++
+	compared := 0
+	for _, a := range stagedActs(t, p, x) {
+		want := outs[a.layer].Data()
+		if len(want) != a.out.Len() {
+			t.Fatalf("layer %d (%s): %d activations, nn has %d", a.layer, a.q.Name(), a.out.Len(), len(want))
 		}
-		for li+1 < len(layers) && absorbed(layers[li+1].Layer) {
-			li++
-		}
-		out, err := st.run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.thresholds != nil {
-			want := outs[li].Data()
-			if len(want) != out.Len() {
-				t.Fatalf("stage %s: %d activations, nn has %d", st.layer.Name(), out.Len(), len(want))
+		for i, v := range a.out.Data() {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("layer %d (%s) activation %d: program gives %v, nn gives %v", a.layer, a.q.Name(), i, v, want[i])
 			}
-			for i, v := range out.Data() {
-				if math.Float32bits(v) != math.Float32bits(want[i]) {
-					acc, _ := st.layer.Forward(in, false)
-					t.Fatalf("stage %s activation %d: accumulator %v gives %v, nn gives %v",
-						st.layer.Name(), i, acc.Data()[i], v, want[i])
-				}
-			}
-			compared += len(want)
 		}
-		in = out
-		li++
+		compared += len(want)
 	}
 	return compared, outs[len(outs)-1]
-}
-
-// computes reports whether l lowers to a compile stage of its own.
-func computes(l nn.Layer) bool {
-	switch l.(type) {
-	case *nn.Conv2D, *nn.Dense, *nn.MaxPool2D:
-		return true
-	}
-	return false
-}
-
-// absorbed reports whether l folds into the preceding MVTU's ladders.
-func absorbed(l nn.Layer) bool {
-	switch l.(type) {
-	case *nn.ScaleShift, *nn.QuantAct:
-		return true
-	}
-	return false
 }
 
 // agreeOn compares program against nn on xs: every stage's activation
@@ -284,7 +286,7 @@ func TestCompiledMatchesCorpus(t *testing.T) {
 				for j, in := range g.Inputs {
 					x := tensor.New(m.InC, m.InH, m.InW)
 					copy(x.Data(), in)
-					codes := programCodes(t, p, m, x)
+					codes := programCodes(t, p, x)
 					if !slices.Equal(codes, want.Codes[j]) {
 						t.Fatalf("flexible=%v sample %d: stage codes\n%v\ngolden\n%v", flexible, j, codes, want.Codes[j])
 					}
@@ -324,32 +326,17 @@ func readCorpusEntry(t *testing.T, name string) (*model.Model, *golden) {
 	return m, &g
 }
 
-// programCodes runs p's stages on x and returns each MVTU stage's output
-// as codes of the quantizer of the QuantAct it absorbed.
-func programCodes(t *testing.T, p *Program, m *model.Model, x *tensor.Tensor) []string {
+// programCodes returns each QuantAct output of p's network on x, as
+// stagedActs computes it, as codes of that QuantAct's quantizer.
+func programCodes(t *testing.T, p *Program, x *tensor.Tensor) []string {
 	t.Helper()
-	var acts []*nn.QuantAct
-	for _, nl := range m.Net.Layers {
-		if qa, ok := nl.Layer.(*nn.QuantAct); ok {
-			acts = append(acts, qa)
-		}
-	}
 	var codes []string
-	cur := x
-	for _, st := range p.stages {
-		out, err := st.run(cur)
-		if err != nil {
-			t.Fatal(err)
+	for _, a := range stagedActs(t, p, x) {
+		b := make([]byte, a.out.Len())
+		for i, v := range a.out.Data() {
+			b[i] = byte('0' + a.q.Q.Code(v))
 		}
-		if st.thresholds != nil {
-			q := acts[len(codes)].Q
-			b := make([]byte, out.Len())
-			for i, v := range out.Data() {
-				b[i] = byte('0' + q.Code(v))
-			}
-			codes = append(codes, string(b))
-		}
-		cur = out
+		codes = append(codes, string(b))
 	}
 	return codes
 }
@@ -514,24 +501,6 @@ func TestCompiledMLPMatchesNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreeOn(t, p, m, testSamples(ds, 25))
-}
-
-func TestThresholdsCode(t *testing.T) {
-	up := Thresholds{Edges: []float32{0.5, 1.5, 2.5}, Up: true}
-	cases := []struct {
-		a    float32
-		want int
-	}{{-1, 0}, {0.5, 1}, {0.6, 1}, {2.0, 2}, {99, 3}}
-	for _, c := range cases {
-		if got := up.Code(c.a); got != c.want {
-			t.Errorf("up Code(%v) = %d, want %d", c.a, got, c.want)
-		}
-	}
-	// Down ladders count the edges at or above the accumulator.
-	down := Thresholds{Edges: []float32{-0.5, -1.5, -2.5}, Up: false}
-	if down.Code(-3) != 3 || down.Code(-1.5) != 2 || down.Code(0) != 0 {
-		t.Fatalf("down ladder wrong: %d %d %d", down.Code(-3), down.Code(-1.5), down.Code(0))
-	}
 }
 
 // TestNegativeGammaLadder verifies the flipped comparison for negative

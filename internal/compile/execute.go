@@ -2,61 +2,31 @@ package compile
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
 // Run executes the program on one CHW input frame and returns the logits.
-// Each stage runs its layer's own Forward, so a Flexible program computes
-// exactly what the currently loaded pruned model computes — the
-// functional property behind the paper's Fig. 3 templates. Run is not
-// safe for concurrent use, as nn.Network is not.
+// It runs the loaded model's own network through nn.Network.ForwardBatch,
+// so a Flexible program computes exactly what the currently loaded pruned
+// model computes — the functional property behind the paper's Fig. 3
+// templates. Run is not safe for concurrent use, as nn.Network is not.
 func (p *Program) Run(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 3 || x.Dim(0) != p.InC || x.Dim(1) != p.InH || x.Dim(2) != p.InW {
 		return nil, fmt.Errorf("compile: input %v does not match %dx%dx%d", x.Shape(), p.InC, p.InH, p.InW)
 	}
-	cur := x
-	for _, st := range p.stages {
-		var err error
-		if cur, err = st.run(cur); err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
-}
-
-// run executes one stage: its layer's forward, then, for an MVTU stage,
-// the threshold ladders on the accumulators.
-func (st *stage) run(x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := st.layer.Forward(x, false)
+	outs, err := p.net.ForwardBatch([]*tensor.Tensor{x})
 	if err != nil {
-		return nil, fmt.Errorf("compile: stage %s: %w", st.layer.Name(), err)
+		return nil, fmt.Errorf("compile: %w", err)
 	}
-	if st.thresholds == nil {
-		return out, nil
-	}
-	d := out.Data()
-	spatial := len(d) / len(st.thresholds)
-	for i, a := range d {
-		t := &st.thresholds[i/spatial]
-		switch {
-		case a != a: // a NaN stays NaN, as QuantAct passes it
-		case t.ZeroGain && math.IsInf(float64(a), 0):
-			d[i] = float32(math.NaN()) // ScaleShift's 0·∞
-		default:
-			d[i] = st.levels[t.Code(a)]
-		}
-	}
-	return out, nil
+	return outs[0], nil
 }
 
 // LoadModel reloads a flexible program with another pruned version of the
-// same initial model: its layers and threshold ladders replace the
-// program's and the runtime channel configuration is updated — the fast
-// model switch (channel-port write + weight reload) of the paper's
-// Flexible accelerator.
+// same initial model: its network replaces the program's and the runtime
+// channel configuration is updated — the fast model switch (channel-port
+// write + weight reload) of the paper's Flexible accelerator.
 func (p *Program) LoadModel(m *model.Model) error {
 	if !p.Flexible {
 		return fmt.Errorf("compile: %s is a fixed program; switching needs reconfiguration", p.Name)
@@ -78,9 +48,9 @@ func (p *Program) LoadModel(m *model.Model) error {
 				i, np.WorstChannels[i], p.WorstChannels[i])
 		}
 	}
-	if len(np.stages) != len(p.stages) {
-		return fmt.Errorf("compile: model lowers to %d stages, program has %d", len(np.stages), len(p.stages))
+	if len(np.net.Layers) != len(p.net.Layers) {
+		return fmt.Errorf("compile: model has %d layers, program has %d", len(np.net.Layers), len(p.net.Layers))
 	}
-	p.Name, p.stages, p.CurChannels = np.Name, np.stages, np.CurChannels
+	p.Name, p.net, p.CurChannels = np.Name, np.net, np.CurChannels
 	return nil
 }

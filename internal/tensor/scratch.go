@@ -25,6 +25,9 @@ const (
 // BorrowInt8/32/64. Borrowed slices have unspecified contents.
 type arena[T any] struct {
 	pools [maxScratchBits - minScratchBits + 1]sync.Pool
+	// boxes holds emptied *[]T: borrow returns the box its slice came in,
+	// release refills one, so a borrow/release pair allocates nothing.
+	boxes sync.Pool
 }
 
 // scratchClass returns the pool index whose class size (1<<bits) is the
@@ -48,7 +51,10 @@ func (a *arena[T]) borrow(n int) []T {
 		return make([]T, n)
 	}
 	if p, _ := a.pools[c].Get().(*[]T); p != nil {
-		return (*p)[:n]
+		s := *p
+		*p = nil
+		a.boxes.Put(p)
+		return s[:n]
 	}
 	return make([]T, 1<<(minScratchBits+c))[:n]
 }
@@ -58,7 +64,12 @@ func (a *arena[T]) borrow(n int) []T {
 func (a *arena[T]) release(s []T) {
 	d := s[:cap(s)]
 	if c := scratchClass(len(d)); c >= 0 && len(d) == 1<<(minScratchBits+c) {
-		a.pools[c].Put(&d)
+		p, _ := a.boxes.Get().(*[]T)
+		if p == nil {
+			p = new([]T)
+		}
+		*p = d
+		a.pools[c].Put(p)
 	}
 }
 

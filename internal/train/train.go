@@ -151,7 +151,7 @@ func (t *Trainer) Fit(m *model.Model, ds *dataset.Dataset) (*Result, error) {
 			lr *= t.opts.LRDecay
 		}
 		if t.opts.Patience > 0 {
-			val, err := accuracyRange(m, ds, valStart, valEnd)
+			val, err := accuracy(m.Net, ds.TrainSample, valStart, valEnd)
 			if err != nil {
 				return nil, err
 			}
@@ -166,7 +166,7 @@ func (t *Trainer) Fit(m *model.Model, ds *dataset.Dataset) (*Result, error) {
 			}
 		}
 	}
-	trainAcc, err := accuracyOn(m, ds, n, ds.TrainSample)
+	trainAcc, err := accuracy(m.Net, ds.TrainSample, 0, n)
 	if err != nil {
 		return nil, err
 	}
@@ -184,23 +184,46 @@ func (t *Trainer) Fit(m *model.Model, ds *dataset.Dataset) (*Result, error) {
 	}, nil
 }
 
-// accuracyRange evaluates TOP-1 accuracy on train samples [lo, hi).
-func accuracyRange(m *model.Model, ds *dataset.Dataset, lo, hi int) (float64, error) {
+// evalBatch is the batch size of the accuracy loops: PredictBatch pays its
+// per-call costs once per batch.
+const evalBatch = 32
+
+// accuracy returns TOP-1 accuracy on samples [lo, hi) of sample.
+func accuracy(net *nn.Network, sample func(int) (*tensor.Tensor, int), lo, hi int) (float64, error) {
 	if hi <= lo {
-		return 0, fmt.Errorf("train: empty validation range [%d,%d)", lo, hi)
+		return 0, fmt.Errorf("train: empty evaluation range [%d,%d)", lo, hi)
 	}
+	correct, err := countCorrect(net, sample, lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	return float64(correct) / float64(hi-lo), nil
+}
+
+// countCorrect returns how many of samples [lo, hi) of sample net
+// classifies right, predicting evalBatch samples per PredictBatch call.
+// The predictions are per-sample Predict's, by ForwardBatch's contract.
+func countCorrect(net *nn.Network, sample func(int) (*tensor.Tensor, int), lo, hi int) (int, error) {
+	xs := make([]*tensor.Tensor, 0, evalBatch)
+	labels := make([]int, 0, evalBatch)
 	correct := 0
-	for i := lo; i < hi; i++ {
-		x, label := ds.TrainSample(i)
-		pred, err := m.Net.Predict(x)
+	for b := lo; b < hi; b += evalBatch {
+		xs, labels = xs[:0], labels[:0]
+		for i := b; i < min(b+evalBatch, hi); i++ {
+			x, label := sample(i)
+			xs, labels = append(xs, x), append(labels, label)
+		}
+		preds, err := net.PredictBatch(xs)
 		if err != nil {
 			return 0, err
 		}
-		if pred == label {
-			correct++
+		for j, pred := range preds {
+			if pred == labels[j] {
+				correct++
+			}
 		}
 	}
-	return float64(correct) / float64(hi-lo), nil
+	return correct, nil
 }
 
 // step applies one SGD-with-momentum update scaled by 1/batch.
@@ -226,25 +249,7 @@ func (t *Trainer) step(net *nn.Network, lr float64, batch int) {
 
 // Evaluate returns TOP-1 accuracy on the dataset's test split, in [0,1].
 func Evaluate(m *model.Model, ds *dataset.Dataset) (float64, error) {
-	return accuracyOn(m, ds, ds.Test, ds.TestSample)
-}
-
-func accuracyOn(m *model.Model, ds *dataset.Dataset, n int, sample func(int) (*tensor.Tensor, int)) (float64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("train: empty evaluation split")
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		x, label := sample(i)
-		pred, err := m.Net.Predict(x)
-		if err != nil {
-			return 0, err
-		}
-		if pred == label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n), nil
+	return accuracy(m.Net, ds.TestSample, 0, ds.Test)
 }
 
 // ParallelEvaluate computes TOP-1 test accuracy with several workers. The
@@ -275,19 +280,8 @@ func ParallelEvaluate(m *model.Model, ds *dataset.Dataset, workers int) (float64
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		go func(mm *model.Model, lo, hi int) {
-			correct := 0
-			for i := lo; i < hi; i++ {
-				x, label := ds.TestSample(i)
-				pred, err := mm.Net.Predict(x)
-				if err != nil {
-					results <- res{0, err}
-					return
-				}
-				if pred == label {
-					correct++
-				}
-			}
-			results <- res{correct, nil}
+			correct, err := countCorrect(mm.Net, ds.TestSample, lo, hi)
+			results <- res{correct, err}
 		}(clone, lo, hi)
 	}
 	total := 0

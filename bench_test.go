@@ -136,8 +136,8 @@ var hotPaths = []hotPath{
 	// Host inference of a batch of 8 CIFAR-10 images through unpruned
 	// CNVW2A2, caches warm: the staged path keeps levels in borrowed
 	// scratch between layers, so a float activation tensor per layer and
-	// sample (at least 8 per layer) trips it. Measured 403–404; margin 4.
-	{"ForwardBatch", "CNVW2A2-p0", 408, func(tb testing.TB) func(int) {
+	// sample (at least 8 per layer) trips it. Measured 396–398; margin 4.
+	{"ForwardBatch", "CNVW2A2-p0", 402, func(tb testing.TB) func(int) {
 		m, err := NewCNVW2A2("cifar10", 10, 1)
 		if err != nil {
 			tb.Fatal(err)

@@ -8,14 +8,12 @@ import (
 
 // Micro-batched inference. ForwardBatch serves B samples through the
 // network at once so per-call fixed costs — dispatch, weight-cache lookup,
-// scratch borrow/release, int8 weight-panel streaming — are paid once per
+// scratch borrow/release, weight-plane streaming — are paid once per
 // batch instead of once per frame. Conv2D and Dense each have one integer
 // and one float forward body, both over a batch; Forward is their B = 1
-// case. The integer body serves the B samples in one kernel call, Dense as
-// a 1×1 convolution over one pixel: the bit-plane kernel
-// (tensor.ConvBitplaneBatchInto) for ternary or binary weights, whatever
-// the activation codes, else the paired-lane kernel
-// (tensor.ConvInt8BatchInto). Between quantized layers ForwardBatch keeps
+// case. The integer body serves the B samples in one call of the
+// bit-plane kernel (tensor.ConvBitplaneBatchInto), Dense as a 1×1
+// convolution over one pixel. Between quantized layers ForwardBatch keeps
 // the batch as ladder levels (stage.go): the integer body can take levels
 // in and give levels out, so ScaleShift and QuantAct become one threshold
 // epilogue and no float activation is allocated. A batch is bit-identical

@@ -138,10 +138,9 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// The batched path must actually take the intended kernels: int8 batch
-// forwards count as int forwards, never float fallbacks, both ternary
-// layers run on the bit planes, and in the staged variant the dense layer
-// reads the conv's levels.
+// The batched path must actually take the integer body: int8 batch
+// forwards count as int forwards, never float fallbacks, and in the staged
+// variant the dense layer reads the conv's levels.
 func TestForwardBatchTakesInt8Path(t *testing.T) {
 	prev := SetInt8GEMM(true)
 	defer SetInt8GEMM(prev)
@@ -158,9 +157,6 @@ func TestForwardBatchTakesInt8Path(t *testing.T) {
 		if dense.intForwards != 4 || dense.floatFwds != 0 {
 			t.Fatalf("staged=%v dense batch: int=%d float=%d, want 4/0", staged, dense.intForwards, dense.floatFwds)
 		}
-		if conv.bitForwards != 4 || dense.bitForwards != 4 {
-			t.Fatalf("staged=%v: conv %d, dense %d samples on bit planes, want 4", staged, conv.bitForwards, dense.bitForwards)
-		}
 		if want := map[bool]int32{true: 4}[staged]; dense.levelForwards != want {
 			t.Fatalf("staged=%v dense batch: %d from levels, want %d", staged, dense.levelForwards, want)
 		}
@@ -172,9 +168,9 @@ var raceEnabled bool
 
 // TestConvForwardBatchAllocs guards the steady-state allocations of a
 // batch of 8 through CNVW2A2's unpruned conv1 (64→64 channels, 30×30 in,
-// 2-bit activations, so the bit planes serve it). The ceiling is the
-// paired-lane path's count before the bit planes existed: their scratch
-// comes from the arena, not from make. AllocsPerRun pins GOMAXPROCS to 1
+// 2-bit activations on two planes). The ceiling is the count measured
+// before the bit planes existed: their scratch comes from the arena, not
+// from make. AllocsPerRun pins GOMAXPROCS to 1
 // and the worker cap is pinned to 2, so the count is the same everywhere.
 func TestConvForwardBatchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -206,7 +202,7 @@ func TestConvForwardBatchAllocs(t *testing.T) {
 	if _, err := c.ForwardBatch(xs); err != nil { // fills the weight cache
 		t.Fatal(err)
 	}
-	const ceiling = 80 // the paired-lane path, measured before the bit planes
+	const ceiling = 80 // measured before the bit planes
 	got := testing.AllocsPerRun(10, func() {
 		if _, err := c.ForwardBatch(xs); err != nil {
 			t.Fatal(err)
@@ -215,8 +211,8 @@ func TestConvForwardBatchAllocs(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("%v allocs per batch, ceiling %d", got, ceiling)
 	}
-	if c.bitForwards != c.intForwards {
-		t.Errorf("%d of %d samples on the bit planes, want all", c.bitForwards, c.intForwards)
+	if c.floatFwds != 0 {
+		t.Errorf("%d samples on the float body, want none", c.floatFwds)
 	}
 	t.Logf("%v allocs per batch", got)
 }

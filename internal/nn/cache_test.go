@@ -175,9 +175,9 @@ func TestConvForwardBackwardScratchReuse(t *testing.T) {
 	}
 }
 
-// TestConvBitplanesRepackedOnBump: the bit planes ride the int8 weight
+// TestConvBitplanesRepackedOnBump: the bit planes are the int8 weight
 // cache, so a weight edit plus BumpVersion must repack them, and the next
-// forward must match the paired-lane kernel on the new weights.
+// forward must match a clone of the edited layer, whose caches are cold.
 func TestConvBitplanesRepackedOnBump(t *testing.T) {
 	forceInt8(t)
 	c := quantConv(t)
@@ -189,8 +189,8 @@ func TestConvBitplanesRepackedOnBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.effWB
-	if before == nil || c.bitForwards != 1 {
-		t.Fatalf("planes %v, %d bit-plane forwards; want planes and 1", before, c.bitForwards)
+	if before == nil || c.intForwards != 1 {
+		t.Fatalf("planes %v, %d integer forwards; want planes and 1", before, c.intForwards)
 	}
 	c.Weight.Value.Data()[0] = -c.Weight.Value.Data()[0]
 	c.Weight.BumpVersion()
@@ -198,33 +198,15 @@ func TestConvBitplanesRepackedOnBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.effWB == before || c.quantRuns != 2 || c.bitForwards != 2 {
-		t.Fatalf("after a bump: planes repacked %v, %d quantizer runs, %d bit-plane forwards; want true, 2, 2",
-			c.effWB != before, c.quantRuns, c.bitForwards)
+	if c.effWB == before || c.quantRuns != 2 || c.intForwards != 2 {
+		t.Fatalf("after a bump: planes repacked %v, %d quantizer runs, %d integer forwards; want true, 2, 2",
+			c.effWB != before, c.quantRuns, c.intForwards)
 	}
-	want, err := pairedLaneForward(c, []*tensor.Tensor{x})
+	want, err := c.CloneLayer().Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalTensors(got, want[0]) {
-		t.Fatal("bit-plane forward after a bump differs from the paired-lane kernel")
+	if !equalTensors(got, want) {
+		t.Fatal("forward after a bump differs from a cold clone of the edited layer")
 	}
-}
-
-// pairedLaneForward runs the layer's integer inference with its bit
-// planes set aside, so every sample goes through the paired-lane kernel:
-// the reference the bit-plane path must match bit for bit.
-func pairedLaneForward(c *Conv2D, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if _, _, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen()); err != nil {
-		return nil, err
-	}
-	wb, err := c.bitplanes(c.Geom)
-	if err != nil {
-		return nil, err
-	}
-	served := c.bitForwards
-	c.effWB = nil
-	defer func() { c.effWB, c.bitForwards = wb, served }()
-	outs, _, err := c.forwardInt8(xs, nil, nil)
-	return outs, err
 }

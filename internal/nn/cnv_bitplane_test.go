@@ -13,12 +13,11 @@ import (
 )
 
 // TestCNVBitplanePath runs CNVW2A2 and CNVW1A2, pruned at FINN channel
-// granularity, through ForwardBatch and per-sample Forward and demands
-// bit-identical outputs against a per-layer reference that serves every
-// convolution on the paired-lane kernel. The path counters must show all
-// six convolutions on the bit planes: conv1–conv5 on two planes of 2-bit
-// activations, and conv0 on the two's-complement planes of its image
-// codes.
+// granularity, through ForwardBatch and per-sample Forward and demands the
+// brute-force oracle's logits bit for bit. The path counters must show all
+// six convolutions on the integer body, which is the bit planes: conv1–
+// conv5 on two planes of 2-bit activations, and conv0 on the
+// two's-complement planes of its image codes.
 func TestCNVBitplanePath(t *testing.T) {
 	const batch = 4
 	ds := dataset.SyntheticCIFAR10(1)
@@ -49,25 +48,10 @@ func TestCNVBitplanePath(t *testing.T) {
 
 func checkBitplaneNet(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 	t.Helper()
-	want := make([]*tensor.Tensor, len(xs))
-	copy(want, xs)
 	var convs []*nn.Conv2D
 	for _, nl := range net.Layers {
 		if c, ok := nl.Layer.(*nn.Conv2D); ok {
 			convs = append(convs, c)
-			out, err := nn.PairedLaneForwardBatch(c, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = out
-			continue
-		}
-		for j, x := range want {
-			out, err := nl.Layer.Forward(x, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[j] = out
 		}
 	}
 	if len(convs) != 6 {
@@ -78,22 +62,25 @@ func checkBitplaneNet(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 		t.Fatal(err)
 	}
 	for j, x := range xs {
+		want, err := oracle(net, x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		single, err := net.Forward(x, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range want[j].Data() {
+		for i, v := range want.logits {
 			if got[j].Data()[i] != v || single.Data()[i] != v {
-				t.Fatalf("sample %d logit %d: batched %v, per-sample %v, paired-lane reference %v",
+				t.Fatalf("sample %d logit %d: batched %v, per-sample %v, oracle %v",
 					j, i, got[j].Data()[i], single.Data()[i], v)
 			}
 		}
 	}
 	for i, c := range convs {
-		ints, bits := nn.ConvPathCounts(c)
-		wantBits := 2 * len(xs) // the batch, then every sample on its own
-		if ints != 3*len(xs) || bits != wantBits {
-			t.Errorf("conv%d: %d int8 samples, %d on bit planes; want %d and %d", i, ints, bits, 3*len(xs), wantBits)
+		// The batch, then every sample on its own.
+		if ints, _ := nn.PathCounts(c); ints != 2*len(xs) {
+			t.Errorf("conv%d: %d int8 samples, want %d", i, ints, 2*len(xs))
 		}
 	}
 }

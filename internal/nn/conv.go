@@ -201,50 +201,34 @@ func (c *Conv2D) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor
 }
 
 // forwardInt8 is the integer inference body. Weights are the cached int8
-// grid codes; the input is the float samples xs, coded dynamically to int8
-// per sample, or the levels lv of a staged batch, coded through their
-// tables (see intInput). One of two exact kernels computes the int32
-// products, rescaled once by weight scale × sample scale:
-//
-//   - tensor.ConvBitplaneBatchInto when the layer has bit planes (every
-//     weight code in {−1, 0, 1}): each sample's codes on the planes the
-//     kernel's rule gives them, two for the 2-bit activations of CNV's
-//     conv1–conv5, seven or eight (their two's complement) for conv0's
-//     image codes;
-//   - tensor.ConvInt8BatchInto, the batch-packed paired-lane kernel, for
-//     a wider weight grid, or an inner dimension past the planes' bound.
-//
-// Both give the same int32 sums and the same rescale expression, so the
-// choice never changes a bit of the output. Without lad the body adds the
-// bias and returns floats; with the ladder of the ScaleShift → QuantAct
-// that follows it returns their levels instead (see intExit).
+// grid codes, packed as bit planes; the input is the float samples xs,
+// coded dynamically to int8 per sample, or the levels lv of a staged
+// batch, coded through their tables (see intInput). The bit-plane kernel,
+// tensor.ConvBitplaneBatchInto, computes the exact int32 products,
+// rescaled once by weight scale × sample scale: each sample's codes on the
+// planes the kernel's rule gives them, two for the 2-bit activations of
+// CNV's conv1–conv5, seven or eight (their two's complement) for conv0's
+// image codes, against one weight plane for W1 and W2 grids and one per
+// magnitude bit for wider ones. An inner dimension past the planes' bound
+// is an error. Without lad the body adds the bias and returns floats; with
+// the ladder of the ScaleShift → QuantAct that follows it returns their
+// levels instead (see intExit).
 func (c *Conv2D) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
-	wq, wScales, err := c.int8Weights(c.Weight, c.Quant, c.OutC, c.scaleRowLen())
+	wb, wScales, err := c.bitplanes(c.Weight, c.Quant, c.OutC, c.scaleRowLen(), c.Geom)
 	if err != nil {
 		return nil, nil, err
 	}
-	wb, err := c.bitplanes(c.Geom)
-	if err != nil {
-		return nil, nil, err
-	}
-	in, j, err := newIntInput(xs, lv, c.Geom.InC*c.Geom.InH*c.Geom.InW, wb != nil)
+	in, j, err := newIntInput(xs, lv, c.Geom.InC*c.Geom.InH*c.Geom.InW)
 	if err != nil {
 		return nil, nil, fmt.Errorf("nn: conv %q sample %d: %w", c.ID, j, err)
 	}
 	defer in.release()
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	outScales := in.outScales(wScales)
-	dsts := newOutputs(len(outScales), c.OutC, oh*ow, lad != nil)
-	if in.maps != nil {
-		err = in.bitplane(dsts, wb, c.Geom, outScales)
-	} else {
-		err = tensor.ConvInt8BatchInto(dsts, wq, in.codes, c.Geom, outScales)
-	}
+	dsts, err := in.convolve(wb, wScales, c.Geom, c.OutC, lad != nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.count(len(dsts), in)
-	return intExit(dsts, c.Bias, lad, c.OutC, oh, ow)
+	c.count(len(dsts), lv != nil)
+	return intExit(dsts, c.Bias, lad, c.OutC, c.Geom.OutH(), c.Geom.OutW())
 }
 
 // finish adds the per-filter bias to a rescaled (OutC, OutH·OutW) output

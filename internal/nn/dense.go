@@ -187,37 +187,25 @@ func (d *Dense) forwardFloat(xs []*tensor.Tensor, train bool) ([]*tensor.Tensor,
 
 // forwardInt8 is the integer inference body, Conv2D.forwardInt8 for a 1×1
 // convolution over one pixel: the same inputs (float samples or levels),
-// the same exits, and the same two exact kernels on d.pixelGeom(). The bit
-// planes serve it when the weight codes are in {−1, 0, 1}, as for TFC's
-// fc0 on signed image codes; otherwise tensor.ConvInt8BatchInto does, as
-// for every other convolution. Each sample's outputs are rescaled once by
-// weight scale × sample scale.
+// the same exits, and the same bit-plane kernel on d.pixelGeom(), TFC's
+// fc0 among them on the eight planes of its signed image codes. Each
+// sample's outputs are rescaled once by weight scale × sample scale.
 func (d *Dense) forwardInt8(xs []*tensor.Tensor, lv *levelBatch, lad *affineLadder) ([]*tensor.Tensor, *levelBatch, error) {
-	wq, wScales, err := d.int8Weights(d.Weight, d.Quant, d.Out, d.Out*d.In)
-	if err != nil {
-		return nil, nil, err
-	}
 	g := d.pixelGeom()
-	wb, err := d.bitplanes(g)
+	wb, wScales, err := d.bitplanes(d.Weight, d.Quant, d.Out, d.Out*d.In, g)
 	if err != nil {
 		return nil, nil, err
 	}
-	in, _, err := newIntInput(xs, lv, d.In, wb != nil)
+	in, _, err := newIntInput(xs, lv, d.In)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer in.release()
-	outScales := in.outScales(wScales)
-	dsts := newOutputs(len(outScales), d.Out, 1, lad != nil)
-	if in.maps != nil {
-		err = in.bitplane(dsts, wb, g, outScales)
-	} else {
-		err = tensor.ConvInt8BatchInto(dsts, wq, in.codes, g, outScales)
-	}
+	dsts, err := in.convolve(wb, wScales, g, d.Out, lad != nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	d.count(len(dsts), in)
+	d.count(len(dsts), lv != nil)
 	return intExit(dsts, d.Bias, lad, d.Out)
 }
 

@@ -5,21 +5,10 @@ import "repro/internal/tensor"
 // Test hooks for the external nn_test package, which builds whole models
 // through internal/model and internal/prune (both import nn).
 
-// ConvPathCounts returns how many inference samples the layer served on
-// the integer path, and how many of those on the bit planes.
-func ConvPathCounts(c *Conv2D) (int8Fwds, bitplaneFwds int) {
-	return int(c.intForwards), int(c.bitForwards)
-}
-
-// PairedLaneForwardBatch is pairedLaneForward for the external tests.
-func PairedLaneForwardBatch(c *Conv2D, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return pairedLaneForward(c, xs)
-}
-
 // PathCounts returns how many inference samples a Conv2D or Dense served
-// on the integer path, how many of those on the bit planes, and how many
-// of those from ladder levels (the staged path of Network.ForwardBatch).
-func PathCounts(l Layer) (int8Fwds, bitplaneFwds, levelFwds int) {
+// on the integer body, and how many of those from ladder levels (the
+// staged path of Network.ForwardBatch).
+func PathCounts(l Layer) (int8Fwds, levelFwds int) {
 	var pc pathCounts
 	switch l := l.(type) {
 	case *Conv2D:
@@ -27,7 +16,7 @@ func PathCounts(l Layer) (int8Fwds, bitplaneFwds, levelFwds int) {
 	case *Dense:
 		pc = l.pathCounts
 	}
-	return int(pc.intForwards), int(pc.bitForwards), int(pc.levelForwards)
+	return int(pc.intForwards), int(pc.levelForwards)
 }
 
 // LayerByLayerBatch is the per-layer loop ForwardBatch's staged path must

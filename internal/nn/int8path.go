@@ -8,29 +8,28 @@ import (
 
 // The integer fast path: quantized layers run inference as int8×int8
 // products with exact integer accumulation and a single float rescale at
-// the output (tensor.ConvInt8BatchInto) instead of dequantizing weights to
-// float. A Dense layer runs as a 1×1 convolution over one pixel, so there
-// is one int8 kernel for both. Each of Conv2D and Dense has one integer
-// forward body, forwardInt8, over a batch; Forward and ForwardBatch both
-// reach it. It has two entries, float samples or ladder levels, and two
-// exits, floats or, when a ScaleShift → QuantAct follows, their levels
-// (stage.go); Forward and a layer's own ForwardBatch take it float in,
-// float out. It is on by default for every layer whose weight grid fits
-// int8 codes (bit width ≤ 8); wider grids and training always use the
-// float body, which the backward pass and the dataflow compiler consume.
-// Call SetInt8GEMM(false) to force the float body at inference time too,
-// e.g. when bisecting a numeric difference between the two bodies;
-// ForwardBatch then runs layer by layer on floats, and the compiled
-// dataflow programs, which run these layers, follow the switch.
-//
-// Layers whose weight codes are all in {−1, 0, 1} (W1 and W2 grids) also
-// get their codes as bit planes from the weight cache and run on
-// tensor.ConvBitplaneBatchInto: AND and popcount instead of multiply-add,
-// the same int32 sums, the same outputs bit for bit. Each sample's int8
-// activation codes become bit planes by one rule: two planes when they
-// are {0, c1, c2, c1+c2}, as 2-bit activations are, else their two's
+// the output instead of dequantizing weights to float. A Dense layer runs
+// as a 1×1 convolution over one pixel, so there is one integer kernel for
+// both, tensor.ConvBitplaneBatchInto: AND and popcount on bit planes
+// instead of multiply-add. The weight cache packs a layer's int8 weight
+// codes as sign-magnitude ternary planes, one for W1 and W2 grids and one
+// per magnitude bit for wider ones, and each sample's int8 activation
+// codes become bit planes by one rule: two planes when they are
+// {0, c1, c2, c1+c2}, as 2-bit activations are, else their two's
 // complement, so image codes run bit-serially on seven or eight planes.
-// forwardInt8 makes the choice of kernel.
+//
+// Each of Conv2D and Dense has one integer forward body, forwardInt8,
+// over a batch; Forward and ForwardBatch both reach it. It has two
+// entries, float samples or ladder levels, and two exits, floats or, when
+// a ScaleShift → QuantAct follows, their levels (stage.go); Forward and a
+// layer's own ForwardBatch take it float in, float out. It is on by
+// default for every layer whose weight grid fits int8 codes (bit width
+// ≤ 8); wider grids and training always use the float body, which the
+// backward pass and the dataflow compiler consume. Call SetInt8GEMM(false)
+// to force the float body at inference time too, e.g. when bisecting a
+// numeric difference between the two bodies; ForwardBatch then runs layer
+// by layer on floats, and the compiled dataflow programs, which run these
+// layers, follow the switch.
 //
 // Around the kernels, the float passes round without math.Round. Each
 // layer's int8 input codes come from quant.QuantizeSymmetricInt8, or, for

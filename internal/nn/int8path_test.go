@@ -11,7 +11,7 @@ import (
 )
 
 // Acceptance tests for the integer inference fast path: quantized layers
-// must actually execute the int8 kernel (not silently fall back to float),
+// must actually execute the integer kernel (not silently fall back to float),
 // agree with the float reference within the activation-quantization bound,
 // and be bit-identical across worker counts. The oracle (oracle_test.go)
 // checks both bodies against brute force.
@@ -262,6 +262,44 @@ func TestWideGridFallsBackToFloat(t *testing.T) {
 	}
 	if d.intForwards != 0 || d.floatFwds != 1 {
 		t.Fatalf("9-bit layer: int=%d float=%d, want float fallback", d.intForwards, d.floatFwds)
+	}
+}
+
+// TestInnerDimensionBound: the bit-plane kernel's sums are exact for an
+// inner dimension below 2¹⁷. A quantized Dense with In = 2¹⁷ - 1 runs on
+// the integer body; one with In = 2¹⁷ is past the bound, so there Forward
+// and ForwardBatch return an error, never a panic, and under
+// SetInt8GEMM(false) it runs on the float body.
+func TestInnerDimensionBound(t *testing.T) {
+	forceInt8(t)
+	q, err := quant.NewWeightQuantizer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []int{1<<17 - 1, 1 << 17} {
+		d, err := NewDense(DenseConfig{ID: "wide", In: in, Out: 2, WQuant: q, InitRNG: rand.New(rand.NewSource(86))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(in)
+		x.Fill(0.5)
+		_, errOne := d.Forward(x, false)
+		_, errBatch := d.ForwardBatch([]*tensor.Tensor{x, x})
+		if in < 1<<17 {
+			if errOne != nil || errBatch != nil || d.intForwards != 3 {
+				t.Fatalf("In=%d: errors %v, %v and %d integer forwards; want none and 3", in, errOne, errBatch, d.intForwards)
+			}
+			continue
+		}
+		if errOne == nil || errBatch == nil || d.intForwards != 0 {
+			t.Fatalf("In=%d: errors %v, %v and %d integer forwards; want two errors and none", in, errOne, errBatch, d.intForwards)
+		}
+		SetInt8GEMM(false)
+		_, errOne = d.Forward(x, false)
+		_, errBatch = d.ForwardBatch([]*tensor.Tensor{x, x})
+		if errOne != nil || errBatch != nil || d.floatFwds != 3 {
+			t.Fatalf("In=%d on the float body: errors %v, %v and %d float forwards; want none and 3", in, errOne, errBatch, d.floatFwds)
+		}
 	}
 }
 

@@ -258,8 +258,8 @@ func macsOf(net *nn.Network) int {
 // genModels builds the generator's models once per test binary: CNVW2A2
 // and CNVW1A2 pruned at FINN channel granularity to 0/25/50/85 %, TinyCNV
 // with binary, ternary and float weights, TinyCNV with ReLU activations,
-// and FINN's TFC MLP, whose first Dense takes signed image codes over more
-// than one kcPanel of inputs.
+// and FINN's TFC MLP, whose first Dense takes signed image codes, 784 of
+// them, on eight planes.
 var genModels = sync.OnceValues(func() ([]genModel, error) {
 	cifar, tiny := dataset.SyntheticCIFAR10(1), dataset.TinyDataset(1)
 	fromSet := func(ds *dataset.Dataset) func(*rand.Rand, int) *tensor.Tensor {
@@ -330,7 +330,7 @@ type draw struct {
 	workers  int
 	intBody  bool
 	fallback string // "" for none
-	staged   bool   // every quantized layer after the first reads levels on the bit planes
+	staged   bool   // every quantized layer after the first reads levels
 }
 
 // drawCase draws a case from gm on the given body: a copy of its network
@@ -378,7 +378,7 @@ func drawCase(t testing.TB, rng *rand.Rand, gm genModel, intBody bool, budget in
 		d.fallback = fallbacks[rng.Intn(len(fallbacks))]
 		applyFallback(net, d.xs, d.fallback, rng)
 	}
-	d.staged = intBody && d.fallback == "" && stagesOnBitplanes(net)
+	d.staged = intBody && d.fallback == "" && allStaged(net)
 	d.name = fmt.Sprintf("%s/B=%d/workers=%d/perchannel=%v/bias=%v", gm.name, bsz, d.workers, perChannel, biased)
 	if d.fallback != "" {
 		d.name += "/" + d.fallback
@@ -527,19 +527,17 @@ func applyFallback(net *nn.Network, xs []*tensor.Tensor, kind string, rng *rand.
 	}
 }
 
-// stagesOnBitplanes reports whether every quantized layer of net after the
-// first is staged and served on the bit planes: each follows a 2-bit
-// QuantAct, and every quantized layer has binary or ternary weights.
-func stagesOnBitplanes(net *nn.Network) bool {
+// allStaged reports whether every quantized layer of net after the first
+// is staged: each follows a 2-bit QuantAct.
+func allStaged(net *nn.Network) bool {
 	first, act := true, false
 	for _, nl := range net.Layers {
 		switch l := nl.Layer.(type) {
 		case *nn.Conv2D, *nn.Dense:
-			q := quantizerOf(l)
-			if q == nil {
+			if quantizerOf(l) == nil {
 				continue
 			}
-			if q.Bits > 2 || !first && !act {
+			if !first && !act {
 				return false
 			}
 			first, act = false, false
@@ -567,7 +565,7 @@ func quantizerOf(l nn.Layer) *quant.WeightQuantizer {
 // worker cap and body and demands the oracle's outputs bit for bit, or an
 // error where the oracle fails (for ForwardBatch, the per-layer loop's
 // error text). A staged draw must also serve every quantized layer on the
-// bit planes, the first from floats and every later one from levels.
+// integer body, the first from floats and every later one from levels.
 func checkDraw(t *testing.T, d *draw) {
 	t.Helper()
 	prevBody := nn.SetInt8GEMM(d.intBody)
@@ -626,32 +624,31 @@ func checkDraw(t *testing.T, d *draw) {
 }
 
 // pathCounts returns every quantized layer's path counters: samples on
-// the integer body, on the bit planes, and from levels.
-func pathCounts(net *nn.Network) [][3]int {
-	var pcs [][3]int
+// the integer body, and from levels.
+func pathCounts(net *nn.Network) [][2]int {
+	var pcs [][2]int
 	for _, nl := range net.Layers {
 		if quantizerOf(nl.Layer) != nil {
-			ints, bits, levels := nn.PathCounts(nl.Layer)
-			pcs = append(pcs, [3]int{ints, bits, levels})
+			ints, levels := nn.PathCounts(nl.Layer)
+			pcs = append(pcs, [2]int{ints, levels})
 		}
 	}
 	return pcs
 }
 
 // checkStagedCounts demands that one ForwardBatch of bsz samples served
-// every quantized layer on the bit planes (the generator's weights are all
-// binary or ternary), the first from floats and every later one from
-// levels.
-func checkStagedCounts(t *testing.T, before, after [][3]int, bsz int) {
+// every quantized layer on the integer body, the first from floats and
+// every later one from levels.
+func checkStagedCounts(t *testing.T, before, after [][2]int, bsz int) {
 	t.Helper()
 	for i, a := range after {
-		d := [3]int{a[0] - before[i][0], a[1] - before[i][1], a[2] - before[i][2]}
-		want := [3]int{bsz, bsz, bsz}
+		d := [2]int{a[0] - before[i][0], a[1] - before[i][1]}
+		want := [2]int{bsz, bsz}
 		if i == 0 {
-			want = [3]int{bsz, bsz, 0}
+			want = [2]int{bsz, 0}
 		}
 		if d != want {
-			t.Errorf("quantized layer %d: %d int8 samples, %d on bit planes, %d from levels; want %v", i, d[0], d[1], d[2], want)
+			t.Errorf("quantized layer %d: %d int8 samples, %d from levels; want %v", i, d[0], d[1], want)
 		}
 	}
 }
@@ -747,7 +744,7 @@ func FuzzStagedForward(f *testing.F) {
 				x := d.xs[(i/4)%len(d.xs)]
 				x.Data()[(i/4/len(d.xs))%x.Len()] = math.Float32frombits(b)
 			}
-			d.staged = false // fuzzed bits may leave the bit planes
+			d.staged = false // fuzzed bits may leave the levels
 			checkDraw(t, d)
 		}
 	})

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -228,35 +230,48 @@ func b2u(b bool) uint8 {
 	return u
 }
 
-// ladderCache holds a ScaleShift's affineLadder, keyed like weightCache on
-// the identity and version of the Gamma and Beta parameters, and on the
-// quantizer it was folded into.
+// ladderCache holds a ScaleShift's affineLadder, keyed on a bitwise copy
+// of the γ and β it was folded from and on the quantizer it was folded
+// into, so an in-place edit of either is seen whether or not the Param's
+// version was bumped.
 type ladderCache struct {
-	gamma, beta *Param
-	gv, bv      uint64
+	gamma, beta []float32
 	q           *quant.ActQuantizer
 	lad         *affineLadder
 	err         error
 }
 
 // ladder returns the layer folded into q's ladder, building it on first
-// use after Gamma, Beta or q change.
+// use after γ, β or q change.
 func (s *ScaleShift) ladder(q *quant.ActQuantizer) (*affineLadder, error) {
 	lc := s.ladders
-	if lc == nil || lc.q != q || lc.gamma != s.Gamma || lc.beta != s.Beta || lc.gv != s.Gamma.Version() || lc.bv != s.Beta.Version() {
-		lc = &ladderCache{gamma: s.Gamma, beta: s.Beta, gv: s.Gamma.Version(), bv: s.Beta.Version(), q: q}
-		lc.lad, lc.err = newAffineLadder(q, s.Gamma.Value.Data(), s.Beta.Value.Data())
+	gd, bd := s.Gamma.Value.Data(), s.Beta.Value.Data()
+	if lc == nil || lc.q != q || !sameBits(lc.gamma, gd) || !sameBits(lc.beta, bd) {
+		lc = &ladderCache{gamma: slices.Clone(gd), beta: slices.Clone(bd), q: q}
+		lc.lad, lc.err = newAffineLadder(q, gd, bd)
 		s.ladders = lc
 	}
 	return lc.lad, lc.err
 }
 
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float32bits(v) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // intInput is a quantized layer's input batch on the integer body: per
-// sample, one int8 code per element and the scale. A float input is coded
-// by quant.QuantizeSymmetricInt8; a staged one arrives as levels, coded
-// through its codeTable. When the layer has bit planes, maps holds every
-// sample's plane map and the kernel reads the symbols (the codes, or the
-// levels) as they are; otherwise codes holds every sample's int8 codes.
+// sample, its symbols, the scale, and the plane map the bit-plane kernel
+// reads the symbols by. A float input is coded by
+// quant.QuantizeSymmetricInt8, each int8 code its own symbol; a staged one
+// arrives as levels, each level a symbol whose code its codeTable gives.
 type intInput struct {
 	scales []float32
 	codes  [][]int8
@@ -266,12 +281,12 @@ type intInput struct {
 }
 
 // newIntInput codes the float samples xs, or the levels lv, as the input
-// of a layer with vol inputs per sample; planes asks for plane maps. When
-// a float sample has no codes (NaN or infinite) it returns the sample's
-// index with the error.
-func newIntInput(xs []*tensor.Tensor, lv *levelBatch, vol int, planes bool) (*intInput, int, error) {
+// of a layer with vol inputs per sample. When a float sample has no codes
+// (NaN or infinite) it returns the sample's index with the error.
+func newIntInput(xs []*tensor.Tensor, lv *levelBatch, vol int) (*intInput, int, error) {
 	if lv == nil {
-		in := &intInput{scales: make([]float32, len(xs)), codes: make([][]int8, len(xs)), buf: tensor.BorrowInt8(len(xs) * vol)}
+		in := &intInput{scales: make([]float32, len(xs)), codes: make([][]int8, len(xs)),
+			maps: make([]tensor.PlaneMap, len(xs)), buf: tensor.BorrowInt8(len(xs) * vol)}
 		for j, x := range xs {
 			in.codes[j] = in.buf[j*vol : (j+1)*vol]
 			sx, err := quant.QuantizeSymmetricInt8(in.codes[j], x.Data())
@@ -279,36 +294,15 @@ func newIntInput(xs []*tensor.Tensor, lv *levelBatch, vol int, planes bool) (*in
 				in.release()
 				return nil, j, err
 			}
-			in.scales[j] = sx
-		}
-		if planes {
-			in.maps = make([]tensor.PlaneMap, len(xs))
-			for j, x := range in.codes {
-				in.maps[j] = tensor.Int8PlaneMap(x)
-			}
+			in.scales[j], in.maps[j] = sx, tensor.Int8PlaneMap(in.codes[j])
 		}
 		return in, 0, nil
 	}
 	bsz := len(lv.levels)
-	in := &intInput{scales: make([]float32, bsz), levels: lv.levels}
-	tables := make([][maxLevels]int8, bsz)
-	for j := range tables {
-		tables[j], in.scales[j] = lv.codeTable(j)
-	}
-	if planes {
-		in.maps = make([]tensor.PlaneMap, bsz)
-		for j := range tables {
-			in.maps[j] = tensor.NewPlaneMap(tables[j][:])
-		}
-		return in, 0, nil
-	}
-	in.codes, in.buf = make([][]int8, bsz), tensor.BorrowInt8(bsz*vol)
-	for j, x := range lv.levels {
-		xq := in.buf[j*vol : (j+1)*vol]
-		for i, l := range x {
-			xq[i] = tables[j][l&(maxLevels-1)]
-		}
-		in.codes[j] = xq
+	in := &intInput{scales: make([]float32, bsz), levels: lv.levels, maps: make([]tensor.PlaneMap, bsz)}
+	for j := range bsz {
+		codes, sx := lv.codeTable(j)
+		in.scales[j], in.maps[j] = sx, tensor.NewPlaneMap(codes[:])
 	}
 	return in, 0, nil
 }
@@ -321,42 +315,33 @@ func (in *intInput) release() {
 	}
 }
 
-// outScales returns each sample's output rescale, weight scale × sample
-// scale, one per weight scale.
-func (in *intInput) outScales(wScales []float32) [][]float32 {
+// convolve runs the batch on the bit-plane kernel against the weight
+// planes wb of geometry g and returns one (outC × OutH·OutW) output per
+// sample, rescaled once by weight scale × sample scale: borrowed scratch
+// when scratch is set, else the tensors the float exit returns.
+func (in *intInput) convolve(wb *tensor.BitplaneWeights, wScales []float32, g tensor.ConvGeom, outC int, scratch bool) ([]*tensor.Tensor, error) {
 	buf := make([]float32, len(in.scales)*len(wScales))
-	rows := make([][]float32, len(in.scales))
+	outScales := make([][]float32, len(in.scales))
+	dsts := make([]*tensor.Tensor, len(in.scales))
 	for j, sx := range in.scales {
 		row := buf[j*len(wScales) : (j+1)*len(wScales)]
 		for i, s := range wScales {
 			row[i] = s * sx
 		}
-		rows[j] = row
-	}
-	return rows
-}
-
-// bitplane runs the batch on the bit-plane kernel; maps must be set.
-func (in *intInput) bitplane(dsts []*tensor.Tensor, wb *tensor.BitplaneWeights, g tensor.ConvGeom, outScales [][]float32) error {
-	if in.levels != nil {
-		return tensor.ConvBitplaneBatchInto(dsts, wb, in.levels, in.maps, g, outScales)
-	}
-	return tensor.ConvBitplaneBatchInto(dsts, wb, in.codes, in.maps, g, outScales)
-}
-
-// newOutputs returns one (rows × cols) output per sample for the kernels
-// to overwrite: borrowed scratch when the stage ends in levels, else the
-// tensors the float exit returns.
-func newOutputs(bsz, rows, cols int, scratch bool) []*tensor.Tensor {
-	dsts := make([]*tensor.Tensor, bsz)
-	for j := range dsts {
+		outScales[j] = row
 		if scratch {
-			dsts[j] = tensor.Borrow(rows, cols)
+			dsts[j] = tensor.Borrow(outC, g.OutH()*g.OutW())
 		} else {
-			dsts[j] = tensor.New(rows, cols)
+			dsts[j] = tensor.New(outC, g.OutH()*g.OutW())
 		}
 	}
-	return dsts
+	var err error
+	if in.levels != nil {
+		err = tensor.ConvBitplaneBatchInto(dsts, wb, in.levels, in.maps, g, outScales)
+	} else {
+		err = tensor.ConvBitplaneBatchInto(dsts, wb, in.codes, in.maps, g, outScales)
+	}
+	return dsts, err
 }
 
 // intExit ends an integer body. Given the ladder of the ScaleShift →
@@ -406,26 +391,22 @@ func addBias(od []float32, bias *Param) {
 	}
 }
 
-// pathCounts record which kernel served each inference sample of a
+// pathCounts record which body served each inference sample of a
 // quantized layer: the int8-path acceptance tests fail if one falls back
-// to float, a ternary layer off the bit planes, or a staged layer off its
-// levels. They are int32, so the four fit where three ints did and no
+// to float, or a staged layer off its levels. They are int32 so that no
 // layer grows a size class: library generation allocates thousands of
 // pruned layers.
 type pathCounts struct {
 	intForwards   int32
-	bitForwards   int32 // the subset of intForwards served by the bit planes
 	levelForwards int32 // the subset of intForwards whose input came as levels
 	floatFwds     int32
 }
 
-// count records an integer-body batch of bsz samples.
-func (pc *pathCounts) count(bsz int, in *intInput) {
+// count records an integer-body batch of bsz samples, staged when its
+// input came as levels.
+func (pc *pathCounts) count(bsz int, staged bool) {
 	pc.intForwards += int32(bsz)
-	if in.maps != nil {
-		pc.bitForwards += int32(bsz)
-	}
-	if in.levels != nil {
+	if staged {
 		pc.levelForwards += int32(bsz)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // given random γ (an eighth of them zero, a quarter negative) and β, and
 // batches of 1, 3 and 8 at 1, 2 and NumCPU workers. ForwardBatch must equal
 // per-sample Forward bit for bit, and the path counters must show every
-// quantized layer on the bit planes, conv1–conv5, fc0 and fc1 served from
-// levels, and conv0 from floats.
+// quantized layer on the integer body, conv1–conv5, fc0 and fc1 served
+// from levels, and conv0 from floats.
 func TestStagedForwardMatchesLayers(t *testing.T) {
 	prevGrain := tensor.SetParallelGrain(1)
 	defer tensor.SetParallelGrain(prevGrain)
@@ -54,52 +54,16 @@ func TestStagedForwardMatchesLayers(t *testing.T) {
 				}
 				for _, bsz := range []int{1, 3, 8} {
 					for _, workers := range []int{1, 2, runtime.NumCPU()} {
-						before := cnvPathCounts(pm.Net)
+						before := pathCounts(pm.Net)
 						prev := tensor.SetMaxWorkers(workers)
 						got, err := pm.Net.ForwardBatch(xs[:bsz])
 						tensor.SetMaxWorkers(prev)
 						name := fmt.Sprintf("B=%d workers=%d", bsz, workers)
 						sameResults(t, name, got, err, want[:bsz], nil)
-						checkCNVStagedCounts(t, name, pm.Net, before, bsz)
+						checkStagedCounts(t, before, pathCounts(pm.Net), bsz)
 					}
 				}
 			})
-		}
-	}
-}
-
-// cnvPathCounts returns the path counters of every Conv2D and Dense,
-// the float head included.
-func cnvPathCounts(net *nn.Network) [][3]int {
-	var pcs [][3]int
-	for _, nl := range net.Layers {
-		switch nl.Layer.(type) {
-		case *nn.Conv2D, *nn.Dense:
-			ints, bits, levels := nn.PathCounts(nl.Layer)
-			pcs = append(pcs, [3]int{ints, bits, levels})
-		}
-	}
-	return pcs
-}
-
-// checkCNVStagedCounts demands that one ForwardBatch of bsz samples served
-// CNV's conv0 from floats and conv1–conv5, fc0 and fc1 from levels, all on
-// the bit planes; the float head has no counts.
-func checkCNVStagedCounts(t *testing.T, name string, net *nn.Network, before [][3]int, bsz int) {
-	t.Helper()
-	after := cnvPathCounts(net)
-	names := []string{"conv0", "conv1", "conv2", "conv3", "conv4", "conv5", "fc0", "fc1", "head"}
-	for i, a := range after {
-		d := [3]int{a[0] - before[i][0], a[1] - before[i][1], a[2] - before[i][2]}
-		want := [3]int{bsz, bsz, bsz}
-		switch names[i] {
-		case "conv0":
-			want = [3]int{bsz, bsz, 0}
-		case "head":
-			want = [3]int{}
-		}
-		if d != want {
-			t.Errorf("%s %s: %d int8 samples, %d on bit planes, %d from levels; want %v", name, names[i], d[0], d[1], d[2], want)
 		}
 	}
 }
@@ -132,7 +96,7 @@ func sameResults(t *testing.T, name string, got []*tensor.Tensor, gotErr error, 
 // TestImageLayersOnPlanes checks the layers that take image codes: in
 // ForwardBatch, CNVW2A2's conv0 (CIFAR images, codes 0…127, seven planes)
 // and TFC's fc0 (signed inputs, eight planes, and non-negative ones, seven)
-// must serve every sample on the bit planes, from floats.
+// must serve every sample on the integer body, from floats.
 func TestImageLayersOnPlanes(t *testing.T) {
 	cnv, err := model.CNVW2A2("cifar10", 10, 1)
 	if err != nil {
@@ -181,13 +145,13 @@ func TestImageLayersOnPlanes(t *testing.T) {
 				break
 			}
 		}
-		ints, bits, levels := nn.PathCounts(first)
+		ints, levels := nn.PathCounts(first)
 		if _, err := tc.m.Net.ForwardBatch(tc.xs); err != nil {
 			t.Fatal(err)
 		}
-		ints2, bits2, levels2 := nn.PathCounts(first)
-		if got, want := [3]int{ints2 - ints, bits2 - bits, levels2 - levels}, [3]int{len(tc.xs), len(tc.xs), 0}; got != want {
-			t.Errorf("%s: %d int8 samples, %d on bit planes, %d from levels; want %v", tc.name, got[0], got[1], got[2], want)
+		ints2, levels2 := nn.PathCounts(first)
+		if got, want := [2]int{ints2 - ints, levels2 - levels}, [2]int{len(tc.xs), 0}; got != want {
+			t.Errorf("%s: %d int8 samples, %d from levels; want %v", tc.name, got[0], got[1], want)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 //
 //   - effW, the fake-quantized float matrix that the float body, Backward
 //     and the dataflow compiler consume (EffectiveWeights);
-//   - effWQ and effWScales, the int8 grid codes of the integer body and
-//     their scales (one per row, or one for tensor-wide quantization);
-//   - effWB, the codes packed as bit planes for convolutions whose codes
-//     are all in {−1, 0, 1}, nil otherwise.
+//   - effWB and effWScales, the int8 grid codes of the integer body packed
+//     as bit planes, and their scales (one per row, or one for
+//     tensor-wide quantization). The code matrix itself is dropped once
+//     packed.
 //
 // quantRuns counts quantizer passes, one per float or code view per
 // version, for the regression tests guarding the cache.
@@ -24,10 +24,8 @@ type weightCache struct {
 	version uint64
 
 	effW       *tensor.Tensor
-	effWQ      *tensor.Int8Matrix
-	effWScales []float32
 	effWB      *tensor.BitplaneWeights
-	packed     bool // effWB is built (it stays nil for wider codes)
+	effWScales []float32
 
 	quantRuns int
 }
@@ -57,32 +55,24 @@ func (wc *weightCache) floatWeights(w *Param, q *quant.WeightQuantizer, rows, ro
 	return wc.effW, nil
 }
 
-// int8Weights returns the int8 grid codes of the matrix floatWeights
-// builds from the same arguments, and their scales.
-func (wc *weightCache) int8Weights(w *Param, q *quant.WeightQuantizer, rows, rowLen int) (*tensor.Int8Matrix, []float32, error) {
+// bitplanes returns the int8 grid codes of the matrix floatWeights builds
+// from the same arguments, packed as bit planes for geometry g, and their
+// scales.
+func (wc *weightCache) bitplanes(w *Param, q *quant.WeightQuantizer, rows, rowLen int, g tensor.ConvGeom) (*tensor.BitplaneWeights, []float32, error) {
 	wc.keyOn(w)
-	if wc.effWQ == nil {
+	if wc.effWB == nil {
 		src := w.Value.Data()
 		m := tensor.NewInt8Matrix(rows, len(src)/rows)
 		scales, err := q.QuantizeTensorInt8(m.Data, src, rowLen)
 		if err != nil {
 			return nil, nil, err
 		}
-		wc.effWQ, wc.effWScales = m, scales
+		wb, err := tensor.PackBitplaneWeights(m, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		wc.effWB, wc.effWScales = wb, scales
 		wc.quantRuns++
 	}
-	return wc.effWQ, wc.effWScales, nil
-}
-
-// bitplanes returns the codes of the preceding int8Weights call packed as
-// bit planes for geometry g, or nil when a code is outside {−1, 0, 1}.
-func (wc *weightCache) bitplanes(g tensor.ConvGeom) (*tensor.BitplaneWeights, error) {
-	if !wc.packed {
-		wb, err := tensor.PackBitplaneWeights(wc.effWQ, g)
-		if err != nil {
-			return nil, err
-		}
-		wc.effWB, wc.packed = wb, true
-	}
-	return wc.effWB, nil
+	return wc.effWB, wc.effWScales, nil
 }

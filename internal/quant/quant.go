@@ -158,15 +158,16 @@ func (q *WeightQuantizer) rowScales(fn string, dstLen int, src []float32, rowLen
 }
 
 // Int8Capable reports whether this quantizer's grid fits signed int8
-// codes, i.e. whether the integer GEMM fast path can carry its weights.
+// codes, i.e. whether the integer fast path (internal/tensor's bit-plane
+// convolution) can carry its weights.
 // Every grid up to 8 bits has at most ±127 levels.
 func (q *WeightQuantizer) Int8Capable() bool { return q.Bits <= 8 }
 
 // QuantizeTensorInt8 writes the int8 grid codes of src into dst, row by
 // row like QuantizeTensor, and returns the same scales, such that
 // float32(dst[i])*scale of its row is bit-identical to what QuantizeTensor
-// writes. This is the weight view the int8×int8→int32 kernels in
-// internal/tensor consume. It errors for grids wider than 8 bits (codes
+// writes. This is the weight view internal/tensor packs into the bit
+// planes of its integer convolution. It errors for grids wider than 8 bits (codes
 // would not fit int8).
 func (q *WeightQuantizer) QuantizeTensorInt8(dst []int8, src []float32, rowLen int) ([]float32, error) {
 	if !q.Int8Capable() {

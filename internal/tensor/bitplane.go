@@ -6,12 +6,11 @@ import (
 	"math/bits"
 )
 
-// Bit-plane convolution: the integer convolution for ternary weights,
-// computed with AND and popcount on packed receptive-field words instead
-// of 8-bit multiply-adds. This is how FINN's MVTU multiplies 1- and 2-bit
-// operands, and how bit-serial matrix multiplication (BISMO) extends it to
-// wide ones: a product of wide codes is a weighted sum of one popcount per
-// bit plane.
+// Bit-plane convolution: the integer convolution, computed with AND and
+// popcount on packed receptive-field words instead of 8-bit multiply-adds.
+// This is how FINN's MVTU multiplies 1- and 2-bit operands, and how
+// bit-serial matrix multiplication (BISMO) extends it to wide ones: a
+// product of wide codes is a weighted sum of one popcount per bit plane.
 //
 // Weights w ∈ {−1, 0, 1} become two planes, a nonzero mask m (w ≠ 0) and
 // a sign n (w = −1). A sample's int8 codes become P activation planes
@@ -26,10 +25,17 @@ import (
 //
 //	Σ w·x = Σ_b ω_b·(p_b − N),  p_b = Σ pop(m&(a_b^n)):
 //
-// one popcount per plane and filter word. That is the same integer the
-// paired-lane kernel accumulates, and the rescale is the same
-// float32(int32(acc))·scale expression, so ConvBitplaneBatchInto and
-// ConvInt8BatchInto agree bit for bit on every input.
+// one popcount per plane and filter word, and the int32 sum is rescaled
+// once, as float32(int32(acc))·scale.
+//
+// Wider weight codes split into sign-magnitude ternary planes first:
+// w = Σ_a 2^a·t_a with t_a = sign(w)·bit_a(|w|) ∈ {−1, 0, 1}, and
+// P_w = bits.Len(max|w|) of them: one for W1 and W2 grids, two for W3,
+// three for W4, seven for W8, eight when a code is −128. Each weight
+// plane is a ternary convolution of its own, whose sum s_a lies within
+// ±128·k, below 2²⁴ for k < maxBitplaneK, so it leaves the kernel as an
+// exact float32 at unit scale; the planes add in int32 as Σ 2^a·s_a,
+// which is Σ w·x exactly, and the rescale is the same expression.
 //
 // One rule (Int8PlaneMap) picks a sample's planes from the codes it holds.
 // Codes in {0, c1, c2, c1+c2} with 0 < c1 < c2, the levels of a 2-bit
@@ -50,30 +56,37 @@ import (
 // that starts at bit ox·StrideW·InC of padded row oy·StrideH + kh, copied
 // word for word when InC is a multiple of 64 and cut out with shifts
 // otherwise. The kernel, bitDot4, weighs each plane's counts by ω_b and
-// rescales the sums as it goes, so a block of four filters leaves it as
-// finished outputs.
+// rescales the sums as it goes, so a block of four filters of a one-plane
+// weight grid leaves it as finished outputs.
 
-// BitplaneWeights are the mask and sign planes of a convolution whose
-// weight codes all lie in {−1, 0, 1}. Filters are stored in blocks of
-// four, the last block padded with zero filters: for each field word of a
-// block come the masks m of its four filters (bit set where the weight is
-// ±1), then their signs n (bit set where it is −1), so the kernel streams
-// one block as a single run of words. negs holds each filter's N, its
-// count of −1 weights.
+// maxBitplaneK bounds the inner dimension InC·KH·KW of the bit-plane
+// convolution, k < 2¹⁷: a weight plane's sum, within ±128·k, is then below
+// 2²⁴ and exact as the float32 bitDot4 writes, and the sum over the
+// planes, within ±128·128·k, fits int32.
+const maxBitplaneK = 1 << 17
+
+// BitplaneWeights are the mask and sign planes of a convolution's int8
+// weight codes, P_w ternary weight planes of them. Filters are stored in
+// blocks of four, the last block padded with zero filters: for each field
+// word of a block come the masks m of its four filters (bit set where the
+// plane's weight is ±1), then their signs n (bit set where it is −1), so
+// the kernel streams one block as a single run of words. Weight plane a
+// holds its blocks from planes[a·blocks·words·8] and its filters' N, their
+// counts of −1 weights, from negs[a·outC].
 type BitplaneWeights struct {
-	g      ConvGeom
-	outC   int
-	words  int // field words per plane, ⌈InC·KH·KW/64⌉
-	planes []uint64
-	negs   []int64
+	g       ConvGeom
+	outC    int
+	words   int // field words per plane, ⌈InC·KH·KW/64⌉
+	wplanes int // weight planes P_w, 1 to 8
+	planes  []uint64
+	negs    []int32
 }
 
 // PackBitplaneWeights packs the (OutC × InC·KH·KW) OIHW codes of w for
-// geometry g into mask and sign planes in field order and counts each
-// filter's −1 weights. It returns nil, without error, when a code lies
-// outside {−1, 0, 1}, or when the inner dimension InC·KH·KW is past the
-// bound every batched convolution kernel refuses (see validateConvBatch):
-// such a layer has no planes.
+// geometry g into the mask and sign planes of their sign-magnitude
+// ternary planes, in field order, and counts each plane's −1 weights per
+// filter. An inner dimension InC·KH·KW of maxBitplaneK or more is an
+// error: past it the sums are not exact.
 func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -83,37 +96,44 @@ func PackBitplaneWeights(w *Int8Matrix, g ConvGeom) (*BitplaneWeights, error) {
 	if w.Cols != k || len(w.Data) != w.Rows*k {
 		return nil, fmt.Errorf("tensor: PackBitplaneWeights weights %dx%d, want %dx%d", w.Rows, w.Cols, w.Rows, k)
 	}
-	if k >= maxLaneK {
-		return nil, nil
+	if k >= maxBitplaneK {
+		return nil, fmt.Errorf("tensor: PackBitplaneWeights inner dimension %d exceeds the bit-plane bound %d", k, maxBitplaneK-1)
 	}
+	top := 1
 	for _, v := range w.Data {
-		if v < -1 || v > 1 {
-			return nil, nil
-		}
+		top = max(top, abs8(v))
 	}
 	nw := (k + 63) / 64
-	bw := &BitplaneWeights{g: g, outC: w.Rows, words: nw, negs: make([]int64, w.Rows)}
-	bw.planes = make([]uint64, (w.Rows+3)/4*nw*8)
+	blocks := (w.Rows + 3) / 4
+	bw := &BitplaneWeights{g: g, outC: w.Rows, words: nw, wplanes: bits.Len(uint(top))}
+	bw.planes = make([]uint64, bw.wplanes*blocks*nw*8)
+	bw.negs = make([]int32, bw.wplanes*w.Rows)
 	for o := 0; o < w.Rows; o++ {
-		blk := bw.planes[o/4*nw*8:]
 		for c := 0; c < g.InC; c++ {
 			codes := w.Data[o*k+c*kk : o*k+(c+1)*kk] // (kh, kw) of channel c
 			for r, v := range codes {
 				j := r*g.InC + c // the field bit of (kh, kw, c)
-				i := j>>6*8 + o%4
+				i := (o/4*nw+j>>6)*8 + o%4
 				bit := uint64(1) << (j & 63)
-				if v != 0 {
+				for a, mag := 0, abs8(v); mag != 0; a, mag = a+1, mag>>1 {
+					if mag&1 == 0 {
+						continue
+					}
+					blk := bw.planes[a*blocks*nw*8:]
 					blk[i] |= bit
-				}
-				if v < 0 {
-					blk[i+4] |= bit
-					bw.negs[o]++
+					if v < 0 {
+						blk[i+4] |= bit
+						bw.negs[a*w.Rows+o]++
+					}
 				}
 			}
 		}
 	}
 	return bw, nil
 }
+
+// abs8 is |v| as an int, 128 for −128.
+func abs8(v int8) int { return max(int(v), -int(v)) }
 
 // PlaneMap is how one sample's input symbols split into the P activation
 // planes of the bit-plane kernel: symbol s sets plane b where bit b of
@@ -339,11 +359,14 @@ func cutLongRun(dst []uint64, p int, ds uint, row []uint64, s, n int) {
 	}
 }
 
-// ConvBitplaneBatchInto is ConvInt8BatchInto for weights held as mask and
-// sign planes and inputs held as symbols: sample b's symbol s stands for
-// the code maps[b] gives it, and otherwise the dsts, g and outScales
-// contract and the results are ConvInt8BatchInto's, bit for bit. The
-// caller finds the maps (Int8PlaneMap, NewPlaneMap).
+// ConvBitplaneBatchInto convolves B same-geometry inputs against one
+// weight matrix held as bit planes: dsts[b] = rescale(W · im2col(x_b)),
+// where x_b is sample b's CHW codes, each symbol of xs[b] standing for the
+// code maps[b] gives it, and rescale multiplies output row o by
+// outScales[b][o] (or outScales[b][0] when one tensor-wide scale is
+// given). Each dsts[b] is a caller-provided rank-2 (OutC × OutH·OutW)
+// float32 tensor, fully overwritten. The caller finds the maps
+// (Int8PlaneMap, NewPlaneMap).
 //
 // Work is split across the package worker pool by (sample, output row),
 // and by blocks of four filters too when there are fewer rows than
@@ -351,37 +374,47 @@ func cutLongRun(dst []uint64, p int, ds uint, row []uint64, s, n int) {
 // bitstreams of each sample it reaches into its own borrowed scratch, so
 // a sample split between two workers is packed twice and no plane buffer
 // spans the batch. Each output element is written by exactly one worker
-// from an exact integer sum, so the results are the same for any worker
-// count.
+// from an exact integer sum, so each dsts[b] is the same for any worker
+// count and batch, and equal to the direct convolution of the codes.
 func ConvBitplaneBatchInto[S int8 | uint8](dsts []*Tensor, w *BitplaneWeights, xs [][]S, maps []PlaneMap, g ConvGeom, outScales [][]float32) error {
-	if err := validateConvBatch("ConvBitplaneBatchInto", dsts, xs, g, w.outC, outScales); err != nil {
+	if err := g.Validate(); err != nil {
 		return err
+	}
+	bsz := len(dsts)
+	if bsz == 0 || len(xs) != bsz || len(outScales) != bsz || len(maps) != bsz {
+		return fmt.Errorf("tensor: ConvBitplaneBatchInto wants equal non-zero dsts/xs/maps/outScales, got %d/%d/%d/%d",
+			len(dsts), len(xs), len(maps), len(outScales))
 	}
 	if g != w.g {
 		return fmt.Errorf("tensor: ConvBitplaneBatchInto geometry %+v, weights packed for %+v", g, w.g)
 	}
-	bsz := len(xs)
-	if len(maps) != bsz {
-		return fmt.Errorf("tensor: ConvBitplaneBatchInto wants %d plane maps, got %d", bsz, len(maps))
-	}
+	oh, ow := g.OutH(), g.OutW()
 	planes := 0
-	for b := range maps {
-		if p := maps[b].P; p < 1 || p > len(maps[b].W) {
-			return fmt.Errorf("tensor: ConvBitplaneBatchInto plane map %d has %d planes, want 1 to %d", b, p, len(maps[b].W))
+	for b := range bsz {
+		switch {
+		case len(xs[b]) != g.InC*g.InH*g.InW:
+			return fmt.Errorf("tensor: ConvBitplaneBatchInto input %d length %d does not match geometry %dx%dx%d",
+				b, len(xs[b]), g.InC, g.InH, g.InW)
+		case dsts[b].Rank() != 2 || dsts[b].shape[0] != w.outC || dsts[b].shape[1] != oh*ow:
+			return fmt.Errorf("tensor: ConvBitplaneBatchInto dst %d %v, want %dx%d", b, dsts[b].shape, w.outC, oh*ow)
+		case len(outScales[b]) != 1 && len(outScales[b]) != w.outC:
+			return fmt.Errorf("tensor: ConvBitplaneBatchInto wants 1 or %d output scales for sample %d, got %d",
+				w.outC, b, len(outScales[b]))
+		case maps[b].P < 1 || maps[b].P > len(maps[b].W):
+			return fmt.Errorf("tensor: ConvBitplaneBatchInto plane map %d has %d planes, want 1 to %d", b, maps[b].P, len(maps[b].W))
 		}
 		planes = max(planes, maps[b].P)
 	}
 	nw := w.words
 	ph := g.InH + 2*g.PadH
 	rw := ((g.InW+2*g.PadW)*g.InC+63)/64 + 1
-	oh, ow := g.OutH(), g.OutW()
 	blocks := (w.outC + 3) / 4
 	units := bsz * oh
 	split := 1 // filter-block groups per (sample, output row)
 	if wk := maxWorkers.Get(); units < wk {
 		split = min(blocks, (wk+units-1)/units)
 	}
-	parallelFor(units*split, 4*blocks*ow*nw*planes/split, func(lo, hi int) {
+	parallelFor(units*split, 4*blocks*ow*nw*planes*w.wplanes/split, func(lo, hi int) {
 		// One sample's row bitstreams, then one output row's fields.
 		scratch := uint64Arena.borrow(planes*ph*rw + (ow*nw+1)*planes)
 		defer uint64Arena.release(scratch)
@@ -415,25 +448,75 @@ func ConvBitplaneBatchInto[S int8 | uint8](dsts []*Tensor, w *BitplaneWeights, x
 // into dst (OutC × OH·OW) from the row's fields: per block of four
 // filters, bitDot4 forms Σ_b ω_b·p_b at each of the row's positions and
 // writes float32(Σ_b ω_b·p_b − N·Σ_b ω_b)·scale, the int32 sum Σ w·x
-// rescaled, into the filters' output rows.
+// rescaled, into the filters' output rows. Weights of more than one plane
+// go to bitplaneRowWide.
 func bitplaneRow(dst []float32, w *BitplaneWeights, fields []uint64, oy int, m *PlaneMap, s []float32, b0, b1 int) {
+	pw := newPlaneWeights(m.W[:m.P])
+	if w.wplanes > 1 {
+		bitplaneRowWide(dst, w, fields, oy, &pw, s, b0, b1)
+		return
+	}
 	g := w.g
 	ow := g.OutW()
 	cols := g.OutH() * ow
 	nw := w.words
-	pw := newPlaneWeights(m.W[:m.P])
-	var wsum int32
-	for _, v := range pw.w {
-		wsum += int32(v)
-	}
+	wsum := pw.sum()
 	for blk := b0; blk < b1; blk++ {
 		o := 4 * blk
 		ep := blockEpilogue{n: min(4, w.outC-o)}
 		for i := range ep.n {
-			ep.corr[i] = int32(w.negs[o+i]) * wsum
+			ep.corr[i] = w.negs[o+i] * wsum
 			ep.scale[i] = s[min(o+i, len(s)-1)] // one scale, or one per channel
 		}
 		bitDot4(dst[o*cols+oy*ow:], cols, ow, w.planes[blk*nw*8:(blk+1)*nw*8], fields, &pw, &ep)
+	}
+}
+
+// wideRun is how many output positions bitplaneRowWide sums at a time.
+const wideRun = 64
+
+// bitplaneRowWide is bitplaneRow for P_w > 1 weight planes. Per block of
+// four filters and run of up to wideRun positions, bitDot4 writes each
+// weight plane's sum s_a at unit scale, exact in float32, into a buffer on
+// the stack; the planes add in int32 as Σ 2^a·s_a, and the sum is rescaled
+// as float32(sum)·scale.
+func bitplaneRowWide(dst []float32, w *BitplaneWeights, fields []uint64, oy int, pw *planeWeights, s []float32, b0, b1 int) {
+	g := w.g
+	ow := g.OutW()
+	cols := g.OutH() * ow
+	nw := w.words
+	p := len(pw.w)
+	wsum := pw.sum()
+	blocks := (w.outC + 3) / 4
+	var part [4 * wideRun]float32
+	var acc [4 * wideRun]int32
+	for blk := b0; blk < b1; blk++ {
+		o := 4 * blk
+		n := min(4, w.outC-o)
+		for x0 := 0; x0 < ow; x0 += wideRun {
+			npos := min(wideRun, ow-x0)
+			clear(acc[:])
+			for a := range w.wplanes {
+				ep := blockEpilogue{n: n, scale: [4]float32{1, 1, 1, 1}}
+				for i := range n {
+					ep.corr[i] = w.negs[a*w.outC+o+i] * wsum
+				}
+				wb := w.planes[(a*blocks+blk)*nw*8 : (a*blocks+blk+1)*nw*8]
+				bitDot4(part[:], wideRun, npos, wb, fields[x0*nw*p:], pw, &ep)
+				for i := range n {
+					for j, v := range part[i*wideRun : i*wideRun+npos] {
+						acc[i*wideRun+j] += int32(v) << a
+					}
+				}
+			}
+			for i := range n {
+				sc := s[min(o+i, len(s)-1)]
+				out := dst[(o+i)*cols+oy*ow+x0:][:npos]
+				for j, v := range acc[i*wideRun : i*wideRun+npos] {
+					out[j] = float32(v) * sc
+				}
+			}
+		}
 	}
 }
 
@@ -463,6 +546,15 @@ func newPlaneWeights(w []int8) planeWeights {
 		pw.flush = 32767 / (16 * abs)
 	}
 	return pw
+}
+
+// sum is Σ_b ω_b, the factor of a filter's N in its correction.
+func (pw *planeWeights) sum() int32 {
+	var s int32
+	for _, v := range pw.w {
+		s += int32(v)
+	}
+	return s
 }
 
 // blockEpilogue is how bitDot4 turns the sums of a block's first n

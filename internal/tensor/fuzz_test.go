@@ -13,13 +13,14 @@ import (
 // and its decomposition rule. shape picks the geometry and filter count,
 // codes the activation codes (mode 0: drawn from {0, c1, c2, c1+c2} for
 // c1, c2 taken from codes; mode 1: the raw bytes, any int8 code), and
-// wseed the weights (binary, ternary, or ternary with one code of ±2).
-// Every sample must take two planes or fewer exactly when a brute-force
-// search over every pair c1 < c2 decomposes its codes, and otherwise
-// eight planes exactly when it holds a negative code. When the weights
-// have planes, the kernel's outputs must equal the six-loop reference
+// wseed the weights (binary, ternary, ternary with one code from the whole
+// int8 range, or every code from it). Every sample must take two planes or
+// fewer exactly when a brute-force search over every pair c1 < c2
+// decomposes its codes, and otherwise eight planes exactly when it holds a
+// negative code. The weights must take weightPlanes' count of weight
+// planes, and the kernel's outputs must equal the six-loop reference
 // exactly, with the codes as symbols and again with them recoded as table
-// symbols (NewPlaneMap); a code of ±2 must build none.
+// symbols (NewPlaneMap).
 func FuzzConvBitplane(f *testing.F) {
 	f.Add(uint64(0), []byte{42, 85, 0, 1, 2, 3}, int64(1), uint8(0))
 	f.Add(uint64(63), []byte{64, 63, 9, 8, 7}, int64(2), uint8(0))
@@ -46,9 +47,12 @@ func FuzzConvBitplane(f *testing.F) {
 		bsz := 1 + field(2)
 		rng := rand.New(rand.NewSource(wseed))
 		k := g.InC * g.KH * g.KW
-		w := &Int8Matrix{Rows: outC, Cols: k, Data: ternaryCodes(rng, outC*k, wseed%3 == 0)}
-		if wseed%5 == 0 {
-			w.Data[rng.Intn(len(w.Data))] = int8(4*rng.Intn(2) - 2)
+		w := &Int8Matrix{Rows: outC, Cols: k, Data: ternaryCodes(rng, outC*k, wseed%4 == 0)}
+		switch wseed % 4 {
+		case 2:
+			w.Data[rng.Intn(len(w.Data))] = int8(rng.Intn(256) - 128)
+		case 3:
+			w.Data = randInt8s(rng, outC*k)
 		}
 		n := g.InC * g.InH * g.InW
 		xs := make([][]int8, bsz)
@@ -81,12 +85,8 @@ func FuzzConvBitplane(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ternary := !slices.ContainsFunc(w.Data, func(v int8) bool { return v < -1 || v > 1 })
-		if (wb != nil) != ternary {
-			t.Fatalf("planes built %v for weights ternary %v", wb != nil, ternary)
-		}
-		if wb == nil {
-			return
+		if want := weightPlanes(w.Data); wb.wplanes != want {
+			t.Fatalf("%d weight planes, want %d", wb.wplanes, want)
 		}
 		scales := make([][]float32, bsz)
 		for b := range scales {

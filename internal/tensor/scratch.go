@@ -3,7 +3,7 @@ package tensor
 import "sync"
 
 // Scratch arena: size-class-bucketed sync.Pools of float32 tensor storage
-// and of the integer path's int8/int32/int64/uint64 slices. The
+// and of the integer path's int8, uint8 and uint64 slices. The
 // convolution and dense layers in internal/nn borrow their im2col and
 // gradient scratch here instead of allocating a fresh tensor per call, so
 // steady-state inference runs allocation-free in the compute core.
@@ -22,7 +22,7 @@ const (
 
 // arena is a power-of-two size-class pool of []T scratch: the one
 // implementation behind Borrow/Release and the integer-path
-// BorrowInt8/32/64. Borrowed slices have unspecified contents.
+// BorrowInt8 and BorrowUint8. Borrowed slices have unspecified contents.
 type arena[T any] struct {
 	pools [maxScratchBits - minScratchBits + 1]sync.Pool
 	// boxes holds emptied *[]T: borrow returns the box its slice came in,
@@ -76,8 +76,7 @@ func (a *arena[T]) release(s []T) {
 var (
 	floatArena  arena[float32]
 	int8Arena   arena[int8]
-	uint8Arena  arena[uint8] // internal/nn's ladder levels between layers
-	int64Arena  arena[int64]
+	uint8Arena  arena[uint8]  // internal/nn's ladder levels between layers
 	uint64Arena arena[uint64] // the bit-plane convolution's activation planes
 )
 
@@ -113,7 +112,7 @@ func Release(t *Tensor) {
 }
 
 // BorrowInt8 returns an int8 scratch slice of length n with unspecified
-// contents: streamed patch panels and quantized activations.
+// contents: quantized activations.
 func BorrowInt8(n int) []int8 { return int8Arena.borrow(n) }
 
 // ReleaseInt8 returns a slice obtained from BorrowInt8 to the arena. The
@@ -126,10 +125,3 @@ func BorrowUint8(n int) []uint8 { return uint8Arena.borrow(n) }
 
 // ReleaseUint8 returns a slice obtained from BorrowUint8 to the arena.
 func ReleaseUint8(s []uint8) { uint8Arena.release(s) }
-
-// BorrowInt64 returns an int64 scratch slice of length n with unspecified
-// contents: the paired-lane accumulators of the int8 kernels.
-func BorrowInt64(n int) []int64 { return int64Arena.borrow(n) }
-
-// ReleaseInt64 returns a slice obtained from BorrowInt64 to the arena.
-func ReleaseInt64(s []int64) { int64Arena.release(s) }

@@ -282,6 +282,8 @@ func TestConvGeomValidateErrors(t *testing.T) {
 		{InC: 1, InH: 4, InW: 4, KH: 1, KW: 1, StrideH: 0, StrideW: 1},
 		{InC: 1, InH: 4, InW: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadH: -1},
 		{InC: 1, InH: 2, InW: 2, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
+		{InC: 1, InH: 1, InW: 4, KH: 3, KW: 1, StrideH: 3, StrideW: 1}, // OutH would truncate to 1
+		{InC: 1, InH: 4, InW: 2, KH: 1, KW: 3, StrideH: 1, StrideW: 2},
 	}
 	for i, g := range cases {
 		if err := g.Validate(); err == nil {

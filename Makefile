@@ -39,7 +39,7 @@ trace-golden:
 test-chaos:
 	$(GO) test -count=1 -run 'Chaos|Adapt' ./internal/edge/... ./internal/multiedge/... ./internal/cluster/...
 	$(GO) test -count=1 ./internal/fault/... ./internal/adapt/...
-	$(GO) test -count=1 -run 'Property|Degrade|ReconfigFailed|Backoff|Swap' ./internal/manager/...
+	$(GO) test -count=1 -run 'Property|Degrade|ReconfigFailed|ReconfigSucceeded|Swap' ./internal/manager/...
 
 # Fuzz smoke: a short run of every fuzz target in the repo. go test takes
 # one -fuzz target per invocation. The targets guard the outside-input

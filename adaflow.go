@@ -220,16 +220,6 @@ func RunEdge(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*R
 	return edge.Run(scn, ctl, cfg, opts...)
 }
 
-// RunEdgeEventLevel simulates one scenario run at per-frame granularity
-// on the discrete-event kernel: frames arrive, queue, and are served (or
-// shed) individually, so queue depth, deadline shedding, and micro-batched
-// dispatch (SimConfig.BatchConfig) are exact rather than fluid-averaged.
-// It is RunEdge with cfg.EventLevel set.
-func RunEdgeEventLevel(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
-	cfg.EventLevel = true
-	return edge.Run(scn, ctl, cfg, opts...)
-}
-
 // RunEdgeRepeated averages repeated runs (the paper averages 100). It is
 // RunEdgeRepeatedAll keeping only the mean — use that variant when the
 // per-run distribution (variance, percentiles) matters.

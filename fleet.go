@@ -42,9 +42,9 @@ type (
 	FaultRule = fault.Rule
 
 	// AdaptConfig tunes the closed-loop drift recovery (SimConfig.Adapt):
-	// detector window/threshold/hold-down, retrain latency, validation
-	// margin, probation, and rollback backoff. Set Enabled to turn the
-	// loop on:
+	// its detection threshold and its retrainer. The detector window and
+	// hold-down, retrain latency, validation margin, probation and
+	// rollback backoff are constants. Set Enabled to turn the loop on:
 	//
 	//	plan, _ := adaflow.ParseFaultPlan("drift-sustained:p=1,start=5,mag=-0.15")
 	//	scn, _ := adaflow.ParseScenario("paper2")

@@ -35,96 +35,62 @@ type Config struct {
 	// Enabled switches the loop on. Disabled runs skip every adapt code
 	// path and stay bit-identical to pre-adaptation behaviour.
 	Enabled bool
-	// Window is the EWMA time constant of the drift detector in seconds
-	// (default 0.5). Samples older than a few windows stop mattering, so
-	// a one-sample spike decays instead of triggering.
-	Window float64
 	// Threshold is the sustained accuracy deficit, in points on the [0,1]
 	// scale, that arms a detection (default 0.03).
 	Threshold float64
-	// HoldDown is how long the EWMA deficit must stay beyond Threshold
-	// before the detection fires (default 0.25 s) — the spike-vs-shift
-	// discriminator.
-	HoldDown float64
-	// RetrainTime is the simulated latency of the background
-	// retrain + re-prune + re-synthesis before the candidate is ready to
-	// swap (default 1 s). Serving continues on the old library throughout.
-	RetrainTime float64
-	// RecoverFraction is the fraction of the detected deficit the default
-	// SimRetrainer's candidate wins back (default 0.85). Ignored when
-	// Retrainer is set.
-	RecoverFraction float64
-	// ValidateMargin is the minimum recovered accuracy, in points, for a
-	// candidate to pass validation (default 0.005); candidates below it
-	// are rejected without being swapped in.
-	ValidateMargin float64
-	// Probation is how long after a swap the detector verifies the
-	// recovery (default 1 s). A deficit still beyond Threshold at the end
-	// of probation rolls the swap back.
-	Probation float64
-	// Backoff quarantines detection after a failed retrain or rollback,
-	// doubling per consecutive failure up to BackoffMax (defaults
-	// 1 s / 16 s) — the same exponential scheme as the manager's
-	// reconfiguration degradation policy.
-	Backoff    float64
-	BackoffMax float64
 	// Retrainer produces candidate libraries; nil uses the analytic
 	// SimRetrainer. Set a LibraryRetrainer to run the real
 	// train/prune/Generate pipeline (tests do, with tiny models).
 	Retrainer Retrainer
 }
 
+// RetrainTime is the simulated latency, in seconds, of the background
+// retrain + re-prune + re-synthesis before the candidate is ready to
+// swap; callers schedule FinishRetrain this long after a detection.
+// Serving continues on the old library throughout.
+const RetrainTime = 1.0
+
+// Loop constants.
+const (
+	// detectorWindow is the EWMA time constant of the drift detector in
+	// seconds. Samples older than a few windows stop mattering, so a
+	// one-sample spike decays instead of triggering.
+	detectorWindow = 0.5
+	// holdDown is how long, in seconds, the EWMA deficit must stay beyond
+	// Threshold before the detection fires — the spike-vs-shift
+	// discriminator.
+	holdDown = 0.25
+	// recoverFraction is the fraction of the detected deficit the default
+	// SimRetrainer's candidate wins back.
+	recoverFraction = 0.85
+	// validateMargin is the minimum recovered accuracy, in points, for a
+	// candidate to pass validation; candidates below it are rejected
+	// without being swapped in.
+	validateMargin = 0.005
+	// probation is how long, in seconds, after a swap the detector
+	// verifies the recovery. A deficit still beyond Threshold at the end
+	// of probation rolls the swap back.
+	probation = 1.0
+	// quarantineBackoff quarantines detection after a failed retrain or
+	// rollback, in seconds, doubling per consecutive failure up to
+	// quarantineBackoffMax — the same exponential scheme as the
+	// manager's reconfiguration degradation policy.
+	quarantineBackoff    = 1.0
+	quarantineBackoffMax = 16.0
+)
+
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 0.5
-	}
 	if c.Threshold == 0 {
 		c.Threshold = 0.03
-	}
-	if c.HoldDown == 0 {
-		c.HoldDown = 0.25
-	}
-	if c.RetrainTime == 0 {
-		c.RetrainTime = 1
-	}
-	if c.RecoverFraction == 0 {
-		c.RecoverFraction = 0.85
-	}
-	if c.ValidateMargin == 0 {
-		c.ValidateMargin = 0.005
-	}
-	if c.Probation == 0 {
-		c.Probation = 1
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 1
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 16
 	}
 	return c
 }
 
 // validate rejects nonsensical knobs (after defaulting).
 func (c Config) validate() error {
-	switch {
-	case c.Window <= 0:
-		return fmt.Errorf("adapt: non-positive detector window %v", c.Window)
-	case c.Threshold <= 0 || c.Threshold >= 1:
+	if c.Threshold <= 0 || c.Threshold >= 1 {
 		return fmt.Errorf("adapt: threshold %v outside (0,1)", c.Threshold)
-	case c.HoldDown < 0:
-		return fmt.Errorf("adapt: negative hold-down %v", c.HoldDown)
-	case c.RetrainTime <= 0:
-		return fmt.Errorf("adapt: non-positive retrain time %v", c.RetrainTime)
-	case c.RecoverFraction < 0 || c.RecoverFraction > 1:
-		return fmt.Errorf("adapt: recover fraction %v outside [0,1]", c.RecoverFraction)
-	case c.ValidateMargin < 0:
-		return fmt.Errorf("adapt: negative validate margin %v", c.ValidateMargin)
-	case c.Probation <= 0:
-		return fmt.Errorf("adapt: non-positive probation %v", c.Probation)
-	case c.Backoff <= 0 || c.BackoffMax < c.Backoff:
-		return fmt.Errorf("adapt: backoff %v / max %v invalid", c.Backoff, c.BackoffMax)
 	}
 	return nil
 }
@@ -132,7 +98,7 @@ func (c Config) validate() error {
 // Retrainer produces a retrained candidate library from the serving one.
 // deficit is the detector's current residual accuracy deficit in points.
 // It returns the candidate, the accuracy it is expected to win back
-// (validated against Config.ValidateMargin), and an error for synthesis
+// (validated against validateMargin), and an error for synthesis
 // failures (treated as a failed retrain: rollback + quarantine backoff).
 // Implementations must be deterministic — same inputs, same candidate —
 // or replays stop being bit-identical.
@@ -187,7 +153,8 @@ type Loop struct {
 
 	lib *library.Library // committed serving version
 
-	// Detector: EWMA of (measured − expected) with time constant Window.
+	// Detector: EWMA of (measured − expected) with time constant
+	// detectorWindow.
 	ewma       float64
 	haveEwma   bool
 	lastT      float64
@@ -230,17 +197,13 @@ func NewLoop(cfg Config, lib *library.Library, tr *obs.Trace) (*Loop, error) {
 	}
 	rt := cfg.Retrainer
 	if rt == nil {
-		rt = SimRetrainer{Fraction: cfg.RecoverFraction}
+		rt = SimRetrainer{Fraction: recoverFraction}
 	}
 	return &Loop{
 		cfg: cfg, retrainer: rt, tr: tr, lib: lib,
 		quarantineUntil: math.Inf(-1), lastT: math.Inf(-1),
 	}, nil
 }
-
-// RetrainTime returns the configured background-retrain latency (the
-// delay callers schedule FinishRetrain at after a detection).
-func (l *Loop) RetrainTime() float64 { return l.cfg.RetrainTime }
 
 // Compensate applies the active compensation to a sustained-shift delta
 // and returns the residual. Compensation never overshoots: it offsets at
@@ -271,8 +234,8 @@ func (l *Loop) Account(n float64) {
 	l.compWeighted += l.applied * n
 }
 
-// alphaMemo holds the EWMA weights α = 1 − exp(−dt/Window) of recent
-// sample gaps dt, keyed on dt's bits. A run's samples come at a few
+// alphaMemo holds the EWMA weights α = 1 − exp(−dt/detectorWindow) of
+// recent sample gaps dt, keyed on dt's bits. A run's samples come at a few
 // distinct gaps, so nearly every Observe finds its α here instead of
 // calling math.Exp, and gets the very bits the expression gives. The
 // multiplicative hash spreads gaps that differ only in low mantissa
@@ -282,13 +245,12 @@ type alphaMemo struct {
 	vals [16]float64
 }
 
-// of returns 1 − exp(−dt/window) for dt > 0; window is the same on every
-// call.
-func (m *alphaMemo) of(dt, window float64) float64 {
+// of returns 1 − exp(−dt/detectorWindow) for dt > 0.
+func (m *alphaMemo) of(dt float64) float64 {
 	k := math.Float64bits(dt)
 	i := k * 0x9E3779B97F4A7C15 >> 60
 	if m.keys[i] != k {
-		m.keys[i], m.vals[i] = k, 1-math.Exp(-dt/window)
+		m.keys[i], m.vals[i] = k, 1-math.Exp(-dt/detectorWindow)
 	}
 	return m.vals[i]
 }
@@ -297,13 +259,13 @@ func (m *alphaMemo) of(dt, window float64) float64 {
 // serving entry's nominal accuracy; measured already includes fault
 // deltas and compensation). It returns true when sustained drift was just
 // detected — the caller must then schedule FinishRetrain at
-// now + RetrainTime() to complete the background retrain.
+// now + RetrainTime to complete the background retrain.
 func (l *Loop) Observe(now, measured, expected float64) bool {
 	x := measured - expected
 	if !l.haveEwma {
 		l.ewma, l.haveEwma = x, true
 	} else if dt := now - l.lastT; dt > 0 {
-		l.ewma += (x - l.ewma) * l.alphas.of(dt, l.cfg.Window)
+		l.ewma += (x - l.ewma) * l.alphas.of(dt)
 	}
 	l.lastT = now
 
@@ -330,7 +292,7 @@ func (l *Loop) Observe(now, measured, expected float64) bool {
 		if !l.haveBelow {
 			l.belowSince, l.haveBelow = now, true
 		}
-		if now-l.belowSince >= l.cfg.HoldDown {
+		if now-l.belowSince >= holdDown {
 			l.haveBelow = false
 			l.deficit = -l.ewma
 			l.st = stateRetraining
@@ -341,7 +303,7 @@ func (l *Loop) Observe(now, measured, expected float64) bool {
 					obs.F("threshold", l.cfg.Threshold),
 					obs.I("version", l.lib.Version))
 				l.tr.Emit(now, obs.AdaptCat, "retrain-start",
-					obs.F("eta_s", l.cfg.RetrainTime),
+					obs.F("eta_s", RetrainTime),
 					obs.I("version", l.lib.Version))
 			}
 			return true
@@ -354,7 +316,7 @@ func (l *Loop) Observe(now, measured, expected float64) bool {
 
 // FinishRetrain completes the background retrain scheduled at detection:
 // it produces the candidate, validates the recovery against
-// ValidateMargin, and stages the candidate for the hot swap. A candidate
+// validateMargin, and stages the candidate for the hot swap. A candidate
 // that fails synthesis or validation is rejected — rollback accounting,
 // quarantine backoff — without ever being served.
 func (l *Loop) FinishRetrain(now float64) {
@@ -371,7 +333,7 @@ func (l *Loop) FinishRetrain(now float64) {
 		deficit = l.deficit
 	}
 	cand, recovered, err := l.retrainer.Retrain(l.lib, deficit)
-	if err != nil || cand == nil || recovered < l.cfg.ValidateMargin {
+	if err != nil || cand == nil || recovered < validateMargin {
 		l.rollback(now, "validation")
 		return
 	}
@@ -417,7 +379,7 @@ func (l *Loop) Committed(now float64) {
 	l.pending = nil
 	l.stats.Swaps++
 	l.st = stateProbation
-	l.probationUntil = now + l.cfg.Probation
+	l.probationUntil = now + probation
 	if l.tr.Enabled() {
 		l.tr.Emit(now, obs.AdaptCat, "swap-commit",
 			obs.I("version", l.lib.Version),
@@ -427,9 +389,9 @@ func (l *Loop) Committed(now float64) {
 
 // rollback charges one failed retrain round: quarantine detection with
 // exponential backoff (doubling per consecutive failure, capped at
-// BackoffMax — the manager's degradation scheme), and, after a probation
-// regression, stage the prior version for re-install through the same
-// deferred-safe swap path the forward swap used.
+// quarantineBackoffMax — the manager's degradation scheme), and, after a
+// probation regression, stage the prior version for re-install through
+// the same deferred-safe swap path the forward swap used.
 func (l *Loop) rollback(now float64, why string) {
 	l.stats.Rollbacks++
 	l.consecFails++
@@ -437,9 +399,9 @@ func (l *Loop) rollback(now float64, why string) {
 	if shift > 62 {
 		shift = 62
 	}
-	backoff := l.cfg.Backoff * float64(int64(1)<<shift)
-	if backoff > l.cfg.BackoffMax || backoff <= 0 {
-		backoff = l.cfg.BackoffMax
+	backoff := quarantineBackoff * float64(int64(1)<<shift)
+	if backoff > quarantineBackoffMax {
+		backoff = quarantineBackoffMax
 	}
 	l.quarantineUntil = now + backoff
 	l.haveBelow = false

@@ -26,13 +26,7 @@ func newTestLoop(t *testing.T, cfg Config) *Loop {
 
 func TestConfigValidate(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"threshold>=1":  {Threshold: 1},
-		"neg holddown":  {HoldDown: -1},
-		"neg retrain":   {RetrainTime: -1},
-		"frac>1":        {RecoverFraction: 2},
-		"neg margin":    {ValidateMargin: -0.1},
-		"neg probation": {Probation: -1},
-		"max<backoff":   {Backoff: 4, BackoffMax: 2},
+		"threshold>=1": {Threshold: 1},
 	} {
 		if _, err := NewLoop(cfg, testLib(), nil); err == nil {
 			t.Errorf("%s accepted", name)
@@ -47,7 +41,7 @@ func TestConfigValidate(t *testing.T) {
 // EWMA without triggering; the same depth sustained past the hold-down
 // fires exactly one detection.
 func TestSpikeVsSustained(t *testing.T) {
-	l := newTestLoop(t, Config{Window: 0.5, Threshold: 0.03, HoldDown: 0.25})
+	l := newTestLoop(t, Config{Threshold: 0.03})
 	const dt = 0.01
 	now := 0.0
 	step := func(measured float64) bool {
@@ -67,7 +61,7 @@ func TestSpikeVsSustained(t *testing.T) {
 		}
 	}
 	// Sustained shift of the same depth: must fire once the EWMA crosses
-	// the threshold and holds for HoldDown.
+	// the threshold and holds for holdDown.
 	fired := false
 	for i := 0; i < 200; i++ {
 		if step(0.6) {
@@ -86,8 +80,7 @@ func TestSpikeVsSustained(t *testing.T) {
 // TestFullCycle drives one complete detect → retrain → swap → probation
 // cycle and checks the compensation plumbing along the way.
 func TestFullCycle(t *testing.T) {
-	l := newTestLoop(t, Config{Window: 0.2, Threshold: 0.03, HoldDown: 0.1,
-		RetrainTime: 0.5, RecoverFraction: 0.9, Probation: 0.5})
+	l := newTestLoop(t, Config{Threshold: 0.03})
 	const dt, shift = 0.01, -0.15
 	now, detected := 0.0, math.NaN()
 	for i := 0; i < 200 && math.IsNaN(detected); i++ {
@@ -104,7 +97,7 @@ func TestFullCycle(t *testing.T) {
 	if l.PendingSwap() != nil {
 		t.Fatal("pending swap before the retrain finished")
 	}
-	l.FinishRetrain(detected + l.RetrainTime())
+	l.FinishRetrain(detected + RetrainTime)
 	cand := l.PendingSwap()
 	if cand == nil {
 		t.Fatal("no pending swap after retrain")
@@ -112,7 +105,7 @@ func TestFullCycle(t *testing.T) {
 	if cand.Version != 1 {
 		t.Fatalf("candidate version = %d, want 1", cand.Version)
 	}
-	now = detected + l.RetrainTime()
+	now = detected + RetrainTime
 	l.Committed(now)
 	if l.lib != cand {
 		t.Fatal("committed swap did not replace the loop's library")
@@ -129,7 +122,7 @@ func TestFullCycle(t *testing.T) {
 		t.Fatalf("compensation applied with no shift: %v", sd)
 	}
 	// Ride out probation at the compensated accuracy: the swap sticks.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 200; i++ {
 		now += dt
 		sd := l.Compensate(shift)
 		l.Account(10)
@@ -155,8 +148,7 @@ func (failingRetrainer) Retrain(*library.Library, float64) (*library.Library, fl
 // without ever staging a swap, and quarantines detection for the
 // backoff.
 func TestValidationRollbackAndQuarantine(t *testing.T) {
-	l := newTestLoop(t, Config{Window: 0.2, Threshold: 0.03, HoldDown: 0.1,
-		Backoff: 2, BackoffMax: 16, Retrainer: failingRetrainer{}})
+	l := newTestLoop(t, Config{Threshold: 0.03, Retrainer: failingRetrainer{}})
 	const dt = 0.01
 	now, detected := 0.0, math.NaN()
 	for i := 0; i < 200 && math.IsNaN(detected); i++ {
@@ -168,7 +160,7 @@ func TestValidationRollbackAndQuarantine(t *testing.T) {
 	if math.IsNaN(detected) {
 		t.Fatal("no detection")
 	}
-	l.FinishRetrain(detected + l.RetrainTime())
+	l.FinishRetrain(detected + RetrainTime)
 	if l.PendingSwap() != nil {
 		t.Fatal("failed retrain staged a swap")
 	}
@@ -177,8 +169,8 @@ func TestValidationRollbackAndQuarantine(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// Inside the quarantine the deficit persists but must not re-detect.
-	now = detected + l.RetrainTime()
-	quarantineEnd := now + 2
+	now = detected + RetrainTime
+	quarantineEnd := now + quarantineBackoff
 	for now < quarantineEnd-dt {
 		now += dt
 		if l.Observe(now, 0.75, 0.9) {
@@ -200,11 +192,11 @@ func TestValidationRollbackAndQuarantine(t *testing.T) {
 }
 
 // TestBackoffDoubling: consecutive failures double the quarantine up to
-// BackoffMax, and a success resets the streak.
+// quarantineBackoffMax.
 func TestBackoffDoubling(t *testing.T) {
-	l := newTestLoop(t, Config{Backoff: 1, BackoffMax: 4, Retrainer: failingRetrainer{}})
+	l := newTestLoop(t, Config{Retrainer: failingRetrainer{}})
 	base := 100.0
-	for i, want := range []float64{1, 2, 4, 4, 4} {
+	for i, want := range []float64{1, 2, 4, 8, 16, 16} {
 		l.st = stateRetraining
 		l.deficit = 0.1
 		l.FinishRetrain(base)
@@ -212,17 +204,18 @@ func TestBackoffDoubling(t *testing.T) {
 			t.Fatalf("failure %d: backoff %v, want %v", i+1, got, want)
 		}
 	}
-	if l.consecFails != 5 {
+	if l.consecFails != 6 {
 		t.Fatalf("consecFails = %d", l.consecFails)
 	}
 }
 
 // TestProbationRollback: a swap whose recovery is too shallow fails
 // probation; the prior version is re-installed through the same pending
-// swap path, and the compensation is rolled back with it.
+// swap path, and the compensation is rolled back with it. The retrainer
+// wins back only a tenth of the deficit: enough to pass validation, too
+// little to pass probation.
 func TestProbationRollback(t *testing.T) {
-	l := newTestLoop(t, Config{Window: 0.2, Threshold: 0.03, HoldDown: 0.1,
-		RecoverFraction: 0.1, ValidateMargin: 0.001, Probation: 0.3})
+	l := newTestLoop(t, Config{Threshold: 0.03, Retrainer: SimRetrainer{Fraction: 0.1}})
 	orig := l.lib
 	const dt, shift = 0.01, -0.15
 	now, detected := 0.0, math.NaN()
@@ -236,7 +229,7 @@ func TestProbationRollback(t *testing.T) {
 	if math.IsNaN(detected) {
 		t.Fatal("no detection")
 	}
-	now = detected + l.RetrainTime()
+	now = detected + RetrainTime
 	l.FinishRetrain(now)
 	cand := l.PendingSwap()
 	if cand == nil {
@@ -245,7 +238,7 @@ func TestProbationRollback(t *testing.T) {
 	l.Committed(now)
 	// Probation at only 10% compensation: the residual deficit stays past
 	// the threshold, so probation expiry must roll back.
-	for i := 0; i < 100 && l.PendingSwap() == nil; i++ {
+	for i := 0; i < 200 && l.PendingSwap() == nil; i++ {
 		now += dt
 		sd := l.Compensate(shift)
 		l.Observe(now, 0.9+sd, 0.9)
@@ -283,10 +276,9 @@ func TestRebuildImmutable(t *testing.T) {
 
 // TestAlphaMemoExact feeds the EWMA weight memo more distinct gaps than it
 // has slots, several times over and in a shuffled order, so slots collide
-// and are refilled: every weight must equal 1 − exp(−dt/Window) bit for
-// bit. The gaps differ only in low mantissa bits, as a run's do.
+// and are refilled: every weight must equal 1 − exp(−dt/detectorWindow)
+// bit for bit. The gaps differ only in low mantissa bits, as a run's do.
 func TestAlphaMemoExact(t *testing.T) {
-	const window = 0.5
 	var gaps []float64
 	for i := range 40 {
 		gaps = append(gaps, 0.05+float64(i)*1e-12, float64(i+1)*0.0125)
@@ -295,8 +287,8 @@ func TestAlphaMemoExact(t *testing.T) {
 	for round := range 3 {
 		for i := range gaps {
 			dt := gaps[(i*7+round*13)%len(gaps)]
-			want := 1 - math.Exp(-dt/window)
-			if got := m.of(dt, window); math.Float64bits(got) != math.Float64bits(want) {
+			want := 1 - math.Exp(-dt/detectorWindow)
+			if got := m.of(dt); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("round %d, dt %v: memo gives %v, the expression %v", round, dt, got, want)
 			}
 		}

@@ -374,18 +374,11 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero values", func(*Config) {}, ""},
 		{"negative epoch selects default", func(c *Config) { c.EpochSeconds = -1 }, ""},
-		{"headroom 0.5", func(c *Config) { c.Headroom = 0.5 }, ""},
 		{"NaN epoch", func(c *Config) { c.EpochSeconds = nan }, "EpochSeconds"},
 		{"+Inf epoch", func(c *Config) { c.EpochSeconds = inf }, "EpochSeconds"},
 		{"-Inf epoch", func(c *Config) { c.EpochSeconds = -inf }, "EpochSeconds"},
-		{"NaN headroom", func(c *Config) { c.Headroom = nan }, "Headroom"},
-		{"negative headroom", func(c *Config) { c.Headroom = -0.1 }, "Headroom"},
-		{"headroom 1", func(c *Config) { c.Headroom = 1 }, "Headroom"},
-		{"headroom 2", func(c *Config) { c.Headroom = 2 }, "Headroom"},
 		{"NaN tenant share", func(c *Config) { c.TenantShare = nan }, "TenantShare"},
 		{"negative tenant share", func(c *Config) { c.TenantShare = -0.5 }, "TenantShare"},
-		{"NaN blackout", func(c *Config) { c.MigrationBlackout = nan }, "MigrationBlackout"},
-		{"negative blackout", func(c *Config) { c.MigrationBlackout = -1 }, "MigrationBlackout"},
 	} {
 		cfg := Config{Pools: 2, BoardsPerPool: 2, Epochs: 2, Seed: 1}
 		tc.set(&cfg)

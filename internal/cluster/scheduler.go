@@ -35,19 +35,11 @@ type Config struct {
 	EpochSeconds float64
 	// Epochs is how many epochs to run (default 5).
 	Epochs int
-	// Headroom is the fraction of each pool's effective capacity the
-	// placer refuses to commit (default 0.1), absorbing workload
-	// fluctuation without immediate queue overflow.
-	Headroom float64
 	// TenantShare, when positive, caps any one tenant at that fraction of
 	// the cluster's usable capacity; excess streams are throttled lowest
 	// priority first. Zero disables the per-tenant cap (priority-ordered
 	// admission against total capacity still applies).
 	TenantShare float64
-	// MigrationBlackout is the serving gap a migrated stream pays at its
-	// new pool, in seconds (default 0.5). Blackout frames drop with the
-	// exclusive cause migrating.
-	MigrationBlackout float64
 	// Seed drives every workload RNG; FaultSeed the fault draws. Equal
 	// seeds and configs replay bit-identically.
 	Seed int64
@@ -82,12 +74,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: fleet needs at least one pool, got %d", c.Pools)
 	case math.IsNaN(c.EpochSeconds) || math.IsInf(c.EpochSeconds, 0):
 		return fmt.Errorf("cluster: EpochSeconds %v must be a finite number of seconds", c.EpochSeconds)
-	case math.IsNaN(c.Headroom) || c.Headroom < 0 || c.Headroom >= 1:
-		return fmt.Errorf("cluster: Headroom %v must lie in [0, 1)", c.Headroom)
 	case math.IsNaN(c.TenantShare) || c.TenantShare < 0:
 		return fmt.Errorf("cluster: TenantShare %v must be non-negative", c.TenantShare)
-	case math.IsNaN(c.MigrationBlackout) || c.MigrationBlackout < 0:
-		return fmt.Errorf("cluster: MigrationBlackout %v must be a non-negative number of seconds", c.MigrationBlackout)
 	}
 	for _, p := range c.FaultPools {
 		if p < 0 || p >= c.Pools {
@@ -107,16 +95,22 @@ func (c *Config) defaults() {
 	if c.Epochs <= 0 {
 		c.Epochs = 5
 	}
-	if c.Headroom == 0 {
-		c.Headroom = 0.1
-	}
-	if c.MigrationBlackout == 0 {
-		c.MigrationBlackout = 0.5
-	}
 	if c.Manager == (manager.Config{}) {
 		c.Manager = manager.DefaultConfig()
 	}
 }
+
+// Placement constants.
+const (
+	// headroom is the fraction of each pool's effective capacity the
+	// placer refuses to commit, absorbing workload fluctuation without
+	// immediate queue overflow.
+	headroom = 0.1
+	// migrationBlackout is the serving gap a migrated stream pays at its
+	// new pool, in seconds (clamped to the epoch). Blackout frames drop
+	// with the exclusive cause migrating.
+	migrationBlackout = 0.5
+)
 
 // Migration records one stream moved between pools at an epoch boundary.
 type Migration struct {
@@ -375,9 +369,9 @@ func (s *Scheduler) faultSeedFor(pool, epoch int) int64 {
 }
 
 // usableCapacity scores pool i right now (epoch-local t=0):
-// health-weighted effective capacity less the configured headroom.
+// health-weighted effective capacity less the headroom.
 func (s *Scheduler) usableCapacity(i int) float64 {
-	return s.pools[i].EffectiveCapacity(0, s.nominal) * (1 - s.cfg.Headroom)
+	return s.pools[i].EffectiveCapacity(0, s.nominal) * (1 - headroom)
 }
 
 // placeEpoch runs the serial placement/rebalance pass for epoch e given
@@ -564,7 +558,7 @@ func (s *Scheduler) dispatch(e int, plan *epochPlan) ([]*edge.Result, error) {
 // blackout returns the effective migration blackout, clamped to the
 // epoch length.
 func (s *Scheduler) blackout() float64 {
-	b := s.cfg.MigrationBlackout
+	b := migrationBlackout
 	if b > s.cfg.EpochSeconds {
 		b = s.cfg.EpochSeconds
 	}
@@ -581,9 +575,8 @@ func (s *Scheduler) idleEpoch(i, e int) error {
 		return err
 	}
 	p := s.pools[i]
-	every := p.HeartbeatInterval()
 	for k := 1; ; k++ {
-		t := float64(k) * every
+		t := float64(k) * edge.HeartbeatInterval
 		if t >= s.cfg.EpochSeconds {
 			return nil
 		}

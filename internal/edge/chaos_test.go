@@ -112,8 +112,8 @@ func TestChaosDegradeToFlexibleWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// normalize() fills the default budget of 3 inside New; the zero
-	// cfg.MaxReconfigRetries would make this check always pass.
+	// The manager's retry budget is its constant of three consecutive
+	// failures.
 	const budget = 3
 	if res.Faults.ReconfigFailures < budget {
 		t.Fatalf("only %d reconfig failures injected; the retry budget (%d) was never exercised",

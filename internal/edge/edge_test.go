@@ -270,8 +270,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := NewPruningReconf(nil, 0.1, 0); err == nil {
 		t.Fatal("nil library accepted")
 	}
-	if _, err := NewPruningReconf(lib, -1, 0); err == nil {
-		t.Fatal("negative threshold accepted")
+	for _, thr := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewPruningReconf(lib, thr, 0); err == nil {
+			t.Fatalf("threshold %v accepted", thr)
+		}
 	}
 	if _, err := NewPruningReconf(lib, 0.1, -time.Second); err == nil {
 		t.Fatal("negative reconfig accepted")

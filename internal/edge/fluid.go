@@ -5,6 +5,9 @@ import (
 	"repro/internal/obs"
 )
 
+// fluidStep is the fluid model's accounting step in seconds.
+const fluidStep = 0.01
+
 // fluidModel is the step-accounting serving model: each step admits the
 // frames that arrived, serves what the availability-scaled capacity
 // allows, and sheds the rest through admitStep.
@@ -18,7 +21,7 @@ type fluidModel struct {
 // step event at a time, dispatched exactly where the steps scheduled up
 // front would be.
 func (m *fluidModel) start() error {
-	return m.eng.Ticks(int(m.scn.Duration/m.cfg.Step+0.5), m.cfg.Step, m.step)
+	return m.eng.Ticks(int(m.scn.Duration/fluidStep+0.5), fluidStep, m.step)
 }
 
 func (m *fluidModel) beforeReact(float64) {}
@@ -29,11 +32,11 @@ func (m *fluidModel) boardsChanged()      {}
 // rounding may place just after Duration, still fires.
 func (m *fluidModel) drain() { m.eng.Run(m.scn.Duration + 1) }
 
-// step accounts the cfg.Step seconds ending now.
+// step accounts the fluidStep seconds ending now.
 func (m *fluidModel) step() {
 	m.meter.hit(modStep)
 	now := m.eng.Now()
-	dt := m.cfg.Step
+	dt := fluidStep
 	arrived := m.wl.Rate() * dt
 
 	// Fraction of this step the server is stalled.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/library"
+	"repro/internal/manager"
 )
 
 // ReconfController is the Fig. 1(b) "Pruning Reconf." server: it switches
@@ -26,8 +27,8 @@ func NewPruningReconf(lib *library.Library, accThreshold float64, reconfig time.
 	if lib == nil || len(lib.Entries) == 0 {
 		return nil, fmt.Errorf("edge: empty library")
 	}
-	if accThreshold < 0 {
-		return nil, fmt.Errorf("edge: negative accuracy threshold")
+	if err := manager.CheckThreshold(accThreshold); err != nil {
+		return nil, fmt.Errorf("edge: %w", err)
 	}
 	if reconfig < 0 {
 		return nil, fmt.Errorf("edge: negative reconfiguration time")

@@ -71,7 +71,6 @@ type run struct {
 	// Hoisted event bodies: one closure per run instead of one per event.
 	retryFn, redrawFn, beatFn func()
 	sup                       BoardSupervisor
-	beatEvery                 float64
 	beatK                     int
 
 	// err is the first scheduling failure; the run reports it at the end.
@@ -80,7 +79,7 @@ type run struct {
 
 // Run simulates one scenario run with the given controller. The fluid
 // model (the zero SimConfig) accounts frames analytically in fixed steps
-// of cfg.Step; cfg.EventLevel serves every frame as its own DES event.
+// of fluidStep; cfg.EventLevel serves every frame as its own DES event.
 // Trailing RunOptions attach cross-cutting behaviour (WithTracer); with
 // no options the behaviour is exactly the historical one.
 func Run(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
@@ -166,10 +165,7 @@ func Run(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Resul
 	// Board supervision heartbeats: deterministic seeded ticks that let a
 	// supervising controller draw board faults and advance health state.
 	if sup, ok := ctl.(BoardSupervisor); ok {
-		r.sup, r.beatEvery, r.beatK = sup, sup.HeartbeatInterval(), 1
-		if r.beatEvery <= 0 {
-			r.beatEvery = 0.1
-		}
+		r.sup, r.beatK = sup, 1
 		r.beatFn = func() {
 			r.meter.hit(modHeartbeat)
 			now := r.eng.Now()
@@ -216,9 +212,11 @@ func (r *run) scheduleThresholds() error {
 		}
 		if err := r.eng.Schedule(tc.Time, func() {
 			r.meter.hit(modThreshold)
-			if err := ts.SetAccuracyThreshold(tc.Threshold); err == nil {
-				r.react(r.eng.Now())
+			if err := ts.SetAccuracyThreshold(tc.Threshold); err != nil {
+				r.fail(err)
+				return
 			}
+			r.react(r.eng.Now())
 		}); err != nil {
 			return err
 		}
@@ -237,7 +235,7 @@ func (r *run) scheduleRedraw(t float64) {
 // the interval (no float accumulation), so narrow fault windows behave
 // predictably.
 func (r *run) scheduleBeat() {
-	if next := float64(r.beatK) * r.beatEvery; next < r.scn.Duration {
+	if next := float64(r.beatK) * HeartbeatInterval; next < r.scn.Duration {
 		r.at(next, r.beatFn)
 	}
 }
@@ -333,7 +331,7 @@ func (r *run) measure(now, nominal, frames, d, sd float64) float64 {
 	if r.al != nil {
 		r.al.Account(frames)
 		if r.al.Observe(now, measured, nominal) {
-			r.at(now+r.al.RetrainTime(), func() { r.al.FinishRetrain(r.eng.Now()) })
+			r.at(now+adapt.RetrainTime, func() { r.al.FinishRetrain(r.eng.Now()) })
 		}
 		if p := r.al.PendingSwap(); p != nil && r.swapper.SwapLibrary(now, p) {
 			r.al.Committed(now)

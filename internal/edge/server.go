@@ -125,14 +125,11 @@ type SimConfig struct {
 	FaultConfig
 
 	// Adapt groups the closed-loop drift-recovery knobs (internal/adapt):
-	// detector window/threshold/hold-down, background-retrain latency,
-	// validation margin, probation, and quarantine backoff. It requires a
-	// controller implementing LibrarySwapper when enabled. Disabled (the
-	// zero value) keeps runs bit-identical to pre-adaptation behaviour.
+	// the detection threshold and the retrainer. It requires a controller
+	// implementing LibrarySwapper when enabled. Disabled (the zero value)
+	// keeps runs bit-identical to pre-adaptation behaviour.
 	Adapt adapt.Config
 
-	// Step is the accounting step (default 10 ms).
-	Step float64
 	// Seed drives the workload RNG. (FaultConfig.Seed, shadowed by this
 	// field, drives the fault streams.)
 	Seed int64
@@ -196,18 +193,20 @@ type ReconfigAware interface {
 	ReconfigSucceeded(now float64)
 }
 
+// HeartbeatInterval is the board-supervision period in seconds: runs beat
+// a BoardSupervisor at its multiples, and the multiedge pool and the
+// cluster scheduler count board health and time in the same beats.
+const HeartbeatInterval = 0.1
+
 // BoardSupervisor is implemented by controllers that supervise a fleet of
 // boards (the multiedge pool). The run schedules a deterministic heartbeat
-// at HeartbeatInterval seconds; each beat hands the controller the run's
+// every HeartbeatInterval seconds; each beat hands the controller the run's
 // fault injector so it can draw board-level outcomes (crash, hang,
 // corruption, brownout) from the seeded streams and advance its health
 // state machines. Heartbeat returns true when the serving topology changed
 // (a board died, recovered, or was promoted), which triggers a fresh
 // React so the run picks up the new aggregate Serving.
 type BoardSupervisor interface {
-	// HeartbeatInterval is the supervision period in seconds (<= 0 means
-	// the 100 ms default).
-	HeartbeatInterval() float64
 	// Heartbeat advances board health at simulation time now.
 	Heartbeat(now float64, inj *fault.Injector) (changed bool)
 }
@@ -228,32 +227,32 @@ type BatchStatsReporter interface {
 	DrainBatchStats() metrics.BatchStats
 }
 
-// Validate reports the first knob a run cannot honour. Zero values are
-// valid: they select the defaults (Step 10 ms, QueueFrames 16). It
-// rejects:
-//   - a NaN, infinite or negative Step;
+// Validate reports the first knob a run cannot honour. A zero
+// QueueFrames is valid: it selects the default of 16. It rejects:
 //   - a NaN or negative QueueFrames (+Inf is an unbounded queue);
-//   - a NaN or +Inf Deadline.
+//   - a NaN or +Inf Deadline;
+//   - a scheduled threshold change to a NaN, infinite or negative
+//     threshold.
 //
 // It keeps the documented meanings of the other values: a Deadline ≤ 0
 // disables deadline admission, and a BatchConfig.Size ≤ 1 serves single
 // frames.
 func (c *SimConfig) Validate() error {
 	switch {
-	case math.IsNaN(c.Step) || math.IsInf(c.Step, 0) || c.Step < 0:
-		return fmt.Errorf("edge: Step %v must be a finite non-negative number of seconds", c.Step)
 	case math.IsNaN(c.QueueFrames) || c.QueueFrames < 0:
 		return fmt.Errorf("edge: QueueFrames %v must be non-negative", c.QueueFrames)
 	case math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 1):
 		return fmt.Errorf("edge: Deadline %v must be finite (≤ 0 disables it)", c.Deadline)
 	}
+	for _, tc := range c.ThresholdChanges {
+		if err := manager.CheckThreshold(tc.Threshold); err != nil {
+			return fmt.Errorf("edge: threshold change at %v: %w", tc.Time, err)
+		}
+	}
 	return nil
 }
 
 func (c *SimConfig) defaults() {
-	if c.Step == 0 {
-		c.Step = 0.01
-	}
 	if c.QueueFrames == 0 {
 		// A short buffer (≈27 ms at the nominal 600 FPS): the paper's
 		// servers drop frames they cannot serve promptly, so bursts above

@@ -10,7 +10,9 @@ import (
 
 // TestSimConfigValidate: knobs a run cannot honour fail both run kinds with
 // an error, never a hang or a panic, while the documented meanings of zero,
-// non-positive deadlines and single-frame batch sizes keep running.
+// non-positive deadlines and single-frame batch sizes keep running. A
+// threshold change to a NaN, infinite or negative threshold is one such
+// knob: the manager would refuse it mid-run.
 func TestSimConfigValidate(t *testing.T) {
 	lib := paperLib(t)
 	scn := Scenario12()
@@ -26,14 +28,14 @@ func TestSimConfigValidate(t *testing.T) {
 		{"deadline -inf disabled", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: -inf}}, ""},
 		{"single-frame batch", SimConfig{BatchConfig: BatchConfig{Size: -3}}, ""},
 		{"unbounded queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: inf}}, ""},
-		{"NaN step", SimConfig{Step: nan}, "Step"},
-		{"+Inf step", SimConfig{Step: inf}, "Step"},
-		{"-Inf step", SimConfig{Step: -inf}, "Step"},
-		{"negative step", SimConfig{Step: -0.01}, "Step"},
+		{"threshold change", thresholdAt(1, 0.05), ""},
 		{"negative queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: -1}}, "QueueFrames"},
 		{"NaN queue", SimConfig{AdmissionConfig: AdmissionConfig{QueueFrames: nan}}, "QueueFrames"},
 		{"NaN deadline", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: nan}}, "Deadline"},
 		{"+Inf deadline", SimConfig{AdmissionConfig: AdmissionConfig{Deadline: inf}}, "Deadline"},
+		{"NaN threshold change", thresholdAt(1, nan), "threshold"},
+		{"+Inf threshold change", thresholdAt(1, inf), "threshold"},
+		{"negative threshold change", thresholdAt(1, -0.05), "threshold"},
 	} {
 		if err := tc.cfg.Validate(); (err == nil) != (tc.wantErr == "") {
 			t.Errorf("%s: Validate() = %v", tc.name, err)
@@ -54,6 +56,11 @@ func TestSimConfigValidate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// thresholdAt schedules one user threshold change.
+func thresholdAt(t, threshold float64) SimConfig {
+	return SimConfig{ThresholdChanges: []ThresholdChange{{Time: t, Threshold: threshold}}}
 }
 
 // runGuarded turns a panic into an error and gives up on a run that does

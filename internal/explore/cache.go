@@ -12,7 +12,7 @@ import (
 	"repro/internal/synth"
 )
 
-// The greedy searches re-visit the same (model, folding, device) points
+// The greedy searches re-visit the same (model, folding) points
 // constantly: every TargetFPS call walks up from MinimalFolding, so two
 // searches over the same model share almost their whole prefix, and the
 // library sweep maps structurally identical pruned models. A package-level
@@ -24,9 +24,7 @@ import (
 type evalKey struct {
 	model    string // structural signature, see modelSignature
 	fold     string
-	dev      string // name + budget, see deviceKey
 	flexible bool
-	clock    float64
 }
 
 type evalResult struct {
@@ -131,12 +129,4 @@ func foldKey(f finn.Folding) string {
 		b.WriteByte('|')
 	}
 	return b.String()
-}
-
-// deviceKey identifies a device by name and budget: two devices sharing a
-// name but not a budget (hand-built test fabrics) must not share entries,
-// since fit failure is part of the evaluation outcome.
-func deviceKey(d synth.Device) string {
-	return d.Name + "/" + strconv.Itoa(d.LUT) + "/" + strconv.Itoa(d.FF) +
-		"/" + strconv.Itoa(d.BRAM) + "/" + strconv.Itoa(d.DSP)
 }

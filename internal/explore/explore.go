@@ -4,7 +4,7 @@
 // current bottleneck layer, one legal divisor step at a time, until a
 // throughput target is met or a resource budget is exhausted. The search
 // is exact with respect to the cycle and resource models in internal/finn
-// and internal/synth.
+// and internal/synth, on the paper's board (synth.ZCU104) at finn.ClockHz.
 //
 // Evaluation is incremental: each greedy step changes the folding of one
 // layer, so instead of re-mapping and re-synthesizing the whole network the
@@ -40,10 +40,6 @@ type Result struct {
 
 // Options tune the search.
 type Options struct {
-	// Device defaults to synth.ZCU104.
-	Device *synth.Device
-	// ClockHz defaults to finn.DefaultClockHz.
-	ClockHz float64
 	// MaxIterations bounds the greedy loop (default 256).
 	MaxIterations int
 	// Flexible explores the runtime-controllable variant (worst-case
@@ -51,16 +47,11 @@ type Options struct {
 	Flexible bool
 }
 
-func (o *Options) defaults() (synth.Device, int) {
-	dev := synth.ZCU104
-	if o.Device != nil {
-		dev = *o.Device
+func (o *Options) maxIterations() int {
+	if o.MaxIterations == 0 {
+		return 256
 	}
-	it := o.MaxIterations
-	if it == 0 {
-		it = 256
-	}
-	return dev, it
+	return o.MaxIterations
 }
 
 // MinimalFolding returns the fully-folded configuration: PE=1 everywhere
@@ -99,13 +90,10 @@ type evalOut struct {
 // and resource contributions so a one-layer folding change only touches
 // that layer's modules.
 type searcher struct {
-	m     *model.Model
-	opts  Options
-	dev   synth.Device
-	clock float64
-	sig   string
-	devk  string
-	divs  *divisorTable
+	m    *model.Model
+	opts Options
+	sig  string
+	divs *divisorTable
 
 	df     *finn.Dataflow // nil until the first cache miss forces a Map
 	cycles []int64
@@ -114,22 +102,15 @@ type searcher struct {
 }
 
 func newSearcher(m *model.Model, opts Options) *searcher {
-	dev, _ := opts.defaults()
-	clock := opts.ClockHz
-	if clock == 0 {
-		clock = finn.DefaultClockHz
-	}
 	return &searcher{
-		m: m, opts: opts, dev: dev, clock: clock,
+		m: m, opts: opts,
 		sig:  modelSignature(m),
-		devk: deviceKey(dev),
 		divs: newDivisorTable(),
 	}
 }
 
 func (s *searcher) key(f finn.Folding) evalKey {
-	return evalKey{model: s.sig, fold: foldKey(f), dev: s.devk,
-		flexible: s.opts.Flexible, clock: s.clock}
+	return evalKey{model: s.sig, fold: foldKey(f), flexible: s.opts.Flexible}
 }
 
 // eval returns the dataflow/synthesis outcome of folding f. Cache hits skip
@@ -143,7 +124,7 @@ func (s *searcher) eval(f finn.Folding) (evalOut, error) {
 		return evalOut{fps: v.FPS, res: v.Res, bottleneck: v.Bottleneck}, nil
 	}
 	if s.df == nil {
-		df, err := finn.Map(s.m, f, finn.Options{Flexible: s.opts.Flexible, ClockHz: s.opts.ClockHz})
+		df, err := finn.Map(s.m, f, finn.Options{Flexible: s.opts.Flexible})
 		if err != nil {
 			return evalOut{}, err
 		}
@@ -169,12 +150,12 @@ func (s *searcher) eval(f finn.Folding) (evalOut, error) {
 			s.perMod[i] = r
 		}
 	}
-	if !s.dev.Fits(s.res) {
+	if !synth.ZCU104.Fits(s.res) {
 		// Same failure Synthesize would report; the searcher's dataflow
 		// stays at the rejected folding, which is fine — both callers stop
 		// evaluating after an error.
 		return evalOut{}, fmt.Errorf("synth: %s does not fit %s: need %+v, have %+v",
-			s.df.Name, s.dev.Name, s.res, s.dev.Resources)
+			s.df.Name, synth.ZCU104.Name, s.res, synth.ZCU104.Resources)
 	}
 	out := evalOut{fps: s.fps(), res: s.res, bottleneck: s.bottleneck()}
 	cachePut(k, evalResult{FPS: out.fps, Res: out.res, Bottleneck: out.bottleneck})
@@ -192,7 +173,7 @@ func (s *searcher) fps() float64 {
 	if ii <= 0 {
 		return 0
 	}
-	return s.clock / float64(ii)
+	return finn.ClockHz / float64(ii)
 }
 
 // bottleneck mirrors the first-max scan the serial search used: the first
@@ -276,7 +257,7 @@ func TargetFPS(m *model.Model, target float64, opts Options) (*Result, error) {
 	if target <= 0 {
 		return nil, fmt.Errorf("explore: non-positive FPS target %v", target)
 	}
-	_, maxIt := opts.defaults()
+	maxIt := opts.maxIterations()
 	s := newSearcher(m, opts)
 	f := MinimalFolding(m)
 	ev, err := s.eval(f)
@@ -311,7 +292,7 @@ func MaxFPSWithin(m *model.Model, lutBudget int, opts Options) (*Result, error) 
 	if lutBudget <= 0 {
 		return nil, fmt.Errorf("explore: non-positive LUT budget %d", lutBudget)
 	}
-	_, maxIt := opts.defaults()
+	maxIt := opts.maxIterations()
 	s := newSearcher(m, opts)
 	f := MinimalFolding(m)
 	ev, err := s.eval(f)

@@ -530,50 +530,36 @@ func NewInjector(p *Plan, seed int64) (*Injector, error) {
 	return in, nil
 }
 
-// fires draws whether a rule of the given kind triggers at time now. The
-// first active rule of the kind wins; its magnitude (or the kind default)
-// is returned.
-func (in *Injector) fires(kind Kind, now float64) (bool, float64) {
-	for _, r := range in.plan.Rules {
-		if r.Kind != kind || !r.active(now) {
+// firing is the one rule walk behind every draw: in plan order, each rule
+// of the given kind that eligible accepts consumes exactly one draw from
+// the kind's stream, and the first whose draw falls below its Prob wins.
+// Ineligible rules consume no draw. It returns whether a rule fired and
+// that rule's magnitude and repair time (or the kind defaults).
+func (in *Injector) firing(kind Kind, eligible func(*Rule) bool) (fired bool, mag, repair float64) {
+	for i := range in.plan.Rules {
+		r := &in.plan.Rules[i]
+		if r.Kind != kind || !eligible(r) {
 			continue
 		}
 		if in.streams[kind].Float64() < r.Prob {
-			mag := r.Mag
+			mag, repair = r.Mag, r.Repair
 			if mag == 0 {
 				mag = defaultMag(kind)
 			}
-			return true, mag
-		}
-	}
-	return false, 0
-}
-
-// firesBoard draws whether a board-level rule of the given kind triggers
-// for one board at time now. Rules targeting a different board are
-// skipped without consuming a draw; the first firing active rule wins and
-// its magnitude and repair time (or the kind defaults) are returned.
-func (in *Injector) firesBoard(kind Kind, now float64, board int) (bool, float64, float64) {
-	for _, r := range in.plan.Rules {
-		if r.Kind != kind || !r.active(now) {
-			continue
-		}
-		if r.Board != AnyBoard && r.Board != board {
-			continue
-		}
-		if in.streams[kind].Float64() < r.Prob {
-			mag := r.Mag
-			if mag == 0 {
-				mag = defaultMag(kind)
+			if repair == 0 {
+				repair = defaultRepair(kind)
 			}
-			rep := r.Repair
-			if rep == 0 {
-				rep = defaultRepair(kind)
-			}
-			return true, mag, rep
+			return true, mag, repair
 		}
 	}
 	return false, 0, 0
+}
+
+// fires draws whether a rule of the given kind active at time now
+// triggers, returning its magnitude.
+func (in *Injector) fires(kind Kind, now float64) (bool, float64) {
+	fired, mag, _ := in.firing(kind, func(r *Rule) bool { return r.active(now) })
+	return fired, mag
 }
 
 // BoardOutcome is the injected board-level fate drawn at one supervisor
@@ -603,23 +589,27 @@ type BoardOutcome struct {
 // bit-identically from (plan, seed). Plans with no board-level rules
 // consume no randomness here.
 func (in *Injector) Board(now float64, board int) BoardOutcome {
+	// Rules targeting a different board are skipped without a draw.
+	eligible := func(r *Rule) bool {
+		return r.active(now) && (r.Board == AnyBoard || r.Board == board)
+	}
 	var out BoardOutcome
-	if c, _, rep := in.firesBoard(BoardCrash, now, board); c {
+	if c, _, rep := in.firing(BoardCrash, eligible); c {
 		in.counts.BoardCrashes++
 		out.Crash, out.CrashRepair = true, rep
 		in.injectBoard(now, BoardCrash, 0, board)
 	}
-	if h, _, rep := in.firesBoard(BoardHang, now, board); h {
+	if h, _, rep := in.firing(BoardHang, eligible); h {
 		in.counts.BoardHangs++
 		out.Hang, out.HangFor = true, rep
 		in.injectBoard(now, BoardHang, 0, board)
 	}
-	if c, mag, rep := in.firesBoard(FrameCorrupt, now, board); c {
+	if c, mag, rep := in.firing(FrameCorrupt, eligible); c {
 		in.counts.FrameCorruptions++
 		out.Corrupt, out.CorruptFrac, out.CorruptFor = true, mag, rep
 		in.injectBoard(now, FrameCorrupt, mag, board)
 	}
-	if b, mag, rep := in.firesBoard(BoardBrownout, now, board); b {
+	if b, mag, rep := in.firing(BoardBrownout, eligible); b {
 		in.counts.BoardBrownouts++
 		out.Brownout, out.BrownoutFactor, out.BrownoutFor = true, mag, rep
 		in.injectBoard(now, BoardBrownout, mag, board)
@@ -717,25 +707,6 @@ func (in *Injector) Drift(now float64) float64 {
 	return 0
 }
 
-// firesSpan is fires with span-overlap activity: a rule is eligible iff
-// its window overlaps [from, to). Like fires, the first eligible rule that
-// fires wins and each eligible rule consumes exactly one draw.
-func (in *Injector) firesSpan(kind Kind, from, to float64) (bool, float64) {
-	for _, r := range in.plan.Rules {
-		if r.Kind != kind || !r.overlaps(from, to) {
-			continue
-		}
-		if in.streams[kind].Float64() < r.Prob {
-			mag := r.Mag
-			if mag == 0 {
-				mag = defaultMag(kind)
-			}
-			return true, mag
-		}
-	}
-	return false, 0
-}
-
 // DriftSpan draws the accuracy-evaluator drift for the accounting span
 // [from, to): a rule is eligible iff its window overlaps the span. This is
 // the fluid-mode counterpart of Drift, and the two agree on boundary
@@ -746,7 +717,8 @@ func (in *Injector) firesSpan(kind Kind, from, to float64) (bool, float64) {
 // For open-ended always-on windows the two predicates select identical
 // rule sets at every query, so the draw streams match query for query.
 func (in *Injector) DriftSpan(from, to float64) float64 {
-	if drifted, mag := in.firesSpan(AccuracyDrift, from, to); drifted {
+	overlaps := func(r *Rule) bool { return r.overlaps(from, to) }
+	if drifted, mag, _ := in.firing(AccuracyDrift, overlaps); drifted {
 		in.counts.AccuracyDrifts++
 		in.inject(to, AccuracyDrift, mag)
 		return mag

@@ -8,8 +8,12 @@ import (
 	"repro/internal/quant"
 )
 
-// DefaultClockHz is the paper's accelerator clock (ZCU104 at 100 MHz).
-const DefaultClockHz = 100e6
+// ClockHz is the paper's accelerator clock (ZCU104 at 100 MHz).
+const ClockHz = 100e6
+
+// fifoDepth is the depth of the stream FIFOs inserted between stages for
+// the resource model.
+const fifoDepth = 32
 
 // Options configure the CNN→dataflow mapping.
 type Options struct {
@@ -17,11 +21,6 @@ type Options struct {
 	// (synthesized to the model's worst-case channel counts); false builds
 	// regular FINN fixed templates.
 	Flexible bool
-	// ClockHz defaults to DefaultClockHz when zero.
-	ClockHz float64
-	// FIFODepth inserts stream FIFOs of this depth between stages for the
-	// resource model; 0 uses a heuristic depth.
-	FIFODepth int
 }
 
 // Dataflow is a synthesized streaming accelerator: an ordered pipeline of
@@ -88,10 +87,6 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 	if err := fold.Validate(m); err != nil {
 		return nil, err
 	}
-	clock := opts.ClockHz
-	if clock == 0 {
-		clock = DefaultClockHz
-	}
 	worst := m.BaseChannels
 	cur := m.ConvChannels()
 	if opts.Flexible {
@@ -113,7 +108,7 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 		Name:          key + "-" + kindName(opts.Flexible),
 		Model:         key,
 		Flexible:      opts.Flexible,
-		ClockHz:       clock,
+		ClockHz:       ClockHz,
 		WorstChannels: append([]int(nil), worst...),
 		CurChannels:   append([]int(nil), cur...),
 	}
@@ -180,7 +175,7 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 				CurInC:   l.Geom.InC, CurOutC: l.OutC,
 				InChanConv: prevConv, OutChanConv: convIdx, InFoot: 1,
 			}
-			df.Modules = append(df.Modules, swu, mvtu, fifoAfter(mvtu, opts))
+			df.Modules = append(df.Modules, swu, mvtu, fifoAfter(mvtu))
 			prevConv = convIdx
 		case *nn.MaxPool2D:
 			synC := l.Geom.InC
@@ -199,7 +194,7 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 				CurInC:   l.Geom.InC, CurOutC: l.Geom.InC,
 				InChanConv: prevConv, OutChanConv: prevConv, InFoot: 1,
 			}
-			df.Modules = append(df.Modules, mp, fifoAfter(mp, opts))
+			df.Modules = append(df.Modules, mp, fifoAfter(mp))
 		case *nn.Dense:
 			denseIdx++
 			synIn := l.In
@@ -222,7 +217,7 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 				CurInC:   l.In, CurOutC: l.Out,
 				InChanConv: inConv, OutChanConv: -1, InFoot: foot,
 			}
-			df.Modules = append(df.Modules, mv, fifoAfter(mv, opts))
+			df.Modules = append(df.Modules, mv, fifoAfter(mv))
 			prevConv = -1 // dense outputs are never channel-bound
 		default:
 			// ScaleShift, QuantAct, ReLU, Flatten: absorbed.
@@ -237,16 +232,12 @@ func Map(m *model.Model, fold Folding, opts Options) (*Dataflow, error) {
 }
 
 // fifoAfter builds the inter-stage FIFO following a module.
-func fifoAfter(m *Module, opts Options) *Module {
-	depth := opts.FIFODepth
-	if depth == 0 {
-		depth = 32
-	}
+func fifoAfter(m *Module) *Module {
 	return &Module{
 		Kind: KindFIFO, Name: m.Name + ".fifo",
 		SynInC: m.SynOutC, SynOutC: m.SynOutC,
 		InH: m.OutH, InW: m.OutW, OutH: m.OutH, OutW: m.OutW,
-		KH: 1, KW: 1, PE: depth, SIMD: 1,
+		KH: 1, KW: 1, PE: fifoDepth, SIMD: 1,
 		WBits: m.WBits, ABits: m.ABits,
 		Flexible: m.Flexible,
 		CurInC:   m.CurOutC, CurOutC: m.CurOutC,

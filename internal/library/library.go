@@ -3,7 +3,9 @@
 // initial CNN model, gathers the pruned versions' accuracy and throughput,
 // and synthesizes the accelerators the Runtime Manager chooses among —
 // one Fixed-Pruning accelerator per pruned model and a single
-// Flexible-Pruning accelerator per initial model.
+// Flexible-Pruning accelerator per initial model. Every accelerator is
+// synthesized for the paper's board, synth.ZCU104, at finn.ClockHz, and
+// the Flexible accelerator's fast model switch costs a constant 1 ms.
 //
 // Generation is a three-stage pipeline. Stage 1 prunes and evaluates each
 // rate independently (ranking filters and building pruned weights only
@@ -112,6 +114,10 @@ type Library struct {
 	Version int
 }
 
+// flexSwitchTime is the fast model-switch cost on the Flexible
+// accelerator: runtime channel-port writes plus weight reload.
+const flexSwitchTime = time.Millisecond
+
 // Config parameterizes library generation.
 type Config struct {
 	// Rates are the nominal pruning rates; nil uses the paper's sweep,
@@ -119,10 +125,6 @@ type Config struct {
 	Rates []float64
 	// Evaluator measures each pruned version's accuracy. Required.
 	Evaluator accuracy.Evaluator
-	// Device defaults to synth.ZCU104.
-	Device *synth.Device
-	// ClockHz defaults to finn.DefaultClockHz.
-	ClockHz float64
 	// KeepModels retains each pruned model, with its weights, in
 	// Entry.Model (memory-heavy for paper-scale models; tests and examples
 	// with tiny models set it). Without it, and with an Evaluator that
@@ -131,8 +133,6 @@ type Config struct {
 	// alone, and mapping, synthesis and the evaluator read only the
 	// pruned shapes.
 	KeepModels bool
-	// FlexSwitchTime defaults to 1 ms.
-	FlexSwitchTime time.Duration
 	// Workers bounds the concurrency of the rate sweep: n spreads the
 	// per-rate work over n goroutines; <= 0 falls back to DefaultWorkers()
 	// (serial unless raised via adaflow.SetParallelism). The library
@@ -189,14 +189,6 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	if rates[0] != 0 {
 		rates = append([]float64{0}, rates...)
 	}
-	dev := synth.ZCU104
-	if cfg.Device != nil {
-		dev = *cfg.Device
-	}
-	flexSwitch := cfg.FlexSwitchTime
-	if flexSwitch == 0 {
-		flexSwitch = time.Millisecond
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -211,17 +203,17 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	lib := &Library{
 		ModelName:      initial.Name,
 		Dataset:        initial.Dataset,
-		ReconfigTime:   dev.ReconfigTime(),
-		FlexSwitchTime: flexSwitch,
+		ReconfigTime:   synth.ZCU104.ReconfigTime(),
+		FlexSwitchTime: flexSwitchTime,
 	}
 
 	// One Flexible-Pruning accelerator per initial model (paper: four
 	// flexible accelerators, one per dataset/CNN).
-	flexDF, err := finn.Map(initial, fold, finn.Options{Flexible: true, ClockHz: cfg.ClockHz})
+	flexDF, err := finn.Map(initial, fold, finn.Options{Flexible: true})
 	if err != nil {
 		return nil, err
 	}
-	lib.Flexible, err = synth.Synthesize(flexDF, dev)
+	lib.Flexible, err = synth.Synthesize(flexDF, synth.ZCU104)
 	if err != nil {
 		return nil, err
 	}
@@ -300,11 +292,11 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	err = parallel.ForEachErr(len(distinct), workers, func(j int) error {
 		i := distinct[j]
 		m, plan := stage1[i].model, stage1[i].plan
-		fixedDF, err := finn.Map(m, finn.DefaultFolding(m), finn.Options{ClockHz: cfg.ClockHz})
+		fixedDF, err := finn.Map(m, finn.DefaultFolding(m), finn.Options{})
 		if err != nil {
 			return err
 		}
-		fixedAcc, err := synth.Synthesize(fixedDF, dev)
+		fixedAcc, err := synth.Synthesize(fixedDF, synth.ZCU104)
 		if err != nil {
 			return err
 		}

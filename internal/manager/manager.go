@@ -18,6 +18,7 @@ package manager
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -80,7 +81,8 @@ func (p Policy) String() string {
 	return "throughput"
 }
 
-// Config parameterizes the manager.
+// Config parameterizes the manager: the paper's two user parameters
+// plus the two rule selectors.
 type Config struct {
 	// AccuracyThreshold is the maximum tolerated accuracy loss relative
 	// to the unpruned baseline, in accuracy points on [0,1] scale (the
@@ -91,9 +93,6 @@ type Config struct {
 	// CriteriaMultiple × reconfiguration time (the paper tunes this to
 	// 10×).
 	CriteriaMultiple float64
-	// Headroom derates advertised throughput when matching the incoming
-	// rate (0 = none).
-	Headroom float64
 	// Policy breaks ties among versions that meet the demand.
 	Policy Policy
 	// SwitchPolicy selects the accelerator-family rule: the paper's
@@ -101,49 +100,38 @@ type Config struct {
 	// sustained-data-rate rule (SwitchRate). Note this is a different
 	// axis from Policy, which only breaks ties among eligible versions.
 	SwitchPolicy SwitchPolicy
-	// Rate tunes the sustained-rate tracker used by SwitchRate (zero
-	// values select the tracker defaults; ignored under SwitchInterval).
-	Rate RateConfig
-
-	// Degradation policy: how the manager reacts when an FPGA
-	// reconfiguration it requested fails at run time (reported through
-	// ReconfigFailed). Zero values select the defaults, so configs built
-	// before this policy existed keep working.
-
-	// MaxReconfigRetries is the number of consecutive failed
-	// reconfiguration attempts tolerated before the manager falls back to
-	// the Flexible accelerator (0 = default 3).
-	MaxReconfigRetries int
-	// RetryBackoff is the delay before the first retry; it doubles on
-	// every consecutive failure, capped at RetryBackoffMax
-	// (0 = defaults 20 ms and 2 s).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// FixedBanMultiple: after a fallback, Fixed-Pruning stays banned for
-	// FixedBanMultiple × reconfiguration time (0 = default 20×), giving
-	// the failing reconfiguration path time to recover.
-	FixedBanMultiple float64
 }
 
 // DefaultConfig mirrors the paper's evaluation settings.
 func DefaultConfig() Config {
-	return Config{AccuracyThreshold: 0.10, CriteriaMultiple: 10, Headroom: 0}
+	return Config{AccuracyThreshold: 0.10, CriteriaMultiple: 10}
 }
 
-// normalize fills the degradation-policy defaults.
-func (c *Config) normalize() {
-	if c.MaxReconfigRetries == 0 {
-		c.MaxReconfigRetries = 3
+// Degradation policy: how the manager reacts when an FPGA
+// reconfiguration it requested fails at run time (reported through
+// ReconfigFailed).
+const (
+	// maxReconfigRetries is the number of consecutive failed
+	// reconfiguration attempts tolerated before the manager falls back to
+	// the Flexible accelerator.
+	maxReconfigRetries = 3
+	// retryBackoff is the delay before the first retry; it doubles on
+	// every consecutive failure, so the longest is retryBackoff << 2.
+	retryBackoff = 20 * time.Millisecond
+	// fixedBanMultiple: after a fallback, Fixed-Pruning stays banned for
+	// fixedBanMultiple × reconfiguration time, giving the failing
+	// reconfiguration path time to recover.
+	fixedBanMultiple = 20
+)
+
+// CheckThreshold rejects an accuracy threshold that is negative or not
+// finite: a NaN threshold makes no entry eligible, so selection would
+// fall through to entry 0 whatever the load.
+func CheckThreshold(threshold float64) error {
+	if !(threshold >= 0) || math.IsInf(threshold, 1) {
+		return fmt.Errorf("manager: accuracy threshold %v is not a finite non-negative number", threshold)
 	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 20 * time.Millisecond
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = 2 * time.Second
-	}
-	if c.FixedBanMultiple == 0 {
-		c.FixedBanMultiple = 20
-	}
+	return nil
 }
 
 // Manager tracks serving state across decisions.
@@ -199,26 +187,17 @@ func New(lib *library.Library, cfg Config) (*Manager, error) {
 	if lib == nil || len(lib.Entries) == 0 {
 		return nil, fmt.Errorf("manager: empty library")
 	}
-	if cfg.AccuracyThreshold < 0 {
-		return nil, fmt.Errorf("manager: negative accuracy threshold")
+	if err := CheckThreshold(cfg.AccuracyThreshold); err != nil {
+		return nil, err
 	}
-	if cfg.CriteriaMultiple <= 0 {
-		return nil, fmt.Errorf("manager: criteria multiple must be positive")
-	}
-	if cfg.MaxReconfigRetries < 0 || cfg.RetryBackoff < 0 || cfg.RetryBackoffMax < 0 || cfg.FixedBanMultiple < 0 {
-		return nil, fmt.Errorf("manager: negative degradation parameter")
+	// A NaN or +Inf multiple makes the Fixed cutoff unreachable.
+	if !(cfg.CriteriaMultiple > 0) || math.IsInf(cfg.CriteriaMultiple, 1) {
+		return nil, fmt.Errorf("manager: criteria multiple %v is not a finite positive number", cfg.CriteriaMultiple)
 	}
 	if cfg.SwitchPolicy < 0 || cfg.SwitchPolicy >= numSwitchPolicies {
 		return nil, fmt.Errorf("manager: unknown switch policy %d", int(cfg.SwitchPolicy))
 	}
-	if err := cfg.Rate.validate(); err != nil {
-		return nil, err
-	}
-	cfg.normalize()
-	return &Manager{
-		lib: lib, cfg: cfg, emaIval: 1e18, lastSwitch: -1e18, fixedBanUntil: -1e18,
-		rate: RateTracker{cfg: cfg.Rate},
-	}, nil
+	return &Manager{lib: lib, cfg: cfg, emaIval: 1e18, lastSwitch: -1e18, fixedBanUntil: -1e18}, nil
 }
 
 // Library returns the manager's library.
@@ -260,8 +239,8 @@ func (m *Manager) SetTracer(tr *obs.Trace) { m.trace = tr }
 // accuracy threshold (set by the user) or incoming FPS". The next Decide
 // call re-selects under the new threshold.
 func (m *Manager) SetAccuracyThreshold(threshold float64) error {
-	if threshold < 0 {
-		return fmt.Errorf("manager: negative accuracy threshold")
+	if err := CheckThreshold(threshold); err != nil {
+		return err
 	}
 	m.cfg.AccuracyThreshold = threshold
 	return nil
@@ -284,7 +263,7 @@ func (m *Manager) Reconfigs() int { return m.reconfigs }
 // serving, so the decision is rolled back (state and counters). It
 // returns the delay before the caller should retry — exponential backoff
 // doubling per consecutive failure — and whether the retry budget is now
-// exhausted, which bans Fixed-Pruning for FixedBanMultiple ×
+// exhausted, which bans Fixed-Pruning for fixedBanMultiple ×
 // reconfiguration time so the next attempts degrade to the Flexible
 // accelerator. Calling it with no outstanding reconfiguration is a no-op
 // returning (0, false).
@@ -300,16 +279,13 @@ func (m *Manager) ReconfigFailed(now float64) (retry time.Duration, degraded boo
 
 	m.consecFails++
 	m.reconfFails++
-	retry = m.cfg.RetryBackoff << (m.consecFails - 1)
-	if retry > m.cfg.RetryBackoffMax || retry <= 0 { // <=0 guards shift overflow
-		retry = m.cfg.RetryBackoffMax
-	}
-	if m.consecFails >= m.cfg.MaxReconfigRetries {
-		m.fixedBanUntil = now + m.cfg.FixedBanMultiple*m.lib.ReconfigTime.Seconds()
+	retry = retryBackoff << (m.consecFails - 1)
+	if m.consecFails >= maxReconfigRetries {
+		m.fixedBanUntil = now + fixedBanMultiple*m.lib.ReconfigTime.Seconds()
 		m.consecFails = 0
 		// Retry promptly: the fallback decision itself (loading the
 		// Flexible accelerator) is what the retry will apply.
-		retry = m.cfg.RetryBackoff
+		retry = retryBackoff
 		degraded = true
 	}
 	if m.trace.Enabled() {
@@ -369,7 +345,6 @@ func (m *Manager) SelectModel(incomingFPS float64) int {
 	// Among eligible versions that already meet the demand, prefer the
 	// most accurate (the paper's tie rule) or — under PolicyEnergy — the
 	// one with the lowest energy per inference.
-	need := incomingFPS * (1 + m.cfg.Headroom)
 	bestScore := 0.0
 	found := -1
 	for i := range m.lib.Entries {
@@ -377,7 +352,7 @@ func (m *Manager) SelectModel(incomingFPS float64) int {
 			continue
 		}
 		e := &m.lib.Entries[i]
-		if e.FixedFPS < need {
+		if e.FixedFPS < incomingFPS {
 			continue
 		}
 		var score float64

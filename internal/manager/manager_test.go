@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -72,6 +73,42 @@ func TestNewValidation(t *testing.T) {
 	bad.CriteriaMultiple = 0
 	if _, err := New(lib, bad); err == nil {
 		t.Fatal("zero criteria accepted")
+	}
+}
+
+// TestNonFiniteParameters: a NaN or infinite threshold or criteria
+// multiple is refused by New and SetAccuracyThreshold instead of
+// silently pinning the selection (a NaN threshold makes no entry
+// eligible; a NaN or +Inf multiple never selects Fixed).
+func TestNonFiniteParameters(t *testing.T) {
+	lib := paperLib(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name              string
+		threshold, factor float64
+	}{
+		{"NaN threshold", nan, 10},
+		{"+Inf threshold", inf, 10},
+		{"-Inf threshold", -inf, 10},
+		{"NaN multiple", 0.1, nan},
+		{"+Inf multiple", 0.1, inf},
+		{"-Inf multiple", 0.1, -inf},
+	} {
+		if _, err := New(lib, Config{AccuracyThreshold: tc.threshold, CriteriaMultiple: tc.factor}); err == nil {
+			t.Errorf("New accepted %s", tc.name)
+		}
+	}
+	mgr, err := New(lib, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, thr := range []float64{nan, inf, -inf, -0.1} {
+		if err := mgr.SetAccuracyThreshold(thr); err == nil {
+			t.Errorf("SetAccuracyThreshold(%v) accepted", thr)
+		}
+	}
+	if got := mgr.AccuracyThreshold(); got != DefaultConfig().AccuracyThreshold {
+		t.Fatalf("refused thresholds changed the active one to %v", got)
 	}
 }
 
@@ -283,21 +320,17 @@ func TestReconfigFailedNoOutstanding(t *testing.T) {
 	}
 }
 
-// TestDegradeAfterRetryBudget: MaxReconfigRetries consecutive failures
+// TestDegradeAfterRetryBudget: maxReconfigRetries consecutive failures
 // ban Fixed-Pruning; the next decision degrades to Flexible.
 func TestDegradeAfterRetryBudget(t *testing.T) {
 	lib := paperLib(t)
-	cfg := DefaultConfig()
-	cfg.MaxReconfigRetries = 3
-	cfg.RetryBackoff = 100 * time.Millisecond
-	cfg.FixedBanMultiple = 20
-	mgr, err := New(lib, cfg)
+	mgr, err := New(lib, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := traceDecisions(mgr)
 	now := 0.0
-	wantRetry := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 100 * time.Millisecond}
+	wantRetry := []time.Duration{20 * time.Millisecond, 40 * time.Millisecond, 20 * time.Millisecond}
 	for i := 0; i < 3; i++ {
 		d, changed := mgr.Decide(now, 100)
 		if !changed || !d.Reconfigured || d.Kind != Fixed {
@@ -326,7 +359,7 @@ func TestDegradeAfterRetryBudget(t *testing.T) {
 	}
 	mgr.ReconfigSucceeded(now)
 	// After the ban expires, Fixed becomes available again.
-	after := now + cfg.FixedBanMultiple*lib.ReconfigTime.Seconds() + 1
+	after := now + fixedBanMultiple*lib.ReconfigTime.Seconds() + 1
 	if after < mgr.fixedBanUntil {
 		t.Fatal("ban never expires")
 	}
@@ -337,16 +370,14 @@ func TestDegradeAfterRetryBudget(t *testing.T) {
 func TestReconfigSucceededResetsStreak(t *testing.T) {
 	lib := paperLib(t)
 	cfg := DefaultConfig()
-	cfg.MaxReconfigRetries = 3
-	cfg.RetryBackoff = 50 * time.Millisecond
 	mgr, _ := New(lib, cfg)
 
 	mgr.Decide(0, 100)
-	if retry, degraded := mgr.ReconfigFailed(0); retry != 50*time.Millisecond || degraded {
+	if retry, degraded := mgr.ReconfigFailed(0); retry != 20*time.Millisecond || degraded {
 		t.Fatalf("first retry %v degraded %v", retry, degraded)
 	}
 	mgr.Decide(0.1, 100)
-	if retry, degraded := mgr.ReconfigFailed(0.1); retry != 100*time.Millisecond || degraded {
+	if retry, degraded := mgr.ReconfigFailed(0.1); retry != 40*time.Millisecond || degraded {
 		t.Fatalf("second retry %v degraded %v", retry, degraded)
 	}
 	mgr.Decide(0.3, 100)
@@ -354,49 +385,8 @@ func TestReconfigSucceededResetsStreak(t *testing.T) {
 	// Next failure starts the backoff over.
 	crit := cfg.CriteriaMultiple * lib.ReconfigTime.Seconds()
 	mgr.Decide(crit*5, lib.BaselineFPS()*2) // slow switch: Fixed reconfig
-	if retry, degraded := mgr.ReconfigFailed(crit * 5); retry != 50*time.Millisecond || degraded {
+	if retry, degraded := mgr.ReconfigFailed(crit * 5); retry != 20*time.Millisecond || degraded {
 		t.Fatalf("post-success retry %v degraded %v", retry, degraded)
-	}
-}
-
-// TestBackoffCapped: the retry delay doubles but never exceeds
-// RetryBackoffMax.
-func TestBackoffCapped(t *testing.T) {
-	lib := paperLib(t)
-	cfg := DefaultConfig()
-	cfg.MaxReconfigRetries = 10
-	cfg.RetryBackoff = 100 * time.Millisecond
-	cfg.RetryBackoffMax = 250 * time.Millisecond
-	mgr, _ := New(lib, cfg)
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond,
-		250 * time.Millisecond, 250 * time.Millisecond}
-	now := 0.0
-	for i, w := range want {
-		mgr.Decide(now, 100)
-		retry, _ := mgr.ReconfigFailed(now)
-		if retry != w {
-			t.Fatalf("failure %d retry = %v, want %v", i, retry, w)
-		}
-		now += retry.Seconds()
-	}
-}
-
-func TestDegradationConfigValidation(t *testing.T) {
-	lib := paperLib(t)
-	bad := DefaultConfig()
-	bad.MaxReconfigRetries = -1
-	if _, err := New(lib, bad); err == nil {
-		t.Fatal("negative retries accepted")
-	}
-	bad = DefaultConfig()
-	bad.RetryBackoff = -time.Second
-	if _, err := New(lib, bad); err == nil {
-		t.Fatal("negative backoff accepted")
-	}
-	bad = DefaultConfig()
-	bad.FixedBanMultiple = -2
-	if _, err := New(lib, bad); err == nil {
-		t.Fatal("negative ban multiple accepted")
 	}
 }
 

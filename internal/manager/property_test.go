@@ -97,7 +97,6 @@ type shadowManager struct {
 }
 
 func newShadow(lib *library.Library, cfg Config) *shadowManager {
-	cfg.normalize()
 	return &shadowManager{lib: lib, cfg: cfg, ema: 1e18, lastSwitch: -1e18, banUntil: -1e18}
 }
 

@@ -26,7 +26,7 @@ func TestParseSwitchPolicy(t *testing.T) {
 }
 
 func TestRateTrackerHalfLife(t *testing.T) {
-	r := &RateTracker{cfg: RateConfig{HalfLife: 2}}
+	r := &RateTracker{}
 	r.Observe(0, 100)
 	if r.ewma != 100 {
 		t.Fatalf("seed mean %v", r.ewma)
@@ -64,7 +64,7 @@ func TestRateTrackerSamplingIndependent(t *testing.T) {
 }
 
 func TestRateTrackerStability(t *testing.T) {
-	r := &RateTracker{cfg: RateConfig{HalfLife: 1, Stability: 0.15}}
+	r := &RateTracker{}
 	if r.Stable() {
 		t.Fatal("unseeded tracker reports stable")
 	}
@@ -152,11 +152,6 @@ func TestDecideRatePolicyStableGoesFixed(t *testing.T) {
 func TestRateConfigValidation(t *testing.T) {
 	lib := paperLib(t)
 	cfg := DefaultConfig()
-	cfg.Rate.HalfLife = -1
-	if _, err := New(lib, cfg); err == nil {
-		t.Fatal("negative half-life accepted")
-	}
-	cfg = DefaultConfig()
 	cfg.SwitchPolicy = SwitchPolicy(99)
 	if _, err := New(lib, cfg); err == nil {
 		t.Fatal("out-of-range switch policy accepted")

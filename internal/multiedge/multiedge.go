@@ -30,7 +30,6 @@ package multiedge
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/edge"
@@ -80,19 +79,6 @@ type Config struct {
 	// Standby adds hot spare boards that idle outside the serving set and
 	// are promoted when a serving board dies.
 	Standby int
-	// HeartbeatEvery is the supervision period in seconds (default 0.1).
-	HeartbeatEvery float64
-	// SuspectAfter is the number of consecutive missed heartbeats before
-	// a board is marked suspect (default 2); after twice that many it is
-	// declared dead.
-	SuspectAfter int
-	// Quorum is the minimum count of responsive serving boards below
-	// which the pool enters degraded mode (default: majority of Boards).
-	Quorum int
-	// DegradedRelax is subtracted from the accuracy threshold while
-	// degraded, letting survivors pick faster, less accurate
-	// configurations instead of shedding the stream (default 0.05).
-	DegradedRelax float64
 	// Batch, when > 1, models per-board micro-batched dispatch (see
 	// edge.SimConfig.BatchConfig): each serving board admits its assigned share
 	// of the stream into an analytic batch queue advanced on every
@@ -103,36 +89,33 @@ type Config struct {
 	Manager manager.Config
 }
 
-// Validate reports a knob the pool cannot honour. Zero selects each
-// default, as does a non-positive HeartbeatEvery or Quorum.
+// Supervision constants. Boards are supervised every
+// edge.HeartbeatInterval seconds.
+const (
+	// suspectAfter is the number of consecutive missed heartbeats before
+	// a board is marked suspect; after twice that many it is declared
+	// dead.
+	suspectAfter = 2
+	// degradedRelax is subtracted from the accuracy threshold while
+	// degraded, letting survivors pick faster, less accurate
+	// configurations instead of shedding the stream.
+	degradedRelax = 0.05
+)
+
+// Validate reports a knob the pool cannot honour.
 func (c *Config) Validate() error {
 	switch {
 	case c.Boards <= 0:
 		return fmt.Errorf("multiedge: pool needs at least one board, got %d", c.Boards)
 	case c.Standby < 0:
 		return fmt.Errorf("multiedge: negative standby count %d", c.Standby)
-	case c.Quorum > c.Boards:
-		return fmt.Errorf("multiedge: quorum %d exceeds pool size %d", c.Quorum, c.Boards)
-	case math.IsNaN(c.HeartbeatEvery) || math.IsInf(c.HeartbeatEvery, 0):
-		return fmt.Errorf("multiedge: HeartbeatEvery %v must be a finite number of seconds", c.HeartbeatEvery)
 	}
 	return nil
 }
 
-func (c *Config) defaults() {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 0.1
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.Quorum <= 0 {
-		c.Quorum = (c.Boards + 1) / 2
-	}
-	if c.DegradedRelax == 0 {
-		c.DegradedRelax = 0.05
-	}
-}
+// quorum is the minimum count of responsive serving boards below which
+// the pool enters degraded mode: a majority of Boards.
+func (p *Pool) quorum() int { return (p.cfg.Boards + 1) / 2 }
 
 // board is one FPGA of the pool.
 type board struct {
@@ -206,7 +189,7 @@ type Pool struct {
 	stats  metrics.PoolStats
 	batch  metrics.BatchStats
 	// baseThreshold is the user accuracy threshold; degraded mode serves
-	// at baseThreshold - DegradedRelax.
+	// at baseThreshold - degradedRelax.
 	baseThreshold float64
 	degraded      bool
 	// pendingLib is a hot-swap in flight: boards adopt it one by one on
@@ -222,7 +205,6 @@ func NewSupervisedPool(lib *library.Library, cfg Config) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.defaults()
 	p := &Pool{lib: lib, cfg: cfg}
 	for i := 0; i < cfg.Boards+cfg.Standby; i++ {
 		mgr, err := manager.New(lib, cfg.Manager)
@@ -370,20 +352,20 @@ func (p *Pool) SetTracer(tr *obs.Trace) {
 // SetAccuracyThreshold implements edge.ThresholdSetter: the new user
 // threshold becomes the base; degraded mode keeps its relax on top.
 func (p *Pool) SetAccuracyThreshold(threshold float64) error {
-	if threshold < 0 {
-		return fmt.Errorf("multiedge: negative accuracy threshold")
+	if err := manager.CheckThreshold(threshold); err != nil {
+		return err
 	}
 	p.baseThreshold = threshold
 	return p.applyThreshold()
 }
 
 // threshold returns the accuracy threshold the boards serve under: the
-// base, relaxed by DegradedRelax (floored at 0) in degraded mode.
+// base, relaxed by degradedRelax (floored at 0) in degraded mode.
 func (p *Pool) threshold() float64 {
 	if !p.degraded {
 		return p.baseThreshold
 	}
-	thr := p.baseThreshold - p.cfg.DegradedRelax
+	thr := p.baseThreshold - degradedRelax
 	if thr < 0 {
 		return 0
 	}
@@ -417,9 +399,6 @@ func (p *Pool) Switches() int {
 	}
 	return total
 }
-
-// HeartbeatInterval implements edge.BoardSupervisor.
-func (p *Pool) HeartbeatInterval() float64 { return p.cfg.HeartbeatEvery }
 
 // Heartbeat implements edge.BoardSupervisor: one supervision tick. Fault
 // outcomes are drawn for every board in index order on every beat — dead
@@ -472,7 +451,7 @@ func (p *Pool) Heartbeat(now float64, inj *fault.Injector) bool {
 // Batch <= 1, so historical runs replay byte-identically.
 func (p *Pool) advanceBatches(now float64) {
 	full := float64(p.cfg.Batch)
-	dt := p.cfg.HeartbeatEvery
+	dt := edge.HeartbeatInterval
 	for i, b := range p.boards {
 		eff := b.effFPS(now)
 		if eff <= 0 || b.share <= 0 {
@@ -559,10 +538,10 @@ func (p *Pool) tick(now float64, i int, b *board) bool {
 	case Healthy, Suspect:
 		if now < b.hangUntil {
 			b.missed++
-			if b.state == Healthy && b.missed >= p.cfg.SuspectAfter {
+			if b.state == Healthy && b.missed >= suspectAfter {
 				p.setState(now, i, b, Suspect)
 			}
-			if b.missed >= 2*p.cfg.SuspectAfter {
+			if b.missed >= 2*suspectAfter {
 				until := b.hangUntil
 				if until < now {
 					until = now
@@ -631,7 +610,7 @@ func (p *Pool) promote(now float64) bool {
 // flowing at lower quality rather than being shed.
 func (p *Pool) updateDegraded(now float64) bool {
 	responsive := p.Responsive(now)
-	want := responsive < p.cfg.Quorum
+	want := responsive < p.quorum()
 	if want == p.degraded {
 		return false
 	}
@@ -644,7 +623,7 @@ func (p *Pool) updateDegraded(now float64) bool {
 	if p.trace.Enabled() {
 		p.trace.Emit(now, obs.PoolCat, "degraded",
 			obs.B("on", want), obs.I("responsive", responsive),
-			obs.I("quorum", p.cfg.Quorum), obs.F("threshold", p.threshold()))
+			obs.I("quorum", p.quorum()), obs.F("threshold", p.threshold()))
 	}
 	return true
 }

@@ -16,6 +16,7 @@ package singleengine
 import (
 	"fmt"
 
+	"repro/internal/finn"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/synth"
@@ -31,31 +32,24 @@ type Engine struct {
 	DRAMBytesPerSec float64
 }
 
-// Config parameterizes NewEngine.
+// Config parameterizes NewEngine: the compute array's size.
 type Config struct {
-	PE, SIMD        int
-	ClockHz         float64
-	DRAMBytesPerSec float64
+	PE, SIMD int
 }
+
+// dramBytesPerSec is the weight-reload bandwidth, a modest DDR4 share.
+const dramBytesPerSec = 2e9
 
 // NewEngine builds an engine sized PE×SIMD.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.PE <= 0 || cfg.SIMD <= 0 {
 		return nil, fmt.Errorf("singleengine: non-positive array %dx%d", cfg.PE, cfg.SIMD)
 	}
-	clock := cfg.ClockHz
-	if clock == 0 {
-		clock = 100e6
-	}
-	dram := cfg.DRAMBytesPerSec
-	if dram == 0 {
-		dram = 2e9 // a modest DDR4 share
-	}
 	return &Engine{
 		Name:    fmt.Sprintf("single-engine-%dx%d", cfg.PE, cfg.SIMD),
 		PE:      cfg.PE,
 		SIMD:    cfg.SIMD,
-		ClockHz: clock, DRAMBytesPerSec: dram,
+		ClockHz: finn.ClockHz, DRAMBytesPerSec: dramBytesPerSec,
 	}, nil
 }
 

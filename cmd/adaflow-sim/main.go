@@ -259,11 +259,16 @@ func main() {
 	}
 
 	if *controller == "cluster" {
-		specs := cluster.DefaultStreams(*streams)
-		if *streamSpec != "" {
+		var specs []cluster.StreamSpec
+		switch {
+		case *streamSpec != "":
 			if specs, err = cluster.ParseStreams(*streamSpec); err != nil {
 				log.Fatal(err)
 			}
+		case *streams < 1 || *streams > cluster.MaxStreams:
+			log.Fatalf("-streams %d outside [1, %d]", *streams, cluster.MaxStreams)
+		default:
+			specs = cluster.DefaultStreams(*streams)
 		}
 		var fp []int
 		if *faultPools != "" {

@@ -25,6 +25,13 @@ func FuzzStreamSpec(f *testing.F) {
 	f.Add("x:rate=1e309")
 	f.Add(";;;:::,,,===***")
 	f.Add("\x00:rate=1")
+	// Lexical rules every spec grammar shares.
+	f.Add("cam:rate=30,")
+	f.Add("cam:rate=30,slo=Inf")
+	f.Add("cam:rate=30,flag")
+	f.Add("cam:rate=30,wat=abc")
+	f.Add("cam:rate=30,interval=1e-300")
+	f.Add("cam*100001:rate=30")
 	f.Fuzz(func(t *testing.T, spec string) {
 		specs, err := ParseStreams(spec)
 		if err != nil {

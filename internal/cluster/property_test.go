@@ -355,6 +355,12 @@ func TestSchedulerValidation(t *testing.T) {
 	if _, err := New(lib, []StreamSpec{{Name: "a", Rate: -1}}, Config{Pools: 1}); err == nil {
 		t.Error("invalid stream accepted")
 	}
+	if _, err := New(lib, []StreamSpec{{Name: "a", Rate: 30, Interval: 1e-300}}, Config{Pools: 1}); err == nil {
+		t.Error("redraw interval below the floor accepted")
+	}
+	if _, err := New(lib, make([]StreamSpec, MaxStreams+1), Config{Pools: 1}); err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Errorf("%d streams: New error %v, want the stream bound", MaxStreams+1, err)
+	}
 	if _, err := New(lib, ok, Config{Pools: 2, FaultPools: []int{2}}); err == nil {
 		t.Error("out-of-range fault pool accepted")
 	}

@@ -247,6 +247,9 @@ func New(lib *library.Library, streams []StreamSpec, cfg Config) (*Scheduler, er
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("cluster: no streams declared")
 	}
+	if len(streams) > MaxStreams {
+		return nil, fmt.Errorf("cluster: %d streams declared, more than %d", len(streams), MaxStreams)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

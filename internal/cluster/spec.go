@@ -18,12 +18,11 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/edge"
-	"repro/internal/fault"
+	"repro/internal/spec"
 )
 
 // Priority is a stream's admission class. Placement admits and places
@@ -50,16 +49,6 @@ func (p Priority) String() string {
 		return fmt.Sprintf("cluster.Priority(%d)", int(p))
 	}
 	return priorityNames[p]
-}
-
-func parsePriority(name string) (Priority, error) {
-	for i, n := range priorityNames {
-		if name == n {
-			return Priority(i), nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown priority %q%s",
-		name, fault.DidYouMean(name, priorityNames[:]))
 }
 
 // StreamSpec declares one camera stream to serve: who owns it, how
@@ -97,8 +86,8 @@ func (s StreamSpec) Validate() error {
 		key string
 		v   float64
 	}{{"rate", s.Rate}, {"slo", s.SLO}, {"dev", s.Deviation}, {"interval", s.Interval}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("cluster: stream %q %s=%v is not a finite number", s.Name, f.key, f.v)
+		if err := spec.Finite(f.key, f.v); err != nil {
+			return fmt.Errorf("cluster: stream %q %w", s.Name, err)
 		}
 	}
 	switch {
@@ -114,6 +103,8 @@ func (s StreamSpec) Validate() error {
 		return fmt.Errorf("cluster: stream %q deviation %v outside [0,1]", s.Name, s.Deviation)
 	case s.Interval < 0:
 		return fmt.Errorf("cluster: stream %q interval %v negative", s.Name, s.Interval)
+	case s.Interval != 0 && s.Interval < edge.MinInterval:
+		return fmt.Errorf("cluster: stream %q interval %v below the %v s floor", s.Name, s.Interval, edge.MinInterval)
 	}
 	return nil
 }
@@ -155,23 +146,12 @@ func (s *StreamSpec) adoptScenario(name string) error {
 	return nil
 }
 
-// validName restricts stream names to [A-Za-z0-9._-] so a declared name
-// can never collide with the grammar's metacharacters.
-func validName(name string) bool {
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '.' || r == '_' || r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
+// MaxStreams bounds the streams one spec or scheduler declares: 100× the
+// 1000-stream fleet, far below what would exhaust memory.
+const MaxStreams = 100000
 
 // ParseStreams parses a stream-spec of semicolon-separated declarations,
-// each "name[*count]:key=value,...", following the fault-plan grammar
-// conventions, e.g.
+// each "name[*count]:key=value,..." in the syntax of internal/spec, e.g.
 //
 //	cam*96:rate=30,tenant=bronze;ptz*4:rate=60,prio=high,tenant=gold,slo=0.05
 //
@@ -180,28 +160,18 @@ func validName(name string) bool {
 // seconds), scn (a named workload-grammar scenario — "diurnal", say —
 // whose phase shape and diurnal cycle the stream adopts; later dev= or
 // interval= keys override the adopted values). "name*N" expands to
-// name-0 … name-(N-1), all sharing the declaration. An unknown key or
-// priority is a hard parse error with a did-you-mean hint — misdeclared
-// streams never degrade to a silent default. An empty spec yields an
-// empty set.
-func ParseStreams(spec string) ([]StreamSpec, error) {
+// name-0 … name-(N-1), all sharing the declaration; a spec may declare
+// at most MaxStreams streams. An unknown key or priority is a hard parse
+// error with a did-you-mean hint — misdeclared streams never degrade to a
+// silent default. An empty spec yields an empty set.
+func ParseStreams(s string) ([]StreamSpec, error) {
 	var out []StreamSpec
 	seen := make(map[string]bool)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	for _, d := range spec.Split(s, ";") {
+		if !d.Colon {
+			return nil, fmt.Errorf("cluster: stream %q missing ':' before parameters", d.Text)
 		}
-		head, params, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("cluster: stream %q missing ':' before parameters", part)
-		}
-		name := strings.TrimSpace(head)
-		count := 1
+		name, count := d.Head, 1
 		if base, n, starred := strings.Cut(name, "*"); starred {
 			c, err := strconv.Atoi(strings.TrimSpace(n))
 			if err != nil || c < 1 {
@@ -209,72 +179,63 @@ func ParseStreams(spec string) ([]StreamSpec, error) {
 			}
 			name, count = strings.TrimSpace(base), c
 		}
-		if name == "" {
-			return nil, fmt.Errorf("cluster: stream declaration %q has empty name", part)
+		if err := spec.CheckName(name); err != nil {
+			return nil, fmt.Errorf("cluster: stream declaration %q: %w", d.Text, err)
 		}
-		if !validName(name) {
-			return nil, fmt.Errorf("cluster: stream name %q has characters outside [A-Za-z0-9._-]", name)
+		if count > MaxStreams-len(out) {
+			return nil, fmt.Errorf("cluster: stream %q: spec declares more than %d streams", name, MaxStreams)
+		}
+		if err := d.Check(streamKeys); err != nil {
+			return nil, fmt.Errorf("cluster: stream %q: %w", name, err)
 		}
 		// The grammar's default priority is normal; the zero value of a
 		// StreamSpec built in code is low (shed first), the conservative
 		// choice for undeclared intent.
-		s := StreamSpec{Name: name, Class: Normal}
+		st := StreamSpec{Name: name, Class: Normal}
 		sawRate := false
-		for _, kv := range strings.Split(params, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("cluster: stream %q parameter %q is not key=value", name, kv)
-			}
-			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-			switch key {
+		for _, kv := range d.Params {
+			switch kv.Key {
 			case "rate", "slo", "dev", "interval":
-				f, err := strconv.ParseFloat(val, 64)
+				f, err := spec.Float(kv.Key, kv.Value)
 				if err != nil {
-					return nil, fmt.Errorf("cluster: stream %q %s=%q is not a number", name, key, val)
+					return nil, fmt.Errorf("cluster: stream %q %w", name, err)
 				}
-				switch key {
+				switch kv.Key {
 				case "rate":
-					s.Rate, sawRate = f, true
+					st.Rate, sawRate = f, true
 				case "slo":
-					s.SLO = f
+					st.SLO = f
 				case "dev":
-					s.Deviation = f
+					st.Deviation = f
 				case "interval":
-					s.Interval = f
+					st.Interval = f
 				}
 			case "prio":
-				p, err := parsePriority(val)
+				p, err := spec.Lookup("priority", kv.Value, priorityNames[:])
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("cluster: %w", err)
 				}
-				s.Class = p
+				st.Class = Priority(p)
 			case "tenant":
-				if val == "" {
+				if kv.Value == "" {
 					return nil, fmt.Errorf("cluster: stream %q has empty tenant", name)
 				}
-				s.Tenant = val
+				st.Tenant = kv.Value
 			case "scn":
-				if err := s.adoptScenario(val); err != nil {
+				if err := st.adoptScenario(kv.Value); err != nil {
 					return nil, err
 				}
-			default:
-				return nil, fmt.Errorf("cluster: stream %q has unknown parameter %q%s",
-					name, key, fault.DidYouMean(key, streamKeys))
 			}
 		}
 		if !sawRate {
 			return nil, fmt.Errorf("cluster: stream %q missing required rate=", name)
 		}
-		s.defaults()
-		if err := s.Validate(); err != nil {
+		st.defaults()
+		if err := st.Validate(); err != nil {
 			return nil, err
 		}
 		for i := 0; i < count; i++ {
-			e := s
+			e := st
 			if count > 1 {
 				e.Name = fmt.Sprintf("%s-%d", name, i)
 			}

@@ -112,6 +112,10 @@ func TestParseStreamsErrors(t *testing.T) {
 		{"NaN interval", "cam:rate=30,interval=NaN", "interval=NaN is not a finite number"},
 		{"+Inf interval", "cam:rate=30,interval=Inf", "interval=+Inf is not a finite number"},
 		{"-Inf interval", "cam:rate=30,interval=-Inf", "interval=-Inf is not a finite number"},
+		{"interval floor", "cam:rate=30,interval=0.0009", "interval 0.0009 below the 0.001 s floor"},
+		{"tiny interval", "cam:rate=30,interval=1e-300", "below the 0.001 s floor"},
+		{"stream bound", "cam*100001:rate=30", "more than 100000 streams"},
+		{"stream bound summed", "a*60000:rate=30;b*40001:rate=30", "more than 100000 streams"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

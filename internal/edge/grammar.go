@@ -7,12 +7,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/fault"
+	"repro/internal/spec"
 )
 
 // The workload grammar. A scenario spec is a `|`-separated list of
-// primitives, each "name:key=value,..." (or a bare "name" when every
-// parameter has a default):
+// primitives, each "name:key=value,..." in the syntax of internal/spec
+// (or a bare "name" when every parameter has a default):
 //
 //	base:dur=60,devices=20,fps=30,name=rush
 //	  | phase:dev=0.2,every=1
@@ -26,8 +26,7 @@ import (
 // A spec that is exactly a registered scenario name ("paper1", "diurnal",
 // …) resolves to that named spec — NamedScenarios lists them. Unknown
 // primitives and parameters are hard parse errors with did-you-mean
-// hints, exactly like fault.ParsePlan and cluster.ParseStreams; a
-// misspelled spec never degrades to a silent default workload.
+// hints; a misspelled spec never degrades to a silent default workload.
 
 // primitive names, in the order the error message lists them.
 var primitiveNames = []string{
@@ -78,13 +77,11 @@ func NamedScenarios() map[string]string {
 
 // NamedScenario parses one registered scenario by name.
 func NamedScenario(name string) (Scenario, error) {
-	spec, ok := namedSpecs[strings.TrimSpace(name)]
+	s, ok := namedSpecs[strings.TrimSpace(name)]
 	if !ok {
-		known := namedNames()
-		return Scenario{}, fmt.Errorf("edge: unknown scenario name %q%s (known: %s)",
-			name, fault.DidYouMean(name, known), strings.Join(known, ", "))
+		return Scenario{}, fmt.Errorf("edge: %w", spec.Unknown("scenario name", name, namedNames()))
 	}
-	return ParseScenario(spec)
+	return ParseScenario(s)
 }
 
 func namedNames() []string {
@@ -96,30 +93,13 @@ func namedNames() []string {
 	return names
 }
 
-// specNameOK reports whether a scenario name is safe to embed in a spec
-// string (no separator or key/value metacharacters).
-func specNameOK(name string) bool {
-	if name == "" {
-		return false
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '.' || r == '_' || r == '-' || r == '+':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // ParseScenario parses a workload spec (or a registered scenario name)
 // into a Scenario. Every call builds fresh slices, so callers may mutate
 // the result freely. Defaults: 25 s of 20 devices at 30 FPS (the paper's
 // frame), a stable ±30 %/5 s phase when no phase primitive is given, and
 // the scenario is named after its spec unless base:name= pins one.
-func ParseScenario(spec string) (Scenario, error) {
-	trimmed := strings.TrimSpace(spec)
+func ParseScenario(s string) (Scenario, error) {
+	trimmed := strings.TrimSpace(s)
 	if trimmed == "" {
 		return Scenario{}, fmt.Errorf("edge: empty scenario spec")
 	}
@@ -128,30 +108,23 @@ func ParseScenario(spec string) (Scenario, error) {
 	}
 	scn := Scenario{Name: trimmed, Duration: 25, Devices: 20, PerDeviceFPS: 30}
 	seen := map[string]bool{}
-	for _, part := range strings.Split(trimmed, "|") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, params, _ := strings.Cut(part, ":")
-		name = strings.TrimSpace(name)
-		keys, ok := primitiveKeys[name]
+	for _, d := range spec.Split(trimmed, "|") {
+		keys, ok := primitiveKeys[d.Head]
 		if !ok {
-			return Scenario{}, fmt.Errorf("edge: spec %q: unknown primitive %q%s (known: %s)",
-				trimmed, name, fault.DidYouMean(name, primitiveNames), strings.Join(primitiveNames, ", "))
+			return Scenario{}, fmt.Errorf("edge: spec %q: %w", trimmed, spec.Unknown("primitive", d.Head, primitiveNames))
 		}
-		switch name {
+		switch d.Head {
 		case "base", "diurnal", "tail", "churn", "corr", "replay":
-			if seen[name] {
-				return Scenario{}, fmt.Errorf("edge: spec %q: duplicate %s primitive", trimmed, name)
+			if seen[d.Head] {
+				return Scenario{}, fmt.Errorf("edge: spec %q: duplicate %s primitive", trimmed, d.Head)
 			}
-			seen[name] = true
+			seen[d.Head] = true
 		}
-		kv, err := parseParams(trimmed, part, name, keys, params)
+		p, err := parseParams(d, keys)
 		if err != nil {
-			return Scenario{}, err
+			return Scenario{}, fmt.Errorf("edge: spec %q: %s: %w", trimmed, d.Text, err)
 		}
-		if err := applyPrimitive(&scn, trimmed, part, name, kv); err != nil {
+		if err := applyPrimitive(&scn, trimmed, d.Text, d.Head, p); err != nil {
 			return Scenario{}, err
 		}
 	}
@@ -164,86 +137,50 @@ func ParseScenario(spec string) (Scenario, error) {
 	return scn, nil
 }
 
-// params holds one primitive's parsed key=value parameters.
-type params struct {
-	nums  map[string]float64
-	strs  map[string]string
-	flags map[string]bool
-}
+// params maps a primitive's keys to their values.
+type params map[string]string
 
 func (p params) num(key, dflt string) float64 {
-	if v, ok := p.nums[key]; ok {
-		return v
+	v, ok := p[key]
+	if !ok {
+		v = dflt
 	}
-	f, _ := strconv.ParseFloat(dflt, 64)
+	f, _ := strconv.ParseFloat(v, 64)
 	return f
 }
 
-func (p params) has(key string) bool {
-	_, n := p.nums[key]
-	_, s := p.strs[key]
-	return n || s
-}
-
-// parseParams parses a primitive's parameter list. Bare tokens are only
-// accepted where a primitive defines flag spellings (tail's "pareto").
-func parseParams(spec, part, prim string, keys []string, raw string) (params, error) {
-	p := params{nums: map[string]float64{}, strs: map[string]string{}, flags: map[string]bool{}}
-	raw = strings.TrimSpace(raw)
-	if raw == "" {
-		return p, nil
+// parseParams checks a primitive's parameters: base:name= and
+// replay:file= are strings, every other key a finite number. The one
+// bare token is tail's distribution name, "pareto".
+func parseParams(d spec.Decl, keys []string) (params, error) {
+	var bare []string
+	if d.Head == "tail" {
+		bare = []string{"pareto"}
 	}
-	for _, kv := range strings.Split(raw, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
+	if err := d.Check(keys, bare...); err != nil {
+		return nil, err
+	}
+	p := params{}
+	for _, kv := range d.Params {
+		if kv.Bare {
 			continue
 		}
-		key, val, ok := strings.Cut(kv, "=")
-		key = strings.TrimSpace(key)
-		if !ok {
-			// Bare token: tail accepts its distribution name.
-			if prim == "tail" && key == "pareto" {
-				p.flags[key] = true
-				continue
+		if !(d.Head == "base" && kv.Key == "name" || d.Head == "replay" && kv.Key == "file") {
+			if _, err := spec.Float(kv.Key, kv.Value); err != nil {
+				return nil, err
 			}
-			return params{}, fmt.Errorf("edge: spec %q: %s: parameter %q is not key=value", spec, part, kv)
 		}
-		if !contains(keys, key) {
-			return params{}, fmt.Errorf("edge: spec %q: %s: unknown parameter %q%s (known: %s)",
-				spec, part, key, fault.DidYouMean(key, keys), strings.Join(keys, ", "))
-		}
-		val = strings.TrimSpace(val)
-		if prim == "base" && key == "name" || prim == "replay" && key == "file" {
-			p.strs[key] = val
-			continue
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return params{}, fmt.Errorf("edge: spec %q: %s: %s: %v", spec, part, key, err)
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return params{}, fmt.Errorf("edge: spec %q: %s: %s: value %q is not finite", spec, part, key, val)
-		}
-		p.nums[key] = f
+		p[kv.Key] = kv.Value
 	}
 	return p, nil
 }
 
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // applyPrimitive folds one parsed primitive into the scenario.
-func applyPrimitive(scn *Scenario, spec, part, name string, p params) error {
+func applyPrimitive(scn *Scenario, specText, part, name string, p params) error {
 	require := func(keys ...string) error {
 		for _, k := range keys {
-			if !p.has(k) {
-				return fmt.Errorf("edge: spec %q: %s: missing required parameter %s=", spec, part, k)
+			if _, ok := p[k]; !ok {
+				return fmt.Errorf("edge: spec %q: %s: missing required parameter %s=", specText, part, k)
 			}
 		}
 		return nil
@@ -253,7 +190,7 @@ func applyPrimitive(scn *Scenario, spec, part, name string, p params) error {
 	intp := func(key, dflt string) (int, error) {
 		f := p.num(key, dflt)
 		if f != math.Trunc(f) || f < -1e9 || f > 1e9 {
-			return 0, fmt.Errorf("edge: spec %q: %s: %s=%v is not an integer in range", spec, part, key, f)
+			return 0, fmt.Errorf("edge: spec %q: %s: %s=%v is not an integer in range", specText, part, key, f)
 		}
 		return int(f), nil
 	}
@@ -266,9 +203,9 @@ func applyPrimitive(scn *Scenario, spec, part, name string, p params) error {
 		}
 		scn.Devices = d
 		scn.PerDeviceFPS = p.num("fps", "30")
-		if n, ok := p.strs["name"]; ok {
-			if !specNameOK(n) {
-				return fmt.Errorf("edge: spec %q: %s: name %q has characters outside [A-Za-z0-9._+-]", spec, part, n)
+		if n, ok := p["name"]; ok {
+			if err := spec.CheckName(n); err != nil {
+				return fmt.Errorf("edge: spec %q: %s: %w", specText, part, err)
 			}
 			scn.Name = n
 		}
@@ -339,13 +276,13 @@ func applyPrimitive(scn *Scenario, spec, part, name string, p params) error {
 			Factor: p.num("x", "3"), Len: p.num("len", "1"), Every: p.num("every", "1"),
 		}
 	case "replay":
-		file, ok := p.strs["file"]
+		file, ok := p["file"]
 		if !ok || file == "" {
-			return fmt.Errorf("edge: spec %q: %s: missing required parameter file=", spec, part)
+			return fmt.Errorf("edge: spec %q: %s: missing required parameter file=", specText, part)
 		}
 		tr, err := ReadRateTraceFile(file)
 		if err != nil {
-			return fmt.Errorf("edge: spec %q: %s: %w", spec, part, err)
+			return fmt.Errorf("edge: spec %q: %s: %w", specText, part, err)
 		}
 		replayed := tr.Scenario()
 		scn.Name = replayed.Name
@@ -368,7 +305,7 @@ func (s Scenario) Spec() string {
 		return ""
 	}
 	base := fmt.Sprintf("base:dur=%v,devices=%d,fps=%v", s.Duration, s.Devices, s.PerDeviceFPS)
-	if specNameOK(s.Name) {
+	if spec.CheckName(s.Name) == nil {
 		base += ",name=" + s.Name
 	}
 	parts := []string{base}

@@ -33,6 +33,14 @@ func FuzzParseScenario(f *testing.F) {
 		"phase:dev=0.2,evry=1",
 		"|||",
 		"base:name=scenario1 | stable | stable | stable",
+		// Lexical rules every spec grammar shares.
+		"phase:dev=0.2,every=1,",
+		"phase:dev=NaN,every=1",
+		"phase:dev=0.2,every=Inf",
+		"phase:dev=0.2,every=1,flag",
+		"phase:dev=0.2,every=1,wat=abc",
+		"churn:min=10,max=40,step=4,every=1e-300",
+		"stable*100001",
 	} {
 		f.Add(seed)
 	}

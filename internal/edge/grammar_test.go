@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // TestParseScenarioPaperIdentity pins the named paper specs to the
@@ -113,6 +114,11 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"replay:file=/definitely/not/there.jsonl", "no such file"},
 		{"stable:dev=2", "out of [0,1]"},
 		{"burst:at=1,x=0", "factor 0 must be positive"},
+		{"tail:alpha=NaN", "alpha=NaN is not a finite number"},
+		{"phase:dev=0.2,every=0.00001", "interval 1e-05 below the 0.001 s floor"},
+		{"stable:every=0.0009", "below the 0.001 s floor"},
+		{"churn:min=10,max=40,step=4,every=1e-300", "churn interval 1e-300 below the 0.001 s floor"},
+		{"corr:groups=5,every=1e-300", "corr burst interval 1e-300 below the 0.001 s floor"},
 	}
 	for _, c := range cases {
 		_, err := ParseScenario(c.spec)
@@ -122,6 +128,23 @@ func TestParseScenarioErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ParseScenario(%q) error %q, want substring %q", c.spec, err, c.want)
+		}
+	}
+}
+
+// TestWorkloadIntervalFloor: a scenario built in Go gets the same redraw
+// floor as a parsed one, so no interval is small enough to stall
+// NextBoundary.
+func TestWorkloadIntervalFloor(t *testing.T) {
+	for name, edit := range map[string]func(*Scenario){
+		"phase": func(s *Scenario) { s.Phases[0].Interval = 1e-300 },
+		"churn": func(s *Scenario) { s.Churn = &Churn{MinDevices: 10, MaxDevices: 40, MaxStep: 4, Interval: 1e-300} },
+		"corr":  func(s *Scenario) { s.Corr = &CorrBurst{Groups: 5, Prob: 0.1, Factor: 3, Len: 1, Every: 1e-300} },
+	} {
+		s := Scenario1()
+		edit(&s)
+		if _, err := NewWorkload(s, newTestRNG()); err == nil || !strings.Contains(err.Error(), "floor") {
+			t.Errorf("%s interval 1e-300: NewWorkload error %v, want the floor", name, err)
 		}
 	}
 }
@@ -146,22 +169,22 @@ func TestSpecRoundTrip(t *testing.T) {
 		"diurnal", "flash", "heavytail", "multicam",
 		"base:dur=10,devices=5,fps=12 | phase:dev=0.1,every=0.25 | burst:at=3,x=2,len=1 | tail:alpha=2,cap=4",
 	}
-	for _, spec := range specs {
-		s, err := ParseScenario(spec)
+	for _, text := range specs {
+		s, err := ParseScenario(text)
 		if err != nil {
-			t.Fatalf("ParseScenario(%q): %v", spec, err)
+			t.Fatalf("ParseScenario(%q): %v", text, err)
 		}
 		re, err := ParseScenario(s.Spec())
 		if err != nil {
-			t.Fatalf("reparse of %q (from %q): %v", s.Spec(), spec, err)
+			t.Fatalf("reparse of %q (from %q): %v", s.Spec(), text, err)
 		}
 		// Ad-hoc scenarios are named after their spec string, which is not
 		// re-embeddable — compare everything but the name for those.
-		if !specNameOK(s.Name) {
+		if spec.CheckName(s.Name) != nil {
 			re.Name, s.Name = "", ""
 		}
 		if !reflect.DeepEqual(re, s) {
-			t.Errorf("spec %q: round trip changed scenario\n  spec: %q\n  got:  %+v\n  want: %+v", spec, s.Spec(), re, s)
+			t.Errorf("spec %q: round trip changed scenario\n  spec: %q\n  got:  %+v\n  want: %+v", text, s.Spec(), re, s)
 		}
 	}
 }

@@ -12,6 +12,11 @@ import (
 	"math/rand"
 )
 
+// MinInterval is the shortest redraw interval a workload takes, in
+// seconds: a tenth of the 10 ms fluid step. Redraws grow as duration over
+// interval, and a tinier one stalls the run.
+const MinInterval = 1e-3
+
 // Phase is a span of a scenario with its workload fluctuation law: every
 // Interval seconds the aggregate rate is redrawn as
 // base·(1 + U(−Deviation, +Deviation)).
@@ -41,8 +46,8 @@ func (c *Churn) Validate(devices int) error {
 		return fmt.Errorf("edge: initial device count %d outside churn range [%d,%d]", devices, c.MinDevices, c.MaxDevices)
 	case c.MaxStep < 1:
 		return fmt.Errorf("edge: churn step %d must be positive", c.MaxStep)
-	case c.Interval <= 0:
-		return fmt.Errorf("edge: churn interval must be positive")
+	case !(c.Interval >= MinInterval):
+		return fmt.Errorf("edge: churn interval %v below the %v s floor", c.Interval, MinInterval)
 	}
 	return nil
 }
@@ -158,8 +163,8 @@ func (c *CorrBurst) Validate() error {
 		return fmt.Errorf("edge: corr burst factor %v must be positive", c.Factor)
 	case c.Len <= 0:
 		return fmt.Errorf("edge: corr burst length %v must be positive", c.Len)
-	case c.Every <= 0:
-		return fmt.Errorf("edge: corr burst interval %v must be positive", c.Every)
+	case !(c.Every >= MinInterval):
+		return fmt.Errorf("edge: corr burst interval %v below the %v s floor", c.Every, MinInterval)
 	}
 	return nil
 }
@@ -264,8 +269,8 @@ func (s Scenario) Validate() error {
 		if p.Deviation < 0 || p.Deviation > 1 {
 			return fmt.Errorf("edge: scenario %q phase %d deviation %v out of [0,1]", s.Name, i, p.Deviation)
 		}
-		if p.Interval <= 0 {
-			return fmt.Errorf("edge: scenario %q phase %d has non-positive interval", s.Name, i)
+		if !(p.Interval >= MinInterval) {
+			return fmt.Errorf("edge: scenario %q phase %d interval %v below the %v s floor", s.Name, i, p.Interval, MinInterval)
 		}
 		prev = p.Start
 	}

@@ -17,12 +17,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -196,8 +196,8 @@ func (r Rule) Validate() error {
 		v   float64
 	}{{"p", r.Prob}, {"start", r.Start}, {"end", r.End}, {"mag", r.Mag},
 		{"slope", r.Slope}, {"hold", r.Hold}, {"repair", r.Repair}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("fault: %s %s=%v is not a finite number", r.Kind, f.key, f.v)
+		if err := spec.Finite(f.key, f.v); err != nil {
+			return fmt.Errorf("fault: %s %w", r.Kind, err)
 		}
 	}
 	if r.Prob < 0 || r.Prob > 1 {
@@ -300,7 +300,7 @@ func (p *Plan) String() string {
 }
 
 // ParsePlan parses a plan spec of semicolon-separated rules, each
-// "kind:key=value,...", e.g.
+// "kind:key=value,..." in the syntax of internal/spec, e.g.
 //
 //	reconfig-fail:p=0.7,start=2,end=12;sensor-dropout:p=0.25;sensor-spike:p=0.2,mag=1.5
 //	board-crash:p=1,start=5,end=5.3,board=1,repair=8;board-brownout:p=0.1,mag=0.4
@@ -311,85 +311,56 @@ func (p *Plan) String() string {
 // points/sec and self-recovery delay — omit both for a step shift held
 // until the window closes), and — for board-level kinds only — board
 // (0-based target board; omitted = every board) and repair (fault
-// duration in seconds). An unknown kind or parameter is a hard parse
-// error (with a did-you-mean hint for near-misses); unknown faults never
-// degrade to a silent no-op. An empty spec yields an empty plan.
-func ParsePlan(spec string) (*Plan, error) {
+// duration in seconds). An unknown kind, or a key the kind does not take,
+// is a hard parse error (with a did-you-mean hint for near-misses);
+// unknown faults never degrade to a silent no-op. An empty spec yields an
+// empty plan.
+func ParsePlan(s string) (*Plan, error) {
 	p := &Plan{}
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, params, _ := strings.Cut(part, ":")
-		kind, err := parseKind(strings.TrimSpace(name))
+	for _, d := range spec.Split(s, ";") {
+		k, err := spec.Lookup("kind", d.Head, kindNames[:])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fault: %w", err)
+		}
+		kind := Kind(k)
+		if err := d.Check(ruleKeys(kind)); err != nil {
+			return nil, fmt.Errorf("fault: rule %q: %w", d.Text, err)
 		}
 		r := Rule{Kind: kind}
 		if boardLevel(kind) {
 			r.Board = AnyBoard
 		}
 		seenP := false
-		if params != "" {
-			for _, kv := range strings.Split(params, ",") {
-				key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-				if !ok {
-					return nil, fmt.Errorf("fault: rule %q: parameter %q is not key=value", part, kv)
+		for _, kv := range d.Params {
+			if kv.Key == "board" {
+				if r.Board, err = strconv.Atoi(kv.Value); err != nil {
+					return nil, fmt.Errorf("fault: rule %q: board=%q is not an integer", d.Text, kv.Value)
 				}
-				key = strings.TrimSpace(key)
-				if key == "board" {
-					b, err := strconv.Atoi(strings.TrimSpace(val))
-					if err != nil {
-						return nil, fmt.Errorf("fault: rule %q: board: %v", part, err)
-					}
-					if !boardLevel(kind) {
-						return nil, fmt.Errorf("fault: rule %q: board= is only valid for board-level kinds", part)
-					}
-					r.Board = b
-					continue
-				}
-				f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-				if err != nil {
-					return nil, fmt.Errorf("fault: rule %q: %s: %v", part, key, err)
-				}
-				switch key {
-				case "p":
-					r.Prob, seenP = f, true
-				case "start":
-					r.Start = f
-				case "end":
-					r.End = f
-				case "mag":
-					r.Mag = f
-				case "slope":
-					if kind != DriftSustained {
-						return nil, fmt.Errorf("fault: rule %q: slope= is only valid for drift-sustained", part)
-					}
-					r.Slope = f
-				case "hold":
-					if kind != DriftSustained {
-						return nil, fmt.Errorf("fault: rule %q: hold= is only valid for drift-sustained", part)
-					}
-					r.Hold = f
-				case "repair":
-					if !boardLevel(kind) {
-						return nil, fmt.Errorf("fault: rule %q: repair= is only valid for board-level kinds", part)
-					}
-					r.Repair = f
-				default:
-					known := []string{"p", "start", "end", "mag", "slope", "hold", "board", "repair"}
-					return nil, fmt.Errorf("fault: rule %q: unknown parameter %q%s (known: %s)",
-						part, key, DidYouMean(key, known), strings.Join(known, ", "))
-				}
+				continue
+			}
+			f, err := spec.Float(kv.Key, kv.Value)
+			if err != nil {
+				return nil, fmt.Errorf("fault: rule %q: %w", d.Text, err)
+			}
+			switch kv.Key {
+			case "p":
+				r.Prob, seenP = f, true
+			case "start":
+				r.Start = f
+			case "end":
+				r.End = f
+			case "mag":
+				r.Mag = f
+			case "slope":
+				r.Slope = f
+			case "hold":
+				r.Hold = f
+			case "repair":
+				r.Repair = f
 			}
 		}
 		if !seenP {
-			return nil, fmt.Errorf("fault: rule %q: missing probability p=", part)
+			return nil, fmt.Errorf("fault: rule %q: missing probability p=", d.Text)
 		}
 		if err := r.Validate(); err != nil {
 			return nil, err
@@ -399,65 +370,17 @@ func ParsePlan(spec string) (*Plan, error) {
 	return p, nil
 }
 
-func parseKind(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), nil
-		}
+// ruleKeys lists the keys a kind takes: the common four, plus its ramp
+// for drift-sustained or its target and repair time for a board-level
+// kind.
+func ruleKeys(k Kind) []string {
+	switch {
+	case k == DriftSustained:
+		return []string{"p", "start", "end", "mag", "slope", "hold"}
+	case boardLevel(k):
+		return []string{"p", "start", "end", "mag", "board", "repair"}
 	}
-	known := append([]string(nil), kindNames[:]...)
-	sort.Strings(known)
-	return 0, fmt.Errorf("fault: unknown kind %q%s (known: %s)",
-		name, DidYouMean(name, kindNames[:]), strings.Join(known, ", "))
-}
-
-// DidYouMean returns a ` (did you mean %q?)` hint when name is a close
-// edit-distance miss of one of the known spellings, and "" otherwise. It
-// is shared by every grammar in the repo that hard-errors on unknown
-// identifiers (fault kinds, cluster stream-spec keys and classes), so
-// near-miss diagnostics read the same everywhere.
-func DidYouMean(name string, known []string) string {
-	best, bestD := "", int(^uint(0)>>1)
-	for _, n := range known {
-		if d := editDistance(strings.ToLower(name), n); d < bestD {
-			best, bestD = n, d
-		}
-	}
-	if best != "" && bestD <= 1+len(name)/3 {
-		return fmt.Sprintf(" (did you mean %q?)", best)
-	}
-	return ""
-}
-
-// editDistance is the Levenshtein distance between two ASCII strings.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+	return []string{"p", "start", "end", "mag"}
 }
 
 // Counts tallies injected faults, by class. The board-level counters tally

@@ -68,6 +68,28 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
+// TestParsePlanSharedLexis: plans follow the lexical rules every spec
+// grammar shares — an empty parameter is skipped, and a key is checked
+// before its value is read.
+func TestParsePlanSharedLexis(t *testing.T) {
+	p, err := ParsePlan("reconfig-fail:p=1,;sensor-dropout:,p=0.5")
+	if err != nil {
+		t.Fatalf("trailing and leading commas rejected: %v", err)
+	}
+	if want := "reconfig-fail:p=1;sensor-dropout:p=0.5"; p.String() != want {
+		t.Fatalf("plan = %q, want %q", p.String(), want)
+	}
+	for spec, want := range map[string]string{
+		"reconfig-fail:p=0.5,wat=abc":   `unknown parameter "wat"`,
+		"drift-sustained:p=1,slpe=abc":  `unknown parameter "slpe" (did you mean "slope"?)`,
+		"reconfig-fail:p=0.5,board=abc": `unknown parameter "board"`,
+	} {
+		if _, err := ParsePlan(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParsePlan(%q) = %v, want an error containing %q", spec, err, want)
+		}
+	}
+}
+
 // TestRuleRejectsNonFinite: NaN and ±Inf are errors on every numeric
 // rule key, whether parsed or built in Go.
 func TestRuleRejectsNonFinite(t *testing.T) {

@@ -29,6 +29,14 @@ func FuzzParsePlan(f *testing.F) {
 		"board-crash:p=0.5,board=-2",
 		";;;",
 		"board-crash:p=1,board=999999999999999999999",
+		// Lexical rules every spec grammar shares.
+		"reconfig-fail:p=1,",
+		"reconfig-fail:p=NaN",
+		"reconfig-fail:p=0.5,end=Inf",
+		"reconfig-fail:p=1,flag",
+		"reconfig-fail:p=1,wat=abc",
+		"reconfig-fail:p=1,every=1e-300",
+		"reconfig-fail*100001:p=1",
 	} {
 		f.Add(seed)
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/fault"
+	"repro/internal/spec"
 )
 
 // SwitchPolicy selects the accelerator-family rule — how the manager
@@ -45,14 +45,11 @@ func (p SwitchPolicy) String() string {
 // ParseSwitchPolicy parses a policy name ("interval" or "rate"), with
 // the repo-standard did-you-mean hard error on unknown names.
 func ParseSwitchPolicy(name string) (SwitchPolicy, error) {
-	name = strings.TrimSpace(name)
-	for p, n := range switchPolicyNames {
-		if n == name {
-			return SwitchPolicy(p), nil
-		}
+	p, err := spec.Lookup("switch policy", strings.TrimSpace(name), switchPolicyNames[:])
+	if err != nil {
+		return 0, fmt.Errorf("manager: %w", err)
 	}
-	return 0, fmt.Errorf("manager: unknown switch policy %q%s (known: %s)",
-		name, fault.DidYouMean(name, switchPolicyNames[:]), strings.Join(switchPolicyNames[:], ", "))
+	return SwitchPolicy(p), nil
 }
 
 // Sustained-rate tracker constants.

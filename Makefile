@@ -47,7 +47,7 @@ test-chaos:
 # models), the fast kernels' bit-exactness against their references
 # (round-half-away, the activation ladder and its affine fold, the
 # bit-plane convolution and its popcount kernel, the threshold-count
-# kernel, the event queue),
+# kernel, the event queue, the seeded random source),
 # generated inference cases (staged and per-sample, both bodies) against
 # the brute-force oracle, and the pruning count plan against the ranked
 # one.
@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLadder4 -fuzztime=5s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzStagedForward -fuzztime=10s ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime=10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzSource -fuzztime=5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzPlanChannels -fuzztime=5s ./internal/prune/
 
 # Timing gate: three fresh 5 s runs each of the serving workloads

@@ -155,6 +155,59 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	}
 }
 
+// TestOneSeededSource keeps one seeded-source constructor: non-test code
+// outside internal/sim opens math/rand streams on sim.NewSource, which
+// draws rand.NewSource's stream bit for bit without its 607-word seeding,
+// so a call to rand.NewSource there is an error. It parses source only.
+func TestOneSeededSource(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if filepath.ToSlash(dir) == "internal/sim" {
+			return nil
+		}
+		for _, file := range goFiles(t, dir) {
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				return err
+			}
+			files++
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path != "math/rand" {
+					continue
+				}
+				name := "rand"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "NewSource" {
+						return true
+					}
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == name {
+						t.Errorf("%s: rand.NewSource outside internal/sim: use sim.NewSource", fset.Position(sel.Pos()))
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no Go files")
+	}
+}
+
 // structFields returns the exported field names of the struct type name
 // declared in f (an embedded field is named after its type).
 func structFields(f *ast.File, name string) map[string]bool {

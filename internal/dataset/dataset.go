@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -115,7 +116,7 @@ func (d *Dataset) TestSample(i int) (*tensor.Tensor, int) {
 func (d *Dataset) sample(i, split int) (*tensor.Tensor, int) {
 	label := i % d.Classes
 	mix := uint64(d.seed) ^ uint64(split)<<40 ^ uint64(i)*0x9E3779B97F4A7C15
-	rng := rand.New(rand.NewSource(int64(mix)))
+	rng := rand.New(sim.NewSource(int64(mix)))
 	x := tensor.New(d.C, d.H, d.W)
 
 	// Class-dependent grating: orientation and frequency encode the class.

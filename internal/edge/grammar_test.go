@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -146,6 +147,35 @@ func TestWorkloadIntervalFloor(t *testing.T) {
 		if _, err := NewWorkload(s, newTestRNG()); err == nil || !strings.Contains(err.Error(), "floor") {
 			t.Errorf("%s interval 1e-300: NewWorkload error %v, want the floor", name, err)
 		}
+	}
+}
+
+// TestScenarioDurationCap: a duration that is NaN, infinite or above
+// MaxDuration is refused, by the grammar, by Validate on a scenario built
+// in Go and by a replay trace's header, so no spec runs without end.
+func TestScenarioDurationCap(t *testing.T) {
+	const spec = "base:dur=1e12 | phase:dev=0.3,every=0.001"
+	if _, err := ParseScenario(spec); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("ParseScenario(%q) error %v, want the duration cap", spec, err)
+	}
+	if _, err := ParseScenario("base:dur=1e4 | phase:dev=0.3,every=5"); err != nil {
+		t.Errorf("a MaxDuration scenario is refused: %v", err)
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), MaxDuration * (1 + 1e-15)} {
+		s := Scenario1()
+		s.Duration = d
+		if err := s.Validate(); err == nil {
+			t.Errorf("duration %v accepted", d)
+		}
+	}
+	tr := &RateTrace{Name: "long", Duration: 2 * MaxDuration, Devices: 20, PerDeviceFPS: 30,
+		Times: []float64{0}, Rates: []float64{600}}
+	var buf bytes.Buffer
+	if err := writeJSONL(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRateTrace(&buf); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("replay header duration %v: error %v, want the duration cap", tr.Duration, err)
 	}
 }
 

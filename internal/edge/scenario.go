@@ -17,6 +17,12 @@ import (
 // interval, and a tinier one stalls the run.
 const MinInterval = 1e-3
 
+// MaxDuration is the longest scenario a run takes, in seconds: the
+// longest named scenario lasts 60 s, and a MaxDuration run redrawn at
+// MinInterval ends in tens of seconds of host time where an unbounded one
+// would never end.
+const MaxDuration = 1e4
+
 // Phase is a span of a scenario with its workload fluctuation law: every
 // Interval seconds the aggregate rate is redrawn as
 // base·(1 + U(−Deviation, +Deviation)).
@@ -247,6 +253,8 @@ func (s Scenario) Validate() error {
 	switch {
 	case s.Duration <= 0:
 		return fmt.Errorf("edge: scenario %q has non-positive duration", s.Name)
+	case !(s.Duration <= MaxDuration): // NaN too
+		return fmt.Errorf("edge: scenario %q duration %v above the %v s cap", s.Name, s.Duration, MaxDuration)
 	case s.Devices <= 0 || s.PerDeviceFPS <= 0:
 		return fmt.Errorf("edge: scenario %q has non-positive workload", s.Name)
 	case len(s.Phases) == 0 && s.Replay == nil:

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/quant"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -128,7 +129,7 @@ func BuildMLP(cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("model %q: %w", cfg.Name, err)
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(sim.NewSource(cfg.Seed))
 	net := nn.NewNetwork()
 	net.Append(nn.NewFlatten("flatten"))
 	in := cfg.InC * cfg.InH * cfg.InW
@@ -216,7 +217,7 @@ func Build(cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("model %q input layer: %w", cfg.Name, err)
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(sim.NewSource(cfg.Seed))
 
 	poolAfter := make(map[int]bool, len(cfg.PoolAfter))
 	for _, p := range cfg.PoolAfter {

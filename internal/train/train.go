@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -85,7 +86,7 @@ func New(opts Options) (*Trainer, error) {
 // Fit trains the model on the dataset's train split and returns a summary
 // including test accuracy.
 func (t *Trainer) Fit(m *model.Model, ds *dataset.Dataset) (*Result, error) {
-	rng := rand.New(rand.NewSource(t.opts.Seed))
+	rng := rand.New(sim.NewSource(t.opts.Seed))
 	lr := t.opts.LR
 	n := ds.Train
 	if t.opts.Samples > 0 && t.opts.Samples < n {

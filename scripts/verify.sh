@@ -29,9 +29,11 @@ go test ./...
 # with AVX2; a 386 build runs their Go loops instead, through nn and
 # compile against the oracle and the golden corpus, and an arm64 vet keeps
 # the build-tag split of internal/tensor, the one package with
-# architecture files, compiling off amd64.
+# architecture files, compiling off amd64. internal/sim runs there too:
+# its seeded source must match math/rand with a 32-bit int and a 64-bit
+# multiply.
 echo "== go test (386) and go vet (arm64): the Go kernel bodies"
-GOARCH=386 go test ./internal/tensor/ ./internal/nn/ ./internal/compile/
+GOARCH=386 go test ./internal/tensor/ ./internal/nn/ ./internal/compile/ ./internal/sim/
 GOARCH=arm64 go vet ./internal/tensor/
 
 echo "== fuzz smoke (every fuzz target)"

@@ -12,9 +12,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the serving stack and the parallel design-time
-# pipeline (library sweep, memoized explorer, experiment harness) on top
-# of the concurrent compute packages.
+# Race-detector pass over the serving stack and the design-time pipeline
+# (library sweep, folding explorer, experiment harness) on top of the
+# concurrent compute packages.
 test-race:
 	$(GO) test -race $(RACEFLAGS) ./internal/tensor/... ./internal/nn/... ./internal/train/... \
 		./internal/compile/... ./internal/quant/... \
@@ -27,11 +27,12 @@ test-race:
 
 # Golden trace suite: the Fig. 6 scenario traces plus the pinned
 # decision-event streams (manager verdicts) for Scenarios 1, 2 and 1+2,
-# and the pool supervision streams (failover, overload shed).
+# and the pool supervision streams (failover, overload shed), plus the
+# folding explorer's answers (frontier, LUT budgets).
 # Regenerate after an intentional semantic change with:
-#   go test ./internal/edge/ ./internal/multiedge/ ./internal/cluster/ -run Golden -update
+#   go test ./internal/edge/ ./internal/multiedge/ ./internal/cluster/ ./internal/explore/ -run Golden -update
 trace-golden:
-	$(GO) test -count=1 -run 'Golden' ./internal/edge/... ./internal/multiedge/... ./internal/cluster/...
+	$(GO) test -count=1 -run 'Golden' ./internal/edge/... ./internal/multiedge/... ./internal/cluster/... ./internal/explore/...
 
 # Chaos suite: every fault-injection test (fixed seed matrix, deterministic)
 # across the fault layer, edge simulation, manager, pool, and the

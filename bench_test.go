@@ -82,12 +82,13 @@ var hotPaths = []hotPath{
 	// of pool 0 mid-run (migration, blackout accounting, repair).
 	// Admission fills reused index buffers and each epoch's report holds
 	// index slices, so fresh per-epoch buffers or name-keyed maps trip it.
-	// Measured 3587 and 3570; margin 20, below the ~2000 allocations one
-	// per heartbeat would add.
-	{"ClusterRun", "healthy", 3607, func(tb testing.TB) func(int) {
+	// The 1000 stream specs are built in set-up, so the count is the
+	// scheduler's own. Measured 1841–1842 and 1825; margin 20, below the
+	// ~2000 allocations one per heartbeat would add.
+	{"ClusterRun", "healthy", 1862, func(tb testing.TB) func(int) {
 		return clusterOp(tb, nil, nil)
 	}},
-	{"ClusterRun", "one-pool-dead", 3590, func(tb testing.TB) func(int) {
+	{"ClusterRun", "one-pool-dead", 1845, func(tb testing.TB) func(int) {
 		return clusterOp(tb, mustPlan(tb, "board-crash:p=1,start=6,end=6.3,repair=8"), []int{0})
 	}},
 	// 1000 events queued up front, then drained through the event heap.
@@ -210,10 +211,12 @@ func poolOp(tb testing.TB, cfg PoolConfig, plan *FaultPlan) func(int) {
 }
 
 // clusterOp runs the default 1000 streams on a fresh 8-pool scheduler.
+// The streams are built once: the scheduler copies them into its own specs.
 func clusterOp(tb testing.TB, plan *FaultPlan, faultPools []int) func(int) {
 	lib := paperLib(tb)
+	streams := DefaultStreams(1000)
 	return func(i int) {
-		sch, err := NewClusterScheduler(lib, DefaultStreams(1000), ClusterConfig{
+		sch, err := NewClusterScheduler(lib, streams, ClusterConfig{
 			Pools: 8, Seed: int64(i + 1),
 			FaultPlan: plan, FaultPools: faultPools, FaultSeed: 1,
 		})

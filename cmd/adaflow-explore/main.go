@@ -6,11 +6,9 @@
 //
 //	adaflow-explore [-model CNVW2A2|CNVW1A2] [-dataset cifar10|gtsrb]
 //	                [-target-fps F[,F...] | -lut-budget N] [-flexible]
-//	                [-jobs N] [-v]
 //
 // A comma-separated -target-fps list explores the whole throughput
-// frontier, fanning the searches over -jobs workers; results are printed
-// in target order and are identical at any job count.
+// frontier from one greedy walk; results are printed in target order.
 package main
 
 import (
@@ -18,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -36,12 +33,7 @@ func main() {
 	lutBudget := flag.Int("lut-budget", 0, "LUT budget (alternative to -target-fps)")
 	flexible := flag.Bool("flexible", false, "explore the flexible (runtime-controllable) variant")
 	describe := flag.Bool("describe", false, "print the per-module dataflow map of the result (single target only)")
-	jobs := flag.Int("jobs", runtime.NumCPU(), "concurrent searches for a multi-target frontier sweep")
-	verbose := flag.Bool("v", false, "report evaluation-cache statistics")
 	flag.Parse()
-	if *jobs < 1 {
-		log.Fatalf("-jobs must be >= 1, got %d", *jobs)
-	}
 
 	classes := 10
 	if *ds == "gtsrb" {
@@ -77,7 +69,7 @@ func main() {
 	case len(targets) > 0 && *lutBudget > 0:
 		log.Fatal("use either -target-fps or -lut-budget, not both")
 	case len(targets) > 1:
-		pts := explore.Frontier(m, targets, opts, *jobs)
+		pts := explore.Frontier(m, targets, opts)
 		fmt.Printf("%-12s %-12s %-8s %-9s %-9s %-6s %-6s %s\n",
 			"target", "FPS", "steps", "LUT", "FF", "BRAM", "DSP", "bottleneck")
 		for _, pt := range pts {
@@ -102,15 +94,6 @@ func main() {
 		report(m, res, err, *flexible, *describe)
 	default:
 		log.Fatal("specify -target-fps or -lut-budget")
-	}
-	if *verbose {
-		hits, misses := explore.CacheStats()
-		total := hits + misses
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(hits) / float64(total)
-		}
-		fmt.Printf("evaluation cache: %d hits / %d evaluations (%.1f%% hit rate)\n", hits, total, pct)
 	}
 }
 

@@ -1,30 +1,25 @@
 // Package explore searches the PE/SIMD folding design space of a dataflow
 // accelerator — the role of FINN's folding-configuration step. Starting
 // from a minimal (fully folded) configuration it greedily unfolds the
-// current bottleneck layer, one legal divisor step at a time, until a
-// throughput target is met or a resource budget is exhausted. The search
+// current bottleneck layer, one legal divisor step at a time. The search
 // is exact with respect to the cycle and resource models in internal/finn
 // and internal/synth, on the paper's board (synth.ZCU104) at finn.ClockHz.
 //
-// Evaluation is incremental: each greedy step changes the folding of one
-// layer, so instead of re-mapping and re-synthesizing the whole network the
-// searcher refolds the affected modules in place (finn.Dataflow.Refold) and
-// patches only their cycle and resource contributions. Results are also
-// memoized in a package-level cache (see cache.go) keyed by the full
-// evaluation input, so repeated searches over the same model — the library
-// sweep, frontier sweeps, warm benchmarks — skip shared prefixes entirely.
-// Both paths are bit-identical to a fresh Map+Synthesize.
+// The greedy trajectory depends only on the model and Options, never on
+// the goal, so every query reads one walk: TargetFPS takes the first point
+// at or above the target, MaxFPSWithin the last point within the LUT
+// budget, and Frontier reads all its targets from a single walk up to the
+// highest one. Each point is a fresh finn.Map and synth.Synthesize.
 package explore
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"repro/internal/finn"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/synth"
 )
 
@@ -77,120 +72,6 @@ func MinimalFolding(m *model.Model) finn.Folding {
 	return f
 }
 
-// evalOut is one evaluated design point, whether served from cache or
-// computed incrementally.
-type evalOut struct {
-	fps        float64
-	res        synth.Resources
-	bottleneck string
-}
-
-// searcher carries one greedy search's incremental evaluation state: the
-// live dataflow, the folding it currently reflects, and per-module cycle
-// and resource contributions so a one-layer folding change only touches
-// that layer's modules.
-type searcher struct {
-	m    *model.Model
-	opts Options
-	sig  string
-	divs *divisorTable
-
-	df     *finn.Dataflow // nil until the first cache miss forces a Map
-	cycles []int64
-	perMod []synth.Resources
-	res    synth.Resources
-}
-
-func newSearcher(m *model.Model, opts Options) *searcher {
-	return &searcher{
-		m: m, opts: opts,
-		sig:  modelSignature(m),
-		divs: newDivisorTable(),
-	}
-}
-
-func (s *searcher) key(f finn.Folding) evalKey {
-	return evalKey{model: s.sig, fold: foldKey(f), flexible: s.opts.Flexible}
-}
-
-// eval returns the dataflow/synthesis outcome of folding f. Cache hits skip
-// all model work; misses refold only the modules whose folding differs from
-// the searcher's live dataflow and patch their cycle/resource shares, which
-// the finn/synth purity invariants make bit-identical to a fresh
-// Map+Synthesize (see TestIncrementalMatchesFull).
-func (s *searcher) eval(f finn.Folding) (evalOut, error) {
-	k := s.key(f)
-	if v, ok := cacheGet(k); ok {
-		return evalOut{fps: v.FPS, res: v.Res, bottleneck: v.Bottleneck}, nil
-	}
-	if s.df == nil {
-		df, err := finn.Map(s.m, f, finn.Options{Flexible: s.opts.Flexible})
-		if err != nil {
-			return evalOut{}, err
-		}
-		s.df = df
-		s.cycles = make([]int64, len(df.Modules))
-		s.perMod = make([]synth.Resources, len(df.Modules))
-		s.res = synth.Overhead()
-		for i, mod := range df.Modules {
-			s.cycles[i] = mod.CyclesPerFrame()
-			r := synth.ModuleResources(mod)
-			s.perMod[i] = r
-			s.res = s.res.Add(r)
-		}
-	} else {
-		changed, err := s.df.Refold(f)
-		if err != nil {
-			return evalOut{}, err
-		}
-		for _, i := range changed {
-			s.cycles[i] = s.df.Modules[i].CyclesPerFrame()
-			r := synth.ModuleResources(s.df.Modules[i])
-			s.res = s.res.Sub(s.perMod[i]).Add(r)
-			s.perMod[i] = r
-		}
-	}
-	if !synth.ZCU104.Fits(s.res) {
-		// Same failure Synthesize would report; the searcher's dataflow
-		// stays at the rejected folding, which is fine — both callers stop
-		// evaluating after an error.
-		return evalOut{}, fmt.Errorf("synth: %s does not fit %s: need %+v, have %+v",
-			s.df.Name, synth.ZCU104.Name, s.res, synth.ZCU104.Resources)
-	}
-	out := evalOut{fps: s.fps(), res: s.res, bottleneck: s.bottleneck()}
-	cachePut(k, evalResult{FPS: out.fps, Res: out.res, Bottleneck: out.bottleneck})
-	return out, nil
-}
-
-// fps mirrors finn.Dataflow.FPS over the tracked cycle contributions.
-func (s *searcher) fps() float64 {
-	var ii int64
-	for _, c := range s.cycles {
-		if c > ii {
-			ii = c
-		}
-	}
-	if ii <= 0 {
-		return 0
-	}
-	return finn.ClockHz / float64(ii)
-}
-
-// bottleneck mirrors the first-max scan the serial search used: the first
-// module with the strictly largest cycle count wins ties.
-func (s *searcher) bottleneck() string {
-	best, idx := int64(-1), -1
-	for i, c := range s.cycles {
-		if c > best {
-			best, idx = c, i
-		}
-	}
-	if idx < 0 {
-		return ""
-	}
-	return s.df.Modules[idx].Name
-}
-
 // layerIndex parses the module name produced by finn.Map ("mvtu3", "fc1",
 // "swu2") into layer kind and index.
 func layerIndex(name string) (conv bool, idx int, ok bool) {
@@ -211,19 +92,19 @@ func layerIndex(name string) (conv bool, idx int, ok bool) {
 
 // unfoldStep returns a copy of f with the bottleneck layer's cheaper axis
 // advanced one divisor step, or ok=false when the layer is fully unfolded.
-func (s *searcher) unfoldStep(f finn.Folding, bottleneck string) (finn.Folding, bool) {
+func unfoldStep(m *model.Model, f finn.Folding, bottleneck string) (finn.Folding, bool) {
 	conv, idx, ok := layerIndex(bottleneck)
 	if !ok {
 		return f, false
 	}
 	nf := f.Clone()
 	if conv {
-		c := s.m.Net.Convs()[idx]
+		c := m.Net.Convs()[idx]
 		k2 := c.Geom.KH * c.Geom.KW
 		// Two axes: SIMD over K²·InC and PE over OutC. Advance the one
 		// with the smaller relative jump; fall back to the other.
-		ns := s.divs.next(k2*c.Geom.InC, f.ConvSIMD[idx])
-		np := s.divs.next(c.OutC, f.ConvPE[idx])
+		ns := nextDivisor(k2*c.Geom.InC, f.ConvSIMD[idx])
+		np := nextDivisor(c.OutC, f.ConvPE[idx])
 		switch {
 		case ns == 0 && np == 0:
 			return f, false
@@ -235,9 +116,9 @@ func (s *searcher) unfoldStep(f finn.Folding, bottleneck string) (finn.Folding, 
 		}
 		return nf, true
 	}
-	d := s.m.Net.Denses()[idx]
-	ns := s.divs.next(d.In, f.DenseSIMD[idx])
-	np := s.divs.next(d.Out, f.DensePE[idx])
+	d := m.Net.Denses()[idx]
+	ns := nextDivisor(d.In, f.DenseSIMD[idx])
+	np := nextDivisor(d.Out, f.DensePE[idx])
 	switch {
 	case ns == 0 && np == 0:
 		return f, false
@@ -250,40 +131,80 @@ func (s *searcher) unfoldStep(f finn.Folding, bottleneck string) (finn.Folding, 
 	return nf, true
 }
 
+// nextDivisor returns the smallest divisor of n strictly greater than cur,
+// or 0 when there is none.
+func nextDivisor(n, cur int) int {
+	for d := max(cur+1, 1); d <= n; d++ {
+		if n%d == 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// evaluate maps and synthesizes folding f. The bottleneck is the first
+// module with the strictly largest cycle count.
+func evaluate(m *model.Model, f finn.Folding, flexible bool) (*Result, error) {
+	df, err := finn.Map(m, f, finn.Options{Flexible: flexible})
+	if err != nil {
+		return nil, err
+	}
+	acc, err := synth.Synthesize(df, synth.ZCU104)
+	if err != nil {
+		return nil, err
+	}
+	r := &Result{Folding: f, FPS: df.FPS(), Res: acc.Res}
+	worst := int64(-1)
+	for _, mod := range df.Modules {
+		if c := mod.CyclesPerFrame(); c > worst {
+			worst, r.Bottleneck = c, mod.Name
+		}
+	}
+	return r, nil
+}
+
+// Why a walk ended before its stop condition held.
+var (
+	errUnfolded   = errors.New("fully unfolded")
+	errIterations = errors.New("iteration budget exhausted")
+)
+
+// walk evaluates the greedy trajectory: point 0 is MinimalFolding and
+// point i+1 unfolds point i's bottleneck one step, so point i has
+// Iterations i. It ends at the first point for which stop holds (nil
+// error), when the bottleneck cannot unfold (errUnfolded), after
+// MaxIterations steps (errIterations), or when a folding fails to map or
+// fit (that error; the failed folding is not a point).
+func walk(m *model.Model, opts Options, stop func(*Result) bool) ([]*Result, error) {
+	f := MinimalFolding(m)
+	var pts []*Result
+	for it := 0; ; it++ {
+		r, err := evaluate(m, f, opts.Flexible)
+		if err != nil {
+			return pts, err
+		}
+		r.Iterations = it
+		pts = append(pts, r)
+		if stop(r) {
+			return pts, nil
+		}
+		if it >= opts.maxIterations() {
+			return pts, errIterations
+		}
+		nf, ok := unfoldStep(m, f, r.Bottleneck)
+		if !ok {
+			return pts, errUnfolded
+		}
+		f = nf
+	}
+}
+
 // TargetFPS unfolds until the dataflow reaches the target throughput (or
 // the design no longer fits the device / cannot unfold further, in which
 // case the best reached point is returned along with an error).
 func TargetFPS(m *model.Model, target float64, opts Options) (*Result, error) {
-	if target <= 0 {
-		return nil, fmt.Errorf("explore: non-positive FPS target %v", target)
-	}
-	maxIt := opts.maxIterations()
-	s := newSearcher(m, opts)
-	f := MinimalFolding(m)
-	ev, err := s.eval(f)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Folding: f, FPS: ev.fps, Res: ev.res, Bottleneck: ev.bottleneck}
-	for it := 0; it < maxIt && res.FPS < target; it++ {
-		nf, ok := s.unfoldStep(res.Folding, res.Bottleneck)
-		if !ok {
-			return res, fmt.Errorf("explore: fully unfolded at %.1f FPS, target %.1f unreachable", res.FPS, target)
-		}
-		nev, err := s.eval(nf)
-		if err != nil {
-			return res, fmt.Errorf("explore: stopped at %.1f FPS: %w", res.FPS, err)
-		}
-		res.Folding = nf
-		res.FPS = nev.fps
-		res.Res = nev.res
-		res.Iterations = it + 1
-		res.Bottleneck = nev.bottleneck
-	}
-	if res.FPS < target {
-		return res, fmt.Errorf("explore: iteration budget exhausted at %.1f FPS, target %.1f", res.FPS, target)
-	}
-	return res, nil
+	pt := Frontier(m, []float64{target}, opts)[0]
+	return pt.Result, pt.Err
 }
 
 // MaxFPSWithin unfolds greedily while the design stays within the given
@@ -292,33 +213,18 @@ func MaxFPSWithin(m *model.Model, lutBudget int, opts Options) (*Result, error) 
 	if lutBudget <= 0 {
 		return nil, fmt.Errorf("explore: non-positive LUT budget %d", lutBudget)
 	}
-	maxIt := opts.maxIterations()
-	s := newSearcher(m, opts)
-	f := MinimalFolding(m)
-	ev, err := s.eval(f)
-	if err != nil {
+	pts, err := walk(m, opts, func(r *Result) bool { return r.Res.LUT > lutBudget })
+	if len(pts) == 0 {
 		return nil, err
 	}
-	if ev.res.LUT > lutBudget {
-		return nil, fmt.Errorf("explore: minimal folding already needs %d LUTs, budget %d", ev.res.LUT, lutBudget)
+	if pts[0].Res.LUT > lutBudget {
+		return nil, fmt.Errorf("explore: minimal folding already needs %d LUTs, budget %d", pts[0].Res.LUT, lutBudget)
 	}
-	res := &Result{Folding: f, FPS: ev.fps, Res: ev.res, Bottleneck: ev.bottleneck}
-	for it := 0; it < maxIt; it++ {
-		nf, ok := s.unfoldStep(res.Folding, res.Bottleneck)
-		if !ok {
-			break
-		}
-		nev, err := s.eval(nf)
-		if err != nil || nev.res.LUT > lutBudget {
-			break
-		}
-		res.Folding = nf
-		res.FPS = nev.fps
-		res.Res = nev.res
-		res.Iterations = it + 1
-		res.Bottleneck = nev.bottleneck
+	if err == nil {
+		// The walk stopped on the first point over budget.
+		pts = pts[:len(pts)-1]
 	}
-	return res, nil
+	return pts[len(pts)-1], nil
 }
 
 // FrontierPoint is one target of a Frontier sweep.
@@ -328,18 +234,52 @@ type FrontierPoint struct {
 	Err       error
 }
 
-// Frontier runs TargetFPS for several throughput targets concurrently over
-// at most jobs workers (jobs <= 0 means NumCPU). Each search owns its
-// state; the shared evaluation cache only short-circuits recomputation, so
-// results are index-aligned with targets and independent of jobs.
-func Frontier(m *model.Model, targets []float64, opts Options, jobs int) []FrontierPoint {
-	if jobs <= 0 {
-		jobs = runtime.NumCPU()
+// Frontier answers TargetFPS for several throughput targets from one walk
+// up to the highest of them. Points are index-aligned with targets;
+// targets met by the same design point share its Result.
+func Frontier(m *model.Model, targets []float64, opts Options) []FrontierPoint {
+	// A NaN target is met by the minimal folding, since no FPS is below it.
+	walked, top := false, 0.0
+	for _, t := range targets {
+		if !(t <= 0) {
+			walked, top = true, max(top, t)
+		}
 	}
-	pts := make([]FrontierPoint, len(targets))
-	parallel.ForEach(len(targets), jobs, func(i int) {
-		r, err := TargetFPS(m, targets[i], opts)
-		pts[i] = FrontierPoint{TargetFPS: targets[i], Result: r, Err: err}
-	})
-	return pts
+	var pts []*Result
+	var end error
+	if walked {
+		pts, end = walk(m, opts, func(r *Result) bool { return r.FPS >= top })
+	}
+	out := make([]FrontierPoint, len(targets))
+	for i, t := range targets {
+		out[i] = FrontierPoint{TargetFPS: t}
+		out[i].Result, out[i].Err = reach(pts, end, t)
+	}
+	return out
+}
+
+// reach reads one target from a walk that ended with end.
+func reach(pts []*Result, end error, target float64) (*Result, error) {
+	if target <= 0 {
+		return nil, fmt.Errorf("explore: non-positive FPS target %v", target)
+	}
+	for _, p := range pts {
+		if !(p.FPS < target) {
+			return p, nil
+		}
+	}
+	if len(pts) == 0 {
+		return nil, end
+	}
+	// The walk stops only at the highest target, so it ended short of
+	// this one too, for the same reason.
+	last := pts[len(pts)-1]
+	switch end {
+	case errUnfolded:
+		return last, fmt.Errorf("explore: fully unfolded at %.1f FPS, target %.1f unreachable", last.FPS, target)
+	case errIterations:
+		return last, fmt.Errorf("explore: iteration budget exhausted at %.1f FPS, target %.1f", last.FPS, target)
+	default:
+		return last, fmt.Errorf("explore: stopped at %.1f FPS: %w", last.FPS, end)
+	}
 }

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/finn"
@@ -163,5 +165,31 @@ func TestLayerIndexParsing(t *testing.T) {
 	}
 	if _, _, ok := layerIndex("pool@7"); ok {
 		t.Fatal("pool parsed as foldable")
+	}
+}
+
+// TestFrontierMatchesTargetFPS requires every Frontier point to equal a
+// lone TargetFPS search for its target, whatever the order, duplicates,
+// non-positive and unreachable entries of the target list.
+func TestFrontierMatchesTargetFPS(t *testing.T) {
+	m := cnv(t)
+	targets := []float64{600, 50, 1e9, 0, 200, 50, -3, 400, 20000, 100}
+	for _, opts := range []Options{{MaxIterations: 2000}, {MaxIterations: 40}, {Flexible: true}} {
+		pts := Frontier(m, targets, opts)
+		if len(pts) != len(targets) {
+			t.Fatalf("%+v: %d points for %d targets", opts, len(pts), len(targets))
+		}
+		for i, pt := range pts {
+			want, wantErr := TargetFPS(m, targets[i], opts)
+			if pt.TargetFPS != targets[i] {
+				t.Fatalf("%+v point %d: target %v, want %v", opts, i, pt.TargetFPS, targets[i])
+			}
+			if fmt.Sprint(pt.Err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%+v target %v: err %v, want %v", opts, targets[i], pt.Err, wantErr)
+			}
+			if !reflect.DeepEqual(pt.Result, want) {
+				t.Fatalf("%+v target %v:\n frontier:  %+v\n TargetFPS: %+v", opts, targets[i], pt.Result, want)
+			}
+		}
 	}
 }

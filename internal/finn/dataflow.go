@@ -288,74 +288,6 @@ func (d *Dataflow) LatencySeconds() float64 {
 	return float64(d.LatencyCycles()) / d.ClockHz
 }
 
-// Refold updates the dataflow's PE/SIMD assignment in place to match f,
-// returning the indices of the modules whose folding actually changed.
-// Geometry, precision, and the runtime channel configuration are
-// untouched; only the changed modules are re-validated (a module's folding
-// constraints depend solely on its own fields, so unchanged modules stay
-// valid by induction). This is the mutation primitive behind the folding
-// explorer's incremental re-evaluation: a greedy unfold step touches one
-// layer, so re-mapping the whole network per step is wasted work.
-//
-// On a validation failure the dataflow is rolled back to its previous
-// folding and an error is returned.
-func (d *Dataflow) Refold(f Folding) ([]int, error) {
-	convs, denses := 0, 0
-	for _, m := range d.Modules {
-		switch m.Kind {
-		case KindSWU:
-			convs++
-		case KindMVTUDense:
-			denses++
-		}
-	}
-	if len(f.ConvPE) != convs || len(f.ConvSIMD) != convs {
-		return nil, fmt.Errorf("finn: refold has %d/%d conv entries for %d convolutions",
-			len(f.ConvPE), len(f.ConvSIMD), convs)
-	}
-	if len(f.DensePE) != denses || len(f.DenseSIMD) != denses {
-		return nil, fmt.Errorf("finn: refold has %d/%d dense entries for %d dense layers",
-			len(f.DensePE), len(f.DenseSIMD), denses)
-	}
-	type saved struct {
-		idx      int
-		pe, simd int
-	}
-	var old []saved
-	var changed []int
-	conv, dense := -1, -1
-	for i, m := range d.Modules {
-		var wantPE, wantSIMD int
-		switch m.Kind {
-		case KindSWU:
-			conv++
-			wantPE, wantSIMD = m.PE, f.ConvSIMD[conv]
-		case KindMVTUConv:
-			wantPE, wantSIMD = f.ConvPE[conv], f.ConvSIMD[conv]
-		case KindMVTUDense:
-			dense++
-			wantPE, wantSIMD = f.DensePE[dense], f.DenseSIMD[dense]
-		default:
-			continue
-		}
-		if m.PE == wantPE && m.SIMD == wantSIMD {
-			continue
-		}
-		old = append(old, saved{i, m.PE, m.SIMD})
-		m.PE, m.SIMD = wantPE, wantSIMD
-		changed = append(changed, i)
-	}
-	for _, i := range changed {
-		if err := d.Modules[i].Validate(); err != nil {
-			for _, s := range old {
-				d.Modules[s.idx].PE, d.Modules[s.idx].SIMD = s.pe, s.simd
-			}
-			return nil, err
-		}
-	}
-	return changed, nil
-}
-
 // SetChannels reconfigures a Flexible accelerator to a model version with
 // the given per-convolution output channel counts. It validates every
 // module's runtime folding constraints; fixed accelerators reject any

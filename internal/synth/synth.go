@@ -39,12 +39,6 @@ func (r Resources) Add(o Resources) Resources {
 	return Resources{r.LUT + o.LUT, r.FF + o.FF, r.BRAM + o.BRAM, r.DSP + o.DSP}
 }
 
-// Sub returns the component-wise difference (incremental re-synthesis:
-// resource counts are integers, so subtract-then-add round-trips exactly).
-func (r Resources) Sub(o Resources) Resources {
-	return Resources{r.LUT - o.LUT, r.FF - o.FF, r.BRAM - o.BRAM, r.DSP - o.DSP}
-}
-
 // Device describes the FPGA fabric budget. ZCU104 carries an XCZU7EV.
 type Device struct {
 	Name string
@@ -129,11 +123,11 @@ func Synthesize(df *finn.Dataflow, dev Device) (*Accelerator, error) {
 	}
 	acc := &Accelerator{Dataflow: df, Device: dev, PerModule: make(map[string]Resources, len(df.Modules))}
 	for _, m := range df.Modules {
-		r := ModuleResources(m)
+		r := moduleResources(m)
 		acc.PerModule[m.Name] = r
 		acc.Res = acc.Res.Add(r)
 	}
-	acc.Res = acc.Res.Add(Overhead())
+	acc.Res = acc.Res.Add(overhead())
 	if !dev.Fits(acc.Res) {
 		return nil, fmt.Errorf("synth: %s does not fit %s: need %+v, have %+v",
 			df.Name, dev.Name, acc.Res, dev.Resources)
@@ -141,18 +135,13 @@ func Synthesize(df *finn.Dataflow, dev Device) (*Accelerator, error) {
 	return acc, nil
 }
 
-// Overhead is the per-accelerator resource cost added on top of the sum of
-// module resources (scaling/misc DSP logic). Exported so incremental
-// re-synthesis (internal/explore) reconstructs Synthesize's total exactly:
-// Res = Σ ModuleResources(module) + Overhead().
-func Overhead() Resources { return Resources{DSP: dspBase} }
+// overhead is the per-accelerator resource cost added on top of the sum of
+// module resources (scaling/misc DSP logic).
+func overhead() Resources { return Resources{DSP: dspBase} }
 
-// ModuleResources models one module's fabric cost at synthesis-time
-// geometry (worst case for flexible templates). It is a pure function of
-// the module's fields, which is what makes incremental re-synthesis exact:
-// when a folding step changes one module, subtracting its old cost and
-// adding the new one reproduces a full Synthesize sum bit for bit.
-func ModuleResources(m *finn.Module) Resources {
+// moduleResources models one module's fabric cost at synthesis-time
+// geometry (worst case for flexible templates).
+func moduleResources(m *finn.Module) Resources {
 	var lut, ff float64
 	var bram int
 	switch m.Kind {

@@ -29,24 +29,26 @@ type hotPath struct {
 var hotPaths = []hotPath{
 	// The AdaFlow controller and Runtime Manager over the full 25 s
 	// Scenario 2, tracing and adaptation off: both must stay free when
-	// disabled. The accounting steps are engine ticks, one queued at a
-	// time: queuing them up front (event slabs, queue resizes) trips it.
-	// Measured 173; margin 4.
-	{"RunEdge", "fluid", 177, func(tb testing.TB) func(int) {
+	// disabled. The 2500 accounting steps are one tick sequence held
+	// beside the event heap, so queuing them up front (event slabs, queue
+	// resizes) trips it, and each decision's power curve is copied into
+	// the Serving, so a closure per decision trips it. Measured 117–118;
+	// margin 4.
+	{"RunEdge", "fluid", 122, func(tb testing.TB) func(int) {
 		return edgeOp(tb, SimConfig{})
 	}},
 	// The event-level simulator under a deadline, every frame an event:
 	// batch=1 dispatches per frame, batch=8 amortizes the per-dispatch
 	// costs (service completions, their engine events, controller
-	// bookkeeping) over eight frames. Measured 181–182 and 184; margin 4.
-	{"RunEdge", "batch=1", 186, func(tb testing.TB) func(int) {
+	// bookkeeping) over eight frames. Measured 127 and 130; margin 4.
+	{"RunEdge", "batch=1", 131, func(tb testing.TB) func(int) {
 		return edgeOp(tb, SimConfig{
 			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 1},
 		})
 	}},
-	{"RunEdge", "batch=8", 188, func(tb testing.TB) func(int) {
+	{"RunEdge", "batch=8", 134, func(tb testing.TB) func(int) {
 		return edgeOp(tb, SimConfig{
 			EventLevel:      true,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
@@ -54,8 +56,8 @@ var hotPaths = []hotPath{
 		})
 	}},
 	// The closed drift-recovery loop (detect, retrain, swap) under a
-	// sustained shift. Measured 186; margin 4.
-	{"RunEdge", "adapt", 190, func(tb testing.TB) func(int) {
+	// sustained shift. Measured 130; margin 4.
+	{"RunEdge", "adapt", 134, func(tb testing.TB) func(int) {
 		return edgeOp(tb, SimConfig{
 			FaultConfig: FaultConfig{Plan: mustPlan(tb, "drift-sustained:p=1,start=5,mag=-0.15"), Seed: 1},
 			Adapt:       AdaptConfig{Enabled: true},
@@ -65,15 +67,17 @@ var hotPaths = []hotPath{
 	// heartbeats and health bookkeeping must stay free when no fault
 	// fires. One-dead: a board crashes mid-run (detection, failover,
 	// capacity redistribution). Batched: an 8-frame dispatch queue per
-	// board, advanced on the heartbeats. Measured 259, 251 and 259;
-	// margin 4.
-	{"PoolRun", "healthy", 263, func(tb testing.TB) func(int) {
+	// board, advanced on the heartbeats. React keeps its able boards,
+	// weights and labels in the pool and allocates only the Serving's
+	// copy of the power curves, so a label, scratch slice or closure per
+	// React trips it. Measured 80, 86 and 80; margin 4.
+	{"PoolRun", "healthy", 84, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, nil)
 	}},
-	{"PoolRun", "one-dead", 255, func(tb testing.TB) func(int) {
+	{"PoolRun", "one-dead", 90, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4}, mustPlan(tb, "board-crash:p=1,board=0,start=5,end=5.05,repair=60"))
 	}},
-	{"PoolRun", "batched", 263, func(tb testing.TB) func(int) {
+	{"PoolRun", "batched", 84, func(tb testing.TB) func(int) {
 		return poolOp(tb, PoolConfig{Boards: 4, Batch: 8}, nil)
 	}},
 	// The fleet scheduler: 1000 streams on 8 supervised pools for 5
@@ -83,12 +87,12 @@ var hotPaths = []hotPath{
 	// Admission fills reused index buffers and each epoch's report holds
 	// index slices, so fresh per-epoch buffers or name-keyed maps trip it.
 	// The 1000 stream specs are built in set-up, so the count is the
-	// scheduler's own. Measured 1841–1842 and 1825; margin 20, below the
-	// ~2000 allocations one per heartbeat would add.
-	{"ClusterRun", "healthy", 1862, func(tb testing.TB) func(int) {
+	// scheduler's own. Measured 1545–1550 and 1537–1541; margin 20, below
+	// the ~2000 allocations one per heartbeat would add.
+	{"ClusterRun", "healthy", 1570, func(tb testing.TB) func(int) {
 		return clusterOp(tb, nil, nil)
 	}},
-	{"ClusterRun", "one-pool-dead", 1845, func(tb testing.TB) func(int) {
+	{"ClusterRun", "one-pool-dead", 1561, func(tb testing.TB) func(int) {
 		return clusterOp(tb, mustPlan(tb, "board-crash:p=1,start=6,end=6.3,repair=8"), []int{0})
 	}},
 	// 1000 events queued up front, then drained through the event heap.

@@ -393,7 +393,7 @@ func TestQoEBounds(t *testing.T) {
 func TestZeroCapacityServing(t *testing.T) {
 	dead := &StaticController{S: Serving{
 		FPS: 0, Accuracy: 0.9,
-		PowerAt:   func(float64) float64 { return 0.5 },
+		Power:     synth.PowerCurve{IdleW: 0.5},
 		IdlePower: 0.5, Label: "dead",
 	}}
 	r, err := Run(Scenario1(), dead, SimConfig{Seed: 1})

@@ -17,9 +17,9 @@ type fluidModel struct {
 	batchCarry float64
 }
 
-// start queues the run's accounting steps as engine ticks: one pending
-// step event at a time, dispatched exactly where the steps scheduled up
-// front would be.
+// start queues the run's accounting steps as one engine tick sequence,
+// held beside the event heap and dispatched exactly where the steps
+// scheduled up front would be.
 func (m *fluidModel) start() error {
 	return m.eng.Ticks(int(m.scn.Duration/fluidStep+0.5), fluidStep, m.step)
 }

@@ -44,7 +44,7 @@ func (c *ReconfController) React(now, incomingFPS float64) (Serving, time.Durati
 	s := Serving{
 		FPS:       e.FixedFPS,
 		Accuracy:  e.Accuracy,
-		PowerAt:   e.FixedPower.At,
+		Power:     e.FixedPower,
 		IdlePower: e.FixedPower.IdleW,
 		Label:     fmt.Sprintf("reconf p=%.0f%%", e.NominalRate*100),
 	}

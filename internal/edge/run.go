@@ -133,9 +133,6 @@ func Run(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Resul
 	}
 
 	r.serving, _, _, _ = ctl.React(0, r.wl.Rate()) // initial load is free for every controller
-	if r.serving.PowerAt == nil {
-		return nil, fmt.Errorf("edge: controller returned no power model")
-	}
 	if r.al != nil && r.ra != nil {
 		// The initial load is assumed to succeed (it is free and cannot
 		// fail), but the managers still hold its rollback snapshot — and a

@@ -12,18 +12,38 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/synth"
 )
 
 // Serving is the server's active configuration: how fast it can process,
-// at what accuracy, and how much power it draws.
+// at what accuracy, and how much power it draws. The power model is data,
+// copied when the configuration is made, so a Serving keeps charging its
+// own configuration's power after the controller has moved on.
 type Serving struct {
 	FPS      float64
 	Accuracy float64
-	// PowerAt returns watts at a given processed frame rate.
-	PowerAt func(processedFPS float64) float64
+	// Power is the accelerator's power curve.
+	Power synth.PowerCurve
+	// Boards, when not empty, replaces Power with one curve per serving
+	// board of a pool, which splits the processed rate evenly.
+	Boards []synth.PowerCurve
 	// IdlePower is drawn while stalled (reconfiguring).
 	IdlePower float64
 	Label     string
+}
+
+// PowerAt returns watts at a given processed frame rate: Power's, or for
+// a pool the sum in board order of each board's power at its even share.
+// The zero Serving draws nothing.
+func (s *Serving) PowerAt(processedFPS float64) float64 {
+	if len(s.Boards) == 0 {
+		return s.Power.At(processedFPS)
+	}
+	var total float64
+	for i := range s.Boards {
+		total += s.Boards[i].At(processedFPS / float64(len(s.Boards)))
+	}
+	return total
 }
 
 // Controller reacts to workload observations and configures serving.
@@ -325,7 +345,7 @@ func NewStaticFINN(lib *library.Library) *StaticController {
 	return &StaticController{S: Serving{
 		FPS:       e.FixedFPS,
 		Accuracy:  e.Accuracy,
-		PowerAt:   e.FixedPower.At,
+		Power:     e.FixedPower,
 		IdlePower: e.FixedPower.IdleW,
 		Label:     "FINN " + lib.ModelName,
 	}}
@@ -402,7 +422,7 @@ func (c *AdaFlowController) React(now, incomingFPS float64) (Serving, time.Durat
 // decision on lib, without a label: the entry's accuracy, and the frame
 // rate, idle power and power curve of the accelerator the decision runs
 // on (the shared flexible one for a Flexible decision, the entry's own
-// fixed one otherwise). PowerAt is bound to the curve the library
+// fixed one otherwise). Power is a copy of the curve the library
 // tabulated for the entry, so power queries read three numbers and never
 // walk a dataflow. Every controller that serves manager decisions maps
 // them through here.
@@ -410,8 +430,8 @@ func DecisionServing(lib *library.Library, d manager.Decision) Serving {
 	e := &lib.Entries[d.Entry]
 	if d.Kind == manager.Flexible {
 		return Serving{FPS: e.FlexFPS, Accuracy: e.Accuracy,
-			PowerAt: e.FlexPower.At, IdlePower: e.FlexPower.IdleW}
+			Power: e.FlexPower, IdlePower: e.FlexPower.IdleW}
 	}
 	return Serving{FPS: e.FixedFPS, Accuracy: e.Accuracy,
-		PowerAt: e.FixedPower.At, IdlePower: e.FixedPower.IdleW}
+		Power: e.FixedPower, IdlePower: e.FixedPower.IdleW}
 }

@@ -456,9 +456,13 @@ func NewInjector(p *Plan, seed int64) (*Injector, error) {
 // firing is the one rule walk behind every draw: in plan order, each rule
 // of the given kind that eligible accepts consumes exactly one draw from
 // the kind's stream, and the first whose draw falls below its Prob wins.
-// Ineligible rules consume no draw. It returns whether a rule fired and
-// that rule's magnitude and repair time (or the kind defaults).
+// Ineligible rules consume no draw, and a kind with no stream has no
+// rules to walk. It returns whether a rule fired and that rule's
+// magnitude and repair time (or the kind defaults).
 func (in *Injector) firing(kind Kind, eligible func(*Rule) bool) (fired bool, mag, repair float64) {
+	if in.streams[kind] == nil {
+		return false, 0, 0
+	}
 	for i := range in.plan.Rules {
 		r := &in.plan.Rules[i]
 		if r.Kind != kind || !eligible(r) {
@@ -652,7 +656,7 @@ func (in *Injector) DriftSpan(from, to float64) float64 {
 // sustainedDelta evaluates one engaged sustained-drift rule's profile at
 // time t: ramp toward full magnitude at Slope points/sec (step when
 // Slope = 0), then hold, then — when Hold is set — self-recover.
-func (r Rule) sustainedDelta(t float64) float64 {
+func (r *Rule) sustainedDelta(t float64) float64 {
 	mag := r.Mag
 	if mag == 0 {
 		mag = defaultMag(DriftSustained)
@@ -677,10 +681,15 @@ func (r Rule) sustainedDelta(t float64) float64 {
 // sustainedAt sums the deltas of engaged DriftSustained rules selected by
 // the activity predicate act, with profiles evaluated at eval (clamped
 // into each rule's window). Engage draws happen here, one per rule, at
-// the first query its window covers.
-func (in *Injector) sustainedAt(act func(Rule) bool, eval float64) float64 {
+// the first query its window covers. A plan without such rules has no
+// stream for them and returns at once.
+func (in *Injector) sustainedAt(act func(*Rule) bool, eval float64) float64 {
+	if in.streams[DriftSustained] == nil {
+		return 0
+	}
 	var delta float64
-	for i, r := range in.plan.Rules {
+	for i := range in.plan.Rules {
+		r := &in.plan.Rules[i]
 		if r.Kind != DriftSustained || !act(r) {
 			continue
 		}
@@ -717,7 +726,7 @@ func (in *Injector) sustainedAt(act func(Rule) bool, eval float64) float64 {
 // the delta to add to the measured serving accuracy (0 when no engaged
 // rule is active). Event-level edge runs call it per frame completion.
 func (in *Injector) Sustained(now float64) float64 {
-	return in.sustainedAt(func(r Rule) bool { return r.active(now) }, now)
+	return in.sustainedAt(func(r *Rule) bool { return r.active(now) }, now)
 }
 
 // SustainedSpan is Sustained for the fluid loop's accounting span
@@ -725,7 +734,7 @@ func (in *Injector) Sustained(now float64) float64 {
 // contract) and profiles are evaluated at the span end, clamped into each
 // rule's window.
 func (in *Injector) SustainedSpan(from, to float64) float64 {
-	return in.sustainedAt(func(r Rule) bool { return r.overlaps(from, to) }, to)
+	return in.sustainedAt(func(r *Rule) bool { return r.overlaps(from, to) }, to)
 }
 
 // Counts returns the faults injected so far.

@@ -38,6 +38,7 @@ import (
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // BoardState is one station of a board's health state machine.
@@ -122,8 +123,7 @@ type board struct {
 	mgr      *manager.Manager
 	fps      float64
 	accuracy float64
-	powerAt  func(float64) float64
-	idle     float64
+	power    synth.PowerCurve
 
 	// Supervision state.
 	state   BoardState
@@ -196,6 +196,12 @@ type Pool struct {
 	// heartbeats (never mid-reconfiguration), each serving from its own
 	// manager's committed library until its individual swap lands.
 	pendingLib *library.Library
+
+	// React's scratch: the able boards and their dispatch weights.
+	able    []*board
+	weights []float64
+	// labels[k] is the Serving label with k of the boards able.
+	labels []string
 }
 
 // NewSupervisedPool builds a pool of cfg.Boards serving boards plus
@@ -212,6 +218,9 @@ func NewSupervisedPool(lib *library.Library, cfg Config) (*Pool, error) {
 			return nil, err
 		}
 		p.boards = append(p.boards, &board{mgr: mgr, serving: i < cfg.Boards})
+	}
+	for k := 0; k <= len(p.boards); k++ {
+		p.labels = append(p.labels, fmt.Sprintf("pool[%d/%d]", k, len(p.boards)))
 	}
 	p.baseThreshold = p.boards[0].mgr.AccuracyThreshold()
 	return p, nil
@@ -412,7 +421,7 @@ func (p *Pool) Heartbeat(now float64, inj *fault.Injector) bool {
 		if inj != nil {
 			out = inj.Board(now, i)
 		}
-		if p.applyOutcome(now, i, b, out) {
+		if p.applyOutcome(now, i, b, &out) {
 			changed = true
 		}
 	}
@@ -493,7 +502,7 @@ func (p *Pool) DrainBatchStats() metrics.BatchStats {
 }
 
 // applyOutcome feeds one board's drawn faults into its state machine.
-func (p *Pool) applyOutcome(now float64, i int, b *board, out fault.BoardOutcome) bool {
+func (p *Pool) applyOutcome(now float64, i int, b *board, out *fault.BoardOutcome) bool {
 	changed := false
 	if out.Crash && b.state != Dead {
 		p.declareDead(now, i, b, now+out.CrashRepair, "crash")
@@ -647,12 +656,13 @@ func (p *Pool) setState(now float64, i int, b *board, st BoardState) {
 // idealized) and power, and reports board switch costs as an equivalent
 // whole-pool stall scaled by each switching board's capacity weight.
 func (p *Pool) React(now, incomingFPS float64) (edge.Serving, time.Duration, bool, bool) {
-	able := make([]*board, 0, len(p.boards))
+	able := p.able[:0]
 	for _, b := range p.boards {
 		if b.able(now) {
 			able = append(able, b)
 		}
 	}
+	p.able = able
 	if len(able) == 0 {
 		// Total blackout: no healthy board. Serve nothing; the edge layer
 		// sheds arrivals with cause no-healthy-board until a board
@@ -660,18 +670,17 @@ func (p *Pool) React(now, incomingFPS float64) (edge.Serving, time.Duration, boo
 		if p.trace.Enabled() {
 			p.trace.Emit(now, obs.PoolCat, "blackout", obs.I("boards", len(p.boards)))
 		}
-		s := edge.Serving{
-			PowerAt: func(float64) float64 { return 0 },
-			Label:   fmt.Sprintf("pool[0/%d]", len(p.boards)),
-		}
-		return s, 0, false, false
+		return edge.Serving{Label: p.labels[0]}, 0, false, false
 	}
 
 	// Capacity-proportional dispatch weights. Boards with no cached
 	// capability yet (first reaction, or a board fresh out of repair)
 	// weigh in at the mean of the known ones so they receive a share to
 	// decide against.
-	weights := make([]float64, len(able))
+	if cap(p.weights) < len(able) {
+		p.weights = make([]float64, len(able))
+	}
+	weights := p.weights[:len(able)]
 	var wsum float64
 	known := 0
 	for _, b := range able {
@@ -725,7 +734,7 @@ func (p *Pool) React(now, incomingFPS float64) (edge.Serving, time.Duration, boo
 			f *= b.brownoutFactor
 		}
 		capacity += f
-		idleTotal += b.idle
+		idleTotal += b.power.IdleW
 		a := b.effAccuracy(now)
 		accNom += a * f
 		eff := b.effFPS(now)
@@ -742,19 +751,18 @@ func (p *Pool) React(now, incomingFPS float64) (edge.Serving, time.Duration, boo
 		accuracy = accNom / capacity
 	}
 
-	snap := append([]*board(nil), able...)
+	// The Serving owns a copy of the curves, so it keeps charging these
+	// configurations' power after a later React re-points a board.
+	curves := make([]synth.PowerCurve, len(able))
+	for i, b := range able {
+		curves[i] = b.power
+	}
 	s := edge.Serving{
-		FPS:      capacity,
-		Accuracy: accuracy,
-		PowerAt: func(fps float64) float64 {
-			var total float64
-			for _, b := range snap {
-				total += b.powerAt(fps / float64(len(snap)))
-			}
-			return total
-		},
+		FPS:       capacity,
+		Accuracy:  accuracy,
+		Boards:    curves,
 		IdlePower: idleTotal,
-		Label:     fmt.Sprintf("pool[%d/%d]", len(able), len(p.boards)),
+		Label:     p.labels[len(able)],
 	}
 	return s, stall, switched, reconf
 }
@@ -765,7 +773,7 @@ func (p *Pool) React(now, incomingFPS float64) (edge.Serving, time.Duration, boo
 // serving exactly their committed version, never a half-swapped blend.
 func (p *Pool) apply(b *board, d manager.Decision) {
 	s := edge.DecisionServing(b.mgr.Library(), d)
-	b.fps, b.accuracy, b.idle, b.powerAt = s.FPS, s.Accuracy, s.IdlePower, s.PowerAt
+	b.fps, b.accuracy, b.power = s.FPS, s.Accuracy, s.Power
 }
 
 // ReconfigFailed implements edge.ReconfigAware for the pool. The fault

@@ -1,9 +1,10 @@
 // Package sim provides a small discrete-event simulation kernel: a clock,
 // a binary min-heap of timestamped events ordered by (time, schedule
-// order), and seeded RNG streams (math/rand's generator, seeded in O(1)
-// by Source). The edge-server simulation in internal/edge runs on it; its
-// runs hold a handful of pending events at a time, which a heap serves in
-// a few comparisons.
+// order), fixed-step tick sequences held beside the heap, and seeded RNG
+// streams (math/rand's generator, seeded in O(1) by Source). The
+// edge-server simulation in internal/edge runs on it; its runs hold a
+// handful of pending events at a time, which a heap serves in a few
+// comparisons.
 package sim
 
 import (
@@ -30,6 +31,13 @@ type Engine struct {
 	// canceled counts queued events whose fn was cleared by Cancel; they
 	// still occupy the queue until popped but never run.
 	canceled int
+	// ticks holds the unfinished Ticks sequences, each as the record of
+	// its next tick; Run dispatches them beside the heap. hidden is 1
+	// while a tick's fn runs and its sequence's next tick is already in
+	// ticks: the counters count that tick only once the fn returns, as
+	// when each tick was filed into the heap after the previous one ran.
+	ticks  []ticker
+	hidden int
 
 	// stats are lifetime counters for the observability layer; trace, when
 	// enabled, additionally emits sampled per-dispatch events and one
@@ -103,19 +111,37 @@ func (e *Engine) file(t float64, seq int64, fn func()) *event {
 	e.free = e.free[:n-1]
 	*ev = event{time: t, seq: seq, fn: fn}
 	e.push(ev)
-	if n := len(e.heap); n > e.stats.MaxHeap {
-		e.stats.MaxHeap = n
-	}
+	e.peak()
 	return ev
 }
 
+// queued counts the queue entries: heap events, canceled ones included,
+// and one per queued tick.
+func (e *Engine) queued() int { return len(e.heap) + len(e.ticks) - e.hidden }
+
+// peak records the queue occupancy in MaxHeap.
+func (e *Engine) peak() {
+	if n := e.queued(); n > e.stats.MaxHeap {
+		e.stats.MaxHeap = n
+	}
+}
+
+// ticker is an unfinished Ticks sequence: event is its next tick, with
+// the tick's time and reserved sequence number; i is that tick's index
+// and n the sequence's last.
+type ticker struct {
+	event
+	step float64
+	i, n int
+}
+
 // Ticks runs fn at float64(i)*step for i = 1…n. It reserves the sequence
-// numbers n Schedule calls made now would get, but queues only the next
-// tick: tick i+1 is filed with its reserved (time, seq) once tick i's fn
-// returns. It is missing from the queue only while that fn runs, when
-// nothing is dispatched, so the dispatch order — ties included — is
-// exactly that of the n up-front Schedule calls, while the queue holds
-// one tick instead of n.
+// numbers n Schedule calls made now would get, and Run dispatches each
+// tick under its reserved (time, seq), so the dispatch order — ties
+// included — is exactly that of the n up-front Schedule calls. The
+// sequence is held beside the heap as one record of its next tick, and
+// the counters (Stats, Pending) count it as one queued event, absent
+// while a tick's fn runs.
 // A non-positive or non-finite step, a negative n, a first tick before
 // now or a last tick past the finite range is rejected before anything
 // is queued, so no later tick can fail.
@@ -134,19 +160,50 @@ func (e *Engine) Ticks(n int, step float64, fn func()) error {
 	case math.IsInf(float64(n)*step, 1):
 		return fmt.Errorf("sim: %d ticks of %v overflow the clock", n, step)
 	}
-	base := e.seq
+	e.ticks = append(e.ticks, ticker{event: event{time: step, seq: e.seq + 1, fn: fn}, step: step, i: 1, n: n})
 	e.seq += int64(n)
-	i := 1
-	var tick func()
-	tick = func() {
-		fn()
-		if i < n {
-			i++
-			e.file(float64(i)*step, base+int64(i), tick)
+	e.peak()
+	return nil
+}
+
+// nextTick returns the index of the least (time, seq) record in ticks,
+// which must not be empty. A run holds a handful of sequences at most.
+func (e *Engine) nextTick() int {
+	k := 0
+	for j := 1; j < len(e.ticks); j++ {
+		if eventLess(&e.ticks[j].event, &e.ticks[k].event) {
+			k = j
 		}
 	}
-	e.file(step, base+1, tick)
-	return nil
+	return k
+}
+
+// runTick dispatches the next tick of sequence k: it advances the record
+// to the following tick, or drops it after the last, then runs fn.
+func (e *Engine) runTick(k int, traced bool) {
+	t := &e.ticks[k]
+	fn := t.fn
+	e.now = t.time
+	if t.i < t.n {
+		t.i++
+		t.time, t.seq = float64(t.i)*t.step, t.seq+1
+		e.hidden = 1
+	} else {
+		last := len(e.ticks) - 1
+		e.ticks[k] = e.ticks[last]
+		e.ticks[last] = ticker{}
+		e.ticks = e.ticks[:last]
+	}
+	e.stats.Dispatched++
+	if traced {
+		e.trace.Hot(e.now, obs.SimCat, "event",
+			obs.I("heap", e.queued()), obs.I("pending", e.Pending()))
+	}
+	fn()
+	if e.hidden == 1 {
+		e.hidden = 0
+		e.peak()
+	}
 }
 
 // Handle identifies a scheduled event for cancellation. The zero Handle
@@ -183,7 +240,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	// timers superseded on every workload change) would otherwise grow the
 	// queue with dead entries and tax every operation. Once the majority
 	// of the queue is dead, compact it in one O(n) pass.
-	if e.canceled > len(e.heap)/2 {
+	if e.canceled > e.queued()/2 {
 		e.compact()
 	}
 	return true
@@ -195,7 +252,20 @@ func (e *Engine) Cancel(h Handle) bool {
 func (e *Engine) Run(until float64) {
 	traced := e.trace.Enabled()
 	startDispatched := e.stats.Dispatched
-	for len(e.heap) > 0 && !(e.heap[0].time > until) {
+	for {
+		if len(e.ticks) > 0 {
+			k := e.nextTick()
+			if t := &e.ticks[k]; len(e.heap) == 0 || eventLess(&t.event, e.heap[0]) {
+				if t.time > until {
+					break
+				}
+				e.runTick(k, traced)
+				continue
+			}
+		}
+		if len(e.heap) == 0 || e.heap[0].time > until {
+			break
+		}
 		next := e.pop()
 		fn := next.fn
 		next.fn = nil // drop the closure before recycling
@@ -210,7 +280,7 @@ func (e *Engine) Run(until float64) {
 		e.stats.Dispatched++
 		if traced {
 			e.trace.Hot(e.now, obs.SimCat, "event",
-				obs.I("heap", len(e.heap)), obs.I("pending", e.Pending()))
+				obs.I("heap", e.queued()), obs.I("pending", e.Pending()))
 		}
 		fn()
 	}
@@ -227,9 +297,10 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events that will still run
-// (canceled events awaiting recycling are not counted).
-func (e *Engine) Pending() int { return len(e.heap) - e.canceled }
+// Pending returns the number of queued events that will still run, a
+// tick sequence's next tick included (canceled events awaiting recycling
+// are not counted).
+func (e *Engine) Pending() int { return e.queued() - e.canceled }
 
 type event struct {
 	time float64

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -19,6 +20,8 @@ type tapeResult struct {
 	fired []tapeEvent
 	now   float64
 	stats Stats
+	// pending is Pending at every observation.
+	pending []int
 	// seqs counts the tick sequences started; peakOther is the most
 	// non-tick entries (live or awaiting lazy deletion) queued at once.
 	seqs, peakOther int
@@ -69,11 +72,24 @@ func (s *shadow) remove(seq int64) bool {
 	return false
 }
 
+// tapeMode is how a tape starts its tick sequences.
+type tapeMode int
+
+const (
+	// viaTicks calls Engine.Ticks.
+	viaTicks tapeMode = iota
+	// viaUpfront makes the n Schedule calls Ticks stands for.
+	viaUpfront
+	// viaRefile reserves the n sequence numbers and files each tick into
+	// the heap under its reserved key once the previous tick's fn
+	// returns: the one-queued-tick model whose counters Ticks keeps.
+	viaRefile
+)
+
 // runTape drives e through a seeded operation tape. Op 0 schedules a
 // cancelable event, at now or on a tick's time a quarter of the time
 // each; op 1 cancels a random handle; op 2 runs part way; op 3 starts a
-// tick sequence, through Ticks or, when upfront is set, as the n
-// Schedule calls Ticks stands for; op 4 schedules at a NaN time or just
+// tick sequence the way mode says; op 4 schedules at a NaN time or just
 // before now, which must fail and leave the queue and the sequence
 // numbers as they were. Handlers sometimes schedule more events, at now
 // or on the next tick, so ties cross every path.
@@ -81,11 +97,13 @@ func (s *shadow) remove(seq int64) bool {
 // A shadow list checks every step against the (time, seq) order: each
 // dispatch must be the shadow's least entry and fire at its time, Cancel
 // must report true exactly for a live entry, a partial run must leave no
-// entry due, and the final run must drain the shadow. With Ticks, every
-// observation (after each op, at the start and end of each handler)
-// fails the test if a sequence has more than one tick queued; up front,
-// Pending must equal the shadow's length.
-func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tapeResult {
+// entry due, and the final run must drain the shadow. Every observation
+// (after each op, at the start and end of each handler) checks Pending:
+// up front it equals the shadow's length; otherwise it counts the
+// shadow's other events plus one tick per unfinished sequence, less the
+// sequence whose handler is running, and no sequence may have more than
+// one tick queued, in the heap or beside it.
+func runTape(t *testing.T, e *Engine, seed int64, ops []byte, mode tapeMode) tapeResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var r tapeResult
@@ -93,6 +111,8 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 	var handles []Handle
 	var live shadow
 	id := 0
+	// running is the sequence whose tick handler is on the stack, or -1.
+	running := -1
 
 	dispatched := func(id int) {
 		m := live.least()
@@ -102,21 +122,52 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 		live.remove(live[m].seq)
 	}
 	observe := func() {
-		if upfront {
+		r.pending = append(r.pending, e.Pending())
+		if mode == viaUpfront {
 			if e.Pending() != len(live) {
 				t.Fatalf("Pending %d, oracle holds %d", e.Pending(), len(live))
 			}
 			return
 		}
+		want := 0
+		unfinished := make([]bool, len(seqs))
+		for _, ev := range live {
+			if ev.id >= 0 {
+				want++
+			} else {
+				unfinished[-ev.id/1000] = true
+			}
+		}
+		for k, u := range unfinished {
+			if u && k != running {
+				want++
+			}
+		}
+		if e.Pending() != want {
+			t.Fatalf("Pending %d, oracle expects %d", e.Pending(), want)
+		}
+		// Sequences reserve ascending, disjoint ranges.
+		seqOf := func(seq int64) int {
+			k := sort.Search(len(seqs), func(k int) bool { return seqs[k].hi >= seq })
+			if k < len(seqs) && seqs[k].lo <= seq {
+				return k
+			}
+			return -1
+		}
 		queued := make([]int, len(seqs))
 		other := 0
 		for _, ev := range e.heap { // canceled entries included
-			// Sequences reserve ascending, disjoint ranges.
-			k := sort.Search(len(seqs), func(k int) bool { return seqs[k].hi >= ev.seq })
-			if k < len(seqs) && seqs[k].lo <= ev.seq {
+			if k := seqOf(ev.seq); k >= 0 {
 				queued[k]++
 			} else {
 				other++
+			}
+		}
+		for _, tk := range e.ticks {
+			if k := seqOf(tk.seq); k >= 0 {
+				queued[k]++
+			} else {
+				t.Fatalf("tick record with seq %d outside every sequence", tk.seq)
 			}
 		}
 		for k, c := range queued {
@@ -191,6 +242,8 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 				live = append(live, shadowEvent{float64(i) * s.step, s.lo + int64(i-1), -(k*1000 + i)})
 			}
 			fn := func() {
+				outer := running
+				running = k
 				s.ran++
 				dispatched(-(k*1000 + s.ran))
 				observe()
@@ -202,15 +255,31 @@ func runTape(t *testing.T, e *Engine, seed int64, ops []byte, upfront bool) tape
 					schedule(float64(s.ran+1) * s.step)
 				}
 				observe()
+				running = outer
 			}
-			if upfront {
+			switch mode {
+			case viaUpfront:
 				for i := 1; i <= s.n; i++ {
 					if err := e.Schedule(float64(i)*s.step, fn); err != nil {
 						t.Fatal(err)
 					}
 				}
-			} else if err := e.Ticks(s.n, s.step, fn); err != nil {
-				t.Fatal(err)
+			case viaRefile:
+				if s.n > 0 {
+					e.seq += int64(s.n)
+					var tick func()
+					tick = func() {
+						fn()
+						if i := s.ran + 1; i <= s.n {
+							e.file(float64(i)*s.step, s.lo+int64(i-1), tick)
+						}
+					}
+					e.file(s.step, s.lo, tick)
+				}
+			default:
+				if err := e.Ticks(s.n, s.step, fn); err != nil {
+					t.Fatal(err)
+				}
 			}
 		case 4:
 			tt := math.NaN()
@@ -255,15 +324,26 @@ func sameTape(t *testing.T, what string, a, b tapeResult) {
 	}
 }
 
-// checkTicksTape runs one tape two ways, through Ticks and as up-front
-// Schedule calls, each checked step by step against runTape's oracle,
-// and requires the same dispatches both ways and a Ticks MaxHeap of at
-// most one entry per sequence above the other events.
+// checkTicksTape runs one tape three ways, through Ticks, as up-front
+// Schedule calls and through the re-filing model, each checked step by
+// step against runTape's oracle. It requires the same dispatches every
+// way, a Ticks MaxHeap of at most one entry per sequence above the other
+// events, and Ticks counters — Stats and Pending at every observation —
+// equal to the re-filing model's, which queued each next tick as a heap
+// event.
 func checkTicksTape(t *testing.T, seed int64, ops []byte) {
 	t.Helper()
-	ticks := runTape(t, NewEngine(), seed, ops, false)
-	upfront := runTape(t, NewEngine(), seed, ops, true)
+	ticks := runTape(t, NewEngine(), seed, ops, viaTicks)
+	upfront := runTape(t, NewEngine(), seed, ops, viaUpfront)
+	refile := runTape(t, NewEngine(), seed, ops, viaRefile)
 	sameTape(t, "ticks/up-front", ticks, upfront)
+	sameTape(t, "ticks/re-filing", ticks, refile)
+	if ticks.stats != refile.stats {
+		t.Fatalf("stats %+v, re-filing model %+v", ticks.stats, refile.stats)
+	}
+	if !slices.Equal(ticks.pending, refile.pending) {
+		t.Fatalf("Pending by observation %v, re-filing model %v", ticks.pending, refile.pending)
+	}
 	if ticks.stats.MaxHeap > ticks.seqs+ticks.peakOther {
 		t.Fatalf("MaxHeap %d above %d sequences + %d other events", ticks.stats.MaxHeap, ticks.seqs, ticks.peakOther)
 	}
@@ -343,8 +423,8 @@ func TestTicksRejectsBadArguments(t *testing.T) {
 		if err := e.Ticks(c.n, c.step, c.fn); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-		if len(e.heap) != 0 || e.seq != 0 {
-			t.Errorf("%s: queued %d events, reserved %d sequence numbers", c.name, len(e.heap), e.seq)
+		if e.queued() != 0 || e.seq != 0 {
+			t.Errorf("%s: queued %d events, reserved %d sequence numbers", c.name, e.queued(), e.seq)
 		}
 		e.Run(math.MaxFloat64)
 	}
@@ -352,7 +432,37 @@ func TestTicksRejectsBadArguments(t *testing.T) {
 	if err := e.Ticks(0, 1, fn); err != nil {
 		t.Fatalf("n = 0: %v", err)
 	}
-	if len(e.heap) != 0 || e.seq != 0 {
-		t.Fatalf("n = 0 queued %d events, reserved %d sequence numbers", len(e.heap), e.seq)
+	if e.queued() != 0 || e.seq != 0 {
+		t.Fatalf("n = 0 queued %d events, reserved %d sequence numbers", e.queued(), e.seq)
+	}
+}
+
+// BenchmarkTicks serves one fluid run's event traffic: 2500 ticks of
+// 10 ms (Scenario 2's accounting steps) dispatched beside a heartbeat
+// every 0.1 s that files the next one, as edge runs beat their
+// supervisors.
+func BenchmarkTicks(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		e := NewEngine()
+		steps := 0
+		if err := e.Ticks(2500, 0.01, func() { steps++ }); err != nil {
+			b.Fatal(err)
+		}
+		var beat func()
+		beat = func() {
+			if t := e.Now() + 0.1; t < 25 {
+				if err := e.Schedule(t, beat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := e.Schedule(0.1, beat); err != nil {
+			b.Fatal(err)
+		}
+		e.Run(26)
+		if steps != 2500 {
+			b.Fatalf("%d of 2500 ticks ran", steps)
+		}
 	}
 }
